@@ -2,10 +2,10 @@
 # PRs: it writes the full benchmark event stream (go test -json) to
 # BENCH_$(PR).json so successive PRs can be diffed.
 
-PR ?= 10
+PR ?= 12
 BENCHCOUNT ?= 5
 
-.PHONY: all build test test-race vet fmt lint chaos serve-sim warm-sim bench bench-smoke
+.PHONY: all build test test-race vet fmt lint chaos serve-sim serve-timing warm-sim bench bench-smoke
 
 all: build test
 
@@ -48,10 +48,17 @@ chaos:
 # fake-clock scheduler simulations (admission order, quota exhaustion
 # and refill, batch coalescing, both shed points, the golden status
 # line), the 12-goroutine live stress test with per-call bit-exactness,
-# and the InstancePool churn/leak test backing it.
+# and the InstancePool churn/leak test backing it. The wall-clock test
+# of the batch hold's accuracy is not built under -race (timing means
+# nothing there); `make serve-timing` runs it.
 serve-sim:
 	go test -race -count=1 ./internal/cminor/serve/
 	go test -race -count=1 ./internal/cminor/ -run 'TestInstancePoolStress'
+
+# The batch hold against the real clock, without the race detector: a
+# lone request under a 100µs hold must be dispatched within 500µs.
+serve-timing:
+	go test -count=1 ./internal/cminor/serve/ -run 'TestHoldAccuracyRealClock' -v
 
 # Warm-start suite under the race detector: the persist log's format,
 # validation and compaction tests, the tuner-level save -> restart ->

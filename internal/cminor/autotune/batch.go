@@ -85,8 +85,16 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	if err != nil {
 		return err
 	}
-	costs := make([]float64, len(batch))
-	outs := make([]callOutcome, len(batch))
+	// A batch of the serving layer's default size or smaller keeps its
+	// per-call measurements on the stack.
+	var costBuf [8]float64
+	var outBuf [8]callOutcome
+	costs, outs := costBuf[:0], outBuf[:0]
+	if n := len(batch); n <= len(costBuf) {
+		costs, outs = costBuf[:n], outBuf[:n]
+	} else {
+		costs, outs = make([]float64, n), make([]callOutcome, n)
+	}
 	inst := slot.pool.Get()
 	for i := range batch {
 		b := &batch[i]
@@ -104,18 +112,7 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 			}
 			cost = cs.clock.Now().Sub(t0)
 		} else {
-			cost, b.Err = t.sampler.Sample(fn, t.cfg.grid[idx], key.class, func() error {
-				var e error
-				switch {
-				case doAudit:
-					b.Ret, diverged, e = inst.CallAudited(b.Ctx, fn, b.Args...)
-				case b.Ctx != nil:
-					b.Ret, e = inst.CallContext(b.Ctx, fn, b.Args...)
-				default:
-					b.Ret, e = inst.Call(fn, b.Args...)
-				}
-				return e
-			})
+			b.Ret, diverged, cost, b.Err = t.sampleCall(inst, b.Ctx, fn, b.Args, doAudit, idx, key.class)
 		}
 		b.Steps = inst.LastCallSteps()
 		b.Degraded = inst.LastCallDegraded()
@@ -126,9 +123,13 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 			degraded: b.Degraded,
 			diverged: diverged,
 		}
-		var ifault *cm.InternalFault
-		if errors.As(b.Err, &ifault) {
-			out.fault = true
+		if b.Err != nil {
+			// Declared here, not above: errors.As makes it escape, and
+			// only a failed call should pay for that.
+			var ifault *cm.InternalFault
+			if errors.As(b.Err, &ifault) {
+				out.fault = true
+			}
 		}
 		costs[i], outs[i] = float64(cost), out
 		if inst.Poisoned() {
@@ -147,4 +148,25 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	}
 	t.mu.Unlock()
 	return nil
+}
+
+// sampleCall is CallBatch's slow path for one call: an audited call, or
+// any call under a Sampler that is not the clock. It is a function of
+// its own so that what the Sampler's closure captures escapes here, on
+// this path only, and not from every CallBatch.
+func (t *AutoTuner) sampleCall(inst *cm.Instance, ctx context.Context, fn string, args []any,
+	audit bool, idx, class int) (ret cm.Value, diverged bool, cost time.Duration, err error) {
+	cost, err = t.sampler.Sample(fn, t.cfg.grid[idx], class, func() error {
+		var e error
+		switch {
+		case audit:
+			ret, diverged, e = inst.CallAudited(ctx, fn, args...)
+		case ctx != nil:
+			ret, e = inst.CallContext(ctx, fn, args...)
+		default:
+			ret, e = inst.Call(fn, args...)
+		}
+		return e
+	})
+	return ret, diverged, cost, err
 }

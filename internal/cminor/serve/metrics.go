@@ -42,6 +42,9 @@ type metrics struct {
 	queueEWMA float64 // entries, sampled at every submit and dispatch
 	latEWMA   float64 // ns, completed calls only
 	gapEWMA   float64 // ns between consecutive completions
+	// ns from a held batch's ripen time to its dispatch, over batches
+	// that waited out their batch delay
+	holdLateEWMA float64
 	// The seeded flags mark a gauge's EWMA as holding at least one real
 	// observation. The first observation seeds the gauge directly
 	// (smoothing a new sample against an arbitrary zero start would just
@@ -53,19 +56,33 @@ type metrics struct {
 	queueSeeded bool
 	latSeeded   bool
 	gapSeeded   bool
+	holdSeeded  bool
 	lastDone    time.Time
 	ring        [latRingSize]int64 // ns, most recent completions
 	ringN       int64              // total latencies ever recorded
 }
 
+// fold takes one observation into an EWMA gauge and its seeded flag.
+func fold(gauge *float64, seeded *bool, x float64) {
+	if !*seeded {
+		*gauge, *seeded = x, true
+	} else {
+		*gauge = metricsAlpha*x + (1-metricsAlpha)**gauge
+	}
+}
+
 // observeQueue folds the current queue depth into its EWMA gauge.
 func (m *metrics) observeQueue(depth int) {
 	m.gmu.Lock()
-	if !m.queueSeeded {
-		m.queueEWMA, m.queueSeeded = float64(depth), true
-	} else {
-		m.queueEWMA = metricsAlpha*float64(depth) + (1-metricsAlpha)*m.queueEWMA
-	}
+	fold(&m.queueEWMA, &m.queueSeeded, float64(depth))
+	m.gmu.Unlock()
+}
+
+// observeHoldLate folds how long after its ripen time a held batch was
+// dispatched into its EWMA gauge.
+func (m *metrics) observeHoldLate(late time.Duration) {
+	m.gmu.Lock()
+	fold(&m.holdLateEWMA, &m.holdSeeded, float64(late))
 	m.gmu.Unlock()
 }
 
@@ -76,22 +93,13 @@ func (m *metrics) observeDone(now time.Time, latency time.Duration) {
 	m.gmu.Lock()
 	m.ring[m.ringN%latRingSize] = int64(latency)
 	m.ringN++
-	if !m.latSeeded {
-		m.latEWMA, m.latSeeded = ns, true
-	} else {
-		m.latEWMA = metricsAlpha*ns + (1-metricsAlpha)*m.latEWMA
-	}
+	fold(&m.latEWMA, &m.latSeeded, ns)
 	if !m.lastDone.IsZero() {
 		// A zero gap (two completions at the same clock instant) is a
 		// real observation of maximal burst throughput; it folds in like
 		// any other. The Throughput derivation guards the division.
 		if gap := now.Sub(m.lastDone); gap >= 0 {
-			g := float64(gap)
-			if !m.gapSeeded {
-				m.gapEWMA, m.gapSeeded = g, true
-			} else {
-				m.gapEWMA = metricsAlpha*g + (1-metricsAlpha)*m.gapEWMA
-			}
+			fold(&m.gapEWMA, &m.gapSeeded, float64(gap))
 		}
 	}
 	m.lastDone = now
@@ -158,6 +166,11 @@ type Snapshot struct {
 	LatencyEWMA time.Duration
 	P50         time.Duration // over the last latRingSize completions
 	P99         time.Duration
+	// HoldLate is how long after its ripen time (born + WithMaxBatchDelay)
+	// a batch that waited out its hold was dispatched, smoothed: what the
+	// hold costs a request beyond the configured delay. Batches that
+	// filled, or were flushed by Close, do not count.
+	HoldLate time.Duration
 
 	Tenants []TenantSnapshot // sorted by tenant name
 }

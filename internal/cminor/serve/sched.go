@@ -16,16 +16,17 @@ import (
 // settle accounts. Keeping the policy surface lock-synchronous is what
 // makes the fake-clock simulations exact.
 
-// entry is one admitted request in flight through the scheduler.
+// entry is one admitted request in flight through the scheduler. The
+// embedded Pending (done channel, response) is the handle Submit
+// returns.
 type entry struct {
+	Pending
 	req    Request
 	ctx    context.Context
 	tenant *tenantState
 	route  *route
 	class  int
 	enq    time.Time
-	done   chan struct{}
-	resp   Response
 }
 
 // groupKey is the coalescing key: batches form per (function,
@@ -42,6 +43,9 @@ type group struct {
 	class   int
 	born    time.Time
 	entries []*entry
+	// held: dispatched because its batch delay ran out, not because it
+	// filled or the server closed. Set by popReady.
+	held bool
 }
 
 // tenantState is one tenant's quota buckets and usage ledger.
@@ -144,34 +148,40 @@ func (s *Server) admit(rt *route, req Request, ctx context.Context, class int, n
 	ts.inflight++
 	s.met.admitted.Add(1)
 	return &entry{
-		req:    req,
-		ctx:    ctx,
-		tenant: ts,
-		route:  rt,
-		class:  class,
-		enq:    now,
-		done:   make(chan struct{}),
+		Pending: Pending{done: make(chan struct{})},
+		req:     req,
+		ctx:     ctx,
+		tenant:  ts,
+		route:   rt,
+		class:   class,
+		enq:     now,
 	}, nil
 }
 
 // enqueue places an admitted entry into a batch group: an open
 // same-(function, class) group if one is still forming, else a fresh
-// group at the queue tail. Runs under s.mu.
-func (s *Server) enqueue(e *entry, now time.Time) {
+// group at the queue tail. Runs under s.mu. It reports whether the
+// queue now needs a worker it may not have: the entry made a group
+// dispatchable (a fresh group that is not held, or the joiner that
+// fills one), or started a hold no timekeeper is sleeping for. A
+// joiner of an unfilled group changes nothing a worker acts on.
+func (s *Server) enqueue(e *entry, now time.Time) bool {
 	s.queued++
 	key := groupKey{fn: e.route.fn, class: e.class}
 	if g, ok := s.open[key]; ok {
 		g.entries = append(g.entries, e)
 		if len(g.entries) >= s.cfg.maxBatch {
 			delete(s.open, key) // full: no more joiners
+			return true
 		}
-		return
+		return false
 	}
 	g := &group{route: e.route, class: e.class, born: now, entries: []*entry{e}}
 	s.queue = append(s.queue, g)
 	if s.cfg.maxBatch > 1 {
 		s.open[key] = g
 	}
+	return !s.keeping || s.ready(g, now)
 }
 
 // ready reports whether a group should dispatch now rather than keep
@@ -187,7 +197,7 @@ func (s *Server) ready(g *group, now time.Time) bool {
 // whose deadline expired while queued, drops emptied groups, and
 // removes and returns the first ready group. When nothing is ready but
 // unripe groups remain, the zero group is returned along with the
-// soonest ripen time so a worker can sleep exactly until then.
+// soonest ripen time, for a worker to sleep until (nextGroup).
 func (s *Server) popReady(now time.Time) (*group, time.Time) {
 	var ripen time.Time
 	i := 0
@@ -212,6 +222,7 @@ func (s *Server) popReady(now time.Time) (*group, time.Time) {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			delete(s.open, groupKey{fn: g.route.fn, class: g.class})
 			n := len(g.entries)
+			g.held = n < s.cfg.maxBatch && s.cfg.maxBatchDelay > 0 && !s.closed
 			s.queued -= n
 			s.running += n
 			s.met.batches.Add(1)
@@ -246,7 +257,18 @@ func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 // cancellation into the engine's zero-cost call checkpoint.
 func (s *Server) runGroup(g *group) {
 	dispatched := s.cfg.clock.Now()
-	calls := make([]autotune.BatchCall, len(g.entries))
+	if g.held {
+		s.met.observeHoldLate(dispatched.Sub(g.born.Add(s.cfg.maxBatchDelay)))
+	}
+	// A batch of the default maxBatch or fewer keeps its calls on the
+	// stack.
+	var scratch [8]autotune.BatchCall
+	calls := scratch[:0]
+	if n := len(g.entries); n <= len(scratch) {
+		calls = scratch[:n]
+	} else {
+		calls = make([]autotune.BatchCall, n)
+	}
 	var cancels []context.CancelFunc
 	for i, e := range g.entries {
 		ctx := e.ctx
@@ -278,7 +300,6 @@ func (s *Server) runGroup(g *group) {
 	for _, e := range g.entries {
 		close(e.done)
 	}
-	s.cond.Signal()
 }
 
 // finishLocked settles one completed entry under s.mu: outcome

@@ -136,6 +136,20 @@ func WithMaxBatch(n int) Option { return func(c *serverConfig) { c.maxBatch = n 
 // WithMaxBatchDelay sets how long an unfilled batch may wait for
 // same-class company before dispatching anyway (default 0: dispatch
 // immediately, batching is purely opportunistic on queue contents).
+//
+// The hold is kept by one worker at a time, the timekeeper (see
+// nextGroup): it sleeps until the oldest held batch ripens while every
+// other idle worker stays parked, so a held batch costs one wake-up,
+// not one per worker. Whole milliseconds of a hold wait on a runtime
+// timer, which a filling batch or Close cuts short; the last
+// sub-millisecond part is a nanosleep(2) of the timekeeper's thread,
+// which nothing cuts short. On Linux a batch therefore dispatches
+// within the kernel's timer slack of its ripen time (a 100µs hold is
+// observed as 150–200µs of Response.Wait; Snapshot.HoldLate reports
+// the lateness), elsewhere up to a millisecond after it. A batch that
+// fills during the hold is dispatched at once by another idle worker;
+// with every other worker busy, or WithWorkers(1), it waits out at most
+// that sub-millisecond part.
 func WithMaxBatchDelay(d time.Duration) Option {
 	return func(c *serverConfig) { c.maxBatchDelay = d }
 }
@@ -205,6 +219,17 @@ type Server struct {
 	started bool
 	closed  bool
 	start   time.Time
+	// How idle workers wait (nextGroup). parked counts the workers in
+	// cond.Wait that no Signal has been spent on yet. keeping is set
+	// while one worker, the timekeeper, sleeps until the soonest ripen
+	// time; kick is non-nil while that sleep is its interruptible
+	// whole-millisecond part, and closing it ends the sleep.
+	parked  int
+	keeping bool
+	kick    chan struct{}
+	// wakes counts returns from cond.Wait and holds the timekeeper's
+	// sleeps: what white-box tests assert the wake discipline on.
+	wakes, holds int64
 	// caches pairs each hosted tuner with its tune-cache log path
 	// (WithTuneCache): loaded by Host, flushed by Close/FlushTuneCache.
 	caches []tunerCache
@@ -362,7 +387,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	s.parked = 0
 	s.cond.Broadcast()
+	s.kickLocked()
 	s.mu.Unlock()
 	s.wg.Wait()
 	// No workers to drain for us: serve what is left here.
@@ -397,12 +424,13 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Pending, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.enqueue(e, now)
+	if s.enqueue(e, now) {
+		s.wakeOneLocked()
+	}
 	depth := s.queued
 	s.mu.Unlock()
 	s.met.observeQueue(depth)
-	s.cond.Signal()
-	return &Pending{e: e}, nil
+	return &e.Pending, nil
 }
 
 // Do is Submit + Wait: it blocks until the request completes (or is
@@ -417,19 +445,21 @@ func (s *Server) Do(ctx context.Context, req Request) (Response, error) {
 	return resp, resp.Err
 }
 
-// Pending is the handle of a submitted request.
+// Pending is the handle of a submitted request. It is part of the
+// request's scheduler entry, so a submission allocates one object.
 type Pending struct {
-	e *entry
+	done chan struct{}
+	resp Response
 }
 
 // Done is closed when the request has completed (successfully, shed,
 // or failed).
-func (p *Pending) Done() <-chan struct{} { return p.e.done }
+func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // Wait blocks until completion and returns the Response.
 func (p *Pending) Wait() Response {
-	<-p.e.done
-	return p.e.resp
+	<-p.done
+	return p.resp
 }
 
 // Tick synchronously dispatches at most one ready batch on the calling
@@ -463,31 +493,111 @@ func (s *Server) worker() {
 }
 
 // nextGroup blocks until a batch is ready (or the server is closed and
-// empty). When every queued batch is merely unripe — still inside its
-// batch-delay window — a real-time timer re-checks at the soonest
-// ripen point.
+// empty). An idle worker waits in one of two ways. When batches are
+// queued but all still inside their batch-delay window and nobody is
+// watching the clock for them, it becomes the timekeeper: it sleeps,
+// outside s.mu, until the soonest ripen time and scans again. Otherwise
+// it parks on the cond as a follower, and is signalled only when there
+// is something for it to do: a batch that can dispatch now (wakeOneLocked
+// from Submit, Close) or a timekeeper's post to fill (handOverLocked).
+//
+// One timekeeper is enough because batches ripen in queue order: born
+// times come from one clock and the delay is one constant, so no batch
+// enqueued later ripens before the one the timekeeper sleeps for.
 func (s *Server) nextGroup() *group {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		g, ripen := s.popReady(s.cfg.clock.Now())
+		now := s.cfg.clock.Now()
+		g, ripen := s.popReady(now)
 		if g != nil {
+			s.handOverLocked(now)
 			return g
 		}
 		if s.closed && s.queued == 0 {
 			return nil
 		}
-		if !ripen.IsZero() {
-			d := ripen.Sub(s.cfg.clock.Now())
-			if d <= 0 {
-				d = time.Millisecond
-			}
-			tm := time.AfterFunc(d, s.cond.Broadcast)
+		if ripen.IsZero() || s.keeping {
+			s.parked++
 			s.cond.Wait()
-			tm.Stop()
+			s.wakes++
 			continue
 		}
-		s.cond.Wait()
+		// The scan took time and other workers' clock reads interleave:
+		// a batch that ripened since the scan's read is due now.
+		if d := ripen.Sub(s.cfg.clock.Now()); d > 0 {
+			s.keepTimeLocked(d)
+		}
+	}
+}
+
+// keepTimeLocked makes the calling worker the timekeeper for a hold
+// with d left to run: it releases s.mu, sleeps, and returns with s.mu
+// held for the caller to scan again. All but the last millisecond of d
+// waits on a runtime timer, which fires up to a millisecond late on an
+// idle runtime and which wakeOneLocked and Close can cut short; what is
+// left then is slept precisely by the next call, uninterruptibly.
+func (s *Server) keepTimeLocked(d time.Duration) {
+	s.keeping = true
+	s.holds++
+	if d > time.Millisecond {
+		kick := make(chan struct{})
+		s.kick = kick
+		s.mu.Unlock()
+		tm := time.NewTimer(d - time.Millisecond)
+		select {
+		case <-tm.C:
+		case <-kick:
+		}
+		tm.Stop()
+		s.mu.Lock()
+		s.kick = nil
+	} else {
+		s.mu.Unlock()
+		sleepFine(d)
+		s.mu.Lock()
+	}
+	s.keeping = false
+}
+
+// wakeOneLocked gets one waiting worker to scan the queue: a parked
+// follower if there is one, else the timekeeper if its sleep can be
+// cut short. With neither, every worker is busy (and scans when its
+// batch is done) or the timekeeper wakes within a millisecond.
+func (s *Server) wakeOneLocked() {
+	if s.parked > 0 {
+		s.parked--
+		s.cond.Signal()
+		return
+	}
+	s.kickLocked()
+}
+
+// kickLocked ends the timekeeper's interruptible sleep, if it is in one.
+func (s *Server) kickLocked() {
+	if s.kick != nil {
+		close(s.kick)
+		s.kick = nil
+	}
+}
+
+// handOverLocked runs when a worker leaves with a batch: if the queue
+// it leaves behind needs a worker — another batch can dispatch now, or
+// held batches remain and no timekeeper is asleep for them (the leaving
+// worker was it) — a parked follower is woken to take over.
+func (s *Server) handOverLocked(now time.Time) {
+	if s.parked == 0 || len(s.queue) == 0 {
+		return
+	}
+	if !s.keeping {
+		s.wakeOneLocked()
+		return
+	}
+	for _, g := range s.queue {
+		if s.ready(g, now) {
+			s.wakeOneLocked()
+			return
+		}
 	}
 }
 
@@ -505,7 +615,7 @@ func (s *Server) Snapshot() Snapshot {
 
 	m := &s.met
 	m.gmu.Lock()
-	queueEWMA, latEWMA, gapEWMA := m.queueEWMA, m.latEWMA, m.gapEWMA
+	queueEWMA, latEWMA, gapEWMA, holdLate := m.queueEWMA, m.latEWMA, m.gapEWMA, m.holdLateEWMA
 	m.gmu.Unlock()
 	p50, p99 := m.percentiles()
 	snap := Snapshot{
@@ -532,6 +642,7 @@ func (s *Server) Snapshot() Snapshot {
 		Batches:          m.batches.Load(),
 		BatchedCalls:     m.batchedCalls.Load(),
 		LatencyEWMA:      time.Duration(latEWMA),
+		HoldLate:         time.Duration(holdLate),
 		P50:              p50,
 		P99:              p99,
 		Tenants:          tenants,
