@@ -29,28 +29,25 @@ package autotune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 )
 
 // config is the resolved option set of one AutoTuner.
 type config struct {
 	grid       []VariantSpec
-	policy     Policy
-	epsilon    float64 // exploit-phase exploration rate (EpsilonGreedy)
+	epsilon    float64 // exploit-phase exploration rate
 	alpha      float64 // EWMA weight of a new measurement
 	minSamples int     // measure-phase pull quota per arm
 	drift      float64 // winner-cost tolerance band before re-exploring
-	ucbC       float64 // UCB1 confidence scale
 	seed       uint64
-	clock      Clock
-	sampler    Sampler
-	classify   func(args []any) int
+	clock      clock.Clock
+	sampler    Sampler // nil: time the call on clock
 	// Fault containment (quarantine.go).
 	fallback    bool             // trusted-fallback re-execution on variants
 	inject      cm.FaultInjector // deterministic fault-injection seam
@@ -62,15 +59,12 @@ type config struct {
 func defaultTunerConfig() config {
 	return config{
 		grid:        DefaultGrid(),
-		policy:      EpsilonGreedy,
 		epsilon:     0.05,
 		alpha:       0.3,
 		minSamples:  3,
 		drift:       0.5,
-		ucbC:        1.0,
 		seed:        1,
-		clock:       wallClock{},
-		classify:    SizeClass,
+		clock:       clock.Wall{},
 		fallback:    true,
 		backoffBase: 250 * time.Millisecond,
 		backoffMax:  30 * time.Second,
@@ -81,16 +75,14 @@ func defaultTunerConfig() config {
 type Option func(*config)
 
 // WithGrid replaces the variant grid the tuner selects over (default
-// DefaultGrid: compiled O0–O3).
+// DefaultGrid: compiled O0–O3 plus the bytecode backend).
 func WithGrid(specs ...VariantSpec) Option {
 	return func(c *config) { c.grid = append([]VariantSpec{}, specs...) }
 }
 
-// WithPolicy selects the exploit-phase policy (default EpsilonGreedy).
-func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
-
-// WithEpsilon sets the EpsilonGreedy exploration rate in [0, 1]
-// (default 0.05).
+// WithEpsilon sets the exploit-phase exploration rate in [0, 1]
+// (default 0.05): the fraction of a converged site's calls routed to a
+// uniformly random non-winning arm.
 func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
 
 // WithEWMAAlpha sets the weight a new measurement carries in the cost
@@ -110,19 +102,15 @@ func WithDriftFactor(f float64) Option { return func(c *config) { c.drift = f } 
 // WithSeed seeds the tuner's deterministic exploration PRNG.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithClock injects the time source the default Sampler measures with.
-func WithClock(clk Clock) Option { return func(c *config) { c.clock = clk } }
+// WithClock injects the time source calls are measured on and
+// quarantine backoff runs on (default: the wall clock), so tests drive
+// measurement, convergence and drift with a fake.
+func WithClock(clk clock.Clock) Option { return func(c *config) { c.clock = clk } }
 
-// WithSampler injects the measurement seam itself, bypassing the
+// WithSampler injects the measurement seam itself, replacing the
 // Clock-based default — simulation tests substitute a synthetic cost
 // model here.
 func WithSampler(s Sampler) Option { return func(c *config) { c.sampler = s } }
-
-// WithClassifier replaces the input classifier (default SizeClass:
-// log2 buckets of total array elements).
-func WithClassifier(fn func(args []any) int) Option {
-	return func(c *config) { c.classify = fn }
-}
 
 // siteKey identifies one tuning site.
 type siteKey struct {
@@ -151,18 +139,13 @@ type variantSlot struct {
 // kernels whose outputs are a function of their arguments; run
 // stateful kernels on a dedicated Instance instead.
 type AutoTuner struct {
-	base    *cm.Program
-	cfg     config
-	sampler Sampler
-	slots   []*variantSlot // parallel to cfg.grid
+	base  *cm.Program
+	cfg   config
+	slots []*variantSlot // parallel to cfg.grid
 
 	mu    sync.Mutex
 	rng   splitmix64
 	sites map[siteKey]*siteState
-	// counters indexes each site's atomic counter block for the
-	// lock-free Counters() read path (counters.go): populated once at
-	// site creation, read by scrapers without the tuner mutex.
-	counters sync.Map // siteKey -> *siteCounters
 }
 
 // New wraps prog in an AutoTuner. The grid is validated eagerly (an
@@ -205,25 +188,16 @@ func New(prog *cm.Program, opts ...Option) (*AutoTuner, error) {
 		}
 	}
 	t := &AutoTuner{
-		base:    prog,
-		cfg:     cfg,
-		sampler: cfg.sampler,
-		slots:   make([]*variantSlot, len(cfg.grid)),
-		rng:     splitmix64(cfg.seed),
-		sites:   map[siteKey]*siteState{},
-	}
-	if t.sampler == nil {
-		t.sampler = clockSampler{clock: cfg.clock}
+		base:  prog,
+		cfg:   cfg,
+		slots: make([]*variantSlot, len(cfg.grid)),
+		rng:   splitmix64(cfg.seed),
+		sites: map[siteKey]*siteState{},
 	}
 	for i := range t.slots {
 		t.slots[i] = &variantSlot{}
 	}
 	return t, nil
-}
-
-// Grid reports the tuner's variant grid.
-func (t *AutoTuner) Grid() []VariantSpec {
-	return append([]VariantSpec{}, t.cfg.grid...)
 }
 
 // variant materializes (once) and returns grid point idx. Every
@@ -253,16 +227,9 @@ func (t *AutoTuner) site(key siteKey) *siteState {
 	if st == nil {
 		st = newSiteState(len(t.cfg.grid))
 		t.sites[key] = st
-		t.counters.Store(key, st.ctr)
 	}
 	return st
 }
-
-// Classify reports the input-size class the tuner's classifier assigns
-// to an argument set — the second half of a site key. Serving layers
-// use it to group requests that will share a tuning site (and therefore
-// batch well) without duplicating the classifier.
-func (t *AutoTuner) Classify(args []any) int { return t.cfg.classify(args) }
 
 // Call routes one invocation of the named function through the
 // explore/exploit policy: a variant is selected for the call's
@@ -272,88 +239,25 @@ func (t *AutoTuner) Classify(args []any) int { return t.cfg.classify(args) }
 // was picked — every variant is bit-exact with the walker, so routing
 // is unobservable apart from speed.
 func (t *AutoTuner) Call(fn string, args ...any) (cm.Value, error) {
-	return t.call(nil, fn, args)
+	return t.callOne(nil, fn, args)
 }
 
 // CallContext is Call with cancellation, forwarded to
 // Instance.CallContext. A cancelled call still counts its pull, but
 // its (truncated) cost is not folded into the estimates.
 func (t *AutoTuner) CallContext(ctx context.Context, fn string, args ...any) (cm.Value, error) {
-	return t.call(ctx, fn, args)
+	return t.callOne(ctx, fn, args)
 }
 
-func (t *AutoTuner) call(ctx context.Context, fn string, args []any) (cm.Value, error) {
-	// Reject unknown functions before any selection state exists:
-	// otherwise caller-supplied garbage names would grow the site map
-	// without bound and charge pulls that can never be measured.
-	if !t.base.HasFunc(fn) {
-		return cm.Value{}, fmt.Errorf("autotune: no function %q", fn)
-	}
-	key := siteKey{fn: fn, class: t.cfg.classify(args)}
-
-	t.mu.Lock()
-	st := t.site(key)
-	idx := st.choose(&t.cfg, &t.rng)
-	// Audit cadence: every nth call at the site re-executes on the
-	// trusted tier and compares outcomes bit-exactly, so a silently
-	// wrong arm is caught even though it never panics.
-	audit := t.cfg.auditEvery > 0 && st.pulls%t.cfg.auditEvery == 0
-	t.mu.Unlock()
-
-	slot, err := t.variant(idx)
-	if err != nil {
+// callOne is a CallBatch of one (batch.go): the routed-call pipeline
+// exists once. The entry lives on this frame — CallBatch retains
+// nothing of its batch — so a converged call allocates nothing.
+func (t *AutoTuner) callOne(ctx context.Context, fn string, args []any) (cm.Value, error) {
+	one := [1]BatchCall{{Ctx: ctx, Args: args}}
+	if err := t.CallBatch(fn, one[:]); err != nil {
 		return cm.Value{}, err
 	}
-	inst := slot.pool.Get()
-	var ret cm.Value
-	var cost time.Duration
-	var callErr error
-	var diverged bool
-	if cs, isClock := t.sampler.(clockSampler); isClock && !audit {
-		// Closure-free fast path for the default sampler: on the small
-		// kernels the routed call is tens of microseconds, so the tuner
-		// itself must not allocate per call.
-		t0 := cs.clock.Now()
-		if ctx != nil {
-			ret, callErr = inst.CallContext(ctx, fn, args...)
-		} else {
-			ret, callErr = inst.Call(fn, args...)
-		}
-		cost = cs.clock.Now().Sub(t0)
-	} else {
-		cost, callErr = t.sampler.Sample(fn, t.cfg.grid[idx], key.class, func() error {
-			var e error
-			switch {
-			case audit:
-				ret, diverged, e = inst.CallAudited(ctx, fn, args...)
-			case ctx != nil:
-				ret, e = inst.CallContext(ctx, fn, args...)
-			default:
-				ret, e = inst.Call(fn, args...)
-			}
-			return e
-		})
-	}
-	// Read the containment taps before Put resets the session.
-	out := callOutcome{
-		ok:       callErr == nil && !audit,
-		fault:    inst.LastCallFault() != nil,
-		degraded: inst.LastCallDegraded(),
-		diverged: diverged,
-	}
-	var ifault *cm.InternalFault
-	if errors.As(callErr, &ifault) {
-		out.fault = true
-	}
-	// Put restores the pooled session's budget — and rebuilds a
-	// poisoned session's globals — so the next checkout starts fresh
-	// regardless of what this call did.
-	slot.pool.Put(inst)
-
-	t.mu.Lock()
-	t.site(key).observe(&t.cfg, idx, float64(cost), out)
-	t.mu.Unlock()
-	return ret, callErr
+	return one[0].Ret, one[0].Err
 }
 
 // Best reports the winning variant of a converged (function, class)
@@ -391,7 +295,7 @@ func (t *AutoTuner) Snapshot() []SiteReport {
 			r.Arms[i] = ArmReport{
 				Spec:        t.cfg.grid[i],
 				Pulls:       a.pulls,
-				EWMA:        durationOf(a.ewma),
+				EWMA:        time.Duration(a.ewma),
 				Sampled:     a.sampled,
 				Faults:      a.faults,
 				Degraded:    a.degraded,

@@ -43,12 +43,13 @@ type BatchCall struct {
 
 // CallBatch routes a batch of invocations of fn through ONE
 // explore/exploit decision: a single arm is selected for the batch's
-// (function, input-class) site — the class of the first entry; callers
-// group entries with Classify — and a single pooled Instance of that
+// (function, input-class) site — the SizeClass of the first entry;
+// callers group entries by it — and a single pooled Instance of that
 // arm runs every call back-to-back. Each call is measured and observed
-// individually, exactly as if routed through Call, so estimates,
-// quarantine signals and audit cadence behave identically; the batch
-// only amortizes the selection, the checkout, and the variant switch.
+// individually, so estimates, quarantine signals and audit cadence see
+// k calls; the batch only amortizes the selection, the checkout, and
+// the variant switch. This is the tuner's one routed-call pipeline:
+// Call and CallContext are batches of one.
 //
 // Per-call outcomes (value, error, steps, degradation) are written into
 // the batch entries; the returned error is reserved for batch-level
@@ -60,20 +61,25 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	// Reject unknown functions before any selection state exists:
+	// otherwise caller-supplied garbage names would grow the site map
+	// without bound and charge pulls that can never be measured.
 	if !t.base.HasFunc(fn) {
 		return fmt.Errorf("autotune: no function %q", fn)
 	}
-	key := siteKey{fn: fn, class: t.cfg.classify(batch[0].Args)}
+	key := siteKey{fn: fn, class: SizeClass(batch[0].Args)}
 
 	t.mu.Lock()
 	st := t.site(key)
 	idx := st.choose(&t.cfg, &t.rng)
+	// Audit cadence: every nth call at the site re-executes on the
+	// trusted tier and compares outcomes bit-exactly, so a silently
+	// wrong arm is caught even though it never panics.
 	audit := t.cfg.auditEvery > 0 && st.pulls%t.cfg.auditEvery == 0
 	// The riders follow the leader's arm: charge their pulls the same
 	// way choose would have, without re-running the policy.
 	for range batch[1:] {
 		st.pulls++
-		st.ctr.pulls.Add(1)
 		st.arms[idx].pulls++
 		if st.phase == phaseExploit && idx != st.best {
 			st.explore++
@@ -103,14 +109,13 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 		doAudit := audit && i == 0
 		var diverged bool
 		var cost time.Duration
-		if cs, isClock := t.sampler.(clockSampler); isClock && !doAudit {
-			t0 := cs.clock.Now()
-			if b.Ctx != nil {
-				b.Ret, b.Err = inst.CallContext(b.Ctx, fn, b.Args...)
-			} else {
-				b.Ret, b.Err = inst.Call(fn, b.Args...)
-			}
-			cost = cs.clock.Now().Sub(t0)
+		if t.cfg.sampler == nil {
+			// Production measurement — wall time on the tuner's Clock — is
+			// inline and closure-free: on the small kernels a routed call
+			// is tens of microseconds, so the tuner must not allocate.
+			t0 := t.cfg.clock.Now()
+			b.Ret, diverged, b.Err = execute(inst, b.Ctx, fn, b.Args, doAudit)
+			cost = t.cfg.clock.Now().Sub(t0)
 		} else {
 			b.Ret, diverged, cost, b.Err = t.sampleCall(inst, b.Ctx, fn, b.Args, doAudit, idx, key.class)
 		}
@@ -142,7 +147,6 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	slot.pool.Put(inst)
 
 	t.mu.Lock()
-	st = t.site(key)
 	for i := range outs {
 		st.observe(&t.cfg, idx, costs[i], outs[i])
 	}
@@ -150,22 +154,23 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	return nil
 }
 
-// sampleCall is CallBatch's slow path for one call: an audited call, or
-// any call under a Sampler that is not the clock. It is a function of
-// its own so that what the Sampler's closure captures escapes here, on
-// this path only, and not from every CallBatch.
+// execute runs one call on a checked-out session, audited against the
+// trusted tier or plain. A nil ctx is Instance.Call.
+func execute(inst *cm.Instance, ctx context.Context, fn string, args []any, audit bool) (cm.Value, bool, error) {
+	if audit {
+		return inst.CallAudited(ctx, fn, args...)
+	}
+	ret, err := inst.CallContext(ctx, fn, args...)
+	return ret, false, err
+}
+
+// sampleCall measures one call through the injected Sampler. It is a
+// function of its own so that what the Sampler's closure captures
+// escapes here, on this path only, and not from every CallBatch.
 func (t *AutoTuner) sampleCall(inst *cm.Instance, ctx context.Context, fn string, args []any,
 	audit bool, idx, class int) (ret cm.Value, diverged bool, cost time.Duration, err error) {
-	cost, err = t.sampler.Sample(fn, t.cfg.grid[idx], class, func() error {
-		var e error
-		switch {
-		case audit:
-			ret, diverged, e = inst.CallAudited(ctx, fn, args...)
-		case ctx != nil:
-			ret, e = inst.CallContext(ctx, fn, args...)
-		default:
-			ret, e = inst.Call(fn, args...)
-		}
+	cost, err = t.cfg.sampler.Sample(fn, t.cfg.grid[idx], class, func() (e error) {
+		ret, diverged, e = execute(inst, ctx, fn, args, audit)
 		return e
 	})
 	return ret, diverged, cost, err

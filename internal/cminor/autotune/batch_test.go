@@ -1,10 +1,14 @@
 package autotune
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 )
 
@@ -90,7 +94,7 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 	if sampler.specs[4] == sampler.specs[0] || sampler.specs[5] != sampler.specs[4] {
 		t.Fatalf("second batch should burst the other arm: %v", sampler.specs)
 	}
-	if _, ok := tn.Best("probe", tn.Classify(simArgs(16))); !ok {
+	if _, ok := tn.Best("probe", SizeClass(simArgs(16))); !ok {
 		t.Fatal("site should have converged after both quotas")
 	}
 }
@@ -141,8 +145,139 @@ func TestCallBatchPoisonedSessionRecycled(t *testing.T) {
 				i, batch[i].Ret, batch[i].Err, want)
 		}
 	}
-	ctrs := tn.Counters()
-	if len(ctrs) != 1 || ctrs[0].Faults != 1 || ctrs[0].Quarantines != 1 {
-		t.Fatalf("fault accounting: %+v", ctrs)
+	snaps := tn.Snapshot()
+	if len(snaps) != 1 || snaps[0].Arms[0].Faults != 1 || snaps[0].Arms[0].Quarantines != 1 {
+		t.Fatalf("fault accounting: %+v", snaps)
+	}
+}
+
+// TestCallIsBatchOfOne pins the unification: Call and CallContext are a
+// CallBatch of length one, so two identically seeded tuners — one
+// driven through each entry point — must stay in deep-equal states,
+// call for call, through convergence, an injected-fault quarantine and
+// its lift, a drift reopen, audited calls and a cancelled context.
+func TestCallIsBatchOfOne(t *testing.T) {
+	const (
+		calls     = 140
+		driftAt   = 60  // sampler call after which the standing winner degrades
+		liftAt    = 100 // site call before which the fake clock passes the backoff
+		cancelAt  = 120 // site call made under a cancelled context
+		auditNth  = 7
+		faultCall = 5 // the bytecode arm's faulting call
+	)
+	type tuner struct {
+		tn  *AutoTuner
+		clk *clock.Fake
+	}
+	build := func() tuner {
+		clk := clock.NewFake(time.Unix(0, 0))
+		sampler := &simSampler{cost: func(call int64, spec VariantSpec, _ int) time.Duration {
+			c := chaosCost[spec.String()]
+			if call > driftAt && spec.String() == "O3" {
+				c *= 5
+			}
+			return time.Duration(float64(c) * jitter(call))
+		}}
+		tn, err := New(simProgram(t),
+			WithGrid(chaosGrid()...),
+			WithSampler(sampler),
+			WithMinSamples(2),
+			WithEpsilon(0.1),
+			WithSeed(5),
+			WithClock(clk),
+			WithAuditEvery(auditNth),
+			WithFaultInjector(cm.NewScriptedInjector(cm.FaultRule{
+				Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: faultCall,
+				Kind: cm.FaultPanic, Point: cm.FaultAtExit,
+			})),
+			WithQuarantineBackoff(100*time.Millisecond, time.Second),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tuner{tn, clk}
+	}
+	single, batched := build(), build()
+	viaCall := func(ctx context.Context, args []any) (cm.Value, error) {
+		if ctx == nil {
+			return single.tn.Call("probe", args...)
+		}
+		return single.tn.CallContext(ctx, "probe", args...)
+	}
+	viaBatch := func(ctx context.Context, args []any) (cm.Value, error) {
+		b := []BatchCall{{Ctx: ctx, Args: args}}
+		if err := batched.tn.CallBatch("probe", b); err != nil {
+			return cm.Value{}, err
+		}
+		return b[0].Ret, b[0].Err
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	var sawReopen, sawQuarantine, sawLift, sawCancel bool
+	for i := 1; i <= calls; i++ {
+		var ctx context.Context
+		switch i {
+		case liftAt:
+			single.clk.Advance(150 * time.Millisecond)
+			batched.clk.Advance(150 * time.Millisecond)
+		case cancelAt:
+			ctx = cancelled
+		}
+		v1, err1 := viaCall(ctx, simArgs(16))
+		v2, err2 := viaBatch(ctx, simArgs(16))
+		if !eqValue(v1, v2) || fmt.Sprint(err1) != fmt.Sprint(err2) {
+			t.Fatalf("call %d: Call gave (%+v, %v), CallBatch(1) gave (%+v, %v)", i, v1, err1, v2, err2)
+		}
+		s1, s2 := single.tn.Snapshot(), batched.tn.Snapshot()
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("call %d: states diverged:\nCall:         %+v\nCallBatch(1): %+v", i, s1, s2)
+		}
+		if ctx != nil {
+			sawCancel = errors.Is(err1, context.Canceled)
+		}
+		sawReopen = sawReopen || s1[0].Reopens > 0
+		if s1[0].QuarantinedArms > 0 {
+			sawQuarantine = true
+		} else if sawQuarantine {
+			sawLift = true
+		}
+	}
+	// The comparison is only worth its name if the scenario reached
+	// every branch of the pipeline it claims to cover.
+	rep := single.tn.Snapshot()[0]
+	if !sawReopen || !sawQuarantine || !sawLift || !sawCancel {
+		t.Fatalf("scenario incomplete: reopen=%v quarantine=%v lift=%v cancel=%v\n%+v",
+			sawReopen, sawQuarantine, sawLift, sawCancel, rep)
+	}
+	if rep.Pulls != calls || !rep.Converged {
+		t.Fatalf("final site: %+v", rep)
+	}
+}
+
+// TestConvergedCallAllocatesNothing: on the production (clock) sampler
+// a converged Call is a stack-allocated batch of one — the tuner adds
+// no allocation to the kernel's own zero.
+func TestConvergedCallAllocatesNothing(t *testing.T) {
+	tn, err := New(simProgram(t), WithMinSamples(2), WithEpsilon(0), WithDriftFactor(1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := simArgs(16)
+	class := SizeClass(args)
+	for i := 0; i < 2*len(DefaultGrid())+5; i++ {
+		if _, err := tn.Call("probe", args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := tn.Best("probe", class); !ok {
+		t.Fatal("site did not converge")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := tn.Call("probe", args...); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a converged Call allocates %v times, want 0", n)
 	}
 }

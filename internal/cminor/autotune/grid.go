@@ -55,31 +55,12 @@ func DefaultGrid() []VariantSpec {
 	}
 }
 
-// FineGrid refines the O3 point into every pass subset: O0–O2 plus the
-// seven non-empty (inline, bce, unroll) combinations, plus the
-// bytecode backend — eleven arms.
-// O3 with an empty mask is omitted: it behaves exactly like O2, and a
-// duplicate arm would only split the winner's samples. Use FineGrid
-// when the per-pass interactions matter more than convergence speed.
-func FineGrid() []VariantSpec {
-	g := []VariantSpec{{Opt: cm.O0}, {Opt: cm.O1}, {Opt: cm.O2}}
-	for m := cm.PassMask(1); m <= cm.AllPasses; m++ {
-		g = append(g, VariantSpec{Opt: cm.O3, Passes: m})
-	}
-	return append(g, VariantSpec{Backend: cm.BackendBytecode, Opt: cm.O3, Passes: cm.AllPasses})
-}
-
-// WalkerGrid appends the tree-walking oracle to a grid — useful for
-// differential deployments where one arm must be the reference
-// semantics.
-func WalkerGrid(g []VariantSpec) []VariantSpec {
-	return append(append([]VariantSpec{}, g...), VariantSpec{Backend: cm.BackendWalker})
-}
-
-// SizeClass is the default input classifier: arguments are bucketed by
-// the total number of array elements they carry, on a log2 scale, so
-// calls whose working sets differ by ~2× or more tune independently.
-// Scalar-only calls land in class 0.
+// SizeClass is the input classifier — the second half of a site key:
+// arguments are bucketed by the total number of array elements they
+// carry, on a log2 scale, so calls whose working sets differ by ~2× or
+// more tune independently. Scalar-only calls land in class 0. Serving
+// layers use it to group requests that will share a tuning site (and
+// therefore batch well).
 func SizeClass(args []any) int {
 	total := uint(0)
 	for _, a := range args {

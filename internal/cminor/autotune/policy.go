@@ -1,31 +1,5 @@
 package autotune
 
-import "math"
-
-// Policy selects how a converged site balances exploiting the winner
-// against re-sampling the other arms.
-type Policy uint8
-
-const (
-	// EpsilonGreedy routes a small fixed fraction of exploit-phase
-	// calls (WithEpsilon) to a uniformly random non-winning arm — the
-	// default: cheap, predictable residual exploration.
-	EpsilonGreedy Policy = iota
-	// UCB1 picks the arm minimizing EWMA minus a confidence bonus that
-	// shrinks as an arm accumulates pulls (the classic bandit upper
-	// confidence bound, adapted to cost minimization). Fully
-	// deterministic: no random draws at all.
-	UCB1
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == UCB1 {
-		return "ucb1"
-	}
-	return "epsilon-greedy"
-}
-
 // choose picks the arm for the next call at st and charges the pull.
 // Caller holds the tuner mutex; rng is the tuner's seeded PRNG.
 func (st *siteState) choose(cfg *config, rng *splitmix64) int {
@@ -36,7 +10,6 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 		st.liftExpired(cfg, cfg.clock.Now())
 	}
 	st.pulls++
-	st.ctr.pulls.Add(1)
 	if st.nquar == len(st.arms) {
 		// Every arm is quarantined: there is no trusted variant left, so
 		// route to the one whose backoff expires soonest — it is the next
@@ -50,13 +23,7 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 		st.arms[idx].pulls++
 		return idx
 	}
-	var idx int
-	switch cfg.policy {
-	case UCB1:
-		idx = st.chooseUCB(cfg)
-	default:
-		idx = st.chooseEpsilon(cfg, rng)
-	}
+	idx := st.chooseEpsilon(cfg, rng)
 	if idx != st.best {
 		st.explore++
 	}
@@ -113,26 +80,4 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 		}
 	}
 	return st.best
-}
-
-// chooseUCB is exploit-phase UCB1 for costs: every arm's EWMA is
-// discounted by a confidence width proportional to the winner's scale,
-// so rarely-pulled arms are periodically re-tried without any random
-// draw. Unsampled arms (every measurement faulted) are never picked
-// here — they had their chance during the measure phase.
-func (st *siteState) chooseUCB(cfg *config) int {
-	scale := st.arms[st.best].ewma
-	lnN := math.Log(float64(st.pulls))
-	best, bestScore, found := st.best, math.Inf(1), false
-	for i := range st.arms {
-		a := &st.arms[i]
-		if !a.sampled || a.quarantined {
-			continue
-		}
-		width := cfg.ucbC * scale * math.Sqrt(2*lnN/float64(a.pulls+1))
-		if score := a.ewma - width; !found || score < bestScore {
-			best, bestScore, found = i, score, true
-		}
-	}
-	return best
 }

@@ -96,7 +96,6 @@ func (st *siteState) quarantine(cfg *config, idx int) {
 	}
 	a.quarantined = true
 	a.quarantines++
-	st.ctr.quarantines.Add(1)
 	a.quarantineUntil = cfg.clock.Now().Add(cfg.backoff(a.quarantines))
 	st.nquar++
 	// A quarantined winner abdicates immediately: re-crown the best

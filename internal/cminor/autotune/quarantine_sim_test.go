@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 )
 
@@ -61,7 +62,7 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 		Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: 6,
 		Kind: cm.FaultPanic, Point: cm.FaultAtExit,
 	})
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	clk := clock.NewFake(time.Unix(0, 0))
 	tn, err := New(simProgram(t),
 		WithGrid(chaosGrid()...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
@@ -127,7 +128,7 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 	// Phase C — the backoff expires on the fake clock: the arm re-enters
 	// through a fresh measure burst and, being clean again and cheapest,
 	// re-wins the site.
-	clk.advance(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	for i := 23; i <= 30; i++ {
 		call(i)
 	}
@@ -178,7 +179,7 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 		cm.FaultRule{Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: 4,
 			Kind: cm.FaultPanic, Point: cm.FaultAtExit},
 	)
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	clk := clock.NewFake(time.Unix(0, 0))
 	const base = 100 * time.Millisecond
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
@@ -211,12 +212,12 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 	if !quarantined() {
 		t.Fatal("arm not quarantined after first fault")
 	}
-	clk.advance(base - time.Millisecond)
+	clk.Advance(base - time.Millisecond)
 	call() // T0+99ms: still inside the 1×base window
 	if !quarantined() {
 		t.Fatal("quarantine lifted before base backoff elapsed")
 	}
-	clk.advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	call() // T0+100ms: lift → re-measure burst routes the arm (clean)
 	if quarantined() {
 		t.Fatal("quarantine not lifted at base backoff")
@@ -226,12 +227,12 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 	if !rep.Arms[1].Quarantined || rep.Arms[1].Quarantines != 2 {
 		t.Fatalf("after second fault: %+v", rep.Arms[1])
 	}
-	clk.advance(base)
+	clk.Advance(base)
 	call() // T1+100ms: the window doubled — still out
 	if !quarantined() {
 		t.Fatal("second quarantine lifted after only 1×base (no exponential backoff)")
 	}
-	clk.advance(base)
+	clk.Advance(base)
 	call() // T1+200ms: 2×base elapsed → lifted
 	if quarantined() {
 		t.Fatal("second quarantine not lifted at 2×base")
@@ -257,7 +258,7 @@ func TestAllArmsQuarantinedStillServes(t *testing.T) {
 		Backend: cm.BackendCompiled, AnyOpt: true, Fn: "probe", Call: 0,
 		Kind: cm.FaultPanic, Point: cm.FaultAtExit,
 	})
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	clk := clock.NewFake(time.Unix(0, 0))
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
@@ -297,7 +298,7 @@ func TestAllArmsQuarantinedStillServes(t *testing.T) {
 	}
 	// Lifts re-try the arms; they fault again and re-quarantine with a
 	// doubled window — forever serving correct results in between.
-	clk.advance(150 * time.Millisecond)
+	clk.Advance(150 * time.Millisecond)
 	for i := 7; i <= 10; i++ {
 		v, err := tn.Call("probe", args...)
 		if err != nil || !eqValue(want, v) {
@@ -322,7 +323,7 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 		Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: 0,
 		Kind: cm.FaultWrongResult,
 	})
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	clk := clock.NewFake(time.Unix(0, 0))
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),

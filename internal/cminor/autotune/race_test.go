@@ -45,7 +45,7 @@ func TestConcurrentTunerStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn, err := New(prog,
-		WithGrid(WalkerGrid(DefaultGrid())...), // all backends in play
+		WithGrid(append(DefaultGrid(), VariantSpec{Backend: cm.BackendWalker})...), // all backends in play
 		WithMinSamples(2),
 		WithEpsilon(0.3), // keep switching variants throughout
 		WithSeed(42),
@@ -93,7 +93,6 @@ func TestConcurrentTunerStress(t *testing.T) {
 			default:
 				tn.Snapshot()
 				tn.Best(gemm.Fn, SizeClass(refArgs))
-				tn.Grid()
 			}
 		}
 	}()

@@ -1,9 +1,6 @@
 package autotune
 
 import (
-	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -285,43 +282,6 @@ func TestDriftReexploration(t *testing.T) {
 	}
 }
 
-// TestUCB1Convergence runs the deterministic policy: no random draws
-// at all, so two identical runs must produce identical decision
-// sequences — and still converge to the static best.
-func TestUCB1Convergence(t *testing.T) {
-	grid := DefaultGrid()
-	cost := map[string]time.Duration{
-		"O0": 900 * time.Microsecond, "O1": 500 * time.Microsecond,
-		"O2": 200 * time.Microsecond, "O3": 140 * time.Microsecond,
-		"bytecode": 170 * time.Microsecond,
-	}
-	run := func() []SiteReport {
-		tn, err := New(simProgram(t),
-			WithGrid(grid...),
-			WithSampler(&simSampler{cost: flatCost(cost)}),
-			WithPolicy(UCB1),
-			WithMinSamples(2),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := simArgs(16)
-		for i := 0; i < 120; i++ {
-			if _, err := tn.Call("probe", args...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := bestSpec(t, tn, "probe", SizeClass(args)); got.String() != "O3" {
-			t.Fatalf("UCB1 converged to %v, want O3", got)
-		}
-		return tn.Snapshot()
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("UCB1 runs diverged:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestPerClassSelection gives small and large inputs opposite winners;
 // the tuner must keep one independent site per input-size class and
 // converge each to its own best variant.
@@ -521,40 +481,51 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: New accepted it", tc.name)
 		}
 	}
-	if _, err := New(prog, WithGrid(FineGrid()...)); err != nil {
-		t.Errorf("FineGrid rejected: %v", err)
-	}
-	if _, err := New(prog, WithGrid(WalkerGrid(DefaultGrid())...)); err != nil {
-		t.Errorf("WalkerGrid rejected: %v", err)
-	}
 }
 
-// TestClockSamplerDeterministic pins the default measurement path
-// against a fake clock: cost == the clock movement during the call.
-func TestClockSamplerDeterministic(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	s := clockSampler{clock: clk}
-	d, err := s.Sample("f", VariantSpec{}, 0, func() error {
-		clk.advance(5 * time.Millisecond)
-		return nil
-	})
-	if err != nil || d != 5*time.Millisecond {
-		t.Fatalf("got (%v, %v), want (5ms, nil)", d, err)
-	}
-	wantErr := errors.New("boom")
-	d, err = s.Sample("f", VariantSpec{}, 0, func() error {
-		clk.advance(time.Millisecond)
-		return wantErr
-	})
-	if err != wantErr || d != time.Millisecond {
-		t.Fatalf("got (%v, %v), want (1ms, boom)", d, err)
-	}
+// tickClock advances a fixed step on every read, so a call bracketed by
+// two reads is measured at exactly one step.
+type tickClock struct {
+	t    time.Time
+	step time.Duration
 }
 
-type fakeClock struct{ t time.Time }
+func (c *tickClock) Now() time.Time {
+	c.t = c.t.Add(c.step)
+	return c.t
+}
 
-func (c *fakeClock) Now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+// TestDefaultCostIsClockMovement pins the default measurement path
+// against a fake clock: with no Sampler injected, a call's cost is the
+// clock's movement across it, and a failed call is timed but never
+// folded into an estimate.
+func TestDefaultCostIsClockMovement(t *testing.T) {
+	const step = 5 * time.Millisecond
+	tn, err := New(simProgram(t), WithMinSamples(1),
+		WithClock(&tickClock{t: time.Unix(0, 0), step: step}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := simArgs(16), []any{cm.IntV(64), cm.NewArray(8)}
+	for range DefaultGrid() {
+		if _, err := tn.Call("probe", good...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.Call("probe", bad...); err == nil {
+			t.Fatal("out-of-bounds call did not error")
+		}
+	}
+	for _, arm := range siteReport(t, tn, "probe", SizeClass(good)).Arms {
+		if !arm.Sampled || arm.EWMA != step {
+			t.Fatalf("arm %v: estimate %v (sampled %v), want the %v clock movement", arm.Spec, arm.EWMA, arm.Sampled, step)
+		}
+	}
+	for _, arm := range siteReport(t, tn, "probe", SizeClass(bad)).Arms {
+		if arm.Sampled {
+			t.Fatalf("arm %v has a cost estimate from faulting calls", arm.Spec)
+		}
+	}
+}
 
 // TestSizeClass pins the default classifier's buckets.
 func TestSizeClass(t *testing.T) {
@@ -600,8 +571,5 @@ func TestVariantSpecString(t *testing.T) {
 		if got := tc.spec.String(); got != tc.want {
 			t.Fatalf("%#v.String() = %q, want %q", tc.spec, got, tc.want)
 		}
-	}
-	if got := fmt.Sprint(UCB1, " ", EpsilonGreedy); got != "ucb1 epsilon-greedy" {
-		t.Fatalf("policy names = %q", got)
 	}
 }

@@ -111,10 +111,6 @@ type siteState struct {
 	arms   []armStats
 	phase  uint8
 	cursor int // round-robin position while measuring
-	// ctr is the site's atomic counter block, shared with the tuner's
-	// lock-free Counters() read path (counters.go). Written under the
-	// tuner mutex alongside the fields it mirrors.
-	ctr *siteCounters
 	// best is the current winner (argmin EWMA over sampled arms);
 	// baseline freezes its EWMA when the site converges (or re-anchors
 	// on a winner change), and the drift detector compares against it.
@@ -127,7 +123,7 @@ type siteState struct {
 }
 
 func newSiteState(arms int) *siteState {
-	return &siteState{arms: make([]armStats, arms), ctr: &siteCounters{}}
+	return &siteState{arms: make([]armStats, arms)}
 }
 
 // allMeasured reports whether every arm in service has met the
@@ -184,15 +180,12 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 	a := &st.arms[idx]
 	if out.fault {
 		a.faults++
-		st.ctr.faults.Add(1)
 	}
 	if out.degraded {
 		a.degraded++
-		st.ctr.degraded.Add(1)
 	}
 	if out.diverged {
 		a.diverged++
-		st.ctr.diverged.Add(1)
 	}
 	if out.fault || out.diverged {
 		st.quarantine(cfg, idx)
@@ -257,10 +250,6 @@ func (st *siteState) reopen() {
 	}
 	st.reopens++
 }
-
-// durationOf converts a float64-nanosecond EWMA into a Duration for
-// reporting.
-func durationOf(ns float64) time.Duration { return time.Duration(ns) }
 
 // ArmReport is one variant's state in a Snapshot.
 type ArmReport struct {

@@ -146,7 +146,6 @@ func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 	st.reopens = sr.reopens
 	st.nquar = 0
 	quota := int64(t.cfg.minSamples)
-	var faults, degraded, diverged, quars int64
 	for i := range st.arms {
 		a := &st.arms[i]
 		ra := &sr.arms[i]
@@ -171,18 +170,7 @@ func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 			a.quarantineUntil = time.Unix(0, ra.quarantineUntil)
 			st.nquar++
 		}
-		faults += ra.faults
-		degraded += ra.degraded
-		diverged += ra.diverged
-		quars += int64(ra.quarantines)
 	}
-	// Mirror the lock-free counter block so Counters() and Snapshot()
-	// agree about the warm-started history.
-	st.ctr.pulls.Store(sr.pulls)
-	st.ctr.faults.Store(faults)
-	st.ctr.degraded.Store(degraded)
-	st.ctr.diverged.Store(diverged)
-	st.ctr.quarantines.Store(quars)
 }
 
 // siteRecordKey names a site's record in the log.
@@ -271,7 +259,7 @@ func decodeSite(payload []byte, grid []VariantSpec) (*siteRecord, bool) {
 	sr := &siteRecord{}
 	sr.fn = r.str()
 	sr.class = int(r.i64())
-	bestSpec, _ := r.spec()
+	bestSpec := r.spec()
 	sr.baseline = r.f64()
 	sr.pulls = r.i64()
 	sr.explore = r.i64()
@@ -291,8 +279,7 @@ func decodeSite(payload []byte, grid []VariantSpec) (*siteRecord, bool) {
 	}
 	sr.arms = make([]armRecord, narms)
 	for i := range sr.arms {
-		spec, _ := r.spec()
-		if spec != grid[i] {
+		if r.spec() != grid[i] {
 			return nil, false
 		}
 		a := &sr.arms[i]
@@ -379,14 +366,14 @@ func (r *recReader) str() string {
 	return string(r.take(int(n)))
 }
 
-func (r *recReader) spec() (VariantSpec, bool) {
+func (r *recReader) spec() VariantSpec {
 	b := r.take(3)
 	if b == nil {
-		return VariantSpec{}, false
+		return VariantSpec{}
 	}
 	return VariantSpec{
 		Backend: cm.Backend(b[0]),
 		Opt:     cm.OptLevel(b[1]),
 		Passes:  cm.PassMask(b[2]),
-	}, true
+	}
 }

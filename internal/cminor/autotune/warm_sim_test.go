@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune/persist"
 )
@@ -333,7 +334,7 @@ func TestWarmStartSkipsLiveSites(t *testing.T) {
 // without it.
 func TestWarmStartQuarantineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.log")
-	clk := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	inj := cm.NewScriptedInjector(cm.FaultRule{
 		Backend: cm.BackendCompiled, Opt: cm.O2, Fn: "probe",
 		Call: 1, Kind: cm.FaultPanic, Point: cm.FaultAtExit,

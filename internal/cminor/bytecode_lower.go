@@ -577,70 +577,18 @@ func (bl *bcLower) forStmt(s *ForStmt) {
 	bl.bind(end)
 }
 
-// countedFor recognizes the counted-loop shape — the same checks as
-// loopopt's countedLoop — and emits the versioned loop on success.
+// countedFor recognizes the counted-loop shape (compiler.countedShape,
+// shared with the closure lowerer) and emits the versioned loop on
+// success.
 func (bl *bcLower) countedFor(s *ForStmt) bool {
-	if s.Init == nil || s.Cond == nil || s.Post == nil {
-		return false
-	}
 	if len(bl.loops) >= bcMaxLoopDepth {
 		return false
 	}
-	c := bl.ca
-	var ivRef VarRef
-	var lo Expr // nil means 0
-	switch init := s.Init.(type) {
-	case *ExprStmt:
-		a, ok := init.X.(*AssignExpr)
-		if !ok || a.Op != ASSIGN {
-			return false
-		}
-		id, ok := stripParens(a.LHS).(*Ident)
-		if !ok {
-			return false
-		}
-		ref := c.refOf(id)
-		if ref.Kind != VarScalar {
-			return false
-		}
-		ivRef, lo = ref, a.RHS
-	case *DeclStmt:
-		ref := c.declRef(init)
-		if ref.Kind != VarScalar || init.Type.Kind != Int {
-			return false
-		}
-		ivRef, lo = ref, init.Init
-	default:
+	ivRef, lo, hi, strict, lc, ok := bl.ca.countedShape(s)
+	if !ok {
 		return false
 	}
-	if c.varKind(ivRef) != kInt {
-		return false
-	}
-	cond, ok := stripParens(s.Cond).(*BinExpr)
-	if !ok || (cond.Op != LT && cond.Op != LEQ) {
-		return false
-	}
-	cid, ok := stripParens(cond.X).(*Ident)
-	if !ok || !c.isIVIdent(cid, ivRef.Slot) {
-		return false
-	}
-	hi := cond.Y
-	hk := c.kindOf(hi)
-	c.constKind(hi, &hk)
-	if hk != kInt {
-		return false
-	}
-	if !c.isUnitStep(s.Post, ivRef.Slot) {
-		return false
-	}
-	lc := c.analyzeLoopBody(s.Body, ivRef.Slot)
-	if lc == nil || lc.modScalars[ivRef.Slot] {
-		return false
-	}
-	if !c.invariant(hi, lc) {
-		return false
-	}
-	bl.emitCountedLoop(s, ivRef, lo, hi, cond.Op == LT, lc)
+	bl.emitCountedLoop(s, ivRef, lo, hi, strict, lc)
 	return true
 }
 
@@ -766,18 +714,13 @@ func (bl *bcLower) classifyFast(root *Ident, subs []Expr) (bcAddr, bool) {
 	default:
 		return bcAddr{}, false
 	}
-	type subClass struct {
-		iv  bool
-		off int64
+	cls, ok := c.classifySubs(subs, lc)
+	if !ok {
+		return bcAddr{}, false
 	}
-	cls := make([]subClass, len(subs))
 	for i, sx := range subs {
-		if off, ok := c.ivAffine(sx, loop.ivSlot); ok {
-			cls[i] = subClass{iv: true, off: off}
+		if cls[i].iv {
 			continue
-		}
-		if !c.invariant(sx, lc) {
-			return bcAddr{}, false
 		}
 		k := c.kindOf(sx)
 		c.constKind(sx, &k)

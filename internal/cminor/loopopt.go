@@ -158,69 +158,83 @@ func affineInRange(iv0, ivLast, off int64, n int) bool {
 	return lo >= 0 && hi < int64(n)
 }
 
-// countedLoop recognizes and compiles the counted-for fast path,
-// returning nil when s doesn't fit the shape (the caller then emits the
-// generic loop).
-func (c *compiler) countedLoop(s *ForStmt) stmtFn {
+// countedShape matches the counted-for shape both optimizing lowerers
+// specialize (the closure fast path below and the bytecode backend's
+// versioned loop):
+//
+//	for (iv = lo | int iv [= lo]; iv < hi | iv <= hi; iv++ | iv += 1 | iv = iv + 1)
+//
+// over an int scalar the body never writes, with a loop-invariant int
+// bound and no user calls in the body (they could mutate anything). A
+// nil lo means 0 (an uninitialised "for (int i; ...)" decl); lc is the
+// body analysis both lowerers classify subscripts against.
+func (c *compiler) countedShape(s *ForStmt) (ivRef VarRef, lo, hi Expr, strict bool, lc *loopCtx, ok bool) {
+	// Every early return leaves ok false; callers read nothing else then.
 	if s.Init == nil || s.Cond == nil || s.Post == nil {
-		return nil
+		return
 	}
 	// Induction variable and lower bound from the init clause.
-	var ivRef VarRef
-	var lo Expr // nil means 0 (an uninitialised "for (int i; ...)" decl)
 	switch init := s.Init.(type) {
 	case *ExprStmt:
-		a, ok := init.X.(*AssignExpr)
-		if !ok || a.Op != ASSIGN {
-			return nil
+		a, isAssign := init.X.(*AssignExpr)
+		if !isAssign || a.Op != ASSIGN {
+			return
 		}
-		id, ok := stripParens(a.LHS).(*Ident)
-		if !ok {
-			return nil
+		id, isIdent := stripParens(a.LHS).(*Ident)
+		if !isIdent {
+			return
 		}
 		ref := c.refOf(id)
 		if ref.Kind != VarScalar {
-			return nil
+			return
 		}
 		ivRef, lo = ref, a.RHS
 	case *DeclStmt:
 		ref := c.declRef(init)
 		if ref.Kind != VarScalar || init.Type.Kind != Int {
-			return nil
+			return
 		}
 		ivRef, lo = ref, init.Init
 	default:
-		return nil
+		return
 	}
 	if c.varKind(ivRef) != kInt {
-		return nil
+		return
 	}
 	// Condition: iv < hi or iv <= hi.
-	cond, ok := stripParens(s.Cond).(*BinExpr)
-	if !ok || (cond.Op != LT && cond.Op != LEQ) {
-		return nil
+	cond, isBin := stripParens(s.Cond).(*BinExpr)
+	if !isBin || (cond.Op != LT && cond.Op != LEQ) {
+		return
 	}
-	cid, ok := stripParens(cond.X).(*Ident)
-	if !ok || !c.isIVIdent(cid, ivRef.Slot) {
-		return nil
+	cid, isIdent := stripParens(cond.X).(*Ident)
+	if !isIdent || !c.isIVIdent(cid, ivRef.Slot) {
+		return
 	}
-	hi := cond.Y
+	hi = cond.Y
 	hk := c.kindOf(hi)
 	c.constKind(hi, &hk)
 	if hk != kInt {
-		return nil
+		return
 	}
 	// Post: iv++, iv += 1, or iv = iv + 1.
 	if !c.isUnitStep(s.Post, ivRef.Slot) {
-		return nil
+		return
 	}
-	// Body analysis: no user calls (they could mutate anything), the
-	// induction variable untouched, and the bound loop-invariant.
-	lc := c.analyzeLoopBody(s.Body, ivRef.Slot)
-	if lc == nil || lc.modScalars[ivRef.Slot] {
-		return nil
+	// Body analysis: no user calls, the induction variable untouched,
+	// and the bound loop-invariant.
+	lc = c.analyzeLoopBody(s.Body, ivRef.Slot)
+	if lc == nil || lc.modScalars[ivRef.Slot] || !c.invariant(hi, lc) {
+		return
 	}
-	if !c.invariant(hi, lc) {
+	return ivRef, lo, hi, cond.Op == LT, lc, true
+}
+
+// countedLoop recognizes and compiles the counted-for fast path,
+// returning nil when s doesn't fit the shape (the caller then emits the
+// generic loop).
+func (c *compiler) countedLoop(s *ForStmt) stmtFn {
+	ivRef, lo, hi, strict, lc, ok := c.countedShape(s)
+	if !ok {
 		return nil
 	}
 
@@ -229,7 +243,6 @@ func (c *compiler) countedLoop(s *ForStmt) stmtFn {
 		loFn = c.asInt(lo)
 	}
 	hiFn := c.asInt(hi)
-	strict := cond.Op == LT
 	ivSlot := ivRef.Slot
 
 	// Compile the body with the loop context active so elemFn can
@@ -713,6 +726,29 @@ func (c *compiler) ivAffine(e Expr, ivSlot int) (int64, bool) {
 	return 0, false
 }
 
+// subClass is one subscript of an access inside a counted loop: iv+off
+// when iv is set, loop-invariant otherwise.
+type subClass struct {
+	iv  bool
+	off int64
+}
+
+// classifySubs classifies every subscript of an access against loop
+// lc. ok is false when some subscript is neither IV-affine nor
+// invariant — the access fits no strength-reduced pattern.
+func (c *compiler) classifySubs(subs []Expr, lc *loopCtx) (cls []subClass, ok bool) {
+	cls = make([]subClass, len(subs))
+	ok = true
+	for i, sx := range subs {
+		if off, affine := c.ivAffine(sx, lc.ivSlot); affine {
+			cls[i] = subClass{iv: true, off: off}
+		} else if !c.invariant(sx, lc) {
+			ok = false
+		}
+	}
+	return cls, ok
+}
+
 // tryHoist classifies and registers a strength-reduced (or, at O3,
 // range-proved) subscript chain against the innermost counted loop,
 // returning its hoistAccess — nil when the access doesn't qualify and
@@ -743,22 +779,8 @@ func (c *compiler) tryHoist(root *Ident, subs []Expr) *hoistAccess {
 	default:
 		return nil
 	}
-	type subClass struct {
-		iv  bool
-		off int64
-	}
-	cls := make([]subClass, len(subs))
-	rangeOnly := false
-	for i, sx := range subs {
-		if off, ok := c.ivAffine(sx, lc.ivSlot); ok {
-			cls[i] = subClass{iv: true, off: off}
-		} else if c.invariant(sx, lc) {
-			cls[i] = subClass{}
-		} else {
-			rangeOnly = true
-		}
-	}
-	if rangeOnly || (len(subs) == 2 && cls[0].iv && cls[1].iv) {
+	cls, ok := c.classifySubs(subs, lc)
+	if !ok || (len(subs) == 2 && cls[0].iv && cls[1].iv) {
 		// Diagonal walks (A[i][i+c]) and subscripts that are neither
 		// IV-affine nor invariant miss the strength-reduced patterns; at
 		// O3 the range analysis can still prove them in bounds and drop

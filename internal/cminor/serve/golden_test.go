@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"socrates/internal/clock"
 )
 
 // TestStatusLineGolden pins the operator surface byte-for-byte: a fixed
@@ -10,7 +12,7 @@ import (
 // backing Snapshot must carry exactly these numbers. Any formatting or
 // accounting drift is a deliberate, test-visible change.
 func TestStatusLineGolden(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithQueueDepth(8), WithMaxBatch(1))
 	defer s.Close()
 
@@ -25,17 +27,17 @@ func TestStatusLineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(2 * time.Millisecond)
+	clk.Advance(2 * time.Millisecond)
 	if !s.Tick() {
 		t.Fatal("A did not dispatch")
 	}
 	// Request B from another tenant: queued 3ms, completing 4ms after A.
-	clk.advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	pb, err := s.Submit(nil, Request{Tenant: "bob", Function: "probe", Args: simArgs(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(3 * time.Millisecond)
+	clk.Advance(3 * time.Millisecond)
 	if !s.Tick() {
 		t.Fatal("B did not dispatch")
 	}

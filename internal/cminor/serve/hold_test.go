@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
 )
@@ -226,7 +227,7 @@ func TestCloseCutsHoldShort(t *testing.T) {
 func TestHoldLateGauge(t *testing.T) {
 	const delay = 300 * time.Microsecond
 	for _, late := range []time.Duration{0, 70 * time.Microsecond} {
-		clk := &fakeClock{t: simStart()}
+		clk := clock.NewFake(simStart())
 		s := newSimServer(t, clk, WithMaxBatch(2), WithMaxBatchDelay(delay))
 		submit := func() *Pending {
 			t.Helper()
@@ -237,11 +238,11 @@ func TestHoldLateGauge(t *testing.T) {
 			return p
 		}
 		p := submit()
-		clk.advance(delay - time.Nanosecond)
+		clk.Advance(delay - time.Nanosecond)
 		if s.Tick() {
 			t.Fatal("dispatched inside the hold")
 		}
-		clk.advance(time.Nanosecond + late)
+		clk.Advance(time.Nanosecond + late)
 		if !s.Tick() {
 			t.Fatal("ripe batch not dispatched")
 		}
@@ -255,7 +256,7 @@ func TestHoldLateGauge(t *testing.T) {
 		// however long after that it is ticked.
 		submit()
 		p = submit()
-		clk.advance(5 * delay)
+		clk.Advance(5 * delay)
 		if !s.Tick() {
 			t.Fatal("full batch not dispatched")
 		}

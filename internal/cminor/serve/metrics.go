@@ -23,6 +23,7 @@ const latRingSize = 512
 type metrics struct {
 	submitted        atomic.Int64
 	admitted         atomic.Int64
+	rejectedUnknown  atomic.Int64
 	rejectedClosed   atomic.Int64
 	rejectedExpired  atomic.Int64
 	rejectedFull     atomic.Int64
@@ -142,6 +143,7 @@ type Snapshot struct {
 	// Admission counters.
 	Submitted        int64
 	Admitted         int64
+	RejectedUnknown  int64 // no hosted function of that name
 	RejectedClosed   int64
 	RejectedExpired  int64
 	RejectedFull     int64
@@ -177,7 +179,7 @@ type Snapshot struct {
 
 // Rejected totals the admission rejections across every reason.
 func (s *Snapshot) Rejected() int64 {
-	return s.RejectedClosed + s.RejectedExpired + s.RejectedFull +
+	return s.RejectedUnknown + s.RejectedClosed + s.RejectedExpired + s.RejectedFull +
 		s.RejectedInFlight + s.RejectedRate + s.RejectedSteps
 }
 

@@ -108,12 +108,21 @@ func (s *Server) tenant(name string) *tenantState {
 }
 
 // admit runs the admission gauntlet under s.mu. The check order is part
-// of the contract (pinned by simulation): closed, expired deadline,
-// queue full, tenant in-flight cap, tenant request rate, tenant step
-// credit. A rejection charges nothing but the tenant's rejected count.
-func (s *Server) admit(rt *route, req Request, ctx context.Context, class int, now time.Time) (*entry, error) {
+// of the contract (pinned by simulation): unknown function, closed,
+// expired deadline, queue full, tenant in-flight cap, tenant request
+// rate, tenant step credit. A rejection charges nothing but the
+// tenant's rejected count — and every submission, whatever becomes of
+// it, is either admitted or counted rejected, for the server and for
+// its tenant.
+func (s *Server) admit(req Request, ctx context.Context, class int, now time.Time) (*entry, error) {
 	ts := s.tenant(req.Tenant)
 	ts.submitted++
+	rt, ok := s.routes[req.Function]
+	if !ok {
+		s.met.rejectedUnknown.Add(1)
+		ts.rejected++
+		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, req.Function)
+	}
 	if s.closed {
 		s.met.rejectedClosed.Add(1)
 		ts.rejected++

@@ -39,21 +39,10 @@ import (
 	"sync"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
 )
-
-// Clock abstracts the scheduler's time source: admission buckets,
-// batch ripening and deadline shedding all read it, so a fake clock
-// drives every policy decision deterministically.
-type Clock interface {
-	Now() time.Time
-}
-
-// wallClock is the production Clock.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
 
 // Admission and scheduling errors. Submit wraps them with request
 // context; match with errors.Is.
@@ -109,7 +98,7 @@ type serverConfig struct {
 	workers       int
 	maxBatch      int
 	maxBatchDelay time.Duration
-	clock         Clock
+	clock         clock.Clock
 	defaultQuota  TenantQuota
 	quotas        map[string]TenantQuota
 	tuneCacheDir  string
@@ -154,8 +143,10 @@ func WithMaxBatchDelay(d time.Duration) Option {
 	return func(c *serverConfig) { c.maxBatchDelay = d }
 }
 
-// WithClock injects the scheduler's time source (default: wall clock).
-func WithClock(clk Clock) Option { return func(c *serverConfig) { c.clock = clk } }
+// WithClock injects the scheduler's time source (default: wall clock):
+// admission buckets, batch ripening and deadline shedding all read it,
+// so a fake clock drives every policy decision deterministically.
+func WithClock(clk clock.Clock) Option { return func(c *serverConfig) { c.clock = clk } }
 
 // WithDefaultQuota sets the quota applied to tenants without an
 // explicit one (default: unlimited).
@@ -252,7 +243,7 @@ func New(opts ...Option) (*Server, error) {
 		queueDepth: 256,
 		workers:    4,
 		maxBatch:   8,
-		clock:      wallClock{},
+		clock:      clock.Wall{},
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -281,7 +272,7 @@ func New(opts ...Option) (*Server, error) {
 		start:   cfg.clock.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	_, s.wallDeadlines = cfg.clock.(wallClock)
+	_, s.wallDeadlines = cfg.clock.(clock.Wall)
 	return s, nil
 }
 
@@ -290,7 +281,7 @@ func New(opts ...Option) (*Server, error) {
 // continuous-selection engine) built with the given options. Function
 // names are a flat namespace across hosted programs; a duplicate is an
 // error. The returned tuner is the introspection handle (Snapshot,
-// Counters, Best).
+// Best).
 func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.AutoTuner, error) {
 	tn, err := autotune.New(prog, opts...)
 	if err != nil {
@@ -345,18 +336,6 @@ func (s *Server) FlushTuneCache() error {
 	return errors.Join(errs...)
 }
 
-// Tuner returns the AutoTuner routing the named function, for metrics
-// scraping and introspection.
-func (s *Server) Tuner(fn string) (*autotune.AutoTuner, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt, ok := s.routes[fn]
-	if !ok {
-		return nil, false
-	}
-	return rt.tuner, true
-}
-
 // Start launches the worker pool. Idempotent; a no-op with
 // WithWorkers(0) (drive with Tick instead).
 func (s *Server) Start() {
@@ -406,20 +385,14 @@ func (s *Server) Close() {
 // checkpoint (and is accounted a shed), and a nil ctx means Background.
 func (s *Server) Submit(ctx context.Context, req Request) (*Pending, error) {
 	s.met.submitted.Add(1)
-	s.mu.Lock()
-	rt, ok := s.routes[req.Function]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, req.Function)
-	}
-	class := rt.tuner.Classify(req.Args)
+	class := autotune.SizeClass(req.Args)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	now := s.cfg.clock.Now()
 
 	s.mu.Lock()
-	e, err := s.admit(rt, req, ctx, class, now)
+	e, err := s.admit(req, ctx, class, now)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -627,6 +600,7 @@ func (s *Server) Snapshot() Snapshot {
 		QueueEWMA:        queueEWMA,
 		Submitted:        m.submitted.Load(),
 		Admitted:         m.admitted.Load(),
+		RejectedUnknown:  m.rejectedUnknown.Load(),
 		RejectedClosed:   m.rejectedClosed.Load(),
 		RejectedExpired:  m.rejectedExpired.Load(),
 		RejectedFull:     m.rejectedFull.Load(),

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
 )
@@ -50,19 +51,12 @@ func simArgs(n int) []any {
 	return []any{cm.IntV(int64(n)), a}
 }
 
-// fakeClock satisfies both serve.Clock and autotune.Clock. Simulations
-// are single-goroutine (WithWorkers(0)), so no locking is needed.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) Now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
 func simStart() time.Time {
 	return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 }
 
 // newSimServer builds a manual-pump server over the probe program.
-func newSimServer(t *testing.T, clk *fakeClock, opts ...Option) *Server {
+func newSimServer(t *testing.T, clk *clock.Fake, opts ...Option) *Server {
 	t.Helper()
 	opts = append([]Option{WithWorkers(0), WithClock(clk)}, opts...)
 	s, err := New(opts...)
@@ -91,7 +85,7 @@ func drain(s *Server) int {
 // queueDepth-plus-first submission is rejected with ErrQueueFull, and
 // draining the queue restores admission.
 func TestQueueFullRejection(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithQueueDepth(2), WithMaxBatch(1))
 	defer s.Close()
 
@@ -127,11 +121,67 @@ func TestQueueFullRejection(t *testing.T) {
 	}
 }
 
+// TestSubmissionConservation pins the admission ledger's conservation
+// law across every way a submission can end: after each step of a mix
+// of unknown-function, queue-full and admitted submissions, the server
+// and every tenant satisfy submitted = admitted + rejected. An unhosted
+// function used to count a submission and nothing else.
+func TestSubmissionConservation(t *testing.T) {
+	clk := clock.NewFake(simStart())
+	s := newSimServer(t, clk, WithQueueDepth(2), WithMaxBatch(1))
+	defer s.Close()
+
+	conserved := func(step string) Snapshot {
+		t.Helper()
+		snap := s.Snapshot()
+		if snap.Submitted != snap.Admitted+snap.Rejected() {
+			t.Fatalf("%s: server submitted %d != admitted %d + rejected %d",
+				step, snap.Submitted, snap.Admitted, snap.Rejected())
+		}
+		var submitted int64
+		for _, ts := range snap.Tenants {
+			if ts.Submitted != ts.Admitted+ts.Rejected {
+				t.Fatalf("%s: tenant %q submitted %d != admitted %d + rejected %d",
+					step, ts.Tenant, ts.Submitted, ts.Admitted, ts.Rejected)
+			}
+			submitted += ts.Submitted
+		}
+		if submitted != snap.Submitted {
+			t.Fatalf("%s: tenants saw %d submissions, the server %d", step, submitted, snap.Submitted)
+		}
+		return snap
+	}
+	good := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	steps := []struct {
+		name string
+		req  Request
+		want error // nil: admitted
+	}{
+		{"unknown first", Request{Tenant: "acme", Function: "nope", Args: simArgs(16)}, ErrUnknownFunction},
+		{"admit 1", good, nil},
+		{"unknown, other tenant", Request{Tenant: "zeta", Function: "nope"}, ErrUnknownFunction},
+		{"admit 2", good, nil},
+		{"queue full", good, ErrQueueFull},
+		{"unknown while full", Request{Tenant: "acme", Function: "nope"}, ErrUnknownFunction},
+	}
+	for _, st := range steps {
+		if _, err := s.Submit(nil, st.req); !errors.Is(err, st.want) {
+			t.Fatalf("%s: want %v, got %v", st.name, st.want, err)
+		}
+		conserved(st.name)
+	}
+	drain(s)
+	snap := conserved("drained")
+	if snap.RejectedUnknown != 3 || snap.RejectedFull != 1 || snap.Admitted != 2 || snap.Completed != 2 {
+		t.Fatalf("final ledger: %+v", snap)
+	}
+}
+
 // TestTenantRateQuota pins request-rate token buckets: Burst admissions
 // pass, the next is rejected with ErrTenantRate, and advancing the
 // clock refills exactly rate*dt tokens.
 func TestTenantRateQuota(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(1),
 		WithTenantQuota("metered", TenantQuota{Rate: 2, Burst: 2}))
 	defer s.Close()
@@ -150,13 +200,13 @@ func TestTenantRateQuota(t *testing.T) {
 		t.Fatalf("other tenant: %v", err)
 	}
 	// 250ms at 2 tokens/s = half a token: still rejected.
-	clk.advance(250 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	if _, err := s.Submit(nil, req); !errors.Is(err, ErrTenantRate) {
 		t.Fatalf("after 250ms: want ErrTenantRate, got %v", err)
 	}
 	// Another 250ms completes one token: admitted, and the bucket is
 	// empty again.
-	clk.advance(250 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	if _, err := s.Submit(nil, req); err != nil {
 		t.Fatalf("after refill: %v", err)
 	}
@@ -178,7 +228,7 @@ func TestTenantRateQuota(t *testing.T) {
 // TestTenantInFlightQuota pins the in-flight cap: queued-plus-running
 // requests above MaxInFlight are rejected until completions free slots.
 func TestTenantInFlightQuota(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(1),
 		WithTenantQuota("capped", TenantQuota{MaxInFlight: 2}))
 	defer s.Close()
@@ -210,7 +260,7 @@ func TestTenantInFlightQuota(t *testing.T) {
 // debited (driving the balance negative), and the tenant is locked out
 // until the refill catches back up above zero.
 func TestTenantStepBudget(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(1),
 		WithTenantQuota("steppy", TenantQuota{StepRate: 100, StepBurst: 10}))
 	defer s.Close()
@@ -236,11 +286,11 @@ func TestTenantStepBudget(t *testing.T) {
 	// tenant stays locked out; just after, it admits again.
 	debt := float64(resp.Steps) - 10
 	notYet := time.Duration(debt/100*float64(time.Second)) - time.Millisecond
-	clk.advance(notYet)
+	clk.Advance(notYet)
 	if _, err := s.Submit(nil, req); !errors.Is(err, ErrTenantSteps) {
 		t.Fatalf("still in debt: want ErrTenantSteps, got %v", err)
 	}
-	clk.advance(2 * time.Millisecond)
+	clk.Advance(2 * time.Millisecond)
 	p2, err := s.Submit(nil, req)
 	if err != nil {
 		t.Fatalf("after refill: %v", err)
@@ -269,7 +319,7 @@ func TestTenantStepBudget(t *testing.T) {
 // variant decision), an unfilled batch waits out maxBatchDelay before
 // dispatching, and a full batch goes immediately.
 func TestBatchCoalescing(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(4), WithMaxBatchDelay(10*time.Millisecond))
 	defer s.Close()
 
@@ -286,7 +336,7 @@ func TestBatchCoalescing(t *testing.T) {
 	if s.Tick() {
 		t.Fatal("dispatched an unripe batch")
 	}
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	if !s.Tick() {
 		t.Fatal("ripe batch did not dispatch")
 	}
@@ -321,7 +371,7 @@ func TestBatchCoalescing(t *testing.T) {
 	if _, err := s.Submit(nil, big); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	n := drain(s)
 	if n != 2 {
 		t.Fatalf("mixed classes drained in %d batches, want 2", n)
@@ -336,7 +386,7 @@ func TestBatchCoalescing(t *testing.T) {
 // deadline expires while still queued is dropped unrun with ErrShed,
 // and an already-expired deadline is rejected outright at admission.
 func TestDeadlineShedQueued(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(1))
 	defer s.Close()
 
@@ -359,7 +409,7 @@ func TestDeadlineShedQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	if n := drain(s); n != 1 {
 		t.Fatalf("drained %d batches, want 1 (the shed entry must not run)", n)
 	}
@@ -386,7 +436,7 @@ func TestDeadlineShedQueued(t *testing.T) {
 // zero-cost call checkpoint and is accounted a running shed, not a
 // failure.
 func TestCancelShedsRunning(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s := newSimServer(t, clk, WithMaxBatch(1))
 	defer s.Close()
 
@@ -415,7 +465,7 @@ func TestCancelShedsRunning(t *testing.T) {
 // degradation land in the tenant's ledger — no worker dies, no error
 // surfaces.
 func TestDegradedAccounting(t *testing.T) {
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	want, err := simProgram(t).NewInstance().Call("probe", simArgs(16)...)
 	if err != nil {
 		t.Fatal(err)

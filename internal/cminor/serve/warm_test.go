@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
 	"socrates/internal/cminor/autotune/persist"
@@ -18,7 +19,7 @@ import (
 
 // newWarmSimServer is newSimServer plus a tune cache and zero residual
 // exploration, so any post-restart measure-phase pull is test-visible.
-func newWarmSimServer(t *testing.T, clk *fakeClock, dir string) (*Server, *autotune.AutoTuner) {
+func newWarmSimServer(t *testing.T, clk *clock.Fake, dir string) (*Server, *autotune.AutoTuner) {
 	t.Helper()
 	s, err := New(WithWorkers(0), WithClock(clk), WithMaxBatch(1), WithTuneCache(dir))
 	if err != nil {
@@ -70,7 +71,7 @@ func warmSite(t *testing.T, tn *autotune.AutoTuner) autotune.SiteReport {
 // zero additional measure-phase pulls afterwards.
 func TestServerWarmStartAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 
 	s1, tn1 := newWarmSimServer(t, clk, dir)
 	serveCalls(t, s1, 6) // 2-arm grid, 1 sample each: converged, then exploiting
@@ -114,7 +115,7 @@ func TestServerWarmStartAcrossRestart(t *testing.T) {
 // the next Close heals the log by flushing a valid one over it.
 func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 
 	s1, tn1 := newWarmSimServer(t, clk, dir)
 	serveCalls(t, s1, 4)
@@ -149,7 +150,7 @@ func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 // log without closing the server, and keeps serving afterwards.
 func TestFlushTuneCacheOnDemand(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: simStart()}
+	clk := clock.NewFake(simStart())
 	s, tn := newWarmSimServer(t, clk, dir)
 	defer s.Close()
 	serveCalls(t, s, 4)
