@@ -1,11 +1,8 @@
-# Development targets. `make bench` records the perf trajectory across
-# PRs: it writes the full benchmark event stream (go test -json) to
-# BENCH_$(PR).json so successive PRs can be diffed.
+# Development targets. The performance gate is bench/ (bench/README.md,
+# BENCHMARK.json); `bench-test` runs its tests and `bench-smoke` proves
+# the Benchmark* functions still execute.
 
-PR ?= 13
-BENCHCOUNT ?= 5
-
-.PHONY: all build test bench-test test-race vet fmt lint chaos serve-sim serve-timing warm-sim bench bench-smoke
+.PHONY: all build test bench-test test-race vet fmt lint chaos serve-sim serve-timing warm-sim bench-smoke
 
 all: build test
 
@@ -77,18 +74,6 @@ warm-sim:
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestWarmStart'
 	go test -race -count=1 ./internal/cminor/serve/ -run 'TestServerWarmStart|TestFlushTuneCache'
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
-
-# Full benchmark sweep, recorded as JSON for cross-PR tracking. The
-# `-bench .` regex includes the *Parallel benchmarks (shared-Program
-# Instances across GOMAXPROCS goroutines), the single-thread
-# walker/compiled pairs, BenchmarkOptLevels — every kernel at every
-# opt level O0–O3 plus the O4 bytecode backend, the static
-# per-variant data the autotuner starts from — and BenchmarkAutotuned:
-# the online tuner's steady state next
-# to the best and worst static variant of every kernel.
-bench:
-	go test ./internal/cminor/... -run '^$$' -bench . -benchmem -count=$(BENCHCOUNT) -json > BENCH_$(PR).json
-	@echo "wrote BENCH_$(PR).json"
 
 # One-iteration smoke run for CI: proves every benchmark still executes.
 bench-smoke:

@@ -12,8 +12,7 @@ import (
 // steady-state throughput next to the best and worst static variants
 // of the same grid — the headline claim of the runtime layer: tuned ≈
 // best-static (within the residual exploration tax), while a wrong
-// static choice is measurably slower. `make bench` captures all three
-// per kernel into BENCH_<n>.json.
+// static choice is measurably slower.
 func BenchmarkAutotuned(b *testing.B) {
 	grid := autotune.DefaultGrid()
 	for _, k := range cm.BenchKernels {

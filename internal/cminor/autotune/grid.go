@@ -44,7 +44,7 @@ func (v VariantSpec) options() []cm.Option {
 
 // DefaultGrid is the opt-level axis of the compiled backend plus the
 // flat-bytecode backend at full optimization — the grid
-// BENCH_<n>.json records static baselines for.
+// BenchmarkOptLevels sweeps for static baselines.
 func DefaultGrid() []VariantSpec {
 	return []VariantSpec{
 		{Opt: cm.O0},

@@ -97,7 +97,7 @@ func siteReport(t *testing.T, tn *AutoTuner, fn string, class int) SiteReport {
 }
 
 // TestSimulatedConvergence drives ten synthetic cost models — shaped
-// like the BENCH_6 static sweep of the ten corpus kernels, where the
+// like the static sweep of the ten corpus kernels recorded at PR 6, where the
 // bytecode backend wins five, O3 wins three, and O2 wins two
 // (inversions the tuner must respect) — and asserts the tuner
 // converges to the statically-best variant for every one within the

@@ -170,10 +170,9 @@ func BenchmarkAtaxCompiled(b *testing.B) {
 }
 
 // BenchmarkOptLevels sweeps every corpus kernel across O0–O3 plus the
-// O4 flat-bytecode backend so BENCH_<n>.json carries one record per
-// (kernel, variant) — the design-space sample SOCRATES' design-time
-// exploration assumes, and the static baseline the autotuner's online
-// selection starts from.
+// O4 flat-bytecode backend, one benchmark per (kernel, variant) — the
+// design-space sample SOCRATES' design-time exploration assumes, and the
+// static baseline the autotuner's online selection starts from.
 func BenchmarkOptLevels(b *testing.B) {
 	variants := []struct {
 		label string

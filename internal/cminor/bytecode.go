@@ -14,10 +14,13 @@ import (
 // (statically-double slots); temporaries are allocated monotonically
 // above the slot block. Lowering (bytecode_lower.go) reuses the
 // typecheck kind tables and the loop optimizer's recognition and
-// invariance analysis: counted loops become test-and-branch with a
-// proof preamble, proven subscripts use unchecked load/store opcodes,
-// and the hot Polybench shapes collapse into superinstructions
-// (opFMAAcc fma-accumulate, opLoopNext fused increment+step+branch).
+// invariance analysis: counted loops become one set-up instruction, one
+// proof instruction and a test-and-branch back edge, proven subscripts
+// use unchecked load/store opcodes, the hot Polybench shapes collapse
+// into superinstructions (opFMAAcc fma-accumulate, opLoopNext fused
+// increment+step+branch), and an innermost loop whose whole body is one
+// recognised form runs every iteration the step budget allows in one
+// dispatch (opRunMac / opRunSum / opRunMap).
 //
 // Semantics are bit- and step-exact with the walker: every statement
 // charges the same step() budget, every fault carries the same
@@ -34,17 +37,21 @@ const (
 	opNop bcOp = iota
 
 	// control flow
-	opStep      // charge one statement against the step budget
-	opStep2     // charge two statements (counted-loop entry)
-	opJmp       // pc = a
-	opBrZI      // if ireg[a] == 0: pc = b
-	opBrNZI     // if ireg[a] != 0: pc = b
-	opBrZF      // if freg[a] == 0: pc = b
-	opBrNZF     // if freg[a] != 0: pc = b
-	opBrCI      // if cmp(sub, ireg[a], ireg[b]): pc = c
-	opBrCF      // if cmp(sub, freg[a], freg[b]): pc = c
-	opStrictDec // counted "<" bound: if ireg[a]==MinInt64: pc = b, else ireg[a]--
-	opLoopNext  // ireg[a]++; step; if ireg[a] <= ireg[b]: pc = c
+	opStep  // charge one statement against the step budget
+	opStep2 // charge two statements (counted-loop entry)
+	opJmp   // pc = a
+	opBrZI  // if ireg[a] == 0: pc = b
+	opBrNZI // if ireg[a] != 0: pc = b
+	opBrZF  // if freg[a] == 0: pc = b
+	opBrNZF // if freg[a] != 0: pc = b
+	opBrCI  // if cmp(sub, ireg[a], ireg[b]): pc = c
+	opBrCF  // if cmp(sub, freg[a], freg[b]): pc = c
+	// opForInit is a counted loop's whole set-up. Under bcForCharge it
+	// charges the for statement and its init clause (else an opStep2 did,
+	// before a bound's code); under bcForStrict the bound is "<" and the
+	// last value one less (MinInt64, which has none, is an empty loop).
+	opForInit  // [step×2;] ireg[a] = ireg[d]; ireg[b] = ireg[e] [- 1]; if ireg[a] > ireg[b]: pc = c
+	opLoopNext // ireg[a]++; step; if ireg[a] <= ireg[b]: pc = c
 	// opLoopNext2 is the fused back edge: it charges the for statement's
 	// per-iteration step AND the next iteration's first-statement step in
 	// one budget check, then jumps past that statement's opStep. Nothing
@@ -104,14 +111,18 @@ const (
 	opIncE1 // freg[d] = arr(c)[ireg[a]] (then ±1 store; sub=1 inc)
 	opIncE2 // freg[d] = arr(c)[ireg[a]][ireg[b]] (then ±1 store; sub=1 inc)
 
-	// loop-preamble proofs; failure jumps to the safe body. opProveArr
-	// also hoists the proven array's backing store into the frame's data
-	// register dreg[a], so the fast body's unchecked accesses index one
-	// flat []float64 directly — the bytecode analogue of the closure
-	// backend's hoisted row slices.
-	opProveArr // arr(c) exists with rank sub (else pc=b); ireg[d],ireg[e] = dims; dreg[a] = Data
-	opProveRng // unless 0 <= ireg[a] < ireg[b]: pc = c
-	opProveIV  // unless [ireg[a]+imm, ireg[b]+imm] ⊂ [0, ireg[d]) (overflow-checked): pc = c
+	// The loop preamble: one opProve followed by d opAddr rows, one per
+	// classified address of the fast body — operands, never dispatched.
+	// opProve validates each against the live array (it exists with the
+	// shape's rank; the invariant subscripts and the whole induction range
+	// [ireg[a], ireg[b]] are in bounds, overflow-checked), writes the
+	// address registers the fast body indexes with, and hoists the array's
+	// backing store into a data register, so unchecked accesses index one
+	// flat []float64 — the bytecode analogue of the closure backend's
+	// hoisted row slices. A failure jumps to the safe body; success falls
+	// through the rows into the fast body.
+	opProve // every row holds (else pc = c); pc += d
+	opAddr  // row: shape sub (bcVecIV…) of arr(c) into dreg[d]; see bcProve
 
 	// Proven (unchecked) element access over a hoisted data register.
 	// The addressing mode is baked into the opcode (one dispatch, no
@@ -144,20 +155,22 @@ const (
 	opFMSAcc2 // dreg[c][ea] -= float64(freg[d] * freg[imm])
 	opFMAS    // freg[d] += float64(freg[a] * freg[b])
 
-	// Fused instruction triples, installed by the peephole pass over
-	// hot fast-body shapes (see fusePeephole). A fused opcode replaces
-	// the first instruction of a recognized straight-line triple; the
-	// two following instructions stay in place as its operand banks and
-	// are skipped by the dispatch loop (pc += 2). Each case executes
-	// the constituent instructions' exact semantics — temp registers
-	// included — so fusion is observationally a no-op; it only merges
-	// three dispatches into one.
-	opF3MulDot  // [ldmul1, ldu2, fmaacc0]: the gemm/2mm alpha*A[i][k]*B[k][j] accumulate
-	opF3RowCol  // [ldu1, ldu2, fmaacc0]: the plain A[i][k]*B[k][j] accumulate
-	opF3RowVec  // [ldu1, ldu0, fmaacc0]: the matrix-vector A[i][j]*x[j] accumulate
-	opF3ColVec  // [ldu2, ldu0, fmaacc0]: the transposed A[j][i]*x[j] accumulate
-	opF3RowVecS // [ldu1, ldu0, fmsacc0]: the triangular-solve A[i][j]*x[j] subtract
-	opF3RowRowS // [ldu1, ldu1, fmsacc0]: the cholesky A[i][k]*A[j][k] subtract
+	// Run forms. When the body of an innermost counted loop is, after its
+	// leading opStep, exactly one recognised straight-line form, the
+	// lowerer (formRun) replaces it with a run head and c opOpnd rows — the
+	// form's target and sources as strided operands, never dispatched —
+	// before the usual opLoopNext2. The head executes the iteration it was
+	// entered for plus every further one the loop bound (a, b: induction
+	// and last registers), the step budget and bcRunChunk allow in a
+	// native Go loop (bcRunLen), charges their back edges in one addition,
+	// advances the induction register and falls into the unchanged
+	// opLoopNext2, which takes the exit, the next chunk and every budget
+	// edge with its usual rollback. A run of length zero is what a
+	// superinstruction is.
+	opRunMac // T ±= float64(([freg[d]·]X)·Y): rows T, X, Y; sub bcRunNeg | bcRunCoef
+	opRunSum // T = (X1+…+Xk) scaled by freg[d] as sub (bcScale*) says: rows T, X1…Xk
+	opRunMap // T = X: rows T, X
+	opOpnd   // row: the walk of one operand, addressed in mode sub (bcMode*, bcModeReg)
 )
 
 // Addressing modes as classified by the lowerer (selects the opcode
@@ -166,11 +179,51 @@ const (
 //	bcMode0  ea = ireg[a] + imm
 //	bcMode1  ea = ireg[a] + ireg[b] + imm
 //	bcMode2  ea = ireg[a]*ireg[e] + ireg[b]
+//
+// A run operand row (opOpnd) adds bcModeReg — float register a itself, a
+// walk of stride 0 over the register file — and holds in d the stride of
+// a mode-0 address (1 when a is the induction register, else 0); mode 1
+// advances by 1 and mode 2 by ireg[e].
 const (
 	bcMode0 uint8 = iota
 	bcMode1
 	bcMode2
+	bcModeReg
 )
+
+// Address shapes a preamble row (opAddr) proves, by which subscripts
+// follow the induction variable. Operands per shape are in bcProve.
+const (
+	bcVecIV  uint8 = iota // v[iv+off]
+	bcVecInv              // v[inv]
+	bcRowIV               // A[inv][iv+off]
+	bcColIV               // A[iv+off][inv]
+	bcDiag                // A[iv+off0][iv+off1]
+	bcInvInv              // A[inv][inv]
+)
+
+// opForInit flags (sub).
+const (
+	bcForStrict uint8 = 1 << iota // the bound is "<": last = hi - 1
+	bcForCharge                   // charge the for statement and its init clause here
+)
+
+// opRunMac flags (sub).
+const (
+	bcRunNeg  uint8 = 1 << iota // T -= …, not T += …
+	bcRunCoef                   // X is multiplied by freg[d] first
+)
+
+// opRunSum scaling (sub): what happens to the sum before it is stored.
+const (
+	bcScaleNone uint8 = iota
+	bcScaleMulL       // freg[d] * sum
+	bcScaleMulR       // sum * freg[d]
+	bcScaleDiv        // sum / freg[d]
+)
+
+// bcSumMax is the most sources an opRunSum carries (seidel2d's nine).
+const bcSumMax = 9
 
 // Comparison codes for opBrCI/opBrCF (in sub). bcNegate inverts the
 // result of the original predicate — never a rewritten operator — so
@@ -205,10 +258,10 @@ const (
 	bcOpMod
 )
 
-// instr is one bytecode instruction. Operand meaning is per-opcode (see
-// the bcOp comments); c encodes an array reference: >= 0 is a local
-// frame array slot, < 0 is global array slot ^c. pos is the source
-// position used by runtime faults and the disassembler.
+// instr is one bytecode instruction (56 bytes). Operand meaning is
+// per-opcode (see the bcOp comments); where c is an array reference,
+// >= 0 is a local frame array slot and < 0 is global array slot ^c. pos
+// is the source position used by runtime faults and the disassembler.
 type instr struct {
 	op  bcOp
 	sub uint8
@@ -245,7 +298,7 @@ type bcFunc struct {
 var bcOpNames = [...]string{
 	opNop: "nop", opStep: "step", opStep2: "step2", opJmp: "jmp",
 	opBrZI: "brz.i", opBrNZI: "brnz.i", opBrZF: "brz.f", opBrNZF: "brnz.f",
-	opBrCI: "brc.i", opBrCF: "brc.f", opStrictDec: "strictdec",
+	opBrCI: "brc.i", opBrCF: "brc.f", opForInit: "forinit",
 	opLoopNext: "loopnext", opLoopNext2: "loopnext2",
 	opRetI: "ret.i", opRetF: "ret.f", opRetZ: "ret",
 	opLdcI: "ldc.i", opLdcF: "ldc.f", opMovI: "mov.i", opMovF: "mov.f",
@@ -259,16 +312,15 @@ var bcOpNames = [...]string{
 	opNewArr1: "newarr1", opNewArr2: "newarr2",
 	opLdE1: "lde1", opLdE2: "lde2", opStE1: "ste1", opStE2: "ste2",
 	opCmE1: "cme1", opCmE2: "cme2", opIncE1: "ince1", opIncE2: "ince2",
-	opProveArr: "provearr", opProveRng: "proverng", opProveIV: "proveiv",
+	opProve: "prove", opAddr: ".addr",
 	opLdU0: "ldu0", opLdU1: "ldu1", opLdU2: "ldu2",
 	opStU0: "stu0", opStU1: "stu1", opStU2: "stu2",
 	opCmU0: "cmu0", opCmU1: "cmu1", opCmU2: "cmu2",
 	opLdMul0: "ldmul0", opLdMul1: "ldmul1", opLdMul2: "ldmul2",
 	opFMAAcc0: "fmaacc0", opFMAAcc1: "fmaacc1", opFMAAcc2: "fmaacc2",
 	opFMSAcc0: "fmsacc0", opFMSAcc1: "fmsacc1", opFMSAcc2: "fmsacc2",
-	opFMAS:     "fmas",
-	opF3MulDot: "f3.muldot", opF3RowCol: "f3.rowcol", opF3RowVec: "f3.rowvec",
-	opF3ColVec: "f3.colvec", opF3RowVecS: "f3.rowvecs", opF3RowRowS: "f3.rowrows",
+	opFMAS:   "fmas",
+	opRunMac: "run.mac", opRunSum: "run.sum", opRunMap: "run.map", opOpnd: ".opnd",
 }
 
 var bcCmpNames = [...]string{"eq", "neq", "lt", "gt", "leq", "geq"}
@@ -295,9 +347,13 @@ func Disassemble(p *Program, fn string) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s: %d instrs, %d int regs, %d float regs, %d data regs\n",
 		bc.name, len(bc.code), bc.nI, bc.nF, bc.nD)
+	var head *instr // the opProve or run head whose rows are being printed
 	for pc := range bc.code {
 		in := &bc.code[pc]
-		ops := bcOperands(in)
+		if in.op != opAddr && in.op != opOpnd {
+			head = in
+		}
+		ops := bcOperands(in, head)
 		if in.pos != (Pos{}) {
 			fmt.Fprintf(&sb, "%4d  %-10s %-28s ; %s\n", pc, bcOpNames[in.op], ops, in.pos)
 		} else {
@@ -337,9 +393,10 @@ func bcEA(in *instr, mode uint8) string {
 	return fmt.Sprintf("d%d[%s]", in.c, s)
 }
 
-// bcOperands renders one instruction's operands symbolically (iN/fN are
-// int/float registers, aN/gN arrays, @N a jump target pc).
-func bcOperands(in *instr) string {
+// bcOperands renders one instruction's operands symbolically (iN/fN/dN
+// are int/float/data registers, aN/gN arrays, @N a jump target pc). head
+// is the instruction an operand row belongs to.
+func bcOperands(in, head *instr) string {
 	switch in.op {
 	case opNop, opStep, opStep2, opRetZ:
 		return ""
@@ -359,8 +416,15 @@ func bcOperands(in *instr) string {
 			cmp = "!" + cmp
 		}
 		return fmt.Sprintf("%s %s%d %s%d @%d", cmp, r, in.a, r, in.b, in.c)
-	case opStrictDec:
-		return fmt.Sprintf("i%d @%d", in.a, in.b)
+	case opForInit:
+		s := fmt.Sprintf("i%d=i%d i%d=i%d", in.a, in.d, in.b, in.e)
+		if in.sub&bcForStrict != 0 {
+			s += "-1"
+		}
+		if in.sub&bcForCharge != 0 {
+			s += " step2"
+		}
+		return s + fmt.Sprintf(" else @%d", in.c)
 	case opLoopNext, opLoopNext2:
 		return fmt.Sprintf("i%d<=i%d @%d", in.a, in.b, in.c)
 	case opRetI:
@@ -415,16 +479,26 @@ func bcOperands(in *instr) string {
 		return fmt.Sprintf("f%d %s[i%d] sub=%d", in.d, bcArrName(in.c), in.a, in.sub)
 	case opIncE2:
 		return fmt.Sprintf("f%d %s[i%d][i%d] sub=%d", in.d, bcArrName(in.c), in.a, in.b, in.sub)
-	case opProveArr:
-		s := fmt.Sprintf("%s rank=%d i%d", bcArrName(in.c), in.sub, in.d)
-		if in.sub == 2 {
-			s += fmt.Sprintf(" i%d", in.e)
+	case opProve:
+		return fmt.Sprintf("i%d..i%d rows=%d else @%d", in.a, in.b, in.d, in.c)
+	case opAddr:
+		// The proven subscripts, then the registers the row writes: the
+		// address base and, where the address walks rows, their stride.
+		arr, iv := bcArrName(in.c), head.a
+		switch in.sub {
+		case bcVecIV:
+			return fmt.Sprintf("d%d = %s[i%d%+d]", in.d, arr, iv, in.imm)
+		case bcVecInv:
+			return fmt.Sprintf("d%d = %s[i%d] -> i%d", in.d, arr, in.a, in.b)
+		case bcRowIV:
+			return fmt.Sprintf("d%d = %s[i%d][i%d%+d] -> i%d", in.d, arr, in.a, iv, in.imm, in.b)
+		case bcColIV:
+			return fmt.Sprintf("d%d = %s[i%d%+d][i%d] -> i%d stride i%d", in.d, arr, iv, in.imm, in.a, in.b, in.e)
+		case bcDiag:
+			return fmt.Sprintf("d%d = %s[i%d%+d][i%d%+d] -> i%d stride i%d", in.d, arr, iv, in.imm, iv, in.a, in.b, in.e)
+		default:
+			return fmt.Sprintf("d%d = %s[i%d][i%d] -> i%d", in.d, arr, in.a, in.e, in.b)
 		}
-		return s + fmt.Sprintf(" d%d else @%d", in.a, in.b)
-	case opProveRng:
-		return fmt.Sprintf("i%d < i%d else @%d", in.a, in.b, in.c)
-	case opProveIV:
-		return fmt.Sprintf("[i%d%+d, i%d%+d] < i%d else @%d", in.a, in.imm, in.b, in.imm, in.d, in.c)
 	case opLdU0, opLdU1, opLdU2:
 		return fmt.Sprintf("f%d %s", in.d, bcEA(in, uint8(in.op-opLdU0)))
 	case opStU0, opStU1, opStU2:
@@ -445,14 +519,42 @@ func bcOperands(in *instr) string {
 		return fmt.Sprintf("%s -= f%d*f%d", bcEA(in, bcMode2), in.d, in.imm)
 	case opFMAS:
 		return fmt.Sprintf("f%d += f%d*f%d", in.d, in.a, in.b)
-	// Fused triples print the head's own (first constituent) operands;
-	// the two instructions they absorb follow as ordinary rows.
-	case opF3MulDot:
-		return fmt.Sprintf("f%d f%d*%s ...", in.d, in.e, bcEA(in, bcMode1))
-	case opF3RowCol, opF3RowVec, opF3RowVecS, opF3RowRowS:
-		return fmt.Sprintf("f%d %s ...", in.d, bcEA(in, bcMode1))
-	case opF3ColVec:
-		return fmt.Sprintf("f%d %s ...", in.d, bcEA(in, bcMode2))
+	// A run head prints its loop and its form over the rows that follow
+	// (t the target, x… the sources); each row prints where its walk
+	// starts and how far it moves per iteration.
+	case opRunMac:
+		sign, x := "+", "x"
+		if in.sub&bcRunNeg != 0 {
+			sign = "-"
+		}
+		if in.sub&bcRunCoef != 0 {
+			x = fmt.Sprintf("f%d*x", in.d)
+		}
+		return fmt.Sprintf("i%d<=i%d t %s= %s*y", in.a, in.b, sign, x)
+	case opRunSum:
+		sum := fmt.Sprintf("(x1+..+x%d)", in.c-1)
+		switch in.sub {
+		case bcScaleMulL:
+			sum = fmt.Sprintf("f%d*%s", in.d, sum)
+		case bcScaleMulR:
+			sum = fmt.Sprintf("%s*f%d", sum, in.d)
+		case bcScaleDiv:
+			sum = fmt.Sprintf("%s/f%d", sum, in.d)
+		}
+		return fmt.Sprintf("i%d<=i%d t = %s", in.a, in.b, sum)
+	case opRunMap:
+		return fmt.Sprintf("i%d<=i%d t = x", in.a, in.b)
+	case opOpnd:
+		switch in.sub {
+		case bcModeReg:
+			return fmt.Sprintf("f%d stride 0", in.a)
+		case bcMode2:
+			return fmt.Sprintf("%s stride i%d", bcEA(in, bcMode2), in.e)
+		case bcMode1:
+			return bcEA(in, bcMode1) + " stride 1"
+		default:
+			return fmt.Sprintf("%s stride %d", bcEA(in, bcMode0), in.d)
+		}
 	}
 	return "?"
 }

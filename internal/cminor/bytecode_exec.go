@@ -3,6 +3,7 @@ package cminor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Execution of lowered bytecode: one flat for/switch dispatch loop over
@@ -115,6 +116,197 @@ func bcFlushParams(fr *frame, bc *bcFunc) {
 	}
 }
 
+// bcProve is the loop preamble: it validates every opAddr row against
+// the live arrays for the induction range [iv, last], writing the
+// address registers and data registers the fast body uses. Operands per
+// shape (c the array, d its data register, b the address base written):
+//
+//	bcVecIV   v[iv+imm]
+//	bcVecInv  v[ireg[a]]             ireg[b] = the index
+//	bcRowIV   A[ireg[a]][iv+imm]     ireg[b] = row*d1
+//	bcColIV   A[iv+imm][ireg[a]]     ireg[b] = col + imm*d1, ireg[e] = d1
+//	bcDiag    A[iv+imm][iv+a]        ireg[b] = imm*d1 + a,   ireg[e] = d1 + 1
+//	bcInvInv  A[ireg[a]][ireg[e]]    ireg[b] = row*d1 + col
+//
+// A false return leaves some of them written; the safe body reads none.
+func bcProve(fr *frame, rows []instr, iv, last int64) bool {
+	ireg := fr.ireg
+	for i := range rows {
+		r := &rows[i]
+		rank := 2
+		if r.sub <= bcVecInv {
+			rank = 1
+		}
+		a := bcArr(fr, r.c)
+		if a == nil || len(a.Dims) != rank {
+			return false
+		}
+		d0, d1 := a.Dims[0], a.Dims[rank-1]
+		inv := func(reg int32, dim int) bool { return ireg[reg] >= 0 && ireg[reg] < int64(dim) }
+		ok := false
+		switch r.sub {
+		case bcVecIV:
+			ok = affineInRange(iv, last, r.imm, d0)
+		case bcVecInv:
+			ok = inv(r.a, d0)
+			ireg[r.b] = ireg[r.a]
+		case bcRowIV:
+			ok = inv(r.a, d0) && affineInRange(iv, last, r.imm, d1)
+			ireg[r.b] = ireg[r.a] * int64(d1)
+		case bcColIV:
+			ok = inv(r.a, d1) && affineInRange(iv, last, r.imm, d0)
+			ireg[r.b], ireg[r.e] = ireg[r.a]+r.imm*int64(d1), int64(d1)
+		case bcDiag:
+			ok = affineInRange(iv, last, r.imm, d0) && affineInRange(iv, last, int64(r.a), d1)
+			ireg[r.b], ireg[r.e] = r.imm*int64(d1)+int64(r.a), int64(d1)+1
+		case bcInvInv:
+			ok = inv(r.a, d0) && inv(r.e, d1)
+			ireg[r.b] = ireg[r.a]*int64(d1) + ireg[r.e]
+		}
+		if !ok {
+			return false
+		}
+		fr.dreg[r.d] = a.Data
+	}
+	return true
+}
+
+// bcRunChunk bounds the iterations a run executes between two looks at
+// the step limit: how long a cancellation (a dropped limit) goes unseen.
+const bcRunChunk = 1024
+
+// bcRunLen is how many iterations beyond the one it was entered for a
+// run head may execute: those the loop has left (iv <= last inside a
+// body), those whose back edges — two steps each — the budget still
+// covers, and no more than bcRunChunk.
+func (ec *Instance) bcRunLen(iv, last int64) int {
+	n := uint64(last) - uint64(iv)
+	if n > bcRunChunk {
+		n = bcRunChunk
+	}
+	lim, steps := ec.limit.Load(), int64(ec.steps)
+	if lim <= steps {
+		return 0 // spent, or dropped by a cancellation
+	}
+	return int(min(n, uint64(lim-steps)/2))
+}
+
+// bcWalk is a run operand resolved at run entry: element i of the walk
+// is d[i*s].
+type bcWalk struct {
+	d []float64
+	s int
+}
+
+func bcWalkOf(fr *frame, o *instr) bcWalk {
+	ireg := fr.ireg
+	switch o.sub {
+	case bcMode0:
+		return bcWalk{fr.dreg[o.c][ireg[o.a]+o.imm:], int(o.d)}
+	case bcMode1:
+		return bcWalk{fr.dreg[o.c][ireg[o.a]+ireg[o.b]+o.imm:], 1}
+	case bcMode2:
+		return bcWalk{fr.dreg[o.c][ireg[o.a]*ireg[o.e]+ireg[o.b]:], int(ireg[o.e])}
+	default:
+		return bcWalk{fr.freg[o.a:], 0}
+	}
+}
+
+// touches reports whether the first n+1 elements of the walk include the
+// one p points at — by address, so that argument arrays which share or
+// overlap backing stores are seen for what they are.
+func (w bcWalk) touches(p *float64, n int) bool {
+	if len(w.d) == 0 {
+		return true
+	}
+	i := (uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&w.d[0]))) / unsafe.Sizeof(*p)
+	if w.s == 0 {
+		return i == 0
+	}
+	return i <= uintptr(n*w.s) && i%uintptr(w.s) == 0
+}
+
+// bcRunMac runs n+1 iterations of T ±= float64(([c·]X)·Y) in source
+// order. The explicit conversion forces the product's rounding so Go
+// cannot contract the multiply-add (see opFMAAcc0). A target that stays
+// put is held in a register for the run when neither source walk reads
+// its element; otherwise every iteration loads and stores it, as the
+// instructions the run replaced did.
+func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
+	t, x, y := bcWalkOf(fr, &rows[0]), bcWalkOf(fr, &rows[1]), bcWalkOf(fr, &rows[2])
+	neg, coef := in.sub&bcRunNeg != 0, in.sub&bcRunCoef != 0
+	var c float64
+	if coef {
+		c = fr.freg[in.d]
+	}
+	if t.s == 0 && !x.touches(&t.d[0], n) && !y.touches(&t.d[0], n) {
+		acc := t.d[0]
+		for xi, yi := 0, 0; n >= 0; n-- {
+			p := x.d[xi]
+			if coef {
+				p = c * p
+			}
+			if v := float64(p * y.d[yi]); neg {
+				acc -= v
+			} else {
+				acc += v
+			}
+			xi, yi = xi+x.s, yi+y.s
+		}
+		t.d[0] = acc
+		return
+	}
+	for ti, xi, yi := 0, 0, 0; n >= 0; n-- {
+		p := x.d[xi]
+		if coef {
+			p = c * p
+		}
+		if v := float64(p * y.d[yi]); neg {
+			t.d[ti] -= v
+		} else {
+			t.d[ti] += v
+		}
+		ti, xi, yi = ti+t.s, xi+x.s, yi+y.s
+	}
+}
+
+// bcRunSum runs n+1 iterations of T = (X1+…+Xk) scaled, every load and
+// the store in their own iteration (seidel2d reads what it just wrote).
+func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
+	var xs [bcSumMax]bcWalk
+	t, k := bcWalkOf(fr, &rows[0]), len(rows)-1
+	for j := range xs[:k] {
+		xs[j] = bcWalkOf(fr, &rows[j+1])
+	}
+	var c float64
+	if in.sub != bcScaleNone {
+		c = fr.freg[in.d]
+	}
+	for i := 0; i <= n; i++ {
+		sum := xs[0].d[i*xs[0].s]
+		for j := 1; j < k; j++ {
+			sum += xs[j].d[i*xs[j].s]
+		}
+		switch in.sub {
+		case bcScaleMulL:
+			sum = c * sum
+		case bcScaleMulR:
+			sum = sum * c
+		case bcScaleDiv:
+			sum = sum / c
+		}
+		t.d[i*t.s] = sum
+	}
+}
+
+// bcRunMap runs n+1 iterations of T = X, in order (the walks may overlap).
+func bcRunMap(fr *frame, rows []instr, n int) {
+	t, x := bcWalkOf(fr, &rows[0]), bcWalkOf(fr, &rows[1])
+	for i := 0; i <= n; i++ {
+		t.d[i*t.s] = x.d[i*x.s]
+	}
+}
+
 // execBC runs one bytecode function body in fr.
 func execBC(fr *frame, bc *bcFunc) {
 	ireg, freg, dreg := fr.ireg, fr.freg, fr.dreg
@@ -154,14 +346,8 @@ func execBC(fr *frame, bc *bcFunc) {
 				panic(ec.faultCause())
 			}
 		case opStep2:
-			ec.steps++
-			if int64(ec.steps) > ec.limit.Load() {
-				panic(ec.faultCause())
-			}
-			ec.steps++
-			if int64(ec.steps) > ec.limit.Load() {
-				panic(ec.faultCause())
-			}
+			ec.step()
+			ec.step()
 		case opJmp:
 			pc = int(in.a)
 		case opBrZI:
@@ -226,11 +412,25 @@ func execBC(fr *frame, bc *bcFunc) {
 			if r {
 				pc = int(in.c)
 			}
-		case opStrictDec:
-			if ireg[in.a] == math.MinInt64 {
-				pc = int(in.b)
-			} else {
-				ireg[in.a]--
+		case opForInit:
+			if in.sub&bcForCharge != 0 {
+				ec.step()
+				ec.step()
+			}
+			v, last := ireg[in.d], ireg[in.e]
+			ireg[in.a] = v
+			if in.sub&bcForStrict != 0 {
+				// iv < hi becomes iv <= hi-1; MinInt64 cannot be decremented,
+				// and the loop is empty in that case anyway.
+				if last == math.MinInt64 {
+					pc = int(in.c)
+					continue
+				}
+				last--
+			}
+			ireg[in.b] = last
+			if v > last {
+				pc = int(in.c)
 			}
 		case opLoopNext:
 			v := ireg[in.a] + 1
@@ -393,23 +593,10 @@ func execBC(fr *frame, bc *bcFunc) {
 				a.Data[off] = old - 1
 			}
 			freg[in.d] = old
-		case opProveArr:
-			a := bcArr(fr, in.c)
-			if a == nil || len(a.Dims) != int(in.sub) {
-				pc = int(in.b)
-				continue
-			}
-			ireg[in.d] = int64(a.Dims[0])
-			if in.sub == 2 {
-				ireg[in.e] = int64(a.Dims[1])
-			}
-			dreg[in.a] = a.Data
-		case opProveRng:
-			if v := ireg[in.a]; v < 0 || v >= ireg[in.b] {
-				pc = int(in.c)
-			}
-		case opProveIV:
-			if !affineInRange(ireg[in.a], ireg[in.b], in.imm, int(ireg[in.d])) {
+		case opProve:
+			if rows := code[pc : pc+int(in.d)]; bcProve(fr, rows, ireg[in.a], ireg[in.b]) {
+				pc += len(rows)
+			} else {
 				pc = int(in.c)
 			}
 		case opLdU0:
@@ -460,47 +647,22 @@ func execBC(fr *frame, bc *bcFunc) {
 		case opFMAS:
 			freg[in.d] += float64(freg[in.a] * freg[in.b])
 
-		// Fused triples: one dispatch executes the head instruction plus
-		// the two instructions that follow it, verbatim (operands are
-		// read from their original encodings, temp-register writes
-		// included), then skips them. Installed by fusePeephole, which
-		// guarantees no branch targets the absorbed slots.
-		case opF3MulDot: // ldmul1, ldu2, fmaacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = freg[in.e] * dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]*ireg[in2.e]+ireg[in2.b]]
-			dreg[in3.c][ireg[in3.a]+in3.imm] += float64(freg[in3.d] * freg[in3.e])
-		case opF3RowCol: // ldu1, ldu2, fmaacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]*ireg[in2.e]+ireg[in2.b]]
-			dreg[in3.c][ireg[in3.a]+in3.imm] += float64(freg[in3.d] * freg[in3.e])
-		case opF3RowVec: // ldu1, ldu0, fmaacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]+in2.imm]
-			dreg[in3.c][ireg[in3.a]+in3.imm] += float64(freg[in3.d] * freg[in3.e])
-		case opF3ColVec: // ldu2, ldu0, fmaacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = dreg[in.c][ireg[in.a]*ireg[in.e]+ireg[in.b]]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]+in2.imm]
-			dreg[in3.c][ireg[in3.a]+in3.imm] += float64(freg[in3.d] * freg[in3.e])
-		case opF3RowVecS: // ldu1, ldu0, fmsacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]+in2.imm]
-			dreg[in3.c][ireg[in3.a]+in3.imm] -= float64(freg[in3.d] * freg[in3.e])
-		case opF3RowRowS: // ldu1, ldu1, fmsacc0
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			freg[in.d] = dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-			freg[in2.d] = dreg[in2.c][ireg[in2.a]+ireg[in2.b]+in2.imm]
-			dreg[in3.c][ireg[in3.a]+in3.imm] -= float64(freg[in3.d] * freg[in3.e])
+		case opRunMac, opRunSum, opRunMap:
+			// This iteration and n more; the opLoopNext2 behind the rows then
+			// closes the last of them as it would have closed each.
+			n := ec.bcRunLen(ireg[in.a], ireg[in.b])
+			rows := code[pc : pc+int(in.c)]
+			switch in.op {
+			case opRunMac:
+				bcRunMac(fr, in, rows, n)
+			case opRunSum:
+				bcRunSum(fr, in, rows, n)
+			default:
+				bcRunMap(fr, rows, n)
+			}
+			ireg[in.a] += int64(n)
+			ec.steps += 2 * n
+			pc += len(rows)
 		default:
 			panic("cminor: internal: unknown bytecode op")
 		}

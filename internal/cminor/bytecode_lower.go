@@ -1,6 +1,9 @@
 package cminor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Lowering of typed, resolved functions to flat bytecode (see
 // bytecode.go for the ISA). The lowerer is a one-pass AST walk that
@@ -20,12 +23,12 @@ import "math"
 //
 // Counted loops reuse the loop optimizer's recognition (countedLoop's
 // shape checks, analyzeLoopBody, invariant, ivAffine) and lower to a
-// two-version body: a preamble of side-effect-free proof opcodes
+// two-version body: a side-effect-free preamble (opProve and its rows)
 // validates every classified subscript against the live array
-// dimensions, entering the fast body (unchecked loads/stores,
-// superinstructions) on success and the fully-checked safe body —
-// bit-exact with the unoptimized pipeline, faults included — on
-// failure.
+// dimensions, falling into the fast body (unchecked loads/stores,
+// superinstructions, run forms) on success and jumping to the
+// fully-checked safe body — bit-exact with the unoptimized pipeline,
+// faults included — on failure.
 
 // bcBail is the panic sentinel lowerBCFunc recovers: this function
 // cannot be lowered, keep the closure fallback.
@@ -45,23 +48,13 @@ type bcPatch struct {
 	lab   int
 }
 
-// bcDims names the registers holding an array's proven dimensions and
-// the data register its backing store is hoisted into.
-type bcDims struct {
-	d0, d1 int32
-	ds     int32
-}
-
 // bcLoop is one active counted-loop context during lowering.
 type bcLoop struct {
 	lc        *loopCtx
-	ivSlot    int
 	ivReg     int32
 	lastReg   int32
-	fast      bool // emitting the fast (proven) body version
-	safeLab   int  // proof failures jump here
-	proofs    []func()
-	arrCache  map[int64]bcDims
+	fast      bool      // emitting the fast (proven) body version
+	proofs    []bcProof // one per classified address of the fast body
 	addrCache map[bcAddrKey]bcAddr
 }
 
@@ -71,36 +64,29 @@ type bcLoop struct {
 // share one register set and one proof — and, crucially, compare equal,
 // which is what lets "x[i] = x[i] + a*b" fuse into an fma-accumulate.
 type bcAddrKey struct {
-	shape uint8 // 1=[inv], 2=[inv][iv+off], 3=[iv+off][inv]
+	shape uint8 // bcVecInv, bcRowIV or bcColIV
 	arr   int32
 	kind  VarKind
 	slot  int
 	off   int64
 }
 
-func (lp *bcLoop) addProof(f func()) { lp.proofs = append(lp.proofs, f) }
+// bcProof is one row of a loop's preamble in the making: the preamble
+// first evaluates the address's invariant subscripts into row.a and row.e.
+type bcProof struct {
+	row      instr
+	sx0, sx1 Expr
+}
 
-// dims returns (allocating and registering the opProveArr proof on
-// first use) the dimension and data registers of array arr at the
-// given rank.
-func (lp *bcLoop) dims(bl *bcLower, arr int32, rank int) bcDims {
-	key := int64(arr)<<2 | int64(rank)
-	if d, ok := lp.arrCache[key]; ok {
-		return d
-	}
-	d := bcDims{d0: bl.newI(), ds: bl.newD()}
-	if rank == 2 {
-		d.d1 = bl.newI()
-	}
-	lp.arrCache[key] = d
-	lp.addProof(func() {
-		in := instr{op: opProveArr, sub: uint8(rank), c: arr, a: d.ds, d: d.d0}
-		if rank == 2 {
-			in.e = d.d1
+// dataReg returns the data register array arr's backing store is
+// hoisted into for this loop (every row over arr writes it).
+func (lp *bcLoop) dataReg(bl *bcLower, arr int32) int32 {
+	for i := range lp.proofs {
+		if lp.proofs[i].row.c == arr {
+			return lp.proofs[i].row.d
 		}
-		bl.patch(bl.emit(in), 1, lp.safeLab)
-	})
-	return d
+	}
+	return bl.newD()
 }
 
 // bcAddr is a classified unchecked effective address over a hoisted
@@ -244,51 +230,36 @@ func (bl *bcLower) jmp(lab int) { bl.patch(bl.emit(instr{op: opJmp}), 0, lab) }
 
 func (bl *bcLower) step(p Pos) { bl.emit(instr{op: opStep, pos: p}) }
 
-// bcFuseTable maps a straight-line instruction triple to the fused
-// superinstruction that executes all three in one dispatch. The shapes
-// are the hot Polybench inner-loop bodies: dense multiply-accumulate
-// (gemm/2mm), matrix-vector products (atax/mvt), and the subtracting
-// solves (trisolv/cholesky).
-var bcFuseTable = map[[3]bcOp]bcOp{
-	{opLdMul1, opLdU2, opFMAAcc0}: opF3MulDot,
-	{opLdU1, opLdU2, opFMAAcc0}:   opF3RowCol,
-	{opLdU1, opLdU0, opFMAAcc0}:   opF3RowVec,
-	{opLdU2, opLdU0, opFMAAcc0}:   opF3ColVec,
-	{opLdU1, opLdU0, opFMSAcc0}:   opF3RowVecS,
-	{opLdU1, opLdU1, opFMSAcc0}:   opF3RowRowS,
-}
+// bcMark is a position in everything the lowerer appends to.
+type bcMark struct{ code, labels, patches int }
 
-// fusePeephole rewrites each matching triple's head opcode to the
-// fused form; the two absorbed instructions stay in place as operand
-// banks the dispatch loop skips. Because the fused case re-executes
-// the constituents' exact semantics from their original encodings,
-// the only legality condition is control flow: no label may target an
-// absorbed slot (patches only ever point at label-carrying branch
-// instructions, never at loads or accumulates, so labels are the
-// complete set of entry points).
-func (bl *bcLower) fusePeephole() {
-	if len(bl.code) < 3 {
-		return
-	}
-	tgt := make([]bool, len(bl.code)+1)
-	for _, t := range bl.labels {
-		if t >= 0 && t < len(tgt) {
-			tgt[t] = true
+func (bl *bcLower) mark() bcMark { return bcMark{len(bl.code), len(bl.labels), len(bl.patches)} }
+
+// swapBack exchanges the code emitted from a to b with the code emitted
+// since, taking along the labels and patches created with each: a
+// counted loop's fast body is lowered before its preamble is known but
+// laid out behind it.
+func (bl *bcLower) swapBack(a, b bcMark) {
+	end := bl.mark()
+	seg := bl.code[a.code:]
+	slices.Reverse(seg[:b.code-a.code])
+	slices.Reverse(seg[b.code-a.code:])
+	slices.Reverse(seg)
+	move := func(from, to bcMark, by int) {
+		for i := from.labels; i < to.labels; i++ {
+			if bl.labels[i] >= 0 {
+				bl.labels[i] += by
+			}
+		}
+		for i := from.patches; i < to.patches; i++ {
+			bl.patches[i].at += by
 		}
 	}
-	for k := 0; k+2 < len(bl.code); k++ {
-		key := [3]bcOp{bl.code[k].op, bl.code[k+1].op, bl.code[k+2].op}
-		f, ok := bcFuseTable[key]
-		if !ok || tgt[k+1] || tgt[k+2] {
-			continue
-		}
-		bl.code[k].op = f
-		k += 2
-	}
+	move(a, b, end.code-b.code)
+	move(b, end, a.code-b.code)
 }
 
 func (bl *bcLower) finish() {
-	bl.fusePeephole()
 	if n := len(bl.consts); n > 0 {
 		bl.code = append(append([]instr{}, bl.consts...), bl.code...)
 		for i := range bl.labels {
@@ -593,97 +564,101 @@ func (bl *bcLower) countedFor(s *ForStmt) bool {
 }
 
 // emitCountedLoop lowers a recognized counted loop. Step parity with
-// the closure backend (and walker): opStep2 charges the for statement
-// and its init clause; opLoopNext charges one step per iteration after
-// incrementing the induction register — the exact counter state the
-// closure's fr.ec.step() sequence produces, fault-time values
-// included.
+// the closure backend (and walker): opForInit (or the opStep2 in front
+// of it) charges the for statement and its init clause; opLoopNext
+// charges one step per iteration after incrementing the induction
+// register — the exact counter state the closure's fr.ec.step()
+// sequence produces, fault-time values included.
+//
+// Layout, so that the proven path through a loop takes no jump:
+//
+//	forinit → exit | preamble → safe | fast body, back edge | jmp exit | safe body, back edge | exit:
+//
+// A loop whose fast body classified no access has no preamble and no
+// second body: its one body is already fully checked.
 func (bl *bcLower) emitCountedLoop(s *ForStmt, ivRef VarRef, lo, hi Expr, strict bool, lc *loopCtx) {
 	ivSlot := int32(ivRef.Slot)
 	bl.mutated[ivSlot] = true
-	bl.emit(instr{op: opStep2, pos: s.P})
-	if lo == nil {
-		bl.emit(instr{op: opLdcI, d: ivSlot})
-	} else if r := bl.asI(lo); r != ivSlot {
-		bl.emit(instr{op: opMovI, d: ivSlot, a: r})
+	charge := bl.emit(instr{op: opStep2, pos: s.P})
+	init := instr{op: opForInit, a: ivSlot, d: bl.constI(0), pos: s.P}
+	if lo != nil {
+		init.d = bl.asI(lo)
 	}
-	last := bl.newI()
-	if rh := bl.asI(hi); rh != last {
-		bl.emit(instr{op: opMovI, d: last, a: rh})
-	}
-	exit := bl.newLabel()
+	// The bound is loop-invariant, so pure: it neither reads the induction
+	// variable nor minds that forinit assigns it only afterwards.
+	init.e = bl.asI(hi)
+	init.b = bl.newI()
 	if strict {
-		// iv < hi becomes iv <= hi-1; MinInt64 cannot be decremented, and
-		// the loop is empty in that case anyway.
-		bl.patch(bl.emit(instr{op: opStrictDec, a: last}), 1, exit)
+		init.sub |= bcForStrict
 	}
-	bl.patch(bl.emit(instr{op: opBrCI, sub: bcGT, a: ivSlot, b: last}), 2, exit)
+	if len(bl.code) == charge+1 {
+		// Neither bound needed code: the charge moves into forinit.
+		bl.code = bl.code[:charge]
+		init.sub |= bcForCharge
+	}
+	exit, safe := bl.newLabel(), bl.newLabel()
+	bl.patch(bl.emit(init), 2, exit)
 
 	loop := &bcLoop{
 		lc:        lc,
-		ivSlot:    ivRef.Slot,
 		ivReg:     ivSlot,
-		lastReg:   last,
-		arrCache:  map[int64]bcDims{},
+		lastReg:   init.b,
+		fast:      true,
 		addrCache: map[bcAddrKey]bcAddr{},
 	}
-	fastL := bl.newLabel()
-	safeL := bl.newLabel()
-	proofsL := bl.newLabel()
-	loop.safeLab = safeL
-	bl.jmp(proofsL)
+	body := bl.mark()
+	bl.loopBody(loop, s)
+	if len(loop.proofs) > 0 {
+		pre := bl.mark()
+		for i := range loop.proofs {
+			p := &loop.proofs[i]
+			if p.sx0 != nil {
+				p.row.a = bl.asI(p.sx0)
+			}
+			if p.sx1 != nil {
+				p.row.e = bl.asI(p.sx1)
+			}
+		}
+		bl.patch(bl.emit(instr{op: opProve, a: ivSlot, b: init.b, d: int32(len(loop.proofs))}), 2, safe)
+		for i := range loop.proofs {
+			bl.emit(loop.proofs[i].row)
+		}
+		bl.swapBack(body, pre)
+		bl.jmp(exit)
+		bl.bind(safe)
+		loop.fast = false
+		bl.loopBody(loop, s)
+	}
+	bl.bind(exit)
+}
 
-	bl.bind(fastL)
-	bodyStart := len(bl.code)
-	loop.fast = true
+// loopBody lowers one version of a counted loop's body and closes it
+// with the back edge. When the body opens with the usual single-step
+// charge, the back edge fuses it into opLoopNext2 — one budget check
+// covers both the iteration charge and the next body's leading step,
+// and the jump re-enters just past the opStep — and a body that is then
+// one recognised form becomes a run (formRun). Bodies that open with
+// anything else (opStep2 or opForInit from a nested for, or nothing at
+// all) keep the plain opLoopNext.
+func (bl *bcLower) loopBody(loop *bcLoop, s *ForStmt) {
+	start, nLabels := len(bl.code), len(bl.labels)
 	bl.loops = append(bl.loops, loop)
 	for _, st := range s.Body.Stmts {
 		bl.stmt(st)
 	}
 	bl.loops = bl.loops[:len(bl.loops)-1]
-	bl.backEdge(ivSlot, last, bodyStart, fastL, s.P)
-	bl.jmp(exit)
-
-	if len(loop.proofs) == 0 {
-		// No classified accesses: the "fast" body is already fully
-		// checked. The safe version would be identical, so skip it.
-		bl.bind(proofsL)
-		bl.bind(safeL)
-		bl.jmp(fastL)
-	} else {
-		bl.bind(safeL)
-		safeStart := len(bl.code)
-		loop.fast = false
-		bl.loops = append(bl.loops, loop)
-		for _, st := range s.Body.Stmts {
-			bl.stmt(st)
+	head := bl.newLabel()
+	next := instr{op: opLoopNext, a: loop.ivReg, b: loop.lastReg, pos: s.P}
+	if start < len(bl.code) && bl.code[start].op == opStep {
+		// A body that bound no label is straight-line.
+		if len(bl.labels) == nLabels+1 {
+			bl.formRun(loop, start+1)
 		}
-		bl.loops = bl.loops[:len(bl.loops)-1]
-		bl.backEdge(ivSlot, last, safeStart, safeL, s.P)
-		bl.jmp(exit)
-		bl.bind(proofsL)
-		for _, pf := range loop.proofs {
-			pf()
-		}
-		bl.jmp(fastL)
+		next.op = opLoopNext2
+		start++
 	}
-	bl.bind(exit)
-}
-
-// backEdge closes a counted-loop body. When the body opens with the
-// usual single-step charge, the back edge fuses it into opLoopNext2 —
-// one budget check covers both the iteration charge and the next
-// body's leading step, and the jump re-enters just past the opStep.
-// Bodies that open with anything else (opStep2 from a nested for,
-// or nothing at all) keep the plain opLoopNext.
-func (bl *bcLower) backEdge(iv, last int32, bodyStart, bodyLab int, p Pos) {
-	if bodyStart < len(bl.code) && bl.code[bodyStart].op == opStep {
-		lab := bl.newLabel()
-		bl.labels[lab] = bodyStart + 1
-		bl.patch(bl.emit(instr{op: opLoopNext2, a: iv, b: last, pos: p}), 2, lab)
-		return
-	}
-	bl.patch(bl.emit(instr{op: opLoopNext, a: iv, b: last, pos: p}), 2, bodyLab)
+	bl.labels[head] = start
+	bl.patch(bl.emit(next), 2, head)
 }
 
 // ---- unchecked-access classification ----
@@ -728,120 +703,65 @@ func (bl *bcLower) classifyFast(root *Ident, subs []Expr) (bcAddr, bool) {
 			return bcAddr{}, false
 		}
 	}
-	if len(subs) == 1 {
-		d := loop.dims(bl, arr, 1)
-		if cls[0].iv {
-			off := cls[0].off
-			loop.addProof(func() {
-				bl.patch(bl.emit(instr{op: opProveIV, a: loop.ivReg, b: loop.lastReg, imm: off, d: d.d0}), 2, loop.safeLab)
-			})
-			return bcAddr{mode: bcMode0, a: loop.ivReg, imm: off, ds: d.ds}, true
-		}
-		key, cacheable := bl.invKey(1, arr, subs[0], 0)
-		if cacheable {
-			if a, ok := loop.addrCache[key]; ok {
-				return a, true
-			}
-		}
-		rs := bl.newI()
-		sx := subs[0]
-		loop.addProof(func() {
-			r := bl.asI(sx)
-			bl.emit(instr{op: opMovI, d: rs, a: r})
-			bl.patch(bl.emit(instr{op: opProveRng, a: rs, b: d.d0}), 2, loop.safeLab)
-		})
-		a := bcAddr{mode: bcMode0, a: rs, ds: d.ds}
-		if cacheable {
-			loop.addrCache[key] = a
-		}
-		return a, true
-	}
-	d := loop.dims(bl, arr, 2)
+	// The shape of the address picks the opAddr row that proves it
+	// (operand layout in bcProve) and the invariant subscripts the
+	// preamble evaluates for it.
+	ds := loop.dataReg(bl, arr)
+	row := instr{op: opAddr, c: arr, d: ds}
+	var sx0, sx1 Expr
 	switch {
+	case len(subs) == 1 && cls[0].iv:
+		row.sub, row.imm = bcVecIV, cls[0].off
+	case len(subs) == 1:
+		row.sub, sx0 = bcVecInv, subs[0]
 	case !cls[0].iv && cls[1].iv:
-		// A[inv][iv+off]: row*d1 hoisted to the preamble.
-		off := cls[1].off
-		key, cacheable := bl.invKey(2, arr, subs[0], off)
-		if cacheable {
-			if a, ok := loop.addrCache[key]; ok {
-				return a, true
-			}
-		}
-		rBase := bl.newI()
-		sx := subs[0]
-		loop.addProof(func() {
-			r := bl.asI(sx)
-			bl.emit(instr{op: opMovI, d: rBase, a: r})
-			bl.patch(bl.emit(instr{op: opProveRng, a: rBase, b: d.d0}), 2, loop.safeLab)
-			bl.emit(instr{op: opMulI, d: rBase, a: rBase, b: d.d1})
-			bl.patch(bl.emit(instr{op: opProveIV, a: loop.ivReg, b: loop.lastReg, imm: off, d: d.d1}), 2, loop.safeLab)
-		})
-		a := bcAddr{mode: bcMode1, a: rBase, b: loop.ivReg, imm: off, ds: d.ds}
-		if cacheable {
-			loop.addrCache[key] = a
-		}
-		return a, true
+		row.sub, sx0, row.imm = bcRowIV, subs[0], cls[1].off
 	case cls[0].iv && !cls[1].iv:
-		// A[iv+offR][inv]: ea = iv*d1 + (col + offR*d1). The decomposed
-		// sum is congruent mod 2^64 to the proven in-range flat offset,
-		// so any intermediate wrapping cancels.
-		offR := cls[0].off
-		key, cacheable := bl.invKey(3, arr, subs[1], offR)
-		if cacheable {
+		row.sub, sx0, row.imm = bcColIV, subs[1], cls[0].off
+	case cls[0].iv:
+		// The row keeps the column's offset in a 32-bit field.
+		if cls[1].off != int64(int32(cls[1].off)) {
+			return bcAddr{}, false
+		}
+		row.sub, row.imm, row.a = bcDiag, cls[0].off, int32(cls[1].off)
+	default:
+		row.sub, sx0, sx1 = bcInvInv, subs[0], subs[1]
+	}
+	var key bcAddrKey
+	cacheable := false
+	if sx0 != nil && sx1 == nil {
+		if key, cacheable = bl.invKey(row.sub, arr, sx0, row.imm); cacheable {
 			if a, ok := loop.addrCache[key]; ok {
 				return a, true
 			}
 		}
-		rAdj := bl.newI()
-		sx := subs[1]
-		loop.addProof(func() {
-			rc := bl.asI(sx)
-			bl.emit(instr{op: opMovI, d: rAdj, a: rc})
-			bl.patch(bl.emit(instr{op: opProveRng, a: rAdj, b: d.d1}), 2, loop.safeLab)
-			bl.patch(bl.emit(instr{op: opProveIV, a: loop.ivReg, b: loop.lastReg, imm: offR, d: d.d0}), 2, loop.safeLab)
-			if offR != 0 {
-				t := bl.newI()
-				bl.emit(instr{op: opLdcI, d: t, imm: offR})
-				bl.emit(instr{op: opMulI, d: t, a: t, b: d.d1})
-				bl.emit(instr{op: opAddI, d: rAdj, a: rAdj, b: t})
-			}
-		})
-		a := bcAddr{mode: bcMode2, a: loop.ivReg, e: d.d1, b: rAdj, ds: d.ds}
-		if cacheable {
-			loop.addrCache[key] = a
-		}
-		return a, true
-	case cls[0].iv && cls[1].iv:
-		// Diagonal A[iv+off0][iv+off1]: ea = iv*(d1+1) + off0*d1 + off1.
-		rStride := bl.newI()
-		rAdj := bl.newI()
-		off0, off1 := cls[0].off, cls[1].off
-		loop.addProof(func() {
-			bl.patch(bl.emit(instr{op: opProveIV, a: loop.ivReg, b: loop.lastReg, imm: off0, d: d.d0}), 2, loop.safeLab)
-			bl.patch(bl.emit(instr{op: opProveIV, a: loop.ivReg, b: loop.lastReg, imm: off1, d: d.d1}), 2, loop.safeLab)
-			bl.emit(instr{op: opAddcI, d: rStride, a: d.d1, imm: 1})
-			bl.emit(instr{op: opLdcI, d: rAdj, imm: off0})
-			bl.emit(instr{op: opMulI, d: rAdj, a: rAdj, b: d.d1})
-			bl.emit(instr{op: opAddcI, d: rAdj, a: rAdj, imm: off1})
-		})
-		return bcAddr{mode: bcMode2, a: loop.ivReg, e: rStride, b: rAdj, ds: d.ds}, true
-	default:
-		// A[inv][inv]: the whole flat offset is loop-invariant.
-		rOff := bl.newI()
-		s0, s1 := subs[0], subs[1]
-		loop.addProof(func() {
-			rr := bl.asI(s0)
-			bl.emit(instr{op: opMovI, d: rOff, a: rr})
-			bl.patch(bl.emit(instr{op: opProveRng, a: rOff, b: d.d0}), 2, loop.safeLab)
-			rc := bl.asI(s1)
-			rc2 := bl.newI()
-			bl.emit(instr{op: opMovI, d: rc2, a: rc})
-			bl.patch(bl.emit(instr{op: opProveRng, a: rc2, b: d.d1}), 2, loop.safeLab)
-			bl.emit(instr{op: opMulI, d: rOff, a: rOff, b: d.d1})
-			bl.emit(instr{op: opAddI, d: rOff, a: rOff, b: rc2})
-		})
-		return bcAddr{mode: bcMode0, a: rOff, ds: d.ds}, true
 	}
+	// The registers the row writes, and the address they make.
+	addr := bcAddr{ds: ds}
+	switch row.sub {
+	case bcVecIV:
+		addr.mode, addr.a, addr.imm = bcMode0, loop.ivReg, row.imm
+	case bcVecInv, bcInvInv:
+		// The whole flat offset is loop-invariant.
+		row.b = bl.newI()
+		addr.mode, addr.a = bcMode0, row.b
+	case bcRowIV:
+		// A[inv][iv+off]: row*d1 hoisted to the preamble.
+		row.b = bl.newI()
+		addr.mode, addr.a, addr.b, addr.imm = bcMode1, row.b, loop.ivReg, row.imm
+	default:
+		// A[iv+offR][inv]: ea = iv*d1 + (col + offR*d1); the diagonal
+		// A[iv+off0][iv+off1]: ea = iv*(d1+1) + off0*d1 + off1. The
+		// decomposed sum is congruent mod 2^64 to the proven in-range flat
+		// offset, so any intermediate wrapping cancels.
+		row.b, row.e = bl.newI(), bl.newI()
+		addr.mode, addr.a, addr.b, addr.e = bcMode2, loop.ivReg, row.b, row.e
+	}
+	loop.proofs = append(loop.proofs, bcProof{row, sx0, sx1})
+	if cacheable {
+		loop.addrCache[key] = addr
+	}
+	return addr, true
 }
 
 // invKey builds the address-cache key for an invariant subscript when
@@ -898,6 +818,214 @@ func (bl *bcLower) emitLdMul(addr bcAddr, x int32, pos Pos) int32 {
 	}
 	bl.emit(in)
 	return t
+}
+
+// ---- run forms ----
+
+// bcRide returns the float register that rides beside the address in a
+// load-multiply or accumulate of mode m (see emitAcc).
+func bcRide(in *instr, m uint8) int32 {
+	if m == bcMode2 {
+		return int32(in.imm)
+	}
+	return in.e
+}
+
+// bcOpnd makes the run operand row for the address of unchecked access
+// in, of mode m. ok is false unless the address moves with the induction
+// register iv the way a row of that mode is taken to.
+func bcOpnd(in *instr, m uint8, iv int32) (row instr, ok bool) {
+	row = instr{op: opOpnd, sub: m, a: in.a, c: in.c, pos: in.pos}
+	switch m {
+	case bcMode0:
+		row.imm = in.imm
+		if in.a == iv {
+			row.d = 1
+		}
+		return row, true
+	case bcMode1:
+		row.b, row.imm = in.b, in.imm
+		return row, in.a != iv && in.b == iv
+	default:
+		row.b, row.e = in.b, in.e
+		return row, in.a == iv && in.b != iv && in.e != iv
+	}
+}
+
+// runLoad decodes a proven load of a run form: the temporary it fills,
+// its operand row and, for a load-multiply, the coefficient register
+// (-1 for a plain load).
+func (bl *bcLower) runLoad(in *instr, iv int32) (dst int32, row instr, coef int32, ok bool) {
+	coef = -1
+	switch {
+	case in.op >= opLdU0 && in.op <= opLdU2:
+		row, ok = bcOpnd(in, uint8(in.op-opLdU0), iv)
+	case in.op >= opLdMul0 && in.op <= opLdMul2:
+		m := uint8(in.op - opLdMul0)
+		row, ok = bcOpnd(in, m, iv)
+		coef = bcRide(in, m)
+	}
+	return in.d, row, coef, ok && bl.isTemp(in.d)
+}
+
+func (bl *bcLower) isTemp(r int32) bool { return int(r) >= bl.fi.NumScalars }
+
+// formRun replaces the straight-line body bl.code[at:] of loop with a
+// run head and its operand rows when the body is exactly one of the
+// three run forms (bytecode.go). Every register the body writes must be
+// a temporary the form itself consumes: temporaries are never reused,
+// so nothing outside the body reads one and the native loop need not
+// write them. Anything else about the body leaves it as it is.
+func (bl *bcLower) formRun(loop *bcLoop, at int) {
+	body := bl.code[at:]
+	if len(body) == 0 {
+		return
+	}
+	last := &body[len(body)-1]
+	head := instr{a: loop.ivReg, b: loop.lastReg, pos: last.pos}
+	var rows [1 + bcSumMax]instr
+	switch {
+	case last.op >= opStU0 && last.op <= opStU2:
+		head.c = bl.formStore(body[:len(body)-1], last, loop.ivReg, &head, &rows)
+	case last.op == opFMAS || last.op >= opFMAAcc0 && last.op <= opFMSAcc2:
+		head.c = bl.formMac(body[:len(body)-1], last, loop.ivReg, &head, &rows)
+	}
+	if head.c > 0 {
+		bl.code = append(append(bl.code[:at], head), rows[:head.c]...)
+	}
+}
+
+// formMac matches T ±= float64(P*Q), acc being the accumulate: each
+// multiplicand is a load of the body — P's may be a load-multiply, c*X —
+// or a register the body leaves alone, and every load feeds one. It
+// fills in the head and the rows T, X, Y and returns their number, 0
+// when the body is no such form.
+func (bl *bcLower) formMac(loads []instr, acc *instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
+	head.op = opRunMac
+	t := instr{op: opOpnd, sub: bcModeReg, a: acc.d, pos: acc.pos}
+	p, q := acc.a, acc.b
+	if acc.op != opFMAS {
+		m := uint8(acc.op-opFMAAcc0) % 3
+		var ok bool
+		if t, ok = bcOpnd(acc, m, iv); !ok {
+			return 0
+		}
+		p, q = acc.d, bcRide(acc, m)
+		if acc.op >= opFMSAcc0 {
+			head.sub |= bcRunNeg
+		}
+	}
+	x := instr{op: opOpnd, sub: bcModeReg, a: p}
+	y := instr{op: opOpnd, sub: bcModeReg, a: q}
+	fed := 0
+	for i := range loads {
+		dst, row, coef, ok := bl.runLoad(&loads[i], iv)
+		if !ok {
+			return 0
+		}
+		if dst == p {
+			x = row
+			fed++
+			if coef >= 0 {
+				head.sub |= bcRunCoef
+				head.d = coef
+			}
+		}
+		if dst == q {
+			y = row
+			fed++
+			if coef >= 0 {
+				return 0
+			}
+		}
+	}
+	if fed != len(loads) {
+		return 0
+	}
+	if head.sub&bcRunCoef != 0 {
+		// The coefficient is read once per run: no load may fill it, and a
+		// register target must not be it.
+		for i := range loads {
+			if loads[i].d == head.d {
+				return 0
+			}
+		}
+		if t.sub == bcModeReg && t.a == head.d {
+			return 0
+		}
+	}
+	rows[0], rows[1], rows[2] = t, x, y
+	return 3
+}
+
+// formStore matches T = X (opRunMap) and T = (X1+…+Xk) [scaled]
+// (opRunSum), st being the store: a chain of loads added left to right,
+// then at most one multiplication or division by a register the body
+// leaves alone. It fills in the head and the rows T, X1…Xk and returns
+// their number, 0 when the body is no such form.
+func (bl *bcLower) formStore(body []instr, st *instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
+	head.op = opRunMap
+	var ok bool
+	if rows[0], ok = bcOpnd(st, uint8(st.op-opStU0), iv); !ok {
+		return 0
+	}
+	if len(body) == 0 {
+		rows[1] = instr{op: opOpnd, sub: bcModeReg, a: st.d}
+		return 2
+	}
+	n := int32(1) // rows so far
+	var sum int32 // the temporary holding the sum so far
+	i := 0
+	for ; i < len(body) && int(n) < len(rows); i++ {
+		dst, row, coef, ok := bl.runLoad(&body[i], iv)
+		if !ok || coef >= 0 {
+			break
+		}
+		rows[n] = row
+		n++
+		if i == 0 {
+			sum = dst
+			continue
+		}
+		i++
+		if add := body[i:]; len(add) == 0 || add[0].op != opAddF || add[0].a != sum || add[0].b != dst || !bl.isTemp(add[0].d) {
+			return 0
+		}
+		sum = body[i].d
+	}
+	if n < 2 {
+		return 0
+	}
+	if i == len(body)-1 {
+		sc := &body[i]
+		switch {
+		case sc.op == opMulF && sc.b == sum && sc.a != sum:
+			head.sub, head.d = bcScaleMulL, sc.a
+		case sc.op == opMulF && sc.a == sum && sc.b != sum:
+			head.sub, head.d = bcScaleMulR, sc.b
+		case sc.op == opDivF && sc.a == sum && sc.b != sum:
+			head.sub, head.d = bcScaleDiv, sc.b
+		default:
+			return 0
+		}
+		for j := range body[:i] {
+			if body[j].d == head.d {
+				return 0
+			}
+		}
+		if !bl.isTemp(sc.d) {
+			return 0
+		}
+		sum = sc.d
+		i++
+	}
+	if i != len(body) || sum != st.d {
+		return 0
+	}
+	if n > 2 || head.sub != bcScaleNone {
+		head.op = opRunSum
+	}
+	return n
 }
 
 // ---- element access ----

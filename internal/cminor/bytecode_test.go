@@ -2,9 +2,12 @@ package cminor
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mustBytecode compiles src with the bytecode backend at O3 and fails the
@@ -285,15 +288,15 @@ double spin(int n, double a[n]) {
 	}
 }
 
-// TestBytecodeSuperinstructions pins the superinstruction coverage on the
-// flagship shapes: the gemm update must fuse into the three-wide muldot
-// triple, and the trisolv back-substitution into the subtracting row/vector
-// triple, both riding the fused loopnext2 back edge.
+// TestBytecodeSuperinstructions pins the run-form coverage on the
+// flagship shapes: the gemm update, the atax matrix-vector products and
+// the trisolv back-substitution must each run whole as a multiply-
+// accumulate, all riding the fused loopnext2 back edge.
 func TestBytecodeSuperinstructions(t *testing.T) {
 	want := map[string]string{
-		"gemm":    "f3.muldot",
-		"atax":    "f3.rowvec",
-		"trisolv": "f3.rowvecs",
+		"gemm":    "t += f1*x*y",
+		"atax":    "t += x*y",
+		"trisolv": "t -= x*y",
 	}
 	for _, k := range BenchKernels {
 		su, ok := want[k.Name]
@@ -305,12 +308,94 @@ func TestBytecodeSuperinstructions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if !strings.Contains(out, su) {
-			t.Errorf("%s: disassembly lacks %s:\n%s", k.Name, su, out)
+		if !strings.Contains(out, "run.mac") || !strings.Contains(out, su) {
+			t.Errorf("%s: disassembly lacks run.mac %q:\n%s", k.Name, su, out)
 		}
 		if !strings.Contains(out, "loopnext2") {
 			t.Errorf("%s: disassembly lacks fused back edge loopnext2", k.Name)
 		}
+	}
+}
+
+// runHeads returns the run heads of a disassembly as "form@line" of the
+// statement each replaced, sorted and without repeats (an inner loop is
+// lowered once per version of the loops around it).
+func runHeads(dis string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, row := range strings.Split(dis, "\n") {
+		f := strings.Fields(row)
+		if len(f) < 2 || !strings.HasPrefix(f[1], "run.") {
+			continue
+		}
+		line, _, _ := strings.Cut(f[len(f)-1], ":")
+		if h := f[1][len("run."):] + "@" + line; !seen[h] {
+			seen[h] = true
+			out = append(out, h)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestBytecodeRunCoverage is the table of the fifteen innermost loops of
+// the nine kernels that lower: each must become a run form, so coverage
+// cannot regress silently (norms bails on its user call).
+func TestBytecodeRunCoverage(t *testing.T) {
+	want := map[string][]string{
+		"gemm":     {"mac@8"},
+		"jacobi":   {"map@12", "sum@7"},
+		"axpy":     {"mac@5"},
+		"2mm":      {"mac@10", "mac@18"},
+		"seidel2d": {"sum@7"},
+		"atax":     {"mac@10", "mac@13", "map@5"},
+		"mvt":      {"mac@11", "mac@6"},
+		"trisolv":  {"mac@7"},
+		"cholesky": {"mac@12", "mac@7"},
+	}
+	loops := 0
+	for _, k := range BenchKernels {
+		if k.Name == "norms" {
+			continue
+		}
+		out, err := Disassemble(mustBytecode(t, k.File, k.Src), k.Fn)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		got := runHeads(out)
+		if strings.Join(got, " ") != strings.Join(want[k.Name], " ") {
+			t.Errorf("%s: run forms %v, want %v:\n%s", k.Name, got, want[k.Name], out)
+		}
+		loops += len(got)
+	}
+	if loops != 15 {
+		t.Errorf("%d loops run whole, want 15", loops)
+	}
+}
+
+// TestBytecodeCancellationMidRun cancels a call that is inside one long
+// run (a single 1<<24-trip axpy loop): the run looks at the limit once
+// per chunk, so the context error must come back well within 50 ms.
+func TestBytecodeCancellationMidRun(t *testing.T) {
+	const n = 1 << 24
+	p, err := Compile(MustParse("axpy.c", benchAxpySrc), WithBackend(BackendBytecode), WithOptLevel(O3), WithMaxSteps(1<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xy := NewArray(n) // x and y both: one 128 MB array, barely touched
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	time.AfterFunc(time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	_, err = p.NewInstance().CallContext(ctx, "axpy", IntV(n), FloatV(2.0), xy, xy)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled (a finished call means the loop is too short to cancel)", err)
+	}
+	if late := returned.Sub(cancelled); late > 50*time.Millisecond {
+		t.Fatalf("the call returned %v after the cancellation, want within 50ms", late)
 	}
 }
 
@@ -326,43 +411,38 @@ double dot(int n, double a[n], double x[n]) {
 `
 
 // disGolden is the full Disassemble output for disGoldenSrc. It documents
-// the two-version loop layout end to end: proof preamble (provearr/proveiv)
-// choosing between the unchecked fast body (ldu0 + fmas + loopnext2) and
-// the checked safe body (lde1 + fmas + loopnext2). Update deliberately when
+// the two-version loop layout end to end: loop set-up (forinit), the proof
+// preamble (prove and one .addr row per address) falling into the
+// unchecked fast body — here one multiply-accumulate run over a scalar
+// target (run.mac and its .opnd rows, then loopnext2) — or jumping to the
+// checked safe body (lde1 + fmas + loopnext2). Update deliberately when
 // the lowering changes.
-const disGolden = `func dot: 32 instrs, 7 int regs, 8 float regs, 2 data regs
+const disGolden = `func dot: 25 instrs, 5 int regs, 8 float regs, 2 data regs
    0  ldc.f      f3 = 0
    1  ldc.i      i3 = 0
    2  step                                    ; 3:10
    3  mov.f      f1 f3
    4  step                                    ; 4:7
    5  ldc.i      i2 = 0
-   6  step2                                   ; 5:3
-   7  mov.i      i2 i3
-   8  mov.i      i4 i0
-   9  strictdec  i4 @29
-  10  brc.i      gt i2 i4 @29
-  11  jmp        @24
-  12  step                                    ; 6:7
-  13  ldu0       f4 d0[i2]                    ; 6:14
-  14  ldu0       f5 d1[i2]                    ; 6:21
-  15  fmas       f1 += f4*f5
-  16  loopnext2  i2<=i4 @13                   ; 5:3
-  17  jmp        @29
-  18  step                                    ; 6:7
-  19  lde1       f6 a0[i2]                    ; 6:14
-  20  lde1       f7 a1[i2]                    ; 6:21
-  21  fmas       f1 += f6*f7
-  22  loopnext2  i2<=i4 @19                   ; 5:3
-  23  jmp        @29
-  24  provearr   a0 rank=1 i5 d0 else @18
-  25  proveiv    [i2+0, i4+0] < i5 else @18
-  26  provearr   a1 rank=1 i6 d1 else @18
-  27  proveiv    [i2+0, i4+0] < i6 else @18
-  28  jmp        @12
-  29  step                                    ; 8:3
-  30  ret.f      f1
-  31  ret
+   6  forinit    i2=i3 i4=i0-1 step2 else @22 ; 5:3
+   7  prove      i2..i4 rows=2 else @17
+   8  .addr      d0 = a0[i2+0]
+   9  .addr      d1 = a1[i2+0]
+  10  step                                    ; 6:7
+  11  run.mac    i2<=i4 t += x*y
+  12  .opnd      f1 stride 0
+  13  .opnd      d0[i2] stride 1              ; 6:14
+  14  .opnd      d1[i2] stride 1              ; 6:21
+  15  loopnext2  i2<=i4 @11                   ; 5:3
+  16  jmp        @22
+  17  step                                    ; 6:7
+  18  lde1       f6 a0[i2]                    ; 6:14
+  19  lde1       f7 a1[i2]                    ; 6:21
+  20  fmas       f1 += f6*f7
+  21  loopnext2  i2<=i4 @18                   ; 5:3
+  22  step                                    ; 8:3
+  23  ret.f      f1
+  24  ret
 `
 
 func TestDisassembleGolden(t *testing.T) {

@@ -654,8 +654,10 @@ func (s *Instance) Call(name string, args ...any) (Value, error) {
 
 // CallContext is Call with cancellation: when ctx is cancelled or its
 // deadline passes, a watcher drops the session's step limit and the
-// very next statement's budget check aborts the kernel — typically
-// within microseconds, at zero per-statement cost. The returned error
+// next budget check aborts the kernel — the very next statement's, or
+// within one run chunk (bcRunChunk iterations) where the bytecode
+// backend is running an inner loop whole — typically within
+// microseconds, at zero per-statement cost. The returned error
 // wraps ctx.Err(); partial writes to argument arrays and globals may
 // have happened, exactly as with any mid-kernel fault.
 func (s *Instance) CallContext(ctx context.Context, name string, args ...any) (Value, error) {

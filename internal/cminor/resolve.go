@@ -1,5 +1,7 @@
 package cminor
 
+import "slices"
+
 // The resolver is the first stage of the compiled execution pipeline
 // (resolve → typecheck → compile → execute). It walks the AST exactly
 // once, binds every identifier to a numbered frame slot, checks
@@ -398,19 +400,21 @@ func (r *resolver) lvalue(e Expr) {
 // root identifier (nil when the root is not a variable) and the subscript
 // expressions outermost-first.
 func splitIndexChain(e Expr) (*Ident, []Expr) {
-	var subs []Expr
+	// Every lowerer splits every element access: collect innermost-first
+	// into room for the usual rank and turn round, one allocation.
+	subs := make([]Expr, 0, 2)
 	cur := e
 	for {
 		switch x := cur.(type) {
 		case *IndexExpr:
-			subs = append([]Expr{x.Idx}, subs...)
+			subs = append(subs, x.Idx)
 			cur = x.X
 		case *ParenExpr:
 			cur = x.X
-		case *Ident:
-			return x, subs
 		default:
-			return nil, subs
+			slices.Reverse(subs)
+			root, _ := x.(*Ident)
+			return root, subs
 		}
 	}
 }
