@@ -2,7 +2,7 @@
 # BENCHMARK.json); `bench-test` runs its tests and `bench-smoke` proves
 # the Benchmark* functions still execute.
 
-.PHONY: all build test bench-test test-race vet fmt lint chaos serve-sim serve-timing warm-sim bench-smoke
+.PHONY: all build test bench-test test-race vet fmt lint chaos serve-sim serve-timing warm-sim tuner-sim bench-smoke
 
 all: build test
 
@@ -74,6 +74,15 @@ warm-sim:
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestWarmStart'
 	go test -race -count=1 ./internal/cminor/serve/ -run 'TestServerWarmStart|TestFlushTuneCache'
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
+
+# Tuner-policy suite under the race detector: the seeded fake-clock sims
+# of convergence, exploration priced in time, drift (spike, winner
+# shift, common-mode slowdown), per-class sites and Call = CallBatch(1),
+# then the 12-goroutine live stress test fifty times over, since its
+# real-clock drift challenges land at random points (about 10 s).
+tuner-sim:
+	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
+	go test -race -count=50 ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
 
 # One-iteration smoke run for CI: proves every benchmark still executes.
 bench-smoke:

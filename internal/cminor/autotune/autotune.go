@@ -3,12 +3,14 @@
 //
 // The engine's design-time side compiles a kernel into an immutable
 // grid of variants (backend × O0–O3, the O3 passes individually
-// gate-able — see cminor.WithOptLevel / cminor.WithPasses) and `make
-// bench` records their static costs. This package closes the loop the
-// paper describes: an AutoTuner wraps one *cminor.Program, measures
-// each variant in production, and converges on the best one per
-// (function, input-size class) — re-opening exploration when the
-// winner's observed cost drifts, so the choice adapts under load.
+// gate-able — see cminor.WithOptLevel / cminor.WithPasses), whose
+// static costs the benchmark under bench/ probes. This package closes
+// the loop the paper describes: an AutoTuner wraps one *cminor.Program,
+// measures each variant in production, and converges on the best one
+// per (function, input-size class) — challenging the winner when its
+// observed cost drifts (re-measuring it against the arms that could
+// beat it, or rescaling its estimate when none could), so the choice
+// adapts under load.
 //
 // The decision loop is built to be simulation-testable: cost
 // measurements flow through an injected Sampler (default: wall time
@@ -41,10 +43,10 @@ import (
 // config is the resolved option set of one AutoTuner.
 type config struct {
 	grid       []VariantSpec
-	epsilon    float64 // exploit-phase exploration rate
+	epsilon    float64 // exploit-phase exploration budget, in winner time
 	alpha      float64 // EWMA weight of a new measurement
 	minSamples int     // measure-phase pull quota per arm
-	drift      float64 // winner-cost tolerance band before re-exploring
+	drift      float64 // winner-cost tolerance band before a challenge
 	seed       uint64
 	clock      clock.Clock
 	sampler    Sampler // nil: time the call on clock
@@ -80,9 +82,12 @@ func WithGrid(specs ...VariantSpec) Option {
 	return func(c *config) { c.grid = append([]VariantSpec{}, specs...) }
 }
 
-// WithEpsilon sets the exploit-phase exploration rate in [0, 1]
-// (default 0.05): the fraction of a converged site's calls routed to a
-// uniformly random non-winning arm.
+// WithEpsilon sets the exploit-phase exploration budget in [0, 1]
+// (default 0.05): the share of a converged site's *time* spent off the
+// winner, relative to the winner's own. A random non-winning arm is
+// drawn with probability epsilon and taken with odds winner ÷ arm
+// estimate, so an arm 10× slower than the winner is sampled a tenth
+// as often — still sampled, so a loser that gets faster is found.
 func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
 
 // WithEWMAAlpha sets the weight a new measurement carries in the cost
@@ -93,10 +98,13 @@ func WithEWMAAlpha(a float64) Option { return func(c *config) { c.alpha = a } }
 // The exploration budget of a fresh site is exactly len(grid)*n calls.
 func WithMinSamples(n int) Option { return func(c *config) { c.minSamples = n } }
 
-// WithDriftFactor sets the winner-cost degradation tolerance:
-// exploration reopens when the winner's EWMA rises past
-// baseline*(1+f) (default 0.5). The winner improving is not drift —
-// the baseline tightens to the improved cost instead.
+// WithDriftFactor sets the winner-cost degradation tolerance (default
+// 0.5): the winner is challenged after min-samples consecutive raw
+// samples above baseline*(1+f). With d the cheapest of those samples,
+// the winner and every arm estimated below d are re-measured; with no
+// such arm, the winner's estimate and the baseline are rescaled to d
+// and nothing else is pulled. The winner improving is not drift — the
+// baseline tightens to the improved cost instead.
 func WithDriftFactor(f float64) Option { return func(c *config) { c.drift = f } }
 
 // WithSeed seeds the tuner's deterministic exploration PRNG.

@@ -55,11 +55,16 @@ func (st *siteState) nextMeasured(cfg *config) int {
 	return st.argmin()
 }
 
-// chooseEpsilon is exploit-phase epsilon-greedy: probability epsilon of
-// picking a uniformly random non-winning arm still in service, else the
-// winner. With no quarantines the index mapping (and the PRNG stream)
-// is identical to the historical two-draw scheme, so seeded decision
-// sequences stay reproducible.
+// chooseEpsilon is exploit-phase epsilon-greedy priced in time: draw u
+// and a uniformly random non-winning arm still in service, and take
+// that arm only if u < epsilon·ŵ/ĉ (winner estimate over the arm's; an
+// unsampled arm, or one not slower than the winner, weighs 1). Each
+// arm then costs at most epsilon/eligible × the winner's time per
+// call, so the expected time off the winner is bounded by epsilon ×
+// the winner's own however slow the losers are — while a far arm is
+// still sampled, rarely, so a loser that gets faster is still found.
+// The draws are the historical two-draw scheme, so the PRNG stream is
+// unchanged whenever u ≥ epsilon.
 func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 	eligible := 0
 	for i := range st.arms {
@@ -67,17 +72,26 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 			eligible++
 		}
 	}
-	if eligible > 0 && rng.float64() < cfg.epsilon {
-		k := rng.intn(eligible)
-		for i := range st.arms {
-			if i == st.best || st.arms[i].quarantined {
-				continue
-			}
-			if k == 0 {
-				return i
-			}
-			k--
+	if eligible == 0 {
+		return st.best
+	}
+	u := rng.float64()
+	if u >= cfg.epsilon {
+		return st.best
+	}
+	k := rng.intn(eligible)
+	for i := range st.arms {
+		if i == st.best || st.arms[i].quarantined {
+			continue
 		}
+		if k > 0 {
+			k--
+			continue
+		}
+		if w, c := st.arms[st.best].ewma, st.arms[i].ewma; st.arms[i].sampled && c > w && u >= cfg.epsilon*w/c {
+			return st.best
+		}
+		return i
 	}
 	return st.best
 }

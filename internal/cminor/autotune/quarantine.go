@@ -103,8 +103,7 @@ func (st *siteState) quarantine(cfg *config, idx int) {
 	// routes by soonest lift until a quarantine expires).
 	if st.phase == phaseExploit && idx == st.best {
 		if nb := st.argmin(); st.arms[nb].sampled && !st.arms[nb].quarantined {
-			st.best = nb
-			st.baseline = st.arms[nb].ewma
+			st.crown(nb)
 		}
 	}
 }

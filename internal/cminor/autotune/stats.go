@@ -9,7 +9,8 @@ import "time"
 // Site phases: measure pulls every arm a fixed number of times
 // (round-robin, the bounded exploration budget), exploit routes to the
 // best arm with policy-controlled residual exploration. A drift
-// detection re-enters measure.
+// challenge that finds a contender re-enters measure for the winner and
+// the contenders only.
 const (
 	phaseMeasure uint8 = iota
 	phaseExploit
@@ -28,10 +29,13 @@ const (
 // long-unsampled) measure-phase estimate sits just below it takes
 // over for thousands of calls. The margin is deliberately generous: a
 // genuinely better challenger by more than this margin is rare within
-// one workload, and a winner that truly degrades is caught by the
-// drift detector, which re-measures every arm freshly. Measure-phase
-// convergence itself is a plain argmin — hysteresis only guards
-// switches after a winner exists.
+// one workload. It is also the fast path out of a winner that truly
+// degrades: once the winner's EWMA passes a measured runner-up by the
+// margin (two samples of a 5× slowdown) the runner-up takes over, and
+// a smaller degradation is left to the drift challenge, which
+// re-measures the winner against the arms that could beat it.
+// Measure-phase convergence itself is a plain argmin — hysteresis only
+// guards switches after a winner exists.
 const switchHysteresis = 0.25
 
 // clipFactor winsorizes exploit-phase samples: each measurement folds
@@ -41,7 +45,8 @@ const switchHysteresis = 0.25
 // winner's EWMA 4× in one sample and dethrone the true winner for
 // thousands of calls (observed live). A genuine sustained shift still
 // raises the estimate geometrically (clipFactor× per sample), so the
-// drift detector fires within a handful of samples.
+// hysteresis switch still sees it within a few samples; the drift
+// detector reads raw samples and needs no clip (see observe).
 const clipFactor = 3.0
 
 // armStats is the cost estimate — and trust state — of one variant at
@@ -57,7 +62,7 @@ type armStats struct {
 	// calls instead of anchoring the EWMA for hundreds.
 	distrust int
 	// Fault-containment accounting (see quarantine.go). The counters are
-	// cumulative for the site's lifetime — they survive drift reopens and
+	// cumulative for the site's lifetime — they survive drift re-measures and
 	// quarantine lifts, unlike the cost estimate above.
 	faults          int64 // contained internal faults on this arm
 	degraded        int64 // calls served by trusted-fallback re-execution
@@ -67,7 +72,7 @@ type armStats struct {
 	quarantineUntil time.Time
 }
 
-// resetEstimate discards the arm's cost estimate (a drift reopen or a
+// resetEstimate discards the arm's cost estimate (a drift re-measure or a
 // quarantine lift: the old measurements are no longer trusted) while
 // keeping the cumulative fault accounting.
 func (a *armStats) resetEstimate() {
@@ -82,7 +87,7 @@ func (a *armStats) resetEstimate() {
 // boxes add heavy-tailed scheduling spikes — for a deterministic
 // kernel the minimum is the robust location estimate. Once the arm is
 // past its quota the EWMA takes over, so genuine workload shifts
-// still move the estimate (and can trip the drift detector).
+// still move the estimate (and can trip the hysteresis switch).
 func (a *armStats) update(alpha float64, quota int64, cost float64) {
 	switch {
 	case !a.sampled:
@@ -116,10 +121,14 @@ type siteState struct {
 	// on a winner change), and the drift detector compares against it.
 	best     int
 	baseline float64
-	pulls    int64 // total selections at this site
-	explore  int64 // exploit-phase selections that were NOT the winner
-	reopens  int   // drift-triggered re-explorations
-	nquar    int   // arms currently quarantined (see quarantine.go)
+	// over counts the winner's consecutive raw samples above the drift
+	// band, overMin is the cheapest of them (see observe).
+	over    int
+	overMin float64
+	pulls   int64 // total selections at this site
+	explore int64 // exploit-phase selections that were NOT the winner
+	reopens int   // drift-triggered re-measures (see challenge)
+	nquar   int   // arms currently quarantined (see quarantine.go)
 }
 
 func newSiteState(arms int) *siteState {
@@ -169,13 +178,19 @@ func (st *siteState) argmin() int {
 	return best
 }
 
+// crown makes arm i the winner and anchors the drift baseline on its
+// estimate.
+func (st *siteState) crown(i int) {
+	st.best, st.baseline, st.over = i, st.arms[i].ewma, 0
+}
+
 // observe ingests one call outcome for arm idx (out.ok=false when the
 // cost is not a trustworthy measurement of the arm: program-level
 // faults, degraded calls, audits) and advances the site's phase
-// machine: measure → exploit on quota, exploit → measure when the
-// winner's cost drifts past the tolerance band. A contained internal
-// fault or an audit divergence quarantines the arm instead of feeding
-// the estimates (quarantine.go).
+// machine: measure → exploit on quota; in exploit, a drifting winner
+// is challenged (see challenge). A contained internal fault or an
+// audit divergence quarantines the arm instead of feeding the
+// estimates (quarantine.go).
 func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome) {
 	a := &st.arms[idx]
 	if out.fault {
@@ -202,27 +217,33 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 		// never timed (quota pulls alone don't qualify).
 		if st.allMeasured(int64(cfg.minSamples)) && st.anySampled() {
 			st.phase = phaseExploit
-			st.best = st.argmin()
-			st.baseline = st.arms[st.best].ewma
+			st.crown(st.argmin())
 		}
 	case phaseExploit:
-		// Drift: the winning variant's own observed cost DEGRADED past
-		// baseline*(1+drift) — the workload shifted under it, so the old
-		// measurements of every arm are suspect. Reopen exploration
-		// (estimates and quotas reset). The winner getting
+		// Drift: the winner's own raw cost DEGRADED past
+		// baseline*(1+drift) on minSamples consecutive samples — the
+		// measure phase's min-of-burst rule, so one preemption or timer
+		// tick on a short kernel is not a drift. The winner getting
 		// FASTER is not drift — it is still the winner; the baseline
-		// tightens to the improved cost instead, both so degradation is
-		// judged against the best cost seen and because measure-phase
+		// tightens to the improved estimate instead, both so degradation
+		// is judged against the best cost seen and because measure-phase
 		// estimates run systematically high (arm switching thrashes the
 		// predictor/icache) and always melt once the winner runs
 		// back-to-back.
 		if ok && idx == st.best && st.baseline > 0 {
-			ew := st.arms[idx].ewma
-			if ew > st.baseline*(1+cfg.drift) {
-				st.reopen()
-				return
+			if cost > st.baseline*(1+cfg.drift) {
+				if st.over == 0 || cost < st.overMin {
+					st.overMin = cost
+				}
+				st.over++
+				if st.over >= cfg.minSamples {
+					st.challenge(st.overMin)
+					return
+				}
+			} else {
+				st.over = 0
 			}
-			if ew < st.baseline {
+			if ew := st.arms[idx].ewma; ew < st.baseline {
 				st.baseline = ew
 			}
 		}
@@ -232,22 +253,35 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 		// the hysteresis margin (see switchHysteresis).
 		if nb := st.argmin(); nb != st.best &&
 			st.arms[nb].ewma < st.arms[st.best].ewma*(1-switchHysteresis) {
-			st.best = nb
-			st.baseline = st.arms[nb].ewma
+			st.crown(nb)
 		}
 	}
 }
 
-// reopen re-enters the measure phase after drift: the workload moved,
-// so every stale estimate is suspect — arms restart from scratch and
-// re-earn their quotas. Quarantine state and fault accounting survive:
+// challenge answers a drift alarm; d is the cheapest sample of the
+// winner's over-band run, what the winner costs now. Only the arms
+// whose estimate is below d could win if the drift were the winner's
+// alone: they and the winner are re-measured in a fresh burst, while
+// every other arm keeps its estimate and is not pulled. With no such
+// arm the box moved under every arm alike — mARGOt's rescale: the
+// winner's estimate and the baseline become d and the site stays in
+// exploit. Quarantine state and fault accounting survive either way:
 // drift says nothing about trust.
-func (st *siteState) reopen() {
-	st.phase = phaseMeasure
-	st.cursor = 0
+func (st *siteState) challenge(d float64) {
+	st.over = 0
+	challenged := false
 	for i := range st.arms {
-		st.arms[i].resetEstimate()
+		if a := &st.arms[i]; i != st.best && a.sampled && !a.quarantined && a.ewma < d {
+			a.resetEstimate()
+			challenged = true
+		}
 	}
+	if !challenged {
+		st.arms[st.best].ewma, st.baseline = d, d
+		return
+	}
+	st.arms[st.best].resetEstimate()
+	st.phase, st.cursor = phaseMeasure, st.best
 	st.reopens++
 }
 
@@ -267,11 +301,12 @@ type ArmReport struct {
 
 // SiteReport is the introspectable state of one (function, class)
 // tuning site: which variant is winning, how much exploration it cost,
-// and how often drift forced a re-exploration.
+// and how often a drift challenge re-measured arms (Reopens; a rescale
+// does not count).
 type SiteReport struct {
 	Fn           string
 	Class        int
-	Converged    bool // exploit phase reached (and not currently reopened)
+	Converged    bool // exploit phase reached (and not currently re-measuring)
 	Best         VariantSpec
 	Pulls        int64
 	ExplorePulls int64

@@ -32,7 +32,7 @@ import (
 // measurements in at a boosted EWMA weight (warmAlpha, decaying over
 // warmDistrust samples — see armStats.update), so a winner that is no
 // longer cheap is dragged up to its true cost within a couple of calls
-// and the ordinary drift detector dethrones it through a re-measure.
+// and the ordinary hysteresis switch or drift challenge dethrones it.
 // Sites still measuring at save time are not persisted — a partial
 // table is not worth trusting — and a loaded record never overwrites a
 // site that has already begun learning live.
@@ -44,9 +44,10 @@ import (
 const warmDistrust = 3
 
 // warmAlpha is the floor EWMA weight a distrusted (freshly loaded)
-// arm's measurements carry. With the default alpha 0.3 and clipFactor
-// 3, one sample at warmAlpha moves a badly stale winner's estimate
-// past the drift band — the dethroning is immediate, not eventual.
+// arm's measurements carry. With clipFactor 3, one sample at warmAlpha
+// doubles a badly stale winner's estimate, past the switch margin of
+// any arm measured under 1.5× its old cost — the dethroning is
+// immediate, not eventual.
 const warmAlpha = 0.5
 
 // CacheKey is the content key SaveTo/LoadFrom validate the persist log
@@ -98,8 +99,8 @@ func (t *AutoTuner) SaveTo(path string) error {
 // LoadFrom seeds the tuner from the persist log at path, returning how
 // many sites were warm-started. Every loaded site enters directly in
 // the EXPLOIT phase on its persisted winner — no measure burst — with
-// estimates marked distrusted (see warmAlpha) so drift detection can
-// still dethrone a winner the world has moved under.
+// estimates marked distrusted (see warmAlpha) so a winner the world has
+// moved under is still dethroned.
 //
 // A missing log is a clean cold start (0, nil). An invalid log —
 // corrupt, truncated, version-skewed, or written under a different
