@@ -76,12 +76,14 @@ warm-sim:
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
 
 # Tuner-policy suite under the race detector: the seeded fake-clock sims
-# of convergence, exploration priced in time, drift (spike, winner
-# shift, common-mode slowdown), per-class sites and Call = CallBatch(1),
-# then the 12-goroutine live stress test fifty times over, since its
-# real-clock drift challenges land at random points (about 10 s).
+# of convergence, the measure phase's survey-then-contenders rule (near
+# ties, a spiked survey sample, a drift re-measure), exploration priced
+# in time, drift (spike, winner shift, common-mode slowdown), per-class
+# sites and Call = CallBatch(1), then the 12-goroutine live stress test
+# fifty times over, since its real-clock drift challenges land at
+# random points (about 10 s).
 tuner-sim:
-	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
+	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestMeasureSurveysThenBurstsContenders|TestNearTieArmsBothBurst|TestSurveySpikeStillFindsWinner|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
 	go test -race -count=50 ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
 
 # One-iteration smoke run for CI: proves every benchmark still executes.

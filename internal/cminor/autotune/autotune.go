@@ -95,7 +95,10 @@ func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps 
 func WithEWMAAlpha(a float64) Option { return func(c *config) { c.alpha = a } }
 
 // WithMinSamples sets the measure-phase pull quota per arm (default 3).
-// The exploration budget of a fresh site is exactly len(grid)*n calls.
+// A fresh site surveys every arm once, then only the contenders — arms
+// estimated within the switch margin of the best — burst to n, so its
+// exploration budget is len(grid) + (n-1)·contenders calls, at most
+// len(grid)*n.
 func WithMinSamples(n int) Option { return func(c *config) { c.minSamples = n } }
 
 // WithDriftFactor sets the winner-cost degradation tolerance (default

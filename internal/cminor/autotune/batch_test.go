@@ -82,8 +82,9 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 		t.Fatalf("arm pulls total %d, want 4", armPulls)
 	}
 
-	// A second batch must complete the other arm's measure quota: the
-	// measure phase is burst round-robin, so batches land arm-by-arm.
+	// A second batch must survey the other arm: the measure phase pulls
+	// every unsurveyed arm before any burst, and the riders follow the
+	// leader's arm, so batches land arm-by-arm.
 	batch2 := make([]BatchCall, 2)
 	for i := range batch2 {
 		batch2[i].Args = simArgs(16)

@@ -31,24 +31,34 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 	return idx
 }
 
-// nextMeasured picks the measure-phase arm: each arm is pulled its
-// whole quota in one burst before the cursor moves on. Bursts matter:
+// nextMeasured picks the measure-phase arm in two steps. The survey
+// pulls every arm in service once, round-robin from the cursor. Then
+// only the contenders burst: an arm is pulled to its quota while it
+// still needs samples (armStats.measured), i.e. while its estimate is
+// within the switch margin of the best — an arm further off could not
+// take over from the winner in exploit, so more samples of it buy
+// nothing, and time-priced ε still samples it later. Bursts matter:
 // switching variants is itself expensive (cold closure graph,
 // predictor/icache thrash), so an arm's first sample after a switch
-// runs high — sampling arm-by-arm means the later samples of the
-// burst are switch-free and the min-based estimate (armStats.update)
-// lands on the true cost. With every quota met but the phase not yet
-// advanced (in-flight concurrent measurements), it falls back to the
-// best estimate so far.
+// runs high — the cursor stays on a contender until its quota is met,
+// so the later samples are switch-free and the min-based estimate
+// (armStats.update) lands on the true cost. With every arm measured
+// but the phase not yet advanced (in-flight concurrent measurements),
+// it falls back to the best estimate so far.
 func (st *siteState) nextMeasured(cfg *config) int {
 	n := len(st.arms)
 	for k := 0; k < n; k++ {
 		idx := (st.cursor + k) % n
-		if st.arms[idx].quarantined {
-			continue // out of service until its backoff lifts
+		if !st.arms[idx].quarantined && st.arms[idx].pulls == 0 {
+			st.cursor = idx // survey: one pull of every arm first
+			return idx
 		}
-		if st.arms[idx].pulls < int64(cfg.minSamples) {
-			st.cursor = idx // stay on this arm until its quota is met
+	}
+	quota, best := int64(cfg.minSamples), st.arms[st.argmin()].ewma
+	for k := 0; k < n; k++ {
+		idx := (st.cursor + k) % n
+		if !st.arms[idx].quarantined && !st.arms[idx].measured(quota, best) {
+			st.cursor = idx // stay on this arm until it is measured
 			return idx
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // that (function, input-class) site — excluded from the measure and
 // exploit phases — with exponential clock-based backoff, so a flaky arm
 // can earn its way back. A lifted arm re-enters through a fresh measure
-// burst (its old estimates are discarded with its trust), so a clean
+// survey (its old estimates are discarded with its trust), so a clean
 // arm re-wins on merit.
 
 // callOutcome classifies one routed call for the site's phase machine.
@@ -110,9 +110,10 @@ func (st *siteState) quarantine(cfg *config, idx int) {
 
 // liftExpired returns expired quarantines to service: the arm's cost
 // estimates are discarded with its distrust and the site drops back to
-// the measure phase, so the returning arm is burst-re-measured against
-// the incumbents' retained estimates and can re-win on merit. Caller
-// holds the tuner mutex.
+// the measure phase, so the returning arm is re-surveyed against the
+// incumbents' retained estimates — and bursts to its quota if that
+// sample makes it a contender — and can re-win on merit. Caller holds
+// the tuner mutex.
 func (st *siteState) liftExpired(cfg *config, now time.Time) {
 	for i := range st.arms {
 		a := &st.arms[i]

@@ -89,9 +89,10 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 		}
 	}
 
-	// Phase A — measure (3 arms × 3 samples) plus exploit on the
-	// cheapest arm; the bytecode arm's 6th call (site call 12) is the
-	// injected panic. The caller must see nothing but the right answer.
+	// Phase A — measure (a survey of the 3 arms, then bytecode, the one
+	// contender, bursts to 3) plus exploit on the cheapest arm; the
+	// bytecode arm's 6th call (site call 8) is the injected panic. The
+	// caller must see nothing but the right answer.
 	for i := 1; i <= 12; i++ {
 		call(i)
 	}
@@ -332,7 +333,7 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 		WithSeed(13),
 		WithClock(clk),
 		WithFaultInjector(inj),
-		WithAuditEvery(2),
+		WithAuditEvery(3),
 		WithQuarantineBackoff(time.Minute, time.Hour),
 	)
 	if err != nil {
@@ -341,17 +342,17 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 	want := probeOracle(t)
 	args := simArgs(16)
 	class := SizeClass(args)
-	// Site pulls 1–2 route O0 (pull 2 audited: clean, no divergence).
-	// Pull 3 routes bytecode unaudited — the one call whose corrupt
-	// value escapes, which is exactly why the audit cadence exists.
-	// Pull 4 routes bytecode audited → divergence → quarantine.
+	// Site pull 1 surveys O0. Pull 2 surveys bytecode unaudited — the
+	// one call whose corrupt value escapes, which is exactly why the
+	// audit cadence exists. Bytecode is the contender, so pull 3 bursts
+	// it, audited → divergence → quarantine.
 	var sawCorrupt bool
-	for i := 1; i <= 4; i++ {
+	for i := 1; i <= 3; i++ {
 		v, err := tn.Call("probe", args...)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if i == 4 && !eqValue(want, v) {
+		if i == 3 && !eqValue(want, v) {
 			t.Fatalf("audited call returned the corrupt value: %+v, want %+v", v, want)
 		}
 		if !eqValue(want, v) {
@@ -370,7 +371,7 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 		t.Fatalf("divergence miscounted as an internal fault: %+v", bc)
 	}
 	// With the lying arm out of routing, every further call is correct.
-	for i := 5; i <= 12; i++ {
+	for i := 4; i <= 12; i++ {
 		v, err := tn.Call("probe", args...)
 		if err != nil || !eqValue(want, v) {
 			t.Fatalf("call %d post-quarantine: v=%+v err=%v, want %+v", i, v, err, want)

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -195,11 +196,12 @@ func TestSimulatedConvergence(t *testing.T) {
 }
 
 // TestExplorationBudgetBounds pins the two epsilon extremes: with
-// epsilon 0 a converged site never leaves the winner (non-best arms
-// keep exactly their measure-phase quota); with epsilon 1 every
-// exploit-phase call draws a candidate, but exploration is priced in
-// time, so the time spent off the winner stays within one winner call
-// per exploit call however slow the losers are.
+// epsilon 0 a converged site never leaves the winner (a non-best arm
+// keeps its survey sample, or its quota if it was a contender, and the
+// site converges in exactly |grid| + (n−1)·contenders calls); with
+// epsilon 1 every exploit-phase call draws a candidate, but exploration
+// is priced in time, so the time spent off the winner stays within one
+// winner call per exploit call however slow the losers are.
 func TestExplorationBudgetBounds(t *testing.T) {
 	grid := DefaultGrid()
 	cost := map[string]time.Duration{
@@ -211,9 +213,9 @@ func TestExplorationBudgetBounds(t *testing.T) {
 	budget := len(grid) * minSamples
 	const total = 80
 
-	// run returns the final site and the time spent per arm after the
-	// measure budget.
-	run := func(eps float64) (SiteReport, map[string]time.Duration) {
+	// run returns the final site, the call on which it converged, and the
+	// time spent per arm after the worst-case measure budget.
+	run := func(eps float64) (SiteReport, int, map[string]time.Duration) {
 		sampler := &simSampler{cost: flatCost(cost)}
 		tn, err := New(simProgram(t),
 			WithGrid(grid...),
@@ -226,6 +228,7 @@ func TestExplorationBudgetBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		args := simArgs(16)
+		convergedAt := 0
 		for i := 0; i < total; i++ {
 			if i == budget {
 				sampler.spent = map[string]time.Duration{}
@@ -233,22 +236,37 @@ func TestExplorationBudgetBounds(t *testing.T) {
 			if _, err := tn.Call("probe", args...); err != nil {
 				t.Fatal(err)
 			}
+			if _, ok := tn.Best("probe", SizeClass(args)); ok && convergedAt == 0 {
+				convergedAt = i + 1
+			}
 		}
-		return siteReport(t, tn, "probe", SizeClass(args)), sampler.spent
+		return siteReport(t, tn, "probe", SizeClass(args)), convergedAt, sampler.spent
 	}
 
-	greedy, _ := run(0)
+	greedy, convergedAt, _ := run(0)
 	if greedy.ExplorePulls != 0 {
 		t.Fatalf("epsilon=0 explored %d times", greedy.ExplorePulls)
 	}
+	contenders := 1 // the winner
 	for _, arm := range greedy.Arms {
-		if arm.Spec.String() != "O3" && arm.Pulls != int64(minSamples) {
-			t.Fatalf("epsilon=0: non-best arm %v has %d pulls, want exactly the %d-sample quota",
+		switch {
+		case arm.Spec.String() == "O3":
+		case arm.Pulls == minSamples:
+			contenders++
+		case arm.Pulls != 1:
+			t.Fatalf("epsilon=0: non-best arm %v has %d pulls, want its survey sample or the %d-sample quota",
 				arm.Spec, arm.Pulls, minSamples)
 		}
 	}
+	if contenders == len(grid) {
+		t.Fatal("epsilon=0: every arm burst; the 4×-slower O0 should have been cut")
+	}
+	if want := len(grid) + (minSamples-1)*contenders; convergedAt != want {
+		t.Fatalf("epsilon=0: converged after %d calls, want |grid| + (n−1)·%d contenders = %d",
+			convergedAt, contenders, want)
+	}
 
-	always, spent := run(1)
+	always, _, spent := run(1)
 	exploit := int64(total - budget)
 	if always.ExplorePulls == 0 || always.ExplorePulls == exploit {
 		t.Fatalf("epsilon=1: %d of %d exploit calls explored, want some but not all", always.ExplorePulls, exploit)
@@ -404,6 +422,189 @@ func TestCommonModeSlowdownRescales(t *testing.T) {
 	}
 }
 
+// pr21Kernels are the bytecode and O3 costs (µs) of the nine corpus
+// kernels that lower, from PR 21's table; norms, the tenth, ties.
+var pr21Kernels = []struct {
+	name         string
+	bytecode, o3 float64
+}{
+	{"gemm", 92, 462}, {"jacobi", 63, 263}, {"axpy", 5.1, 44},
+	{"2mm", 96, 365}, {"seidel2d", 105, 359}, {"atax", 9.9, 54},
+	{"mvt", 8.7, 57}, {"trisolv", 5.9, 28}, {"cholesky", 33.5, 74},
+}
+
+// specNames returns the variant names of recorded selections.
+func specNames(specs []VariantSpec) []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.String()
+	}
+	return names
+}
+
+// driveToConvergence calls probe until its site converges, at most
+// limit more calls, and returns the site at convergence.
+func driveToConvergence(t *testing.T, tn *AutoTuner, args []any, limit int) SiteReport {
+	t.Helper()
+	for calls := 0; ; calls++ {
+		if _, ok := tn.Best("probe", SizeClass(args)); ok {
+			return siteReport(t, tn, "probe", SizeClass(args))
+		}
+		if calls == limit {
+			t.Fatalf("no convergence within %d calls", limit)
+		}
+		drive(t, tn, 1, args)
+	}
+}
+
+// TestMeasureSurveysThenBurstsContenders: on every PR 21-shaped cost
+// model the losers run 2–18× the winner, beyond the switch margin, so a
+// cold site surveys the five arms once and bursts only bytecode: it
+// converges in exactly 7 calls, O0–O3 keep their single survey sample,
+// and bytecode's three samples run back-to-back.
+func TestMeasureSurveysThenBurstsContenders(t *testing.T) {
+	want := []string{"O0", "O1", "O2", "O3", "bytecode", "bytecode", "bytecode"}
+	for _, k := range pr21Kernels {
+		sampler := &specSampler{inner: simSampler{cost: flatCost(pr21Cost(k.bytecode, k.o3))}}
+		tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := simArgs(4)
+		class := SizeClass(args)
+		drive(t, tn, len(want)-1, args)
+		if _, ok := tn.Best("probe", class); ok {
+			t.Fatalf("%s: converged before the survey and bytecode's burst finished", k.name)
+		}
+		drive(t, tn, 1, args)
+		if got := bestSpec(t, tn, "probe", class); got.String() != "bytecode" {
+			t.Fatalf("%s: winner %v, want bytecode", k.name, got)
+		}
+		if got := specNames(sampler.specs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: measure pulls %v, want %v", k.name, got, want)
+		}
+	}
+}
+
+// TestNearTieArmsBothBurst: with norms-shaped costs, where O3 (37µs)
+// and bytecode (38µs) are within the switch margin, both burst to the
+// full quota. Their survey samples rank them wrongly (the ±4% jitter
+// lands O3 high and bytecode low); the bursts' minimums put the truly
+// cheaper O3 first.
+func TestNearTieArmsBothBurst(t *testing.T) {
+	const minSamples = 3
+	sampler := &simSampler{cost: flatCost(pr21Cost(38, 37))}
+	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(minSamples), WithEpsilon(0), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := simArgs(4)
+	class := SizeClass(args)
+	drive(t, tn, len(DefaultGrid()), args)
+	survey := siteReport(t, tn, "probe", class)
+	if o3, bc := survey.Arms[3], survey.Arms[4]; o3.EWMA <= bc.EWMA {
+		t.Fatalf("survey ranked O3 %v below bytecode %v; the test premise needs the opposite", o3.EWMA, bc.EWMA)
+	}
+	rep := driveToConvergence(t, tn, args, (minSamples-1)*len(DefaultGrid()))
+	if rep.Best.String() != "O3" {
+		t.Fatalf("winner %v, want O3, the truly cheaper arm", rep.Best)
+	}
+	for _, arm := range rep.Arms[3:] {
+		if arm.Pulls != minSamples {
+			t.Fatalf("%v took %d pulls, want its full %d-sample quota", arm.Spec, arm.Pulls, minSamples)
+		}
+	}
+	for _, arm := range rep.Arms[:2] {
+		if arm.Pulls != 1 {
+			t.Fatalf("%v took %d pulls, want only its survey sample", arm.Spec, arm.Pulls)
+		}
+	}
+}
+
+// TestSurveySpikeStillFindsWinner: the true winner's survey sample is
+// spiked 3× (a preemption on its first call), which puts it beyond the
+// switch margin, so it is cut and O3 is crowned. The cut is soft:
+// time-priced ε still samples bytecode now and then (ε/4 × 71/115, one
+// call in about 130 here), that sample replaces the spiked minimum, and
+// bytecode, 46% cheaper than O3, clears the hysteresis margin and is
+// crowned within 500 calls of convergence (seed 7 takes 82).
+func TestSurveySpikeStillFindsWinner(t *testing.T) {
+	const within = 500
+	base := pr21Cost(40, 74)
+	bytecodeSurvey := int64(len(DefaultGrid())) // the last arm surveyed
+	sampler := &simSampler{cost: func(call int64, spec VariantSpec, _ int) time.Duration {
+		c := base[spec.String()]
+		if call == bytecodeSurvey {
+			c *= 3
+		}
+		return time.Duration(float64(c) * jitter(call))
+	}}
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := simArgs(4)
+	class := SizeClass(args)
+	rep := driveToConvergence(t, tn, args, 3*len(DefaultGrid()))
+	if bc := rep.Arms[4]; rep.Best.String() != "O3" || bc.Pulls != 1 {
+		t.Fatalf("converged on %v with bytecode at %d pulls; the spike should have cut bytecode",
+			rep.Best, bc.Pulls)
+	}
+	for i := 1; i <= within; i++ {
+		drive(t, tn, 1, args)
+		if got := bestSpec(t, tn, "probe", class); got.String() == "bytecode" {
+			t.Logf("bytecode crowned %d calls after convergence", i)
+			return
+		}
+	}
+	t.Fatalf("bytecode not crowned within %d calls of convergence", within)
+}
+
+// TestDriftChallengeSurveysThenBursts: a drift challenge re-measures by
+// the measure phase's own rule. The bytecode winner gets 10× slower;
+// O2 and O3 are estimated below its drifted cost, so the challenge
+// resets them with the winner. The re-measure surveys those three once
+// from the winner on, then bursts only O3 and O2, the contenders; O0
+// and O1 are not pulled and the drifted winner keeps one sample.
+func TestDriftChallengeSurveysThenBursts(t *testing.T) {
+	const shiftAt = 20
+	base := pr21Cost(27, 123)
+	sampler := &specSampler{inner: simSampler{cost: func(call int64, spec VariantSpec, _ int) time.Duration {
+		c := base[spec.String()]
+		if call > shiftAt && spec.String() == "bytecode" {
+			c *= 10
+		}
+		return time.Duration(float64(c) * jitter(call))
+	}}}
+	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := simArgs(16)
+	class := SizeClass(args)
+	drive(t, tn, shiftAt, args)
+	challengedAt := 0
+	for challengedAt == 0 {
+		drive(t, tn, 1, args)
+		if _, ok := tn.Best("probe", class); !ok {
+			challengedAt = len(sampler.specs)
+		}
+		if len(sampler.specs) > shiftAt+10 {
+			t.Fatal("no drift challenge within 10 calls of a 10× slowdown")
+		}
+	}
+	want := []string{"bytecode", "O2", "O3", "O3", "O3", "O2", "O2"}
+	drive(t, tn, len(want), args)
+	if got := specNames(sampler.specs[challengedAt:]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-measure pulls %v, want %v", got, want)
+	}
+	rep := siteReport(t, tn, "probe", class)
+	if !rep.Converged || rep.Best.String() != "O3" || rep.Reopens != 1 {
+		t.Fatalf("after the re-measure: converged %v, winner %v, %d reopens; want true, O3, 1",
+			rep.Converged, rep.Best, rep.Reopens)
+	}
+}
+
 // TestExplorationIsPricedInTime: on cost models shaped like PR 21's
 // table, where the losers run 2–18× the winner, the time a converged
 // site spends off the winner over 10k calls stays within epsilon of
@@ -415,15 +616,7 @@ func TestExplorationIsPricedInTime(t *testing.T) {
 		calls = 10000
 		tol   = 0.5
 	)
-	kernels := []struct {
-		name         string
-		bytecode, o3 float64 // µs
-	}{
-		{"gemm", 92, 462}, {"jacobi", 63, 263}, {"axpy", 5.1, 44},
-		{"2mm", 96, 365}, {"seidel2d", 105, 359}, {"atax", 9.9, 54},
-		{"mvt", 8.7, 57}, {"trisolv", 5.9, 28}, {"cholesky", 33.5, 74},
-	}
-	for _, k := range kernels {
+	for _, k := range pr21Kernels {
 		cost := pr21Cost(k.bytecode, k.o3)
 		sampler := &simSampler{cost: flatCost(cost)}
 		tn, err := New(simProgram(t), WithSampler(sampler), WithEpsilon(eps), WithSeed(7))

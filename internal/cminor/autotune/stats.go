@@ -6,11 +6,12 @@ import "time"
 // tuner has seen owns one siteState with one armStats per grid point;
 // everything here is mutated only under the tuner mutex.
 
-// Site phases: measure pulls every arm a fixed number of times
-// (round-robin, the bounded exploration budget), exploit routes to the
+// Site phases: measure surveys every arm once, then bursts only the
+// contenders — the arms within the switch margin of the best — to the
+// pull quota (the bounded exploration budget); exploit routes to the
 // best arm with policy-controlled residual exploration. A drift
 // challenge that finds a contender re-enters measure for the winner and
-// the contenders only.
+// the contenders only, by the same survey-then-burst rule.
 const (
 	phaseMeasure uint8 = iota
 	phaseExploit
@@ -135,16 +136,27 @@ func newSiteState(arms int) *siteState {
 	return &siteState{arms: make([]armStats, arms)}
 }
 
-// allMeasured reports whether every arm in service has met the
-// measure-phase pull quota. Quarantined arms are out of service and do
-// not hold the phase open — they re-earn a quota when their backoff
-// lifts.
+// measured reports whether the arm needs no more measure-phase pulls,
+// given best, the lowest estimate at the site: it has met the quota,
+// or it has been surveyed and its estimate is beyond the switch margin
+// of the best (ewma·(1−switchHysteresis) > best) — cut, its one sample
+// kept as its estimate. An unsampled arm (its calls failed) is never
+// cut.
+func (a *armStats) measured(quota int64, best float64) bool {
+	return a.pulls >= quota || a.sampled && a.ewma*(1-switchHysteresis) > best
+}
+
+// allMeasured reports whether every arm in service has been surveyed
+// and is measured (armStats.measured). Quarantined arms are out of
+// service and do not hold the phase open — they are re-surveyed when
+// their backoff lifts.
 func (st *siteState) allMeasured(minSamples int64) bool {
+	best := st.arms[st.argmin()].ewma
 	for i := range st.arms {
 		if st.arms[i].quarantined {
 			continue
 		}
-		if st.arms[i].pulls < minSamples {
+		if !st.arms[i].measured(minSamples, best) {
 			return false
 		}
 	}
@@ -261,11 +273,11 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 // challenge answers a drift alarm; d is the cheapest sample of the
 // winner's over-band run, what the winner costs now. Only the arms
 // whose estimate is below d could win if the drift were the winner's
-// alone: they and the winner are re-measured in a fresh burst, while
-// every other arm keeps its estimate and is not pulled. With no such
-// arm the box moved under every arm alike — mARGOt's rescale: the
-// winner's estimate and the baseline become d and the site stays in
-// exploit. Quarantine state and fault accounting survive either way:
+// alone: they and the winner are re-measured (surveyed, then the
+// contenders burst; see nextMeasured), while every other arm keeps its
+// estimate and is not pulled. With no such arm the box moved under
+// every arm alike — mARGOt's rescale: the winner's estimate and the
+// baseline become d and the site stays in exploit. Quarantine state and fault accounting survive either way:
 // drift says nothing about trust.
 func (st *siteState) challenge(d float64) {
 	st.over = 0

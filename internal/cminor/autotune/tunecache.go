@@ -17,7 +17,8 @@ import (
 
 // Warm starts. A tuner's learned tables — winner, per-arm estimates,
 // pulls, quarantine state, per (function, input-class) site — are the
-// product of |grid|×minSamples exploration calls per site, re-paid on
+// product of up to |grid|×minSamples exploration calls per site (a
+// survey of every arm, then bursts for the contenders), re-paid on
 // every process restart unless persisted. SaveTo checkpoints every
 // converged site into a persist log; LoadFrom seeds a fresh tuner from
 // one, placing each site directly in the EXPLOIT phase so the first

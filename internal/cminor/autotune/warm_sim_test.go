@@ -126,7 +126,7 @@ func TestWarmStartZeroReexploration(t *testing.T) {
 func TestWarmStartSaveSkipsUnconverged(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.log")
 	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
-	drive(t, tn, 3, simArgs(16)) // 3 of the 10-call measure budget
+	drive(t, tn, 3, simArgs(16)) // 3 of the 5-arm survey
 	if err := tn.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
