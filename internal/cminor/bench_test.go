@@ -3,8 +3,9 @@ package cminor
 import "testing"
 
 // Benchmarks comparing the original tree-walking interpreter (Walker)
-// against the compiled resolve → compile → execute pipeline (Interp) on
-// representative Polybench-shaped kernels. Run with:
+// against the compiled resolve → compile → execute pipeline (an Instance
+// of a default-compiled Program) on representative Polybench-shaped
+// kernels. Run with:
 //
 //	go test ./internal/cminor -bench . -benchmem
 //
@@ -28,8 +29,7 @@ func BenchmarkGemmWalker(b *testing.B) {
 
 func BenchmarkGemmCompiled(b *testing.B) {
 	const n = 32
-	in := NewInterp(MustParse("gemm.c", benchGemmSrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("gemm.c", benchGemmSrc), WithMaxSteps(1<<62))
 	args := benchGemmArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,8 +54,7 @@ func BenchmarkJacobiWalker(b *testing.B) {
 
 func BenchmarkJacobiCompiled(b *testing.B) {
 	const n = 48
-	in := NewInterp(MustParse("jacobi.c", benchJacobiSrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("jacobi.c", benchJacobiSrc), WithMaxSteps(1<<62))
 	args := benchJacobiArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,8 +79,7 @@ func BenchmarkAxpyWalker(b *testing.B) {
 
 func BenchmarkAxpyCompiled(b *testing.B) {
 	const n = 4096
-	in := NewInterp(MustParse("axpy.c", benchAxpySrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("axpy.c", benchAxpySrc), WithMaxSteps(1<<62))
 	x, y := benchVector(n), benchVector(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,8 +104,7 @@ func Benchmark2mmWalker(b *testing.B) {
 
 func Benchmark2mmCompiled(b *testing.B) {
 	const n = 24
-	in := NewInterp(MustParse("2mm.c", bench2mmSrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("2mm.c", bench2mmSrc), WithMaxSteps(1<<62))
 	args := bench2mmArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,8 +129,7 @@ func BenchmarkSeidel2dWalker(b *testing.B) {
 
 func BenchmarkSeidel2dCompiled(b *testing.B) {
 	const n = 48
-	in := NewInterp(MustParse("seidel.c", benchSeidelSrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("seidel.c", benchSeidelSrc), WithMaxSteps(1<<62))
 	args := benchSeidelArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -158,8 +154,7 @@ func BenchmarkAtaxWalker(b *testing.B) {
 
 func BenchmarkAtaxCompiled(b *testing.B) {
 	const n = 48
-	in := NewInterp(MustParse("atax.c", benchAtaxSrc))
-	in.MaxSteps = 1 << 62
+	in := newInst(b, MustParse("atax.c", benchAtaxSrc), WithMaxSteps(1<<62))
 	args := benchAtaxArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,7 +167,9 @@ func BenchmarkAtaxCompiled(b *testing.B) {
 // BenchmarkOptLevels sweeps every corpus kernel across O0–O3 plus the
 // O4 flat-bytecode backend, one benchmark per (kernel, variant) — the
 // design-space sample SOCRATES' design-time exploration assumes, and the
-// static baseline the autotuner's online selection starts from.
+// static baseline the autotuner's online selection starts from. The
+// O3-noinline and O3-nounroll rows clear one O3 pass each: they are the
+// evidence the PassMask doc comment cites for keeping that pass.
 func BenchmarkOptLevels(b *testing.B) {
 	variants := []struct {
 		label string
@@ -182,6 +179,8 @@ func BenchmarkOptLevels(b *testing.B) {
 		{"O1", []Option{WithOptLevel(O1)}},
 		{"O2", []Option{WithOptLevel(O2)}},
 		{"O3", []Option{WithOptLevel(O3)}},
+		{"O3-noinline", []Option{WithOptLevel(O3), WithPasses(AllPasses &^ PassInline)}},
+		{"O3-nounroll", []Option{WithOptLevel(O3), WithPasses(AllPasses &^ PassUnroll)}},
 		{"O4", []Option{WithBackend(BackendBytecode), WithOptLevel(O3)}},
 	}
 	for _, k := range BenchKernels {

@@ -121,8 +121,8 @@ type compiledFunc struct {
 	bc *bcFunc
 }
 
-// rtPanic raises a positioned runtime diagnostic; Interp.Call recovers it
-// into the returned error.
+// rtPanic raises a positioned runtime diagnostic; Instance.Call recovers
+// it into the returned error.
 func rtPanic(file string, p Pos, format string, args ...any) {
 	panic(diagf(file, p, format, args...))
 }
@@ -154,8 +154,8 @@ type compiler struct {
 // passOn reports whether one of the O3 passes is active in this
 // lowering: the opt level must reach O3 AND the variant's pass mask
 // must enable it. This is what makes the knob grid finer than the four
-// -O points — an autotuner can toggle inlining, bounds-check
-// elimination and unrolling independently.
+// -O points — an autotuner can toggle inlining and unrolling
+// independently.
 func (c *compiler) passOn(m PassMask) bool { return c.opt >= O3 && c.passes&m != 0 }
 
 // refOf reads an identifier's resolved slot from the side table,

@@ -375,8 +375,7 @@ func sameValue(a, b Value) bool {
 }
 
 // TestCompiledParityWithWalker runs every golden program through the
-// tree-walker and every engine entry point — the historical Interp
-// wrapper plus Instances of the O2/O1/O0 Program variants — and
+// tree-walker and Instances of every Program variant and
 // requires bit-identical results: same returned Value and same bits in
 // every array argument.
 func TestCompiledParityWithWalker(t *testing.T) {
@@ -391,7 +390,6 @@ func TestCompiledParityWithWalker(t *testing.T) {
 				name string
 				e    engine
 			}{
-				{"interp", NewInterp(f)},
 				{"instance-O2", prog.NewInstance()},
 				{"variant-O3", mustVariant(t, prog, WithOptLevel(O3)).NewInstance()},
 				{"variant-O1", mustVariant(t, prog, WithOptLevel(O1)).NewInstance()},
@@ -439,7 +437,7 @@ func TestCompiledParityWithWalker(t *testing.T) {
 
 func TestCompiledOutOfBoundsPositioned(t *testing.T) {
 	src := "void f(int n, double a[n]) {\n  a[n] = 1.0;\n}"
-	in := NewInterp(MustParse("oob.c", src))
+	in := newInst(t, MustParse("oob.c", src))
 	_, err := in.Call("f", IntV(3), NewArray(3))
 	if err == nil {
 		t.Fatal("expected out-of-bounds error")
@@ -450,7 +448,7 @@ func TestCompiledOutOfBoundsPositioned(t *testing.T) {
 }
 
 func TestCompiledDivByZeroPositioned(t *testing.T) {
-	in := NewInterp(MustParse("div.c", "int f(int a) { return 1 / a; }"))
+	in := newInst(t, MustParse("div.c", "int f(int a) { return 1 / a; }"))
 	_, err := in.Call("f", IntV(0))
 	if err == nil {
 		t.Fatal("expected division-by-zero error")
@@ -479,7 +477,7 @@ func TestDivByZeroPositionedEverywhere(t *testing.T) {
 			for _, eng := range []struct {
 				name string
 				e    engine
-			}{{"walker", NewWalker(f)}, {"compiled", NewInterp(f)}} {
+			}{{"walker", NewWalker(f)}, {"compiled", newInst(t, f)}} {
 				_, err := eng.e.Call(tc.fn, IntV(0))
 				if err == nil {
 					t.Fatalf("%s: expected a division fault", eng.name)
@@ -505,7 +503,7 @@ void f(int n) {
 }
 double get(int i) { return acc[i]; }
 `
-	in := NewInterp(MustParse("g.c", src))
+	in := newInst(t, MustParse("g.c", src))
 	if _, err := in.Call("f", IntV(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +530,7 @@ int next() {
   return counter;
 }
 `
-	in := NewInterp(MustParse("g.c", src))
+	in := newInst(t, MustParse("g.c", src))
 	for want := int64(1); want <= 3; want++ {
 		v, err := in.Call("next")
 		if err != nil {
@@ -542,18 +540,17 @@ int next() {
 			t.Fatalf("next() = %d, want %d", v.Int(), want)
 		}
 	}
-	// A fresh Interp over the same program starts from scratch.
+	// A fresh Instance over the same program starts from scratch.
 	prog, err := Compile(MustParse("g.c", src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2 := prog.NewInterp()
-	v, err := in2.Call("next")
+	v, err := prog.NewInstance().Call("next")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Int() != 1 {
-		t.Errorf("fresh interp next() = %d, want 1", v.Int())
+		t.Errorf("fresh instance next() = %d, want 1", v.Int())
 	}
 }
 
@@ -563,7 +560,7 @@ func TestCompiledRuntimePanicBecomesError(t *testing.T) {
 	// the containment layer (resilience.go) the error is a structured
 	// *InternalFault carrying the variant's knob coordinates.
 	src := "void f(int n) {\n  double t[n][n];\n  t[0][0] = 1.0;\n}"
-	in := NewInterp(MustParse("big.c", src))
+	in := newInst(t, MustParse("big.c", src))
 	_, err := in.Call("f", IntV(1<<31))
 	if err == nil {
 		t.Fatal("expected an allocation error")
@@ -590,7 +587,7 @@ func TestCompiledPtrValueToByValueParamCopiesBack(t *testing.T) {
 	if _, err := NewWalker(f).Call("bump", &wv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewInterp(f).Call("bump", &cv); err != nil {
+	if _, err := newInst(t, f).Call("bump", &cv); err != nil {
 		t.Fatal(err)
 	}
 	if !sameValue(wv, cv) {
@@ -608,7 +605,7 @@ func TestCompiledPtrValueToByValueParamCopiesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewInterp(fid).Call("id", &cf)
+	cr, err := newInst(t, fid).Call("id", &cf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +636,7 @@ func TestSameValueTwoByValueParams(t *testing.T) {
 	}
 
 	ccell := IntV(0)
-	cv, err := NewInterp(f).Call("f", &ccell, &ccell)
+	cv, err := newInst(t, f).Call("f", &ccell, &ccell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,16 +645,5 @@ func TestSameValueTwoByValueParams(t *testing.T) {
 	if cv.Int() != 110 || ccell.Int() != 10 {
 		t.Errorf("compiled: ret=%d cell=%d, want 110/10 (independent slots, last copyback wins)",
 			cv.Int(), ccell.Int())
-	}
-}
-
-func TestCompileErrorDeferredToCall(t *testing.T) {
-	in := NewInterp(MustParse("bad.c", "void f() { x = 1; }"))
-	_, err := in.Call("f")
-	if err == nil {
-		t.Fatal("expected resolve error from Call")
-	}
-	if !strings.Contains(err.Error(), "undeclared identifier") {
-		t.Errorf("unexpected error: %v", err)
 	}
 }

@@ -292,11 +292,6 @@ func TestWithMaxStepsOption(t *testing.T) {
 		!strings.Contains(err.Error(), "step budget") {
 		t.Errorf("err = %v, want step-budget fault from WithMaxSteps", err)
 	}
-	// Interps created from the program inherit the configured budget.
-	if _, err := prog.NewInterp().Call("spin"); err == nil ||
-		!strings.Contains(err.Error(), "step budget") {
-		t.Errorf("Interp err = %v, want step-budget fault", err)
-	}
 	// Per-instance override.
 	inst := prog.NewInstance()
 	inst.SetMaxSteps(0) // restores DefaultMaxSteps; way more than 1000 spins

@@ -269,26 +269,23 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 				t.Fatalf("generator produced an unparsable kernel:\n%s\n%v", src, err)
 			}
 			w := NewWalker(f)
-			in := NewInterp(f)
 			w.MaxSteps = 1 << 30
-			in.MaxSteps = 1 << 30
-			// The engine path proper: a pooled Instance driven through
-			// CallContext, so the wrapper and the new API are both pinned
-			// to the oracle on every seed. Some generated kernels are
-			// unresolvable (e.g. a variable used in its own initializer);
-			// eager Compile reports that up front, the other two engines
-			// at their first Call — all three must agree it's an error.
+			// Some generated kernels are unresolvable (e.g. a variable
+			// used in its own initializer); eager Compile reports that up
+			// front, the walker at its first Call — both must agree it's
+			// an error.
 			prog, perr := Compile(f, WithMaxSteps(1<<30))
 			wArgs, cArgs, iArgs := diffArgs(8, seed), diffArgs(8, seed), diffArgs(8, seed)
 			wv, werr := w.Call("k", wArgs...)
-			cv, cerr := in.Call("k", cArgs...)
 			if perr != nil {
-				if werr == nil || cerr == nil {
-					t.Fatalf("Compile rejected what an engine ran on:\n%s\ncompile=%v walker=%v interp=%v",
-						src, perr, werr, cerr)
+				if werr == nil {
+					t.Fatalf("Compile rejected what the walker ran on:\n%s\ncompile=%v", src, perr)
 				}
 				return
 			}
+			// The engine path proper, through both entry points: Call on
+			// one Instance, CallContext on another.
+			cv, cerr := prog.NewInstance().Call("k", cArgs...)
 			inst := prog.NewInstance()
 			iv, ierr := inst.CallContext(context.Background(), "k", iArgs...)
 			if (werr == nil) != (cerr == nil) || (werr == nil) != (ierr == nil) {
@@ -296,7 +293,7 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 					src, werr, cerr, ierr)
 			}
 			// The full opt-level axis: every variant from the generic
-			// closures up through the O3 inliner/BCE/unroller must be
+			// closures up through the O3 inliner/unroller must be
 			// bit-identical to the oracle, faults included. The generated
 			// helper calls (hint/hmix/punch/bump) are all inline
 			// candidates, so O3 exercises slot relocation on every seed.

@@ -6,9 +6,20 @@ import (
 	"testing/quick"
 )
 
+// newInst compiles f under opts and returns a fresh session over it,
+// failing the test on a compile diagnostic.
+func newInst(tb testing.TB, f *File, opts ...Option) *Instance {
+	tb.Helper()
+	prog, err := Compile(f, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog.NewInstance()
+}
+
 func TestInterpAxpy(t *testing.T) {
 	f := MustParse("axpy.c", miniKernel)
-	in := NewInterp(f)
+	in := newInst(t, f)
 	n := 8
 	x := NewArray(n)
 	y := NewArray(n)
@@ -42,7 +53,7 @@ void matmul(int n, double A[n][n], double B[n][n], double C[n][n]) {
 }
 `
 	f := MustParse("mm.c", src)
-	in := NewInterp(f)
+	in := newInst(t, f)
 	n := 4
 	A, B, C := NewArray(n, n), NewArray(n, n), NewArray(n, n)
 	for i := 0; i < n; i++ {
@@ -69,7 +80,7 @@ void matmul(int n, double A[n][n], double B[n][n], double C[n][n]) {
 
 func TestInterpIntDivision(t *testing.T) {
 	src := "int f(int a, int b) { return a / b; }"
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", IntV(7), IntV(2))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +92,7 @@ func TestInterpIntDivision(t *testing.T) {
 
 func TestInterpTernaryMax(t *testing.T) {
 	src := "double f(double a, double b) { return a >= b ? a : b; }"
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", FloatV(2.5), FloatV(9.0))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +104,7 @@ func TestInterpTernaryMax(t *testing.T) {
 
 func TestInterpBuiltinSqrt(t *testing.T) {
 	src := "double f(double x) { return sqrt(x); }"
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", FloatV(16.0))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +119,7 @@ func TestInterpNestedCall(t *testing.T) {
 double square(double x) { return x * x; }
 double f(double x) { return square(x) + square(2.0); }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", FloatV(3.0))
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +137,7 @@ void fill(int n, double a[n], double v) {
 }
 void f(int n, double a[n]) { fill(n, a, 7.0); }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	a := NewArray(3)
 	if _, err := in.Call("f", IntV(3), a); err != nil {
 		t.Fatal(err)
@@ -150,7 +161,7 @@ int f(int n) {
   return s;
 }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", IntV(10))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +182,7 @@ double f(int n) {
   return s;
 }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", IntV(5))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +194,7 @@ double f(int n) {
 
 func TestInterpOutOfBoundsCaught(t *testing.T) {
 	src := "void f(int n, double a[n]) { a[n] = 1.0; }"
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	_, err := in.Call("f", IntV(3), NewArray(3))
 	if err == nil {
 		t.Fatal("expected out-of-bounds error")
@@ -192,8 +203,8 @@ func TestInterpOutOfBoundsCaught(t *testing.T) {
 
 func TestInterpStepBudget(t *testing.T) {
 	src := "void f() { while (1) { } }"
-	in := NewInterp(MustParse("t.c", src))
-	in.MaxSteps = 1000
+	in := newInst(t, MustParse("t.c", src))
+	in.SetMaxSteps(1000)
 	if _, err := in.Call("f"); err == nil {
 		t.Fatal("expected step-budget error for infinite loop")
 	}
@@ -211,7 +222,7 @@ int f(int a, int b, int op) {
   return a % b;
 }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	prop := func(a, b int16, op uint8) bool {
 		bb := int64(b)
 		if bb == 0 {
@@ -251,7 +262,7 @@ int f() {
   return a * 100 + b * 10 + i;
 }
 `
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f")
 	if err != nil {
 		t.Fatal(err)

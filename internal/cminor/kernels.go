@@ -106,7 +106,8 @@ void atax(int m, int n, double A[m][n], double x[n], double y[n], double tmp[m])
 `
 
 // mvt, trisolv and cholesky extend the suite with triangular loops and
-// diagonal accesses — the shapes the O3 range analysis is built for.
+// diagonal accesses, which the strength-reduced subscript patterns miss
+// and which therefore stay fully checked.
 
 const benchMvtSrc = `
 void mvt(int n, double x1[n], double x2[n], double y1[n], double y2[n], double A[n][n]) {

@@ -35,12 +35,6 @@ const (
 	hColIV uint8 = iota
 	hRowIV
 	hAllInv
-	// hRange is the O3 bounds-check-elimination pattern: every subscript
-	// has a provable value range over the iteration space (rangeanal.go),
-	// so the per-iteration access computes its offset unchecked; the
-	// range proof runs once in the loop preamble and falls back to the
-	// fully-checked body via the same versioning as the other patterns.
-	hRange
 )
 
 // maxHoistDepth bounds how many nested counted-loop levels may register
@@ -71,10 +65,6 @@ type hoistAccess struct {
 	rowFn   evalIntFn // invariant row (rank 2, colIV/allInv)
 	colFn   evalIntFn // invariant col (rowIV/allInv)
 	ivOff   int64     // c in "i + c"
-	// hRange state (see rangeanal.go): ivals proves one value interval
-	// per dimension, idxFns are the unchecked per-iteration subscripts.
-	ivals  []intervalFn
-	idxFns []evalIntFn
 }
 
 // setup validates this access over the whole iteration range
@@ -125,19 +115,6 @@ func (h *hoistAccess) setup(fr *frame, iv0, ivLast int64) bool {
 			return false
 		}
 		hc.arr, hc.base, hc.step = a, base+int(col), 0
-	case hRange:
-		// Prove every dimension's subscript interval fits its bound; the
-		// per-iteration access then computes the offset unchecked.
-		for k, ivl := range h.ivals {
-			lo, hi, ok := ivl(fr, iv0, ivLast)
-			if !ok || lo < 0 || hi >= int64(a.Dims[k]) {
-				return false
-			}
-		}
-		hc.arr, hc.base, hc.step = a, 0, 0
-		if h.rank == 2 {
-			hc.step = a.Dims[1]
-		}
 	}
 	return true
 }
@@ -428,8 +405,9 @@ func (c *compiler) unrolledStoreLoop(loFn, hiFn evalIntFn, strict bool, ivSlot i
 			if h.setup(fr, iv, last) {
 				continue
 			}
-			// Loop versioning: a failed range proof runs the fully-checked
-			// body one iteration at a time, like the generic counted loop.
+			// Loop versioning: a failed preamble check runs the
+			// fully-checked body one iteration at a time, like the generic
+			// counted loop.
 			for {
 				if f := safeBody(fr); f != flowNormal {
 					return f
@@ -749,11 +727,11 @@ func (c *compiler) classifySubs(subs []Expr, lc *loopCtx) (cls []subClass, ok bo
 	return cls, ok
 }
 
-// tryHoist classifies and registers a strength-reduced (or, at O3,
-// range-proved) subscript chain against the innermost counted loop,
-// returning its hoistAccess — nil when the access doesn't qualify and
-// must stay checked. Callers build the actual accessor closure with
-// hoistElem / hoistFloatLoad / hoistElemPtr.
+// tryHoist classifies and registers a strength-reduced subscript chain
+// against the innermost counted loop, returning its hoistAccess — nil
+// when the access doesn't qualify and must stay checked. Callers build
+// the actual accessor closure with hoistElem / hoistFloatLoad /
+// hoistElemPtr.
 func (c *compiler) tryHoist(root *Ident, subs []Expr) *hoistAccess {
 	if len(c.loops) == 0 || len(subs) < 1 || len(subs) > 2 {
 		return nil
@@ -782,12 +760,8 @@ func (c *compiler) tryHoist(root *Ident, subs []Expr) *hoistAccess {
 	cls, ok := c.classifySubs(subs, lc)
 	if !ok || (len(subs) == 2 && cls[0].iv && cls[1].iv) {
 		// Diagonal walks (A[i][i+c]) and subscripts that are neither
-		// IV-affine nor invariant miss the strength-reduced patterns; at
-		// O3 the range analysis can still prove them in bounds and drop
-		// the per-iteration checks.
-		if c.passOn(PassBCE) {
-			return c.tryRangeHoist(root, subs, lc)
-		}
+		// IV-affine nor invariant miss the strength-reduced patterns and
+		// keep the fully-checked accessor.
 		return nil
 	}
 	h := &hoistAccess{hslot: c.numHoist, rank: len(subs), arrGet: c.arrayRef(root),
@@ -825,19 +799,6 @@ func (c *compiler) hoistElem(h *hoistAccess) func(fr *frame) (*Array, int) {
 			hc := &fr.hoists[hslot]
 			return hc.arr, hc.base + int(fr.scalars[ivSlot].I)
 		}
-	case hRange:
-		if h.rank == 1 {
-			i0 := h.idxFns[0]
-			return func(fr *frame) (*Array, int) {
-				hc := &fr.hoists[hslot]
-				return hc.arr, int(i0(fr))
-			}
-		}
-		i0, i1 := h.idxFns[0], h.idxFns[1]
-		return func(fr *frame) (*Array, int) {
-			hc := &fr.hoists[hslot]
-			return hc.arr, int(i0(fr))*hc.step + int(i1(fr))
-		}
 	default: // hRowIV, hAllInv: the incremental/constant offset is the state
 		return func(fr *frame) (*Array, int) {
 			hc := &fr.hoists[hslot]
@@ -858,19 +819,6 @@ func (c *compiler) hoistFloatLoad(h *hoistAccess) evalFloatFn {
 			hc := &fr.hoists[hslot]
 			return hc.arr.Data[hc.base+int(fr.scalars[ivSlot].I)]
 		}
-	case hRange:
-		if h.rank == 1 {
-			i0 := h.idxFns[0]
-			return func(fr *frame) float64 {
-				hc := &fr.hoists[hslot]
-				return hc.arr.Data[int(i0(fr))]
-			}
-		}
-		i0, i1 := h.idxFns[0], h.idxFns[1]
-		return func(fr *frame) float64 {
-			hc := &fr.hoists[hslot]
-			return hc.arr.Data[int(i0(fr))*hc.step+int(i1(fr))]
-		}
 	default:
 		return func(fr *frame) float64 {
 			hc := &fr.hoists[hslot]
@@ -890,19 +838,6 @@ func (c *compiler) hoistElemPtr(h *hoistAccess) func(fr *frame) *float64 {
 		return func(fr *frame) *float64 {
 			hc := &fr.hoists[hslot]
 			return &hc.arr.Data[hc.base+int(fr.scalars[ivSlot].I)]
-		}
-	case hRange:
-		if h.rank == 1 {
-			i0 := h.idxFns[0]
-			return func(fr *frame) *float64 {
-				hc := &fr.hoists[hslot]
-				return &hc.arr.Data[int(i0(fr))]
-			}
-		}
-		i0, i1 := h.idxFns[0], h.idxFns[1]
-		return func(fr *frame) *float64 {
-			hc := &fr.hoists[hslot]
-			return &hc.arr.Data[int(i0(fr))*hc.step+int(i1(fr))]
 		}
 	default:
 		return func(fr *frame) *float64 {

@@ -16,13 +16,14 @@ func runBoth(t *testing.T, src, fn string, mkArgs func() []any) (wv, cv Value, w
 	f := MustParse("t.c", src)
 	wArgs, cArgs = mkArgs(), mkArgs()
 	wv, werr = NewWalker(f).Call(fn, wArgs...)
-	cv, cerr = NewInterp(f).Call(fn, cArgs...)
+	cv, cerr = newInst(t, f).Call(fn, cArgs...)
 	return
 }
 
 // diffCheck asserts walker/compiled parity for one program across the
-// default (O2) pipeline and the O3 inliner/BCE/unroller variant: same
-// error-or-not outcome, same returned Value, bit-identical arrays.
+// default (O2) pipeline, the O3 inliner/unroller variant and the
+// bytecode backend: same error-or-not outcome, same returned Value,
+// bit-identical arrays.
 func diffCheck(t *testing.T, name, src, fn string, mk func() []any) {
 	t.Helper()
 	f := MustParse("t.c", src)
@@ -51,7 +52,7 @@ func diffCheck(t *testing.T, name, src, fn string, mk func() []any) {
 			}
 		}
 	}
-	in := NewInterp(f)
+	in := newInst(t, f)
 	run("O2", func(args []any) (Value, error) { return in.Call(fn, args...) })
 	o3, err := Compile(f, WithOptLevel(O3))
 	if err != nil {
@@ -204,7 +205,7 @@ double f() {
   return acc;
 }`
 	diffCheck(t, "globalbound", src, "f", func() []any { return nil })
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f")
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ int g(int n) {
   for (i = 3; i <= n; i += 1) { }
   return i;
 }`
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", IntV(7))
 	if err != nil || v.I != 7 {
 		t.Errorf("f(7) = %+v (%v), want i == 7 after the loop", v, err)
@@ -332,7 +333,7 @@ double f(int n, int lim, double A[n][n]) {
   }
   return s;
 }`
-	in := NewInterp(MustParse("t.c", src))
+	in := newInst(t, MustParse("t.c", src))
 	v, err := in.Call("f", IntV(4), IntV(0), NewArray(4, 4))
 	if err != nil {
 		t.Fatalf("zero-trip loop must not fault on hoisted row check: %v", err)
@@ -533,4 +534,168 @@ void f(int n, double A[n][n], double B[n][n], double v[n]) {
 			}
 		}
 	}
+}
+
+// numHoistAt compiles src at the given level and reports how many
+// subscripts the named function hoisted.
+func numHoistAt(t *testing.T, src, fn string, lvl OptLevel) int {
+	t.Helper()
+	prog, err := Compile(MustParse("t.c", src), WithOptLevel(lvl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.funcs[fn].numHoist
+}
+
+// TestRangeDiagonalProven: diagonal accesses (both subscripts the
+// induction variable) miss every strength-reduction pattern, so they
+// take the fully-checked accessor and must still match the walker.
+func TestRangeDiagonalProven(t *testing.T) {
+	src := `
+double f(int n, double A[n][n]) {
+  int i;
+  double s = 0.0;
+  for (i = 0; i < n; i++) {
+    s = s + A[i][i] * A[i][i + 1 - 1];
+  }
+  return s;
+}`
+	if got := numHoistAt(t, src, "f", O2); got != 0 {
+		t.Errorf("O2 hoisted %d diagonal accesses, want 0", got)
+	}
+	mk := func() []any {
+		A := NewArray(7, 7)
+		for i := range A.Data {
+			A.Data[i] = float64(i%5) * 0.5
+		}
+		return []any{IntV(7), A}
+	}
+	diffCheck(t, "diagonal", src, "f", mk)
+}
+
+// TestRangeGeneralAffineProven: an index combining the induction
+// variable with an invariant scalar (i + j, 2 * i) is beyond the
+// strength-reduction patterns; its checked accesses must match the
+// walker.
+func TestRangeGeneralAffineProven(t *testing.T) {
+	src := `
+double f(int n, int m, double a[n], double b[n]) {
+  int i; int j;
+  double s = 0.0;
+  for (j = 0; j < m; j++) {
+    for (i = 0; i < m; i++) {
+      s = s + a[i + j] + b[2 * i];
+    }
+  }
+  return s;
+}`
+	mk := func() []any {
+		a, b := NewArray(10), NewArray(10)
+		for i := range a.Data {
+			a.Data[i] = float64(i) * 1.25
+			b.Data[i] = float64(i%3) + 0.5
+		}
+		return []any{IntV(10), IntV(5), a, b}
+	}
+	diffCheck(t, "general-affine", src, "f", mk)
+}
+
+// TestRangeUnprovenFaultFallback: a diagonal that really walks out of
+// bounds must fault at the walker's exact iteration with identical
+// partial state. diffCheck compares partial arrays on the error path.
+func TestRangeUnprovenFaultFallback(t *testing.T) {
+	src := `
+double f(int n, int m, double A[n][n]) {
+  int i;
+  double s = 0.0;
+  for (i = 0; i < m; i++) {
+    A[i][i] = A[i][i] + 1.0;
+    s = s + A[i][i];
+  }
+  return s;
+}`
+	for _, m := range []int64{4, 9} { // m=9 walks the diagonal off a 4×4 array
+		mk := func() []any {
+			A := NewArray(4, 4)
+			for i := range A.Data {
+				A.Data[i] = float64(i) * 0.25
+			}
+			return []any{IntV(4), IntV(m), A}
+		}
+		diffCheck(t, "diag-fault", src, "f", mk)
+	}
+}
+
+// TestRangeOverflowDeopt: a subscript whose per-iteration value
+// overflows int64 must fault through the checked accessor with the
+// positioned diagnostic, never wrap into a bogus "in bounds" access.
+func TestRangeOverflowDeopt(t *testing.T) {
+	src := `
+double f(double a[8]) {
+  int i;
+  double s = 0.0;
+  for (i = 1; i < 9223372036854775807; i++) {
+    s = s + a[i * 4611686018427387904];
+  }
+  return s;
+}`
+	_, _, werr, cerr, _, _ := runBoth(t, src, "f", func() []any { return []any{NewArray(8)} })
+	if werr == nil || cerr == nil {
+		t.Fatalf("expected faults, walker=%v compiled=%v", werr, cerr)
+	}
+	prog, err := Compile(MustParse("t.c", src), WithOptLevel(O3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, o3err := prog.NewInstance().Call("f", NewArray(8))
+	if o3err == nil || !strings.Contains(o3err.Error(), "out of range") ||
+		!strings.Contains(o3err.Error(), "t.c:") {
+		t.Errorf("O3 fault should be the positioned range error, got %v", o3err)
+	}
+}
+
+// TestRangeTriangularKernels: triangular loops (bound is the outer IV)
+// with diagonal accesses — the trisolv/cholesky/mvt shapes — match the
+// walker on every back end.
+func TestRangeTriangularKernels(t *testing.T) {
+	diffCheck(t, "trisolv", benchTrisolvSrc, "trisolv", func() []any {
+		n := 9
+		L, x, b := NewArray(n, n), NewArray(n), NewArray(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				L.Set(float64(i+j)/4.0+1.0, i, j)
+			}
+			b.Data[i] = float64(i%5) + 0.5
+		}
+		return []any{IntV(int64(n)), L, x, b}
+	})
+	diffCheck(t, "cholesky", benchCholeskySrc, "cholesky", func() []any {
+		n := 8
+		A := NewArray(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := 0.1 * float64(i*j%7)
+				if i == j {
+					v = float64(n) + 2.0 // diagonally dominant → SPD-ish
+				}
+				A.Set(v, i, j)
+			}
+		}
+		return []any{IntV(int64(n)), A}
+	})
+	diffCheck(t, "mvt", benchMvtSrc, "mvt", func() []any {
+		n := 9
+		vec := func() *Array {
+			a := NewArray(n)
+			for i := range a.Data {
+				a.Data[i] = float64(i%4) * 0.75
+			}
+			return a
+		}
+		A := NewArray(n, n)
+		for i := range A.Data {
+			A.Data[i] = float64(i%6) * 0.3
+		}
+		return []any{IntV(int64(n)), vec(), vec(), vec(), vec(), A}
+	})
 }

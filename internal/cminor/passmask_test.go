@@ -2,11 +2,12 @@ package cminor
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
 // Per-pass gate coverage: every O3 pass individually off and on (all
-// eight subsets) must keep golden walker parity — same return value,
+// four subsets) must keep golden walker parity — same return value,
 // bit-identical arrays, identical step counts — on all ten corpus
 // kernels. This is what makes the finer-than-four-points knob grid
 // safe for the autotuner to explore blindly.
@@ -14,11 +15,7 @@ import (
 var passMaskSubsets = []PassMask{
 	0,
 	PassInline,
-	PassBCE,
 	PassUnroll,
-	AllPasses &^ PassInline,
-	AllPasses &^ PassBCE,
-	AllPasses &^ PassUnroll,
 	AllPasses,
 }
 
@@ -93,7 +90,7 @@ func TestWithPassesValidation(t *testing.T) {
 	if err := prog.CheckOptions(WithPasses(0x80)); err == nil {
 		t.Fatal("CheckOptions accepted unknown pass bits")
 	}
-	if err := prog.CheckOptions(WithOptLevel(O3+1), WithPasses(PassBCE)); err == nil {
+	if err := prog.CheckOptions(WithOptLevel(O3+1), WithPasses(PassInline)); err == nil {
 		t.Fatal("CheckOptions accepted an unknown opt level")
 	}
 	if err := prog.CheckOptions(WithOptLevel(O3), WithPasses(PassInline|PassUnroll)); err != nil {
@@ -105,6 +102,32 @@ func TestWithPassesValidation(t *testing.T) {
 	}
 }
 
+// TestWithPassesRejectsRetiredBit: bit 1 once gated value-range
+// bounds-check elimination. Its deletion must narrow the knob, not leave
+// a bit that is accepted and silently does nothing.
+func TestWithPassesRejectsRetiredBit(t *testing.T) {
+	const retired PassMask = 1 << 1
+	if AllPasses&retired != 0 {
+		t.Fatalf("AllPasses = %#x still carries the retired bit", uint8(AllPasses))
+	}
+	f := MustParse("t.c", `void f() { int x; x = 1; }`)
+	check := func(who string, err error) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), "t.c: unknown O3 pass bits 0x2") {
+			t.Errorf("%s: err = %v, want the positioned unknown-pass-bits diagnostic", who, err)
+		}
+	}
+	_, err := Compile(f, WithOptLevel(O3), WithPasses(retired))
+	check("Compile", err)
+	prog, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = prog.Variant(WithOptLevel(O3), WithPasses(AllPasses|retired))
+	check("Variant", err)
+	check("CheckOptions", prog.CheckOptions(WithOptLevel(O3), WithPasses(retired)))
+}
+
 // TestPassMaskString pins the names used in variant labels.
 func TestPassMaskString(t *testing.T) {
 	cases := []struct {
@@ -113,10 +136,9 @@ func TestPassMaskString(t *testing.T) {
 	}{
 		{0, "none"},
 		{PassInline, "inline"},
-		{PassBCE, "bce"},
 		{PassUnroll, "unroll"},
 		{PassInline | PassUnroll, "inline+unroll"},
-		{AllPasses, "inline+bce+unroll"},
+		{AllPasses, "inline+unroll"},
 	}
 	for _, tc := range cases {
 		if got := tc.m.String(); got != tc.want {

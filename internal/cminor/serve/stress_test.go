@@ -177,41 +177,3 @@ double spin(int reps, int n, double a[n]) {
 		t.Fatalf("accounting: %s", snap.StatusLine())
 	}
 }
-
-// BenchmarkServer measures end-to-end serving throughput per kernel:
-// parallel clients submitting through admission, batching and the
-// autotuner onto pooled instances.
-func BenchmarkServer(b *testing.B) {
-	for _, k := range cm.BenchKernels {
-		b.Run(k.Name, func(b *testing.B) {
-			prog, err := cm.Compile(cm.MustParse(k.File, k.Src))
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := New(
-				WithWorkers(4),
-				WithQueueDepth(1024),
-				WithMaxBatch(8),
-				WithMaxBatchDelay(100*time.Microsecond),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Host(prog); err != nil {
-				b.Fatal(err)
-			}
-			s.Start()
-			defer s.Close()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := s.Do(context.Background(), Request{
-						Tenant: "bench", Function: k.Fn, Args: k.Args(),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}

@@ -12,8 +12,8 @@
 // positioned diagnostics (Diag). The resolver (resolve.go) walks the AST
 // once, binding every identifier to a numbered frame slot and checking
 // arity/rank rules. The compiler (compile.go) lowers resolved functions
-// into closure-compiled evaluators over slot-indexed frames, which the
-// executor (Interp, interp.go) runs. The original tree-walking
+// into closure-compiled evaluators over slot-indexed frames, which an
+// Instance (engine.go) runs. The original tree-walking
 // interpreter survives as Walker (walker.go) and serves as the semantics
 // oracle for differential tests and benchmarks. A pretty-printer counts
 // logical lines of code (the unit used by the paper's Table I) and a

@@ -29,7 +29,7 @@ package cminor
 //
 // Entry-point bindings that break the declared kinds (a *Value or raw
 // Go int/float64 argument whose kind mismatches the parameter) are
-// handled in Interp.Call by falling back to a generically-compiled body;
+// handled in Instance.Call by falling back to a generically-compiled body;
 // internal call sites always normalize arguments, so typed bodies are
 // safe for every call that enters through a matching frame.
 

@@ -9,7 +9,7 @@ import (
 // Walker is the original single-pass tree-walking interpreter. Every
 // identifier is looked up in a per-call map and every node re-dispatches
 // on its dynamic type, so it is slow — the compiled pipeline (see
-// resolve.go / compile.go / interp.go) replaces it on the hot path. It is
+// resolve.go / compile.go / engine.go) replaces it on the hot path. It is
 // kept as a semantics oracle: parity tests assert the compiled pipeline
 // produces bit-identical results, and benchmarks measure the speedup.
 //
