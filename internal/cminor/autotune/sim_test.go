@@ -132,7 +132,7 @@ func TestSimulatedConvergence(t *testing.T) {
 		want   string                   // expected winning variant
 	}{
 		// Dense-accumulate kernels where the flat-bytecode backend's
-		// superinstructions beat the O3 closure trees.
+		// multiply-accumulate runs beat the O3 closure trees.
 		{"gemm", map[string]time.Duration{"O0": 3100 * time.Microsecond, "O1": 2100 * time.Microsecond, "O2": 630 * time.Microsecond, "O3": 560 * time.Microsecond, "bytecode": 510 * time.Microsecond}, "bytecode"},
 		{"axpy", map[string]time.Duration{"O0": 290 * time.Microsecond, "O1": 210 * time.Microsecond, "O2": 74 * time.Microsecond, "O3": 70 * time.Microsecond, "bytecode": 46 * time.Microsecond}, "bytecode"},
 		{"atax", map[string]time.Duration{"O0": 700 * time.Microsecond, "O1": 500 * time.Microsecond, "O2": 120 * time.Microsecond, "O3": 110 * time.Microsecond, "bytecode": 88 * time.Microsecond}, "bytecode"},

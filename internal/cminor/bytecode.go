@@ -16,11 +16,11 @@ import (
 // typecheck kind tables and the loop optimizer's recognition and
 // invariance analysis: counted loops become one set-up instruction, one
 // proof instruction and a test-and-branch back edge, proven subscripts
-// use unchecked load/store opcodes, the hot Polybench shapes collapse
-// into superinstructions (opFMAAcc fma-accumulate, opLoopNext fused
-// increment+step+branch), and an innermost loop whose whole body is one
+// use unchecked load/store opcodes, the back edge fuses increment, step
+// and branch (opLoopNext2), and an innermost loop whose whole body is one
 // recognised form runs every iteration the step budget allows in one
-// dispatch (opRunMac / opRunSum / opRunMap).
+// dispatch (opRunMac / opRunSum / opRunMap) — the bytecode's one fusion
+// of statement-level work.
 //
 // Semantics are bit- and step-exact with the walker: every statement
 // charges the same step() budget, every fault carries the same
@@ -141,32 +141,17 @@ const (
 	opCmU1
 	opCmU2
 
-	// Superinstructions. The mode-2 variants need e for the row stride,
-	// so their second float operand rides in imm (always free there —
-	// mode-2 addresses fold the immediate into the b register).
-	opLdMul0 // freg[d] = freg[e] * dreg[c][ea]  (the hot "coef * A[...]" shape)
-	opLdMul1
-	opLdMul2  // freg[d] = freg[imm] * dreg[c][ea]
-	opFMAAcc0 // dreg[c][ea] += float64(freg[d] * freg[e])
-	opFMAAcc1
-	opFMAAcc2 // dreg[c][ea] += float64(freg[d] * freg[imm])
-	opFMSAcc0 // dreg[c][ea] -= float64(freg[d] * freg[e])
-	opFMSAcc1
-	opFMSAcc2 // dreg[c][ea] -= float64(freg[d] * freg[imm])
-	opFMAS    // freg[d] += float64(freg[a] * freg[b])
-
 	// Run forms. When the body of an innermost counted loop is, after its
-	// leading opStep, exactly one recognised straight-line form, the
-	// lowerer (formRun) replaces it with a run head and c opOpnd rows — the
-	// form's target and sources as strided operands, never dispatched —
-	// before the usual opLoopNext2. The head executes the iteration it was
-	// entered for plus every further one the loop bound (a, b: induction
-	// and last registers), the step budget and bcRunChunk allow in a
-	// native Go loop (bcRunLen), charges their back edges in one addition,
-	// advances the induction register and falls into the unchanged
-	// opLoopNext2, which takes the exit, the next chunk and every budget
-	// edge with its usual rollback. A run of length zero is what a
-	// superinstruction is.
+	// leading opStep, exactly one recognised straight-line form of the
+	// plain instructions above, the lowerer (formRun) replaces it with a
+	// run head and c opOpnd rows — the form's target and sources as
+	// strided operands, never dispatched — before the usual opLoopNext2.
+	// The head executes the iteration it was entered for plus every
+	// further one the loop bound (a, b: induction and last registers), the
+	// step budget and bcRunChunk allow in a native Go loop (bcRunLen),
+	// charges their back edges in one addition, advances the induction
+	// register and falls into the unchanged opLoopNext2, which takes the
+	// exit, the next chunk and every budget edge with its usual rollback.
 	opRunMac // T ±= float64(([freg[d]·]X)·Y): rows T, X, Y; sub bcRunNeg | bcRunCoef
 	opRunSum // T = (X1+…+Xk) scaled by freg[d] as sub (bcScale*) says: rows T, X1…Xk
 	opRunMap // T = X: rows T, X
@@ -316,10 +301,6 @@ var bcOpNames = [...]string{
 	opLdU0: "ldu0", opLdU1: "ldu1", opLdU2: "ldu2",
 	opStU0: "stu0", opStU1: "stu1", opStU2: "stu2",
 	opCmU0: "cmu0", opCmU1: "cmu1", opCmU2: "cmu2",
-	opLdMul0: "ldmul0", opLdMul1: "ldmul1", opLdMul2: "ldmul2",
-	opFMAAcc0: "fmaacc0", opFMAAcc1: "fmaacc1", opFMAAcc2: "fmaacc2",
-	opFMSAcc0: "fmsacc0", opFMSAcc1: "fmsacc1", opFMSAcc2: "fmsacc2",
-	opFMAS:   "fmas",
 	opRunMac: "run.mac", opRunSum: "run.sum", opRunMap: "run.map", opOpnd: ".opnd",
 }
 
@@ -377,7 +358,6 @@ func bcArrName(c int32) string {
 // over a hoisted data register (mode baked into the opcode).
 func bcEA(in *instr, mode uint8) string {
 	s := ""
-	imm := in.imm
 	switch mode {
 	case bcMode0:
 		s = fmt.Sprintf("i%d", in.a)
@@ -385,10 +365,9 @@ func bcEA(in *instr, mode uint8) string {
 		s = fmt.Sprintf("i%d+i%d", in.a, in.b)
 	case bcMode2:
 		s = fmt.Sprintf("i%d*i%d+i%d", in.a, in.e, in.b)
-		imm = 0 // mode-2 superinstructions carry a register in imm
 	}
-	if imm != 0 {
-		s += fmt.Sprintf("%+d", imm)
+	if in.imm != 0 {
+		s += fmt.Sprintf("%+d", in.imm)
 	}
 	return fmt.Sprintf("d%d[%s]", in.c, s)
 }
@@ -505,20 +484,6 @@ func bcOperands(in, head *instr) string {
 		return fmt.Sprintf("%s f%d", bcEA(in, uint8(in.op-opStU0)), in.d)
 	case opCmU0, opCmU1, opCmU2:
 		return fmt.Sprintf("%s %s= f%d", bcEA(in, uint8(in.op-opCmU0)), bcArithNames[in.sub], in.d)
-	case opLdMul0, opLdMul1:
-		return fmt.Sprintf("f%d f%d*%s", in.d, in.e, bcEA(in, uint8(in.op-opLdMul0)))
-	case opLdMul2:
-		return fmt.Sprintf("f%d f%d*%s", in.d, in.imm, bcEA(in, bcMode2))
-	case opFMAAcc0, opFMAAcc1:
-		return fmt.Sprintf("%s += f%d*f%d", bcEA(in, uint8(in.op-opFMAAcc0)), in.d, in.e)
-	case opFMAAcc2:
-		return fmt.Sprintf("%s += f%d*f%d", bcEA(in, bcMode2), in.d, in.imm)
-	case opFMSAcc0, opFMSAcc1:
-		return fmt.Sprintf("%s -= f%d*f%d", bcEA(in, uint8(in.op-opFMSAcc0)), in.d, in.e)
-	case opFMSAcc2:
-		return fmt.Sprintf("%s -= f%d*f%d", bcEA(in, bcMode2), in.d, in.imm)
-	case opFMAS:
-		return fmt.Sprintf("f%d += f%d*f%d", in.d, in.a, in.b)
 	// A run head prints its loop and its form over the rows that follow
 	// (t the target, x… the sources); each row prints where its walk
 	// starts and how far it moves per iteration.

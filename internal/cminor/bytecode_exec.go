@@ -228,16 +228,23 @@ func (w bcWalk) touches(p *float64, n int) bool {
 
 // bcRunMac runs n+1 iterations of T ±= float64(([c·]X)·Y) in source
 // order. The explicit conversion forces the product's rounding so Go
-// cannot contract the multiply-add (see opFMAAcc0). A target that stays
-// put is held in a register for the run when neither source walk reads
-// its element; otherwise every iteration loads and stores it, as the
-// instructions the run replaced did.
+// cannot contract the multiply-add into a hardware FMA, which would break
+// walker bit-parity. A target that stays put is held in a register for
+// the run when neither source walk reads its element; otherwise every
+// iteration loads and stores it, as the instructions the run replaced did.
 func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
 	t, x, y := bcWalkOf(fr, &rows[0]), bcWalkOf(fr, &rows[1]), bcWalkOf(fr, &rows[2])
 	neg, coef := in.sub&bcRunNeg != 0, in.sub&bcRunCoef != 0
 	var c float64
 	if coef {
 		c = fr.freg[in.d]
+		if c != c {
+			// The walker's c·X is the NaN c whatever X holds, but the
+			// compiler may commute c*p below and let a NaN in X win: run on
+			// c·c, that NaN quieted, instead.
+			cc := [1]float64{c * c}
+			x, coef = bcWalk{cc[:], 0}, false
+		}
 	}
 	if t.s == 0 && !x.touches(&t.d[0], n) && !y.touches(&t.d[0], n) {
 		acc := t.d[0]
@@ -281,6 +288,13 @@ func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
 	var c float64
 	if in.sub != bcScaleNone {
 		c = fr.freg[in.d]
+	}
+	if in.sub == bcScaleMulL && c != c {
+		// c·sum is the NaN c whatever the sum holds (see bcRunMac).
+		for i := 0; i <= n; i++ {
+			t.d[i*t.s] = c * c
+		}
+		return
 	}
 	for i := 0; i <= n; i++ {
 		sum := xs[0].d[i*xs[0].s]
@@ -623,30 +637,6 @@ func execBC(fr *frame, bc *bcFunc) {
 			d := dreg[in.c]
 			off := ireg[in.a]*ireg[in.e] + ireg[in.b]
 			d[off] = bcCompound(in.sub, d[off], freg[in.d])
-		case opLdMul0:
-			freg[in.d] = freg[in.e] * dreg[in.c][ireg[in.a]+in.imm]
-		case opLdMul1:
-			freg[in.d] = freg[in.e] * dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm]
-		case opLdMul2:
-			freg[in.d] = freg[in.imm] * dreg[in.c][ireg[in.a]*ireg[in.e]+ireg[in.b]]
-		// The explicit conversions in the fma superinstructions force
-		// intermediate rounding so Go cannot contract the multiply-add
-		// into a hardware FMA, which would break walker bit-parity.
-		case opFMAAcc0:
-			dreg[in.c][ireg[in.a]+in.imm] += float64(freg[in.d] * freg[in.e])
-		case opFMAAcc1:
-			dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm] += float64(freg[in.d] * freg[in.e])
-		case opFMAAcc2:
-			dreg[in.c][ireg[in.a]*ireg[in.e]+ireg[in.b]] += float64(freg[in.d] * freg[in.imm])
-		case opFMSAcc0:
-			dreg[in.c][ireg[in.a]+in.imm] -= float64(freg[in.d] * freg[in.e])
-		case opFMSAcc1:
-			dreg[in.c][ireg[in.a]+ireg[in.b]+in.imm] -= float64(freg[in.d] * freg[in.e])
-		case opFMSAcc2:
-			dreg[in.c][ireg[in.a]*ireg[in.e]+ireg[in.b]] -= float64(freg[in.d] * freg[in.imm])
-		case opFMAS:
-			freg[in.d] += float64(freg[in.a] * freg[in.b])
-
 		case opRunMac, opRunSum, opRunMap:
 			// This iteration and n more; the opLoopNext2 behind the rows then
 			// closes the last of them as it would have closed each.

@@ -25,10 +25,9 @@ import (
 // shape checks, analyzeLoopBody, invariant, ivAffine) and lower to a
 // two-version body: a side-effect-free preamble (opProve and its rows)
 // validates every classified subscript against the live array
-// dimensions, falling into the fast body (unchecked loads/stores,
-// superinstructions, run forms) on success and jumping to the
-// fully-checked safe body — bit-exact with the unoptimized pipeline,
-// faults included — on failure.
+// dimensions, falling into the fast body (unchecked loads/stores, run
+// forms) on success and jumping to the fully-checked safe body —
+// bit-exact with the unoptimized pipeline, faults included — on failure.
 
 // bcBail is the panic sentinel lowerBCFunc recovers: this function
 // cannot be lowered, keep the closure fallback.
@@ -62,7 +61,8 @@ type bcLoop struct {
 // plain scalar variables: two occurrences with the same (array, slot,
 // offset) provably address the same element every iteration, so they
 // share one register set and one proof — and, crucially, compare equal,
-// which is what lets "x[i] = x[i] + a*b" fuse into an fma-accumulate.
+// which is what lets formMac see that "x[i] = x[i] + a*b" loads and
+// stores one element.
 type bcAddrKey struct {
 	shape uint8 // bcVecInv, bcRowIV or bcColIV
 	arr   int32
@@ -90,8 +90,7 @@ func (lp *bcLoop) dataReg(bl *bcLower, arr int32) int32 {
 }
 
 // bcAddr is a classified unchecked effective address over a hoisted
-// data register. Comparable, so a store address can be matched against
-// a load address for the fma-accumulate fusion.
+// data register.
 type bcAddr struct {
 	mode uint8
 	a    int32
@@ -789,47 +788,7 @@ func (bl *bcLower) emitU(group bcOp, addr bcAddr, sub uint8, d int32, pos Pos) {
 		c: addr.ds, d: d, e: addr.e, imm: addr.imm, pos: pos})
 }
 
-// emitAcc emits a multiply-accumulate superinstruction dreg[ea] ±=
-// float64(rx*ry); group is opFMAAcc0 (add) or opFMSAcc0 (subtract).
-// Mode-2 addresses use e for the row stride, so ry rides in imm there
-// (free: mode-2 immediates are folded into b).
-func (bl *bcLower) emitAcc(group bcOp, addr bcAddr, rx, ry int32, pos Pos) {
-	in := instr{op: group + bcOp(addr.mode), a: addr.a, b: addr.b,
-		c: addr.ds, d: rx, e: addr.e, imm: addr.imm, pos: pos}
-	if addr.mode == bcMode2 {
-		in.imm = int64(ry)
-	} else {
-		in.e = ry
-	}
-	bl.emit(in)
-}
-
-// emitLdMul emits the load-multiply superinstruction freg[t] = x *
-// dreg[ea], the hot "coefficient * A[...]" shape. Same mode-2 operand
-// packing as emitFMA.
-func (bl *bcLower) emitLdMul(addr bcAddr, x int32, pos Pos) int32 {
-	t := bl.newF()
-	in := instr{op: opLdMul0 + bcOp(addr.mode), a: addr.a, b: addr.b,
-		c: addr.ds, d: t, e: addr.e, imm: addr.imm, pos: pos}
-	if addr.mode == bcMode2 {
-		in.imm = int64(x)
-	} else {
-		in.e = x
-	}
-	bl.emit(in)
-	return t
-}
-
 // ---- run forms ----
-
-// bcRide returns the float register that rides beside the address in a
-// load-multiply or accumulate of mode m (see emitAcc).
-func bcRide(in *instr, m uint8) int32 {
-	if m == bcMode2 {
-		return int32(in.imm)
-	}
-	return in.e
-}
 
 // bcOpnd makes the run operand row for the address of unchecked access
 // in, of mode m. ok is false unless the address moves with the induction
@@ -852,20 +811,14 @@ func bcOpnd(in *instr, m uint8, iv int32) (row instr, ok bool) {
 	}
 }
 
-// runLoad decodes a proven load of a run form: the temporary it fills,
-// its operand row and, for a load-multiply, the coefficient register
-// (-1 for a plain load).
-func (bl *bcLower) runLoad(in *instr, iv int32) (dst int32, row instr, coef int32, ok bool) {
-	coef = -1
-	switch {
-	case in.op >= opLdU0 && in.op <= opLdU2:
-		row, ok = bcOpnd(in, uint8(in.op-opLdU0), iv)
-	case in.op >= opLdMul0 && in.op <= opLdMul2:
-		m := uint8(in.op - opLdMul0)
-		row, ok = bcOpnd(in, m, iv)
-		coef = bcRide(in, m)
+// runLoad decodes a proven load of a run form: the temporary it fills
+// and its operand row.
+func (bl *bcLower) runLoad(in *instr, iv int32) (dst int32, row instr, ok bool) {
+	if in.op < opLdU0 || in.op > opLdU2 {
+		return 0, instr{}, false
 	}
-	return in.d, row, coef, ok && bl.isTemp(in.d)
+	row, ok = bcOpnd(in, uint8(in.op-opLdU0), iv)
+	return in.d, row, ok && bl.isTemp(in.d)
 }
 
 func (bl *bcLower) isTemp(r int32) bool { return int(r) >= bl.fi.NumScalars }
@@ -881,90 +834,129 @@ func (bl *bcLower) formRun(loop *bcLoop, at int) {
 	if len(body) == 0 {
 		return
 	}
-	last := &body[len(body)-1]
-	head := instr{a: loop.ivReg, b: loop.lastReg, pos: last.pos}
 	var rows [1 + bcSumMax]instr
-	switch {
-	case last.op >= opStU0 && last.op <= opStU2:
-		head.c = bl.formStore(body[:len(body)-1], last, loop.ivReg, &head, &rows)
-	case last.op == opFMAS || last.op >= opFMAAcc0 && last.op <= opFMSAcc2:
-		head.c = bl.formMac(body[:len(body)-1], last, loop.ivReg, &head, &rows)
-	}
-	if head.c > 0 {
-		bl.code = append(append(bl.code[:at], head), rows[:head.c]...)
+	for _, form := range [...]func([]instr, int32, *instr, *[1 + bcSumMax]instr) int32{bl.formStore, bl.formMac} {
+		head := instr{a: loop.ivReg, b: loop.lastReg, pos: body[len(body)-1].pos}
+		if head.c = form(body, loop.ivReg, &head, &rows); head.c > 0 {
+			bl.code = append(append(bl.code[:at], head), rows[:head.c]...)
+			return
+		}
 	}
 }
 
-// formMac matches T ±= float64(P*Q), acc being the accumulate: each
-// multiplicand is a load of the body — P's may be a load-multiply, c*X —
-// or a register the body leaves alone, and every load feeds one. It
-// fills in the head and the rows T, X, Y and returns their number, 0
+// formMac matches T ±= float64(([c·]X)·Y) in the plain instructions a
+// statement lowers to. The body ends in one of
+//
+//	cmu± T, p                                an element compound
+//	ldu o = T; add|sub r = o, p; stu T, r    an element plain form
+//	add|sub r = s, p; mov.f s, r             a float scalar
+//
+// with mul.f p = P, Q, each multiplicand a load of the body or a register
+// the body leaves alone — and P may instead be mul.f P = c, X, a
+// coefficient the body leaves alone times such an operand. Only these
+// operand orders are taken (the target the add's left operand, the
+// coefficient the multiply's): commuting either could change which NaN
+// payload propagates. Any other instruction in the body disqualifies it.
+// It fills in the head and the rows T, X, Y and returns their number, 0
 // when the body is no such form.
-func (bl *bcLower) formMac(loads []instr, acc *instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
+func (bl *bcLower) formMac(body []instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
 	head.op = opRunMac
-	t := instr{op: opOpnd, sub: bcModeReg, a: acc.d, pos: acc.pos}
-	p, q := acc.a, acc.b
-	if acc.op != opFMAS {
-		m := uint8(acc.op-opFMAAcc0) % 3
-		var ok bool
-		if t, ok = bcOpnd(acc, m, iv); !ok {
-			return 0
-		}
-		p, q = acc.d, bcRide(acc, m)
-		if acc.op >= opFMSAcc0 {
-			head.sub |= bcRunNeg
-		}
-	}
-	x := instr{op: opOpnd, sub: bcModeReg, a: p}
-	y := instr{op: opOpnd, sub: bcModeReg, a: q}
-	fed := 0
-	for i := range loads {
-		dst, row, coef, ok := bl.runLoad(&loads[i], iv)
-		if !ok {
-			return 0
-		}
-		if dst == p {
-			x = row
-			fed++
-			if coef >= 0 {
-				head.sub |= bcRunCoef
-				head.d = coef
-			}
-		}
-		if dst == q {
-			y = row
-			fed++
-			if coef >= 0 {
-				return 0
-			}
-		}
-	}
-	if fed != len(loads) {
+	last, rest := &body[len(body)-1], body[:len(body)-1]
+	if len(rest) > 6 { // the longest form: ldu T, ldu X, mul.f c·X, ldu Y, mul.f, add
 		return 0
 	}
-	if head.sub&bcRunCoef != 0 {
-		// The coefficient is read once per run: no load may fill it, and a
-		// register target must not be it.
-		for i := range loads {
-			if loads[i].d == head.d {
-				return 0
+	// def returns the instruction of rest that writes r, marking it taken
+	// into the form, or nil when the body leaves r alone.
+	var taken uint8
+	def := func(r int32) *instr {
+		for i := range rest {
+			if rest[i].d == r {
+				taken |= 1 << i
+				return &rest[i]
 			}
 		}
-		if t.sub == bcModeReg && t.a == head.d {
+		return nil
+	}
+	// operand is the row of multiplicand r: the walk of the load that
+	// fills it, or r itself, a walk of stride 0.
+	operand := func(r int32) (instr, bool) {
+		in := def(r)
+		if in == nil {
+			return instr{op: opOpnd, sub: bcModeReg, a: r}, true
+		}
+		_, row, ok := bl.runLoad(in, iv)
+		return row, ok
+	}
+	var t instr
+	var ok bool
+	p := last.d // the product a compound adds
+	switch {
+	case last.op >= opCmU0 && last.op <= opCmU2 && last.sub <= bcOpSub:
+		t, ok = bcOpnd(last, uint8(last.op-opCmU0), iv)
+		if last.sub == bcOpSub {
+			head.sub |= bcRunNeg
+		}
+	case last.op == opMovF || last.op >= opStU0 && last.op <= opStU2:
+		r := last.d
+		if last.op == opMovF {
+			r = last.a
+		}
+		add := def(r)
+		if add == nil || add.op != opAddF && add.op != opSubF {
 			return 0
 		}
+		if add.op == opSubF {
+			head.sub |= bcRunNeg
+		}
+		p = add.b
+		if last.op == opMovF {
+			t, ok = instr{op: opOpnd, sub: bcModeReg, a: last.d, pos: last.pos}, add.a == last.d
+			break
+		}
+		// The old value is a load of the very element the store writes.
+		t, ok = bcOpnd(last, uint8(last.op-opStU0), iv)
+		o, oOK := operand(add.a)
+		o.pos = t.pos
+		ok = ok && oOK && o == t
+	}
+	if !ok {
+		return 0
+	}
+	mul := def(p)
+	if mul == nil || mul.op != opMulF {
+		return 0
+	}
+	xr := mul.a
+	if cm := def(xr); cm != nil && cm.op == opMulF {
+		// The coefficient is read once per run: the body must not write it,
+		// nor may it be a register target.
+		if def(cm.a) != nil || t.sub == bcModeReg && t.a == cm.a {
+			return 0
+		}
+		head.sub |= bcRunCoef
+		head.d, xr = cm.a, cm.b
+	}
+	x, okX := operand(xr)
+	y, okY := operand(mul.b)
+	if !okX || !okY || taken != 1<<len(rest)-1 {
+		return 0
 	}
 	rows[0], rows[1], rows[2] = t, x, y
 	return 3
 }
 
 // formStore matches T = X (opRunMap) and T = (X1+…+Xk) [scaled]
-// (opRunSum), st being the store: a chain of loads added left to right,
-// then at most one multiplication or division by a register the body
-// leaves alone. It fills in the head and the rows T, X1…Xk and returns
-// their number, 0 when the body is no such form.
-func (bl *bcLower) formStore(body []instr, st *instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
+// (opRunSum), the body ending in the store: a chain of loads added left
+// to right, then at most one multiplication or division by a register
+// the body leaves alone. It fills in the head and the rows T, X1…Xk and
+// returns their number, 0 when the body is no such form.
+func (bl *bcLower) formStore(body []instr, iv int32, head *instr, rows *[1 + bcSumMax]instr) int32 {
 	head.op = opRunMap
+	st := &body[len(body)-1]
+	if st.op < opStU0 || st.op > opStU2 {
+		return 0
+	}
+	body = body[:len(body)-1]
 	var ok bool
 	if rows[0], ok = bcOpnd(st, uint8(st.op-opStU0), iv); !ok {
 		return 0
@@ -977,8 +969,8 @@ func (bl *bcLower) formStore(body []instr, st *instr, iv int32, head *instr, row
 	var sum int32 // the temporary holding the sum so far
 	i := 0
 	for ; i < len(body) && int(n) < len(rows); i++ {
-		dst, row, coef, ok := bl.runLoad(&body[i], iv)
-		if !ok || coef >= 0 {
+		dst, row, ok := bl.runLoad(&body[i], iv)
+		if !ok {
 			break
 		}
 		rows[n] = row
@@ -1233,22 +1225,7 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		}
 	case *BinExpr:
 		// A statically-float binary op evaluates both operands as floats
-		// (closure floatExpr parity). "x * A[...]" with a proven element
-		// address fuses into the load-multiply superinstruction: X still
-		// lowers first and the load rides inside the superinstruction, so
-		// evaluation order is unchanged. The mirrored "A[...] * y" shape
-		// is not fused — commuting the operands could flip which NaN
-		// payload propagates.
-		if e.Op == STAR {
-			if ix, ok := stripParens(e.Y).(*IndexExpr); ok && bl.ca.kindOf(ix) == kFloat {
-				if root, subs := splitIndexChain(ix); root != nil {
-					if addr, ok := bl.classifyFast(root, subs); ok {
-						x := bl.asF(e.X)
-						return bl.emitLdMul(addr, x, ix.P)
-					}
-				}
-			}
-		}
+		// (closure floatExpr parity).
 		x := bl.asF(e.X)
 		x = bl.protectF(x, e.Y)
 		y := bl.asF(e.Y)
@@ -1749,9 +1726,8 @@ func (bl *bcLower) builtin(e *CallExpr) int32 {
 
 // ---- statement-position expressions ----
 
-// exprVoid lowers e for statement position: stores are emitted
-// store-only, and the hot accumulate shapes fuse into
-// superinstructions.
+// exprVoid lowers e for statement position: element stores are emitted
+// store-only.
 func (bl *bcLower) exprVoid(e Expr) {
 	switch e := e.(type) {
 	case *ParenExpr:
@@ -1761,20 +1737,6 @@ func (bl *bcLower) exprVoid(e Expr) {
 		if ix, ok := stripParens(e.LHS).(*IndexExpr); ok {
 			bl.voidElemAssign(e, ix)
 			return
-		}
-		if id, ok := stripParens(e.LHS).(*Ident); ok {
-			ref := bl.ca.refOf(id)
-			if ref.Kind == VarScalar && bl.types.scalars[ref.Slot] == kFloat {
-				if mul := bl.fmasRHS(e, ref); mul != nil {
-					slot := int32(ref.Slot)
-					bl.mutated[slot] = true
-					rx := bl.asF(mul.X)
-					rx = bl.protectF(rx, mul.Y)
-					ry := bl.asF(mul.Y)
-					bl.emit(instr{op: opFMAS, d: slot, a: rx, b: ry})
-					return
-				}
-			}
 		}
 	}
 	if _, ok := constEval(e); ok {
@@ -1790,71 +1752,9 @@ func (bl *bcLower) exprVoid(e Expr) {
 	}
 }
 
-// fmasRHS recognizes the scalar fma-accumulate shapes "s += x*y" and
-// "s = s + x*y" (float multiply, no writes hiding in the operands for
-// the plain form, which reorders the read of s after x*y), returning
-// the multiply node.
-func (bl *bcLower) fmasRHS(e *AssignExpr, ref VarRef) *BinExpr {
-	if e.Op == ADDASSIGN {
-		if mul, ok := stripParens(e.RHS).(*BinExpr); ok && mul.Op == STAR && bl.ca.kindOf(mul) == kFloat {
-			return mul
-		}
-		return nil
-	}
-	if e.Op != ASSIGN {
-		return nil
-	}
-	add, ok := stripParens(e.RHS).(*BinExpr)
-	if !ok || add.Op != PLUS {
-		return nil
-	}
-	lhs, ok := stripParens(add.X).(*Ident)
-	if !ok {
-		return nil
-	}
-	r2 := bl.ca.refOf(lhs)
-	if r2.Kind != VarScalar || r2.Slot != ref.Slot {
-		return nil
-	}
-	mul, ok := stripParens(add.Y).(*BinExpr)
-	if !ok || mul.Op != STAR || bl.ca.kindOf(mul) != kFloat {
-		return nil
-	}
-	if exprWritesAny(add.Y) {
-		return nil
-	}
-	return mul
-}
-
-// fmaPlainRHS matches "elem + x*y" and "elem - x*y" (the plain-form
-// element multiply-accumulate RHS), returning the multiply, the loaded
-// element, and the matching superinstruction group (opFMAAcc0 for +,
-// opFMSAcc0 for -).
-func fmaPlainRHS(rhs Expr) (*BinExpr, *IndexExpr, bcOp) {
-	add, ok := stripParens(rhs).(*BinExpr)
-	if !ok || (add.Op != PLUS && add.Op != MINUS) {
-		return nil, nil, 0
-	}
-	group := opFMAAcc0
-	if add.Op == MINUS {
-		group = opFMSAcc0
-	}
-	lix, ok := stripParens(add.X).(*IndexExpr)
-	if !ok {
-		return nil, nil, 0
-	}
-	mul, ok := stripParens(add.Y).(*BinExpr)
-	if !ok || mul.Op != STAR {
-		return nil, nil, 0
-	}
-	return mul, lix, group
-}
-
-// voidElemAssign lowers an element assignment in statement position,
-// fusing the proven accumulate shapes into opFMAAcc: "A[...] += x*y"
-// unconditionally (the closure reads the element after the RHS too),
-// and "A[...] = A[...] + x*y" when the load provably aliases the store
-// and the RHS is write-free (the element read moves after x*y).
+// voidElemAssign lowers an element assignment in statement position: a
+// proven target is classified before the RHS, and a compound one is
+// updated in place (opCmU*) without a result register.
 func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	root, subs := splitIndexChain(ix)
 	if root == nil {
@@ -1862,20 +1762,6 @@ func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	}
 	addr, fast := bl.classifyFast(root, subs)
 	if e.Op == ASSIGN {
-		if fast && !exprWritesAny(e.RHS) {
-			if mul, lix, group := fmaPlainRHS(e.RHS); mul != nil && bl.ca.kindOf(mul) == kFloat {
-				lroot, lsubs := splitIndexChain(lix)
-				if lroot != nil {
-					if addr2, ok := bl.classifyFast(lroot, lsubs); ok && addr2 == addr {
-						rx := bl.asF(mul.X)
-						rx = bl.protectF(rx, mul.Y)
-						ry := bl.asF(mul.Y)
-						bl.emitAcc(group, addr, rx, ry, ix.P)
-						return
-					}
-				}
-			}
-		}
 		rv := bl.asF(e.RHS)
 		if fast {
 			bl.emitU(opStU0, addr, 0, rv, ix.P)
@@ -1894,19 +1780,6 @@ func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	base, ok := compoundBase(e.Op)
 	if !ok {
 		bl.bail()
-	}
-	if fast && (base == PLUS || base == MINUS) {
-		if mul, ok := stripParens(e.RHS).(*BinExpr); ok && mul.Op == STAR && bl.ca.kindOf(mul) == kFloat {
-			group := opFMAAcc0
-			if base == MINUS {
-				group = opFMSAcc0
-			}
-			rx := bl.asF(mul.X)
-			rx = bl.protectF(rx, mul.Y)
-			ry := bl.asF(mul.Y)
-			bl.emitAcc(group, addr, rx, ry, ix.P)
-			return
-		}
 	}
 	rv := bl.asF(e.RHS)
 	if fast {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -288,11 +289,31 @@ double spin(int n, double a[n]) {
 	}
 }
 
-// TestBytecodeSuperinstructions pins the run-form coverage on the
-// flagship shapes: the gemm update, the atax matrix-vector products and
-// the trisolv back-substitution must each run whole as a multiply-
-// accumulate, all riding the fused loopnext2 back edge.
-func TestBytecodeSuperinstructions(t *testing.T) {
+// macKernel wraps one statement in a two-deep loop nest over j inside i.
+func macKernel(stmt string) string {
+	return `double k(int n, double c, double a[n], double x[n], double y[n], double A[n][n]) {
+  double s = c; int i; int j;
+  for (i = 0; i < n; i++) {
+    for (j = 0; j < n; j++) {
+      ` + stmt + `
+    }
+  }
+  return s;
+}
+`
+}
+
+// TestBytecodeMacRuns pins the multiply-accumulate run form. The flagship
+// shapes — the gemm update, the atax matrix-vector products and the
+// trisolv back-substitution — must each run whole as a run.mac riding the
+// fused loopnext2 back edge. Each spelling formMac takes must lower its
+// loop to exactly one run.mac, a scaled store to one run.sum; the two
+// commuted spellings formMac refuses (the target on the right of the add,
+// a coefficient on the right of its multiply) must stay plain code. All
+// of them must agree bit for bit with the walker on inputs that carry two
+// different NaN payloads — the coefficient one of them — so a commuted
+// operand order shows as a payload the walker does not produce.
+func TestBytecodeMacRuns(t *testing.T) {
 	want := map[string]string{
 		"gemm":    "t += f1*x*y",
 		"atax":    "t += x*y",
@@ -313,6 +334,60 @@ func TestBytecodeSuperinstructions(t *testing.T) {
 		}
 		if !strings.Contains(out, "loopnext2") {
 			t.Errorf("%s: disassembly lacks fused back edge loopnext2", k.Name)
+		}
+	}
+
+	const n = 5
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	args := func() []any {
+		a, x, y, A := NewArray(n), NewArray(n), NewArray(n), NewArray(n, n)
+		for i := range n {
+			a.Data[i], x.Data[i], y.Data[i] = float64(i)-1.5, 0.5*float64(i)+1, 2-float64(i)
+		}
+		for i := range A.Data {
+			A.Data[i] = float64(i%7) - 3
+		}
+		a.Data[1], A.Data[1], A.Data[n] = nan2, nan2, nan2
+		y.Data[0], y.Data[2] = nan1, nan1
+		return []any{IntV(n), FloatV(nan1), a, x, y, A}
+	}
+	for _, tc := range []struct {
+		stmt string
+		run  string // the one run form the loop becomes, "" for none
+	}{
+		{"s += a[j] * x[j];", "mac"},
+		{"s = s + a[j] * x[j];", "mac"},
+		{"y[i] += A[i][j] * x[j];", "mac"},
+		{"y[i] = y[i] - A[i][j] * x[j];", "mac"},
+		{"y[i] -= c * A[i][j] * x[j];", "mac"},
+		{"y[j] = c * a[j];", "sum"},
+		{"y[j] = c * (a[j] + x[j]);", "sum"},
+		{"s = a[j] * x[j] + s;", ""},
+		{"y[i] = y[i] + A[i][j] * c * x[j];", ""},
+	} {
+		src := macKernel(tc.stmt)
+		f := MustParse("mac.c", src)
+		p := mustBytecode(t, "mac.c", src)
+		dis, err := Disassemble(p, "k")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		var forms []string
+		for _, h := range runHeads(dis) {
+			form, _, _ := strings.Cut(h, "@")
+			forms = append(forms, form)
+		}
+		if strings.Join(forms, " ") != tc.run {
+			t.Errorf("%s: run forms %v, want %q:\n%s", tc.stmt, forms, tc.run, dis)
+		}
+		wArgs, bArgs := args(), args()
+		w := NewWalker(f)
+		wv, werr := w.Call("k", wArgs...)
+		ins := p.NewInstance()
+		bv, berr := ins.Call("k", bArgs...)
+		walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+		if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
+			t.Errorf("%s: %s", tc.stmt, d)
 		}
 	}
 }
@@ -373,6 +448,55 @@ func TestBytecodeRunCoverage(t *testing.T) {
 	}
 }
 
+// opcodeHistogram is the op column of every lowered function of p
+// counted, registers and operands ignored, as "op:count" in byte order.
+func opcodeHistogram(t *testing.T, p *Program) string {
+	t.Helper()
+	count := map[string]int{}
+	for _, fn := range BytecodeFuncs(p) {
+		dis, err := Disassemble(p, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range strings.Split(dis, "\n")[1:] {
+			if f := strings.Fields(row); len(f) >= 2 {
+				count[f[1]]++
+			}
+		}
+	}
+	var out []string
+	for op, c := range count {
+		out = append(out, op+":"+strconv.Itoa(c))
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// TestBytecodeKernelOpcodes pins the code every benchmark kernel executes
+// at bytecode/O3: the opcode histogram of its lowered functions (norms
+// lowers only its leaf sq). A lowering change that leaves this table
+// alone cannot have changed what a benchmark runs; one that changes it
+// must say why.
+func TestBytecodeKernelOpcodes(t *testing.T) {
+	want := map[string]string{
+		"gemm":     ".addr:7 .opnd:6 cme2:2 forinit:4 jmp:3 ldc.i:4 lde2:5 ldu1:1 loopnext2:6 loopnext:1 mul.f:6 prove:3 ret:1 run.mac:2 ste2:1 step:9 stu1:1",
+		"jacobi":   ".addr:8 .opnd:8 add.f:4 add.i:3 forinit:5 jmp:2 ldc.f:1 ldc.i:5 lde2:6 loopnext2:4 loopnext:3 mul.f:1 prove:2 ret:1 run.map:1 run.sum:1 ste2:2 step2:4 step:7 sub.i:7",
+		"axpy":     ".addr:3 .opnd:3 add.f:1 forinit:1 jmp:1 ldc.i:2 lde1:2 loopnext2:2 mul.f:1 prove:1 ret:1 run.mac:1 ste1:1 step:3",
+		"2mm":      ".addr:14 .opnd:12 cme2:5 cmu1:1 forinit:8 jmp:6 ldc.f:1 ldc.i:4 lde2:8 loopnext2:12 loopnext:2 mul.f:6 prove:6 ret:1 run.mac:4 ste2:1 step:15 stu1:1",
+		"seidel2d": ".addr:9 .opnd:10 add.f:8 add.i:9 div.f:1 forinit:3 jmp:1 ldc.f:1 ldc.i:5 lde2:9 loopnext2:2 loopnext:2 prove:1 ret:1 run.sum:1 ste2:1 step2:2 step:5 sub.i:11",
+		"atax":     ".addr:16 .opnd:14 add.f:4 forinit:6 jmp:6 ldc.f:1 ldc.i:3 lde1:8 lde2:4 loopnext2:12 mul.f:4 prove:6 ret:1 run.mac:4 run.map:1 ste1:6 step:14 stu0:1",
+		"mvt":      ".addr:6 .opnd:6 add.f:2 forinit:4 jmp:2 ldc.i:3 lde1:4 lde2:2 loopnext2:4 loopnext:2 mul.f:2 prove:2 ret:1 run.mac:2 ste1:2 step:6",
+		"trisolv":  ".addr:11 .opnd:6 div.f:2 forinit:3 jmp:3 ldc.i:3 lde1:6 lde2:3 ldu0:2 ldu2:1 loopnext2:6 mul.f:2 prove:3 ret:1 run.mac:2 ste1:4 step:10 stu0:2 sub.f:2",
+		"cholesky": ".addr:22 .opnd:18 cme2:8 cmu1:2 forinit:9 jmp:9 ldc.i:4 lde2:15 ldu2:3 loopnext2:12 loopnext:6 math1:2 mul.f:6 prove:9 ret:1 run.mac:6 ste2:1 step:21 stu2:1",
+		"norms":    "mul.f:1 ret.f:1 ret:1 step:1",
+	}
+	for _, k := range BenchKernels {
+		if got := opcodeHistogram(t, mustBytecode(t, k.File, k.Src)); got != want[k.Name] {
+			t.Errorf("%s: opcodes\n  got  %s\n  want %s", k.Name, got, want[k.Name])
+		}
+	}
+}
+
 // TestBytecodeCancellationMidRun cancels a call that is inside one long
 // run (a single 1<<24-trip axpy loop): the run looks at the limit once
 // per chunk, so the context error must come back well within 50 ms.
@@ -415,16 +539,17 @@ double dot(int n, double a[n], double x[n]) {
 // preamble (prove and one .addr row per address) falling into the
 // unchecked fast body — here one multiply-accumulate run over a scalar
 // target (run.mac and its .opnd rows, then loopnext2) — or jumping to the
-// checked safe body (lde1 + fmas + loopnext2). Update deliberately when
+// checked safe body (lde1, mul.f, add.f, mov.f + loopnext2: the plain
+// instructions the run was formed from). Update deliberately when
 // the lowering changes.
-const disGolden = `func dot: 25 instrs, 5 int regs, 8 float regs, 2 data regs
+const disGolden = `func dot: 27 instrs, 5 int regs, 12 float regs, 2 data regs
    0  ldc.f      f3 = 0
    1  ldc.i      i3 = 0
    2  step                                    ; 3:10
    3  mov.f      f1 f3
    4  step                                    ; 4:7
    5  ldc.i      i2 = 0
-   6  forinit    i2=i3 i4=i0-1 step2 else @22 ; 5:3
+   6  forinit    i2=i3 i4=i0-1 step2 else @24 ; 5:3
    7  prove      i2..i4 rows=2 else @17
    8  .addr      d0 = a0[i2+0]
    9  .addr      d1 = a1[i2+0]
@@ -434,15 +559,17 @@ const disGolden = `func dot: 25 instrs, 5 int regs, 8 float regs, 2 data regs
   13  .opnd      d0[i2] stride 1              ; 6:14
   14  .opnd      d1[i2] stride 1              ; 6:21
   15  loopnext2  i2<=i4 @11                   ; 5:3
-  16  jmp        @22
+  16  jmp        @24
   17  step                                    ; 6:7
-  18  lde1       f6 a0[i2]                    ; 6:14
-  19  lde1       f7 a1[i2]                    ; 6:21
-  20  fmas       f1 += f6*f7
-  21  loopnext2  i2<=i4 @18                   ; 5:3
-  22  step                                    ; 8:3
-  23  ret.f      f1
-  24  ret
+  18  lde1       f8 a0[i2]                    ; 6:14
+  19  lde1       f9 a1[i2]                    ; 6:21
+  20  mul.f      f10 f8 f9
+  21  add.f      f11 f1 f10
+  22  mov.f      f1 f11
+  23  loopnext2  i2<=i4 @18                   ; 5:3
+  24  step                                    ; 8:3
+  25  ret.f      f1
+  26  ret
 `
 
 func TestDisassembleGolden(t *testing.T) {

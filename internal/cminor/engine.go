@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The engine API splits execution into an immutable, shareable *Program
@@ -839,17 +838,8 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, name string, a
 			fault = s.internalFault(name, r)
 		}
 	}()
-	if inj != nil {
-		switch inj.Kind {
-		case FaultLatency:
-			if inj.Latency > 0 {
-				time.Sleep(inj.Latency)
-			}
-		case FaultPanic:
-			if inj.Point == FaultAtEntry {
-				panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, FaultAtEntry})
-			}
-		}
+	if inj != nil && inj.Kind == FaultPanic && inj.Point == FaultAtEntry {
+		panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, FaultAtEntry})
 	}
 	body := cf.body
 	if mistyped {
@@ -982,22 +972,15 @@ func (s *Instance) walkerCall(ctx context.Context, name string, args []any) (v V
 			s.poisoned = true
 		}
 	}()
-	if inj != nil {
-		switch inj.Kind {
-		case FaultLatency:
-			if inj.Latency > 0 {
-				time.Sleep(inj.Latency)
-			}
-		case FaultPanic:
-			sentinel := &injectedFault{BackendWalker, s.prog.cfg.opt, name, inj.Point}
-			if inj.Point == FaultAtEntry {
-				panic(sentinel)
-			}
-			// FaultAtPoll arms the walker's next 16k-step cancellation
-			// checkpoint; FaultAtExit fires after Call returns, below.
-			if inj.Point == FaultAtPoll {
-				s.wk.pollPanic = sentinel
-			}
+	if inj != nil && inj.Kind == FaultPanic {
+		sentinel := &injectedFault{BackendWalker, s.prog.cfg.opt, name, inj.Point}
+		if inj.Point == FaultAtEntry {
+			panic(sentinel)
+		}
+		// FaultAtPoll arms the walker's next 16k-step cancellation
+		// checkpoint; FaultAtExit fires after Call returns, below.
+		if inj.Point == FaultAtPoll {
+			s.wk.pollPanic = sentinel
 		}
 	}
 	v, err = s.wk.Call(name, args...)

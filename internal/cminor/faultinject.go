@@ -3,16 +3,15 @@ package cminor
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Deterministic fault injection: the test seam of the fault-containment
 // layer (resilience.go). A FaultInjector decides, once per call on an
 // injection-enabled variant, whether to sabotage that call — panic at a
-// chosen point, corrupt the returned value, or add a latency spike — so
-// the entire detect → contain → rollback → fallback → quarantine
-// pipeline can be driven deterministically in tests, the same way the
-// autotuner's simulations drive convergence with a fake clock. A
+// chosen point or corrupt the returned value — so the entire detect →
+// contain → rollback → fallback → quarantine pipeline can be driven
+// deterministically in tests, the same way the autotuner's simulations
+// drive convergence with a fake clock. A
 // production Program simply never sets WithFaultInjector; the injector
 // check is a single nil comparison per call.
 
@@ -29,19 +28,12 @@ const (
 	// returned Value — a silent miscompile, detectable only by
 	// re-execution on the trusted backend (Instance.CallAudited).
 	FaultWrongResult
-	// FaultLatency lets the call complete correctly but sleeps for
-	// Fault.Latency first — a tail-latency spike for driving the
-	// autotuner's drift/winsorization machinery with real clocks.
-	FaultLatency
 )
 
 // String names the kind.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultWrongResult:
+	if k == FaultWrongResult {
 		return "wrong-result"
-	case FaultLatency:
-		return "latency"
 	}
 	return "panic"
 }
@@ -77,9 +69,8 @@ func (p FaultPoint) String() string {
 // Fault is one injection decision: what to do to the call it was
 // returned for.
 type Fault struct {
-	Kind    FaultKind
-	Point   FaultPoint    // FaultPanic only
-	Latency time.Duration // FaultLatency only
+	Kind  FaultKind
+	Point FaultPoint // FaultPanic only
 }
 
 // FaultInjector is consulted once at the entry of every Call /
@@ -103,10 +94,9 @@ type FaultRule struct {
 	// Call selects the Nth matching call (1-based) — the rule fires
 	// exactly once, on that call. Call == 0 fires on every matching
 	// call.
-	Call    int64
-	Kind    FaultKind
-	Point   FaultPoint
-	Latency time.Duration
+	Call  int64
+	Kind  FaultKind
+	Point FaultPoint
 }
 
 func (r FaultRule) String() string {
@@ -155,7 +145,7 @@ func (si *ScriptedInjector) Decide(backend Backend, opt OptLevel, fn string) *Fa
 		si.seen[i]++
 		if hit == nil && (r.Call == 0 || r.Call == si.seen[i]) {
 			si.fired[i]++
-			hit = &Fault{Kind: r.Kind, Point: r.Point, Latency: r.Latency}
+			hit = &Fault{Kind: r.Kind, Point: r.Point}
 		}
 	}
 	return hit

@@ -317,7 +317,7 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			// register-machine dispatch loop, bailed ones their closure
 			// fallback — both must match the oracle bit for bit, and the
 			// step counter must agree exactly (the fused back edge and
-			// superinstruction charges are the risky part).
+			// the run forms' batched charges are the risky part).
 			bp, bperr := prog.Variant(WithBackend(BackendBytecode), WithOptLevel(O3))
 			if bperr != nil {
 				t.Fatalf("Variant(bytecode): %v", bperr)

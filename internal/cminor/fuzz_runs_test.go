@@ -324,6 +324,7 @@ func TestBytecodeRunCorpus(t *testing.T) {
 	const seeds = 330
 	trips := []int{0, 1, 2, 3, 4, 5, 7, 9, 14, 23}
 	lowered, withRun := 0, 0
+	heads := map[string]int{} // distinct run heads per form
 	for seed := int64(0); seed < seeds; seed++ {
 		// The trip count of a loop is n less its small lower bound, give or
 		// take one: every fifteenth kernel has its loops on either side of
@@ -349,8 +350,12 @@ func TestBytecodeRunCorpus(t *testing.T) {
 		dis, derr := Disassemble(bp, "k")
 		if derr == nil {
 			lowered++
-			if strings.Contains(dis, "run.") {
+			if h := runHeads(dis); len(h) > 0 {
 				withRun++
+				for _, head := range h {
+					form, _, _ := strings.Cut(head, "@")
+					heads[form]++
+				}
 			}
 		}
 		data := newRunData(seed, n)
@@ -390,11 +395,18 @@ func TestBytecodeRunCorpus(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d kernels lowered, %d with a run form", lowered, seeds, withRun)
+	t.Logf("%d of %d kernels lowered, %d with a run form; distinct run heads %v", lowered, seeds, withRun, heads)
 	if lowered*10 < seeds*9 {
 		t.Errorf("only %d of %d kernels lowered, want at least 90%%", lowered, seeds)
 	}
-	if withRun*2 < seeds {
-		t.Errorf("only %d of %d kernels contain a run form, want at least half", withRun, seeds)
+	// Run coverage may only grow: these are the counts formRun reaches now
+	// (396 distinct heads in all).
+	if withRun < 252 {
+		t.Errorf("only %d of %d kernels contain a run form, want at least 252", withRun, seeds)
+	}
+	for form, floor := range map[string]int{"mac": 229, "map": 59, "sum": 108} {
+		if heads[form] < floor {
+			t.Errorf("%d distinct run.%s heads, want at least %d", heads[form], form, floor)
+		}
 	}
 }
