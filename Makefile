@@ -21,8 +21,10 @@ bench-test:
 test-race:
 	go test -race ./...
 
+# bench/ is its own module, so the root ./... never reaches it.
 vet:
 	go vet ./...
+	cd bench && go vet ./...
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }

@@ -260,14 +260,14 @@ type instr struct {
 	pos Pos
 }
 
-// bcParam describes one by-value scalar parameter: which slot/register
-// it occupies, which register file, and whether the body may write it
-// (mutated parameters are flushed back to fr.scalars on exit and on
-// faults, so *Value copybacks observe the partial state exactly).
+// bcParam describes one by-value scalar parameter: the slot/register it
+// occupies and which register file. The entry binder (bindArg) has
+// already converted the argument to the declared kind, so execBC loads
+// it straight from fr.scalars; a by-value parameter is the callee's own
+// copy, so nothing is written back.
 type bcParam struct {
-	slot    int32
-	isInt   bool
-	mutated bool
+	slot  int32
+	isInt bool
 }
 
 // bcFunc is one function lowered to flat bytecode.

@@ -98,24 +98,6 @@ func bcCompound(op uint8, old, v float64) float64 {
 	}
 }
 
-// bcFlushParams writes mutated by-value scalar parameters back to their
-// frame slots. It runs deferred — on normal return and on the panic
-// path of a runtime fault — so *Value copybacks observe exactly the
-// partial state the walker would have produced.
-func bcFlushParams(fr *frame, bc *bcFunc) {
-	for i := range bc.params {
-		p := &bc.params[i]
-		if !p.mutated {
-			continue
-		}
-		if p.isInt {
-			fr.scalars[p.slot] = IntV(fr.ireg[p.slot])
-		} else {
-			fr.scalars[p.slot] = FloatV(fr.freg[p.slot])
-		}
-	}
-}
-
 // bcProve is the loop preamble: it validates every opAddr row against
 // the live arrays for the induction range [iv, last], writing the
 // address registers and data registers the fast body uses. Operands per
@@ -333,7 +315,6 @@ func execBC(fr *frame, bc *bcFunc) {
 		}
 	}
 	defer func() {
-		bcFlushParams(fr, bc)
 		if r := recover(); r != nil {
 			// Program-level faults (positioned *Diag, budget, ctx) pass
 			// through untouched — their text and type are the cross-backend

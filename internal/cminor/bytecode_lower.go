@@ -111,7 +111,6 @@ type bcLower struct {
 	labels  []int
 	patches []bcPatch
 	loops   []*bcLoop
-	mutated map[int32]bool
 	// Constant pool: ldc instructions hoisted to function entry so a
 	// literal inside a hot loop costs zero dispatches per iteration.
 	// finish() prepends them and shifts every code offset.
@@ -142,7 +141,6 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc) (bc *bcFunc) {
 		types:   types,
 		nI:      fi.NumScalars,
 		nF:      fi.NumScalars,
-		mutated: map[int32]bool{},
 		constIs: map[int64]int32{},
 		constFs: map[uint64]int32{},
 	}
@@ -168,9 +166,8 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc) (bc *bcFunc) {
 			continue
 		}
 		params = append(params, bcParam{
-			slot:    int32(pr.Slot),
-			isInt:   types.scalars[pr.Slot] == kInt,
-			mutated: bl.mutated[int32(pr.Slot)],
+			slot:  int32(pr.Slot),
+			isInt: types.scalars[pr.Slot] == kInt,
 		})
 	}
 	return &bcFunc{name: name, code: bl.code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}
@@ -492,7 +489,6 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 		bl.bail()
 	}
 	slot := int32(ref.Slot)
-	bl.mutated[slot] = true
 	// Declarations normalize to the declared kind (the closure backend's
 	// C initialisation conversion).
 	if s.Type.Kind == Int {
@@ -577,7 +573,6 @@ func (bl *bcLower) countedFor(s *ForStmt) bool {
 // second body: its one body is already fully checked.
 func (bl *bcLower) emitCountedLoop(s *ForStmt, ivRef VarRef, lo, hi Expr, strict bool, lc *loopCtx) {
 	ivSlot := int32(ivRef.Slot)
-	bl.mutated[ivSlot] = true
 	charge := bl.emit(instr{op: opStep2, pos: s.P})
 	init := instr{op: opForInit, a: ivSlot, d: bl.constI(0), pos: s.P}
 	if lo != nil {
@@ -1451,7 +1446,6 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 			bl.bail()
 		}
 		slot := int32(ref.Slot)
-		bl.mutated[slot] = true
 		if e.Op == ASSIGN {
 			rv := bl.asI(e.RHS)
 			if rv != slot {
@@ -1552,7 +1546,6 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 			bl.bail()
 		}
 		slot := int32(ref.Slot)
-		bl.mutated[slot] = true
 		if e.Op == ASSIGN {
 			rv := bl.lowerF(e.RHS)
 			if rv != slot {
@@ -1610,7 +1603,6 @@ func (bl *bcLower) intIncDec(e *IncDecExpr) int32 {
 			bl.bail()
 		}
 		slot := int32(ref.Slot)
-		bl.mutated[slot] = true
 		old := bl.newI()
 		bl.emit(instr{op: opMovI, d: old, a: slot})
 		bl.emit(instr{op: opAddcI, d: slot, a: slot, imm: delta})
@@ -1672,7 +1664,6 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 			bl.bail()
 		}
 		slot := int32(ref.Slot)
-		bl.mutated[slot] = true
 		old := bl.newF()
 		bl.emit(instr{op: opMovF, d: old, a: slot})
 		bl.emit(instr{op: opAddcF, d: slot, a: slot, fv: delta})

@@ -32,13 +32,12 @@ import (
 // falls back to a fully-checked body when anything is out of range, so
 // faulting programs keep bit-for-bit walker parity.
 //
-// Each function is compiled twice: the specialized body (used for every
-// internal call and every well-kinded entry call) and a generic body
-// that entry calls fall back to when an argument binding breaks a
-// declared parameter kind (e.g. a raw *Value of the wrong kind), which
-// the old interpreter permitted. Which passes run is selected per
-// Program variant by OptLevel (see engine.go): O0 uses only the generic
-// body, O1 adds the typed specialization, O2 adds the loop optimizer.
+// Each function is compiled once. Entry calls bind every by-value
+// argument converted to its declared kind (bindArg) and internal calls
+// normalize theirs, so the typed body is safe for every call. Which
+// passes run is selected per Program variant by OptLevel (see
+// engine.go): O0 compiles the generic body, O1 the typed
+// specialization, O2 adds the loop optimizer.
 //
 // The compiler reads the AST and the resolver/typecheck side tables but
 // writes neither: lowering the same resolved file repeatedly — even
@@ -100,24 +99,21 @@ type globalStore struct {
 }
 
 // compiledFunc pairs a function's resolver summary with its compiled
-// bodies. Bodies are filled in after all shells exist so (mutually)
+// body. Bodies are filled in after all shells exist so (mutually)
 // recursive calls can capture the shell pointer. body is the variant's
-// best lowering; generic is the kind-agnostic fallback entry calls use
-// when an argument binding violates a declared parameter kind. idx
-// names the function's frame pool within an Instance.
+// one lowering; idx names the function's frame pool within an Instance.
 type compiledFunc struct {
 	info     *FuncInfo
 	idx      int
 	body     stmtFn
-	generic  stmtFn
 	numHoist int
 	// Per-variant frame sizes. They start at the resolver's counts and
 	// grow when the O3 inliner renumbers callee slots into this frame.
 	nScalars int
 	nCells   int
 	nArrays  int
-	// bc is the flat-bytecode lowering (BackendBytecode variants only);
-	// nil when the function bailed to the closure fallback.
+	// bc is the flat-bytecode lowering that body runs (BackendBytecode
+	// variants only); nil when the function bailed to the closures.
 	bc *bcFunc
 }
 

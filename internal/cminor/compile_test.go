@@ -2,6 +2,7 @@ package cminor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -577,73 +578,202 @@ func TestCompiledRuntimePanicBecomesError(t *testing.T) {
 	}
 }
 
+// engineTiers are the two engine back ends checked against the walker.
+var engineTiers = []struct {
+	name string
+	opts []Option
+}{
+	{"compiled", nil},
+	{"bytecode", []Option{WithBackend(BackendBytecode)}},
+}
+
+// TestCompiledPtrValueToByValueParamCopiesBack pins the end of the
+// by-value copy-back: a *Value binds only to a pointer parameter, so
+// handing one to a by-value scalar is an argument error on the walker,
+// the compiled engine and the bytecode engine alike — same text, no
+// step charged, the caller's cell untouched.
 func TestCompiledPtrValueToByValueParamCopiesBack(t *testing.T) {
-	// The old interpreter shared the cell when a *Value was bound to a
-	// by-value scalar parameter; the compiled pipeline copies the slot
-	// back on return. Both engines must leave the caller's cell equal.
-	src := "int bump(int n) {\n  n = n + 1;\n  return n;\n}"
-	f := MustParse("t.c", src)
-	wv, cv := IntV(5), IntV(5)
-	if _, err := NewWalker(f).Call("bump", &wv); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newInst(t, f).Call("bump", &cv); err != nil {
-		t.Fatal(err)
-	}
-	if !sameValue(wv, cv) {
-		t.Fatalf("caller cell divergence: walker=%+v compiled=%+v", wv, cv)
-	}
-	if cv.Int() != 6 {
-		t.Errorf("caller cell = %d, want 6 (shared-cell semantics)", cv.Int())
-	}
-	// Kind-mismatched *Value args are shared unconverted, like the old
-	// interpreter: a FloatV reaching an int parameter stays a float.
-	idSrc := "int id(int n) { return n; }"
-	fid := MustParse("t.c", idSrc)
-	wf, cf := FloatV(2.5), FloatV(2.5)
-	wr, err := NewWalker(fid).Call("id", &wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := newInst(t, fid).Call("id", &cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameValue(wr, cr) || !sameValue(wf, cf) {
-		t.Errorf("kind-mismatch divergence: walker ret=%+v cell=%+v, compiled ret=%+v cell=%+v",
-			wr, wf, cr, cf)
+	for _, c := range []struct {
+		src, fn string
+		cell    Value
+	}{
+		{"int bump(int n) {\n  n = n + 1;\n  return n;\n}", "bump", IntV(5)},
+		// A kind-mismatched cell is rejected too, not shared unconverted.
+		{"int id(int n) { return n; }", "id", FloatV(2.5)},
+	} {
+		f := MustParse("t.c", c.src)
+		want := fmt.Sprintf(`cminor: %s: cannot bind *cminor.Value to parameter "int n"`, c.fn)
+		wcell := c.cell
+		if _, err := NewWalker(f).Call(c.fn, &wcell); err == nil || err.Error() != want {
+			t.Errorf("%s on walker: err = %v, want %q", c.fn, err, want)
+		}
+		if !sameValue(wcell, c.cell) {
+			t.Errorf("%s on walker: caller cell = %+v, want %+v untouched", c.fn, wcell, c.cell)
+		}
+		for _, tier := range engineTiers {
+			inst := newInst(t, f, tier.opts...)
+			cell := c.cell
+			if _, err := inst.Call(c.fn, &cell); err == nil || err.Error() != want {
+				t.Errorf("%s on %s: err = %v, want %q", c.fn, tier.name, err, want)
+			}
+			if !sameValue(cell, c.cell) || inst.LastCallSteps() != 0 {
+				t.Errorf("%s on %s: caller cell = %+v after %d steps, want %+v untouched after 0",
+					c.fn, tier.name, cell, inst.LastCallSteps(), c.cell)
+			}
+		}
 	}
 }
 
-// TestSameValueTwoByValueParams pins the documented copyback caveat:
-// the walker binds the same *Value for two by-value parameters as ONE
-// aliased cell, while the compiled engine copies it into two
-// independent slots and copies back in parameter order (last write
-// wins). This divergence is deliberate — the test keeps it from
-// shifting silently in either direction.
+// TestSameValueTwoByValueParams pins that the walker/engine divergence
+// over one *Value bound to two by-value parameters is gone: every tier
+// rejects the binding with the same text, and the same cell bound to
+// two pointer parameters is one aliased cell on every tier.
 func TestSameValueTwoByValueParams(t *testing.T) {
-	src := "int f(int a, int b) {\n  a = a + 1;\n  b = b + 10;\n  return a * 100 + b;\n}"
-	f := MustParse("t.c", src)
+	byValue := MustParse("t.c", "int f(int a, int b) {\n  a = a + 1;\n  b = b + 10;\n  return a * 100 + b;\n}")
+	byPtr := MustParse("t.c", "double g(double *a, double *b) {\n  a = a + 1;\n  b = b + 10;\n  return a * 100 + b;\n}")
+	want := `cminor: f: cannot bind *cminor.Value to parameter "int a"`
 
 	wcell := IntV(0)
-	wv, err := NewWalker(f).Call("f", &wcell, &wcell)
+	if _, err := NewWalker(byValue).Call("f", &wcell, &wcell); err == nil || err.Error() != want {
+		t.Errorf("walker by-value: err = %v, want %q", err, want)
+	}
+	if wcell.Int() != 0 {
+		t.Errorf("walker by-value: caller cell = %d, want 0 untouched", wcell.Int())
+	}
+	pcell := FloatV(0)
+	wv, err := NewWalker(byPtr).Call("g", &pcell, &pcell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walker: a and b alias one cell: a=a+1 → 1, b=b+10 → 11, a reads 11.
-	if wv.Int() != 1111 || wcell.Int() != 11 {
-		t.Errorf("walker: ret=%d cell=%d, want 1111/11 (aliased cell)", wv.Int(), wcell.Int())
+	// a and b alias one cell: a=a+1 → 1, b=b+10 → 11, a reads 11.
+	if wv.Float() != 1111 || pcell.Float() != 11 {
+		t.Errorf("walker by-pointer: ret=%v cell=%v, want 1111/11 (aliased cell)", wv.Float(), pcell.Float())
 	}
 
-	ccell := IntV(0)
-	cv, err := newInst(t, f).Call("f", &ccell, &ccell)
+	for _, tier := range engineTiers {
+		inst := newInst(t, byValue, tier.opts...)
+		ccell := IntV(0)
+		if _, err := inst.Call("f", &ccell, &ccell); err == nil || err.Error() != want {
+			t.Errorf("%s by-value: err = %v, want %q", tier.name, err, want)
+		}
+		if ccell.Int() != 0 || inst.LastCallSteps() != 0 {
+			t.Errorf("%s by-value: caller cell = %d after %d steps, want 0 untouched after 0",
+				tier.name, ccell.Int(), inst.LastCallSteps())
+		}
+		pinst := newInst(t, byPtr, tier.opts...)
+		cell := FloatV(0)
+		cv, err := pinst.Call("g", &cell, &cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameValue(cv, wv) || !sameValue(cell, pcell) {
+			t.Errorf("%s by-pointer: ret=%+v cell=%+v, walker ret=%+v cell=%+v",
+				tier.name, cv, cell, wv, pcell)
+		}
+	}
+}
+
+// TestCallBoundaryParity is the entry-binding table: every argument
+// form against every parameter shape, on every tier. All tiers share
+// one binder (bindArg), so each cell of the table must agree on the
+// returned value, the step count, the caller-visible cell or array and
+// the exact error text; a rejected argument charges no step and leaves
+// the caller's state untouched.
+func TestCallBoundaryParity(t *testing.T) {
+	src := `int bump(int n) { n = n + 1; return n; }
+double half(double x) { return x / 2; }
+double ptr(double *p) { p = p + 0.5; return p; }
+double arr(double a[2]) { a[0] = a[0] + 0.5; return a[0]; }`
+	prog, err := Compile(MustParse("t.c", src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compiled: independent slots (a=1, b=10); copybacks run in
-	// parameter order, so b's value lands last in the caller's cell.
-	if cv.Int() != 110 || ccell.Int() != 10 {
-		t.Errorf("compiled: ret=%d cell=%d, want 110/10 (independent slots, last copyback wins)",
-			cv.Int(), ccell.Int())
+	tiers := []struct {
+		name string
+		p    *Program
+	}{
+		{"walker", mustVariant(t, prog, WithBackend(BackendWalker))},
+		{"O0", mustVariant(t, prog, WithOptLevel(O0))},
+		{"O1", mustVariant(t, prog, WithOptLevel(O1))},
+		{"O2", mustVariant(t, prog, WithOptLevel(O2))},
+		{"O3", mustVariant(t, prog, WithOptLevel(O3))},
+		{"bytecode", mustVariant(t, prog, WithBackend(BackendBytecode), WithOptLevel(O3))},
+	}
+	forms := []struct {
+		name string
+		arg  func() any
+	}{
+		{"int", func() any { return 3 }},
+		{"float64", func() any { return 3.0 }},
+		{"IntV", func() any { return IntV(3) }},
+		{"FloatV", func() any { return FloatV(3) }},
+		{"*IntV", func() any { v := IntV(3); return &v }},
+		{"*FloatV", func() any { v := FloatV(3); return &v }},
+		{"nil *Value", func() any { return (*Value)(nil) }},
+		{"*Array", func() any { a := NewArray(2); a.Data[0] = 3; return a }},
+		{"nil *Array", func() any { return (*Array)(nil) }},
+	}
+	// Pinned outcomes; every other cell is held to the walker's. A
+	// shared *IntV cell keeps its int kind (p = 3.5 stores 3), exactly as
+	// a walker cell does.
+	want := map[string]string{
+		"bump/int": "4", "bump/float64": "4", "bump/IntV": "4", "bump/FloatV": "4",
+		"half/int": "1.5", "half/float64": "1.5", "half/IntV": "1.5", "half/FloatV": "1.5",
+		"ptr/int": "3.5", "ptr/*FloatV": "3.5", "ptr/*IntV": "3", "arr/*Array": "3.5",
+		"bump/*IntV":      `cminor: bump: cannot bind *cminor.Value to parameter "int n"`,
+		"bump/nil *Value": `cminor: bump: cannot bind nil *cminor.Value to parameter "int n"`,
+		"ptr/nil *Value":  `cminor: ptr: cannot bind nil *cminor.Value to parameter "double *p"`,
+		"half/*Array":     `cminor: half: cannot bind *cminor.Array to parameter "double x"`,
+		"arr/float64":     `cminor: arr: cannot bind float64 to parameter "double a[2]"`,
+		"arr/IntV":        `cminor: arr: cannot bind cminor.Value to parameter "double a[2]"`,
+		"arr/nil *Array":  `cminor: arr: cannot bind nil *cminor.Array to parameter "double a[2]"`,
+	}
+	// state renders what the caller can see through an argument.
+	state := func(a any) string {
+		switch a := a.(type) {
+		case *Value:
+			if a != nil {
+				return fmt.Sprintf("%+v", *a)
+			}
+		case *Array:
+			if a != nil {
+				return fmt.Sprint(a.Data)
+			}
+		}
+		return ""
+	}
+	// outcome renders one call: its value or error, its steps, and the
+	// caller-visible state afterwards.
+	outcome := func(p *Program, fn string, a any) (res string, steps int, after string) {
+		inst := p.NewInstance()
+		v, err := inst.Call(fn, a)
+		switch {
+		case err != nil:
+			res = err.Error()
+		case v.IsInt:
+			res = fmt.Sprint(v.I)
+		default:
+			res = fmt.Sprint(v.F)
+		}
+		return res, inst.LastCallSteps(), state(a)
+	}
+	for _, fn := range []string{"bump", "half", "ptr", "arr"} {
+		for _, form := range forms {
+			key := fn + "/" + form.name
+			wres, wsteps, wafter := outcome(tiers[0].p, fn, form.arg())
+			if w, ok := want[key]; ok && wres != w {
+				t.Errorf("%s: walker = %q, want %q", key, wres, w)
+			}
+			if before := state(form.arg()); strings.HasPrefix(wres, "cminor:") && (wsteps != 0 || wafter != before) {
+				t.Errorf("%s: rejected call charged %d steps, left %q (was %q)", key, wsteps, wafter, before)
+			}
+			for _, tier := range tiers[1:] {
+				res, steps, after := outcome(tier.p, fn, form.arg())
+				if res != wres || steps != wsteps || after != wafter {
+					t.Errorf("%s on %s: (%q, %d steps, caller sees %q); walker (%q, %d steps, caller sees %q)",
+						key, tier.name, res, steps, after, wres, wsteps, wafter)
+				}
+			}
+		}
 	}
 }

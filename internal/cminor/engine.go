@@ -330,11 +330,24 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 			cf.nScalars, cf.nCells, cf.nArrays = pl.numScalars, pl.numCells, pl.numArrays
 		}
 	}
+	// Each function gets exactly one body: the bytecode where the
+	// lowerer proves it equivalent, else the generic closures at O0 or
+	// the typed closures above it. The entry binder (bindArg) converts
+	// every by-value argument to its declared kind, so no call ever needs
+	// a kind-agnostic second body.
 	for name, cf := range p.funcs {
-		cg := &compiler{prog: p}
-		cf.generic = cg.block(cf.info.Decl.Body)
+		if cfg.backend == BackendBytecode {
+			if bc := lowerBCFunc(p, name, cf); bc != nil {
+				cf.bc = bc
+				cf.body = func(fr *frame) flow {
+					execBC(fr, bc)
+					return flowNormal
+				}
+				continue
+			}
+		}
 		if cfg.opt == O0 {
-			cf.body = cf.generic
+			cf.body = (&compiler{prog: p}).block(cf.info.Decl.Body)
 			continue
 		}
 		types := ti.funcs[name]
@@ -345,21 +358,6 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 		ct := &compiler{prog: p, types: types, info: ti, opt: cfg.opt, passes: cfg.passes, plan: plan}
 		cf.body = ct.block(cf.info.Decl.Body)
 		cf.numHoist = ct.numHoist
-	}
-	// The bytecode backend replaces eligible closure bodies with a flat
-	// dispatch loop; ineligible functions keep the closure body built
-	// above, so mixed programs still execute end to end.
-	if cfg.backend == BackendBytecode {
-		for name, cf := range p.funcs {
-			if bc := lowerBCFunc(p, name, cf); bc != nil {
-				cf.bc = bc
-				bcf := bc
-				cf.body = func(fr *frame) flow {
-					execBC(fr, bcf)
-					return flowNormal
-				}
-			}
-		}
 	}
 	return p
 }
@@ -650,11 +648,14 @@ func (s *Instance) putFrame(cf *compiledFunc, fr *frame) {
 	s.pools[cf.idx] = append(s.pools[cf.idx], fr)
 }
 
-// Call invokes the named function. Args must be *Array for array
-// parameters, Value (or int/float64) for scalar parameters, and *Value
-// for pointer parameters (shared cell). Runtime faults — bad subscript,
-// integer division by zero, step budget — are returned as positioned
-// errors rather than crashing.
+// Call invokes the named function. Arguments bind by bindArg's rule,
+// the same on every backend: *Array for array parameters, a non-nil
+// *Value for pointer parameters (the shared cell), and Value, int or
+// float64 — converted to the declared kind — for scalar parameters (a
+// pointer parameter given a scalar gets a fresh cell). Any other
+// argument is an error returned before a step is charged. Runtime
+// faults — bad subscript, integer division by zero, step budget — are
+// returned as positioned errors rather than crashing.
 func (s *Instance) Call(name string, args ...any) (Value, error) {
 	return s.call(nil, name, args)
 }
@@ -671,18 +672,101 @@ func (s *Instance) CallContext(ctx context.Context, name string, args ...any) (V
 	return s.call(ctx, name, args)
 }
 
-// resolveCall looks up the callee and checks arity — the failures that
-// happen before any state is touched.
-func (s *Instance) resolveCall(name string, args []any) (*compiledFunc, error) {
+// resolveCall looks up the callee, checks arity and binds the arguments
+// into a pooled frame (bindArg) — the failures that happen before any
+// state is touched or any step is charged.
+func (s *Instance) resolveCall(name string, args []any) (*compiledFunc, *frame, error) {
 	cf, ok := s.prog.funcs[name]
 	if !ok {
-		return nil, fmt.Errorf("cminor: no function %q", name)
+		return nil, nil, fmt.Errorf("cminor: no function %q", name)
 	}
-	if params := cf.info.Decl.Params; len(args) != len(params) {
-		return nil, fmt.Errorf("cminor: %s expects %d args, got %d",
-			name, len(params), len(args))
+	params := cf.info.Decl.Params
+	if err := checkArity(name, len(params), len(args)); err != nil {
+		return nil, nil, err
 	}
-	return cf, nil
+	fr := s.getFrame(cf)
+	for i, p := range params {
+		v, cell, arr, err := bindArg(name, p, args[i])
+		if err != nil {
+			s.putFrame(cf, fr)
+			return nil, nil, err
+		}
+		switch ref := cf.info.Params[i]; ref.Kind {
+		case VarArray:
+			fr.arrays[ref.Slot] = arr
+		case VarCell:
+			fr.cells[ref.Slot] = cell
+		default:
+			fr.scalars[ref.Slot] = v
+		}
+	}
+	return cf, fr, nil
+}
+
+// checkArity is the entry-call arity check both executors share.
+func checkArity(name string, want, got int) error {
+	if got != want {
+		return fmt.Errorf("cminor: %s expects %d args, got %d", name, want, got)
+	}
+	return nil
+}
+
+// bindArg is the one entry-call binding rule, shared by Walker.Call and
+// Instance.call so that every backend accepts, converts and rejects the
+// same arguments with the same error text:
+//
+//   - an array parameter takes a non-nil *Array;
+//   - a pointer parameter takes a non-nil *Value, shared as its cell, or
+//     a scalar boxed into a fresh cell;
+//   - a by-value parameter takes a scalar: Value, int or float64.
+//
+// Scalars convert to the parameter's declared kind (convertKind), so a
+// by-value slot always holds its declared kind — the invariant the
+// typed closures and the bytecode are lowered against. The binding is
+// returned in the one result its parameter shape uses.
+func bindArg(fn string, p *Param, a any) (v Value, cell *Value, arr *Array, err error) {
+	t := p.Type
+	switch a := a.(type) {
+	case *Array:
+		if a != nil && t.IsArray() {
+			return Value{}, nil, a, nil
+		}
+	case *Value:
+		if a != nil && t.Ptr {
+			return Value{}, a, nil, nil
+		}
+	default:
+		if v, ok := scalarArg(a); ok && !t.IsArray() {
+			if t.Ptr {
+				boxed := convertKind(v, t.Kind)
+				return Value{}, &boxed, nil, nil
+			}
+			return convertKind(v, t.Kind), nil, nil, nil
+		}
+	}
+	return Value{}, nil, nil, argError(fn, p, a)
+}
+
+// argError is bindArg's rejection, one text on every backend.
+func argError(fn string, p *Param, a any) error {
+	what := fmt.Sprintf("%T", a)
+	if a == (*Value)(nil) || a == (*Array)(nil) {
+		what = "nil " + what
+	}
+	return fmt.Errorf("cminor: %s: cannot bind %s to parameter %q", fn, what, typeString(p.Type, p.Name))
+}
+
+// scalarArg unwraps a scalar entry argument.
+func scalarArg(a any) (Value, bool) {
+	switch a := a.(type) {
+	case Value:
+		return a, true
+	case int:
+		return IntV(int64(a)), true
+	case float64:
+		return FloatV(a), true
+	}
+	return Value{}, false
 }
 
 // call is the supervisor tier of one invocation: it resolves the
@@ -692,23 +776,21 @@ func (s *Instance) resolveCall(name string, args []any) (*compiledFunc, error) {
 // on the trusted tier or surfaces the fault and poisons the session
 // (resilience.go).
 func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, err error) {
-	// A call that fails before executing anything (unknown function,
-	// arity mismatch, pre-cancelled ctx) must not leave the previous
-	// call's state in the introspection taps.
+	// A call that fails before executing anything (pre-cancelled ctx,
+	// unknown function, arity mismatch, bad argument) must not leave the
+	// previous call's state in the introspection taps.
 	s.lastSteps = 0
 	s.degraded = false
 	s.lastFault = nil
+	if err := ctxErr(ctx, name); err != nil {
+		return Value{}, err
+	}
 	if s.prog.cfg.backend == BackendWalker {
 		return s.walkerCall(ctx, name, args)
 	}
-	cf, err := s.resolveCall(name, args)
+	cf, fr, err := s.resolveCall(name, args)
 	if err != nil {
 		return Value{}, err
-	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return Value{}, fmt.Errorf("cminor: calling %s: %w", name, cerr)
-		}
 	}
 	var inj *Fault
 	if fi := s.prog.cfg.inject; fi != nil {
@@ -719,7 +801,7 @@ func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, 
 		snapped = s.snap.capture(s, args)
 	}
 	startSteps := s.steps
-	v, err, fault := s.attempt(ctx, cf, name, args, inj)
+	v, err, fault := s.attempt(ctx, cf, fr, name, inj)
 	if fault == nil {
 		return v, err
 	}
@@ -740,67 +822,23 @@ func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, 
 	return s.runFallback(ctx, name, args)
 }
 
-// attempt executes one call on the session's own backend inside the
-// containment boundary: any panic that is not a positioned *Diag or a
-// context fault is returned as a structured *InternalFault rather than
-// escaping — the process never dies on an engine bug. inj, when
-// non-nil, is the fault the injector chose for this call; every
-// injection point fires inside the boundary.
-func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, name string, args []any, inj *Fault) (v Value, err error, fault *InternalFault) {
-	fr := s.getFrame(cf)
-	// copybacks approximate the historical shared-cell behaviour of
-	// *Value arguments bound to by-value scalar parameters: the raw
-	// Value is copied in and copied back when the call finishes (or
-	// faults). Caveat vs the old interpreter: passing the same *Value
-	// for two by-value parameters no longer aliases them to one cell.
-	var copybacks []func()
-	// The typed body trusts that every by-value scalar slot holds a
-	// Value of its declared kind. Raw *Value / int / float64 arguments
-	// may violate that (the historical interpreter binds them
-	// unconverted); such calls run the generically-compiled body.
-	mistyped := false
-	for i, p := range cf.info.Decl.Params {
-		ref := cf.info.Params[i]
-		if arr, isArr := args[i].(*Array); isArr || ref.Kind == VarArray {
-			if !isArr || ref.Kind != VarArray {
-				s.putFrame(cf, fr)
-				return Value{}, fmt.Errorf("cminor: %s: array/parameter mismatch for %s", name, p.Name), nil
-			}
-			fr.arrays[ref.Slot] = arr
-			continue
-		}
-		wantInt := p.Type.Kind == Int
-		switch a := args[i].(type) {
-		case *Value:
-			if ref.Kind == VarCell {
-				fr.cells[ref.Slot] = a
-			} else {
-				// The historical interpreter shared the cell unconverted;
-				// copy the raw Value in and back out to match.
-				if a.IsInt != wantInt {
-					mistyped = true
-				}
-				fr.scalars[ref.Slot] = *a
-				slot, dst := ref.Slot, a
-				copybacks = append(copybacks, func() { *dst = fr.scalars[slot] })
-			}
-		case Value:
-			bindScalar(fr, ref, convertKind(a, p.Type.Kind))
-		case int:
-			if !wantInt && ref.Kind == VarScalar {
-				mistyped = true
-			}
-			bindScalar(fr, ref, IntV(int64(a)))
-		case float64:
-			if wantInt && ref.Kind == VarScalar {
-				mistyped = true
-			}
-			bindScalar(fr, ref, FloatV(a))
-		default:
-			s.putFrame(cf, fr)
-			return Value{}, fmt.Errorf("cminor: unsupported argument type %T for %s", a, p.Name), nil
+// ctxErr reports a context that is already done before a call starts.
+func ctxErr(ctx context.Context, name string) error {
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("cminor: calling %s: %w", name, cerr)
 		}
 	}
+	return nil
+}
+
+// attempt executes one call, bound into fr by resolveCall, on the
+// session's own backend inside the containment boundary: any panic that
+// is not a positioned *Diag or a context fault is returned as a
+// structured *InternalFault rather than escaping — the process never
+// dies on an engine bug. inj, when non-nil, is the fault the injector
+// chose for this call; every injection point fires inside the boundary.
+func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, name string, inj *Fault) (v Value, err error, fault *InternalFault) {
 	s.ctx = ctx
 	startSteps := s.steps
 	s.limit.Store(int64(s.maxSteps))
@@ -816,11 +854,10 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, name string, a
 	}
 	defer func() {
 		// Recover FIRST, then tear down: teardown runs inside its own
-		// recover boundary, so a panic racing the AfterFunc stop/drain (or
-		// a copyback) can neither escape CallContext nor clobber the
-		// in-flight kernel fault.
+		// recover boundary, so a panic racing the AfterFunc stop/drain can
+		// neither escape CallContext nor clobber the in-flight kernel fault.
 		r := recover()
-		if tr := s.teardown(startSteps, stopWatch, copybacks); r == nil {
+		if tr := s.teardown(startSteps, stopWatch); r == nil {
 			r = tr
 		}
 		if r == nil {
@@ -841,23 +878,13 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, name string, a
 	if inj != nil && inj.Kind == FaultPanic && inj.Point == FaultAtEntry {
 		panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, FaultAtEntry})
 	}
-	body := cf.body
-	if mistyped {
-		body = cf.generic
-	}
-	body(fr)
+	cf.body(fr)
 	if inj != nil && inj.Kind == FaultPanic {
 		// FaultAtExit — and, on backends without a mid-kernel poll
 		// checkpoint, FaultAtPoll — fires after the body completed, when
 		// globals and argument arrays hold the attempt's full mutations.
 		panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, inj.Point})
 	}
-	// Copybacks read only scalar slots, which putFrame leaves intact;
-	// run them eagerly anyway so the frame is logically dead when pooled.
-	for _, cb := range copybacks {
-		cb()
-	}
-	copybacks = nil
 	ret := fr.ret
 	s.putFrame(cf, fr)
 	if inj != nil && inj.Kind == FaultWrongResult {
@@ -867,10 +894,10 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, name string, a
 }
 
 // teardown restores the session invariants after an attempt: detach the
-// context, settle the measurement tap, drain the cancellation watcher,
-// and commit copybacks. It runs under its own recover so a panic here
-// is reported to the containment boundary instead of escaping.
-func (s *Instance) teardown(startSteps int, stopWatch func() bool, copybacks []func()) (r any) {
+// context, settle the measurement tap and drain the cancellation
+// watcher. It runs under its own recover so a panic here is reported to
+// the containment boundary instead of escaping.
+func (s *Instance) teardown(startSteps int, stopWatch func() bool) (r any) {
 	defer func() { r = recover() }()
 	s.ctx = nil
 	s.lastSteps = s.steps - startSteps
@@ -880,9 +907,6 @@ func (s *Instance) teardown(startSteps int, stopWatch func() bool, copybacks []f
 		for !s.watchDone.Load() {
 			runtime.Gosched()
 		}
-	}
-	for _, cb := range copybacks {
-		cb()
 	}
 	return nil
 }
@@ -913,20 +937,10 @@ func corruptValue(v Value) Value {
 	return v
 }
 
-// bindScalar places a by-value scalar argument into the frame, boxing a
-// fresh cell when the parameter was declared as a pointer.
-func bindScalar(fr *frame, ref VarRef, v Value) {
-	if ref.Kind == VarCell {
-		cell := v
-		fr.cells[ref.Slot] = &cell
-		return
-	}
-	fr.scalars[ref.Slot] = v
-}
-
 // walkerCall runs a BackendWalker variant through a per-session Walker,
 // keeping the session's step accounting and context observation. The
-// whole exchange — entry injection, the walker body with its 16k-step
+// arguments bind first, by the same rule as every other backend; the
+// rest of the exchange — entry injection, the walker body with its 16k-step
 // cancellation polls, teardown — runs inside a containment boundary, so
 // a panic racing the poll/teardown path surfaces as an *InternalFault
 // from CallContext, never an escaped panic. The walker is the reference
@@ -937,10 +951,9 @@ func (s *Instance) walkerCall(ctx context.Context, name string, args []any) (v V
 	if s.wk == nil {
 		s.wk = NewWalker(s.prog.res.File)
 	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return Value{}, fmt.Errorf("cminor: calling %s: %w", name, cerr)
-		}
+	fn, fr, err := s.wk.bind(name, args)
+	if err != nil {
+		return Value{}, err
 	}
 	var inj *Fault
 	if fi := s.prog.cfg.inject; fi != nil {
@@ -983,7 +996,7 @@ func (s *Instance) walkerCall(ctx context.Context, name string, args []any) (v V
 			s.wk.pollPanic = sentinel
 		}
 	}
-	v, err = s.wk.Call(name, args...)
+	v, err = s.wk.run(name, fn, fr)
 	if inj != nil && inj.Kind == FaultPanic && inj.Point == FaultAtExit {
 		panic(&injectedFault{BackendWalker, s.prog.cfg.opt, name, FaultAtExit})
 	}

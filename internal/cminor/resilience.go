@@ -84,9 +84,9 @@ var MaxSnapshotElems = 4 << 20
 
 // stateSnapshot is one call's copy of the mutable state the caller can
 // observe: the instance's global frame, argument arrays, and argument
-// cells (*Value args, both pointer-parameter cells and by-value
-// copyback targets). Instances keep one as reusable scratch so
-// steady-state resilient calls allocate only when shapes grow.
+// cells (*Value args, which bind only to pointer parameters). Instances
+// keep one as reusable scratch so steady-state resilient calls allocate
+// only when shapes grow.
 type stateSnapshot struct {
 	scalars  []Value
 	arrays   [][]float64
@@ -97,13 +97,14 @@ type stateSnapshot struct {
 }
 
 // snapshotSize totals the elements a snapshot of (s, args) would copy.
+// args are already bound (resolveCall), so no pointer among them is nil.
 func snapshotSize(s *Instance, args []any) int {
 	total := 0
 	for _, a := range s.g.arrays {
 		total += len(a.Data)
 	}
 	for _, a := range args {
-		if arr, ok := a.(*Array); ok && arr != nil {
+		if arr, ok := a.(*Array); ok {
 			total += len(arr.Data)
 		}
 	}
@@ -141,9 +142,6 @@ func (sn *stateSnapshot) capture(s *Instance, args []any) bool {
 	for _, a := range args {
 		switch v := a.(type) {
 		case *Array:
-			if v == nil {
-				continue
-			}
 			sn.argArrs = append(sn.argArrs, v)
 			if cap(sn.argData) <= n {
 				sn.argData = append(sn.argData, nil)
@@ -153,9 +151,6 @@ func (sn *stateSnapshot) capture(s *Instance, args []any) bool {
 			copy(sn.argData[n], v.Data)
 			n++
 		case *Value:
-			if v == nil {
-				continue
-			}
 			sn.cells = append(sn.cells, v)
 			sn.cellVals = append(sn.cellVals, *v)
 		}
@@ -343,22 +338,21 @@ func (s *Instance) CallAudited(ctx context.Context, name string, args ...any) (v
 	s.lastSteps = 0
 	s.degraded = false
 	s.lastFault = nil
+	if err := ctxErr(ctx, name); err != nil {
+		return Value{}, false, err
+	}
 	if s.prog.cfg.backend == BackendWalker {
 		// The walker is the reference semantics — nothing to audit against.
 		v, err = s.walkerCall(ctx, name, args)
 		return v, false, err
 	}
-	cf, err := s.resolveCall(name, args)
+	cf, fr, err := s.resolveCall(name, args)
 	if err != nil {
 		return Value{}, false, err
 	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return Value{}, false, fmt.Errorf("cminor: calling %s: %w", name, cerr)
-		}
-	}
 	var pre stateSnapshot
 	if !pre.capture(s, args) {
+		s.putFrame(cf, fr)
 		v, err = s.call(ctx, name, args)
 		return v, false, err
 	}
@@ -367,7 +361,7 @@ func (s *Instance) CallAudited(ctx context.Context, name string, args ...any) (v
 		inj = fi.Decide(s.prog.cfg.backend, s.prog.cfg.opt, name)
 	}
 	startSteps := s.steps
-	v1, err1, fault := s.attempt(ctx, cf, name, args, inj)
+	v1, err1, fault := s.attempt(ctx, cf, fr, name, inj)
 	var post stateSnapshot
 	post.capture(s, args) // same shapes as pre: cannot exceed the bound
 	pre.restore(s)

@@ -91,10 +91,7 @@ func (ts *tenantState) snapshot(now time.Time) TenantSnapshot {
 func (s *Server) tenant(name string) *tenantState {
 	ts, ok := s.tenants[name]
 	if !ok {
-		q := s.cfg.defaultQuota
-		if tq, has := s.cfg.quotas[name]; has {
-			q = tq
-		}
+		q := s.cfg.quotas[name] // the zero quota is unlimited
 		now := s.cfg.clock.Now()
 		ts = &tenantState{
 			name:       name,

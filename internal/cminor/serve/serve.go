@@ -99,7 +99,6 @@ type serverConfig struct {
 	maxBatch      int
 	maxBatchDelay time.Duration
 	clock         clock.Clock
-	defaultQuota  TenantQuota
 	quotas        map[string]TenantQuota
 	tuneCacheDir  string
 }
@@ -148,13 +147,8 @@ func WithMaxBatchDelay(d time.Duration) Option {
 // so a fake clock drives every policy decision deterministically.
 func WithClock(clk clock.Clock) Option { return func(c *serverConfig) { c.clock = clk } }
 
-// WithDefaultQuota sets the quota applied to tenants without an
-// explicit one (default: unlimited).
-func WithDefaultQuota(q TenantQuota) Option {
-	return func(c *serverConfig) { c.defaultQuota = q }
-}
-
-// WithTenantQuota sets one tenant's quota.
+// WithTenantQuota sets one tenant's quota. Tenants without one are
+// unlimited.
 func WithTenantQuota(tenant string, q TenantQuota) Option {
 	return func(c *serverConfig) {
 		if c.quotas == nil {
@@ -260,7 +254,6 @@ func New(opts ...Option) (*Server, error) {
 	if cfg.maxBatchDelay < 0 {
 		return nil, fmt.Errorf("serve: max batch delay must be >= 0, got %v", cfg.maxBatchDelay)
 	}
-	cfg.defaultQuota = cfg.defaultQuota.normalize()
 	for k, q := range cfg.quotas {
 		cfg.quotas[k] = q.normalize()
 	}

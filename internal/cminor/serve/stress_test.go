@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,5 +176,29 @@ double spin(int reps, int n, double a[n]) {
 	snap := s.Snapshot()
 	if snap.ShedRunning != 1 || snap.Completed != 0 || snap.Failed != 0 {
 		t.Fatalf("accounting: %s", snap.StatusLine())
+	}
+}
+
+// TestBadArgumentIsAnErrorResponse sends a started server a request the
+// engine's entry binder rejects — a nil *Value for a scalar parameter —
+// and requires an error Response, not a dead worker, then a correct
+// answer to the next, valid request.
+func TestBadArgumentIsAnErrorResponse(t *testing.T) {
+	s := newLiveServer(t)
+	s.Start()
+	defer s.Close()
+	resp, err := s.Do(context.Background(), Request{
+		Tenant: "t0", Function: "probe", Args: []any{(*cm.Value)(nil), cm.NewArray(4)},
+	})
+	if err == nil || resp.Err != err || !strings.Contains(err.Error(), "cannot bind nil *cminor.Value") {
+		t.Fatalf("nil *Value argument: resp.Err = %v, err = %v; want the binder's error", resp.Err, err)
+	}
+	want, err := simProgram(t).NewInstance().Call("probe", simArgs(16)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = s.Do(context.Background(), Request{Tenant: "t0", Function: "probe", Args: simArgs(16)})
+	if err != nil || resp.Value != want {
+		t.Fatalf("valid request after a rejected one: %v, %v; want %v", resp.Value, err, want)
 	}
 }

@@ -27,11 +27,11 @@ package cminor
 // float) and demote sticky to dynamic on any disagreement with the join
 // of the function's return statements.
 //
-// Entry-point bindings that break the declared kinds (a *Value or raw
-// Go int/float64 argument whose kind mismatches the parameter) are
-// handled in Instance.Call by falling back to a generically-compiled body;
-// internal call sites always normalize arguments, so typed bodies are
-// safe for every call that enters through a matching frame.
+// Parameters start at their declared kinds because every binding
+// normalizes: entry calls convert Value/int/float64 arguments to the
+// declared kind and bind *Value only to pointer parameters (bindArg in
+// engine.go), and internal call sites convert likewise. Typed bodies
+// are therefore safe for every call.
 
 // kind is the static kind lattice: int and double are precise, kDyn
 // means "must use the generic tagged-Value path".

@@ -111,10 +111,48 @@ func (w *Walker) GlobalArray(name string) (*Array, bool) {
 	return b.arr, true
 }
 
-// Call invokes the named function. Args must be *Array for array
-// parameters, Value for scalar parameters, and *Value for pointer
-// parameters (shared cell).
-func (w *Walker) Call(name string, args ...any) (v Value, err error) {
+// Call invokes the named function. Arguments bind by the engine's one
+// entry rule (bindArg), so a call the walker accepts, converts or
+// rejects is accepted, converted or rejected alike on every backend.
+func (w *Walker) Call(name string, args ...any) (Value, error) {
+	fn, fr, err := w.bind(name, args)
+	if err != nil {
+		return Value{}, err
+	}
+	return w.run(name, fn, fr)
+}
+
+// bind resolves the callee, checks arity and binds the arguments — the
+// failures that happen before any step is charged.
+func (w *Walker) bind(name string, args []any) (*FuncDecl, *wframe, error) {
+	fn, ok := w.funcs[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("cminor: no function %q", name)
+	}
+	if err := checkArity(name, len(fn.Params), len(args)); err != nil {
+		return nil, nil, err
+	}
+	fr := &wframe{vars: map[string]*wbinding{}}
+	for i, p := range fn.Params {
+		v, cell, arr, err := bindArg(name, p, args[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case arr != nil:
+			fr.vars[p.Name] = &wbinding{arr: arr}
+		case cell != nil:
+			fr.vars[p.Name] = &wbinding{scalar: cell}
+		default:
+			fr.vars[p.Name] = &wbinding{scalar: &v}
+		}
+	}
+	return fn, fr, nil
+}
+
+// run executes fn's body in the bound frame fr, turning the walker's
+// panics into the call's result or error.
+func (w *Walker) run(name string, fn *FuncDecl, fr *wframe) (v Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch rr := r.(type) {
@@ -139,34 +177,6 @@ func (w *Walker) Call(name string, args ...any) (v Value, err error) {
 			}
 		}
 	}()
-	fn, ok := w.funcs[name]
-	if !ok {
-		return Value{}, fmt.Errorf("cminor: no function %q", name)
-	}
-	if len(args) != len(fn.Params) {
-		return Value{}, fmt.Errorf("cminor: %s expects %d args, got %d",
-			name, len(fn.Params), len(args))
-	}
-	fr := &wframe{vars: map[string]*wbinding{}}
-	for i, p := range fn.Params {
-		switch a := args[i].(type) {
-		case *Array:
-			fr.vars[p.Name] = &wbinding{arr: a}
-		case Value:
-			val := convertKind(a, p.Type.Kind)
-			fr.vars[p.Name] = &wbinding{scalar: &val}
-		case *Value:
-			fr.vars[p.Name] = &wbinding{scalar: a}
-		case int:
-			val := IntV(int64(a))
-			fr.vars[p.Name] = &wbinding{scalar: &val}
-		case float64:
-			val := FloatV(a)
-			fr.vars[p.Name] = &wbinding{scalar: &val}
-		default:
-			return Value{}, fmt.Errorf("cminor: unsupported argument type %T for %s", a, p.Name)
-		}
-	}
 	w.execBlock(fn.Body, fr)
 	return Value{}, nil
 }
