@@ -65,17 +65,21 @@ serve-sim:
 serve-timing:
 	go test -count=1 ./internal/cminor/serve/ -run 'TestHoldAccuracyRealClock' -v
 
-# Warm-start suite under the race detector: the persist log's format,
-# validation and compaction tests, the tuner-level save -> restart ->
-# load simulations (zero re-exploration, byte-identical checkpoints,
-# stale-winner dethroning, every bad-log class degrading to a cold
-# start), and the server-lifecycle warm-start tests (Host loads, Close
-# flushes, corrupt logs heal).
+# Warm-start suite under the race detector: the tuner-level save ->
+# restart -> load simulations (zero re-exploration, byte-identical
+# snapshots, stale-winner dethroning, every bad-snapshot class, every
+# truncation and single-byte flip degrading to a cold start, a stray
+# temp file from a crash before the rename) and the server-lifecycle
+# warm-start tests (Host loads, Close flushes, corrupt snapshots heal).
+# Then 20 s of FuzzLoadFrom without -race: a fuzzed body behind a valid
+# header and checksum must neither panic the loader nor break routing.
+# Shrinking each new interesting input is capped at 100 runs: uncapped,
+# it takes most of the 20 s and the fuzzer runs under a thousand inputs.
 warm-sim:
-	go test -race -count=1 ./internal/cminor/autotune/persist/
-	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestWarmStart'
+	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestWarmStart|FuzzLoadFrom'
 	go test -race -count=1 ./internal/cminor/serve/ -run 'TestServerWarmStart|TestFlushTuneCache'
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
+	go test -count=1 ./internal/cminor/autotune/ -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime=20s -fuzzminimizetime=100x
 
 # Tuner-policy suite under the race detector: the seeded fake-clock sims
 # of convergence, the measure phase's survey-then-contenders rule (near

@@ -1,7 +1,5 @@
 package cminor
 
-import "strings"
-
 // Node is implemented by every AST node.
 type Node interface {
 	Pos() Pos
@@ -52,9 +50,6 @@ type Type struct {
 // IsArray reports whether t has at least one array dimension.
 func (t *Type) IsArray() bool { return t != nil && len(t.Dims) > 0 }
 
-// IsScalar reports whether t is a plain scalar value type.
-func (t *Type) IsScalar() bool { return t != nil && len(t.Dims) == 0 && !t.Ptr }
-
 func (t *Type) clone() *Type {
 	if t == nil {
 		return nil
@@ -74,54 +69,6 @@ type Pragma struct {
 
 // Pos returns the pragma position.
 func (p *Pragma) Pos() Pos { return p.P }
-
-// IsOMP reports whether this is an OpenMP pragma.
-func (p *Pragma) IsOMP() bool { return strings.HasPrefix(p.Text, "omp") }
-
-// IsGCCOptimize reports whether this is a "#pragma GCC optimize" line.
-func (p *Pragma) IsGCCOptimize() bool {
-	return strings.HasPrefix(p.Text, "GCC optimize")
-}
-
-// IsScop reports whether this is a Polybench scop marker.
-func (p *Pragma) IsScop() bool { return p.Text == "scop" || p.Text == "endscop" }
-
-// OMPClause extracts the parenthesised argument of an OpenMP clause, e.g.
-// OMPClause("num_threads") on "omp parallel for num_threads(4)" returns
-// "4", true. It returns "", false when the clause is absent.
-func (p *Pragma) OMPClause(name string) (string, bool) {
-	i := strings.Index(p.Text, name+"(")
-	if i < 0 {
-		return "", false
-	}
-	rest := p.Text[i+len(name)+1:]
-	depth := 1
-	for j := 0; j < len(rest); j++ {
-		switch rest[j] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return rest[:j], true
-			}
-		}
-	}
-	return "", false
-}
-
-// HasOMPKeyword reports whether the pragma contains the given bare word
-// (e.g. "parallel", "for", "simd").
-func (p *Pragma) HasOMPKeyword(word string) bool {
-	for _, f := range strings.FieldsFunc(p.Text, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '(' || r == ')' || r == ','
-	}) {
-		if f == word {
-			return true
-		}
-	}
-	return false
-}
 
 func clonePragmas(ps []*Pragma) []*Pragma {
 	if ps == nil {

@@ -7,36 +7,82 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
 
 	cm "socrates/internal/cminor"
-	"socrates/internal/cminor/autotune/persist"
 )
 
 // Warm starts. A tuner's learned tables — winner, per-arm estimates,
 // pulls, quarantine state, per (function, input-class) site — are the
 // product of up to |grid|×minSamples exploration calls per site (a
 // survey of every arm, then bursts for the contenders), re-paid on
-// every process restart unless persisted. SaveTo checkpoints every
-// converged site into a persist log; LoadFrom seeds a fresh tuner from
-// one, placing each site directly in the EXPLOIT phase so the first
-// call after a restart already routes to the learned winner, with zero
+// every process restart unless persisted. SaveTo writes every converged
+// site into one snapshot file; LoadFrom seeds a fresh tuner from one,
+// placing each site directly in the EXPLOIT phase so the first call
+// after a restart already routes to the learned winner, with zero
 // additional measure-phase calls.
 //
-// The log is keyed by CacheKey — a content hash of (program source,
-// variant grid, host fingerprint) — so a stale binary's log, an edited
-// kernel's, or another machine's is rejected as a unit at load and the
-// tuner starts cold instead of routing on lies. Loaded estimates are
-// priors, not facts: each seeded arm folds its first few fresh
-// measurements in at a boosted EWMA weight (warmAlpha, decaying over
-// warmDistrust samples — see armStats.update), so a winner that is no
-// longer cheap is dragged up to its true cost within a couple of calls
-// and the ordinary hysteresis switch or drift challenge dethrones it.
-// Sites still measuring at save time are not persisted — a partial
-// table is not worth trusting — and a loaded record never overwrites a
-// site that has already begun learning live.
+// The snapshot is keyed by CacheKey — a content hash of (program
+// source, variant grid, host fingerprint) — so a stale binary's file,
+// an edited kernel's, or another machine's is rejected as a unit at
+// load and the tuner starts cold instead of routing on lies. Loaded
+// estimates are priors, not facts: each seeded arm folds its first few
+// fresh measurements in at a boosted EWMA weight (warmAlpha, decaying
+// over warmDistrust samples — see armStats.update), so a winner that is
+// no longer cheap is dragged up to its true cost within a couple of
+// calls and the ordinary hysteresis switch or drift challenge dethrones
+// it. Sites still measuring at save time are not persisted — a partial
+// table is not worth trusting — and a loaded site never overwrites one
+// that has already begun learning live.
+//
+// The file, little-endian throughout:
+//
+//	magic "SOCTUNE\n" | version u32 | reserved u32 | CacheKey u64 |
+//	site count u64 | encodeSite… back to back | fnv64a(all preceding bytes)
+//
+// SaveTo builds it whole and replaces the old file by temp file +
+// rename, so a crash leaves either the old snapshot or the new one,
+// never a torn hybrid. One checksum covers the whole file: every FNV-64a
+// step is a bijection of the running state, so any single changed byte
+// changes the sum, and a file is trusted or rejected as a unit — these
+// files are one entry per site, so re-learning is cheaper than trusting
+// a half-valid one.
+
+// cacheMagic opens every snapshot. The trailing newline means a
+// snapshot concatenated into a text tool immediately looks binary.
+const cacheMagic = "SOCTUNE\n"
+
+// cacheVersion is the snapshot format version. Any other version is a
+// skew: the reader does not attempt cross-version decoding — the sites
+// are cheap to re-learn, so the policy is reject and re-earn.
+const cacheVersion = 2
+
+// cacheHeaderSize is the byte length of magic, version, reserved and key.
+const cacheHeaderSize = len(cacheMagic) + 4 + 4 + 8
+
+// Validation failures LoadFrom reports; match with errors.Is. All of
+// them mean the same thing to a caller: the snapshot is not
+// trustworthy, start cold. The distinctions exist for tests and
+// diagnostics.
+var (
+	// ErrBadHeader: the file is shorter than a header or does not open
+	// with the magic — not a snapshot at all, or one truncated to
+	// nothing.
+	ErrBadHeader = errors.New("autotune: bad tune cache header")
+	// ErrVersionSkew: the header names a format version this reader
+	// does not speak (an old binary reading a new file, or vice versa).
+	ErrVersionSkew = errors.New("autotune: tune cache version skew")
+	// ErrKeyMismatch: the header's content key is not the tuner's — the
+	// file describes a different program, grid, or host.
+	ErrKeyMismatch = errors.New("autotune: tune cache content-key mismatch")
+	// ErrCorrupt: the checksum does not match (bit rot, a truncated
+	// file) or the body does not decode to exactly the declared sites.
+	ErrCorrupt = errors.New("autotune: corrupt tune cache")
+)
 
 // warmDistrust is how many post-load measurements of a seeded arm fold
 // in at the boosted warmAlpha weight before the configured alpha takes
@@ -51,12 +97,12 @@ const warmDistrust = 3
 // immediate, not eventual.
 const warmAlpha = 0.5
 
-// CacheKey is the content key SaveTo/LoadFrom validate the persist log
+// CacheKey is the content key SaveTo/LoadFrom validate the snapshot
 // against: a hash of the program's canonical source (Program.
 // SourceHash), the exact variant grid, and a host fingerprint
 // (GOOS/GOARCH/Go version/CPU count). Any of those changing — an
 // edited kernel, a regenerated grid, a different machine shape —
-// changes the key, and the stale log is rejected at load as a unit.
+// changes the key, and the stale file is rejected at load as a unit.
 func (t *AutoTuner) CacheKey() uint64 {
 	h := fnv.New64a()
 	var u [8]byte
@@ -69,61 +115,83 @@ func (t *AutoTuner) CacheKey() uint64 {
 	return h.Sum64()
 }
 
-// SaveTo checkpoints every converged site's learned table into the
-// persist log at path (created if needed), keyed by CacheKey. Each
-// checkpoint appends one record per converged site; the log supersedes
-// older records by site key and self-compacts, so repeated saves keep
-// the file O(live sites). Sites still in the measure phase are
-// skipped: their tables are half-earned.
+// SaveTo writes every converged site's learned table into a snapshot at
+// path (its directory created if needed), keyed by CacheKey, replacing
+// whatever file was there. Sites still in the measure phase are
+// skipped: their tables are half-earned. With no converged site the
+// file is left untouched.
 func (t *AutoTuner) SaveTo(path string) error {
-	t.mu.Lock()
-	recs := make([]persist.Record, 0, len(t.sites))
-	for key, st := range t.sites {
-		if st.phase != phaseExploit {
-			continue
-		}
-		recs = append(recs, persist.Record{
-			Key:     siteRecordKey(key),
-			Payload: encodeSite(key, st, t.cfg.grid),
-		})
-	}
-	t.mu.Unlock()
-	// Deterministic record order: the sites map iterates randomly, but
-	// two identical tuners must write byte-identical logs.
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	if len(recs) == 0 {
+	data := t.encodeSnapshot()
+	if data == nil {
 		return nil
 	}
-	return persist.Append(path, t.CacheKey(), recs)
+	return replaceFile(path, data)
 }
 
-// LoadFrom seeds the tuner from the persist log at path, returning how
-// many sites were warm-started. Every loaded site enters directly in
-// the EXPLOIT phase on its persisted winner — no measure burst — with
+// encodeSnapshot serializes every converged site into a whole snapshot
+// file, or returns nil when no site has converged.
+func (t *AutoTuner) encodeSnapshot() []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	keys := make([]siteKey, 0, len(t.sites))
+	for key, st := range t.sites {
+		if st.phase == phaseExploit {
+			keys = append(keys, key)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	// Deterministic site order: the sites map iterates randomly, but
+	// two identical tuners must write byte-identical files.
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].fn != keys[j].fn {
+			return keys[i].fn < keys[j].fn
+		}
+		return keys[i].class < keys[j].class
+	})
+	w := &recWriter{}
+	w.buf = append(w.buf, cacheMagic...)
+	w.i64(cacheVersion) // version u32, then a zero reserved u32
+	w.i64(int64(t.CacheKey()))
+	w.i64(int64(len(keys)))
+	for _, key := range keys {
+		encodeSite(w, key, t.sites[key], t.cfg.grid)
+	}
+	w.i64(int64(fnv64a(w.buf)))
+	return w.buf
+}
+
+// LoadFrom seeds the tuner from the snapshot at path, returning how many
+// sites were warm-started. Every loaded site enters directly in the
+// EXPLOIT phase on its persisted winner — no measure burst — with
 // estimates marked distrusted (see warmAlpha) so a winner the world has
 // moved under is still dethroned.
 //
-// A missing log is a clean cold start (0, nil). An invalid log —
+// A missing file is a clean cold start (0, nil). An invalid one —
 // corrupt, truncated, version-skewed, or written under a different
-// content key — is reported as an error, and the tuner is left exactly
-// as it was: cold sites stay cold, live sites stay live, nothing is
-// poisoned. Callers that treat persistence as best-effort can ignore
-// the error; routing is correct either way.
+// content key — is reported as one of the typed errors above, and the
+// tuner is left exactly as it was: cold sites stay cold, live sites
+// stay live, nothing is poisoned. Callers that treat persistence as
+// best-effort can ignore the error; routing is correct either way.
 func (t *AutoTuner) LoadFrom(path string) (int, error) {
-	recs, _, err := persist.Load(path, t.CacheKey())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil
 		}
 		return 0, err
 	}
+	recs, err := decodeSnapshot(data, t.CacheKey(), t.cfg.grid)
+	if err != nil {
+		return 0, err
+	}
 	warmed := 0
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, rec := range recs {
-		sr, ok := decodeSite(rec.Payload, t.cfg.grid)
-		if !ok || !t.base.HasFunc(sr.fn) {
-			continue // a record the current grid/program cannot honour
+	for _, sr := range recs {
+		if !t.base.HasFunc(sr.fn) {
+			continue // a site the current program cannot honour
 		}
 		key := siteKey{fn: sr.fn, class: sr.class}
 		if st, live := t.sites[key]; live && st.pulls > 0 {
@@ -133,6 +201,72 @@ func (t *AutoTuner) LoadFrom(path string) (int, error) {
 		warmed++
 	}
 	return warmed, nil
+}
+
+// decodeSnapshot validates a snapshot against the tuner's content key
+// and grid and decodes its sites — all of them or none.
+func decodeSnapshot(data []byte, key uint64, grid []VariantSpec) ([]*siteRecord, error) {
+	if len(data) < cacheHeaderSize || string(data[:len(cacheMagic)]) != cacheMagic {
+		return nil, ErrBadHeader
+	}
+	if v := binary.LittleEndian.Uint32(data[len(cacheMagic):]); v != cacheVersion {
+		return nil, fmt.Errorf("%w: file v%d, reader v%d", ErrVersionSkew, v, cacheVersion)
+	}
+	if k := binary.LittleEndian.Uint64(data[len(cacheMagic)+8:]); k != key {
+		return nil, fmt.Errorf("%w: file %016x, tuner %016x", ErrKeyMismatch, k, key)
+	}
+	body := len(data) - 8
+	if body < cacheHeaderSize || binary.LittleEndian.Uint64(data[body:]) != fnv64a(data[:body]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	r := &recReader{buf: data[:body], off: cacheHeaderSize}
+	n := r.i64()
+	var recs []*siteRecord
+	for i := int64(0); i < n; i++ {
+		sr, ok := decodeSite(r, grid)
+		if !ok {
+			return nil, fmt.Errorf("%w: site %d does not decode", ErrCorrupt, i)
+		}
+		recs = append(recs, sr)
+	}
+	if r.bad || n < 0 || r.off != len(r.buf) {
+		return nil, fmt.Errorf("%w: body is not %d sites", ErrCorrupt, n)
+	}
+	return recs, nil
+}
+
+// fnv64a is the snapshot checksum.
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// replaceFile replaces path with data via a temp file in the same
+// directory and a rename, so readers see the old file or the new one.
+// It does not fsync: a power loss that empties or drops the new file
+// costs one cold start, since LoadFrom rejects it like any bad file,
+// while a disk flush would be paid on every save.
+func replaceFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // seedSite installs one decoded record as a live exploit-phase site.
@@ -175,11 +309,6 @@ func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 	}
 }
 
-// siteRecordKey names a site's record in the log.
-func siteRecordKey(key siteKey) string {
-	return fmt.Sprintf("%s\x00%d", key.fn, key.class)
-}
-
 // siteRecord is the decoded form of one persisted site.
 type siteRecord struct {
 	fn       string
@@ -211,12 +340,10 @@ const (
 	armQuarantined = 1 << 1
 )
 
-// encodeSite serializes one converged site: little-endian fixed-width
-// fields behind the log's checksum, opening with the site identity
-// (function name, class) so a decoded record is self-describing even
-// though the record key spells the same pair.
-func encodeSite(key siteKey, st *siteState, grid []VariantSpec) []byte {
-	w := &recWriter{}
+// encodeSite appends one converged site to w: little-endian
+// fixed-width fields opening with the site identity (function name,
+// class).
+func encodeSite(w *recWriter, key siteKey, st *siteState, grid []VariantSpec) {
 	w.str(key.fn)
 	w.i64(int64(key.class))
 	w.spec(grid[st.best])
@@ -248,16 +375,14 @@ func encodeSite(key siteKey, st *siteState, grid []VariantSpec) []byte {
 		}
 		w.i64(until)
 	}
-	return w.buf
 }
 
-// decodeSite parses a site payload against the current grid. It is
-// defensive even though the log checksums every record: a payload
-// whose arm count or variant specs do not match the grid — possible
-// only through a content-key collision or an encoder bug — is
-// rejected, never half-applied.
-func decodeSite(payload []byte, grid []VariantSpec) (*siteRecord, bool) {
-	r := &recReader{buf: payload}
+// decodeSite reads one site from r against the current grid. It is
+// defensive even though the file is checksummed: a site whose arm count
+// or variant specs do not match the grid — possible only through a
+// content-key collision or an encoder bug — is rejected, never
+// half-applied.
+func decodeSite(r *recReader, grid []VariantSpec) (*siteRecord, bool) {
 	sr := &siteRecord{}
 	sr.fn = r.str()
 	sr.class = int(r.i64())
@@ -296,13 +421,13 @@ func decodeSite(payload []byte, grid []VariantSpec) (*siteRecord, bool) {
 		a.quarantines = r.i64()
 		a.quarantineUntil = r.i64()
 	}
-	if r.bad || len(r.buf) != r.off {
+	if r.bad {
 		return nil, false
 	}
 	return sr, true
 }
 
-// recWriter/recReader are the payload codec: fixed-width little-endian
+// recWriter/recReader are the snapshot codec: fixed-width little-endian
 // fields, length-prefixed strings, and a sticky error flag on the
 // reader so decode paths need no per-field checks.
 

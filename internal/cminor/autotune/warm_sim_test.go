@@ -2,7 +2,9 @@ package autotune
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +13,6 @@ import (
 
 	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
-	"socrates/internal/cminor/autotune/persist"
 )
 
 // Warm-start simulations: SaveTo/LoadFrom are driven through the same
@@ -19,7 +20,7 @@ import (
 // story is pinned exactly — a converged site must re-serve its winner
 // with zero additional measure-phase calls, a stale winner must be
 // dethroned through distrust decay plus drift, and every class of bad
-// log must degrade to an ordinary cold start.
+// snapshot must degrade to an ordinary cold start.
 
 // warmCost is the base cost model the warm-start sims share: O3 wins.
 var warmCost = map[string]time.Duration{
@@ -31,7 +32,7 @@ var warmCost = map[string]time.Duration{
 // warmTuner builds a tuner in the warm-sim configuration: default grid,
 // two-sample quotas, zero residual exploration (so any post-load pull
 // of a non-best arm is test-visible), fixed seed.
-func warmTuner(t *testing.T, sampler Sampler, opts ...Option) *AutoTuner {
+func warmTuner(t testing.TB, sampler Sampler, opts ...Option) *AutoTuner {
 	t.Helper()
 	base := []Option{
 		WithGrid(DefaultGrid()...),
@@ -47,7 +48,7 @@ func warmTuner(t *testing.T, sampler Sampler, opts ...Option) *AutoTuner {
 	return tn
 }
 
-func drive(t *testing.T, tn *AutoTuner, n int, args []any) {
+func drive(t testing.TB, tn *AutoTuner, n int, args []any) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := tn.Call("probe", args...); err != nil {
@@ -56,14 +57,14 @@ func drive(t *testing.T, tn *AutoTuner, n int, args []any) {
 	}
 }
 
-// convergedLog runs a fresh tuner to convergence and checkpoints it,
-// returning the log path for load-side tests.
-func convergedLog(t *testing.T, path string) {
+// convergedLog runs a fresh tuner to convergence and saves its
+// snapshot at path for load-side tests.
+func convergedLog(t testing.TB, path string) {
 	t.Helper()
 	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
 	drive(t, tn, 40, simArgs(16))
-	if got := bestSpec(t, tn, "probe", SizeClass(simArgs(16))); got.String() != "O3" {
-		t.Fatalf("setup converged to %v, want O3", got)
+	if got, ok := tn.Best("probe", SizeClass(simArgs(16))); !ok || got.String() != "O3" {
+		t.Fatalf("setup converged to (%v, %v), want O3", got, ok)
 	}
 	if err := tn.SaveTo(path); err != nil {
 		t.Fatal(err)
@@ -217,11 +218,25 @@ func TestWarmStartStaleWinnerDethroned(t *testing.T) {
 	}
 }
 
-// TestWarmStartBadLogColdStart drives all four bad-log classes —
-// corrupt byte, truncated tail, version skew, content-key mismatch —
-// and asserts each degrades to a cold start: LoadFrom reports the typed
-// error, seeds nothing, and the untouched tuner still converges
-// normally by ordinary exploration. A missing log is not even an error.
+// flipByte XORs the byte at off in the file at path with mask.
+func flipByte(t *testing.T, path string, off int, mask byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= mask
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmStartBadLogColdStart drives every bad-snapshot class — not a
+// snapshot, truncated header, corrupt byte, truncated tail, version
+// skew, content-key mismatch — and asserts each degrades to a cold
+// start: LoadFrom reports the typed error, seeds nothing, and the
+// untouched tuner still converges normally by ordinary exploration. A
+// missing file is not even an error.
 func TestWarmStartBadLogColdStart(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "src.log")
 	convergedLog(t, src)
@@ -235,24 +250,34 @@ func TestWarmStartBadLogColdStart(t *testing.T) {
 		mangle  func(t *testing.T, path string)
 		wantErr error
 	}{
-		{"corrupt record byte", func(t *testing.T, path string) {
-			// Flip one payload byte: past the 24-byte header and into
-			// the first record's body.
-			if err := persist.Corrupt(path, 24+12); err != nil {
+		{"not a log", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, []byte("just some text, definitely no magic"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, persist.ErrCorrupt},
+		}, ErrBadHeader},
+		{"truncated header", func(t *testing.T, path string) {
+			if err := os.Truncate(path, int64(cacheHeaderSize-3)); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrBadHeader},
+		{"corrupt record byte", func(t *testing.T, path string) {
+			// Flip one byte past the 24-byte header, inside the first
+			// site.
+			flipByte(t, path, cacheHeaderSize+12, 0xff)
+		}, ErrCorrupt},
 		{"truncated tail", func(t *testing.T, path string) {
 			if err := os.Truncate(path, int64(len(pristine)-7)); err != nil {
 				t.Fatal(err)
 			}
-		}, persist.ErrCorrupt},
+		}, ErrCorrupt},
 		{"version skew", func(t *testing.T, path string) {
 			// The version field follows the 8-byte magic.
-			if err := persist.Corrupt(path, 8); err != nil {
-				t.Fatal(err)
-			}
-		}, persist.ErrVersionSkew},
+			flipByte(t, path, len(cacheMagic), 0xff)
+		}, ErrVersionSkew},
+		{"format v1", func(t *testing.T, path string) {
+			// Rewrite the version byte to 1, the old append-log format.
+			flipByte(t, path, len(cacheMagic), cacheVersion^1)
+		}, ErrVersionSkew},
 	}
 	args := simArgs(16)
 	class := SizeClass(args)
@@ -290,7 +315,7 @@ func TestWarmStartBadLogColdStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		warmed, err := tn.LoadFrom(src)
-		if !errors.Is(err, persist.ErrKeyMismatch) || warmed != 0 {
+		if !errors.Is(err, ErrKeyMismatch) || warmed != 0 {
 			t.Fatalf("LoadFrom = (%d, %v), want (0, ErrKeyMismatch)", warmed, err)
 		}
 	})
@@ -374,4 +399,145 @@ func TestWarmStartQuarantineRoundTrip(t *testing.T) {
 	if got := bestSpec(t, warm, "probe", class); got.String() != "O3" {
 		t.Fatalf("loaded winner %v, want O3", got)
 	}
+}
+
+// TestWarmStartRejectsEveryTruncationAndFlip: a snapshot cut short at
+// any offset, or with any one byte flipped, is rejected as a unit. One
+// tuner takes every failed load and must come out untouched: no site
+// seeded, and a cold survey of every arm when traffic arrives.
+func TestWarmStartRejectsEveryTruncationAndFlip(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.log")
+	convergedLog(t, src)
+	pristine, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmed, err := warmTuner(t, &simSampler{cost: flatCost(warmCost)}).LoadFrom(src); err != nil || warmed != 1 {
+		t.Fatalf("pristine LoadFrom = (%d, %v), want (1, nil)", warmed, err)
+	}
+
+	args := simArgs(16)
+	class := SizeClass(args)
+	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
+	path := filepath.Join(dir, "tune.log")
+	reject := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if warmed, err := tn.LoadFrom(path); err == nil || warmed != 0 {
+			t.Fatalf("%s: LoadFrom = (%d, %v), want (0, error)", what, warmed, err)
+		}
+		if _, ok := tn.Best("probe", class); ok {
+			t.Fatalf("%s seeded a winner", what)
+		}
+	}
+	for n := range pristine {
+		reject(fmt.Sprintf("%d-byte prefix", n), pristine[:n])
+	}
+	for off := range pristine {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			data := bytes.Clone(pristine)
+			data[off] ^= mask
+			reject(fmt.Sprintf("byte %d ^ %#02x", off, mask), data)
+		}
+	}
+
+	if n := len(tn.Snapshot()); n != 0 {
+		t.Fatalf("rejected loads left %d sites", n)
+	}
+	drive(t, tn, 40, args)
+	for _, arm := range siteReport(t, tn, "probe", class).Arms {
+		if arm.Pulls == 0 {
+			t.Fatalf("arm %v never surveyed: the tuner did not start cold", arm.Spec)
+		}
+	}
+	if got := bestSpec(t, tn, "probe", class); got.String() != "O3" {
+		t.Fatalf("cold start converged to %v, want O3", got)
+	}
+}
+
+// TestWarmStartIgnoresStrayTempFile: a crash between writing the temp
+// file and renaming it over the snapshot leaves a tune.log.tmp* beside
+// the old snapshot. The old snapshot still loads, and the next save
+// still succeeds without leaving a temp file of its own.
+func TestWarmStartIgnoresStrayTempFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tune.log")
+	convergedLog(t, path)
+	stray := path + ".tmp123456"
+	if err := os.WriteFile(stray, bytes.Repeat([]byte{0xa5}, 300), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
+	if warmed, err := tn.LoadFrom(path); err != nil || warmed != 1 {
+		t.Fatalf("LoadFrom = (%d, %v), want (1, nil)", warmed, err)
+	}
+	drive(t, tn, 5, simArgs(16))
+	if err := tn.SaveTo(path); err != nil {
+		t.Fatal(err)
+	}
+	if warmed, err := warmTuner(t, &simSampler{cost: flatCost(warmCost)}).LoadFrom(path); err != nil || warmed != 1 {
+		t.Fatalf("LoadFrom after the save = (%d, %v), want (1, nil)", warmed, err)
+	}
+	if tmps, _ := filepath.Glob(path + ".tmp*"); !reflect.DeepEqual(tmps, []string{stray}) {
+		t.Fatalf("temp files beside the snapshot: %v, want only the stray one", tmps)
+	}
+}
+
+// TestWarmStartSaveHealsCorruptSnapshot: SaveTo replaces whatever is at
+// the path, so a damaged snapshot costs one cold start and heals on the
+// next save instead of wedging persistence.
+func TestWarmStartSaveHealsCorruptSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tune.log")
+	convergedLog(t, path)
+	flipByte(t, path, cacheHeaderSize+12, 0xff)
+
+	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
+	if warmed, err := tn.LoadFrom(path); !errors.Is(err, ErrCorrupt) || warmed != 0 {
+		t.Fatalf("LoadFrom = (%d, %v), want (0, ErrCorrupt)", warmed, err)
+	}
+	drive(t, tn, 40, simArgs(16))
+	if err := tn.SaveTo(path); err != nil {
+		t.Fatal(err)
+	}
+	if warmed, err := warmTuner(t, &simSampler{cost: flatCost(warmCost)}).LoadFrom(path); err != nil || warmed != 1 {
+		t.Fatalf("LoadFrom after the healing save = (%d, %v), want (1, nil)", warmed, err)
+	}
+}
+
+// FuzzLoadFrom wraps a fuzzed body in a valid header and a recomputed
+// checksum, so mutations reach the site decoder instead of stopping at
+// the checksum. Whatever the body, LoadFrom must not panic, and the
+// tuner must go on answering probe calls correctly.
+func FuzzLoadFrom(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "tune.log")
+	convergedLog(f, path)
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[cacheHeaderSize : len(seed)-8])
+
+	args := simArgs(16)
+	want := 0.0
+	for _, x := range args[1].(*cm.Array).Data {
+		want += x * x
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := append(bytes.Clone(seed[:cacheHeaderSize]), body...)
+		data = binary.LittleEndian.AppendUint64(data, fnv64a(data))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)})
+		tn.LoadFrom(path) // any outcome but a panic is acceptable
+		for i := 0; i < 3; i++ {
+			got, err := tn.Call("probe", args...)
+			if err != nil || got.Float() != want {
+				t.Fatalf("call %d after the load = (%v, %v), want %v", i, got, err, want)
+			}
+		}
+	})
 }

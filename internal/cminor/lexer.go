@@ -12,11 +12,6 @@ type Lexer struct {
 	diags DiagList
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
 // NewFileLexer returns a lexer over src whose diagnostics carry the given
 // file name.
 func NewFileLexer(file, src string) *Lexer {

@@ -51,15 +51,8 @@ func TestParseAttachesPragmaToFor(t *testing.T) {
 	if len(loops[0].Pragmas) != 1 {
 		t.Fatalf("pragma not attached to loop: %+v", loops[0].Pragmas)
 	}
-	pr := loops[0].Pragmas[0]
-	if !pr.IsOMP() {
-		t.Error("pragma should be recognised as OpenMP")
-	}
-	if v, ok := pr.OMPClause("num_threads"); !ok || v != "NT" {
-		t.Errorf("num_threads clause = %q, %v", v, ok)
-	}
-	if v, ok := pr.OMPClause("proc_bind"); !ok || v != "close" {
-		t.Errorf("proc_bind clause = %q, %v", v, ok)
+	if got, want := loops[0].Pragmas[0].Text, "omp parallel for num_threads(NT) proc_bind(close)"; got != want {
+		t.Errorf("pragma text = %q, want %q", got, want)
 	}
 }
 
@@ -144,12 +137,12 @@ void f(int n, double A[n]) {
 	Walk(fn, func(n Node) bool {
 		switch n := n.(type) {
 		case *PragmaStmt:
-			if n.Pragma.IsScop() {
+			if n.Pragma.Text == "scop" || n.Pragma.Text == "endscop" {
 				found++
 			}
 		case *ForStmt:
 			for _, p := range n.Pragmas {
-				if p.IsScop() {
+				if p.Text == "scop" || p.Text == "endscop" {
 					found++
 				}
 			}

@@ -159,16 +159,16 @@ func WithTenantQuota(tenant string, q TenantQuota) Option {
 }
 
 // WithTuneCache enables the persistent tuning cache under dir (default:
-// disabled). Each hosted program's tuner gets its own log file, named
-// by the tuner's content key (autotune.CacheKey: program source ×
+// disabled). Each hosted program's tuner gets its own snapshot file,
+// named by the tuner's content key (autotune.CacheKey: program source ×
 // variant grid × host fingerprint), so an edited kernel or a changed
 // grid can never warm-start from stale tables. Host seeds the tuner
-// from its log — converged sites serve their first post-restart call
-// straight from the learned winner, zero re-exploration — and Close
-// flushes the learned state back; FlushTuneCache checkpoints it on
-// demand without closing. A missing, corrupt, truncated, or
-// wrong-keyed log degrades to an ordinary cold start: persistence is
-// strictly best-effort and can never poison routing.
+// from its snapshot — converged sites serve their first post-restart
+// call straight from the learned winner, zero re-exploration — and
+// Close flushes the learned state back; FlushTuneCache checkpoints it
+// on demand without closing. A missing, corrupt, truncated, or
+// wrong-keyed snapshot degrades to an ordinary cold start: persistence
+// is strictly best-effort and can never poison routing.
 func WithTuneCache(dir string) Option {
 	return func(c *serverConfig) { c.tuneCacheDir = dir }
 }
@@ -215,7 +215,7 @@ type Server struct {
 	// wakes counts returns from cond.Wait and holds the timekeeper's
 	// sleeps: what white-box tests assert the wake discipline on.
 	wakes, holds int64
-	// caches pairs each hosted tuner with its tune-cache log path
+	// caches pairs each hosted tuner with its tune-cache snapshot path
 	// (WithTuneCache): loaded by Host, flushed by Close/FlushTuneCache.
 	caches []tunerCache
 
@@ -284,7 +284,7 @@ func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.Auto
 	// configured, converged sites from the previous process seed the
 	// tuner here, so the very first dispatched request already exploits
 	// the learned winner. Load failures (missing, corrupt, wrong-keyed
-	// logs) fall back to an ordinary cold start — never an error.
+	// snapshots) fall back to an ordinary cold start — never an error.
 	cachePath := ""
 	if s.cfg.tuneCacheDir != "" {
 		cachePath = filepath.Join(s.cfg.tuneCacheDir,
@@ -312,8 +312,8 @@ func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.Auto
 }
 
 // FlushTuneCache checkpoints every hosted tuner's learned tables into
-// its tune-cache log (WithTuneCache). Close flushes automatically; this
-// is the on-demand hook for long-lived servers that want periodic
+// its tune-cache snapshot (WithTuneCache). Close flushes automatically;
+// this is the on-demand hook for long-lived servers that want periodic
 // checkpoints so a crash loses minutes of learning, not days. A no-op
 // without a configured cache.
 func (s *Server) FlushTuneCache() error {

@@ -9,7 +9,6 @@ import (
 	"socrates/internal/clock"
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
-	"socrates/internal/cminor/autotune/persist"
 )
 
 // Server-level warm-start simulations: the tune cache is exercised
@@ -35,6 +34,19 @@ func newWarmSimServer(t *testing.T, clk *clock.Fake, dir string) (*Server, *auto
 		t.Fatal(err)
 	}
 	return s, tn
+}
+
+// loadCache loads the tune cache at path into a fresh tuner over the
+// warm-sim grid, outside any server, and returns how many sites it
+// warmed.
+func loadCache(t *testing.T, path string) (int, error) {
+	t.Helper()
+	tn, err := autotune.New(simProgram(t),
+		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O1}, autotune.VariantSpec{Opt: cm.O2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn.LoadFrom(path)
 }
 
 func serveCalls(t *testing.T, s *Server, n int) {
@@ -121,8 +133,13 @@ func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 	serveCalls(t, s1, 4)
 	s1.Close()
 	cachePath := filepath.Join(dir, fmt.Sprintf("tune-%016x.log", tn1.CacheKey()))
-	// Damage a record byte (past the 24-byte header).
-	if err := persist.Corrupt(cachePath, 30); err != nil {
+	// Damage the site count, just past the 24-byte header.
+	data, err := os.ReadFile(cachePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[30] ^= 0xff
+	if err := os.WriteFile(cachePath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +153,7 @@ func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 	}
 	s2.Close()
 	// The flush healed the log: a third process warm-starts again.
-	if _, _, err := persist.Load(cachePath, tn2.CacheKey()); err != nil {
+	if _, err := loadCache(t, cachePath); err != nil {
 		t.Fatalf("log not healed by the post-cold-start flush: %v", err)
 	}
 	s3, tn3 := newWarmSimServer(t, clk, dir)
@@ -158,9 +175,9 @@ func TestFlushTuneCacheOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	cachePath := filepath.Join(dir, fmt.Sprintf("tune-%016x.log", tn.CacheKey()))
-	live, _, err := persist.Load(cachePath, tn.CacheKey())
-	if err != nil || len(live) != 1 {
-		t.Fatalf("on-demand flush wrote %d live records (%v), want 1", len(live), err)
+	warmed, err := loadCache(t, cachePath)
+	if err != nil || warmed != 1 {
+		t.Fatalf("on-demand flush wrote %d sites (%v), want 1", warmed, err)
 	}
 	serveCalls(t, s, 2) // the server is still serving
 }

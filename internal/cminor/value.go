@@ -228,9 +228,3 @@ var builtins = map[string]func(args []Value) Value{
 var builtinArity = map[string]int{
 	"sqrt": 1, "fabs": 1, "pow": 2, "exp": 1, "log": 1, "floor": 1, "ceil": 1,
 }
-
-// IsBuiltin reports whether name is a known math builtin.
-func IsBuiltin(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
