@@ -26,9 +26,9 @@ import (
 // charges the same step() budget, every fault carries the same
 // positioned *Diag text, and loop versioning falls back to a fully
 // checked body when a preamble proof fails. A function the lowerer
-// cannot prove safe (user calls, pointer cells, dynamic kinds, rank>2
-// arrays) simply keeps its closure-compiled body — bailing is always
-// semantics-preserving.
+// cannot prove safe (a call the inliner did not plan, pointer cells,
+// dynamic kinds, rank>2 arrays) simply keeps its closure-compiled body —
+// bailing is always semantics-preserving.
 
 // bcOp enumerates the bytecode operations.
 type bcOp uint8
@@ -142,16 +142,18 @@ const (
 	opCmU2
 
 	// Run forms. When the body of an innermost counted loop is, after its
-	// leading opStep, exactly one recognised straight-line form of the
-	// plain instructions above, the lowerer (formRun) replaces it with a
-	// run head and c opOpnd rows — the form's target and sources as
-	// strided operands, never dispatched — before the usual opLoopNext2.
-	// The head executes the iteration it was entered for plus every
-	// further one the loop bound (a, b: induction and last registers), the
-	// step budget and bcRunChunk allow in a native Go loop (bcRunLen),
-	// charges their back edges in one addition, advances the induction
-	// register and falls into the unchanged opLoopNext2, which takes the
-	// exit, the next chunk and every budget edge with its usual rollback.
+	// leading opStep and apart from the steps of a spliced callee's
+	// statements, exactly one recognised straight-line form of the plain
+	// instructions above, the lowerer (formRun) replaces it with those
+	// steps, a run head and c opOpnd rows — the form's target and sources
+	// as strided operands, never dispatched — before the usual
+	// opLoopNext2. The head executes the iteration it was entered for
+	// plus every further one the loop bound (a, b: induction and last
+	// registers), the step budget and bcRunChunk allow in a native Go loop
+	// (bcRunLen), charges their e steps each (the back edge's two and the
+	// inner ones) in one addition, advances the induction register and
+	// falls into the unchanged opLoopNext2, which takes the exit, the next
+	// chunk and every budget edge with its usual rollback.
 	opRunMac // T ±= float64(([freg[d]·]X)·Y): rows T, X, Y; sub bcRunNeg | bcRunCoef
 	opRunSum // T = (X1+…+Xk) scaled by freg[d] as sub (bcScale*) says: rows T, X1…Xk
 	opRunMap // T = X: rows T, X
@@ -322,7 +324,7 @@ func Disassemble(p *Program, fn string) (string, error) {
 		return "", fmt.Errorf("cminor: Disassemble: no function %q", fn)
 	}
 	if cf.bc == nil {
-		return "", fmt.Errorf("cminor: Disassemble: %s bailed to the closure fallback", fn)
+		return "", fmt.Errorf("cminor: Disassemble: %s bailed to the closure fallback: %s", fn, cf.bail)
 	}
 	bc := cf.bc
 	var sb strings.Builder
@@ -495,7 +497,7 @@ func bcOperands(in, head *instr) string {
 		if in.sub&bcRunCoef != 0 {
 			x = fmt.Sprintf("f%d*x", in.d)
 		}
-		return fmt.Sprintf("i%d<=i%d t %s= %s*y", in.a, in.b, sign, x)
+		return fmt.Sprintf("i%d<=i%d t %s= %s*y", in.a, in.b, sign, x) + bcRunK(in)
 	case opRunSum:
 		sum := fmt.Sprintf("(x1+..+x%d)", in.c-1)
 		switch in.sub {
@@ -506,9 +508,9 @@ func bcOperands(in, head *instr) string {
 		case bcScaleDiv:
 			sum = fmt.Sprintf("%s/f%d", sum, in.d)
 		}
-		return fmt.Sprintf("i%d<=i%d t = %s", in.a, in.b, sum)
+		return fmt.Sprintf("i%d<=i%d t = %s", in.a, in.b, sum) + bcRunK(in)
 	case opRunMap:
-		return fmt.Sprintf("i%d<=i%d t = x", in.a, in.b)
+		return fmt.Sprintf("i%d<=i%d t = x", in.a, in.b) + bcRunK(in)
 	case opOpnd:
 		switch in.sub {
 		case bcModeReg:
@@ -522,6 +524,15 @@ func bcOperands(in, head *instr) string {
 		}
 	}
 	return "?"
+}
+
+// bcRunK renders a run head's steps per iteration where a spliced
+// body's inner steps make them more than the back edge's two.
+func bcRunK(in *instr) string {
+	if in.e == 2 {
+		return ""
+	}
+	return fmt.Sprintf(" k=%d", in.e)
 }
 
 // BytecodeFuncs reports which functions of a BackendBytecode program

@@ -159,9 +159,9 @@ const bcRunChunk = 1024
 
 // bcRunLen is how many iterations beyond the one it was entered for a
 // run head may execute: those the loop has left (iv <= last inside a
-// body), those whose back edges — two steps each — the budget still
-// covers, and no more than bcRunChunk.
-func (ec *Instance) bcRunLen(iv, last int64) int {
+// body), those whose k steps each — the back edge's two and the body's
+// inner ones — the budget still covers, and no more than bcRunChunk.
+func (ec *Instance) bcRunLen(iv, last int64, k int32) int {
 	n := uint64(last) - uint64(iv)
 	if n > bcRunChunk {
 		n = bcRunChunk
@@ -170,7 +170,7 @@ func (ec *Instance) bcRunLen(iv, last int64) int {
 	if lim <= steps {
 		return 0 // spent, or dropped by a cancellation
 	}
-	return int(min(n, uint64(lim-steps)/2))
+	return int(min(n, uint64(lim-steps)/uint64(k)))
 }
 
 // bcWalk is a run operand resolved at run entry: element i of the walk
@@ -621,7 +621,7 @@ func execBC(fr *frame, bc *bcFunc) {
 		case opRunMac, opRunSum, opRunMap:
 			// This iteration and n more; the opLoopNext2 behind the rows then
 			// closes the last of them as it would have closed each.
-			n := ec.bcRunLen(ireg[in.a], ireg[in.b])
+			n := ec.bcRunLen(ireg[in.a], ireg[in.b], in.e)
 			rows := code[pc : pc+int(in.c)]
 			switch in.op {
 			case opRunMac:
@@ -632,7 +632,7 @@ func execBC(fr *frame, bc *bcFunc) {
 				bcRunMap(fr, rows, n)
 			}
 			ireg[in.a] += int64(n)
-			ec.steps += 2 * n
+			ec.steps += int(in.e) * n
 			pc += len(rows)
 		default:
 			panic("cminor: internal: unknown bytecode op")

@@ -1,6 +1,7 @@
 package cminor
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -10,16 +11,25 @@ import (
 // mirrors the closure compiler's semantics statement for statement:
 // the same step-budget charges, the same evaluation order, the same
 // positioned faults. Anything it cannot lower with those guarantees —
-// user calls, pointer cells, dynamic kinds, rank>2 arrays — bails by
-// panicking bcBail, and the function keeps its closure-compiled body.
+// a call the O3 inliner did not plan, pointer cells, dynamic kinds,
+// rank>2 arrays — bails by panicking a *bcBail that names the reason
+// and the position, and the function keeps its closure-compiled body.
+//
+// A planned call to a leaf is spliced in place (spliceCall), reusing
+// the inliner's plan (inline.go): the callee's slots are relocated into
+// the caller's frame, its body is lowered with that relocation active,
+// and its returns write a result register. Nothing marks the splice at
+// run time, so a spliced body is a run form like any other.
 //
 // Scalar slot s lives in ireg[s] or freg[s] according to its static
-// kind; temporaries are allocated monotonically above the slot block
-// and never reused, so a register read always observes the value its
-// producing instruction computed. Where the closure backend captures
-// an operand's value before a later subexpression may overwrite it,
-// the lowerer copies slot registers into temporaries (protectI /
-// protectF) to preserve left-to-right capture semantics.
+// kind; the slot block covers the caller's slots and every splice's.
+// Temporaries are allocated monotonically above it and never reused —
+// a value joined from branches (a conditional's, a multi-return
+// splice's result) is written once on each path — so a register read
+// always observes the value its producing instruction computed. Where the closure backend captures an operand's
+// value before a later subexpression may overwrite it, the lowerer
+// copies slot registers into temporaries (protectI / protectF) to
+// preserve left-to-right capture semantics.
 //
 // Counted loops reuse the loop optimizer's recognition (countedLoop's
 // shape checks, analyzeLoopBody, invariant, ivAffine) and lower to a
@@ -30,8 +40,45 @@ import (
 // bit-exact with the unoptimized pipeline, faults included — on failure.
 
 // bcBail is the panic sentinel lowerBCFunc recovers: this function
-// cannot be lowered, keep the closure fallback.
-type bcBail struct{}
+// cannot be lowered, keep the closure fallback. Disassemble reports it.
+type bcBail struct {
+	why  bcBailReason
+	pos  Pos
+	call string // bcBailCall: the callee and why it was not spliced
+}
+
+// bcBailReason classifies why a function keeps its closure body.
+type bcBailReason uint8
+
+const (
+	bcBailCells   bcBailReason = iota // a pointer cell in the function
+	bcBailDyn                         // a dynamic kind where a static one is needed
+	bcBailNoTypes                     // no typecheck result for the function
+	bcBailCall                        // a user call with no splice planned
+	bcBailParam                       // a spliced callee takes an array or pointer
+	bcBailRank                        // an array of rank above 2
+	bcBailStmt                        // a statement with no lowering
+	bcBailExpr                        // an expression with no lowering
+	bcBailOp                          // an operator or builtin with no lowering
+	bcBailArray                       // an element access whose root is no array
+)
+
+var bcBailText = [...]string{
+	bcBailCells:   "pointer cells",
+	bcBailDyn:     "dynamic kind",
+	bcBailNoTypes: "no type information",
+	bcBailCall:    "call to ",
+	bcBailParam:   "array or pointer parameter",
+	bcBailRank:    "array rank above 2",
+	bcBailStmt:    "unsupported statement",
+	bcBailExpr:    "unsupported expression",
+	bcBailOp:      "unsupported operator",
+	bcBailArray:   "not an array",
+}
+
+func (b *bcBail) String() string {
+	return fmt.Sprintf("%s%s at %s", bcBailText[b.why], b.call, b.pos)
+}
 
 // bcMaxLoopDepth bounds counted-loop versioning: each level emits its
 // body twice (fast + safe), so code size grows as 2^depth. Deeper
@@ -102,9 +149,10 @@ type bcAddr struct {
 
 // bcLower lowers one function.
 type bcLower struct {
-	ca      *compiler // analysis-only compiler (refOf, kinds, loop facts)
-	fi      *FuncInfo
+	ca      *compiler // analysis-only compiler (refOf, kinds, loop facts, the inlining plan)
 	types   *fnTypes
+	nSlots  int       // registers below this are slots, above it temporaries
+	splice  *bcSplice // the call being spliced, nil outside one
 	code    []instr
 	nI, nF  int
 	nD      int
@@ -119,35 +167,36 @@ type bcLower struct {
 	constFs map[uint64]int32
 }
 
-// lowerBCFunc lowers one function to bytecode, or returns nil when it
-// must keep its closure fallback.
-func lowerBCFunc(p *Program, name string, cf *compiledFunc) (bc *bcFunc) {
+// lowerBCFunc lowers one function to bytecode, splicing the call sites
+// plan (nil: none) inlines, or returns why it must keep its closure
+// fallback.
+func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (bc *bcFunc, bail *bcBail) {
 	fi := cf.info
-	if fi.NumCells > 0 || fi.UserCalls > 0 {
-		return nil
+	types, nSlots := p.ti.funcs[name], fi.NumScalars
+	if plan != nil {
+		types, nSlots = plan.types, plan.numScalars
 	}
-	types := p.ti.funcs[name]
-	if types == nil {
-		return nil
-	}
-	for _, k := range types.scalars {
-		if k == kDyn {
-			return nil
-		}
+	switch {
+	case fi.NumCells > 0:
+		return nil, &bcBail{why: bcBailCells, pos: fi.Decl.P}
+	case types == nil:
+		return nil, &bcBail{why: bcBailNoTypes, pos: fi.Decl.P}
+	case slices.Contains(types.scalars, kDyn):
+		return nil, &bcBail{why: bcBailDyn, pos: fi.Decl.P}
 	}
 	bl := &bcLower{
-		ca:      &compiler{prog: p, types: types, info: p.ti, opt: O2},
-		fi:      fi,
+		ca:      &compiler{prog: p, types: types, info: p.ti, opt: O2, plan: plan},
 		types:   types,
-		nI:      fi.NumScalars,
-		nF:      fi.NumScalars,
+		nSlots:  nSlots,
+		nI:      nSlots,
+		nF:      nSlots,
 		constIs: map[int64]int32{},
 		constFs: map[uint64]int32{},
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(bcBail); ok {
-				bc = nil
+			if b, ok := r.(*bcBail); ok {
+				bc, bail = nil, b
 				return
 			}
 			panic(r)
@@ -170,12 +219,12 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc) (bc *bcFunc) {
 			isInt: types.scalars[pr.Slot] == kInt,
 		})
 	}
-	return &bcFunc{name: name, code: bl.code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}
+	return &bcFunc{name: name, code: bl.code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}, nil
 }
 
 // ---- emission helpers ----
 
-func (bl *bcLower) bail() { panic(bcBail{}) }
+func (bl *bcLower) bail(why bcBailReason, p Pos) { panic(&bcBail{why: why, pos: p}) }
 
 func (bl *bcLower) emit(in instr) int {
 	bl.code = append(bl.code, in)
@@ -294,7 +343,7 @@ func (bl *bcLower) innermost() *bcLoop {
 // value is consumed (left-to-right evaluation parity). Temporaries are
 // single-assignment and need no protection.
 func (bl *bcLower) protectI(r int32, later ...Expr) int32 {
-	if int(r) >= bl.fi.NumScalars || !exprWritesAny(later...) {
+	if bl.isTemp(r) || !exprWritesAny(later...) {
 		return r
 	}
 	t := bl.newI()
@@ -303,7 +352,7 @@ func (bl *bcLower) protectI(r int32, later ...Expr) int32 {
 }
 
 func (bl *bcLower) protectF(r int32, later ...Expr) int32 {
-	if int(r) >= bl.fi.NumScalars || !exprWritesAny(later...) {
+	if bl.isTemp(r) || !exprWritesAny(later...) {
 		return r
 	}
 	t := bl.newF()
@@ -312,7 +361,10 @@ func (bl *bcLower) protectF(r int32, later ...Expr) int32 {
 }
 
 // exprWritesAny reports whether any of the expressions contains an
-// assignment or ++/-- (user calls cannot appear in lowered functions).
+// assignment or ++/--. A spliced call's arguments are walked, its
+// callee's body is not: a leaf callee writes only its own relocated
+// slots and globals, and no register a caller protects holds either (a
+// global is read into a temporary).
 func exprWritesAny(es ...Expr) bool {
 	for _, e := range es {
 		if e == nil {
@@ -349,11 +401,11 @@ func (bl *bcLower) iArith(base TokenKind, d, a, b int32, p Pos) instr {
 	case PERCENT:
 		return instr{op: opModI, d: d, a: a, b: b, pos: p}
 	}
-	bl.bail()
+	bl.bail(bcBailOp, p)
 	return instr{}
 }
 
-func (bl *bcLower) fArith(base TokenKind, d, a, b int32) instr {
+func (bl *bcLower) fArith(base TokenKind, d, a, b int32, p Pos) instr {
 	switch base {
 	case PLUS:
 		return instr{op: opAddF, d: d, a: a, b: b}
@@ -366,7 +418,7 @@ func (bl *bcLower) fArith(base TokenKind, d, a, b int32) instr {
 	case PERCENT:
 		return instr{op: opModF, d: d, a: a, b: b}
 	}
-	bl.bail()
+	bl.bail(bcBailOp, p)
 	return instr{}
 }
 
@@ -436,6 +488,10 @@ func (bl *bcLower) stmt(s Stmt) {
 		bl.bind(end)
 	case *ReturnStmt:
 		bl.step(s.P)
+		if bl.splice != nil {
+			bl.spliceReturn(s)
+			return
+		}
 		if s.X == nil {
 			bl.emit(instr{op: opRetZ})
 			return
@@ -454,12 +510,12 @@ func (bl *bcLower) stmt(s Stmt) {
 		case kFloat:
 			bl.emit(instr{op: opRetF, a: bl.lowerF(s.X)})
 		default:
-			bl.bail()
+			bl.bail(bcBailDyn, s.P)
 		}
 	case *PragmaStmt:
 		bl.step(s.P)
 	default:
-		bl.bail()
+		bl.bail(bcBailStmt, s.Pos())
 	}
 }
 
@@ -468,7 +524,7 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 	ref := bl.ca.declRef(s)
 	if s.Type.IsArray() {
 		if ref.Kind != VarArray || len(s.Type.Dims) > 2 {
-			bl.bail()
+			bl.bail(bcBailRank, s.P)
 		}
 		slot := int32(ref.Slot)
 		dims := make([]int32, len(s.Type.Dims))
@@ -486,14 +542,14 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 		return
 	}
 	if ref.Kind != VarScalar {
-		bl.bail()
+		bl.bail(bcBailCells, s.P)
 	}
 	slot := int32(ref.Slot)
 	// Declarations normalize to the declared kind (the closure backend's
 	// C initialisation conversion).
 	if s.Type.Kind == Int {
 		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail()
+			bl.bail(bcBailDyn, s.P)
 		}
 		if s.Init == nil {
 			bl.emit(instr{op: opLdcI, d: slot})
@@ -506,7 +562,7 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 		return
 	}
 	if bl.types.scalars[ref.Slot] != kFloat {
-		bl.bail()
+		bl.bail(bcBailDyn, s.P)
 	}
 	if s.Init == nil {
 		bl.emit(instr{op: opLdcF, d: slot})
@@ -816,27 +872,53 @@ func (bl *bcLower) runLoad(in *instr, iv int32) (dst int32, row instr, ok bool) 
 	return in.d, row, ok && bl.isTemp(in.d)
 }
 
-func (bl *bcLower) isTemp(r int32) bool { return int(r) >= bl.fi.NumScalars }
+func (bl *bcLower) isTemp(r int32) bool { return int(r) >= bl.nSlots }
 
 // formRun replaces the straight-line body bl.code[at:] of loop with a
-// run head and its operand rows when the body is exactly one of the
-// three run forms (bytecode.go). Every register the body writes must be
-// a temporary the form itself consumes: temporaries are never reused,
-// so nothing outside the body reads one and the native loop need not
-// write them. Anything else about the body leaves it as it is.
+// run head and its operand rows when the body, its opSteps aside, is
+// exactly one of the three run forms (bytecode.go). Every register the
+// body writes must be a temporary the form itself consumes: temporaries
+// are never reused, so nothing outside the body reads one and the native
+// loop need not write them. A step inside the body (a spliced callee's
+// statements) may only follow instructions that can neither fault nor
+// have an effect outside the registers: then charging it before them
+// instead is unobservable, so the steps move in front of the head, where
+// they charge the iteration the head is entered for, and the head
+// charges k = 2 + their number per further iteration. Anything else
+// about the body leaves it as it is.
 func (bl *bcLower) formRun(loop *bcLoop, at int) {
-	body := bl.code[at:]
+	body, steps := bl.code[at:], []instr(nil)
+	pure := true // nothing so far can fault or write outside the registers
+	for _, in := range body {
+		switch {
+		case in.op != opStep:
+			pure = pure && bcPure(in.op)
+		case !pure:
+			return
+		default:
+			steps = append(steps, in)
+		}
+	}
+	if len(steps) > 0 {
+		body = slices.DeleteFunc(slices.Clone(body), func(in instr) bool { return in.op == opStep })
+	}
 	if len(body) == 0 {
 		return
 	}
 	var rows [1 + bcSumMax]instr
 	for _, form := range [...]func([]instr, int32, *instr, *[1 + bcSumMax]instr) int32{bl.formStore, bl.formMac} {
-		head := instr{a: loop.ivReg, b: loop.lastReg, pos: body[len(body)-1].pos}
+		head := instr{a: loop.ivReg, b: loop.lastReg, e: int32(2 + len(steps)), pos: body[len(body)-1].pos}
 		if head.c = form(body, loop.ivReg, &head, &rows); head.c > 0 {
-			bl.code = append(append(bl.code[:at], head), rows[:head.c]...)
+			bl.code = append(append(append(bl.code[:at], steps...), head), rows[:head.c]...)
 			return
 		}
 	}
+}
+
+// bcPure reports whether op can neither fault nor write outside the
+// registers: a proven load, a float ALU op or a register move.
+func bcPure(op bcOp) bool {
+	return op >= opLdU0 && op <= opLdU2 || op >= opAddF && op <= opAddcF || op == opMovI || op == opMovF
 }
 
 // formMac matches T ±= float64(([c·]X)·Y) in the plain instructions a
@@ -1025,15 +1107,15 @@ func (bl *bcLower) arrRefOf(root *Ident) int32 {
 	case VarGlobalArray:
 		return ^int32(ref.Slot)
 	}
-	bl.bail()
+	bl.bail(bcBailArray, root.Pos())
 	return 0
 }
 
 // lowerSubs evaluates subscripts left to right into index registers,
 // protecting earlier results against writes in later subscripts.
 func (bl *bcLower) lowerSubs(subs []Expr) []int32 {
-	if len(subs) < 1 || len(subs) > 2 {
-		bl.bail()
+	if len(subs) > 2 {
+		bl.bail(bcBailRank, subs[2].Pos())
 	}
 	idx := make([]int32, len(subs))
 	for i, sx := range subs {
@@ -1049,7 +1131,7 @@ func (bl *bcLower) lowerSubs(subs []Expr) []int32 {
 func (bl *bcLower) indexLoad(ix *IndexExpr) int32 {
 	root, subs := splitIndexChain(ix)
 	if root == nil {
-		bl.bail()
+		bl.bail(bcBailArray, ix.P)
 	}
 	t := bl.newF()
 	if addr, ok := bl.classifyFast(root, subs); ok {
@@ -1071,7 +1153,7 @@ func (bl *bcLower) indexLoad(ix *IndexExpr) int32 {
 func (bl *bcLower) storeElem(ix *IndexExpr, fv int32) {
 	root, subs := splitIndexChain(ix)
 	if root == nil {
-		bl.bail()
+		bl.bail(bcBailArray, ix.P)
 	}
 	if addr, ok := bl.classifyFast(root, subs); ok {
 		bl.emitU(opStU0, addr, 0, fv, ix.P)
@@ -1093,13 +1175,13 @@ func (bl *bcLower) compoundElem(ix *IndexExpr, base TokenKind, rhs Expr) int32 {
 	rv := bl.asF(rhs)
 	root, subs := splitIndexChain(ix)
 	if root == nil {
-		bl.bail()
+		bl.bail(bcBailArray, ix.P)
 	}
 	res := bl.newF()
 	if addr, ok := bl.classifyFast(root, subs); ok {
 		old := bl.newF()
 		bl.emitU(opLdU0, addr, 0, old, ix.P)
-		bl.emit(bl.fArith(base, res, old, rv))
+		bl.emit(bl.fArith(base, res, old, rv, ix.P))
 		bl.emitU(opStU0, addr, 0, res, ix.P)
 		return res
 	}
@@ -1127,12 +1209,12 @@ func (bl *bcLower) lowerI(e Expr) int32 {
 		switch ref.Kind {
 		case VarScalar:
 			if bl.types.scalars[ref.Slot] != kInt {
-				bl.bail()
+				bl.bail(bcBailDyn, e.Pos())
 			}
-			return int32(ref.Slot)
+			return bl.slotReg(ref.Slot)
 		case VarGlobalScalar:
 			if bl.ca.varKind(ref) != kInt {
-				bl.bail()
+				bl.bail(bcBailDyn, e.Pos())
 			}
 			t := bl.newI()
 			bl.emit(instr{op: opLdGI, d: t, a: int32(ref.Slot)})
@@ -1180,8 +1262,10 @@ func (bl *bcLower) lowerI(e Expr) int32 {
 		return bl.intAssign(e)
 	case *IncDecExpr:
 		return bl.intIncDec(e)
+	case *CallExpr:
+		return bl.spliceCall(e, kInt)
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1196,12 +1280,12 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		switch ref.Kind {
 		case VarScalar:
 			if bl.types.scalars[ref.Slot] != kFloat {
-				bl.bail()
+				bl.bail(bcBailDyn, e.Pos())
 			}
-			return int32(ref.Slot)
+			return bl.slotReg(ref.Slot)
 		case VarGlobalScalar:
 			if bl.ca.varKind(ref) != kFloat {
-				bl.bail()
+				bl.bail(bcBailDyn, e.Pos())
 			}
 			t := bl.newF()
 			bl.emit(instr{op: opLdGF, d: t, a: int32(ref.Slot)})
@@ -1225,7 +1309,7 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		x = bl.protectF(x, e.Y)
 		y := bl.asF(e.Y)
 		t := bl.newF()
-		bl.emit(bl.fArith(e.Op, t, x, y))
+		bl.emit(bl.fArith(e.Op, t, x, y, e.P))
 		return t
 	case *CondExpr:
 		t := bl.newF()
@@ -1250,8 +1334,9 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		if bl.ca.isBuiltin(e) {
 			return bl.builtin(e)
 		}
+		return bl.spliceCall(e, kFloat)
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1269,7 +1354,7 @@ func (bl *bcLower) asI(e Expr) int32 {
 		bl.emit(instr{op: opF2I, d: t, a: f})
 		return t
 	}
-	bl.bail()
+	bl.bail(bcBailDyn, e.Pos())
 	return 0
 }
 
@@ -1287,7 +1372,7 @@ func (bl *bcLower) asF(e Expr) int32 {
 	case kFloat:
 		return bl.lowerF(e)
 	}
-	bl.bail()
+	bl.bail(bcBailDyn, e.Pos())
 	return 0
 }
 
@@ -1357,7 +1442,7 @@ func (bl *bcLower) branchBool(e Expr, target int, jumpIf bool) {
 		}
 		bl.patch(bl.emit(instr{op: op, a: r}), 1, target)
 	default:
-		bl.bail()
+		bl.bail(bcBailDyn, e.Pos())
 	}
 }
 
@@ -1402,7 +1487,7 @@ func (bl *bcLower) branchCmp(e *BinExpr, target int, jumpIf bool) {
 		bl.patch(bl.emit(instr{op: opBrCF, sub: code, a: x, b: y}), 2, target)
 		return
 	}
-	bl.bail()
+	bl.bail(bcBailDyn, e.Pos())
 }
 
 // boolNum materializes e's truthiness as tv/fv in an int register.
@@ -1427,7 +1512,7 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 		// A statically-int array store is always a plain assignment
 		// (compound element stores are kinded float).
 		if e.Op != ASSIGN {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		rv := bl.asI(e.RHS)
 		fv := bl.newF()
@@ -1437,13 +1522,13 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 	}
 	id, ok := stripParens(e.LHS).(*Ident)
 	if !ok {
-		bl.bail()
+		bl.bail(bcBailExpr, e.Pos())
 	}
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
 		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail()
+			bl.bail(bcBailDyn, e.Pos())
 		}
 		slot := int32(ref.Slot)
 		if e.Op == ASSIGN {
@@ -1455,7 +1540,7 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 		}
 		base, ok := compoundBase(e.Op)
 		if !ok {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		rk := bl.ca.kindOf(e.RHS)
 		bl.ca.constKind(e.RHS, &rk)
@@ -1473,13 +1558,13 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 			t1 := bl.newF()
 			bl.emit(instr{op: opI2F, d: t1, a: slot})
 			t2 := bl.newF()
-			bl.emit(bl.fArith(base, t2, t1, rv))
+			bl.emit(bl.fArith(base, t2, t1, rv, e.P))
 			t3 := bl.newI()
 			bl.emit(instr{op: opF2I, d: t3, a: t2})
 			bl.emit(instr{op: opMovI, d: slot, a: t3})
 			return t3
 		}
-		bl.bail()
+		bl.bail(bcBailDyn, e.Pos())
 	case VarGlobalScalar:
 		g := int32(ref.Slot)
 		if e.Op == ASSIGN {
@@ -1489,7 +1574,7 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 		}
 		base, ok := compoundBase(e.Op)
 		if !ok {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		rk := bl.ca.kindOf(e.RHS)
 		bl.ca.constKind(e.RHS, &rk)
@@ -1509,15 +1594,15 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 			of := bl.newF()
 			bl.emit(instr{op: opI2F, d: of, a: old})
 			t2 := bl.newF()
-			bl.emit(bl.fArith(base, t2, of, rv))
+			bl.emit(bl.fArith(base, t2, of, rv, e.P))
 			t3 := bl.newI()
 			bl.emit(instr{op: opF2I, d: t3, a: t2})
 			bl.emit(instr{op: opStGI, d: g, a: t3})
 			return t3
 		}
-		bl.bail()
+		bl.bail(bcBailDyn, e.Pos())
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1531,19 +1616,19 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 		}
 		base, ok := compoundBase(e.Op)
 		if !ok {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		return bl.compoundElem(ix, base, e.RHS)
 	}
 	id, ok := stripParens(e.LHS).(*Ident)
 	if !ok {
-		bl.bail()
+		bl.bail(bcBailExpr, e.Pos())
 	}
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
 		if bl.types.scalars[ref.Slot] != kFloat {
-			bl.bail()
+			bl.bail(bcBailDyn, e.Pos())
 		}
 		slot := int32(ref.Slot)
 		if e.Op == ASSIGN {
@@ -1555,11 +1640,11 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 		}
 		base, ok := compoundBase(e.Op)
 		if !ok {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		rv := bl.asF(e.RHS)
 		t := bl.newF()
-		bl.emit(bl.fArith(base, t, slot, rv))
+		bl.emit(bl.fArith(base, t, slot, rv, e.P))
 		bl.emit(instr{op: opMovF, d: slot, a: t})
 		return t
 	case VarGlobalScalar:
@@ -1571,17 +1656,17 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 		}
 		base, ok := compoundBase(e.Op)
 		if !ok {
-			bl.bail()
+			bl.bail(bcBailOp, e.Pos())
 		}
 		rv := bl.asF(e.RHS)
 		old := bl.newF()
 		bl.emit(instr{op: opLdGF, d: old, a: g})
 		t := bl.newF()
-		bl.emit(bl.fArith(base, t, old, rv))
+		bl.emit(bl.fArith(base, t, old, rv, e.P))
 		bl.emit(instr{op: opStGF, d: g, a: t})
 		return t
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1590,7 +1675,7 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 func (bl *bcLower) intIncDec(e *IncDecExpr) int32 {
 	id, ok := stripParens(e.X).(*Ident)
 	if !ok {
-		bl.bail()
+		bl.bail(bcBailExpr, e.Pos())
 	}
 	delta := int64(1)
 	if e.Op != INC {
@@ -1600,7 +1685,7 @@ func (bl *bcLower) intIncDec(e *IncDecExpr) int32 {
 	switch ref.Kind {
 	case VarScalar:
 		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail()
+			bl.bail(bcBailDyn, e.Pos())
 		}
 		slot := int32(ref.Slot)
 		old := bl.newI()
@@ -1616,7 +1701,7 @@ func (bl *bcLower) intIncDec(e *IncDecExpr) int32 {
 		bl.emit(instr{op: opStGI, d: g, a: t})
 		return old
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1630,7 +1715,7 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 	if ix, ok := stripParens(e.X).(*IndexExpr); ok {
 		root, subs := splitIndexChain(ix)
 		if root == nil {
-			bl.bail()
+			bl.bail(bcBailArray, ix.P)
 		}
 		old := bl.newF()
 		if addr, ok := bl.classifyFast(root, subs); ok {
@@ -1655,13 +1740,13 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 	}
 	id, ok := stripParens(e.X).(*Ident)
 	if !ok {
-		bl.bail()
+		bl.bail(bcBailExpr, e.Pos())
 	}
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
 		if bl.types.scalars[ref.Slot] != kFloat {
-			bl.bail()
+			bl.bail(bcBailDyn, e.Pos())
 		}
 		slot := int32(ref.Slot)
 		old := bl.newF()
@@ -1677,7 +1762,7 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 		bl.emit(instr{op: opStGF, d: g, a: t})
 		return old
 	}
-	bl.bail()
+	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
@@ -1709,10 +1794,164 @@ func (bl *bcLower) builtin(e *CallExpr) int32 {
 	case "ceil":
 		sub = bcCeil
 	default:
-		bl.bail()
+		bl.bail(bcBailOp, e.Pos())
 	}
 	bl.emit(instr{op: opMath1, sub: sub, d: t, a: args[0]})
 	return t
+}
+
+// ---- spliced calls ----
+
+// bcSplice is a call site being lowered in place.
+type bcSplice struct {
+	want   kind          // the result's kind; kDyn when the caller discards it
+	rename map[int]int32 // relocated parameter slot -> the argument temporary it reads
+	tail   *ReturnStmt   // the callee's only return, when it is its last statement
+	res    int32         // the result register
+	end    int           // the label after the body, -1 until a return jumps there
+}
+
+// spliceCall lowers a user call the inliner planned (siteFor) in place,
+// returning the register that holds its result of kind want (none for
+// kDyn: a call in statement position); any other user call bails.
+// Arguments evaluate left to right in the caller's context and bind by
+// value, converted to the declared kind, as inlineCall's binders do. A parameter the callee never assigns is
+// renamed to its argument's temporary; every other one is copied into
+// its relocated slot register at once, so a later argument that writes a
+// caller variable cannot reach it. The body then lowers with the
+// callee's slots relocated (ca.remap), charging its statements exactly as
+// the called body would.
+func (bl *bcLower) spliceCall(e *CallExpr, want kind) int32 {
+	site := bl.ca.siteFor(e)
+	if site == nil {
+		fi, why := bl.ca.prog.res.Funcs[e.Fun], "not inlined"
+		switch {
+		case fi.UserCalls > 0:
+			why = "not a leaf"
+		case fi.BodyNodes > inlineMaxNodes:
+			why = "too large"
+		}
+		panic(&bcBail{why: bcBailCall, pos: e.P, call: fmt.Sprintf("%s (%s)", e.Fun, why)})
+	}
+	if want != kDyn && bl.ca.kindOf(e) != want {
+		bl.bail(bcBailDyn, e.P)
+	}
+	fi := site.callee
+	sp := &bcSplice{want: want, rename: map[int]int32{}, end: -1}
+	for i, a := range e.Args {
+		ref := site.apply(fi.Params[i])
+		if ref.Kind != VarScalar {
+			bl.bail(bcBailParam, a.Pos())
+		}
+		r, mov := int32(0), opMovF
+		if fi.Decl.Params[i].Type.Kind == Int {
+			r, mov = bl.asI(a), opMovI
+		} else {
+			r = bl.asF(a)
+		}
+		if bl.isTemp(r) && !bl.assigns(fi.Decl.Body, fi.Params[i].Slot) {
+			sp.rename[ref.Slot] = r
+		} else {
+			bl.emit(instr{op: mov, d: int32(ref.Slot), a: r})
+		}
+	}
+	returns := 0
+	Walk(fi.Decl.Body, func(n Node) bool {
+		if _, ok := n.(*ReturnStmt); ok {
+			returns++
+		}
+		return true
+	})
+	if body := fi.Decl.Body.Stmts; returns == 1 && len(body) > 0 {
+		sp.tail, _ = body[len(body)-1].(*ReturnStmt)
+	}
+	if sp.tail == nil && want != kDyn {
+		ldc := opLdcF
+		if want == kInt {
+			ldc, sp.res = opLdcI, bl.newI()
+		} else {
+			sp.res = bl.newF()
+		}
+		if !alwaysReturns(fi.Decl.Body) {
+			bl.emit(instr{op: ldc, d: sp.res}) // falling off the end yields the zero Value
+		}
+	}
+	bl.ca.remap, bl.splice = site, sp
+	for _, s := range fi.Decl.Body.Stmts {
+		bl.stmt(s)
+	}
+	// Callees are leaves: no splice is ever open around another.
+	bl.ca.remap, bl.splice = nil, nil
+	if sp.end >= 0 {
+		bl.bind(sp.end)
+	}
+	return sp.res
+}
+
+// spliceReturn lowers a return of the callee being spliced: its value
+// goes to the result register and control to the end of the site. The
+// tail return needs neither: its value's register is the result.
+func (bl *bcLower) spliceReturn(s *ReturnStmt) {
+	sp := bl.splice
+	if sp.want == kDyn {
+		if s.X != nil {
+			bl.exprVoid(s.X)
+		}
+	} else {
+		var r int32
+		mov := opMovF
+		switch {
+		case s.X == nil:
+			r = bl.constF(0) // a bare return yields the zero Value
+		case sp.want == kInt:
+			r, mov = bl.asI(s.X), opMovI
+		default:
+			r = bl.asF(s.X)
+		}
+		if s == sp.tail {
+			sp.res = r
+		} else {
+			bl.emit(instr{op: mov, d: sp.res, a: r})
+		}
+	}
+	if s != sp.tail {
+		if sp.end < 0 {
+			sp.end = bl.newLabel()
+		}
+		bl.jmp(sp.end)
+	}
+}
+
+// slotReg is the register scalar slot s is read from: a spliced
+// parameter renamed to its argument's temporary, else the slot's own.
+func (bl *bcLower) slotReg(s int) int32 {
+	if bl.splice != nil {
+		if r, ok := bl.splice.rename[s]; ok {
+			return r
+		}
+	}
+	return int32(s)
+}
+
+// assigns reports whether body assigns scalar slot s of its own frame.
+func (bl *bcLower) assigns(body *Block, s int) bool {
+	w := false
+	Walk(body, func(n Node) bool {
+		var x Expr
+		switch n := n.(type) {
+		case *AssignExpr:
+			x = n.LHS
+		case *IncDecExpr:
+			x = n.X
+		}
+		if id, ok := stripParens(x).(*Ident); ok {
+			if ref := bl.ca.prog.res.refs[id.ID]; ref.Kind == VarScalar && ref.Slot == s {
+				w = true
+			}
+		}
+		return !w
+	})
+	return w
 }
 
 // ---- statement-position expressions ----
@@ -1729,6 +1968,11 @@ func (bl *bcLower) exprVoid(e Expr) {
 			bl.voidElemAssign(e, ix)
 			return
 		}
+	case *CallExpr:
+		if !bl.ca.isBuiltin(e) {
+			bl.spliceCall(e, kDyn) // the value is discarded, whatever its kind
+			return
+		}
 	}
 	if _, ok := constEval(e); ok {
 		return // pure constant in statement position
@@ -1739,7 +1983,7 @@ func (bl *bcLower) exprVoid(e Expr) {
 	case kFloat:
 		bl.lowerF(e)
 	default:
-		bl.bail()
+		bl.bail(bcBailDyn, e.Pos())
 	}
 }
 
@@ -1749,7 +1993,7 @@ func (bl *bcLower) exprVoid(e Expr) {
 func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	root, subs := splitIndexChain(ix)
 	if root == nil {
-		bl.bail()
+		bl.bail(bcBailArray, ix.P)
 	}
 	addr, fast := bl.classifyFast(root, subs)
 	if e.Op == ASSIGN {
@@ -1770,7 +2014,7 @@ func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	}
 	base, ok := compoundBase(e.Op)
 	if !ok {
-		bl.bail()
+		bl.bail(bcBailOp, e.Pos())
 	}
 	rv := bl.asF(e.RHS)
 	if fast {

@@ -66,8 +66,8 @@ func TestBytecodeKernelParity(t *testing.T) {
 }
 
 // TestBytecodeFuncs checks the lowering introspection hook: in the norms
-// program the driver calls a user function, which the lowerer does not
-// support, so only the leaf sq must appear in the lowered set.
+// program norms' one call is to the leaf sq, which the lowerer
+// splices, so both functions must appear in the lowered set.
 func TestBytecodeFuncs(t *testing.T) {
 	var norms BenchKernel
 	for _, k := range BenchKernels {
@@ -77,8 +77,8 @@ func TestBytecodeFuncs(t *testing.T) {
 	}
 	p := mustBytecode(t, norms.File, norms.Src)
 	got := BytecodeFuncs(p)
-	if len(got) != 1 || got[0] != "sq" {
-		t.Fatalf("BytecodeFuncs = %v, want [sq] (driver has user calls and must bail)", got)
+	if strings.Join(got, " ") != "norms sq" {
+		t.Fatalf("BytecodeFuncs = %v, want [norms sq] (norms splices its leaf call)", got)
 	}
 
 	if got := BytecodeFuncs(mustBytecode(t, "dot.c", disGoldenSrc)); len(got) != 1 || got[0] != "dot" {
@@ -118,55 +118,78 @@ func stepParityArgs(n int) []any {
 }
 
 // TestBytecodeStepBudgetParity sweeps the statement budget across every
-// possible fault point of a matvec kernel and checks that the bytecode
-// backend faults exactly where the walker does: same error text, same
-// LastCallSteps, and the same partial output-array state. This pins down
-// the loopnext2 rollback: the fused back edge charges two steps at once
-// and must report the budget-crossing count, not the fused one.
+// possible fault point of a kernel and checks that the bytecode backend
+// faults exactly where the walker does: same error text, same
+// LastCallSteps, and the same partial argument-array state. The matvec
+// kernel pins down the loopnext2 rollback: the fused back edge charges
+// two steps at once and must report the budget-crossing count, not the
+// fused one. The norms kernel's inner loop is a run over a spliced call,
+// whose return charges a third step per iteration (k = 3): the run must
+// stop where the budget covers no whole iteration more, and the moved
+// step must fault where the callee's return does.
 func TestBytecodeStepBudgetParity(t *testing.T) {
 	const n = 6
-	f := MustParse("mv.c", stepParitySrc)
-	p, err := Compile(f, WithBackend(BackendBytecode), WithOptLevel(O3))
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-
-	// Unbudgeted run to learn the total step count.
-	w := NewWalker(f)
-	if _, err := w.Call("mv", stepParityArgs(n)...); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	total := w.Steps
-
-	for k := 1; k <= total+1; k++ {
-		w := NewWalker(f)
-		w.MaxSteps = k
-		wArgs := stepParityArgs(n)
-		wv, werr := w.Call("mv", wArgs...)
-
-		ins := p.NewInstance()
-		ins.SetMaxSteps(k)
-		bArgs := stepParityArgs(n)
-		bv, berr := ins.Call("mv", bArgs...)
-
-		if (werr == nil) != (berr == nil) {
-			t.Fatalf("k=%d: error divergence: walker=%v bytecode=%v", k, werr, berr)
-		}
-		if werr != nil && werr.Error() != berr.Error() {
-			t.Fatalf("k=%d: fault text divergence: %q vs %q", k, werr, berr)
-		}
-		if werr == nil && !sameValue(wv, bv) {
-			t.Fatalf("k=%d: value divergence: %+v vs %+v", k, wv, bv)
-		}
-		if w.Steps != ins.LastCallSteps() {
-			t.Fatalf("k=%d: step divergence: walker=%d bytecode=%d", k, w.Steps, ins.LastCallSteps())
-		}
-		wy, by := wArgs[3].(*Array), bArgs[3].(*Array)
-		for j := range wy.Data {
-			if math.Float64bits(wy.Data[j]) != math.Float64bits(by.Data[j]) {
-				t.Fatalf("k=%d: partial y diverges at %d: %g vs %g", k, j, wy.Data[j], by.Data[j])
+	for _, tc := range []struct {
+		file, src, fn, run string
+		args               func() []any
+	}{
+		{"mv.c", stepParitySrc, "mv", "t += x*y", func() []any { return stepParityArgs(n) }},
+		{"norms.c", benchNormsSrc, "norms", "t += x*y k=3", func() []any { return benchNormsArgs(n) }},
+	} {
+		t.Run(tc.fn, func(t *testing.T) {
+			f := MustParse(tc.file, tc.src)
+			p, err := Compile(f, WithBackend(BackendBytecode), WithOptLevel(O3))
+			if err != nil {
+				t.Fatalf("compile: %v", err)
 			}
-		}
+			if dis, err := Disassemble(p, tc.fn); err != nil || !strings.Contains(dis, tc.run) {
+				t.Fatalf("want a run %q: %v\n%s", tc.run, err, dis)
+			}
+
+			// Unbudgeted run to learn the total step count.
+			w := NewWalker(f)
+			if _, err := w.Call(tc.fn, tc.args()...); err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			total := w.Steps
+
+			for k := 1; k <= total+1; k++ {
+				w := NewWalker(f)
+				w.MaxSteps = k
+				wArgs := tc.args()
+				wv, werr := w.Call(tc.fn, wArgs...)
+
+				ins := p.NewInstance()
+				ins.SetMaxSteps(k)
+				bArgs := tc.args()
+				bv, berr := ins.Call(tc.fn, bArgs...)
+
+				if (werr == nil) != (berr == nil) {
+					t.Fatalf("k=%d: error divergence: walker=%v bytecode=%v", k, werr, berr)
+				}
+				if werr != nil && werr.Error() != berr.Error() {
+					t.Fatalf("k=%d: fault text divergence: %q vs %q", k, werr, berr)
+				}
+				if werr == nil && !sameValue(wv, bv) {
+					t.Fatalf("k=%d: value divergence: %+v vs %+v", k, wv, bv)
+				}
+				if w.Steps != ins.LastCallSteps() {
+					t.Fatalf("k=%d: step divergence: walker=%d bytecode=%d", k, w.Steps, ins.LastCallSteps())
+				}
+				for i := range wArgs {
+					wa, ok := wArgs[i].(*Array)
+					if !ok {
+						continue
+					}
+					ba := bArgs[i].(*Array)
+					for j := range wa.Data {
+						if math.Float64bits(wa.Data[j]) != math.Float64bits(ba.Data[j]) {
+							t.Fatalf("k=%d: partial arg %d diverges at %d: %g vs %g", k, i, j, wa.Data[j], ba.Data[j])
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -392,6 +415,79 @@ func TestBytecodeMacRuns(t *testing.T) {
 	}
 }
 
+// spliceHelpers are leaves of every shape the bytecode lowerer splices:
+// nested in an argument, int results and parameters, a parameter the
+// body assigns, a loop, several returns, a bare return, falling off the
+// end, no result at all, a result of no static kind (called only in
+// statement position) and a global write.
+const spliceHelpers = `int gi; double gd;
+double sq(double x) { return x * x; }
+int hint(int p) { return (p * 3 + 2) % 5; }
+int twice(int k) { k = k * 2; return k; }
+double sum3(double x) { double s = 0.0; int i; for (i = 0; i < 3; i++) { s = s + x; } return s; }
+double sgn(double x) { if (x < 0.0) { return -1.0; } if (x > 0.0) { return 1.0; } return 0.0; }
+double maybe(double x) { if (x > 1.0) { return x; } }
+double bare(double x) { if (x > 1.0) { return; } return x; }
+void put(double x) { gd = gd + x; }
+double mix(int p, double q) { if (p > 2) { gi = p; return p; } return q * 0.5; }
+`
+
+// TestBytecodeSpliceParity lowers one loop body per spliced-call shape
+// and checks that the function lowers and agrees with the walker on
+// value, steps, fault text and arrays at every budget that can stop it.
+func TestBytecodeSpliceParity(t *testing.T) {
+	const n = 5
+	args := func() []any {
+		a, b := NewArray(n), NewArray(n)
+		for i := range n {
+			a.Data[i], b.Data[i] = float64(i)*0.75-1, 2-float64(i)*0.5
+		}
+		return []any{IntV(n), a, b}
+	}
+	for _, stmt := range []string{
+		"s = s + sq(sq(a[i]));",
+		"m = m + hint(i) + twice(m);",
+		"b[i] = sum3(a[i]) + sgn(a[i] - 1.0);",
+		"put(b[i]); mix(i, a[i]);",
+		"if (maybe(a[i]) > 0.5) { s = s + bare(a[i]); }",
+		"gi = gi + hint(twice(i)); s += gd + gi;",
+		"b[i] = b[i] + sq(b[i]); s = s + sq(s);",
+		"s = s + sq(s) + sq((double)m) + sq(2.0);",
+	} {
+		src := spliceHelpers + `double k(int n, double a[n], double b[n]) {
+  double s = 0.25; int i; int m = 1;
+  for (i = 0; i < n; i++) {
+    ` + stmt + `
+  }
+  return s + m + gd + gi;
+}
+`
+		f := MustParse("splice.c", src)
+		p := mustBytecode(t, "splice.c", src)
+		if _, err := Disassemble(p, "k"); err != nil {
+			t.Errorf("%s: %v", stmt, err)
+			continue
+		}
+		w := NewWalker(f)
+		if _, err := w.Call("k", args()...); err != nil {
+			t.Fatalf("%s: reference run: %v", stmt, err)
+		}
+		for k := 1; k <= w.Steps+1; k++ {
+			w := NewWalker(f)
+			w.MaxSteps = k
+			wArgs, bArgs := args(), args()
+			wv, werr := w.Call("k", wArgs...)
+			ins := p.NewInstance()
+			ins.SetMaxSteps(k)
+			bv, berr := ins.Call("k", bArgs...)
+			walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+			if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
+				t.Fatalf("%s: budget %d: %s", stmt, k, d)
+			}
+		}
+	}
+}
+
 // runHeads returns the run heads of a disassembly as "form@line" of the
 // statement each replaced, sorted and without repeats (an inner loop is
 // lowered once per version of the loops around it).
@@ -413,9 +509,9 @@ func runHeads(dis string) []string {
 	return out
 }
 
-// TestBytecodeRunCoverage is the table of the fifteen innermost loops of
-// the nine kernels that lower: each must become a run form, so coverage
-// cannot regress silently (norms bails on its user call).
+// TestBytecodeRunCoverage is the table of the sixteen innermost loops of
+// the ten kernels: each must become a run form, so coverage cannot
+// regress silently (norms' loop is one only with its sq call spliced).
 func TestBytecodeRunCoverage(t *testing.T) {
 	want := map[string][]string{
 		"gemm":     {"mac@8"},
@@ -427,12 +523,10 @@ func TestBytecodeRunCoverage(t *testing.T) {
 		"mvt":      {"mac@11", "mac@6"},
 		"trisolv":  {"mac@7"},
 		"cholesky": {"mac@12", "mac@7"},
+		"norms":    {"mac@8"},
 	}
 	loops := 0
 	for _, k := range BenchKernels {
-		if k.Name == "norms" {
-			continue
-		}
 		out, err := Disassemble(mustBytecode(t, k.File, k.Src), k.Fn)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
@@ -443,8 +537,8 @@ func TestBytecodeRunCoverage(t *testing.T) {
 		}
 		loops += len(got)
 	}
-	if loops != 15 {
-		t.Errorf("%d loops run whole, want 15", loops)
+	if loops != 16 {
+		t.Errorf("%d loops run whole, want 16", loops)
 	}
 }
 
@@ -473,10 +567,10 @@ func opcodeHistogram(t *testing.T, p *Program) string {
 }
 
 // TestBytecodeKernelOpcodes pins the code every benchmark kernel executes
-// at bytecode/O3: the opcode histogram of its lowered functions (norms
-// lowers only its leaf sq). A lowering change that leaves this table
-// alone cannot have changed what a benchmark runs; one that changes it
-// must say why.
+// at bytecode/O3: the opcode histogram of its lowered functions (norms'
+// counts its leaf sq and norms itself, which splices it). A lowering
+// change that leaves this table alone cannot have changed what a
+// benchmark runs; one that changes it must say why.
 func TestBytecodeKernelOpcodes(t *testing.T) {
 	want := map[string]string{
 		"gemm":     ".addr:7 .opnd:6 cme2:2 forinit:4 jmp:3 ldc.i:4 lde2:5 ldu1:1 loopnext2:6 loopnext:1 mul.f:6 prove:3 ret:1 run.mac:2 ste2:1 step:9 stu1:1",
@@ -488,7 +582,7 @@ func TestBytecodeKernelOpcodes(t *testing.T) {
 		"mvt":      ".addr:6 .opnd:6 add.f:2 forinit:4 jmp:2 ldc.i:3 lde1:4 lde2:2 loopnext2:4 loopnext:2 mul.f:2 prove:2 ret:1 run.mac:2 ste1:2 step:6",
 		"trisolv":  ".addr:11 .opnd:6 div.f:2 forinit:3 jmp:3 ldc.i:3 lde1:6 lde2:3 ldu0:2 ldu2:1 loopnext2:6 mul.f:2 prove:3 ret:1 run.mac:2 ste1:4 step:10 stu0:2 sub.f:2",
 		"cholesky": ".addr:22 .opnd:18 cme2:8 cmu1:2 forinit:9 jmp:9 ldc.i:4 lde2:15 ldu2:3 loopnext2:12 loopnext:6 math1:2 mul.f:6 prove:9 ret:1 run.mac:6 ste2:1 step:21 stu2:1",
-		"norms":    "mul.f:1 ret.f:1 ret:1 step:1",
+		"norms":    ".addr:5 .opnd:6 add.f:2 forinit:3 jmp:3 ldc.f:1 ldc.i:3 lde1:2 lde2:2 loopnext2:6 mul.f:3 prove:3 ret.f:1 ret:2 run.mac:2 ste1:3 step:13 stu0:1",
 	}
 	for _, k := range BenchKernels {
 		if got := opcodeHistogram(t, mustBytecode(t, k.File, k.Src)); got != want[k.Name] {
@@ -498,28 +592,58 @@ func TestBytecodeKernelOpcodes(t *testing.T) {
 }
 
 // TestBytecodeCancellationMidRun cancels a call that is inside one long
-// run (a single 1<<24-trip axpy loop): the run looks at the limit once
-// per chunk, so the context error must come back well within 50 ms.
+// run: the run looks at the limit once per chunk, so the context error
+// must come back well within 50 ms. The axpy case is a single 1<<24-trip
+// loop; the spliced case repeats a 4096-trip loop whose body calls a
+// leaf, so most of the call is spent in runs of k = 3.
 func TestBytecodeCancellationMidRun(t *testing.T) {
-	const n = 1 << 24
-	p, err := Compile(MustParse("axpy.c", benchAxpySrc), WithBackend(BackendBytecode), WithOptLevel(O3), WithMaxSteps(1<<40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xy := NewArray(n) // x and y both: one 128 MB array, barely touched
-	ctx, cancel := context.WithCancel(context.Background())
-	var cancelled time.Time
-	time.AfterFunc(time.Millisecond, func() {
-		cancelled = time.Now()
-		cancel()
-	})
-	_, err = p.NewInstance().CallContext(ctx, "axpy", IntV(n), FloatV(2.0), xy, xy)
-	returned := time.Now()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled (a finished call means the loop is too short to cancel)", err)
-	}
-	if late := returned.Sub(cancelled); late > 50*time.Millisecond {
-		t.Fatalf("the call returned %v after the cancellation, want within 50ms", late)
+	const spliced = `
+double sq(double x) { return x * x; }
+double k(int n, double x[n]) {
+  double s = 0.0;
+  int r; int i;
+  for (r = 0; r < 1000000; r++) {
+    for (i = 0; i < n; i++) {
+      s = s + sq(x[i]);
+    }
+  }
+  return s;
+}
+`
+	for _, tc := range []struct {
+		name, src, fn string
+		args          func() []any
+	}{
+		{"axpy", benchAxpySrc, "axpy", func() []any {
+			xy := NewArray(1 << 24) // x and y both: one 128 MB array, barely touched
+			return []any{IntV(1 << 24), FloatV(2.0), xy, xy}
+		}},
+		{"spliced", spliced, "k", func() []any { return []any{IntV(4096), NewArray(4096)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Compile(MustParse(tc.name+".c", tc.src), WithBackend(BackendBytecode), WithOptLevel(O3), WithMaxSteps(1<<40))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dis, err := Disassemble(p, tc.fn); err != nil || !strings.Contains(dis, "run.") {
+				t.Fatalf("want a run: %v\n%s", err, dis)
+			}
+			args := tc.args()
+			ctx, cancel := context.WithCancel(context.Background())
+			var cancelled time.Time
+			time.AfterFunc(time.Millisecond, func() {
+				cancelled = time.Now()
+				cancel()
+			})
+			_, err = p.NewInstance().CallContext(ctx, tc.fn, args...)
+			returned := time.Now()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled (a finished call means the loop is too short to cancel)", err)
+			}
+			if late := returned.Sub(cancelled); late > 50*time.Millisecond {
+				t.Fatalf("the call returned %v after the cancellation, want within 50ms", late)
+			}
+		})
 	}
 }
 
@@ -602,13 +726,19 @@ func TestDisassembleErrors(t *testing.T) {
 		t.Fatalf("closure-tree program: got %q, want a backend mismatch error", err)
 	}
 
+	// f's call to the leaf h is spliced; its call to g, which is no leaf,
+	// is not, so f bails, naming the call.
 	bailed := mustBytecode(t, "call.c", `
-double g(double x) { return x + 1.0; }
-double f(double x) { return g(x) * 2.0; }
+double h(double x) { return x + 1.0; }
+double g(double x) { return h(x) + 1.0; }
+double f(double x) { return h(x) * g(x); }
 `)
 	if _, err := Disassemble(bailed, "f"); err == nil {
 		t.Fatal("bailed function: expected error")
-	} else if !strings.Contains(err.Error(), "bailed to the closure fallback") {
-		t.Fatalf("bailed function: got %q, want a bail error", err)
+	} else if got, want := err.Error(), "cminor: Disassemble: f bailed to the closure fallback: call to g (not a leaf) at 4:36"; got != want {
+		t.Fatalf("bailed function: got %q, want %q", got, want)
+	}
+	if got := BytecodeFuncs(bailed); strings.Join(got, " ") != "g h" {
+		t.Fatalf("BytecodeFuncs = %v, want [g h] (g splices h; f calls g)", got)
 	}
 }

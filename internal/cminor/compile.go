@@ -113,8 +113,10 @@ type compiledFunc struct {
 	nCells   int
 	nArrays  int
 	// bc is the flat-bytecode lowering that body runs (BackendBytecode
-	// variants only); nil when the function bailed to the closures.
-	bc *bcFunc
+	// variants only); nil when the function bailed to the closures, and
+	// bail then says why.
+	bc   *bcFunc
+	bail *bcBail
 }
 
 // rtPanic raises a positioned runtime diagnostic; Instance.Call recovers

@@ -103,7 +103,11 @@ func (l OptLevel) String() string { return fmt.Sprintf("O%d", uint8(l)) }
 // the cost of clearing it. Medians of nine runs at canonical size,
 // linux/amd64 Xeon, -cpu 1, all passes vs. the bit cleared:
 //   - PassInline: norms 56µs vs. 125µs (2.2×): its sq() helper otherwise
-//     stays an opaque call that blocks the counted-loop fast path.
+//     stays an opaque call that blocks the counted-loop fast path. The
+//     bit also gates the bytecode's splicing of the same call sites:
+//     norms' bytecode ran 10.9µs with it and 232µs without (21×; the call
+//     then bails, and the closures run), interleaved medians of 301
+//     rounds on a 2-vCPU Xeon on which O3 ran 96µs.
 //   - PassUnroll: jacobi 298µs vs. 340µs, mvt 66µs vs. 75µs, atax 69µs
 //     vs. 78µs, gemm 531µs vs. 564µs (6–14%).
 //
@@ -116,8 +120,9 @@ type PassMask uint8
 // cleared behaves exactly like O2.
 const (
 	// PassInline splices small leaf callees into their callers
-	// (inline.go), which also unlocks the loop fast paths for bodies
-	// whose only calls were inlined.
+	// (inline.go; the bytecode's spliceCall on that back end), which also
+	// unlocks the loop fast paths for bodies whose only calls were
+	// inlined.
 	PassInline PassMask = 1 << 0
 	// PassUnroll is 4-wide store-loop/reduction unrolling (loopopt.go).
 	PassUnroll PassMask = 1 << 2
@@ -337,7 +342,9 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 	// a kind-agnostic second body.
 	for name, cf := range p.funcs {
 		if cfg.backend == BackendBytecode {
-			if bc := lowerBCFunc(p, name, cf); bc != nil {
+			bc, bail := lowerBCFunc(p, name, cf, plans[name])
+			cf.bail = bail
+			if bc != nil {
 				cf.bc = bc
 				cf.body = func(fr *frame) flow {
 					execBC(fr, bc)

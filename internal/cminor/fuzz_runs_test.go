@@ -8,17 +8,19 @@ import (
 	"testing"
 )
 
-// A differential corpus that reaches the bytecode back end. Every
-// generateDiffKernel kernel (fuzz_diff_test.go) calls helper functions
-// and the bytecode lowerer bails on any user call, so that corpus
-// compares the walker with the closure fallback and executes almost no
-// bytecode. The kernels here are call-free: loop nests whose innermost
-// bodies are the three run forms (bytecode.go) and their near-misses,
-// at the trip counts where a run's length is decided — zero, one, two
-// and either side of bcRunChunk — over argument arrays that may be one
-// array twice or views of one backing store. Each is compared with the
-// walker on value, argument arrays, steps and error text, at the full
-// budget and at the budgets where a run must stop short.
+// A differential corpus that reaches the bytecode back end. Almost every
+// generateDiffKernel kernel (fuzz_diff_test.go) bails to the closure
+// fallback — pointer cells, dynamic kinds, helpers with no static result
+// kind — so that corpus executes almost no bytecode. The kernels here
+// are loop nests whose innermost bodies are the three run forms
+// (bytecode.go) and their near-misses, at the trip counts where a run's
+// length is decided — zero, one, two and either side of bcRunChunk —
+// over argument arrays that may be one array twice or views of one
+// backing store. The last nests call leaf helpers (runHelpers) that the
+// lowerer splices: norms' sq, a run form whose inner step makes k = 3,
+// and the near-misses of one. Each kernel is compared with the walker on
+// value, argument arrays, steps and error text, at the full budget and at
+// the budgets where a run must stop short.
 
 const (
 	runGenRows  = 4  // rows of A, columns of C, and the range of the outer variable j
@@ -95,6 +97,43 @@ func (g *runGen) odd() string {
 	return fmt.Sprintf("%s[%s]", g.pick("a", "b"), g.pick("2 * i", "i + i", "n + 3 - i", "i / 2", "i % 3"))
 }
 
+// runHelpers are the leaves the call-bearing loops call; the O3 inliner
+// plans every call, so the bytecode lowerer splices each. sq is norms'
+// helper; half reassigns its parameter (so it is copied, not renamed)
+// over three statements; clip returns early; tri takes an int, fed a
+// double; tick writes a global before its return's step.
+const runHelpers = `double gs;
+double sq(double x) { return x * x; }
+double half(double x) { x = x * 0.5; double y = x + 1.0; return x * y; }
+double clip(double x) { if (x > 2.0) { return 2.0; } return x; }
+double tri(int k) { return k * 0.5; }
+double tick(double x) { gs = gs + x; return x; }
+`
+
+// callForm emits one statement that calls a helper: a run form once the
+// call is spliced, or a near-miss of one.
+func (g *runGen) callForm() string {
+	t := g.elem()
+	switch g.rng.Intn(9) {
+	case 0, 1: // norms' shape: the plain mac form over sq
+		return fmt.Sprintf("%s = %s %s sq(%s);", t, t, g.pick("+", "-"), g.elem())
+	case 2: // compound, into an element or the scalar
+		return fmt.Sprintf("%s %s sq(%s);", g.pick(t, "s"), g.pick("+=", "-="), g.elem())
+	case 3: // the argument is a caller slot, not a temporary
+		return fmt.Sprintf("%s += sq(%s) * %s;", t, g.pick("s", "c"), g.elem())
+	case 4: // the call's value stored: no run form
+		return fmt.Sprintf("%s = sq(%s);", t, g.elem())
+	case 5:
+		return fmt.Sprintf("%s += half(%s);", t, g.elem())
+	case 6:
+		return fmt.Sprintf("%s = %s + clip(%s);", t, t, g.elem())
+	case 7:
+		return fmt.Sprintf("%s += tri(%s);", t, g.elem())
+	default:
+		return fmt.Sprintf("%s += tick(%s);", t, g.elem())
+	}
+}
+
 // form emits one statement: a run form or a near-miss of one.
 func (g *runGen) form() string {
 	t := g.elem()
@@ -133,18 +172,18 @@ func (g *runGen) form() string {
 	}
 }
 
-// loop emits one inner loop over i.
-func (g *runGen) loop(indent string) {
+// loop emits one inner loop over i whose statements form makes.
+func (g *runGen) loop(indent string, form func() string) {
 	g.lo = g.rng.Intn(3)
 	bound := g.pick("n", "n", "n - 1", "n + 1")
 	cond := "i < " + bound
 	if g.rng.Intn(4) == 0 {
 		cond = "i <= " + bound + " - 1"
 	}
-	body := []string{g.form()}
+	body := []string{form()}
 	switch g.rng.Intn(8) {
 	case 0: // two statements
-		body = append(body, g.form())
+		body = append(body, form())
 	case 1: // the bound is written in the body: not a counted loop
 		fmt.Fprintf(&g.sb, "%sw = 4;\n", indent)
 		cond = "i < w"
@@ -159,16 +198,23 @@ func (g *runGen) loop(indent string) {
 
 func generateRunKernel(seed int64, n int) string {
 	g := &runGen{rng: rand.New(rand.NewSource(seed)), small: n <= runGenSmall}
+	g.sb.WriteString(runHelpers)
 	g.sb.WriteString("double k(int n, int m, double c, double a[n], double b[n], double A[4][n], double C[n][4], double Q[n][n]) {\n")
 	g.sb.WriteString("  int i; int j; int w;\n  double s = 0.25;\n")
-	for nests := 2 + g.rng.Intn(3); nests > 0; nests-- {
+	nest := func(form func() string) {
 		if g.outer = g.rng.Intn(3) == 0; g.outer {
 			fmt.Fprintf(&g.sb, "  for (j = 0; j < %d; j++) {\n", 1+g.rng.Intn(runGenRows))
-			g.loop("    ")
+			g.loop("    ", form)
 			g.sb.WriteString("  }\n")
 		} else {
-			g.loop("  ")
+			g.loop("  ", form)
 		}
+	}
+	for nests := 2 + g.rng.Intn(3); nests > 0; nests-- {
+		nest(g.form)
+	}
+	for calls := g.rng.Intn(3); calls > 0; calls-- {
+		nest(g.callForm)
 	}
 	g.sb.WriteString("  return s + a[1] + b[2];\n}\n")
 	return g.sb.String()
@@ -320,11 +366,22 @@ func runBudgets(rng *rand.Rand, total int) []int {
 	return ks
 }
 
+// callsHelper reports whether the kernel of src calls a runHelpers leaf.
+func callsHelper(src string) bool {
+	for _, h := range []string{"sq(", "half(", "clip(", "tri(", "tick("} {
+		if strings.Contains(src[len(runHelpers):], h) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestBytecodeRunCorpus(t *testing.T) {
 	const seeds = 330
 	trips := []int{0, 1, 2, 3, 4, 5, 7, 9, 14, 23}
 	lowered, withRun := 0, 0
-	heads := map[string]int{} // distinct run heads per form
+	calling, callLowered, withK := 0, 0, 0 // kernels with a call loop; those lowered; those with a run of k > 2
+	heads := map[string]int{}              // distinct run heads per form
 	for seed := int64(0); seed < seeds; seed++ {
 		// The trip count of a loop is n less its small lower bound, give or
 		// take one: every fifteenth kernel has its loops on either side of
@@ -348,6 +405,15 @@ func TestBytecodeRunCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		dis, derr := Disassemble(bp, "k")
+		if callsHelper(src) {
+			calling++
+			if derr == nil {
+				callLowered++
+				if strings.Contains(dis, " k=") {
+					withK++
+				}
+			}
+		}
 		if derr == nil {
 			lowered++
 			if h := runHeads(dis); len(h) > 0 {
@@ -396,15 +462,22 @@ func TestBytecodeRunCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d kernels lowered, %d with a run form; distinct run heads %v", lowered, seeds, withRun, heads)
+	t.Logf("%d kernels call helpers: %d lowered, %d with a run of k > 2", calling, callLowered, withK)
 	if lowered*10 < seeds*9 {
 		t.Errorf("only %d of %d kernels lowered, want at least 90%%", lowered, seeds)
 	}
 	// Run coverage may only grow: these are the counts formRun reaches now
-	// (396 distinct heads in all).
-	if withRun < 252 {
-		t.Errorf("only %d of %d kernels contain a run form, want at least 252", withRun, seeds)
+	// (455 distinct heads in all, 59 of them over spliced calls).
+	if withRun < 262 {
+		t.Errorf("only %d of %d kernels contain a run form, want at least 262", withRun, seeds)
 	}
-	for form, floor := range map[string]int{"mac": 229, "map": 59, "sum": 108} {
+	if callLowered < calling {
+		t.Errorf("only %d of %d kernels that call leaves lowered, want all", callLowered, calling)
+	}
+	if withK < 57 {
+		t.Errorf("only %d kernels contain a run over a spliced call (k > 2), want at least 57", withK)
+	}
+	for form, floor := range map[string]int{"mac": 288, "map": 59, "sum": 108} {
 		if heads[form] < floor {
 			t.Errorf("%d distinct run.%s heads, want at least %d", heads[form], form, floor)
 		}

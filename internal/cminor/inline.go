@@ -16,7 +16,8 @@ package cminor
 // only calls are inlined no longer defeats the "call-free body" rule —
 // analyzeLoopBody descends into the callee with the same relocation and
 // accounts for everything it can touch, so bodies with small helper
-// calls now reach the native-loop fast path.
+// calls now reach the native-loop fast path. The bytecode lowerer splices
+// the same plan (bytecode_lower.go's spliceCall).
 //
 // Step accounting and fault behaviour are preserved bit-for-bit: the
 // inlined body charges exactly the statements the called body would,
