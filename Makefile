@@ -44,10 +44,14 @@ lint: vet
 # optimized backends, plus the silent-miscompile audit leg) and the
 # deterministic quarantine lifecycle simulations, including the
 # concurrent chaos-routing test the small backoff makes race-prone by
-# design.
+# design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
+# kernels of any seed, trip count and argument aliasing against the
+# walker, at the full budget and at one the fuzzer picks (new interesting
+# inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
 	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact'
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos'
+	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
 
 # Serving-layer suite under the race detector: the deterministic
 # fake-clock scheduler simulations (admission order, quota exhaustion

@@ -195,17 +195,51 @@ func BenchmarkOptLevels(b *testing.B) {
 			}
 			b.Run(k.Name+"/"+v.label, func(b *testing.B) {
 				inst := vp.NewInstance()
-				args := k.Args()
+				args, pristine := k.Args(), k.Args()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					restoreArrays(args, pristine)
+					b.StartTimer()
 					if _, err := inst.Call(k.Fn, args...); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.StopTimer()
+				if i, j := nanElem(args); i >= 0 {
+					b.Fatalf("argument %d holds NaN at %d after the last call", i, j)
+				}
 			})
 		}
 	}
+}
+
+// restoreArrays copies every array of pristine back into the array at
+// the same position of args: the kernels write into their arguments, and
+// a call on its own output (cholesky re-factoring its factor) computes on
+// values no request sees.
+func restoreArrays(args, pristine []any) {
+	for i, a := range args {
+		if arr, ok := a.(*Array); ok {
+			copy(arr.Data, pristine[i].(*Array).Data)
+		}
+	}
+}
+
+// nanElem returns the position of the first NaN element in the arrays of
+// args, or -1, -1.
+func nanElem(args []any) (arg, elem int) {
+	for i, a := range args {
+		if arr, ok := a.(*Array); ok {
+			for j, v := range arr.Data {
+				if v != v {
+					return i, j
+				}
+			}
+		}
+	}
+	return -1, -1
 }
 
 // BenchmarkCompileGemm measures one-time pipeline cost (resolve +

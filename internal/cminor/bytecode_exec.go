@@ -211,61 +211,203 @@ func (w bcWalk) touches(p *float64, n int) bool {
 // bcRunMac runs n+1 iterations of T ±= float64(([c·]X)·Y) in source
 // order. The explicit conversion forces the product's rounding so Go
 // cannot contract the multiply-add into a hardware FMA, which would break
-// walker bit-parity. A target that stays put is held in a register for
-// the run when neither source walk reads its element; otherwise every
-// iteration loads and stores it, as the instructions the run replaced did.
+// walker bit-parity. The sign and the coefficient are decided once per
+// run, each of their four pairings running its own copy of a loop, and
+// the loop is picked by the strides the walks resolved to: unit-stride
+// walks are resliced to their n+1 elements, so Go drops the bounds
+// checks, and a stride-0 factor no store of the run reaches is read once.
+// None of this reorders anything: every iteration loads, rounds and
+// stores in source order, as the instructions the run replaced did.
 func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
 	t, x, y := bcWalkOf(fr, &rows[0]), bcWalkOf(fr, &rows[1]), bcWalkOf(fr, &rows[2])
 	neg, coef := in.sub&bcRunNeg != 0, in.sub&bcRunCoef != 0
 	var c float64
+	var cx [1]float64
 	if coef {
 		c = fr.freg[in.d]
 		if c != c {
 			// The walker's c·X is the NaN c whatever X holds, but the
 			// compiler may commute c*p below and let a NaN in X win: run on
 			// c·c, that NaN quieted, instead.
-			cc := [1]float64{c * c}
-			x, coef = bcWalk{cc[:], 0}, false
+			cx[0] = c * c
+			x, coef = bcWalk{cx[:], 0}, false
 		}
 	}
-	if t.s == 0 && !x.touches(&t.d[0], n) && !y.touches(&t.d[0], n) {
-		acc := t.d[0]
-		for xi, yi := 0, 0; n >= 0; n-- {
-			p := x.d[xi]
-			if coef {
-				p = c * p
-			}
-			if v := float64(p * y.d[yi]); neg {
-				acc -= v
-			} else {
-				acc += v
-			}
-			xi, yi = xi+x.s, yi+y.s
-		}
-		t.d[0] = acc
-		return
+	// A target that stays put is held in a register for the run when
+	// neither source walk reads its element: it is stored once, after it.
+	held := t.s == 0 && !x.touches(&t.d[0], n) && !y.touches(&t.d[0], n)
+	// c·X over a stride-0 X no store of the run reaches is one value (a
+	// held target is stored only after the run).
+	if coef && x.s == 0 && (held || !t.touches(&x.d[0], n)) {
+		cx[0] = c * x.d[0]
+		x, coef = bcWalk{cx[:], 0}, false
 	}
-	for ti, xi, yi := 0, 0, 0; n >= 0; n-- {
-		p := x.d[xi]
-		if coef {
-			p = c * p
+	switch {
+	case held:
+		t.d[0] = bcMacHeld(t.d[0], c, x, y, n, coef, neg)
+	case t.s == 1 && bcMacUnit(t.d[:n+1], c, x, y, coef, neg):
+	default:
+		bcMacStrided(t, c, x, y, n, coef, neg)
+	}
+}
+
+// bcMacHeld runs the n+1 iterations of a held target acc and returns it.
+func bcMacHeld(acc, c float64, x, y bcWalk, n int, coef, neg bool) float64 {
+	if x.s == 1 && y.s == 1 {
+		xd := x.d[:n+1]
+		yd := y.d[:len(xd)]
+		switch {
+		case !coef && !neg:
+			for i := range xd {
+				acc = bcAdd(acc, float64(xd[i]*yd[i]))
+			}
+		case !coef:
+			for i := range xd {
+				acc -= float64(xd[i] * yd[i])
+			}
+		case !neg:
+			for i := range xd {
+				acc = bcAdd(acc, float64(c*xd[i]*yd[i]))
+			}
+		default:
+			for i := range xd {
+				acc -= float64(c * xd[i] * yd[i])
+			}
 		}
-		if v := float64(p * y.d[yi]); neg {
-			t.d[ti] -= v
+		return acc
+	}
+	xd, xs, yd, ys := x.d, x.s, y.d, y.s
+	switch {
+	case !coef && !neg:
+		for xi, yi := 0, 0; n >= 0; n, xi, yi = n-1, xi+xs, yi+ys {
+			acc = bcAdd(acc, float64(xd[xi]*yd[yi]))
+		}
+	case !coef:
+		for xi, yi := 0, 0; n >= 0; n, xi, yi = n-1, xi+xs, yi+ys {
+			acc -= float64(xd[xi] * yd[yi])
+		}
+	case !neg:
+		for xi, yi := 0, 0; n >= 0; n, xi, yi = n-1, xi+xs, yi+ys {
+			acc = bcAdd(acc, float64(c*xd[xi]*yd[yi]))
+		}
+	default:
+		for xi, yi := 0, 0; n >= 0; n, xi, yi = n-1, xi+xs, yi+ys {
+			acc -= float64(c * xd[xi] * yd[yi])
+		}
+	}
+	return acc
+}
+
+// bcMacUnit runs a memory target of unit stride, its n+1 elements td,
+// when the sources have unit stride or one of them is a stride-0 factor
+// td does not cover (a coefficient with it is folded in by bcRunMac when
+// it can be). It reports false, having run nothing, for any other walks.
+func bcMacUnit(td []float64, c float64, x, y bcWalk, coef, neg bool) bool {
+	tw := bcWalk{td, 1}
+	n := len(td) - 1
+	switch {
+	case x.s == 1 && y.s == 1:
+		xd, yd := x.d[:len(td)], y.d[:len(td)]
+		switch {
+		case !coef && !neg:
+			for i := range td {
+				td[i] = bcAdd(td[i], float64(xd[i]*yd[i]))
+			}
+		case !coef:
+			for i := range td {
+				td[i] -= float64(xd[i] * yd[i])
+			}
+		case !neg:
+			for i := range td {
+				td[i] = bcAdd(td[i], float64(c*xd[i]*yd[i]))
+			}
+		default:
+			for i := range td {
+				td[i] -= float64(c * xd[i] * yd[i])
+			}
+		}
+	case x.s == 0 && !coef && y.s == 1 && !tw.touches(&x.d[0], n):
+		xv, yd := x.d[0], y.d[:len(td)]
+		if neg {
+			for i := range td {
+				td[i] -= float64(xv * yd[i])
+			}
 		} else {
-			t.d[ti] += v
+			for i := range td {
+				td[i] = bcAdd(td[i], float64(xv*yd[i]))
+			}
 		}
-		ti, xi, yi = ti+t.s, xi+x.s, yi+y.s
+	case x.s == 1 && y.s == 0 && !tw.touches(&y.d[0], n):
+		xd, yv := x.d[:len(td)], y.d[0]
+		switch {
+		case !coef && !neg:
+			for i := range td {
+				td[i] = bcAdd(td[i], float64(xd[i]*yv))
+			}
+		case !coef:
+			for i := range td {
+				td[i] -= float64(xd[i] * yv)
+			}
+		case !neg:
+			for i := range td {
+				td[i] = bcAdd(td[i], float64(c*xd[i]*yv))
+			}
+		default:
+			for i := range td {
+				td[i] -= float64(c * xd[i] * yv)
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// bcAdd is o + v to the bit, o the target element the walker's T + P
+// puts on the left. An addition may be commuted, and when Go folds the
+// target's load into it it does, so that where both are NaN the sum would
+// be v's NaN, not o's. A subtraction is never commuted, and o − (−0 − v)
+// is o + v, the NaNs included: −0 − v is −v, signed zeros too, for every
+// v but a NaN, which it passes through unchanged.
+func bcAdd(o, v float64) float64 {
+	return o - (math.Copysign(0, -1) - v)
+}
+
+// bcMacStrided runs n+1 iterations over walks of any stride, the target's
+// element loaded and stored in every one.
+func bcMacStrided(t bcWalk, c float64, x, y bcWalk, n int, coef, neg bool) {
+	td, ts, xd, xs, yd, ys := t.d, t.s, x.d, x.s, y.d, y.s
+	ti, xi, yi := 0, 0, 0
+	switch {
+	case !coef && !neg:
+		for ; n >= 0; n, ti, xi, yi = n-1, ti+ts, xi+xs, yi+ys {
+			td[ti] = bcAdd(td[ti], float64(xd[xi]*yd[yi]))
+		}
+	case !coef:
+		for ; n >= 0; n, ti, xi, yi = n-1, ti+ts, xi+xs, yi+ys {
+			td[ti] -= float64(xd[xi] * yd[yi])
+		}
+	case !neg:
+		for ; n >= 0; n, ti, xi, yi = n-1, ti+ts, xi+xs, yi+ys {
+			td[ti] = bcAdd(td[ti], float64(c*xd[xi]*yd[yi]))
+		}
+	default:
+		for ; n >= 0; n, ti, xi, yi = n-1, ti+ts, xi+xs, yi+ys {
+			td[ti] -= float64(c * xd[xi] * yd[yi])
+		}
 	}
 }
 
 // bcRunSum runs n+1 iterations of T = (X1+…+Xk) scaled, every load and
 // the store in their own iteration (seidel2d reads what it just wrote).
+// When every walk has unit stride each is indexed by the iteration alone.
 func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
 	var xs [bcSumMax]bcWalk
 	t, k := bcWalkOf(fr, &rows[0]), len(rows)-1
+	unit := t.s == 1
 	for j := range xs[:k] {
 		xs[j] = bcWalkOf(fr, &rows[j+1])
+		unit = unit && xs[j].s == 1
 	}
 	var c float64
 	if in.sub != bcScaleNone {
@@ -278,28 +420,58 @@ func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
 		}
 		return
 	}
+	if unit {
+		td := t.d[:n+1]
+		for i := range td {
+			sum := xs[0].d[i]
+			for _, x := range xs[1:k] {
+				sum += x.d[i]
+			}
+			td[i] = bcScale(in.sub, sum, c)
+		}
+		return
+	}
 	for i := 0; i <= n; i++ {
 		sum := xs[0].d[i*xs[0].s]
 		for j := 1; j < k; j++ {
 			sum += xs[j].d[i*xs[j].s]
 		}
-		switch in.sub {
-		case bcScaleMulL:
-			sum = c * sum
-		case bcScaleMulR:
-			sum = sum * c
-		case bcScaleDiv:
-			sum = sum / c
-		}
-		t.d[i*t.s] = sum
+		t.d[i*t.s] = bcScale(in.sub, sum, c)
 	}
 }
 
-// bcRunMap runs n+1 iterations of T = X, in order (the walks may overlap).
+// bcScale applies a run.sum's scaling (sub) to its sum.
+func bcScale(sub uint8, sum, c float64) float64 {
+	switch sub {
+	case bcScaleMulL:
+		return c * sum
+	case bcScaleMulR:
+		return sum * c
+	case bcScaleDiv:
+		return sum / c
+	}
+	return sum
+}
+
+// bcRunMap runs n+1 iterations of T = X, in order (the walks may
+// overlap). Over unit strides that is a memmove unless the target starts
+// inside the source past its first element, where the loop propagates
+// what it stores; from a stride-0 source it is a fill, since the only
+// value the loop stores is the one that element already holds.
 func bcRunMap(fr *frame, rows []instr, n int) {
 	t, x := bcWalkOf(fr, &rows[0]), bcWalkOf(fr, &rows[1])
-	for i := 0; i <= n; i++ {
-		t.d[i*t.s] = x.d[i*x.s]
+	switch {
+	case t.s == 1 && x.s == 1 && (&t.d[0] == &x.d[0] || !x.touches(&t.d[0], n)):
+		copy(t.d[:n+1], x.d[:n+1])
+	case t.s == 1 && x.s == 0:
+		td, v := t.d[:n+1], x.d[0]
+		for i := range td {
+			td[i] = v
+		}
+	default:
+		for i := 0; i <= n; i++ {
+			t.d[i*t.s] = x.d[i*x.s]
+		}
 	}
 }
 

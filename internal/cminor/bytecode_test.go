@@ -415,6 +415,129 @@ func TestBytecodeMacRuns(t *testing.T) {
 	}
 }
 
+// runPathKernel wraps one statement in a loop over j in [1, n-1) inside
+// one over i, so j-1 and j+1 are in range.
+func runPathKernel(stmt string) string {
+	return `double k(int n, double c, double a[n], double x[n], double y[n], double A[n][n]) {
+  double s = c; int i; int j;
+  for (i = 0; i < n; i++) {
+    for (j = 1; j < n - 1; j++) {
+      ` + stmt + `
+    }
+  }
+  return s;
+}
+`
+}
+
+// TestBytecodeRunPaths is the parity table of the loops a run head picks
+// by the walks it resolves (bcRunMac, bcRunSum, bcRunMap), and of the
+// guards that refuse one: a stride-0 factor the run itself overwrites, a
+// copy whose target starts one past its source. Each statement must lower
+// to the one run form named and agree with the walker on value, arrays,
+// steps and fault text at every budget that can stop it, on three
+// argument sets: a finite coefficient, a NaN one, and arrays holding two
+// NaN payloads, so a commuted operand shows as a payload the walker does
+// not produce.
+func TestBytecodeRunPaths(t *testing.T) {
+	const n = 7
+	nan1, nan2, nan3 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0x7ff8000000000003)
+	args := func(set int) []any {
+		a, x, y, A := NewArray(n), NewArray(n), NewArray(n), NewArray(n, n)
+		for i := range n {
+			a.Data[i], x.Data[i], y.Data[i] = 0.25*float64(i)-0.5, 0.5*float64(i)+1, 1.5-0.375*float64(i)
+		}
+		for i := range A.Data {
+			A.Data[i] = float64(i%5)*0.5 - 1
+		}
+		c := 1.25
+		switch set {
+		case 1:
+			c = nan1
+		case 2:
+			// One payload in a, another in y, the arrays the statements
+			// take their targets from: the target's element meets a
+			// factor's payload. (Where two sources meet, the order is Go's
+			// to pick, on every back end: see ROADMAP.)
+			for i := range n {
+				if i%3 != 0 {
+					a.Data[i] = nan2
+				}
+				if i%3 != 1 {
+					y.Data[i] = nan3
+				}
+			}
+		}
+		return []any{IntV(n), FloatV(c), a, x, y, A}
+	}
+	for _, tc := range []struct{ stmt, run string }{
+		// run.mac, a memory target: both signs, both coefficient settings.
+		{"y[j] -= A[i][j] * x[j];", "mac"},
+		{"y[j] += c * A[i][j] * x[j];", "mac"},
+		{"y[j] = y[j] - c * a[j] * x[j];", "mac"},
+		// A stride-0 factor no store reaches, read once (c·x0 folded).
+		{"y[j] = y[j] + c * x[j];", "mac"},
+		{"y[j] -= c * a[i] * x[j];", "mac"},
+		{"y[j] += A[i][j] * a[i];", "mac"},
+		{"y[j] += c * A[i][j] * a[i];", "mac"},
+		{"y[j] -= c * A[i][j] * a[i];", "mac"},
+		// The stride-0 factor is overwritten mid-run: read every iteration.
+		{"a[j] = a[j] + x[j] * a[3];", "mac"},
+		{"a[j] = a[j] - a[3] * x[j];", "mac"},
+		{"a[j] += c * a[3] * x[j];", "mac"},
+		// A strided target, and a held one with both flags.
+		{"A[j][i] -= c * x[j] * a[j];", "mac"},
+		{"A[j][i] += x[j] * a[j];", "mac"},
+		{"s -= c * a[j] * A[j][i];", "mac"},
+		// run.map: a copy the target must propagate, a memmove, a fill.
+		{"a[j + 1] = a[j];", "map"},
+		{"a[j] = a[j + 1];", "map"},
+		{"y[j] = A[i][j];", "map"},
+		{"a[j] = a[2];", "map"},
+		{"y[j] = c;", "map"},
+		// run.sum over unit strides: the target overlaps a source.
+		{"a[j] = (a[j - 1] + a[j] + a[j + 1]) / 3.0;", "sum"},
+		{"A[i][j] = c * (A[i][j - 1] + x[j] + A[i][j + 1]);", "sum"},
+		{"y[j] = (x[j] + y[j - 1]) * c;", "sum"},
+	} {
+		src := runPathKernel(tc.stmt)
+		f := MustParse("path.c", src)
+		p := mustBytecode(t, "path.c", src)
+		dis, err := Disassemble(p, "k")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		var forms []string
+		for _, h := range runHeads(dis) {
+			form, _, _ := strings.Cut(h, "@")
+			forms = append(forms, form)
+		}
+		if strings.Join(forms, " ") != tc.run {
+			t.Errorf("%s: run forms %v, want %q:\n%s", tc.stmt, forms, tc.run, dis)
+			continue
+		}
+		for set := range 3 {
+			w := NewWalker(f)
+			if _, err := w.Call("k", args(set)...); err != nil {
+				t.Fatalf("%s: reference run: %v", tc.stmt, err)
+			}
+			for k := 1; k <= w.Steps+1; k++ {
+				w := NewWalker(f)
+				w.MaxSteps = k
+				wArgs, bArgs := args(set), args(set)
+				wv, werr := w.Call("k", wArgs...)
+				ins := p.NewInstance()
+				ins.SetMaxSteps(k)
+				bv, berr := ins.Call("k", bArgs...)
+				walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+				if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
+					t.Fatalf("%s: argument set %d, budget %d: %s", tc.stmt, set, k, d)
+				}
+			}
+		}
+	}
+}
+
 // spliceHelpers are leaves of every shape the bytecode lowerer splices:
 // nested in an argument, int results and parameters, a parameter the
 // body assigns, a loop, several returns, a bare return, falling off the

@@ -333,7 +333,7 @@ func (o runOutcome) diff(w runOutcome) string {
 	for i := range w.arrays {
 		for j := range w.arrays[i] {
 			if math.Float64bits(o.arrays[i][j]) != math.Float64bits(w.arrays[i][j]) {
-				return fmt.Sprintf("array %d differs at %d: %g, walker %g", i, j, o.arrays[i][j], w.arrays[i][j])
+				return fmt.Sprintf("array %d differs at %d: %g (%#x), walker %g (%#x)", i, j, o.arrays[i][j], math.Float64bits(o.arrays[i][j]), w.arrays[i][j], math.Float64bits(w.arrays[i][j]))
 			}
 		}
 	}
@@ -482,4 +482,50 @@ func TestBytecodeRunCorpus(t *testing.T) {
 			t.Errorf("%d distinct run.%s heads, want at least %d", heads[form], form, floor)
 		}
 	}
+}
+
+// FuzzBytecodeRuns opens the run corpus to the fuzzer: the kernel
+// generateRunKernel makes for any seed, at any trip count (up to either
+// side of two chunks) and argument aliasing, must agree with the walker
+// on value, arrays, steps and error text at the full budget and at one
+// budget the fuzzer picks. Its seed corpus is TestBytecodeRunCorpus's
+// 330 kernels, at the n and one of the aliasings that test gives them.
+func FuzzBytecodeRuns(f *testing.F) {
+	trips := []int{0, 1, 2, 3, 4, 5, 7, 9, 14, 23}
+	for seed := int64(0); seed < 330; seed++ {
+		n := trips[int(seed)%len(trips)]
+		if seed%15 == 14 {
+			n = bcRunChunk + int(seed/15)%4
+		}
+		f.Add(seed, uint16(n), uint8(seed%5), uint64(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, alias uint8, budget uint64) {
+		trip := int(n) % (2*bcRunChunk + 8)
+		src := generateRunKernel(seed, trip)
+		file, err := Parse("run.c", src)
+		if err != nil {
+			t.Fatalf("generator produced an unparsable kernel:\n%s\n%v", src, err)
+		}
+		bp, err := Compile(file, WithBackend(BackendBytecode), WithOptLevel(O3))
+		if err != nil {
+			t.Fatalf("Compile:\n%s\n%v", src, err)
+		}
+		data := newRunData(seed, trip)
+		check := func(budget int) int {
+			w := NewWalker(file)
+			w.MaxSteps = budget
+			wArgs, bArgs := data.args(int(alias%5)), data.args(int(alias%5))
+			wv, werr := w.Call("k", wArgs...)
+			ins := bp.NewInstance()
+			ins.SetMaxSteps(budget)
+			bv, berr := ins.Call("k", bArgs...)
+			walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+			if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
+				t.Fatalf("budget %d: %s\n%s", budget, d, src)
+			}
+			return w.Steps
+		}
+		steps := check(1 << 40)
+		check(1 + int(budget%uint64(steps+1)))
+	})
 }
