@@ -213,9 +213,10 @@ func (w bcWalk) touches(p *float64, n int) bool {
 // cannot contract the multiply-add into a hardware FMA, which would break
 // walker bit-parity. The sign and the coefficient are decided once per
 // run, each of their four pairings running its own copy of a loop, and
-// the loop is picked by the strides the walks resolved to: unit-stride
-// walks are resliced to their n+1 elements, so Go drops the bounds
-// checks, and a stride-0 factor no store of the run reaches is read once.
+// the loop is picked by the strides the walks resolved to: a stride-0
+// factor no store of the run reaches is read once, and then a unit-stride
+// target and source are resliced to their n+1 elements, so Go drops the
+// bounds checks.
 // None of this reorders anything: every iteration loads, rounds and
 // stores in source order, as the instructions the run replaced did.
 func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
@@ -236,9 +237,8 @@ func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
 	// A target that stays put is held in a register for the run when
 	// neither source walk reads its element: it is stored once, after it.
 	held := t.s == 0 && !x.touches(&t.d[0], n) && !y.touches(&t.d[0], n)
-	// c·X over a stride-0 X no store of the run reaches is one value (a
-	// held target is stored only after the run).
-	if coef && x.s == 0 && (held || !t.touches(&x.d[0], n)) {
+	// c·X over a stride-0 X no store of the run reaches is one value.
+	if coef && x.s == 0 && !t.touches(&x.d[0], n) {
 		cx[0] = c * x.d[0]
 		x, coef = bcWalk{cx[:], 0}, false
 	}
@@ -253,29 +253,6 @@ func bcRunMac(fr *frame, in *instr, rows []instr, n int) {
 
 // bcMacHeld runs the n+1 iterations of a held target acc and returns it.
 func bcMacHeld(acc, c float64, x, y bcWalk, n int, coef, neg bool) float64 {
-	if x.s == 1 && y.s == 1 {
-		xd := x.d[:n+1]
-		yd := y.d[:len(xd)]
-		switch {
-		case !coef && !neg:
-			for i := range xd {
-				acc = bcAdd(acc, float64(xd[i]*yd[i]))
-			}
-		case !coef:
-			for i := range xd {
-				acc -= float64(xd[i] * yd[i])
-			}
-		case !neg:
-			for i := range xd {
-				acc = bcAdd(acc, float64(c*xd[i]*yd[i]))
-			}
-		default:
-			for i := range xd {
-				acc -= float64(c * xd[i] * yd[i])
-			}
-		}
-		return acc
-	}
 	xd, xs, yd, ys := x.d, x.s, y.d, y.s
 	switch {
 	case !coef && !neg:
@@ -299,33 +276,13 @@ func bcMacHeld(acc, c float64, x, y bcWalk, n int, coef, neg bool) float64 {
 }
 
 // bcMacUnit runs a memory target of unit stride, its n+1 elements td,
-// when the sources have unit stride or one of them is a stride-0 factor
-// td does not cover (a coefficient with it is folded in by bcRunMac when
-// it can be). It reports false, having run nothing, for any other walks.
+// when one source has unit stride and the other is a stride-0 factor td
+// does not cover (a coefficient with it is folded in by bcRunMac when it
+// can be). It reports false, having run nothing, for any other walks.
 func bcMacUnit(td []float64, c float64, x, y bcWalk, coef, neg bool) bool {
 	tw := bcWalk{td, 1}
 	n := len(td) - 1
 	switch {
-	case x.s == 1 && y.s == 1:
-		xd, yd := x.d[:len(td)], y.d[:len(td)]
-		switch {
-		case !coef && !neg:
-			for i := range td {
-				td[i] = bcAdd(td[i], float64(xd[i]*yd[i]))
-			}
-		case !coef:
-			for i := range td {
-				td[i] -= float64(xd[i] * yd[i])
-			}
-		case !neg:
-			for i := range td {
-				td[i] = bcAdd(td[i], float64(c*xd[i]*yd[i]))
-			}
-		default:
-			for i := range td {
-				td[i] -= float64(c * xd[i] * yd[i])
-			}
-		}
 	case x.s == 0 && !coef && y.s == 1 && !tw.touches(&x.d[0], n):
 		xv, yd := x.d[0], y.d[:len(td)]
 		if neg {
@@ -400,14 +357,11 @@ func bcMacStrided(t bcWalk, c float64, x, y bcWalk, n int, coef, neg bool) {
 
 // bcRunSum runs n+1 iterations of T = (X1+…+Xk) scaled, every load and
 // the store in their own iteration (seidel2d reads what it just wrote).
-// When every walk has unit stride each is indexed by the iteration alone.
 func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
 	var xs [bcSumMax]bcWalk
 	t, k := bcWalkOf(fr, &rows[0]), len(rows)-1
-	unit := t.s == 1
 	for j := range xs[:k] {
 		xs[j] = bcWalkOf(fr, &rows[j+1])
-		unit = unit && xs[j].s == 1
 	}
 	var c float64
 	if in.sub != bcScaleNone {
@@ -417,17 +371,6 @@ func bcRunSum(fr *frame, in *instr, rows []instr, n int) {
 		// c·sum is the NaN c whatever the sum holds (see bcRunMac).
 		for i := 0; i <= n; i++ {
 			t.d[i*t.s] = c * c
-		}
-		return
-	}
-	if unit {
-		td := t.d[:n+1]
-		for i := range td {
-			sum := xs[0].d[i]
-			for _, x := range xs[1:k] {
-				sum += x.d[i]
-			}
-			td[i] = bcScale(in.sub, sum, c)
 		}
 		return
 	}

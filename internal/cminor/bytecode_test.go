@@ -431,14 +431,14 @@ func runPathKernel(stmt string) string {
 }
 
 // TestBytecodeRunPaths is the parity table of the loops a run head picks
-// by the walks it resolves (bcRunMac, bcRunSum, bcRunMap), and of the
-// guards that refuse one: a stride-0 factor the run itself overwrites, a
-// copy whose target starts one past its source. Each statement must lower
-// to the one run form named and agree with the walker on value, arrays,
-// steps and fault text at every budget that can stop it, on three
-// argument sets: a finite coefficient, a NaN one, and arrays holding two
-// NaN payloads, so a commuted operand shows as a payload the walker does
-// not produce.
+// by the walks it resolves (bcRunMac, bcRunMap), of run.sum's loop, and
+// of the guards that refuse one: a stride-0 factor the run itself
+// overwrites, a copy whose target starts one past its source. Each
+// statement must lower to the one run form named and agree with the
+// walker on value, arrays, steps and fault text at every budget that can
+// stop it, on three argument sets: a finite coefficient, a NaN one, and
+// arrays holding two NaN payloads, so a commuted operand shows as a
+// payload the walker does not produce.
 func TestBytecodeRunPaths(t *testing.T) {
 	const n = 7
 	nan1, nan2, nan3 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0x7ff8000000000003)
