@@ -57,11 +57,14 @@ chaos:
 # fake-clock scheduler simulations (admission order, quota exhaustion
 # and refill, batch coalescing, both shed points, the golden status
 # line), the 12-goroutine live stress test with per-call bit-exactness,
-# and the InstancePool churn/leak test backing it. The wall-clock test
-# of the batch hold's accuracy is not built under -race (timing means
-# nothing there); `make serve-timing` runs it.
+# and the InstancePool churn/leak test backing it. The concurrency tests
+# (waiter-run dispatch and the live stress) then run ten more times,
+# since which goroutine runs a batch is decided by a race. The wall-clock
+# test of the batch hold's accuracy is not built under -race (timing
+# means nothing there); `make serve-timing` runs it.
 serve-sim:
 	go test -race -count=1 ./internal/cminor/serve/
+	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestServerLiveStress'
 	go test -race -count=1 ./internal/cminor/ -run 'TestInstancePoolStress'
 
 # The batch hold against the real clock, without the race detector: a

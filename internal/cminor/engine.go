@@ -850,9 +850,10 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, nam
 	startSteps := s.steps
 	s.limit.Store(int64(s.maxSteps))
 	// Cancellation costs nothing per statement: a watcher drops the
-	// limit when ctx fires, and the ordinary budget comparison faults.
+	// limit when ctx fires, and the ordinary budget comparison faults. A
+	// context that can never fire (Background) needs no watcher.
 	var stopWatch func() bool
-	if ctx != nil {
+	if ctx != nil && ctx.Done() != nil {
 		s.watchDone.Store(false)
 		stopWatch = context.AfterFunc(ctx, func() {
 			s.limit.Store(-1)

@@ -367,6 +367,19 @@ double wrap(int n, double a[n], double b[n]) { return dot(n, a, b) * 2.0; }`
 	if avg != 0 {
 		t.Errorf("bytecode steady-state Call allocates %.1f objects/op, want 0", avg)
 	}
+	// A context that can never be cancelled arms no cancellation
+	// watcher, so it costs what a nil one does.
+	ctx := context.Background()
+	for _, in := range []*Instance{inst, binst} {
+		avg = testing.AllocsPerRun(50, func() {
+			if _, err := in.CallContext(ctx, "wrap", args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%v steady-state CallContext(Background) allocates %.1f objects/op, want 0", in.prog.cfg.backend, avg)
+		}
+	}
 }
 
 // TestInstancePoolBudgetPerCheckout is the SetMaxSteps / pool

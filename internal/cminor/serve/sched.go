@@ -17,8 +17,10 @@ import (
 // makes the fake-clock simulations exact.
 
 // entry is one admitted request in flight through the scheduler. The
-// embedded Pending (done channel, response) is the handle Submit
-// returns.
+// embedded Pending (done channel, response, queued group) is the handle
+// Submit returns. An entry that opens a batch carries that group and
+// the first backing array of its entries, so a batch of one costs no
+// allocation beyond the entry and its done channel.
 type entry struct {
 	Pending
 	req    Request
@@ -27,6 +29,8 @@ type entry struct {
 	route  *route
 	class  int
 	enq    time.Time
+	own    group
+	first  [1]*entry
 }
 
 // groupKey is the coalescing key: batches form per (function,
@@ -154,7 +158,7 @@ func (s *Server) admit(req Request, ctx context.Context, class int, now time.Tim
 	ts.inflight++
 	s.met.admitted.Add(1)
 	return &entry{
-		Pending: Pending{done: make(chan struct{})},
+		Pending: Pending{done: make(chan struct{}), srv: s},
 		req:     req,
 		ctx:     ctx,
 		tenant:  ts,
@@ -176,13 +180,17 @@ func (s *Server) enqueue(e *entry, now time.Time) bool {
 	key := groupKey{fn: e.route.fn, class: e.class}
 	if g, ok := s.open[key]; ok {
 		g.entries = append(g.entries, e)
+		e.grp = g
 		if len(g.entries) >= s.cfg.maxBatch {
 			delete(s.open, key) // full: no more joiners
 			return true
 		}
 		return false
 	}
-	g := &group{route: e.route, class: e.class, born: now, entries: []*entry{e}}
+	e.first[0] = e
+	g := &e.own
+	*g = group{route: e.route, class: e.class, born: now, entries: e.first[:]}
+	e.grp = g
 	s.queue = append(s.queue, g)
 	if s.cfg.maxBatch > 1 {
 		s.open[key] = g
@@ -204,7 +212,13 @@ func (s *Server) ready(g *group, now time.Time) bool {
 // removes and returns the first ready group. When nothing is ready but
 // unripe groups remain, the zero group is returned along with the
 // soonest ripen time, for a worker to sleep until (nextGroup).
-func (s *Server) popReady(now time.Time) (*group, time.Time) {
+//
+// A non-nil mine restricts the pop to mine's group (a waiter's own, see
+// Pending.Wait): it is returned only if it is the first ready group,
+// the one a worker's scan would take now, and still holds mine (the
+// scan may shed it); otherwise nothing is popped and no ripen time is
+// reported.
+func (s *Server) popReady(now time.Time, mine *Pending) (*group, time.Time) {
 	var ripen time.Time
 	i := 0
 	for i < len(s.queue) {
@@ -221,12 +235,18 @@ func (s *Server) popReady(now time.Time) (*group, time.Time) {
 		g.entries = kept
 		if len(g.entries) == 0 {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			delete(s.open, groupKey{fn: g.route.fn, class: g.class})
+			s.closeGroupLocked(g)
 			continue
 		}
 		if s.ready(g, now) {
+			if mine != nil && g != mine.grp {
+				return nil, time.Time{}
+			}
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			delete(s.open, groupKey{fn: g.route.fn, class: g.class})
+			s.closeGroupLocked(g)
+			for _, e := range g.entries {
+				e.grp = nil
+			}
 			n := len(g.entries)
 			g.held = n < s.cfg.maxBatch && s.cfg.maxBatchDelay > 0 && !s.closed
 			s.queued -= n
@@ -234,6 +254,9 @@ func (s *Server) popReady(now time.Time) (*group, time.Time) {
 			s.met.batches.Add(1)
 			s.met.batchedCalls.Add(int64(n))
 			return g, time.Time{}
+		}
+		if mine != nil && g == mine.grp {
+			return nil, time.Time{}
 		}
 		if r := g.born.Add(s.cfg.maxBatchDelay); ripen.IsZero() || r.Before(ripen) {
 			ripen = r
@@ -243,9 +266,20 @@ func (s *Server) popReady(now time.Time) (*group, time.Time) {
 	return nil, ripen
 }
 
+// closeGroupLocked stops g taking joiners. A group filled by its last
+// joiner is already closed, and a newer group of its site may be the
+// one forming now: that one keeps its place.
+func (s *Server) closeGroupLocked(g *group) {
+	key := groupKey{fn: g.route.fn, class: g.class}
+	if s.open[key] == g {
+		delete(s.open, key)
+	}
+}
+
 // shedQueuedLocked completes a queued entry as shed without running it.
 func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 	s.queued--
+	e.grp = nil
 	e.tenant.inflight--
 	e.tenant.shed++
 	s.met.shedQueued.Add(1)

@@ -14,12 +14,15 @@
 // (function, input-size class) — the autotuner's site key — so a batch
 // shares one variant decision and one warm checked-out Instance
 // (autotune.CallBatch), bounded by a max batch size and a max batch
-// delay. Worker goroutines dispatch ready batches; expired deadlines
-// shed queued work before it ever runs, and cancelled contexts abort
-// running kernels through the engine's zero-cost CallContext
-// checkpoint. Contained faults and degraded (trusted-fallback) calls
-// feed per-tenant error accounting instead of killing workers — the
-// quarantine layer underneath keeps routing around the bad variant.
+// delay. Worker goroutines dispatch ready batches, and so does a caller
+// blocked in Pending.Wait whose own batch is the next one a worker
+// would take: it runs that batch itself rather than waiting for a
+// worker to wake for it. Expired deadlines shed queued work before it
+// ever runs, and cancelled contexts abort running kernels through the
+// engine's zero-cost CallContext checkpoint. Contained faults and
+// degraded (trusted-fallback) calls feed per-tenant error accounting
+// instead of killing workers — the quarantine layer underneath keeps
+// routing around the bad variant.
 //
 // The scheduler core is a synchronous state machine under one mutex;
 // the worker pool is a thin loop over it. That makes the whole policy
@@ -111,9 +114,12 @@ type Option func(*serverConfig)
 // door, never unbounded memory.
 func WithQueueDepth(n int) Option { return func(c *serverConfig) { c.queueDepth = n } }
 
-// WithWorkers sets the dispatch worker count (default 4). 0 disables
-// the worker pool: nothing dispatches until Tick is called — the
-// deterministic harness mode simulations drive with a fake clock.
+// WithWorkers sets the dispatch worker count (default 4). A caller
+// waiting on its request also runs its own batch when that batch is
+// next (Pending.Wait), so concurrency is the workers plus the waiting
+// callers. 0 disables the worker pool and waiter-run dispatch alike:
+// nothing dispatches until Tick is called — the deterministic harness
+// mode simulations drive with a fake clock.
 func WithWorkers(n int) Option { return func(c *serverConfig) { c.workers = n } }
 
 // WithMaxBatch caps how many same-(function, class) requests one
@@ -412,20 +418,59 @@ func (s *Server) Do(ctx context.Context, req Request) (Response, error) {
 }
 
 // Pending is the handle of a submitted request. It is part of the
-// request's scheduler entry, so a submission allocates one object.
+// request's scheduler entry, so an admitted submission allocates that
+// entry and its done channel, and nothing else on its way through the
+// scheduler.
 type Pending struct {
 	done chan struct{}
 	resp Response
+	srv  *Server
+	// grp is the queued batch holding the request, under srv.mu; nil
+	// once that batch is dispatched or the request is shed.
+	grp *group
 }
 
 // Done is closed when the request has completed (successfully, shed,
 // or failed).
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
-// Wait blocks until completion and returns the Response.
+// Wait blocks until completion and returns the Response. When the
+// server's workers are running and the caller's own batch is the one a
+// worker's scan would dispatch next, Wait dispatches it on the calling
+// goroutine instead of waiting for a worker to wake for it: the batch,
+// its order in the queue and every policy decision are the same, only
+// the goroutine that runs it differs. Wait never runs another
+// request's batch.
 func (p *Pending) Wait() Response {
+	select {
+	case <-p.done:
+		return p.resp
+	default:
+	}
+	if g := p.srv.claim(p); g != nil {
+		p.srv.runGroup(g)
+		p.srv.wg.Done()
+	}
 	<-p.done
 	return p.resp
+}
+
+// claim pops p's queued batch for its waiter to run, if workers are
+// running and that batch is the first ready one; otherwise it returns
+// nil and the waiter blocks. A claimed batch counts in s.wg, as a
+// worker does, so Close still returns only once it has run. Under
+// WithWorkers(0) nothing dispatches outside Tick.
+func (s *Server) claim(p *Pending) *group {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.grp == nil || !s.started || s.closed || s.cfg.workers == 0 {
+		return nil
+	}
+	g, _ := s.popReady(s.cfg.clock.Now(), p)
+	if g != nil {
+		s.wg.Add(1)
+	}
+	return g
 }
 
 // Tick synchronously dispatches at most one ready batch on the calling
@@ -436,7 +481,7 @@ func (p *Pending) Wait() Response {
 // when no batch is ready.)
 func (s *Server) Tick() bool {
 	s.mu.Lock()
-	g, _ := s.popReady(s.cfg.clock.Now())
+	g, _ := s.popReady(s.cfg.clock.Now(), nil)
 	s.mu.Unlock()
 	if g == nil {
 		return false
@@ -475,7 +520,7 @@ func (s *Server) nextGroup() *group {
 	defer s.mu.Unlock()
 	for {
 		now := s.cfg.clock.Now()
-		g, ripen := s.popReady(now)
+		g, ripen := s.popReady(now, nil)
 		if g != nil {
 			s.handOverLocked(now)
 			return g

@@ -382,6 +382,45 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
+// TestFullBatchKeepsNewerGroupOpen pins the open-group bookkeeping of a
+// dispatch: sending a batch that its last joiner filled must not stop
+// the newer same-site batch forming behind it from taking joiners. The
+// dispatch used to close whatever group its site had open, so the third
+// and fourth requests below rode batches of one.
+func TestFullBatchKeepsNewerGroupOpen(t *testing.T) {
+	clk := clock.NewFake(simStart())
+	s := newSimServer(t, clk, WithMaxBatch(2), WithMaxBatchDelay(time.Millisecond))
+	defer s.Close()
+
+	req := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	var pend []*Pending
+	submit := func() {
+		t.Helper()
+		p, err := s.Submit(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend = append(pend, p)
+	}
+	for i := 0; i < 3; i++ {
+		submit()
+	}
+	if !s.Tick() {
+		t.Fatal("full batch did not dispatch")
+	}
+	submit()
+	clk.Advance(time.Millisecond)
+	drain(s)
+	for i, p := range pend {
+		if resp := p.Wait(); resp.Err != nil || resp.Batched != 2 {
+			t.Fatalf("request %d: Batched = %d, err %v; want a batch of 2", i, resp.Batched, resp.Err)
+		}
+	}
+	if snap := s.Snapshot(); snap.Batches != 2 {
+		t.Fatalf("%d batches for four requests, want 2", snap.Batches)
+	}
+}
+
 // TestDeadlineShedQueued pins queued-work shedding: a request whose
 // deadline expires while still queued is dropped unrun with ErrShed,
 // and an already-expired deadline is rejected outright at admission.
