@@ -41,7 +41,9 @@ lint: vet
 
 # Fault-containment suite under the race detector: the injection fuzz
 # corpus (every generated kernel sabotaged at entry and exit on both
-# optimized backends, plus the silent-miscompile audit leg) and the
+# optimized backends, plus the silent-miscompile audit leg), injected
+# panics during trial calls and during a tuner's survey trials (each
+# must degrade and quarantine as a full call does), and the
 # deterministic quarantine lifecycle simulations, including the
 # concurrent chaos-routing test the small backoff makes race-prone by
 # design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
@@ -49,8 +51,8 @@ lint: vet
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
-	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact'
-	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos'
+	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults'
+	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos|TestSurveyTrialFaultQuarantines'
 	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
 
 # Serving-layer suite under the race detector: the deterministic
@@ -90,13 +92,16 @@ warm-sim:
 
 # Tuner-policy suite under the race detector: the seeded fake-clock sims
 # of convergence, the measure phase's survey-then-contenders rule (near
-# ties, a spiked survey sample, a drift re-measure), exploration priced
-# in time, drift (spike, winner shift, common-mode slowdown), per-class
-# sites and Call = CallBatch(1), then the 12-goroutine live stress test
-# fifty times over, since its real-clock drift challenges land at
-# random points (about 10 s).
+# ties, a spiked survey sample, a drift re-measure), survey trials (a
+# cold site cuts its losers, a near tie runs in full, a cut batch
+# leader's riders go to the best arm, a converged site runs none, the
+# clock-priced projection), exploration priced in time, drift (spike,
+# winner shift, common-mode slowdown), per-class sites and Call =
+# CallBatch(1), then the 12-goroutine live stress test — cold-site
+# trials included — fifty times over, since its real-clock drift
+# challenges land at random points (about 10 s).
 tuner-sim:
-	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestMeasureSurveysThenBurstsContenders|TestNearTieArmsBothBurst|TestSurveySpikeStillFindsWinner|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
+	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestMeasureSurveysThenBurstsContenders|TestNearTieArmsBothBurst|TestSurveySpikeStillFindsWinner|TestColdSiteCutsLosersByTrial|TestNearTieTrialRunsInFull|TestCutLeaderServesBatchOnBest|TestConvergedSiteRunsNoTrials|TestTrialProjection|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
 	go test -race -count=50 ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
 
 # One-iteration smoke run for CI: proves every benchmark still executes.

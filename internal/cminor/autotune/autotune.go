@@ -19,6 +19,14 @@
 // drift reactions deterministically with a fake clock — no sleeping,
 // no flaky timing.
 //
+// Learning is paid on cold sites, so the survey that opens it is
+// cheap for the arms that lose: a fresh site surveys the grid's last
+// arm (bytecode in DefaultGrid) first, by a full call, and every other
+// arm by a trial (cminor.Instance.CallTrial) — a slice of the call that
+// is priced, projected to the whole call, and rolled back once the
+// projection cannot win, the call then served by the best arm. A near
+// tie runs in full; a trial that finishes is the call.
+//
 //	prog, _ := cminor.Compile(file)
 //	tn, _ := autotune.New(prog)
 //	v, err := tn.Call("gemm", args...)   // routed to the current best guess
@@ -95,10 +103,11 @@ func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps 
 func WithEWMAAlpha(a float64) Option { return func(c *config) { c.alpha = a } }
 
 // WithMinSamples sets the measure-phase pull quota per arm (default 3).
-// A fresh site surveys every arm once, then only the contenders — arms
-// estimated within the switch margin of the best — burst to n, so its
-// exploration budget is len(grid) + (n-1)·contenders calls, at most
-// len(grid)*n.
+// A fresh site surveys every arm once — the grid's last by a full call,
+// the others by survey trials, cut to a slice of a call when they
+// cannot win — then only the contenders — arms estimated within the
+// switch margin of the best — burst to n, so its exploration budget is
+// len(grid) + (n-1)·contenders calls, at most len(grid)*n.
 func WithMinSamples(n int) Option { return func(c *config) { c.minSamples = n } }
 
 // WithDriftFactor sets the winner-cost degradation tolerance (default

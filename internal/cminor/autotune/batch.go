@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	cm "socrates/internal/cminor"
 )
@@ -68,22 +67,26 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 		return fmt.Errorf("autotune: no function %q", fn)
 	}
 	key := siteKey{fn: fn, class: SizeClass(batch[0].Args)}
+	riders := len(batch) - 1
 
 	t.mu.Lock()
 	st := t.site(key)
 	idx := st.choose(&t.cfg, &t.rng)
 	// Audit cadence: every nth call at the site re-executes on the
 	// trusted tier and compares outcomes bit-exactly, so a silently
-	// wrong arm is caught even though it never panics.
+	// wrong arm is caught even though it never panics. An audited call
+	// runs in full, never as a trial.
 	audit := t.cfg.auditEvery > 0 && st.pulls%t.cfg.auditEvery == 0
+	slice, length := 0, 0
+	if !audit {
+		slice, length = st.trialSlice(idx)
+	}
 	// The riders follow the leader's arm: charge their pulls the same
-	// way choose would have, without re-running the policy.
-	for range batch[1:] {
-		st.pulls++
-		st.arms[idx].pulls++
-		if st.phase == phaseExploit && idx != st.best {
-			st.explore++
-		}
+	// way choose would have, without re-running the policy — once a
+	// survey trial has decided which arm that is.
+	st.pulls += int64(riders)
+	if slice == 0 {
+		st.chargeRiders(idx, riders)
 	}
 	t.mu.Unlock()
 
@@ -102,41 +105,59 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 		costs, outs = make([]float64, n), make([]callOutcome, n)
 	}
 	inst := slot.pool.Get()
-	for i := range batch {
+	first := 0 // entries the survey trial settled
+	if slice > 0 {
+		b := &batch[0]
+		cost, diverged, done := t.trial(inst, b, fn, idx, key.class, slice, length)
+		t.mu.Lock()
+		served := idx
+		if !done {
+			served = st.cutByTrial(&t.cfg, idx, cost)
+		}
+		st.chargeRiders(served, riders)
+		t.mu.Unlock()
+		cut, retime := served != idx, false
+		switch {
+		case done:
+			// A trial that finished inside its slice is the call.
+		case cut:
+			// The projection stands in for the arm's survey sample, and the
+			// best arm serves the call and every rider.
+			slot.pool.Put(inst)
+			if slot, err = t.variant(served); err != nil {
+				return err
+			}
+			idx, inst = served, slot.pool.Get()
+			diverged, _ = execute(inst, b, fn, false, 0)
+		case t.cfg.sampler != nil:
+			// A near tie under a Sampler, which prices whole calls: the
+			// trial's price is the call's, and the call runs in full
+			// unpriced, so the Sampler still sees one call per call.
+			diverged, _ = execute(inst, b, fn, false, 0)
+		default:
+			// A near tie on the clock: the loop below runs the call in
+			// full on the arm and times it.
+			retime = true
+		}
+		if !retime {
+			costs[0], outs[0] = cost, settle(inst, b, false, diverged)
+			// A cut leader's cost is no sample of the best arm — it is
+			// another arm's trial — but its faults are the best arm's.
+			outs[0].ok = outs[0].ok && !cut
+			first = 1
+		}
+		if inst.Poisoned() {
+			slot.pool.Put(inst)
+			inst = slot.pool.Get()
+		}
+	}
+	for i := first; i < len(batch); i++ {
 		b := &batch[i]
 		// Audit cadence is a per-site decision; in a batch it lands on
 		// the leader — one reference re-execution per audited batch.
 		doAudit := audit && i == 0
-		var diverged bool
-		var cost time.Duration
-		if t.cfg.sampler == nil {
-			// Production measurement — wall time on the tuner's Clock — is
-			// inline and closure-free: on the small kernels a routed call
-			// is tens of microseconds, so the tuner must not allocate.
-			t0 := t.cfg.clock.Now()
-			b.Ret, diverged, b.Err = execute(inst, b.Ctx, fn, b.Args, doAudit)
-			cost = t.cfg.clock.Now().Sub(t0)
-		} else {
-			b.Ret, diverged, cost, b.Err = t.sampleCall(inst, b.Ctx, fn, b.Args, doAudit, idx, key.class)
-		}
-		b.Steps = inst.LastCallSteps()
-		b.Degraded = inst.LastCallDegraded()
-		b.Fault = inst.LastCallFault()
-		out := callOutcome{
-			ok:       b.Err == nil && !doAudit,
-			fault:    b.Fault != nil,
-			degraded: b.Degraded,
-			diverged: diverged,
-		}
-		if b.Err != nil {
-			// Declared here, not above: errors.As makes it escape, and
-			// only a failed call should pay for that.
-			var ifault *cm.InternalFault
-			if errors.As(b.Err, &ifault) {
-				out.fault = true
-			}
-		}
-		costs[i], outs[i] = float64(cost), out
+		cost, diverged, _ := t.measure(inst, b, fn, idx, key.class, doAudit, 0)
+		costs[i], outs[i] = cost, settle(inst, b, doAudit, diverged)
 		if inst.Poisoned() {
 			// Half-written globals must not serve the rest of the batch:
 			// Put repairs poisoned sessions, so cycle through the pool.
@@ -154,24 +175,103 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 	return nil
 }
 
-// execute runs one call on a checked-out session, audited against the
-// trusted tier or plain. A nil ctx is Instance.Call.
-func execute(inst *cm.Instance, ctx context.Context, fn string, args []any, audit bool) (cm.Value, bool, error) {
-	if audit {
-		return inst.CallAudited(ctx, fn, args...)
+// trial runs entry b on inst as a survey trial: at most slice of the
+// call's length statements. A trial that finishes is the call (done),
+// priced as measure prices it. One that does not is priced as the whole
+// call: a Sampler prices whole calls already, and on the clock the
+// slice's time is projected. Where a call is short, a trial's time is
+// mostly fixed cost — the snapshot it rolls back, and a fresh session's
+// first call — which a plain projection would multiply by length/slice.
+// Two one-statement trials price it first: the first is what a cold
+// call costs besides its statements, the second what every trial costs
+// besides its statements. The projection is the first plus the slice's
+// own time scaled to the call's length.
+func (t *AutoTuner) trial(inst *cm.Instance, b *BatchCall, fn string, idx, class, slice, length int) (cost float64, diverged, done bool) {
+	if t.cfg.sampler != nil || slice < 2 {
+		return t.measure(inst, b, fn, idx, class, false, slice)
 	}
-	ret, err := inst.CallContext(ctx, fn, args...)
-	return ret, false, err
+	var cold, fixed float64
+	for i := range 2 {
+		if fixed, diverged, done = t.measure(inst, b, fn, idx, class, false, 1); done {
+			return fixed, diverged, true
+		}
+		if i == 0 {
+			cold = fixed
+		}
+	}
+	if cost, diverged, done = t.measure(inst, b, fn, idx, class, false, slice); done {
+		return cost, diverged, true
+	}
+	return cold + max(cost-fixed, 0)*float64(length-1)/float64(slice-1), false, false
+}
+
+// measure runs entry b on inst (execute) and prices it: wall time on
+// the tuner's Clock, or the injected Sampler's cost.
+func (t *AutoTuner) measure(inst *cm.Instance, b *BatchCall, fn string, idx, class int, audit bool, slice int) (cost float64, diverged, done bool) {
+	if t.cfg.sampler == nil {
+		// Production measurement is inline and closure-free: on the small
+		// kernels a routed call is tens of microseconds, so the tuner
+		// must not allocate.
+		t0 := t.cfg.clock.Now()
+		diverged, done = execute(inst, b, fn, audit, slice)
+		return float64(t.cfg.clock.Now().Sub(t0)), diverged, done
+	}
+	return t.sampleCall(inst, b, fn, idx, class, audit, slice)
+}
+
+// execute runs entry b on a checked-out session — audited against the
+// trusted tier, as a trial of slice statements when slice > 0, or
+// plain — and writes its value and error into b. done is false only for
+// a trial that did not finish, rolled back with nothing written.
+func execute(inst *cm.Instance, b *BatchCall, fn string, audit bool, slice int) (diverged, done bool) {
+	switch {
+	case audit:
+		b.Ret, diverged, b.Err = inst.CallAudited(b.Ctx, fn, b.Args...)
+		return diverged, true
+	case slice > 0:
+		b.Ret, done, b.Err = inst.CallTrial(b.Ctx, slice, fn, b.Args...)
+		return false, done
+	}
+	b.Ret, b.Err = inst.CallContext(b.Ctx, fn, b.Args...)
+	return false, true
+}
+
+// settle reads the finished call's taps into b and classifies it for
+// the site's phase machine.
+func settle(inst *cm.Instance, b *BatchCall, audit, diverged bool) callOutcome {
+	b.Steps = inst.LastCallSteps()
+	b.Degraded = inst.LastCallDegraded()
+	b.Fault = inst.LastCallFault()
+	out := callOutcome{
+		ok:       b.Err == nil && !audit,
+		fault:    b.Fault != nil,
+		degraded: b.Degraded,
+		diverged: diverged,
+		steps:    b.Steps,
+	}
+	if b.Err != nil {
+		// Declared here, not above: errors.As makes it escape, and only a
+		// failed call should pay for that.
+		var ifault *cm.InternalFault
+		if errors.As(b.Err, &ifault) {
+			out.fault = true
+		}
+	}
+	return out
 }
 
 // sampleCall measures one call through the injected Sampler. It is a
 // function of its own so that what the Sampler's closure captures
 // escapes here, on this path only, and not from every CallBatch.
-func (t *AutoTuner) sampleCall(inst *cm.Instance, ctx context.Context, fn string, args []any,
-	audit bool, idx, class int) (ret cm.Value, diverged bool, cost time.Duration, err error) {
-	cost, err = t.cfg.sampler.Sample(fn, t.cfg.grid[idx], class, func() (e error) {
-		ret, diverged, e = execute(inst, ctx, fn, args, audit)
-		return e
+func (t *AutoTuner) sampleCall(inst *cm.Instance, b *BatchCall, fn string, idx, class int,
+	audit bool, slice int) (cost float64, diverged, done bool) {
+	// The closure runs a copy of the entry, so that the batch itself
+	// does not escape.
+	c := *b
+	d, err := t.cfg.sampler.Sample(fn, t.cfg.grid[idx], class, func() error {
+		diverged, done = execute(inst, &c, fn, audit, slice)
+		return c.Err
 	})
-	return ret, diverged, cost, err
+	b.Ret, b.Err = c.Ret, err
+	return float64(d), diverged, done
 }

@@ -83,8 +83,9 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 	}
 
 	// A second batch must survey the other arm: the measure phase pulls
-	// every unsurveyed arm before any burst, and the riders follow the
-	// leader's arm, so batches land arm-by-arm.
+	// every unsurveyed arm before any burst. Its leader runs as a trial,
+	// and O0, priced beyond the switch margin of O2, is cut: O2 serves
+	// the leader and the rider, so only the trial is sampled on O0.
 	batch2 := make([]BatchCall, 2)
 	for i := range batch2 {
 		batch2[i].Args = simArgs(16)
@@ -92,8 +93,13 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 	if err := tn.CallBatch("probe", batch2); err != nil {
 		t.Fatal(err)
 	}
-	if sampler.specs[4] == sampler.specs[0] || sampler.specs[5] != sampler.specs[4] {
-		t.Fatalf("second batch should burst the other arm: %v", sampler.specs)
+	if sampler.specs[4] == sampler.specs[0] || sampler.specs[5] != sampler.specs[0] {
+		t.Fatalf("second batch should survey the other arm and serve its rider on the first: %v", sampler.specs)
+	}
+	for i, b := range batch2 {
+		if b.Err != nil || b.Ret != want {
+			t.Fatalf("second batch entry %d: got %v, %v; want %v", i, b.Ret, b.Err, want)
+		}
 	}
 	if _, ok := tn.Best("probe", SizeClass(simArgs(16))); !ok {
 		t.Fatal("site should have converged after both quotas")

@@ -32,7 +32,10 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 }
 
 // nextMeasured picks the measure-phase arm in two steps. The survey
-// pulls every arm in service once, round-robin from the cursor. Then
+// pulls every arm in service once, round-robin from the cursor — from
+// the grid's last arm on a fresh site (surveyStart) — and once the best
+// arm so far has a full-call sample, each of those pulls is a trial
+// (trialSlice) that ends as soon as its projection cannot win. Then
 // only the contenders burst: an arm is pulled to its quota while it
 // still needs samples (armStats.measured), i.e. while its estimate is
 // within the switch margin of the best — an arm further off could not
@@ -104,4 +107,58 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 		return i
 	}
 	return st.best
+}
+
+// trialDiv sets a survey trial's slice: 1/trialDiv of the site's call
+// length. It was chosen by a traced sweep of the startup benchmark's
+// cold half over 1/4, 1/8, 1/16 and 1/32 (CHANGES.md).
+const trialDiv = 32
+
+// trialSlice decides whether the pull of arm idx that choose just
+// charged runs as a survey trial, and returns the trial's statement
+// slice and the call length it projects to (0, 0 for a full call). A
+// pull is a trial when it is the arm's survey pull and the best arm so
+// far has a full-call sample with its step count (armStats.steps): the
+// arm then runs 1/trialDiv of that length, enough to price it against
+// the best (cutByTrial), where a full call of an arm that is 2–18×
+// slower would cost that much more. Exploit-phase picks and bursts
+// never run trials. Caller holds the tuner mutex.
+func (st *siteState) trialSlice(idx int) (slice, length int) {
+	if a := &st.arms[idx]; st.phase != phaseMeasure || a.pulls != 1 || a.sampled {
+		return 0, 0
+	}
+	b := st.argmin()
+	ref := &st.arms[b]
+	if b == idx || !ref.sampled || ref.quarantined || ref.steps == 0 {
+		return 0, 0
+	}
+	st.trials++
+	return max(ref.steps/trialDiv, 1), ref.steps
+}
+
+// cutByTrial judges the survey trial of arm idx that ran out of its
+// slice; proj is its cost projected to the whole call. By the measure
+// phase's cut rule (armStats.measured) an arm whose projection is
+// beyond the switch margin of the best could not take over, so it is
+// cut: the projection becomes its survey sample and the best arm, which
+// is returned, serves the call. A near tie — or an arm whose state
+// changed under the trial — returns idx: the call runs in full on it,
+// and its own sample decides. Caller holds the tuner mutex.
+func (st *siteState) cutByTrial(cfg *config, idx int, proj float64) int {
+	a, b := &st.arms[idx], st.argmin()
+	if ref := &st.arms[b]; b == idx || a.sampled || a.quarantined || !ref.sampled || ref.quarantined ||
+		proj*(1-switchHysteresis) <= ref.ewma {
+		return idx
+	}
+	a.update(cfg.alpha, int64(cfg.minSamples), proj)
+	return b
+}
+
+// chargeRiders charges a batch's n riders to arm idx as choose would
+// have charged them (the site's own pull count is charged at selection).
+func (st *siteState) chargeRiders(idx, n int) {
+	st.arms[idx].pulls += int64(n)
+	if st.phase == phaseExploit && idx != st.best {
+		st.explore += int64(n)
+	}
 }

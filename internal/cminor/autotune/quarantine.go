@@ -31,6 +31,9 @@ type callOutcome struct {
 	// diverged: an audit re-execution revealed a wrong result — a silent
 	// miscompile containment alone cannot see.
 	diverged bool
+	// steps is the call's statement count (kept as the arm's call
+	// length when ok).
+	steps int
 }
 
 // WithFaultInjector arms every variant the tuner materializes with the

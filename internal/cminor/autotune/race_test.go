@@ -9,11 +9,12 @@ import (
 )
 
 // Concurrency stress: one AutoTuner shared by 12 goroutines. Variant
-// materialization, pool checkout, selection, and measurement ingestion
-// must all be race-free (CI runs this under -race), and every routed
-// call must stay bit-exact regardless of which variant the policy
-// picked — arrays and return values are compared against a walker
-// reference on every single call.
+// materialization, pool checkout, selection, survey trials and
+// measurement ingestion must all be race-free (CI runs this under
+// -race), and every routed call must stay bit-exact regardless of which
+// variant the policy picked, and of whether its survey trial finished,
+// was cut or ran again in full — arrays and return values are compared
+// against a walker reference on every single call.
 func TestConcurrentTunerStress(t *testing.T) {
 	const n = 8
 	gemm := cm.BenchKernels[0] // gemm; args rebuilt small below for speed
@@ -45,12 +46,19 @@ func TestConcurrentTunerStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn, err := New(prog,
-		WithGrid(append(DefaultGrid(), VariantSpec{Backend: cm.BackendWalker})...), // all backends in play
+		// All backends in play; bytecode, last, is surveyed first, and the
+		// walker, which cannot roll back, runs its trial as a full call.
+		WithGrid(append([]VariantSpec{{Backend: cm.BackendWalker}}, DefaultGrid()...)...),
 		WithMinSamples(2),
 		WithEpsilon(0.3), // keep switching variants throughout
 		WithSeed(42),
 	)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// One call before the goroutines start gives the site the full-call
+	// sample the concurrent survey pulls are sliced from.
+	if _, err := tn.Call(gemm.Fn, mkArgs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +115,13 @@ func TestConcurrentTunerStress(t *testing.T) {
 	if len(rep) != 1 {
 		t.Fatalf("expected 1 tuning site, got %d", len(rep))
 	}
-	if want := int64(goroutines * callsPer); rep[0].Pulls != want {
+	tn.mu.Lock()
+	trials := tn.sites[siteKey{fn: gemm.Fn, class: SizeClass(refArgs)}].trials
+	tn.mu.Unlock()
+	if trials == 0 {
+		t.Fatal("no survey pull ran as a trial")
+	}
+	if want := int64(goroutines*callsPer + 1); rep[0].Pulls != want {
 		t.Fatalf("lost pulls under concurrency: %d, want %d", rep[0].Pulls, want)
 	}
 	// Arm pulls are measure quotas that a drift re-measure zeroes for the
@@ -121,7 +135,7 @@ func TestConcurrentTunerStress(t *testing.T) {
 		}
 		armPulls += a.Pulls
 	}
-	if want := int64(goroutines * callsPer); armPulls > want {
+	if want := int64(goroutines*callsPer + 1); armPulls > want {
 		t.Fatalf("per-arm pulls inconsistent: %d of %d total", armPulls, want)
 	}
 }

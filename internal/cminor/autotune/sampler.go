@@ -9,7 +9,11 @@ import "time"
 // behavior can be pinned exactly.
 //
 // Sample must invoke call exactly once; the error it returns is
-// surfaced to the caller of AutoTuner.Call unchanged.
+// surfaced to the caller of AutoTuner.Call unchanged. A Sampler prices
+// whole calls: when call runs a survey trial (a slice of the call, see
+// trialSlice), the cost returned is taken as the whole call's, and a
+// trial that is not cut then runs in full unpriced, so a Sampler sees
+// exactly one call per routed call.
 type Sampler interface {
 	Sample(fn string, spec VariantSpec, class int, call func() error) (time.Duration, error)
 }

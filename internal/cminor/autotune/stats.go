@@ -6,12 +6,13 @@ import "time"
 // tuner has seen owns one siteState with one armStats per grid point;
 // everything here is mutated only under the tuner mutex.
 
-// Site phases: measure surveys every arm once, then bursts only the
-// contenders — the arms within the switch margin of the best — to the
-// pull quota (the bounded exploration budget); exploit routes to the
-// best arm with policy-controlled residual exploration. A drift
-// challenge that finds a contender re-enters measure for the winner and
-// the contenders only, by the same survey-then-burst rule.
+// Site phases: measure surveys every arm once (most of them by survey
+// trials, policy.go), then bursts only the contenders — the arms within
+// the switch margin of the best — to the pull quota (the bounded
+// exploration budget); exploit routes to the best arm with
+// policy-controlled residual exploration. A drift challenge that finds
+// a contender re-enters measure for the winner and the contenders only,
+// by the same survey-then-burst rule.
 const (
 	phaseMeasure uint8 = iota
 	phaseExploit
@@ -56,6 +57,11 @@ type armStats struct {
 	pulls   int64   // selections, counted at decision time
 	sampled bool    // at least one successful measurement recorded
 	ewma    float64 // nanoseconds, exponentially weighted
+	// steps is the statement count of the arm's latest successful full
+	// call (0 before one): the length survey trials of the other arms
+	// are sliced from (see trialSlice). Every backend is step-exact, so
+	// it is the site's call length, whichever arm measured it.
+	steps int
 	// distrust marks the estimate a prior rather than a measurement: a
 	// warm-started arm (tunecache.go) counts down this many fresh
 	// samples folded in at the boosted warmAlpha weight, so a stale
@@ -77,7 +83,7 @@ type armStats struct {
 // quarantine lift: the old measurements are no longer trusted) while
 // keeping the cumulative fault accounting.
 func (a *armStats) resetEstimate() {
-	a.pulls, a.sampled, a.ewma = 0, false, 0
+	a.pulls, a.sampled, a.ewma, a.steps = 0, false, 0, 0
 	a.distrust = 0 // a fresh measure burst is trusted by construction
 }
 
@@ -128,13 +134,22 @@ type siteState struct {
 	overMin float64
 	pulls   int64 // total selections at this site
 	explore int64 // exploit-phase selections that were NOT the winner
+	trials  int64 // survey pulls run as trials (see trialSlice)
 	reopens int   // drift-triggered re-measures (see challenge)
 	nquar   int   // arms currently quarantined (see quarantine.go)
 }
 
+// newSiteState returns a fresh site whose survey starts at the grid's
+// last arm — bytecode in DefaultGrid, the arm that wins nearly
+// everywhere — so the first full-call sample is most likely the best
+// one, and the arms surveyed after it are priced by trials against it.
 func newSiteState(arms int) *siteState {
-	return &siteState{arms: make([]armStats, arms)}
+	return &siteState{arms: make([]armStats, arms), cursor: surveyStart(arms)}
 }
+
+// surveyStart is the arm a fresh (or warm-loaded) site's survey begins
+// at: the grid's last.
+func surveyStart(arms int) int { return arms - 1 }
 
 // measured reports whether the arm needs no more measure-phase pulls,
 // given best, the lowest estimate at the site: it has met the quota,
@@ -221,6 +236,7 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 	ok := out.ok
 	if ok {
 		st.arms[idx].update(cfg.alpha, int64(cfg.minSamples), cost)
+		st.arms[idx].steps = out.steps
 	}
 	switch st.phase {
 	case phaseMeasure:

@@ -274,7 +274,7 @@ func replaceFile(path string, data []byte) error {
 func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 	st := t.site(key)
 	st.phase = phaseExploit
-	st.cursor = 0
+	st.cursor = surveyStart(len(st.arms))
 	st.best = sr.best
 	st.baseline = sr.baseline
 	st.pulls = sr.pulls

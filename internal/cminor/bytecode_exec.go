@@ -32,7 +32,7 @@ func (b *bcFault) String() string {
 // faults from nested dispatch loops) through unchanged.
 func annotateBCFault(bc *bcFunc, r any) any {
 	switch r.(type) {
-	case *Diag, ctxDone, *bcFault:
+	case *Diag, ctxDone, trialEnd, *bcFault:
 		return r
 	}
 	return &bcFault{fn: bc.name, cause: r}
@@ -431,12 +431,12 @@ func execBC(fr *frame, bc *bcFunc) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			// Program-level faults (positioned *Diag, budget, ctx) pass
-			// through untouched — their text and type are the cross-backend
-			// parity contract. Anything else is an internal fault of the
-			// lowering: annotate it with the function whose flat code was
-			// dispatching, then let the containment boundary in
-			// Instance.attempt classify it.
+			// Program-level faults (positioned *Diag, budget, ctx) and a
+			// trial's end pass through untouched — their text and type are
+			// the cross-backend parity contract. Anything else is an
+			// internal fault of the lowering: annotate it with the function
+			// whose flat code was dispatching, then let the containment
+			// boundary in Instance.attempt classify it.
 			panic(annotateBCFault(bc, r))
 		}
 	}()

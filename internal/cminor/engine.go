@@ -404,9 +404,9 @@ type Instance struct {
 	// watchDone flags that the current call's cancellation watcher has
 	// finished, so call teardown can drain it (see call).
 	watchDone atomic.Bool
-	// pools holds reusable frames per compiled function, so steady-state
+	// pools holds the frames of each compiled function, so steady-state
 	// calls allocate nothing.
-	pools [][]*frame
+	pools []framePool
 	// Resilience state (resilience.go): fb is the session's trusted-tier
 	// twin sharing this session's globals; snap is the reusable pre-call
 	// snapshot WithFallback captures; lastFault/degraded are the
@@ -418,6 +418,10 @@ type Instance struct {
 	lastFault *InternalFault
 	degraded  bool
 	poisoned  bool
+	// heldFn names the function whose trial last ended unfinished on
+	// this session, heldInj the injector's decision for it (see decide).
+	heldFn  string
+	heldInj *Fault
 }
 
 // NewInstance creates an execution session over p with fresh globals
@@ -427,7 +431,7 @@ func (p *Program) NewInstance() *Instance {
 	s.limit.Store(int64(s.maxSteps))
 	if p.cfg.backend != BackendWalker {
 		s.g = p.newGlobals()
-		s.pools = make([][]*frame, p.nfun)
+		s.pools = make([]framePool, p.nfun)
 	}
 	return s
 }
@@ -549,6 +553,7 @@ func (ip *InstancePool) Put(inst *Instance) {
 	inst.maxSteps = ip.prog.cfg.maxSteps
 	inst.lastFault = nil
 	inst.degraded = false
+	inst.heldFn, inst.heldInj = "", nil
 	repaired := false
 	if inst.poisoned {
 		inst.poisoned = false
@@ -602,22 +607,42 @@ func (s *Instance) step() {
 }
 
 // faultCause names why the limit was crossed: a cancelled/expired
-// context (the watcher dropped the limit) or the step budget itself.
+// context (the watcher dropped the limit), a trial's slice (CallTrial
+// set the limit below the budget), or the step budget itself.
 func (s *Instance) faultCause() any {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
 			return ctxDone{err}
 		}
 	}
+	if s.steps <= s.maxSteps {
+		return trialEnd{}
+	}
 	return &Diag{Msg: "interpreter step budget exceeded"}
 }
 
-// getFrame pops a pooled frame for cf, or allocates the first one.
+// trialEnd is the panic value of a trial whose slice is spent. It is
+// zero-sized, so raising it allocates nothing.
+type trialEnd struct{}
+
+// errTrialEnd is attempt's report of a spent trial slice; run turns it
+// into done=false, so no caller ever sees it.
+var errTrialEnd = errors.New("cminor: trial slice spent")
+
+// framePool is one compiled function's frames: frames[:live] belong to
+// calls in flight, the rest are free. Calls nest, so frames are taken
+// and returned in stack order.
+type framePool struct {
+	frames []*frame
+	live   int
+}
+
+// getFrame takes a free frame for cf, or allocates one.
 func (s *Instance) getFrame(cf *compiledFunc) *frame {
 	pool := &s.pools[cf.idx]
-	if n := len(*pool) - 1; n >= 0 {
-		fr := (*pool)[n]
-		*pool = (*pool)[:n]
+	if pool.live < len(pool.frames) {
+		fr := pool.frames[pool.live]
+		pool.live++
 		// A body without a return statement leaves ret untouched; a
 		// recycled frame must yield the zero Value then, like a fresh one.
 		fr.ret = Value{}
@@ -637,22 +662,40 @@ func (s *Instance) getFrame(cf *compiledFunc) *frame {
 		fr.freg = make([]float64, cf.bc.nF)
 		fr.dreg = make([][]float64, cf.bc.nD)
 	}
+	pool.frames = append(pool.frames, fr)
+	pool.live++
 	return fr
 }
 
-// putFrame returns a frame to cf's pool. Pointer slots are cleared so a
-// pooled frame does not retain caller arrays/cells; scalar slots may
-// stay stale because every scalar is written (param bind or its
-// declaration statement) before any read. Frames still live when a call
-// faults are simply dropped to the GC.
+// putFrame returns cf's most recently taken frame, fr. Pointer slots
+// are cleared so a free frame does not retain caller arrays/cells;
+// scalar slots may stay stale because every scalar is written (param
+// bind or its declaration statement) before any read.
 func (s *Instance) putFrame(cf *compiledFunc, fr *frame) {
+	clearFrame(fr)
+	s.pools[cf.idx].live--
+}
+
+func clearFrame(fr *frame) {
 	clear(fr.cells)
 	clear(fr.arrays)
 	clear(fr.dreg)
 	for i := range fr.hoists {
 		fr.hoists[i].arr = nil
 	}
-	s.pools[cf.idx] = append(s.pools[cf.idx], fr)
+}
+
+// freeFrames returns the frames of calls a fault unwound — a trial's
+// end, a budget or index fault, a cancellation — to their pools, so
+// that a faulted call costs the next one no allocation.
+func (s *Instance) freeFrames() {
+	for i := range s.pools {
+		pool := &s.pools[i]
+		for _, fr := range pool.frames[:pool.live] {
+			clearFrame(fr)
+		}
+		pool.live = 0
+	}
 }
 
 // Call invokes the named function. Arguments bind by bindArg's rule,
@@ -776,13 +819,44 @@ func scalarArg(a any) (Value, bool) {
 	return Value{}, false
 }
 
-// call is the supervisor tier of one invocation: it resolves the
-// callee, consults the fault injector, optionally snapshots the mutable
-// state (WithFallback), runs the attempt inside the containment
-// boundary, and on an internal fault either rolls back and re-executes
-// on the trusted tier or surfaces the fault and poisons the session
-// (resilience.go).
-func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, err error) {
+// CallTrial is CallContext bounded to a slice of at most steps
+// statements. A call that finishes inside the slice is the call: done
+// is true and every result is exactly CallContext's. A call that needs
+// more is rolled back to the snapshot WithFallback captures — globals,
+// argument arrays and cells return bit-for-bit to their pre-call
+// contents, the slice's step charge is discarded (Steps is unchanged,
+// LastCallSteps is 0) — and done is false with a zero Value and a nil
+// error; ending a trial allocates nothing. Containment, fallback,
+// cancellation and the session's own step budget behave exactly as in
+// CallContext: a cancellation is reported as one, never as a trial
+// end; a budget that runs out inside the slice faults as it would; an
+// injected panic the slice would cut off fires at the trial end, so a
+// trial cannot hide a fault, and the next call of the same function on
+// the session — the call run in full — reuses the trial's injector
+// decision instead of drawing a second one. Without a snapshot to roll
+// back to (fallback off, state over MaxSnapshotElems, the walker
+// backend) or with steps <= 0, the call simply runs in full.
+//
+// Selection layers use it to price a variant they expect to lose on a
+// fraction of a call instead of a whole one (see internal/cminor/autotune).
+func (s *Instance) CallTrial(ctx context.Context, steps int, name string, args ...any) (v Value, done bool, err error) {
+	return s.run(ctx, name, args, steps)
+}
+
+// call is one invocation run in full (run without a trial slice).
+func (s *Instance) call(ctx context.Context, name string, args []any) (Value, error) {
+	v, _, err := s.run(ctx, name, args, 0)
+	return v, err
+}
+
+// run is the supervisor tier of one invocation: it resolves the callee,
+// consults the fault injector, optionally snapshots the mutable state
+// (WithFallback), runs the attempt inside the containment boundary, and
+// on an internal fault either rolls back and re-executes on the trusted
+// tier or surfaces the fault and poisons the session (resilience.go).
+// trial > 0 with a snapshot bounds the attempt to that many statements
+// and rolls a longer call back (CallTrial); done is false only then.
+func (s *Instance) run(ctx context.Context, name string, args []any, trial int) (v Value, done bool, err error) {
 	// A call that fails before executing anything (pre-cancelled ctx,
 	// unknown function, arity mismatch, bad argument) must not leave the
 	// previous call's state in the introspection taps.
@@ -790,34 +864,43 @@ func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, 
 	s.degraded = false
 	s.lastFault = nil
 	if err := ctxErr(ctx, name); err != nil {
-		return Value{}, err
+		return Value{}, true, err
 	}
 	if s.prog.cfg.backend == BackendWalker {
-		return s.walkerCall(ctx, name, args)
+		v, err = s.walkerCall(ctx, name, args)
+		return v, true, err
 	}
 	cf, fr, err := s.resolveCall(name, args)
 	if err != nil {
-		return Value{}, err
+		return Value{}, true, err
 	}
-	var inj *Fault
-	if fi := s.prog.cfg.inject; fi != nil {
-		inj = fi.Decide(s.prog.cfg.backend, s.prog.cfg.opt, name)
-	}
+	inj := s.decide(name)
 	snapped := false
 	if s.prog.cfg.fallback {
 		snapped = s.snap.capture(s, args)
 	}
 	startSteps := s.steps
-	v, err, fault := s.attempt(ctx, cf, fr, name, inj)
+	limit := s.maxSteps
+	if snapped && trial > 0 && trial < s.maxSteps-startSteps {
+		limit = startSteps + trial
+	}
+	v, err, fault := s.attempt(ctx, cf, fr, name, inj, limit)
+	if err == errTrialEnd {
+		s.snap.restore(s)
+		s.steps = startSteps
+		s.lastSteps = 0
+		s.heldInj, s.heldFn = inj, name
+		return Value{}, false, nil
+	}
 	if fault == nil {
-		return v, err
+		return v, true, err
 	}
 	s.lastFault = fault
 	if !snapped {
 		// No snapshot to roll back to: the session's globals may hold the
 		// attempt's partial writes. Surface the fault and mark the state.
 		s.poisoned = true
-		return Value{}, fault
+		return Value{}, true, fault
 	}
 	// Contained: restore the pre-call state (globals, argument arrays and
 	// cells), discard the attempt's step charge, and re-execute once on
@@ -826,7 +909,23 @@ func (s *Instance) call(ctx context.Context, name string, args []any) (v Value, 
 	s.snap.restore(s)
 	s.steps = startSteps
 	s.degraded = true
-	return s.runFallback(ctx, name, args)
+	v, err = s.runFallback(ctx, name, args)
+	return v, true, err
+}
+
+// decide consults the fault injector once per call: a call of the
+// function whose trial just ended unfinished on this session is that
+// trial's call run in full, and reuses the trial's decision.
+func (s *Instance) decide(name string) *Fault {
+	inj, held := s.heldInj, s.heldFn == name
+	s.heldInj, s.heldFn = nil, ""
+	if held {
+		return inj
+	}
+	if fi := s.prog.cfg.inject; fi != nil {
+		return fi.Decide(s.prog.cfg.backend, s.prog.cfg.opt, name)
+	}
+	return nil
 }
 
 // ctxErr reports a context that is already done before a call starts.
@@ -845,10 +944,12 @@ func ctxErr(ctx context.Context, name string) error {
 // structured *InternalFault rather than escaping — the process never
 // dies on an engine bug. inj, when non-nil, is the fault the injector
 // chose for this call; every injection point fires inside the boundary.
-func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, name string, inj *Fault) (v Value, err error, fault *InternalFault) {
+// limit is the steps value past which the attempt stops: the budget, or
+// a trial's slice end below it, where the attempt returns errTrialEnd.
+func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, name string, inj *Fault, limit int) (v Value, err error, fault *InternalFault) {
 	s.ctx = ctx
 	startSteps := s.steps
-	s.limit.Store(int64(s.maxSteps))
+	s.limit.Store(int64(limit))
 	// Cancellation costs nothing per statement: a watcher drops the
 	// limit when ctx fires, and the ordinary budget comparison faults. A
 	// context that can never fire (Background) needs no watcher.
@@ -871,11 +972,20 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, nam
 		if r == nil {
 			return
 		}
+		s.freeFrames()
 		switch d := r.(type) {
 		case *Diag:
 			err = fmt.Errorf("cminor: interpreting %s: %w", name, d)
 		case ctxDone:
 			err = fmt.Errorf("cminor: interpreting %s: %w", name, d.err)
+		case trialEnd:
+			err = errTrialEnd
+			if inj != nil && inj.Kind == FaultPanic {
+				// An armed exit or poll panic the slice cut off fires here,
+				// where the attempt leaves the variant's code: a trial must
+				// degrade and quarantine exactly as the full call would.
+				err, fault = nil, s.internalFault(name, &injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, inj.Point})
+			}
 		default:
 			// An internal engine fault — anything that is not a positioned
 			// program-level diagnostic. Contain it as a structured error;

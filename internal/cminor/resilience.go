@@ -356,12 +356,9 @@ func (s *Instance) CallAudited(ctx context.Context, name string, args ...any) (v
 		v, err = s.call(ctx, name, args)
 		return v, false, err
 	}
-	var inj *Fault
-	if fi := s.prog.cfg.inject; fi != nil {
-		inj = fi.Decide(s.prog.cfg.backend, s.prog.cfg.opt, name)
-	}
+	inj := s.decide(name)
 	startSteps := s.steps
-	v1, err1, fault := s.attempt(ctx, cf, fr, name, inj)
+	v1, err1, fault := s.attempt(ctx, cf, fr, name, inj, s.maxSteps)
 	var post stateSnapshot
 	post.capture(s, args) // same shapes as pre: cannot exceed the bound
 	pre.restore(s)

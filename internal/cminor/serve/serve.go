@@ -137,13 +137,14 @@ func WithMaxBatch(n int) Option { return func(c *serverConfig) { c.maxBatch = n 
 // not one per worker. Whole milliseconds of a hold wait on a runtime
 // timer, which a filling batch or Close cuts short; the last
 // sub-millisecond part is a nanosleep(2) of the timekeeper's thread,
-// which nothing cuts short. On Linux a batch therefore dispatches
-// within the kernel's timer slack of its ripen time (a 100µs hold is
-// observed as 150–200µs of Response.Wait; Snapshot.HoldLate reports
-// the lateness), elsewhere up to a millisecond after it. A batch that
-// fills during the hold is dispatched at once by another idle worker;
-// with every other worker busy, or WithWorkers(1), it waits out at most
-// that sub-millisecond part.
+// which nothing cuts short. On Linux that sleep runs at a 1ns timer
+// slack, so a batch dispatches about ten microseconds after its ripen
+// time (a 100µs hold is observed as about 110µs of Response.Wait;
+// Snapshot.HoldLate reports the lateness), elsewhere up to a
+// millisecond after it. A batch that fills during the hold is
+// dispatched at once by another idle worker; with every other worker
+// busy, or WithWorkers(1), it waits out at most that sub-millisecond
+// part.
 func WithMaxBatchDelay(d time.Duration) Option {
 	return func(c *serverConfig) { c.maxBatchDelay = d }
 }

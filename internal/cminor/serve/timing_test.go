@@ -14,8 +14,9 @@ import (
 // dispatched within a few hundred microseconds, not after the
 // millisecond and more a runtime timer takes on an idle runtime (the
 // median Wait was about 1100µs when every worker armed one; it is about
-// 200µs with the timekeeper's precise sleep). Wall-clock margins mean
-// nothing under the race detector, so the file is built without it.
+// 110µs with the timekeeper's precise sleep at a 1ns timer slack).
+// Wall-clock margins mean nothing under the race detector, so the file
+// is built without it.
 func TestHoldAccuracyRealClock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing test")
