@@ -2,7 +2,7 @@
 # BENCHMARK.json); `bench-test` runs its tests and `bench-smoke` proves
 # the Benchmark* functions still execute.
 
-.PHONY: all build test bench-test test-race vet fmt lint chaos serve-sim serve-timing warm-sim tuner-sim bench-smoke
+.PHONY: all build test bench-test test-race vet fmt lint loc chaos serve-sim serve-timing warm-sim tuner-sim bench-smoke
 
 all: build test
 
@@ -28,6 +28,10 @@ vet:
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# Non-test Go lines under internal/, the size ROADMAP.md budgets.
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 # Static analysis beyond vet. staticcheck is optional tooling: run it
 # when the host has it, skip cleanly when it doesn't (CI images and dev

@@ -16,7 +16,7 @@ type VariantSpec struct {
 }
 
 // String renders the spec the way benchmark output names variants:
-// "walker", "bytecode", "O0"…"O3", or "O3[inline]" for a partial
+// "walker", "bytecode", "O0"…"O3", or "O3[none]" for a partial
 // pass mask. Non-compiled backends are named by the backend itself —
 // a Snapshot arm label must say which machine ran, not just how hard
 // the frontend optimized.

@@ -911,7 +911,7 @@ func TestVariantSpecString(t *testing.T) {
 		{VariantSpec{}, "O0"},
 		{VariantSpec{Opt: cm.O2}, "O2"},
 		{VariantSpec{Opt: cm.O3, Passes: cm.AllPasses}, "O3"},
-		{VariantSpec{Opt: cm.O3, Passes: cm.PassInline}, "O3[inline]"},
+		{VariantSpec{Opt: cm.O3, Passes: cm.PassInline}, "O3"}, // PassInline is every pass
 		{VariantSpec{Opt: cm.O3}, "O3[none]"},
 		{VariantSpec{Backend: cm.BackendWalker}, "walker"},
 		{VariantSpec{Backend: cm.BackendBytecode, Opt: cm.O3, Passes: cm.AllPasses}, "bytecode"},

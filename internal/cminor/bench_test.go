@@ -168,8 +168,8 @@ func BenchmarkAtaxCompiled(b *testing.B) {
 // O4 flat-bytecode backend, one benchmark per (kernel, variant) — the
 // design-space sample SOCRATES' design-time exploration assumes, and the
 // static baseline the autotuner's online selection starts from. The
-// O3-noinline and O3-nounroll rows clear one O3 pass each: they are the
-// evidence the PassMask doc comment cites for keeping that pass.
+// O3-noinline row clears PassInline: it is the evidence the PassMask
+// doc comment cites for keeping that pass.
 func BenchmarkOptLevels(b *testing.B) {
 	variants := []struct {
 		label string
@@ -180,7 +180,6 @@ func BenchmarkOptLevels(b *testing.B) {
 		{"O2", []Option{WithOptLevel(O2)}},
 		{"O3", []Option{WithOptLevel(O3)}},
 		{"O3-noinline", []Option{WithOptLevel(O3), WithPasses(AllPasses &^ PassInline)}},
-		{"O3-nounroll", []Option{WithOptLevel(O3), WithPasses(AllPasses &^ PassUnroll)}},
 		{"O4", []Option{WithBackend(BackendBytecode), WithOptLevel(O3)}},
 	}
 	for _, k := range BenchKernels {

@@ -118,8 +118,7 @@ const (
 	// [ireg[a], ireg[b]] are in bounds, overflow-checked), writes the
 	// address registers the fast body indexes with, and hoists the array's
 	// backing store into a data register, so unchecked accesses index one
-	// flat []float64 — the bytecode analogue of the closure backend's
-	// hoisted row slices. A failure jumps to the safe body; success falls
+	// flat []float64. A failure jumps to the safe body; success falls
 	// through the rows into the fast body.
 	opProve // every row holds (else pc = c); pc += d
 	opAddr  // row: shape sub (bcVecIV…) of arr(c) into dreg[d]; see bcProve

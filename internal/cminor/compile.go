@@ -22,22 +22,17 @@ import (
 //
 // The loop optimizer recognizes the canonical counted shape
 // "for (i = lo; i < hi; i++)" over a statically-int induction variable
-// and compiles it into a native Go loop with the bound hoisted (the
-// bound must be a pure, loop-invariant expression). Inside such loops,
-// rank-1/2 subscripts whose indices are affine in the induction variable
-// are strength-reduced: row base offsets and bounds checks are hoisted
-// into a per-entry preamble, and row-striding accesses get incremental
-// offset updates. Safety is preserved by loop versioning — the preamble
-// validates every hoisted access over the whole iteration range and
-// falls back to a fully-checked body when anything is out of range, so
-// faulting programs keep bit-for-bit walker parity.
+// and compiles it into a native Go loop with the bound evaluated once
+// (it must be a pure, loop-invariant expression) over one body whose
+// subscripts stay fully checked (loopopt.go).
 //
 // Each function is compiled once. Entry calls bind every by-value
 // argument converted to its declared kind (bindArg) and internal calls
 // normalize theirs, so the typed body is safe for every call. Which
 // passes run is selected per Program variant by OptLevel (see
 // engine.go): O0 compiles the generic body, O1 the typed
-// specialization, O2 adds the loop optimizer.
+// specialization, O2 adds the loop optimizer and O3 the inliner
+// (inline.go).
 //
 // The compiler reads the AST and the resolver/typecheck side tables but
 // writes neither: lowering the same resolved file repeatedly — even
@@ -60,34 +55,23 @@ type evalBoolFn func(fr *frame) bool
 type evalVoidFn func(fr *frame)
 type stmtFn func(fr *frame) flow
 
-// hoistCell is one strength-reduced subscript's per-execution state: the
-// array it resolved to and the (incrementally maintained) flat offset.
-type hoistCell struct {
-	arr  *Array
-	base int
-	step int
-}
-
 // frame is the slot-indexed activation record of one compiled call. The
 // three slices are the storage classes assigned by the resolver; every
-// variable access is a constant-index load/store. hoists holds the
-// loop optimizer's strength-reduction state. Frames are pooled per
+// variable access is a constant-index load/store. Frames are pooled per
 // Instance (its ec field) and recycled between calls.
 type frame struct {
 	ec      *Instance
 	scalars []Value
 	cells   []*Value
 	arrays  []*Array
-	hoists  []hoistCell
 	// ireg/freg are the bytecode backend's register files (nil for
 	// closure-compiled variants). Slots [0, NumScalars) shadow the
 	// function's scalar variables by static kind; higher registers are
 	// single-assignment temporaries.
 	ireg []int64
 	freg []float64
-	// dreg holds array backing stores hoisted by opProveArr so fast-body
-	// accesses index the data directly, like the closure backend's
-	// hoisted row slices.
+	// dreg holds array backing stores hoisted by opProve so fast-body
+	// accesses index the data directly.
 	dreg [][]float64
 	ret  Value
 }
@@ -103,10 +87,9 @@ type globalStore struct {
 // recursive calls can capture the shell pointer. body is the variant's
 // one lowering; idx names the function's frame pool within an Instance.
 type compiledFunc struct {
-	info     *FuncInfo
-	idx      int
-	body     stmtFn
-	numHoist int
+	info *FuncInfo
+	idx  int
+	body stmtFn
 	// Per-variant frame sizes. They start at the resolver's counts and
 	// grow when the O3 inliner renumbers callee slots into this frame.
 	nScalars int
@@ -131,16 +114,9 @@ type compiler struct {
 	// compiled; both nil compiles the generic (kind-agnostic) body.
 	types *fnTypes
 	info  *typeInfo
-	// opt gates the loop optimizer (O2 only); the generic body always
-	// compiles as if O0. passes refines which O3 passes run (see
-	// passOn); it is only consulted when opt >= O3.
-	opt    OptLevel
-	passes PassMask
-	// numHoist counts strength-reduction slots handed out in this body.
-	numHoist int
-	// loops is the stack of active counted-loop contexts; elemFn
-	// registers hoistable subscripts against the innermost one.
-	loops []*loopCtx
+	// opt gates the loop optimizer (O2 and up); the generic body always
+	// compiles as if O0.
+	opt OptLevel
 	// plan is the O3 inlining plan for the function being compiled (nil
 	// below O3 and for the generic body); remap is non-nil while an
 	// inlined callee's body is being lowered, relocating its frame slots
@@ -148,13 +124,6 @@ type compiler struct {
 	plan  *inlinePlan
 	remap *inlineSite
 }
-
-// passOn reports whether one of the O3 passes is active in this
-// lowering: the opt level must reach O3 AND the variant's pass mask
-// must enable it. This is what makes the knob grid finer than the four
-// -O points — an autotuner can toggle inlining and unrolling
-// independently.
-func (c *compiler) passOn(m PassMask) bool { return c.opt >= O3 && c.passes&m != 0 }
 
 // refOf reads an identifier's resolved slot from the side table,
 // relocated into the caller's frame when an inlined body is active.
@@ -1176,32 +1145,18 @@ func (c *compiler) arrayRef(e *Ident) func(fr *frame) *Array {
 
 // elemFn compiles a full subscript chain to an (array, flat offset)
 // accessor with bounds checks. Rank 1 and 2 — the shapes Polybench
-// kernels live in — get unrolled fast paths, and inside a counted loop
-// subscripts affine in the induction variable are strength-reduced to
-// hoisted offsets (see tryHoist).
+// kernels live in — get rank-specialized accessors.
 func (c *compiler) elemFn(e *IndexExpr) func(fr *frame) (*Array, int) {
 	root, subs := splitIndexChain(e)
 	if root == nil {
 		c.bug(e.P, "indexed expression is not a variable")
 	}
-	if h := c.tryHoist(root, subs); h != nil {
-		return c.hoistElem(h)
-	}
 	return c.checkedElem(e, root, subs)
 }
 
-// floatIndexLoad compiles an element read. Hoisted accesses fuse into a
-// single closure (no accessor hop); everything else goes through the
-// checked accessor.
+// floatIndexLoad compiles an element read through the checked accessor.
 func (c *compiler) floatIndexLoad(e *IndexExpr) evalFloatFn {
-	root, subs := splitIndexChain(e)
-	if root == nil {
-		c.bug(e.P, "indexed expression is not a variable")
-	}
-	if h := c.tryHoist(root, subs); h != nil {
-		return c.hoistFloatLoad(h)
-	}
-	elem := c.checkedElem(e, root, subs)
+	elem := c.elemFn(e)
 	return func(fr *frame) float64 {
 		a, off := elem(fr)
 		return a.Data[off]
@@ -1209,18 +1164,11 @@ func (c *compiler) floatIndexLoad(e *IndexExpr) evalFloatFn {
 }
 
 // elemPtr compiles an element access for store sites to a *float64
-// accessor, fused for hoisted accesses. The pointer is materialized at
-// exactly the point the checked path would evaluate its subscripts, so
-// evaluation order (and faults) are unchanged.
+// accessor. The pointer is materialized at exactly the point the
+// checked path evaluates its subscripts, so evaluation order (and
+// faults) are unchanged.
 func (c *compiler) elemPtr(e *IndexExpr) func(fr *frame) *float64 {
-	root, subs := splitIndexChain(e)
-	if root == nil {
-		c.bug(e.P, "indexed expression is not a variable")
-	}
-	if h := c.tryHoist(root, subs); h != nil {
-		return c.hoistElemPtr(h)
-	}
-	elem := c.checkedElem(e, root, subs)
+	elem := c.elemFn(e)
 	return func(fr *frame) *float64 {
 		a, off := elem(fr)
 		return &a.Data[off]

@@ -78,11 +78,10 @@ const (
 	O0 OptLevel = iota
 	// O1 adds the typecheck-driven unboxed int64/float64 evaluators.
 	O1
-	// O2 adds the loop optimizer: native counted loops and
-	// strength-reduced affine subscripts (the default).
+	// O2 adds the loop optimizer, which runs counted loops as native Go
+	// loops (loopopt.go). It is the default.
 	O2
-	// O3 adds user-function inlining (inline.go) and store-loop
-	// unrolling for scalar reductions (loopopt.go). Semantics stay
+	// O3 adds user-function inlining (inline.go). Semantics stay
 	// bit-identical to the walker; O3 widens the knob space the
 	// autotuning layer selects over.
 	O3
@@ -99,21 +98,21 @@ func (l OptLevel) String() string { return fmt.Sprintf("O%d", uint8(l)) }
 // passes. Below O3 the mask is inert.
 //
 // Each surviving bit is kept because a kernel runs measurably faster
-// with it; BenchmarkOptLevels' O3-noinline and O3-nounroll rows show
-// the cost of clearing it. Medians of nine runs at canonical size,
-// linux/amd64 Xeon, -cpu 1, all passes vs. the bit cleared:
+// with it; BenchmarkOptLevels' O3-noinline row shows the cost of
+// clearing it. Medians of nine runs at canonical size, linux/amd64
+// Xeon, -cpu 1, all passes vs. the bit cleared:
 //   - PassInline: norms 56µs vs. 125µs (2.2×): its sq() helper otherwise
 //     stays an opaque call that blocks the counted-loop fast path. The
 //     bit also gates the bytecode's splicing of the same call sites:
 //     norms' bytecode ran 10.9µs with it and 232µs without (21×; the call
 //     then bails, and the closures run), interleaved medians of 301
 //     rounds on a 2-vCPU Xeon on which O3 ran 96µs.
-//   - PassUnroll: jacobi 298µs vs. 340µs, mvt 66µs vs. 75µs, atax 69µs
-//     vs. 78µs, gemm 531µs vs. 564µs (6–14%).
 //
-// Bit 1 once held value-range bounds-check elimination, which no kernel
-// ran faster with on either back end; it stays unassigned, so a mask
-// carrying it is rejected rather than silently ignored.
+// Bits 1 and 2 once held value-range bounds-check elimination and
+// 4-wide store-loop unrolling. Neither earned its code once the
+// bytecode backend proved and ran the same loops faster; both stay
+// unassigned, so a mask carrying either is rejected rather than
+// silently ignored.
 type PassMask uint8
 
 // The O3 passes. Each is independently gate-able; O3 with all bits
@@ -124,30 +123,18 @@ const (
 	// unlocks the loop fast paths for bodies whose only calls were
 	// inlined.
 	PassInline PassMask = 1 << 0
-	// PassUnroll is 4-wide store-loop/reduction unrolling (loopopt.go).
-	PassUnroll PassMask = 1 << 2
 
 	// AllPasses enables every O3 pass (the default).
-	AllPasses PassMask = PassInline | PassUnroll
+	AllPasses PassMask = PassInline
 )
 
-// String names the enabled passes ("inline+unroll", "none").
+// String names the enabled passes ("inline", "none"). Retired bits name
+// no pass; Compile rejects a mask that carries one.
 func (m PassMask) String() string {
-	if m == 0 {
-		return "none"
+	if m&PassInline != 0 {
+		return "inline"
 	}
-	s := ""
-	add := func(on PassMask, name string) {
-		if m&on != 0 {
-			if s != "" {
-				s += "+"
-			}
-			s += name
-		}
-	}
-	add(PassInline, "inline")
-	add(PassUnroll, "unroll")
-	return s
+	return "none"
 }
 
 // config is the resolved option set of one Program variant.
@@ -362,9 +349,8 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 		if plan != nil {
 			types = plan.types // caller kinds extended over the inlined slots
 		}
-		ct := &compiler{prog: p, types: types, info: ti, opt: cfg.opt, passes: cfg.passes, plan: plan}
+		ct := &compiler{prog: p, types: types, info: ti, opt: cfg.opt, plan: plan}
 		cf.body = ct.block(cf.info.Decl.Body)
-		cf.numHoist = ct.numHoist
 	}
 	return p
 }
@@ -654,9 +640,6 @@ func (s *Instance) getFrame(cf *compiledFunc) *frame {
 		cells:   make([]*Value, cf.nCells),
 		arrays:  make([]*Array, cf.nArrays),
 	}
-	if cf.numHoist > 0 {
-		fr.hoists = make([]hoistCell, cf.numHoist)
-	}
 	if cf.bc != nil {
 		fr.ireg = make([]int64, cf.bc.nI)
 		fr.freg = make([]float64, cf.bc.nF)
@@ -680,9 +663,6 @@ func clearFrame(fr *frame) {
 	clear(fr.cells)
 	clear(fr.arrays)
 	clear(fr.dreg)
-	for i := range fr.hoists {
-		fr.hoists[i].arr = nil
-	}
 }
 
 // freeFrames returns the frames of calls a fault unwound — a trial's

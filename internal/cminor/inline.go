@@ -228,7 +228,8 @@ func (c *compiler) markInlinedCall(lc *loopCtx, e *CallExpr, site *inlineSite, v
 			lc.modScalars[ref.Slot] = true
 		case VarArray:
 			// The slot is rebound at every call, like a per-iteration
-			// declaration: accesses through it must not hoist.
+			// declaration: accesses through it must not be proven at
+			// loop entry.
 			lc.declArrays[ref.Slot] = true
 		case VarCell:
 			// The callee may store through the cell: whatever variable the

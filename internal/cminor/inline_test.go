@@ -172,8 +172,10 @@ double g() { helper(1.0); }`
 }
 
 // TestInlineUnlocksCountedLoop: a loop body whose only call is inlined
-// reaches the counted-loop fast path — pinned by the strength-reduction
-// hoists that only the counted loop registers.
+// reaches the counted-loop fast path — pinned on the bytecode, where
+// PassInline splices the call and the loop lowers to a proven run
+// (forinit, prove, a run form), while with the pass off the same call
+// makes the function bail to the closures.
 func TestInlineUnlocksCountedLoop(t *testing.T) {
 	src := `
 double sq(double x) { return x * x; }
@@ -185,20 +187,26 @@ double f(int n, double a[n]) {
   }
   return s;
 }`
-	o2 := func() *Program {
-		p, err := Compile(MustParse("t.c", src))
+	bytecode := func(m PassMask) *Program {
+		p, err := Compile(MustParse("t.c", src), WithBackend(BackendBytecode), WithOptLevel(O3), WithPasses(m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
-	}()
+	}
+	if _, err := Disassemble(bytecode(0), "f"); err == nil || !strings.Contains(err.Error(), "call to sq") {
+		t.Errorf("without PassInline: Disassemble err = %v, want a bail on the call to sq", err)
+	}
+	dis, err := Disassemble(bytecode(PassInline), "f")
+	if err != nil {
+		t.Fatalf("with PassInline: %v", err)
+	}
+	for _, op := range []string{"forinit", "prove", "run."} {
+		if !strings.Contains(dis, op) {
+			t.Errorf("with PassInline the loop lowered without %s:\n%s", op, dis)
+		}
+	}
 	o3 := o3Prog(t, src)
-	if got := o2.funcs["f"].numHoist; got != 0 {
-		t.Errorf("O2 registered %d hoists; the call should have blocked the counted loop", got)
-	}
-	if got := o3.funcs["f"].numHoist; got == 0 {
-		t.Error("O3 registered no hoists; inlining failed to unlock the counted loop")
-	}
 	mk := func() []any {
 		a := NewArray(9)
 		for i := range a.Data {

@@ -8,121 +8,32 @@ import "math"
 //	                                     and "for (int i = lo; ...)")
 //
 // over a statically-int induction variable and compiles it into a native
-// Go loop: the bound is evaluated once (it must be a pure loop-invariant
-// int expression), the condition becomes a machine integer compare, and
-// the increment a machine add, with the induction slot kept in sync for
-// body reads. The step budget is still charged per iteration.
+// Go loop over one body: the bound is evaluated once (it must be a pure
+// loop-invariant int expression), the condition becomes a machine
+// integer compare, and the increment a machine add, with the induction
+// slot kept in sync for body reads. The step budget is still charged per
+// iteration, and every subscript in the body keeps its checked accessor.
 //
-// Inside such a loop, rank-1/2 subscripts are strength-reduced when
-// their indices split into a loop-invariant part and an affine function
-// of the induction variable (i, i+c, c+i, i-c):
-//
-//	colIV   A[row][i+c]  row invariant      → off = hoistBase + i
-//	rowIV   A[i+c][col]  col invariant      → off = hoistBase, += stride
-//	allInv  A[row][col]  both invariant     → off = hoistBase
-//
-// Array resolution, the row/col-invariant indices, their bounds checks,
-// and the affine range check over [lo, last] are all hoisted into a
-// per-entry preamble. Safety is preserved by loop versioning: the body
-// is compiled twice, and if any preamble check fails (or the array rank
-// is wrong) the loop runs the fully-checked safe body instead, which
-// faults at exactly the statement and iteration the unoptimized
-// pipeline would — the preamble itself is side-effect free, so the
-// fallback decision is unobservable.
+// The same recognition and body analysis (countedShape, invariant,
+// classifySubs, affineInRange) drive the bytecode lowerer, which proves
+// a loop's affine subscripts in range once at entry and runs its body
+// unchecked (bytecode_lower.go).
 
-// Hoisted-subscript patterns.
-const (
-	hColIV uint8 = iota
-	hRowIV
-	hAllInv
-)
-
-// maxHoistDepth bounds how many nested counted-loop levels may register
-// hoisted subscripts (and therefore compile versioned fast/safe
-// bodies); see tryHoist.
-const maxHoistDepth = 6
-
-// loopCtx is the per-counted-loop compile context: what the body
-// modifies (for invariance checks) and the subscripts hoisted so far.
+// loopCtx is the per-counted-loop analysis: what the body modifies, for
+// invariance checks.
 type loopCtx struct {
 	ivSlot      int
 	modScalars  map[int]bool
 	modGlobals  map[int]bool
 	declArrays  map[int]bool
 	writesCells bool
-	hoisted     []*hoistAccess
-}
-
-// hoistAccess is one strength-reduced subscript: how to re-derive its
-// array, base offset and step at loop entry, and which frame hoist slot
-// carries that state.
-type hoistAccess struct {
-	hslot   int
-	pattern uint8
-	rank    int
-	ivSlot  int // the registering loop's induction slot (hColIV loads)
-	arrGet  func(fr *frame) *Array
-	rowFn   evalIntFn // invariant row (rank 2, colIV/allInv)
-	colFn   evalIntFn // invariant col (rowIV/allInv)
-	ivOff   int64     // c in "i + c"
-}
-
-// setup validates this access over the whole iteration range
-// [iv0, ivLast] and installs its hoist state. It is pure apart from the
-// hoist slot write; a false return means "run the safe body".
-func (h *hoistAccess) setup(fr *frame, iv0, ivLast int64) bool {
-	a := h.arrGet(fr)
-	if len(a.Dims) != h.rank {
-		return false
-	}
-	hc := &fr.hoists[h.hslot]
-	switch h.pattern {
-	case hColIV:
-		if !affineInRange(iv0, ivLast, h.ivOff, a.Dims[h.rank-1]) {
-			return false
-		}
-		base := int(h.ivOff)
-		if h.rank == 2 {
-			row := h.rowFn(fr)
-			if uint64(row) >= uint64(a.Dims[0]) {
-				return false
-			}
-			base += int(row) * a.Dims[1]
-		}
-		hc.arr, hc.base, hc.step = a, base, 0
-	case hRowIV:
-		col := h.colFn(fr)
-		if uint64(col) >= uint64(a.Dims[1]) {
-			return false
-		}
-		if !affineInRange(iv0, ivLast, h.ivOff, a.Dims[0]) {
-			return false
-		}
-		hc.arr = a
-		hc.base = int(iv0+h.ivOff)*a.Dims[1] + int(col)
-		hc.step = a.Dims[1]
-	case hAllInv:
-		base := 0
-		if h.rank == 2 {
-			row := h.rowFn(fr)
-			if uint64(row) >= uint64(a.Dims[0]) {
-				return false
-			}
-			base = int(row) * a.Dims[1]
-		}
-		col := h.colFn(fr)
-		if uint64(col) >= uint64(a.Dims[h.rank-1]) {
-			return false
-		}
-		hc.arr, hc.base, hc.step = a, base+int(col), 0
-	}
-	return true
 }
 
 // affineInRange reports whether iv+off stays inside [0, n) for every iv
 // in [iv0, ivLast]. The additions are overflow-checked: a wrapping
-// index must fail validation (the safe body then reproduces whatever
-// the generic wrapping arithmetic does, positioned faults included).
+// index must fail validation (the bytecode loop's checked body then
+// reproduces whatever the generic wrapping arithmetic does, positioned
+// faults included).
 func affineInRange(iv0, ivLast, off int64, n int) bool {
 	lo := iv0 + off
 	if (off > 0 && lo < iv0) || (off < 0 && lo > iv0) {
@@ -136,7 +47,7 @@ func affineInRange(iv0, ivLast, off int64, n int) bool {
 }
 
 // countedShape matches the counted-for shape both optimizing lowerers
-// specialize (the closure fast path below and the bytecode backend's
+// specialize (the closure loop below and the bytecode backend's
 // versioned loop):
 //
 //	for (iv = lo | int iv [= lo]; iv < hi | iv <= hi; iv++ | iv += 1 | iv = iv + 1)
@@ -210,63 +121,17 @@ func (c *compiler) countedShape(s *ForStmt) (ivRef VarRef, lo, hi Expr, strict b
 // returning nil when s doesn't fit the shape (the caller then emits the
 // generic loop).
 func (c *compiler) countedLoop(s *ForStmt) stmtFn {
-	ivRef, lo, hi, strict, lc, ok := c.countedShape(s)
+	ivRef, lo, hi, strict, _, ok := c.countedShape(s)
 	if !ok {
 		return nil
 	}
-
 	var loFn evalIntFn
 	if lo != nil {
 		loFn = c.asInt(lo)
 	}
 	hiFn := c.asInt(hi)
 	ivSlot := ivRef.Slot
-
-	// Compile the body with the loop context active so elemFn can
-	// register strength-reduced subscripts; when any were registered,
-	// compile a second, fully-checked version for the fallback. At O3 a
-	// single-assignment body ("s = s + expr" reductions, stencil stores)
-	// skips the statement dispatch entirely: its store is compiled
-	// store-only and the loop is unrolled 4-wide with a scalar remainder.
-	c.loops = append(c.loops, lc)
-	var fastBody stmtFn
-	var redOp evalVoidFn
-	stepExact := false
-	if c.passOn(PassUnroll) {
-		if es := singleAssignStmt(s.Body); es != nil {
-			redOp = c.exprVoid(es.X)
-			// An inlined callee inside the store charges its own steps, so
-			// a 4-wide group no longer costs exactly 8: the amortized
-			// budget check would fault late. Such bodies keep the full
-			// per-statement step() so budget faults stay bit-exact.
-			Walk(es.X, func(n Node) bool {
-				if call, ok := n.(*CallExpr); ok && !c.isBuiltin(call) {
-					stepExact = true
-				}
-				return true
-			})
-		}
-	}
-	if redOp == nil {
-		fastBody = c.block(s.Body)
-	}
-	c.loops = c.loops[:len(c.loops)-1]
-	safeBody := fastBody
-	if len(lc.hoisted) > 0 {
-		safeBody = c.block(s.Body)
-	}
-	hoists := lc.hoisted
-	var incs []int // hoist slots needing a per-iteration stride add
-	for _, h := range hoists {
-		if h.pattern == hRowIV {
-			incs = append(incs, h.hslot)
-		}
-	}
-
-	if redOp != nil {
-		return c.unrolledStoreLoop(loFn, hiFn, strict, ivSlot, hoists, incs, redOp, safeBody, stepExact)
-	}
-
+	body := c.block(s.Body)
 	return func(fr *frame) flow {
 		fr.ec.step() // the for statement itself
 		fr.ec.step() // its init statement
@@ -284,50 +149,6 @@ func (c *compiler) countedLoop(s *ForStmt) stmtFn {
 		}
 		if iv > last {
 			return flowNormal
-		}
-		useFast := true
-		for _, h := range hoists {
-			if !h.setup(fr, iv, last) {
-				useFast = false
-				break
-			}
-		}
-		body := fastBody
-		if !useFast {
-			body = safeBody
-		}
-		if useFast && len(incs) == 1 {
-			// One striding access is the common stencil/matmul shape;
-			// keep its per-iteration bump free of the slice walk.
-			hs := incs[0]
-			for {
-				if f := body(fr); f != flowNormal {
-					return f
-				}
-				fr.hoists[hs].base += fr.hoists[hs].step
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
-			}
-		}
-		if useFast && len(incs) > 1 {
-			for {
-				if f := body(fr); f != flowNormal {
-					return f
-				}
-				for _, hs := range incs {
-					fr.hoists[hs].base += fr.hoists[hs].step
-				}
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
-			}
 		}
 		for {
 			if f := body(fr); f != flowNormal {
@@ -338,190 +159,6 @@ func (c *compiler) countedLoop(s *ForStmt) stmtFn {
 			fr.ec.step()
 			if iv > last {
 				return flowNormal
-			}
-		}
-	}
-}
-
-// singleAssignStmt returns the loop body's sole statement when it is a
-// lone assignment (or ++/--) expression statement — the store-loop /
-// reduction shape the O3 unroller compiles directly — else nil.
-func singleAssignStmt(b *Block) *ExprStmt {
-	if len(b.Stmts) != 1 {
-		return nil
-	}
-	es, ok := b.Stmts[0].(*ExprStmt)
-	if !ok {
-		return nil
-	}
-	switch stripParens(es.X).(type) {
-	case *AssignExpr, *IncDecExpr:
-		return es
-	}
-	return nil
-}
-
-// unrolledStoreLoop emits the O3 fast path for a counted loop whose
-// body is a single store statement: the store runs without statement
-// dispatch, four iterations per trip with a scalar remainder. Every
-// iteration still charges exactly the two step()s and performs exactly
-// the stores of the generic counted loop, in the same order, so step
-// budgets, faults and partial state stay bit-identical. iv advances
-// with Go's wrapping ++ like the generic skeleton, and the 4-wide
-// guard compares the remaining trip count in exact uint64 arithmetic,
-// so even bound-of-MaxInt64 pathologies behave identically.
-//
-// Kept out of countedLoop (go:noinline) deliberately: if this body is
-// inlined there, the emitted closure is re-parented into that much
-// larger function and the compiler stops inlining step() at the hot
-// call sites — measured at ~10% on gemm.
-//
-//go:noinline
-func (c *compiler) unrolledStoreLoop(loFn, hiFn evalIntFn, strict bool, ivSlot int,
-	hoists []*hoistAccess, incs []int, op evalVoidFn, safeBody stmtFn, stepExact bool) stmtFn {
-	singleInc := -1
-	if len(incs) == 1 {
-		singleInc = incs[0]
-	}
-	return func(fr *frame) flow {
-		fr.ec.step() // the for statement itself
-		fr.ec.step() // its init statement
-		var iv int64
-		if loFn != nil {
-			iv = loFn(fr)
-		}
-		fr.scalars[ivSlot] = IntV(iv)
-		last := hiFn(fr)
-		if strict {
-			if last == math.MinInt64 {
-				return flowNormal
-			}
-			last--
-		}
-		if iv > last {
-			return flowNormal
-		}
-		for _, h := range hoists {
-			if h.setup(fr, iv, last) {
-				continue
-			}
-			// Loop versioning: a failed preamble check runs the
-			// fully-checked body one iteration at a time, like the generic
-			// counted loop.
-			for {
-				if f := safeBody(fr); f != flowNormal {
-					return f
-				}
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
-			}
-		}
-		// The 4-wide groups run only while ≥4 iterations remain — the
-		// uint64 difference is exact for iv <= last, so the guard cannot
-		// mispredict the trip count even at the int64 extremes; the tail
-		// runs the same per-iteration sequence one at a time.
-		switch {
-		case singleInc >= 0:
-			hs := singleInc
-			for {
-				// A 4-wide group charges 8 statements. Pre-checking the
-				// budget once lets the group use plain increments — the
-				// counts stay exact at every statement (faults included),
-				// only the limit comparison is amortized. Near the limit
-				// (or after a cancellation watcher dropped it) the tail
-				// path's full step() faults at the exact statement. Bodies
-				// with inlined calls charge more than 8 per group, so they
-				// pin stepExact and always take the tail path.
-				ec := fr.ec
-				if !stepExact && uint64(last)-uint64(iv) >= 3 && int64(ec.steps) <= ec.limit.Load()-8 {
-					ec.steps++
-					op(fr)
-					fr.hoists[hs].base += fr.hoists[hs].step
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					fr.hoists[hs].base += fr.hoists[hs].step
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					fr.hoists[hs].base += fr.hoists[hs].step
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					fr.hoists[hs].base += fr.hoists[hs].step
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps++
-					if iv > last {
-						return flowNormal
-					}
-					continue
-				}
-				fr.ec.step()
-				op(fr)
-				fr.hoists[hs].base += fr.hoists[hs].step
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
-			}
-		case len(incs) > 1:
-			for {
-				fr.ec.step()
-				op(fr)
-				for _, hs := range incs {
-					fr.hoists[hs].base += fr.hoists[hs].step
-				}
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
-			}
-		default:
-			for {
-				ec := fr.ec
-				if !stepExact && uint64(last)-uint64(iv) >= 3 && int64(ec.steps) <= ec.limit.Load()-8 {
-					ec.steps++
-					op(fr)
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps += 2
-					op(fr)
-					iv++
-					fr.scalars[ivSlot].I = iv
-					ec.steps++
-					if iv > last {
-						return flowNormal
-					}
-					continue
-				}
-				fr.ec.step()
-				op(fr)
-				iv++
-				fr.scalars[ivSlot].I = iv
-				fr.ec.step()
-				if iv > last {
-					return flowNormal
-				}
 			}
 		}
 	}
@@ -643,8 +280,8 @@ func (c *compiler) markWrite(lc *loopCtx, target Expr) {
 // invariant reports whether e is pure (cannot fault, no side effects)
 // and yields the same value on every iteration of the loop: literals
 // and unmodified non-induction scalars combined with non-faulting
-// operators. Division is excluded — hoisting it would reorder a
-// potential fault.
+// operators. Division is excluded — evaluating it once at loop entry
+// would reorder a potential fault.
 func (c *compiler) invariant(e Expr, lc *loopCtx) bool {
 	switch e := e.(type) {
 	case *IntLit, *FloatLit:
@@ -725,124 +362,4 @@ func (c *compiler) classifySubs(subs []Expr, lc *loopCtx) (cls []subClass, ok bo
 		}
 	}
 	return cls, ok
-}
-
-// tryHoist classifies and registers a strength-reduced subscript chain
-// against the innermost counted loop, returning its hoistAccess — nil
-// when the access doesn't qualify and must stay checked. Callers build
-// the actual accessor closure with hoistElem / hoistFloatLoad /
-// hoistElemPtr.
-func (c *compiler) tryHoist(root *Ident, subs []Expr) *hoistAccess {
-	if len(c.loops) == 0 || len(subs) < 1 || len(subs) > 2 {
-		return nil
-	}
-	// Every loop level that hoists compiles its body twice (fast +
-	// safe), so closure count can grow as 2^depth for a nest that
-	// hoists at every level. Polybench nests are ≤4 deep; past a
-	// generous bound, deeper levels fall back to checked accesses to
-	// keep compilation linear.
-	if len(c.loops) > maxHoistDepth {
-		return nil
-	}
-	lc := c.loops[len(c.loops)-1]
-	// The array binding must be stable across the loop (local array
-	// declarations in the body rebind their slot).
-	switch ref := c.refOf(root); ref.Kind {
-	case VarArray:
-		if lc.declArrays[ref.Slot] {
-			return nil
-		}
-	case VarGlobalArray:
-		// Global arrays are never rebound.
-	default:
-		return nil
-	}
-	cls, ok := c.classifySubs(subs, lc)
-	if !ok || (len(subs) == 2 && cls[0].iv && cls[1].iv) {
-		// Diagonal walks (A[i][i+c]) and subscripts that are neither
-		// IV-affine nor invariant miss the strength-reduced patterns and
-		// keep the fully-checked accessor.
-		return nil
-	}
-	h := &hoistAccess{hslot: c.numHoist, rank: len(subs), arrGet: c.arrayRef(root),
-		ivSlot: lc.ivSlot}
-	switch {
-	case len(subs) == 1 && cls[0].iv:
-		h.pattern, h.ivOff = hColIV, cls[0].off
-	case len(subs) == 1:
-		h.pattern = hAllInv
-		h.colFn = c.asInt(subs[0])
-	case cls[1].iv:
-		h.pattern, h.ivOff = hColIV, cls[1].off
-		h.rowFn = c.asInt(subs[0])
-	case cls[0].iv:
-		h.pattern, h.ivOff = hRowIV, cls[0].off
-		h.colFn = c.asInt(subs[1])
-	default:
-		h.pattern = hAllInv
-		h.rowFn = c.asInt(subs[0])
-		h.colFn = c.asInt(subs[1])
-	}
-	c.numHoist++
-	lc.hoisted = append(lc.hoisted, h)
-	return h
-}
-
-// hoistElem builds the (array, flat offset) accessor for a registered
-// hoist — the general form used where an *Array is needed.
-func (c *compiler) hoistElem(h *hoistAccess) func(fr *frame) (*Array, int) {
-	hslot := h.hslot
-	switch h.pattern {
-	case hColIV:
-		ivSlot := h.ivSlot
-		return func(fr *frame) (*Array, int) {
-			hc := &fr.hoists[hslot]
-			return hc.arr, hc.base + int(fr.scalars[ivSlot].I)
-		}
-	default: // hRowIV, hAllInv: the incremental/constant offset is the state
-		return func(fr *frame) (*Array, int) {
-			hc := &fr.hoists[hslot]
-			return hc.arr, hc.base
-		}
-	}
-}
-
-// hoistFloatLoad builds a fused element load for a registered hoist:
-// one closure, no (array, offset) accessor hop. Element reads inside
-// hot loops go through here.
-func (c *compiler) hoistFloatLoad(h *hoistAccess) evalFloatFn {
-	hslot := h.hslot
-	switch h.pattern {
-	case hColIV:
-		ivSlot := h.ivSlot
-		return func(fr *frame) float64 {
-			hc := &fr.hoists[hslot]
-			return hc.arr.Data[hc.base+int(fr.scalars[ivSlot].I)]
-		}
-	default:
-		return func(fr *frame) float64 {
-			hc := &fr.hoists[hslot]
-			return hc.arr.Data[hc.base]
-		}
-	}
-}
-
-// hoistElemPtr builds a fused element-pointer accessor for store sites:
-// the returned *float64 is read and/or written exactly where the
-// checked path would load and store.
-func (c *compiler) hoistElemPtr(h *hoistAccess) func(fr *frame) *float64 {
-	hslot := h.hslot
-	switch h.pattern {
-	case hColIV:
-		ivSlot := h.ivSlot
-		return func(fr *frame) *float64 {
-			hc := &fr.hoists[hslot]
-			return &hc.arr.Data[hc.base+int(fr.scalars[ivSlot].I)]
-		}
-	default:
-		return func(fr *frame) *float64 {
-			hc := &fr.hoists[hslot]
-			return &hc.arr.Data[hc.base]
-		}
-	}
 }

@@ -1,13 +1,14 @@
 package cminor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
 
-// Per-pass gate coverage: every O3 pass individually off and on (all
-// four subsets) must keep golden walker parity — same return value,
+// Per-pass gate coverage: every O3 pass individually off and on (every
+// subset) must keep golden walker parity — same return value,
 // bit-identical arrays, identical step counts — on all ten corpus
 // kernels. This is what makes the finer-than-four-points knob grid
 // safe for the autotuner to explore blindly.
@@ -15,7 +16,6 @@ import (
 var passMaskSubsets = []PassMask{
 	0,
 	PassInline,
-	PassUnroll,
 	AllPasses,
 }
 
@@ -93,7 +93,7 @@ func TestWithPassesValidation(t *testing.T) {
 	if err := prog.CheckOptions(WithOptLevel(O3+1), WithPasses(PassInline)); err == nil {
 		t.Fatal("CheckOptions accepted an unknown opt level")
 	}
-	if err := prog.CheckOptions(WithOptLevel(O3), WithPasses(PassInline|PassUnroll)); err != nil {
+	if err := prog.CheckOptions(WithOptLevel(O3), WithPasses(PassInline)); err != nil {
 		t.Fatalf("CheckOptions rejected a valid set: %v", err)
 	}
 	// Defaults: a plain Compile carries AllPasses (inert below O3).
@@ -103,29 +103,32 @@ func TestWithPassesValidation(t *testing.T) {
 }
 
 // TestWithPassesRejectsRetiredBit: bit 1 once gated value-range
-// bounds-check elimination. Its deletion must narrow the knob, not leave
-// a bit that is accepted and silently does nothing.
+// bounds-check elimination and bit 2 store-loop unrolling. Their
+// deletion must narrow the knob, not leave a bit that is accepted and
+// silently does nothing.
 func TestWithPassesRejectsRetiredBit(t *testing.T) {
-	const retired PassMask = 1 << 1
-	if AllPasses&retired != 0 {
-		t.Fatalf("AllPasses = %#x still carries the retired bit", uint8(AllPasses))
-	}
-	f := MustParse("t.c", `void f() { int x; x = 1; }`)
-	check := func(who string, err error) {
-		t.Helper()
-		if err == nil || !strings.HasPrefix(err.Error(), "t.c: unknown O3 pass bits 0x2") {
-			t.Errorf("%s: err = %v, want the positioned unknown-pass-bits diagnostic", who, err)
+	for _, retired := range []PassMask{1 << 1, 1 << 2} {
+		if AllPasses&retired != 0 {
+			t.Fatalf("AllPasses = %#x still carries the retired bit %#x", uint8(AllPasses), uint8(retired))
 		}
+		f := MustParse("t.c", `void f() { int x; x = 1; }`)
+		want := fmt.Sprintf("t.c: unknown O3 pass bits 0x%x", uint8(retired))
+		check := func(who string, err error) {
+			t.Helper()
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s: err = %v, want the positioned unknown-pass-bits diagnostic %q", who, err, want)
+			}
+		}
+		_, err := Compile(f, WithOptLevel(O3), WithPasses(retired))
+		check("Compile", err)
+		prog, err := Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = prog.Variant(WithOptLevel(O3), WithPasses(AllPasses|retired))
+		check("Variant", err)
+		check("CheckOptions", prog.CheckOptions(WithOptLevel(O3), WithPasses(retired)))
 	}
-	_, err := Compile(f, WithOptLevel(O3), WithPasses(retired))
-	check("Compile", err)
-	prog, err := Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = prog.Variant(WithOptLevel(O3), WithPasses(AllPasses|retired))
-	check("Variant", err)
-	check("CheckOptions", prog.CheckOptions(WithOptLevel(O3), WithPasses(retired)))
 }
 
 // TestPassMaskString pins the names used in variant labels.
@@ -136,9 +139,11 @@ func TestPassMaskString(t *testing.T) {
 	}{
 		{0, "none"},
 		{PassInline, "inline"},
-		{PassUnroll, "unroll"},
-		{PassInline | PassUnroll, "inline+unroll"},
-		{AllPasses, "inline+unroll"},
+		{AllPasses, "inline"},
+		// The retired bits name no pass.
+		{1 << 1, "none"},
+		{1 << 2, "none"},
+		{PassInline | 1<<2, "inline"},
 	}
 	for _, tc := range cases {
 		if got := tc.m.String(); got != tc.want {

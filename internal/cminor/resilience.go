@@ -9,7 +9,7 @@ import (
 // Fault containment and graceful degradation. The engine's optimized
 // backends — the closure compiler at O1–O3 and the flat-bytecode
 // machine at O4 — are large, aggressive lowerings; a lowering bug, a
-// bad hoist proof or an index error inside them must not take down a
+// bad range proof or an index error inside them must not take down a
 // process that serves many tenants from one shared Program. This file
 // implements the supervisor tier:
 //
