@@ -49,8 +49,8 @@ lint: vet
 # panics during trial calls and during a tuner's survey trials (each
 # must degrade and quarantine as a full call does), and the
 # deterministic quarantine lifecycle simulations, including the
-# concurrent chaos-routing test the small backoff makes race-prone by
-# design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
+# concurrent chaos-routing test, whose shared clock moves on every read
+# so quarantine lifts race the routing by design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
 # kernels of any seed, trip count and argument aliasing against the
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
@@ -94,18 +94,17 @@ warm-sim:
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
 	go test -count=1 ./internal/cminor/autotune/ -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime=20s -fuzzminimizetime=100x
 
-# Tuner-policy suite under the race detector: the seeded fake-clock sims
-# of convergence, the measure phase's survey-then-contenders rule (near
-# ties, a spiked survey sample, a drift re-measure), survey trials (a
-# cold site cuts its losers, a near tie runs in full, a cut batch
-# leader's riders go to the best arm, a converged site runs none, the
-# clock-priced projection), exploration priced in time, drift (spike,
-# winner shift, common-mode slowdown), per-class sites and Call =
-# CallBatch(1), then the 12-goroutine live stress test — cold-site
-# trials included — fifty times over, since its real-clock drift
-# challenges land at random points (about 10 s).
+# Tuner-policy suite under the race detector: the whole autotune package
+# — the seeded fake-clock sims of convergence, the measure phase, survey
+# trials, time-priced exploration, drift, quarantine, warm start, and the
+# policy lab that pins each policy constant (heavy tail, switch penalty,
+# drift past the band, a flaky arm) — so a renamed or new sim cannot drop
+# out of a hand-kept name list. Then the 12-goroutine live stress test —
+# cold-site trials included — fifty times over, since which goroutine's
+# call lands on a survey, a trial or a re-measure is decided by a race
+# (about 30 s).
 tuner-sim:
-	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestSimulatedConvergence|TestMeasureSurveysThenBurstsContenders|TestNearTieArmsBothBurst|TestSurveySpikeStillFindsWinner|TestColdSiteCutsLosersByTrial|TestNearTieTrialRunsInFull|TestCutLeaderServesBatchOnBest|TestConvergedSiteRunsNoTrials|TestTrialProjection|TestExploration|TestDrift|TestIsolatedSpike|TestCommonModeSlowdown|TestPerClassSelection|TestCallIsBatchOfOne'
+	go test -race -count=1 ./internal/cminor/autotune/
 	go test -race -count=50 ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
 
 # One-iteration smoke run for CI: proves every benchmark still executes.

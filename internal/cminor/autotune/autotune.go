@@ -12,12 +12,11 @@
 // beat it, or rescaling its estimate when none could), so the choice
 // adapts under load.
 //
-// The decision loop is built to be simulation-testable: cost
-// measurements flow through an injected Sampler (default: wall time
-// from an injected Clock), and exploration randomness comes from a
-// seeded PRNG, so tests drive convergence, exploration budgets and
-// drift reactions deterministically with a fake clock — no sleeping,
-// no flaky timing.
+// The policy has no knobs: its values are constants (stats.go,
+// quarantine.go), each pinned by a seeded sim. The options are seams —
+// the grid, the seed, a Clock or Sampler to measure on, a fault
+// injector and an audit cadence — so tests drive convergence,
+// exploration and drift deterministically with a fake clock.
 //
 // Learning is paid on cold sites, so the survey that opens it is
 // cheap for the arms that lose: a fresh site surveys the grid's last
@@ -50,35 +49,13 @@ import (
 
 // config is the resolved option set of one AutoTuner.
 type config struct {
-	grid       []VariantSpec
-	epsilon    float64 // exploit-phase exploration budget, in winner time
-	alpha      float64 // EWMA weight of a new measurement
-	minSamples int     // measure-phase pull quota per arm
-	drift      float64 // winner-cost tolerance band before a challenge
-	seed       uint64
-	clock      clock.Clock
-	sampler    Sampler // nil: time the call on clock
+	grid    []VariantSpec
+	seed    uint64
+	clock   clock.Clock
+	sampler Sampler // nil: time the call on clock
 	// Fault containment (quarantine.go).
-	fallback    bool             // trusted-fallback re-execution on variants
-	inject      cm.FaultInjector // deterministic fault-injection seam
-	auditEvery  int64            // every nth site call runs CallAudited (0 = off)
-	backoffBase time.Duration    // first quarantine window
-	backoffMax  time.Duration    // backoff doubling cap
-}
-
-func defaultTunerConfig() config {
-	return config{
-		grid:        DefaultGrid(),
-		epsilon:     0.05,
-		alpha:       0.3,
-		minSamples:  3,
-		drift:       0.5,
-		seed:        1,
-		clock:       clock.Wall{},
-		fallback:    true,
-		backoffBase: 250 * time.Millisecond,
-		backoffMax:  30 * time.Second,
-	}
+	inject     cm.FaultInjector // deterministic fault-injection seam
+	auditEvery int64            // every nth site call runs CallAudited (0 = off)
 }
 
 // Option configures New.
@@ -89,35 +66,6 @@ type Option func(*config)
 func WithGrid(specs ...VariantSpec) Option {
 	return func(c *config) { c.grid = append([]VariantSpec{}, specs...) }
 }
-
-// WithEpsilon sets the exploit-phase exploration budget in [0, 1]
-// (default 0.05): the share of a converged site's *time* spent off the
-// winner, relative to the winner's own. A random non-winning arm is
-// drawn with probability epsilon and taken with odds winner ÷ arm
-// estimate, so an arm 10× slower than the winner is sampled a tenth
-// as often — still sampled, so a loser that gets faster is found.
-func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
-
-// WithEWMAAlpha sets the weight a new measurement carries in the cost
-// estimate, in (0, 1] (default 0.3).
-func WithEWMAAlpha(a float64) Option { return func(c *config) { c.alpha = a } }
-
-// WithMinSamples sets the measure-phase pull quota per arm (default 3).
-// A fresh site surveys every arm once — the grid's last by a full call,
-// the others by survey trials, cut to a slice of a call when they
-// cannot win — then only the contenders — arms estimated within the
-// switch margin of the best — burst to n, so its exploration budget is
-// len(grid) + (n-1)·contenders calls, at most len(grid)*n.
-func WithMinSamples(n int) Option { return func(c *config) { c.minSamples = n } }
-
-// WithDriftFactor sets the winner-cost degradation tolerance (default
-// 0.5): the winner is challenged after min-samples consecutive raw
-// samples above baseline*(1+f). With d the cheapest of those samples,
-// the winner and every arm estimated below d are re-measured; with no
-// such arm, the winner's estimate and the baseline are rescaled to d
-// and nothing else is pulled. The winner improving is not drift — the
-// baseline tightens to the improved cost instead.
-func WithDriftFactor(f float64) Option { return func(c *config) { c.drift = f } }
 
 // WithSeed seeds the tuner's deterministic exploration PRNG.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
@@ -173,31 +121,15 @@ type AutoTuner struct {
 // but variants are materialized lazily, on the first call routed to
 // them — a tuner over a large grid costs nothing for arms never tried.
 func New(prog *cm.Program, opts ...Option) (*AutoTuner, error) {
-	cfg := defaultTunerConfig()
+	cfg := config{grid: DefaultGrid(), seed: 1, clock: clock.Wall{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if len(cfg.grid) == 0 {
 		return nil, fmt.Errorf("autotune: empty variant grid")
 	}
-	if cfg.minSamples < 1 {
-		return nil, fmt.Errorf("autotune: min samples must be >= 1, got %d", cfg.minSamples)
-	}
-	if cfg.epsilon < 0 || cfg.epsilon > 1 {
-		return nil, fmt.Errorf("autotune: epsilon must be in [0, 1], got %g", cfg.epsilon)
-	}
-	if cfg.alpha <= 0 || cfg.alpha > 1 {
-		return nil, fmt.Errorf("autotune: EWMA alpha must be in (0, 1], got %g", cfg.alpha)
-	}
-	if cfg.drift <= 0 {
-		return nil, fmt.Errorf("autotune: drift factor must be > 0, got %g", cfg.drift)
-	}
 	if cfg.auditEvery < 0 {
 		return nil, fmt.Errorf("autotune: audit cadence must be >= 0, got %d", cfg.auditEvery)
-	}
-	if cfg.backoffBase <= 0 || cfg.backoffMax < cfg.backoffBase {
-		return nil, fmt.Errorf("autotune: quarantine backoff must satisfy 0 < base <= max, got %v, %v",
-			cfg.backoffBase, cfg.backoffMax)
 	}
 	for _, spec := range cfg.grid {
 		// Run the engine's own option validation now so a typo'd grid
@@ -222,13 +154,13 @@ func New(prog *cm.Program, opts ...Option) (*AutoTuner, error) {
 
 // variant materializes (once) and returns grid point idx. Every
 // materialized variant carries the tuner's resilience options: trusted
-// fallback (so a faulting arm degrades instead of erroring) and the
-// fault injector, when one is armed.
+// fallback, always on (the engine skips it where a call's state exceeds
+// cm.MaxSnapshotElems), and the fault injector, when one is armed.
 func (t *AutoTuner) variant(idx int) (*variantSlot, error) {
 	s := t.slots[idx]
 	s.once.Do(func() {
 		opts := t.cfg.grid[idx].options()
-		opts = append(opts, cm.WithFallback(t.cfg.fallback))
+		opts = append(opts, cm.WithFallback(true))
 		if t.cfg.inject != nil {
 			opts = append(opts, cm.WithFaultInjector(t.cfg.inject))
 		}

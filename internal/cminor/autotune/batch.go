@@ -112,7 +112,7 @@ func (t *AutoTuner) CallBatch(fn string, batch []BatchCall) error {
 		t.mu.Lock()
 		served := idx
 		if !done {
-			served = st.cutByTrial(&t.cfg, idx, cost)
+			served = st.cutByTrial(idx, cost)
 		}
 		st.chargeRiders(served, riders)
 		t.mu.Unlock()

@@ -37,7 +37,6 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 		"O0": 100 * time.Microsecond, "O2": 30 * time.Microsecond})}}
 	tn, err := New(prog,
 		WithGrid(VariantSpec{Opt: cm.O0}, VariantSpec{Opt: cm.O2}),
-		WithMinSamples(2),
 		WithSampler(sampler),
 	)
 	if err != nil {
@@ -107,7 +106,8 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 }
 
 // TestCallBatchPoisonedSessionRecycled pins mid-batch fault isolation:
-// with fallback off, an exit-point injected panic poisons the session,
+// with the call's state over cm.MaxSnapshotElems the engine skips the
+// fallback snapshot, so an exit-point injected panic poisons the session,
 // and the NEXT batch entry must still compute the correct value — the
 // batch runner cycles the poisoned session through the pool (which
 // rebuilds it) instead of reusing half-written state.
@@ -117,17 +117,16 @@ func TestCallBatchPoisonedSessionRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func(n int) { cm.MaxSnapshotElems = n }(cm.MaxSnapshotElems)
+	cm.MaxSnapshotElems = 4 // a[16] = 16 elems > 4: no snapshot, no fallback
 	inj := cm.NewScriptedInjector(cm.FaultRule{
 		Backend: cm.BackendCompiled, Opt: cm.O2, Fn: "probe",
 		Call: 1, Kind: cm.FaultPanic, Point: cm.FaultAtExit,
 	})
 	tn, err := New(prog,
 		WithGrid(VariantSpec{Opt: cm.O2}),
-		WithMinSamples(1),
 		WithSampler(&simSampler{cost: flatCost(map[string]time.Duration{"O2": 30 * time.Microsecond})}),
 		WithFaultInjector(inj),
-		WithFallback(false),
-		WithQuarantineBackoff(time.Hour, time.Hour),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +187,6 @@ func TestCallIsBatchOfOne(t *testing.T) {
 		tn, err := New(simProgram(t),
 			WithGrid(chaosGrid()...),
 			WithSampler(sampler),
-			WithMinSamples(2),
-			WithEpsilon(0.1),
 			WithSeed(5),
 			WithClock(clk),
 			WithAuditEvery(auditNth),
@@ -197,7 +194,6 @@ func TestCallIsBatchOfOne(t *testing.T) {
 				Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: faultCall,
 				Kind: cm.FaultPanic, Point: cm.FaultAtExit,
 			})),
-			WithQuarantineBackoff(100*time.Millisecond, time.Second),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -226,8 +222,8 @@ func TestCallIsBatchOfOne(t *testing.T) {
 		var ctx context.Context
 		switch i {
 		case liftAt:
-			single.clk.Advance(150 * time.Millisecond)
-			batched.clk.Advance(150 * time.Millisecond)
+			single.clk.Advance(backoffBase * 3 / 2)
+			batched.clk.Advance(backoffBase * 3 / 2)
 		case cancelAt:
 			ctx = cancelled
 		}
@@ -264,15 +260,18 @@ func TestCallIsBatchOfOne(t *testing.T) {
 
 // TestConvergedCallAllocatesNothing: on the production (clock) sampler
 // a converged Call is a stack-allocated batch of one — the tuner adds
-// no allocation to the kernel's own zero.
+// no allocation to the kernel's own zero, whether the call rides the
+// winner or explores. The clock stands still, so every arm ties at
+// zero cost: each bursts to the quota (5 × 3 = 15 calls to converge)
+// and no drift challenge can reopen the site.
 func TestConvergedCallAllocatesNothing(t *testing.T) {
-	tn, err := New(simProgram(t), WithMinSamples(2), WithEpsilon(0), WithDriftFactor(1e9))
+	tn, err := New(simProgram(t), WithClock(clock.NewFake(time.Unix(0, 0))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	args := simArgs(16)
 	class := SizeClass(args)
-	for i := 0; i < 2*len(DefaultGrid())+5; i++ {
+	for i := 0; i < minSamples*len(DefaultGrid()); i++ {
 		if _, err := tn.Call("probe", args...); err != nil {
 			t.Fatal(err)
 		}

@@ -26,9 +26,9 @@ func (exampleSampler) Sample(_ string, spec autotune.VariantSpec, _ int, call fu
 
 // ExampleAutoTuner tunes a dot-product kernel over the default grid
 // (O0–O3 plus the flat-bytecode backend):
-// after the measure phase (one call per arm, then min-samples calls
-// for each arm within the switch margin of the best) the tuner routes
-// to whichever variant measured cheapest for this input class.
+// after the measure phase (one call per arm, then three calls for each
+// arm within the switch margin of the best) the tuner routes to
+// whichever variant measured cheapest for this input class.
 func ExampleAutoTuner() {
 	src := `
 double dot(int n, double a[n], double b[n]) {
@@ -48,8 +48,6 @@ double dot(int n, double a[n], double b[n]) {
 	// In production, drop WithSampler: calls are timed with the real
 	// clock. The injected sampler keeps this example deterministic.
 	tn, err := autotune.New(prog,
-		autotune.WithMinSamples(2),
-		autotune.WithEpsilon(0), // pure exploitation after convergence
 		autotune.WithSampler(exampleSampler{}),
 	)
 	if err != nil {

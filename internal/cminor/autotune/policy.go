@@ -7,7 +7,7 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 		// Expired quarantines return to service before selection; the
 		// clock is only read when a quarantine exists, so the fault-free
 		// fast path stays clock-free.
-		st.liftExpired(cfg, cfg.clock.Now())
+		st.liftExpired(cfg.clock.Now())
 	}
 	st.pulls++
 	if st.nquar == len(st.arms) {
@@ -19,11 +19,11 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 		return idx
 	}
 	if st.phase == phaseMeasure {
-		idx := st.nextMeasured(cfg)
+		idx := st.nextMeasured()
 		st.arms[idx].pulls++
 		return idx
 	}
-	idx := st.chooseEpsilon(cfg, rng)
+	idx := st.chooseEpsilon(rng)
 	if idx != st.best {
 		st.explore++
 	}
@@ -48,7 +48,7 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 // (armStats.update) lands on the true cost. With every arm measured
 // but the phase not yet advanced (in-flight concurrent measurements),
 // it falls back to the best estimate so far.
-func (st *siteState) nextMeasured(cfg *config) int {
+func (st *siteState) nextMeasured() int {
 	n := len(st.arms)
 	for k := 0; k < n; k++ {
 		idx := (st.cursor + k) % n
@@ -57,10 +57,10 @@ func (st *siteState) nextMeasured(cfg *config) int {
 			return idx
 		}
 	}
-	quota, best := int64(cfg.minSamples), st.arms[st.argmin()].ewma
+	best := st.arms[st.argmin()].ewma
 	for k := 0; k < n; k++ {
 		idx := (st.cursor + k) % n
-		if !st.arms[idx].quarantined && !st.arms[idx].measured(quota, best) {
+		if !st.arms[idx].quarantined && !st.arms[idx].measured(best) {
 			st.cursor = idx // stay on this arm until it is measured
 			return idx
 		}
@@ -78,7 +78,7 @@ func (st *siteState) nextMeasured(cfg *config) int {
 // still sampled, rarely, so a loser that gets faster is still found.
 // The draws are the historical two-draw scheme, so the PRNG stream is
 // unchanged whenever u ≥ epsilon.
-func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
+func (st *siteState) chooseEpsilon(rng *splitmix64) int {
 	eligible := 0
 	for i := range st.arms {
 		if i != st.best && !st.arms[i].quarantined {
@@ -89,7 +89,7 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 		return st.best
 	}
 	u := rng.float64()
-	if u >= cfg.epsilon {
+	if u >= epsilon {
 		return st.best
 	}
 	k := rng.intn(eligible)
@@ -101,7 +101,7 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 			k--
 			continue
 		}
-		if w, c := st.arms[st.best].ewma, st.arms[i].ewma; st.arms[i].sampled && c > w && u >= cfg.epsilon*w/c {
+		if w, c := st.arms[st.best].ewma, st.arms[i].ewma; st.arms[i].sampled && c > w && u >= epsilon*w/c {
 			return st.best
 		}
 		return i
@@ -111,7 +111,8 @@ func (st *siteState) chooseEpsilon(cfg *config, rng *splitmix64) int {
 
 // trialDiv sets a survey trial's slice: 1/trialDiv of the site's call
 // length. It was chosen by a traced sweep of the startup benchmark's
-// cold half over 1/4, 1/8, 1/16 and 1/32 (CHANGES.md).
+// cold half over 1/4, 1/8, 1/16 and 1/32 (CHANGES.md). Pinned by
+// TestColdSiteCutsLosersByTrial: at 1 every losing arm runs a full call.
 const trialDiv = 32
 
 // trialSlice decides whether the pull of arm idx that choose just
@@ -144,13 +145,13 @@ func (st *siteState) trialSlice(idx int) (slice, length int) {
 // is returned, serves the call. A near tie — or an arm whose state
 // changed under the trial — returns idx: the call runs in full on it,
 // and its own sample decides. Caller holds the tuner mutex.
-func (st *siteState) cutByTrial(cfg *config, idx int, proj float64) int {
+func (st *siteState) cutByTrial(idx int, proj float64) int {
 	a, b := &st.arms[idx], st.argmin()
 	if ref := &st.arms[b]; b == idx || a.sampled || a.quarantined || !ref.sampled || ref.quarantined ||
 		proj*(1-switchHysteresis) <= ref.ewma {
 		return idx
 	}
-	a.update(cfg.alpha, int64(cfg.minSamples), proj)
+	a.update(proj)
 	return b
 }
 

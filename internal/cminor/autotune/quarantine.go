@@ -8,8 +8,8 @@ import (
 
 // Variant quarantine: the tuner's half of the fault-containment layer
 // (cminor/resilience.go). The engine contains internal panics and —
-// with fallback enabled — degrades a faulting call onto the trusted
-// reference tier; the tuner reads those taps and takes the routing
+// trusted fallback, always on for the tuner's variants — degrades a
+// faulting call onto the trusted reference tier; the tuner reads those taps and takes the routing
 // decision: an arm whose call ended in an internal fault, or whose
 // audited re-execution revealed a value divergence, is quarantined at
 // that (function, input-class) site — excluded from the measure and
@@ -45,17 +45,6 @@ func WithFaultInjector(inj cm.FaultInjector) Option {
 	return func(c *config) { c.inject = inj }
 }
 
-// WithFallback toggles trusted-fallback re-execution
-// (cminor.WithFallback) on the tuner's variants. Default true: the
-// tuner exists to route traffic onto aggressive variants, so a variant
-// that faults mid-call must degrade onto the reference tier — the
-// caller sees a correct result, the tuner sees the quarantine signal.
-// Disable it only for kernels whose state exceeds the snapshot bound
-// anyway, where it buys nothing.
-func WithFallback(on bool) Option {
-	return func(c *config) { c.fallback = on }
-}
-
 // WithAuditEvery routes every nth call of each site through
 // cminor.CallAudited: the call re-executes on the trusted tier from the
 // same pre-call state and the outcomes are compared bit-exactly, so a
@@ -67,28 +56,20 @@ func WithAuditEvery(n int64) Option {
 	return func(c *config) { c.auditEvery = n }
 }
 
-// WithQuarantineBackoff sets the exponential backoff window of a
-// quarantined arm: the first quarantine at a site lasts base, each
-// subsequent one doubles, capped at max. Backoff is measured on the
-// tuner's injected Clock, so simulations drive the full
-// quarantine→lift→re-entry cycle with a fake clock.
-func WithQuarantineBackoff(base, max time.Duration) Option {
-	return func(c *config) { c.backoffBase, c.backoffMax = base, max }
-}
+// backoffBase and backoffMax are the quarantine window: an arm's first
+// quarantine at a site lasts backoffBase, each later one doubles, capped
+// at backoffMax, on the tuner's Clock. Pinned by
+// TestLabFlakyArmRetriedPerWindow: an arm that faults on every call is
+// retried once per window; at 0 it faults, and re-executes on the
+// trusted tier, on every call.
+const (
+	backoffBase = 250 * time.Millisecond
+	backoffMax  = 30 * time.Second
+)
 
 // backoff computes the quarantine window after the arm's nth
-// quarantine (1-based): base·2^(n-1), capped at max.
-func (c *config) backoff(n int) time.Duration {
-	shift := n - 1
-	if shift > 30 {
-		shift = 30 // past the cap regardless; avoid overflow
-	}
-	d := c.backoffBase << shift
-	if d > c.backoffMax || d <= 0 {
-		d = c.backoffMax
-	}
-	return d
-}
+// quarantine (1-based): backoffBase·2^(n-1), capped at backoffMax.
+func backoff(n int) time.Duration { return min(backoffBase<<min(n-1, 30), backoffMax) }
 
 // quarantine pulls arm idx out of routing at this site. Caller holds
 // the tuner mutex.
@@ -99,7 +80,7 @@ func (st *siteState) quarantine(cfg *config, idx int) {
 	}
 	a.quarantined = true
 	a.quarantines++
-	a.quarantineUntil = cfg.clock.Now().Add(cfg.backoff(a.quarantines))
+	a.quarantineUntil = cfg.clock.Now().Add(backoff(a.quarantines))
 	st.nquar++
 	// A quarantined winner abdicates immediately: re-crown the best
 	// remaining trusted arm when one exists (when none does, choose()
@@ -117,7 +98,7 @@ func (st *siteState) quarantine(cfg *config, idx int) {
 // incumbents' retained estimates — and bursts to its quota if that
 // sample makes it a contender — and can re-win on merit. Caller holds
 // the tuner mutex.
-func (st *siteState) liftExpired(cfg *config, now time.Time) {
+func (st *siteState) liftExpired(now time.Time) {
 	for i := range st.arms {
 		a := &st.arms[i]
 		if !a.quarantined || a.quarantineUntil.After(now) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,12 +67,9 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 	tn, err := New(simProgram(t),
 		WithGrid(chaosGrid()...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
-		WithMinSamples(3),
-		WithEpsilon(0),
 		WithSeed(11),
 		WithClock(clk),
 		WithFaultInjector(inj),
-		WithQuarantineBackoff(100*time.Millisecond, 10*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +89,10 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 
 	// Phase A — measure (a survey of the 3 arms, then bytecode, the one
 	// contender, bursts to 3) plus exploit on the cheapest arm; the
-	// bytecode arm's 6th call (site call 8) is the injected panic. The
-	// caller must see nothing but the right answer.
+	// bytecode arm's 6th call (site call 6: its survey call, the two cut
+	// survey trials of O0 and O3 it served, two bursts and one exploit
+	// call) is the injected panic. The caller must see nothing but the
+	// right answer.
 	for i := 1; i <= 12; i++ {
 		call(i)
 	}
@@ -129,7 +129,7 @@ func runQuarantineLifecycle(t *testing.T) []SiteReport {
 	// Phase C — the backoff expires on the fake clock: the arm re-enters
 	// through a fresh measure burst and, being clean again and cheapest,
 	// re-wins the site.
-	clk.Advance(200 * time.Millisecond)
+	clk.Advance(2 * backoffBase)
 	for i := 23; i <= 30; i++ {
 		call(i)
 	}
@@ -181,16 +181,13 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 			Kind: cm.FaultPanic, Point: cm.FaultAtExit},
 	)
 	clk := clock.NewFake(time.Unix(0, 0))
-	const base = 100 * time.Millisecond
+	const base = backoffBase
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
-		WithMinSamples(1),
-		WithEpsilon(0),
 		WithSeed(5),
 		WithClock(clk),
 		WithFaultInjector(inj),
-		WithQuarantineBackoff(base, 10*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -207,34 +204,34 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 		return siteReport(t, tn, "probe", class).Arms[1].Quarantined
 	}
 
-	call() // measure O0
-	call() // measure bytecode (clean) → exploit, bytecode wins
-	call() // bytecode call 2 → fault → quarantine #1 at T0
+	call() // survey bytecode, the grid's last arm, by a full call
+	call() // O0's survey trial is cut and bytecode serves the call: its call 2 → fault → quarantine #1 at T0
 	if !quarantined() {
 		t.Fatal("arm not quarantined after first fault")
 	}
+	call() // T0: O0, the one arm in service, bursts
 	clk.Advance(base - time.Millisecond)
-	call() // T0+99ms: still inside the 1×base window
+	call() // T0+base−1ms: still inside the 1×base window
 	if !quarantined() {
 		t.Fatal("quarantine lifted before base backoff elapsed")
 	}
 	clk.Advance(time.Millisecond)
-	call() // T0+100ms: lift → re-measure burst routes the arm (clean)
+	call() // T0+base: lift → the re-survey routes the arm (clean, its call 3)
 	if quarantined() {
 		t.Fatal("quarantine not lifted at base backoff")
 	}
-	call() // bytecode re-wins; its call 4 → fault → quarantine #2 at T1
+	call() // bytecode, a contender, bursts; its call 4 → fault → quarantine #2 at T1
 	rep := siteReport(t, tn, "probe", class)
 	if !rep.Arms[1].Quarantined || rep.Arms[1].Quarantines != 2 {
 		t.Fatalf("after second fault: %+v", rep.Arms[1])
 	}
 	clk.Advance(base)
-	call() // T1+100ms: the window doubled — still out
+	call() // T1+base: the window doubled — still out
 	if !quarantined() {
 		t.Fatal("second quarantine lifted after only 1×base (no exponential backoff)")
 	}
 	clk.Advance(base)
-	call() // T1+200ms: 2×base elapsed → lifted
+	call() // T1+2×base: elapsed → lifted
 	if quarantined() {
 		t.Fatal("second quarantine not lifted at 2×base")
 	}
@@ -263,12 +260,9 @@ func TestAllArmsQuarantinedStillServes(t *testing.T) {
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
-		WithMinSamples(1),
-		WithEpsilon(0),
 		WithSeed(9),
 		WithClock(clk),
 		WithFaultInjector(inj),
-		WithQuarantineBackoff(100*time.Millisecond, time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +293,7 @@ func TestAllArmsQuarantinedStillServes(t *testing.T) {
 	}
 	// Lifts re-try the arms; they fault again and re-quarantine with a
 	// doubled window — forever serving correct results in between.
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(backoffBase * 3 / 2)
 	for i := 7; i <= 10; i++ {
 		v, err := tn.Call("probe", args...)
 		if err != nil || !eqValue(want, v) {
@@ -328,13 +322,10 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(&simSampler{cost: flatCost(chaosCost)}),
-		WithMinSamples(2),
-		WithEpsilon(0),
 		WithSeed(13),
 		WithClock(clk),
 		WithFaultInjector(inj),
 		WithAuditEvery(3),
-		WithQuarantineBackoff(time.Minute, time.Hour),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -342,10 +333,11 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 	want := probeOracle(t)
 	args := simArgs(16)
 	class := SizeClass(args)
-	// Site pull 1 surveys O0. Pull 2 surveys bytecode unaudited — the
-	// one call whose corrupt value escapes, which is exactly why the
-	// audit cadence exists. Bytecode is the contender, so pull 3 bursts
-	// it, audited → divergence → quarantine.
+	// Site pull 1 surveys bytecode, the grid's last arm, unaudited. Pull
+	// 2 is O0's survey trial, cut, and bytecode serves the call: the two
+	// calls whose corrupt value escapes, which is exactly why the audit
+	// cadence exists. Bytecode is the contender, so pull 3 bursts it,
+	// audited → divergence → quarantine.
 	var sawCorrupt bool
 	for i := 1; i <= 3; i++ {
 		v, err := tn.Call("probe", args...)
@@ -379,20 +371,30 @@ func TestAuditCatchesSilentMiscompile(t *testing.T) {
 	}
 }
 
+// tickingClock advances step on every read and is safe for concurrent
+// use: time passes exactly as fast as the goroutines sharing it read it.
+type tickingClock struct {
+	ns   atomic.Int64
+	step time.Duration
+}
+
+func (c *tickingClock) Now() time.Time { return time.Unix(0, c.ns.Add(int64(c.step))) }
+
 // Concurrent chaos: many goroutines hammer a tuner whose bytecode arm
-// panics on every call, with a real clock and a backoff small enough
-// that quarantine lifts race the routing. Run under -race; every call
-// must still return the oracle value.
+// panics on every call, on a clock shared by all of them that moves a
+// millisecond per read, so the quarantine backoff lifts every few dozen
+// calls and the lifts race the routing. Run under -race; every call
+// must still return the oracle value, and the arm must have been
+// quarantined, lifted and quarantined again.
 func TestConcurrentChaosRouting(t *testing.T) {
 	inj := cm.NewScriptedInjector(cm.FaultRule{
 		Backend: cm.BackendBytecode, AnyOpt: true, Fn: "probe", Call: 0,
 		Kind: cm.FaultPanic, Point: cm.FaultAtExit,
 	})
 	tn, err := New(simProgram(t),
-		WithMinSamples(2),
 		WithSeed(17),
+		WithClock(&tickingClock{step: time.Millisecond}),
 		WithFaultInjector(inj),
-		WithQuarantineBackoff(time.Millisecond, 8*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -427,5 +429,8 @@ func TestConcurrentChaosRouting(t *testing.T) {
 	}
 	if inj.TotalFired() == 0 {
 		t.Error("chaos run never injected a fault (test premise broken)")
+	}
+	if bc := tn.Snapshot()[0].Arms[4]; bc.Quarantines < 2 {
+		t.Errorf("bytecode quarantined %d times, want a lift raced by a second quarantine", bc.Quarantines)
 	}
 }

@@ -3,10 +3,39 @@ package autotune
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	cm "socrates/internal/cminor"
 )
+
+// rotatingSampler keeps a shared site switching winners: its costs are
+// a ladder over the grid (100µs, 200µs, …) that rotates by one arm
+// every period sampled calls, so the standing winner becomes the
+// dearest arm and the site moves off it — by the hysteresis switch or by
+// a drift challenge that re-measures the others, on whichever
+// goroutines' calls land there. Safe for concurrent use.
+type rotatingSampler struct {
+	rank   map[string]int64
+	period int64
+	calls  atomic.Int64
+}
+
+func newRotatingSampler(grid []VariantSpec, period int64) *rotatingSampler {
+	s := &rotatingSampler{rank: map[string]int64{}, period: period}
+	for i, spec := range grid {
+		s.rank[spec.String()] = int64(i)
+	}
+	return s
+}
+
+func (s *rotatingSampler) Sample(_ string, spec VariantSpec, _ int, call func() error) (time.Duration, error) {
+	err := call()
+	n := int64(len(s.rank))
+	step := (s.rank[spec.String()] + s.calls.Add(1)/s.period) % n
+	return time.Duration(step+1) * 100 * time.Microsecond, err
+}
 
 // Concurrency stress: one AutoTuner shared by 12 goroutines. Variant
 // materialization, pool checkout, selection, survey trials and
@@ -45,14 +74,10 @@ func TestConcurrentTunerStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := New(prog,
-		// All backends in play; bytecode, last, is surveyed first, and the
-		// walker, which cannot roll back, runs its trial as a full call.
-		WithGrid(append([]VariantSpec{{Backend: cm.BackendWalker}}, DefaultGrid()...)...),
-		WithMinSamples(2),
-		WithEpsilon(0.3), // keep switching variants throughout
-		WithSeed(42),
-	)
+	// All backends in play; bytecode, last, is surveyed first, and the
+	// walker, which cannot roll back, runs its trial as a full call.
+	grid := append([]VariantSpec{{Backend: cm.BackendWalker}}, DefaultGrid()...)
+	tn, err := New(prog, WithGrid(grid...), WithSampler(newRotatingSampler(grid, 40)), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +162,10 @@ func TestConcurrentTunerStress(t *testing.T) {
 	}
 	if want := int64(goroutines*callsPer + 1); armPulls > want {
 		t.Fatalf("per-arm pulls inconsistent: %d of %d total", armPulls, want)
+	}
+	// The ladder rotated 18 times over the run (721 samples, a rotation
+	// every 40): the site must have re-measured at least once.
+	if rep[0].Reopens == 0 {
+		t.Fatal("the site never re-measured: the stress ran on one variant")
 	}
 }

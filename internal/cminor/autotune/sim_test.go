@@ -122,7 +122,6 @@ func siteReport(t *testing.T, tn *AutoTuner, fn string, class int) SiteReport {
 // bounded exploration budget.
 func TestSimulatedConvergence(t *testing.T) {
 	grid := DefaultGrid()
-	const minSamples = 3
 	const totalCalls = 150
 	budget := len(grid) * minSamples
 
@@ -155,8 +154,6 @@ func TestSimulatedConvergence(t *testing.T) {
 			tn, err := New(simProgram(t),
 				WithGrid(grid...),
 				WithSampler(sampler),
-				WithMinSamples(minSamples),
-				WithEpsilon(0.1),
 				WithSeed(7),
 			)
 			if err != nil {
@@ -184,7 +181,7 @@ func TestSimulatedConvergence(t *testing.T) {
 			// Residual exploration is bounded: epsilon of the exploit-phase
 			// calls in expectation; allow 2x for the seeded draw.
 			exploit := int64(totalCalls - budget)
-			if maxExplore := int64(0.1*float64(exploit)*2) + 1; rep.ExplorePulls > maxExplore {
+			if maxExplore := int64(epsilon*float64(exploit)*2) + 1; rep.ExplorePulls > maxExplore {
 				t.Fatalf("exploration out of budget: %d explore pulls > %d", rep.ExplorePulls, maxExplore)
 			}
 			converged++
@@ -195,13 +192,16 @@ func TestSimulatedConvergence(t *testing.T) {
 	}
 }
 
-// TestExplorationBudgetBounds pins the two epsilon extremes: with
-// epsilon 0 a converged site never leaves the winner (a non-best arm
-// keeps its survey sample, or its quota if it was a contender, and the
-// site converges in exactly |grid| + (n−1)·contenders calls); with
-// epsilon 1 every exploit-phase call draws a candidate, but exploration
-// is priced in time, so the time spent off the winner stays within one
-// winner call per exploit call however slow the losers are.
+// TestExplorationBudgetBounds pins both budgets at the production ε.
+// The measure budget: a cold site converges in exactly |grid| +
+// (minSamples−1)·contenders calls, every non-best arm holding its
+// survey sample or, when it was a contender, its quota — here O2 is the
+// one contender beside the O3 winner (bytecode, at 130µs, is beyond the
+// switch margin of 90µs), so 5 + 2·2 = 9 calls. The exploit budget:
+// exploration is priced in time, so over the exploit calls the time
+// spent off the winner stays within ε of the winner's own (half again
+// for the seeded draw), however slow the losers are — and some exploit
+// calls do explore, so a loser that gets faster is still found.
 func TestExplorationBudgetBounds(t *testing.T) {
 	grid := DefaultGrid()
 	cost := map[string]time.Duration{
@@ -209,71 +209,46 @@ func TestExplorationBudgetBounds(t *testing.T) {
 		"O2": 100 * time.Microsecond, "O3": 90 * time.Microsecond,
 		"bytecode": 130 * time.Microsecond,
 	}
-	const minSamples = 2
-	budget := len(grid) * minSamples
-	const total = 80
-
-	// run returns the final site, the call on which it converged, and the
-	// time spent per arm after the worst-case measure budget.
-	run := func(eps float64) (SiteReport, int, map[string]time.Duration) {
-		sampler := &simSampler{cost: flatCost(cost)}
-		tn, err := New(simProgram(t),
-			WithGrid(grid...),
-			WithSampler(sampler),
-			WithMinSamples(minSamples),
-			WithEpsilon(eps),
-			WithSeed(3),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := simArgs(16)
-		convergedAt := 0
-		for i := 0; i < total; i++ {
-			if i == budget {
-				sampler.spent = map[string]time.Duration{}
-			}
-			if _, err := tn.Call("probe", args...); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := tn.Best("probe", SizeClass(args)); ok && convergedAt == 0 {
-				convergedAt = i + 1
-			}
-		}
-		return siteReport(t, tn, "probe", SizeClass(args)), convergedAt, sampler.spent
+	const total = 4000
+	sampler := &simSampler{cost: flatCost(cost)}
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	greedy, convergedAt, _ := run(0)
-	if greedy.ExplorePulls != 0 {
-		t.Fatalf("epsilon=0 explored %d times", greedy.ExplorePulls)
-	}
+	args := simArgs(16)
+	class := SizeClass(args)
+	convergedAt := driveToConvergence(t, tn, args, len(grid)*minSamples)
+	calls := int(convergedAt.Pulls)
 	contenders := 1 // the winner
-	for _, arm := range greedy.Arms {
+	for _, arm := range convergedAt.Arms {
 		switch {
 		case arm.Spec.String() == "O3":
 		case arm.Pulls == minSamples:
 			contenders++
 		case arm.Pulls != 1:
-			t.Fatalf("epsilon=0: non-best arm %v has %d pulls, want its survey sample or the %d-sample quota",
+			t.Fatalf("non-best arm %v has %d pulls at convergence, want its survey sample or the %d-sample quota",
 				arm.Spec, arm.Pulls, minSamples)
 		}
 	}
 	if contenders == len(grid) {
-		t.Fatal("epsilon=0: every arm burst; the 4×-slower O0 should have been cut")
+		t.Fatal("every arm burst; the 4×-slower O0 should have been cut")
 	}
-	if want := len(grid) + (minSamples-1)*contenders; convergedAt != want {
-		t.Fatalf("epsilon=0: converged after %d calls, want |grid| + (n−1)·%d contenders = %d",
-			convergedAt, contenders, want)
+	if want := len(grid) + (minSamples-1)*contenders; calls != want || want != 9 {
+		t.Fatalf("converged after %d calls, want |grid| + (n−1)·%d contenders = %d (= 9)",
+			calls, contenders, want)
 	}
 
-	always, _, spent := run(1)
-	exploit := int64(total - budget)
-	if always.ExplorePulls == 0 || always.ExplorePulls == exploit {
-		t.Fatalf("epsilon=1: %d of %d exploit calls explored, want some but not all", always.ExplorePulls, exploit)
+	sampler.spent = map[string]time.Duration{}
+	drive(t, tn, total-calls, args)
+	rep := siteReport(t, tn, "probe", class)
+	exploit := int64(total - calls)
+	if rep.Best.String() != "O3" || rep.ExplorePulls == 0 || rep.ExplorePulls == exploit {
+		t.Fatalf("winner %v, %d of %d exploit calls explored; want O3 and some but not all",
+			rep.Best, rep.ExplorePulls, exploit)
 	}
-	off, limit := offWinner(spent, "O3"), time.Duration(1.5*float64(exploit*int64(cost["O3"])))
-	if off > limit {
-		t.Fatalf("epsilon=1: %v spent off the winner over %d exploit calls, want <= %v", off, exploit, limit)
+	off := offWinner(sampler.spent, "O3")
+	if limit := time.Duration(epsilon * 1.5 * float64(exploit*int64(cost["O3"]))); off > limit {
+		t.Fatalf("%v spent off the winner over %d exploit calls, want <= %v", off, exploit, limit)
 	}
 }
 
@@ -299,9 +274,6 @@ func TestDriftReexploration(t *testing.T) {
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(sampler),
-		WithMinSamples(3),
-		WithEpsilon(0.05),
-		WithDriftFactor(0.5),
 		WithSeed(11),
 	)
 	if err != nil {
@@ -338,7 +310,7 @@ func TestDriftReexploration(t *testing.T) {
 
 // TestIsolatedSpikeKeepsWinner: one 3× sample on a converged winner (a
 // preemption, a timer tick on a short kernel) is not drift — the site
-// neither re-measures nor pulls a loser.
+// neither re-measures nor pulls a loser beyond ε exploration.
 func TestIsolatedSpikeKeepsWinner(t *testing.T) {
 	const spikeAt = 40
 	sampler := &simSampler{cost: func(call int64, spec VariantSpec, _ int) time.Duration {
@@ -348,7 +320,7 @@ func TestIsolatedSpikeKeepsWinner(t *testing.T) {
 		}
 		return time.Duration(float64(c) * jitter(call))
 	}}
-	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(3))
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,10 +336,23 @@ func TestIsolatedSpikeKeepsWinner(t *testing.T) {
 	if after.Reopens != 0 || after.Best.String() != "O3" {
 		t.Fatalf("one spike: %d reopens, winner %v; want 0 and O3", after.Reopens, after.Best)
 	}
+	assertOnlyExplored(t, before, after, "one spike")
+}
+
+// assertOnlyExplored fails unless every pull a loser took between two
+// reports of a site whose winner held was an ε exploration: a
+// re-measure's survey and burst pulls are not explorations.
+func assertOnlyExplored(t *testing.T, before, after SiteReport, what string) {
+	t.Helper()
+	var losers int64
 	for i, arm := range after.Arms {
-		if arm.Spec.String() != "O3" && arm.Pulls != before.Arms[i].Pulls {
-			t.Fatalf("loser %v pulled after one spike: %d -> %d", arm.Spec, before.Arms[i].Pulls, arm.Pulls)
+		if arm.Spec != after.Best {
+			losers += arm.Pulls - before.Arms[i].Pulls
 		}
+	}
+	if explored := after.ExplorePulls - before.ExplorePulls; losers != explored {
+		t.Fatalf("%s: losers took %d pulls, only %d of them ε explorations:\nbefore %+v\nafter  %+v",
+			what, losers, explored, before.Arms, after.Arms)
 	}
 }
 
@@ -385,7 +370,7 @@ func pr21Cost(bytecode, o3 float64) map[string]time.Duration {
 // arm at once. The winner is still the winner — no arm's estimate is
 // below its drifted cost — so the site rescales instead of
 // re-measuring: the winner is unchanged, Reopens stays 0, and the
-// losers get no pulls after the slowdown.
+// losers get no pulls after the slowdown beyond ε exploration.
 func TestCommonModeSlowdownRescales(t *testing.T) {
 	const slowAt = 60
 	base := pr21Cost(27, 123)
@@ -396,7 +381,7 @@ func TestCommonModeSlowdownRescales(t *testing.T) {
 		}
 		return time.Duration(float64(c) * jitter(call))
 	}}
-	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(3))
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,16 +395,10 @@ func TestCommonModeSlowdownRescales(t *testing.T) {
 		t.Fatalf("after a common-mode slowdown: winner %v, %d reopens, converged %v; want bytecode, 0, true",
 			after.Best, after.Reopens, after.Converged)
 	}
-	for i, arm := range after.Arms {
-		switch {
-		case arm.Spec.String() == "bytecode":
-			if arm.EWMA < 2*27*time.Microsecond*9/10 {
-				t.Fatalf("winner estimate %v did not follow the box to ~54µs", arm.EWMA)
-			}
-		case arm.Pulls != before.Arms[i].Pulls:
-			t.Fatalf("loser %v pulled after the slowdown: %d -> %d", arm.Spec, before.Arms[i].Pulls, arm.Pulls)
-		}
+	if bc := after.Arms[4]; bc.EWMA < 2*27*time.Microsecond*9/10 {
+		t.Fatalf("winner estimate %v did not follow the box to ~54µs", bc.EWMA)
 	}
+	assertOnlyExplored(t, before, after, "a common-mode slowdown")
 }
 
 // pr21Kernels are the bytecode and O3 costs (µs) of the nine corpus
@@ -467,7 +446,7 @@ func TestMeasureSurveysThenBurstsContenders(t *testing.T) {
 	want := []string{"bytecode", "O0", "O1", "O2", "O3", "bytecode", "bytecode"}
 	for _, k := range pr21Kernels {
 		sampler := &specSampler{inner: simSampler{cost: flatCost(pr21Cost(k.bytecode, k.o3))}}
-		tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(7))
+		tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,9 +470,8 @@ func TestMeasureSurveysThenBurstsContenders(t *testing.T) {
 // and bytecode (38µs) are within the switch margin, both burst to the
 // full quota, and the bursts' minimums put the truly cheaper O3 first.
 func TestNearTieArmsBothBurst(t *testing.T) {
-	const minSamples = 3
 	sampler := &simSampler{cost: flatCost(pr21Cost(38, 37))}
-	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(minSamples), WithEpsilon(0), WithSeed(7))
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +547,7 @@ func TestDriftChallengeSurveysThenBursts(t *testing.T) {
 		}
 		return time.Duration(float64(c) * jitter(call))
 	}}}
-	tn, err := New(simProgram(t), WithSampler(sampler), WithMinSamples(3), WithEpsilon(0), WithSeed(3))
+	tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,14 +583,13 @@ func TestDriftChallengeSurveysThenBursts(t *testing.T) {
 // epsilon times the losers' mean slowdown.
 func TestExplorationIsPricedInTime(t *testing.T) {
 	const (
-		eps   = 0.05
 		calls = 10000
 		tol   = 0.5
 	)
 	for _, k := range pr21Kernels {
 		cost := pr21Cost(k.bytecode, k.o3)
 		sampler := &simSampler{cost: flatCost(cost)}
-		tn, err := New(simProgram(t), WithSampler(sampler), WithEpsilon(eps), WithSeed(7))
+		tn, err := New(simProgram(t), WithSampler(sampler), WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,8 +603,8 @@ func TestExplorationIsPricedInTime(t *testing.T) {
 		}
 		off := offWinner(sampler.spent, "bytecode")
 		share := float64(off) / (calls * float64(cost["bytecode"]))
-		if share > eps*(1+tol) {
-			t.Errorf("%s: time off the winner is %.3f of the winner's, want <= %.3f", k.name, share, eps*(1+tol))
+		if share > epsilon*(1+tol) {
+			t.Errorf("%s: time off the winner is %.3f of the winner's, want <= %.3f", k.name, share, epsilon*(1+tol))
 		}
 	}
 }
@@ -662,8 +639,6 @@ func TestPerClassSelection(t *testing.T) {
 	tn, err := New(simProgram(t),
 		WithGrid(grid...),
 		WithSampler(sampler),
-		WithMinSamples(2),
-		WithEpsilon(0.05),
 		WithSeed(5),
 	)
 	if err != nil {
@@ -688,7 +663,7 @@ func TestPerClassSelection(t *testing.T) {
 // TestLazyMaterialization pins the grid's laziness: New lowers nothing,
 // each variant materializes only when first selected.
 func TestLazyMaterialization(t *testing.T) {
-	tn, err := New(simProgram(t), WithMinSamples(1),
+	tn, err := New(simProgram(t),
 		WithSampler(&simSampler{cost: flatCost(map[string]time.Duration{
 			"O0": 4, "O1": 3, "O2": 2, "O3": 1, "bytecode": 5,
 		})}))
@@ -735,7 +710,7 @@ func TestPooledBudgetNotLeaked(t *testing.T) {
 	// One probe(64) call costs a few hundred statements; 2000 covers one
 	// call comfortably and is far below 300 calls' accumulation.
 	prog := simProgram(t, cm.WithMaxSteps(2000))
-	tn, err := New(prog, WithMinSamples(2), WithEpsilon(0.2),
+	tn, err := New(prog,
 		WithSampler(&simSampler{cost: flatCost(map[string]time.Duration{
 			"O0": 4, "O1": 3, "O2": 2, "O3": 1, "bytecode": 5,
 		})}))
@@ -750,7 +725,7 @@ func TestPooledBudgetNotLeaked(t *testing.T) {
 	// The budget itself still bites: a kernel that overruns it in ONE
 	// call faults on every variant, and the tuner surfaces the fault.
 	tight := simProgram(t, cm.WithMaxSteps(10))
-	tn2, err := New(tight, WithMinSamples(1),
+	tn2, err := New(tight,
 		WithSampler(&simSampler{cost: flatCost(map[string]time.Duration{
 			"O0": 4, "O1": 3, "O2": 2, "O3": 1, "bytecode": 5,
 		})}))
@@ -769,7 +744,7 @@ func TestPooledBudgetNotLeaked(t *testing.T) {
 // declares a winner, and unknown function names are rejected before
 // any tuning state exists.
 func TestFaultingCallsDontPoisonEstimates(t *testing.T) {
-	tn, err := New(simProgram(t), WithMinSamples(1),
+	tn, err := New(simProgram(t),
 		WithSampler(&simSampler{cost: flatCost(map[string]time.Duration{
 			"O0": 4, "O1": 3, "O2": 2, "O3": 1, "bytecode": 5,
 		})}))
@@ -785,16 +760,18 @@ func TestFaultingCallsDontPoisonEstimates(t *testing.T) {
 	}
 	// A known function faulting at runtime (out-of-bounds subscript:
 	// n says 64, the array holds 8) counts pulls but samples nothing.
+	// One call more than every arm's quota (5 arms × 3).
 	bad := []any{cm.IntV(64), cm.NewArray(8)}
 	class := SizeClass(bad)
-	for i := 0; i < 6; i++ {
+	calls := len(DefaultGrid())*minSamples + 1
+	for i := 0; i < calls; i++ {
 		if _, err := tn.Call("probe", bad...); err == nil {
 			t.Fatal("out-of-bounds call did not error")
 		}
 	}
 	rep := siteReport(t, tn, "probe", class)
-	if rep.Pulls != 6 {
-		t.Fatalf("faulting calls recorded %d pulls, want 6", rep.Pulls)
+	if rep.Pulls != int64(calls) {
+		t.Fatalf("faulting calls recorded %d pulls, want %d", rep.Pulls, calls)
 	}
 	for _, arm := range rep.Arms {
 		if arm.Sampled {
@@ -810,8 +787,9 @@ func TestFaultingCallsDontPoisonEstimates(t *testing.T) {
 	}
 }
 
-// TestNewValidation: malformed configurations and grids fail fast at
-// New, with the engine's own diagnostics for bad knob values.
+// TestNewValidation: malformed grids and audit cadences fail fast at
+// New, with the engine's own diagnostics for bad knob values. (The
+// policy has no options to validate: its values are constants.)
 func TestNewValidation(t *testing.T) {
 	prog := simProgram(t)
 	cases := []struct {
@@ -819,10 +797,7 @@ func TestNewValidation(t *testing.T) {
 		opts []Option
 	}{
 		{"empty grid", []Option{WithGrid()}},
-		{"bad epsilon", []Option{WithEpsilon(1.5)}},
-		{"bad alpha", []Option{WithEWMAAlpha(0)}},
-		{"bad min samples", []Option{WithMinSamples(0)}},
-		{"bad drift", []Option{WithDriftFactor(0)}},
+		{"negative audit cadence", []Option{WithAuditEvery(-1)}},
 		{"unknown opt level", []Option{WithGrid(VariantSpec{Opt: cm.O3 + 1})}},
 		{"unknown pass bits", []Option{WithGrid(VariantSpec{Opt: cm.O3, Passes: 0x80})}},
 	}
@@ -851,7 +826,7 @@ func (c *tickClock) Now() time.Time {
 // folded into an estimate.
 func TestDefaultCostIsClockMovement(t *testing.T) {
 	const step = 5 * time.Millisecond
-	tn, err := New(simProgram(t), WithMinSamples(1),
+	tn, err := New(simProgram(t),
 		WithClock(&tickClock{t: time.Unix(0, 0), step: step}))
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,38 @@ const (
 	phaseExploit
 )
 
+// The policy's values are constants. Each doc comment names the seeded
+// sim that fails when the constant takes its neutral value (CHANGES.md
+// has the mutation table).
+
+// epsilon is the exploit-phase exploration budget, in time: a random
+// non-winning arm is drawn with probability epsilon and taken with odds
+// winner ÷ arm estimate (chooseEpsilon), so the time spent off the
+// winner is at most epsilon × the winner's own, and a loser that gets
+// faster is still found. Pinned by TestSurveySpikeStillFindsWinner: at
+// 0 a winner whose survey sample was spiked is cut for good.
+const epsilon = 0.05
+
+// ewmaAlpha is the weight of a new sample in an exploit-phase estimate
+// (armStats.update). Pinned by TestLabHeavyTailKeepsWinner: at 1 one
+// stall, even clipped, hands the site to the runner-up.
+const ewmaAlpha = 0.3
+
+// minSamples is the measure-phase pull quota of a contender — a fresh
+// site costs len(grid) + (minSamples−1)·contenders calls — and the run
+// of over-band samples a drift challenge needs. Pinned by
+// TestLabSwitchPenaltyBurstsFindWinner and TestSimulatedConvergence: at
+// 1 an estimate is one sample, a first call after a switch or one draw
+// of the jitter, and the site settles on a slower arm.
+const minSamples = 3
+
+// driftFactor is the winner's degradation band: minSamples raw samples
+// in a row above baseline·(1+driftFactor) challenge it (observe,
+// challenge). Pinned by TestLabDriftPastBandFindsRunnerUp: at +Inf a
+// winner that degrades by less than the switch margin over a
+// runner-up keeps the site for good.
+const driftFactor = 0.5
+
 // switchHysteresis: mid-exploit, a challenger arm must undercut the
 // incumbent's EWMA by this relative margin before the site adopts it.
 // It guards against two failure modes observed live. (1) Ping-pong:
@@ -36,8 +68,10 @@ const (
 // margin (two samples of a 5× slowdown) the runner-up takes over, and
 // a smaller degradation is left to the drift challenge, which
 // re-measures the winner against the arms that could beat it.
-// Measure-phase convergence itself is a plain argmin — hysteresis only
-// guards switches after a winner exists.
+// Measure-phase convergence itself is a plain argmin, but the same
+// margin decides which surveyed arms burst (armStats.measured). Pinned
+// by TestLabHeavyTailKeepsWinner: at 0 a clipped stall on the winner
+// hands the site to the runner-up.
 const switchHysteresis = 0.25
 
 // clipFactor winsorizes exploit-phase samples: each measurement folds
@@ -48,7 +82,9 @@ const switchHysteresis = 0.25
 // thousands of calls (observed live). A genuine sustained shift still
 // raises the estimate geometrically (clipFactor× per sample), so the
 // hysteresis switch still sees it within a few samples; the drift
-// detector reads raw samples and needs no clip (see observe).
+// detector reads raw samples and needs no clip (see observe). Pinned by
+// TestLabHeavyTailKeepsWinner: unclipped, one 20× stall hands the site
+// to the runner-up.
 const clipFactor = 3.0
 
 // armStats is the cost estimate — and trust state — of one variant at
@@ -95,11 +131,12 @@ func (a *armStats) resetEstimate() {
 // kernel the minimum is the robust location estimate. Once the arm is
 // past its quota the EWMA takes over, so genuine workload shifts
 // still move the estimate (and can trip the hysteresis switch).
-func (a *armStats) update(alpha float64, quota int64, cost float64) {
+func (a *armStats) update(cost float64) {
+	alpha := ewmaAlpha
 	switch {
 	case !a.sampled:
 		a.ewma, a.sampled = cost, true
-	case a.pulls <= quota:
+	case a.pulls <= minSamples:
 		if cost < a.ewma {
 			a.ewma = cost
 		}
@@ -108,12 +145,10 @@ func (a *armStats) update(alpha float64, quota int64, cost float64) {
 			cost = lim // winsorize heavy-tailed spikes (see clipFactor)
 		}
 		if a.distrust > 0 {
-			// Warm-started prior: fresh samples carry at least warmAlpha
-			// until the distrust budget is spent (see tunecache.go).
+			// Warm-started prior: fresh samples carry warmAlpha until the
+			// distrust budget is spent (see tunecache.go).
 			a.distrust--
-			if alpha < warmAlpha {
-				alpha = warmAlpha
-			}
+			alpha = warmAlpha
 		}
 		a.ewma = alpha*cost + (1-alpha)*a.ewma
 	}
@@ -157,21 +192,21 @@ func surveyStart(arms int) int { return arms - 1 }
 // of the best (ewma·(1−switchHysteresis) > best) — cut, its one sample
 // kept as its estimate. An unsampled arm (its calls failed) is never
 // cut.
-func (a *armStats) measured(quota int64, best float64) bool {
-	return a.pulls >= quota || a.sampled && a.ewma*(1-switchHysteresis) > best
+func (a *armStats) measured(best float64) bool {
+	return a.pulls >= minSamples || a.sampled && a.ewma*(1-switchHysteresis) > best
 }
 
 // allMeasured reports whether every arm in service has been surveyed
 // and is measured (armStats.measured). Quarantined arms are out of
 // service and do not hold the phase open — they are re-surveyed when
 // their backoff lifts.
-func (st *siteState) allMeasured(minSamples int64) bool {
+func (st *siteState) allMeasured() bool {
 	best := st.arms[st.argmin()].ewma
 	for i := range st.arms {
 		if st.arms[i].quarantined {
 			continue
 		}
-		if !st.arms[i].measured(minSamples, best) {
+		if !st.arms[i].measured(best) {
 			return false
 		}
 	}
@@ -235,7 +270,7 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 	}
 	ok := out.ok
 	if ok {
-		st.arms[idx].update(cfg.alpha, int64(cfg.minSamples), cost)
+		st.arms[idx].update(cost)
 		st.arms[idx].steps = out.steps
 	}
 	switch st.phase {
@@ -243,13 +278,13 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 		// Converging requires at least one successful measurement: a
 		// site whose every call faulted must not declare a winner it
 		// never timed (quota pulls alone don't qualify).
-		if st.allMeasured(int64(cfg.minSamples)) && st.anySampled() {
+		if st.allMeasured() && st.anySampled() {
 			st.phase = phaseExploit
 			st.crown(st.argmin())
 		}
 	case phaseExploit:
 		// Drift: the winner's own raw cost DEGRADED past
-		// baseline*(1+drift) on minSamples consecutive samples — the
+		// baseline*(1+driftFactor) on minSamples consecutive samples — the
 		// measure phase's min-of-burst rule, so one preemption or timer
 		// tick on a short kernel is not a drift. The winner getting
 		// FASTER is not drift — it is still the winner; the baseline
@@ -259,12 +294,12 @@ func (st *siteState) observe(cfg *config, idx int, cost float64, out callOutcome
 		// predictor/icache) and always melt once the winner runs
 		// back-to-back.
 		if ok && idx == st.best && st.baseline > 0 {
-			if cost > st.baseline*(1+cfg.drift) {
+			if cost > st.baseline*(1+driftFactor) {
 				if st.over == 0 || cost < st.overMin {
 					st.overMin = cost
 				}
 				st.over++
-				if st.over >= cfg.minSamples {
+				if st.over >= minSamples {
 					st.challenge(st.overMin)
 					return
 				}

@@ -76,7 +76,7 @@ func TestColdSiteCutsLosersByTrial(t *testing.T) {
 // call length, and both burst. O0 and O1 are cut.
 func TestNearTieTrialRunsInFull(t *testing.T) {
 	tn, err := New(simProgram(t), WithSampler(&simSampler{cost: flatCost(pr21Cost(38, 37))}),
-		WithEpsilon(0), WithSeed(7))
+		WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,14 @@ var (
 )
 
 // warmDistrust is how many post-load measurements of a seeded arm fold
-// in at the boosted warmAlpha weight before the configured alpha takes
-// over: enough to overwhelm a stale prior, few enough that a correct
-// prior's estimate barely moves.
+// in at the boosted warmAlpha weight before ewmaAlpha takes over:
+// enough to overwhelm a stale prior, few enough that a correct prior's
+// estimate barely moves. Pinned by TestWarmStartStaleWinnerDethroned: a
+// persisted winner now 5× slower goes on the first call after the
+// load, at 0 on the third (at 2× staleness the boost changes nothing).
 const warmDistrust = 3
 
-// warmAlpha is the floor EWMA weight a distrusted (freshly loaded)
+// warmAlpha is the EWMA weight a distrusted (freshly loaded)
 // arm's measurements carry. With clipFactor 3, one sample at warmAlpha
 // doubles a badly stale winner's estimate, past the switch margin of
 // any arm measured under 1.5× its old cost — the dethroning is
@@ -281,7 +283,6 @@ func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 	st.explore = sr.explore
 	st.reopens = sr.reopens
 	st.nquar = 0
-	quota := int64(t.cfg.minSamples)
 	for i := range st.arms {
 		a := &st.arms[i]
 		ra := &sr.arms[i]
@@ -289,7 +290,7 @@ func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
 			// Floor pulls past the measure quota: a loaded arm is past
 			// measurement by construction, and update() must fold fresh
 			// samples through the EWMA path, never the measure-phase min.
-			pulls:       max(ra.pulls, quota+1),
+			pulls:       max(ra.pulls, minSamples+1),
 			sampled:     ra.sampled,
 			ewma:        ra.ewma,
 			distrust:    0,

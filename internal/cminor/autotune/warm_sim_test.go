@@ -30,15 +30,12 @@ var warmCost = map[string]time.Duration{
 }
 
 // warmTuner builds a tuner in the warm-sim configuration: default grid,
-// two-sample quotas, zero residual exploration (so any post-load pull
-// of a non-best arm is test-visible), fixed seed.
+// the production policy, fixed seed.
 func warmTuner(t testing.TB, sampler Sampler, opts ...Option) *AutoTuner {
 	t.Helper()
 	base := []Option{
 		WithGrid(DefaultGrid()...),
 		WithSampler(sampler),
-		WithMinSamples(2),
-		WithEpsilon(0),
 		WithSeed(7),
 	}
 	tn, err := New(simProgram(t), append(base, opts...)...)
@@ -97,27 +94,23 @@ func TestWarmStartZeroReexploration(t *testing.T) {
 	}
 
 	const exploit = 30
-	drive(t, tn, exploit, args)
-	after := siteReport(t, tn, "probe", class)
-	if got := bestSpec(t, tn, "probe", class); got.String() != "O3" {
-		t.Fatalf("warm winner drifted to %v with an unchanged workload", got)
+	for i := 1; i <= exploit; i++ {
+		drive(t, tn, 1, args)
+		if got, ok := tn.Best("probe", class); !ok || got.String() != "O3" {
+			t.Fatalf("post-load call %d: winner (%v, %v), want O3 and no measure phase", i, got, ok)
+		}
 	}
+	after := siteReport(t, tn, "probe", class)
 	if after.Reopens != loaded.Reopens {
 		t.Fatalf("unchanged workload reopened exploration: %d -> %d", loaded.Reopens, after.Reopens)
 	}
-	// Every post-restart call rode the winner: non-best arms gained no
-	// pulls at all, and the winner took all of them.
-	for i, arm := range after.Arms {
-		if arm.Spec.String() == "O3" {
-			if want := loaded.Arms[i].Pulls + exploit; arm.Pulls != want {
-				t.Fatalf("winner pulls %d, want %d", arm.Pulls, want)
-			}
-			continue
-		}
-		if arm.Pulls != loaded.Arms[i].Pulls {
-			t.Fatalf("arm %v re-measured after warm start: %d -> %d pulls",
-				arm.Spec, loaded.Arms[i].Pulls, arm.Pulls)
-		}
+	// Every post-restart call rode the winner or was an ε exploration:
+	// non-best arms gained no measure-phase pull, and the winner took
+	// every call that did not explore.
+	assertOnlyExplored(t, loaded, after, "after the warm start")
+	explored := after.ExplorePulls - loaded.ExplorePulls
+	if o3 := after.Arms[3]; o3.Pulls != loaded.Arms[3].Pulls+exploit-explored {
+		t.Fatalf("winner pulls %d, want %d", o3.Pulls, loaded.Arms[3].Pulls+exploit-explored)
 	}
 }
 
@@ -200,7 +193,7 @@ func TestWarmStartStaleWinnerDethroned(t *testing.T) {
 		}
 		return time.Duration(float64(c) * jitter(call))
 	}}
-	tn := warmTuner(t, stale, WithDriftFactor(0.5))
+	tn := warmTuner(t, stale)
 	if warmed, err := tn.LoadFrom(path); err != nil || warmed != 1 {
 		t.Fatalf("LoadFrom = (%d, %v), want (1, nil)", warmed, err)
 	}
@@ -310,7 +303,7 @@ func TestWarmStartBadLogColdStart(t *testing.T) {
 		tn, err := New(simProgram(t),
 			WithGrid(DefaultGrid()[:4]...),
 			WithSampler(&simSampler{cost: flatCost(warmCost)}),
-			WithMinSamples(2), WithEpsilon(0), WithSeed(7))
+			WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,8 +361,7 @@ func TestWarmStartQuarantineRoundTrip(t *testing.T) {
 	})
 	tn := warmTuner(t, &simSampler{cost: flatCost(warmCost)},
 		WithClock(clk),
-		WithFaultInjector(inj),
-		WithQuarantineBackoff(time.Hour, time.Hour))
+		WithFaultInjector(inj))
 	args := simArgs(16)
 	class := SizeClass(args)
 	drive(t, tn, 40, args)

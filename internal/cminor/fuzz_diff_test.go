@@ -336,37 +336,42 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 						vr.name, src, werr, vr.err)
 				}
 			}
-			// The tuner-routed path: the same seed driven through the
-			// autotuner with an aggressive exploration rate, so successive
-			// calls land on different variants of the grid — every one must
-			// stay bit-exact with the walker, error outcomes included.
-			tn, tnerr := autotune.New(prog,
-				autotune.WithMinSamples(1),
-				autotune.WithEpsilon(0.5),
-				autotune.WithSeed(uint64(seed)+1))
-			if tnerr != nil {
-				t.Fatalf("autotune.New: %v", tnerr)
-			}
-			for round := 0; round < 6; round++ {
-				targs := diffArgs(8, seed)
-				tv, terr := tn.Call("k", targs...)
-				if (werr == nil) != (terr == nil) {
-					t.Fatalf("tuner round %d error divergence on:\n%s\nwalker=%v tuner=%v",
-						round, src, werr, terr)
+			// The tuner-routed path: every arm of the default grid, each
+			// behind a single-arm tuner, runs a batch of the seed through
+			// CallBatch — the leader and its riders on one pooled session —
+			// and every entry must stay bit-exact with the walker, error
+			// outcomes included.
+			for _, spec := range autotune.DefaultGrid() {
+				tn, tnerr := autotune.New(prog, autotune.WithGrid(spec), autotune.WithSeed(uint64(seed)+1))
+				if tnerr != nil {
+					t.Fatalf("autotune.New(%v): %v", spec, tnerr)
 				}
-				if werr != nil {
-					continue
+				batch := make([]autotune.BatchCall, 3)
+				for i := range batch {
+					batch[i].Args = diffArgs(8, seed)
 				}
-				if !sameValue(wv, tv) {
-					t.Fatalf("tuner round %d return divergence on:\n%s\nwalker=%+v tuner=%+v",
-						round, src, wv, tv)
+				if err := tn.CallBatch("k", batch); err != nil {
+					t.Fatalf("%v CallBatch: %v", spec, err)
 				}
-				for i := 1; i < len(wArgs); i++ {
-					wa, ta := wArgs[i].(*Array), targs[i].(*Array)
-					for k := range wa.Data {
-						if math.Float64bits(wa.Data[k]) != math.Float64bits(ta.Data[k]) {
-							t.Fatalf("tuner round %d array %d diverges at flat index %d on:\n%s\nwalker=%g tuner=%g",
-								round, i, k, src, wa.Data[k], ta.Data[k])
+				for e, b := range batch {
+					if (werr == nil) != (b.Err == nil) {
+						t.Fatalf("tuner %v entry %d error divergence on:\n%s\nwalker=%v tuner=%v",
+							spec, e, src, werr, b.Err)
+					}
+					if werr != nil {
+						continue
+					}
+					if !sameValue(wv, b.Ret) {
+						t.Fatalf("tuner %v entry %d return divergence on:\n%s\nwalker=%+v tuner=%+v",
+							spec, e, src, wv, b.Ret)
+					}
+					for i := 1; i < len(wArgs); i++ {
+						wa, ta := wArgs[i].(*Array), b.Args[i].(*Array)
+						for k := range wa.Data {
+							if math.Float64bits(wa.Data[k]) != math.Float64bits(ta.Data[k]) {
+								t.Fatalf("tuner %v entry %d array %d diverges at flat index %d on:\n%s\nwalker=%g tuner=%g",
+									spec, e, i, k, src, wa.Data[k], ta.Data[k])
+							}
 						}
 					}
 				}

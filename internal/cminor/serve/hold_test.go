@@ -27,7 +27,6 @@ func newLiveServer(t *testing.T, opts ...Option) *Server {
 	}
 	if _, err := s.Host(simProgram(t),
 		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O2}),
-		autotune.WithMinSamples(1),
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package serve
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // Per-tenant admission quotas. The server multiplexes many untrusted
 // callers onto one engine; a tenant must not be able to starve the
@@ -11,7 +15,8 @@ import "time"
 // exactly reproducible under a fake clock.
 
 // TenantQuota bounds one tenant's use of the server. The zero value is
-// fully unlimited — quotas are opt-in per dimension.
+// fully unlimited — quotas are opt-in per dimension. New rejects a
+// negative, NaN or infinite field.
 type TenantQuota struct {
 	// MaxInFlight caps the tenant's queued+running requests
 	// (0 = unlimited). Admission past the cap is rejected with
@@ -33,6 +38,20 @@ type TenantQuota struct {
 	StepRate float64
 	// StepBurst is the step bucket capacity; 0 defaults to StepRate.
 	StepBurst float64
+}
+
+// validate rejects what no bucket can honour: a negative, NaN or
+// infinite rate or burst, or a negative in-flight cap.
+func (q TenantQuota) validate() error {
+	if q.MaxInFlight < 0 {
+		return fmt.Errorf("max in-flight must be >= 0, got %d", q.MaxInFlight)
+	}
+	for _, v := range []float64{q.Rate, q.Burst, q.StepRate, q.StepBurst} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("rates and bursts must be finite and >= 0, got %+v", q)
+		}
+	}
+	return nil
 }
 
 // normalize applies the documented defaulting.

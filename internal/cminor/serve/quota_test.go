@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -60,5 +61,44 @@ func TestStepBucketClockRegression(t *testing.T) {
 	}
 	if !b.hasCredit(t0.Add(501 * time.Millisecond)) {
 		t.Fatal("credit missing after the debt was repaid")
+	}
+}
+
+// TestNewRejectsBadQuota: a quota no bucket can honour is an error at
+// New, as a queue depth below 1 is, rather than a tenant that is
+// rejected forever (a negative rate), admitted at random (NaN) or
+// silently unlimited (a negative in-flight cap). Zero fields stay the
+// documented "unlimited".
+func TestNewRejectsBadQuota(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		q  TenantQuota
+		ok bool
+	}{
+		{TenantQuota{}, true},
+		{TenantQuota{MaxInFlight: 2, Rate: 10, Burst: 5, StepRate: 1e6, StepBurst: 1e5}, true},
+		{TenantQuota{MaxInFlight: -1}, false},
+		{TenantQuota{Rate: -1}, false},
+		{TenantQuota{Rate: nan}, false},
+		{TenantQuota{Rate: inf}, false},
+		{TenantQuota{Rate: 10, Burst: -1}, false},
+		{TenantQuota{Rate: 10, Burst: nan}, false},
+		{TenantQuota{Rate: 10, Burst: inf}, false},
+		{TenantQuota{StepRate: -5}, false},
+		{TenantQuota{StepRate: nan}, false},
+		{TenantQuota{StepRate: inf}, false},
+		{TenantQuota{StepRate: 100, StepBurst: -1}, false},
+		{TenantQuota{StepRate: 100, StepBurst: nan}, false},
+		{TenantQuota{StepRate: 100, StepBurst: inf}, false},
+		{TenantQuota{Rate: math.Inf(-1)}, false},
+	}
+	for _, tc := range cases {
+		s, err := New(WithWorkers(0), WithTenantQuota("acme", tc.q))
+		if (err == nil) != tc.ok {
+			t.Errorf("New with quota %+v: err %v, want ok %v", tc.q, err, tc.ok)
+		}
+		if s != nil {
+			s.Close()
+		}
 	}
 }

@@ -262,6 +262,9 @@ func New(opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("serve: max batch delay must be >= 0, got %v", cfg.maxBatchDelay)
 	}
 	for k, q := range cfg.quotas {
+		if err := q.validate(); err != nil {
+			return nil, fmt.Errorf("serve: tenant %q quota: %w", k, err)
+		}
 		cfg.quotas[k] = q.normalize()
 	}
 	s := &Server{

@@ -65,7 +65,6 @@ func newSimServer(t *testing.T, clk *clock.Fake, opts ...Option) *Server {
 	}
 	if _, err := s.Host(simProgram(t),
 		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O1}, autotune.VariantSpec{Opt: cm.O2}),
-		autotune.WithMinSamples(1),
 		autotune.WithClock(clk),
 	); err != nil {
 		t.Fatal(err)
@@ -520,10 +519,8 @@ func TestDegradedAccounting(t *testing.T) {
 	defer s.Close()
 	if _, err := s.Host(simProgram(t),
 		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O2}),
-		autotune.WithMinSamples(1),
 		autotune.WithClock(clk),
 		autotune.WithFaultInjector(inj),
-		autotune.WithQuarantineBackoff(time.Hour, time.Hour),
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func TestServerLiveStress(t *testing.T) {
 			autotune.VariantSpec{Opt: cm.O2},
 			autotune.VariantSpec{Opt: cm.O3},
 		),
-		autotune.WithMinSamples(2),
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,6 @@ double spin(int reps, int n, double a[n]) {
 	defer s.Close()
 	if _, err := s.Host(prog,
 		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O2}),
-		autotune.WithMinSamples(1),
 	); err != nil {
 		t.Fatal(err)
 	}

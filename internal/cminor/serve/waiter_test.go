@@ -240,7 +240,6 @@ func TestWaiterRunStress(t *testing.T) {
 			}
 			if _, err := s.Host(prog,
 				autotune.WithGrid(autotune.VariantSpec{Opt: cm.O0}, autotune.VariantSpec{Opt: cm.O2}),
-				autotune.WithMinSamples(2),
 			); err != nil {
 				t.Fatal(err)
 			}

@@ -16,8 +16,10 @@ import (
 // fake clock, pinning that a restarted server's first dispatched
 // request already exploits the previous process's learned winner.
 
-// newWarmSimServer is newSimServer plus a tune cache and zero residual
-// exploration, so any post-restart measure-phase pull is test-visible.
+// newWarmSimServer is newSimServer plus a tune cache. The fake clock
+// stands still, so every call costs zero: the two arms tie, the survey
+// and both bursts converge the site in 6 calls (2 arms × the 3-sample
+// quota), and O1 wins (ties go to the lower index).
 func newWarmSimServer(t *testing.T, clk *clock.Fake, dir string) (*Server, *autotune.AutoTuner) {
 	t.Helper()
 	s, err := New(WithWorkers(0), WithClock(clk), WithMaxBatch(1), WithTuneCache(dir))
@@ -26,8 +28,6 @@ func newWarmSimServer(t *testing.T, clk *clock.Fake, dir string) (*Server, *auto
 	}
 	tn, err := s.Host(simProgram(t),
 		autotune.WithGrid(autotune.VariantSpec{Opt: cm.O1}, autotune.VariantSpec{Opt: cm.O2}),
-		autotune.WithMinSamples(1),
-		autotune.WithEpsilon(0),
 		autotune.WithClock(clk),
 	)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestServerWarmStartAcrossRestart(t *testing.T) {
 	clk := clock.NewFake(simStart())
 
 	s1, tn1 := newWarmSimServer(t, clk, dir)
-	serveCalls(t, s1, 6) // 2-arm grid, 1 sample each: converged, then exploiting
+	serveCalls(t, s1, 6) // 2-arm grid, 3 samples each: converged on the 6th call
 	if !warmSite(t, tn1).Converged {
 		t.Fatal("setup: site did not converge")
 	}
@@ -106,19 +106,22 @@ func TestServerWarmStartAcrossRestart(t *testing.T) {
 	if !loaded.Converged {
 		t.Fatal("restarted site is not converged before the first request")
 	}
-	serveCalls(t, s2, 10)
-	after := warmSite(t, tn2)
-	for i, arm := range after.Arms {
-		if i == 0 { // O1: the trivial fake-clock winner (all costs zero, ties to lower index)
-			continue
-		}
-		if arm.Pulls != loaded.Arms[i].Pulls {
-			t.Fatalf("arm %v re-measured after restart: %d -> %d pulls",
-				arm.Spec, loaded.Arms[i].Pulls, arm.Pulls)
+	for i := 0; i < 10; i++ {
+		serveCalls(t, s2, 1)
+		if !warmSite(t, tn2).Converged {
+			t.Fatalf("post-restart call %d re-opened the measure phase", i+1)
 		}
 	}
-	if best := after.Arms[0]; best.Pulls != loaded.Arms[0].Pulls+10 {
-		t.Fatalf("winner took %d of 10 post-restart calls", best.Pulls-loaded.Arms[0].Pulls)
+	// Every post-restart call rode the winner (O1, the trivial fake-clock
+	// winner) or was an ε exploration: O2 gained no measure-phase pull.
+	after := warmSite(t, tn2)
+	explored := after.ExplorePulls - loaded.ExplorePulls
+	if o2 := after.Arms[1]; o2.Pulls != loaded.Arms[1].Pulls+explored {
+		t.Fatalf("arm %v re-measured after restart: %d -> %d pulls, %d of them explorations",
+			o2.Spec, loaded.Arms[1].Pulls, o2.Pulls, explored)
+	}
+	if best := after.Arms[0]; best.Pulls != loaded.Arms[0].Pulls+10-explored {
+		t.Fatalf("winner took %d of 10 post-restart calls, %d explored", best.Pulls-loaded.Arms[0].Pulls, explored)
 	}
 }
 
@@ -130,7 +133,7 @@ func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 	clk := clock.NewFake(simStart())
 
 	s1, tn1 := newWarmSimServer(t, clk, dir)
-	serveCalls(t, s1, 4)
+	serveCalls(t, s1, 6)
 	s1.Close()
 	cachePath := filepath.Join(dir, fmt.Sprintf("tune-%016x.log", tn1.CacheKey()))
 	// Damage the site count, just past the 24-byte header.
@@ -147,7 +150,7 @@ func TestServerWarmStartCorruptLogColdStart(t *testing.T) {
 	if _, ok := tn2.Best("probe", autotune.SizeClass(simArgs(16))); ok {
 		t.Fatal("a corrupt log warm-started the site")
 	}
-	serveCalls(t, s2, 4) // cold exploration works as usual
+	serveCalls(t, s2, 6) // cold exploration works as usual
 	if !warmSite(t, tn2).Converged {
 		t.Fatal("cold fallback did not converge")
 	}
@@ -170,7 +173,7 @@ func TestFlushTuneCacheOnDemand(t *testing.T) {
 	clk := clock.NewFake(simStart())
 	s, tn := newWarmSimServer(t, clk, dir)
 	defer s.Close()
-	serveCalls(t, s, 4)
+	serveCalls(t, s, 6)
 	if err := s.FlushTuneCache(); err != nil {
 		t.Fatal(err)
 	}
