@@ -62,15 +62,17 @@ chaos:
 # Serving-layer suite under the race detector: the deterministic
 # fake-clock scheduler simulations (admission order, quota exhaustion
 # and refill, batch coalescing, both shed points, the golden status
-# line), the 12-goroutine live stress test with per-call bit-exactness,
-# and the InstancePool churn/leak test backing it. The concurrency tests
-# (waiter-run dispatch and the live stress) then run ten more times,
-# since which goroutine runs a batch is decided by a race. The wall-clock
+# line, the request-ledger checker), the 12-goroutine live stress test
+# with per-call bit-exactness, and the InstancePool churn/leak test
+# backing it. The concurrency tests (waiter-run dispatch, the live
+# stress, and the ledger balancing in snapshots scraped under live
+# load) then run ten more times, since which goroutine runs a batch and
+# where a scrape lands are decided by races. The wall-clock
 # test of the batch hold's accuracy is not built under -race (timing
 # means nothing there); `make serve-timing` runs it.
 serve-sim:
 	go test -race -count=1 ./internal/cminor/serve/
-	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestServerLiveStress'
+	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestServerLiveStress|TestLiveSnapshotBalances'
 	go test -race -count=1 ./internal/cminor/ -run 'TestInstancePoolStress'
 
 # The batch hold against the real clock, without the race detector: a
@@ -83,14 +85,15 @@ serve-timing:
 # snapshots, stale-winner dethroning, every bad-snapshot class, every
 # truncation and single-byte flip degrading to a cold start, a stray
 # temp file from a crash before the rename) and the server-lifecycle
-# warm-start tests (Host loads, Close flushes, corrupt snapshots heal).
+# warm start (the tuner Host returns is saved after Close and loaded
+# into the next server's before its first request).
 # Then 20 s of FuzzLoadFrom without -race: a fuzzed body behind a valid
 # header and checksum must neither panic the loader nor break routing.
 # Shrinking each new interesting input is capped at 100 runs: uncapped,
 # it takes most of the 20 s and the fuzzer runs under a thousand inputs.
 warm-sim:
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestWarmStart|FuzzLoadFrom'
-	go test -race -count=1 ./internal/cminor/serve/ -run 'TestServerWarmStart|TestFlushTuneCache'
+	go test -race -count=1 ./internal/cminor/serve/ -run 'TestServerWarmStart'
 	go test -race -count=1 ./internal/cminor/ -run 'TestSourceHash'
 	go test -count=1 ./internal/cminor/autotune/ -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime=20s -fuzzminimizetime=100x
 

@@ -10,8 +10,7 @@ type Node interface {
 // passes can record their results in side tables indexed by ID instead
 // of writing into the tree — the AST stays immutable after parse, which
 // is what lets one *File be compiled (and one *Program be shared)
-// concurrently. Clones preserve IDs; a full File.Clone therefore keeps
-// them unique, but splicing cloned subtrees into another file does not.
+// concurrently.
 type NodeID int32
 
 // BasicKind enumerates scalar base types.
@@ -50,17 +49,6 @@ type Type struct {
 // IsArray reports whether t has at least one array dimension.
 func (t *Type) IsArray() bool { return t != nil && len(t.Dims) > 0 }
 
-func (t *Type) clone() *Type {
-	if t == nil {
-		return nil
-	}
-	c := &Type{Kind: t.Kind, Ptr: t.Ptr}
-	for _, d := range t.Dims {
-		c.Dims = append(c.Dims, CloneExpr(d))
-	}
-	return c
-}
-
 // Pragma is a "#pragma ..." line (text excludes the "#pragma" prefix).
 type Pragma struct {
 	Text string
@@ -69,18 +57,6 @@ type Pragma struct {
 
 // Pos returns the pragma position.
 func (p *Pragma) Pos() Pos { return p.P }
-
-func clonePragmas(ps []*Pragma) []*Pragma {
-	if ps == nil {
-		return nil
-	}
-	out := make([]*Pragma, len(ps))
-	for i, p := range ps {
-		cp := *p
-		out[i] = &cp
-	}
-	return out
-}
 
 // File is a parsed translation unit. NumIDs is the number of NodeIDs
 // the parser assigned; side tables produced by the semantic passes are
@@ -104,19 +80,6 @@ func (f *File) Func(name string) *FuncDecl {
 		}
 	}
 	return nil
-}
-
-// Clone deep-copies the file. NodeIDs are preserved, so the clone can
-// be resolved and compiled independently of the original.
-func (f *File) Clone() *File {
-	c := &File{Name: f.Name, P: f.P, NumIDs: f.NumIDs}
-	for _, g := range f.Globals {
-		c.Globals = append(c.Globals, CloneStmt(g).(*DeclStmt))
-	}
-	for _, fn := range f.Funcs {
-		c.Funcs = append(c.Funcs, fn.Clone())
-	}
-	return c
 }
 
 // Param is a function parameter.
@@ -143,19 +106,6 @@ type FuncDecl struct {
 
 // Pos returns the function position.
 func (f *FuncDecl) Pos() Pos { return f.P }
-
-// Clone deep-copies the function.
-func (f *FuncDecl) Clone() *FuncDecl {
-	c := &FuncDecl{Name: f.Name, Ret: f.Ret.clone(), P: f.P,
-		Pragmas: clonePragmas(f.Pragmas)}
-	for _, p := range f.Params {
-		c.Params = append(c.Params, &Param{Name: p.Name, Type: p.Type.clone(), P: p.P})
-	}
-	if f.Body != nil {
-		c.Body = CloneStmt(f.Body).(*Block)
-	}
-	return c
-}
 
 // Stmt is implemented by statement nodes.
 type Stmt interface {
@@ -411,93 +361,6 @@ func (*CallExpr) exprNode()   {}
 func (*CondExpr) exprNode()   {}
 func (*ParenExpr) exprNode()  {}
 func (*CastExpr) exprNode()   {}
-
-// CloneExpr deep-copies an expression.
-func CloneExpr(e Expr) Expr {
-	switch e := e.(type) {
-	case nil:
-		return nil
-	case *Ident:
-		c := *e // the NodeID comes along; annotations live outside the AST
-		return &c
-	case *IntLit:
-		c := *e
-		return &c
-	case *FloatLit:
-		c := *e
-		return &c
-	case *BinExpr:
-		return &BinExpr{Op: e.Op, X: CloneExpr(e.X), Y: CloneExpr(e.Y), P: e.P}
-	case *UnExpr:
-		return &UnExpr{Op: e.Op, X: CloneExpr(e.X), P: e.P}
-	case *AssignExpr:
-		return &AssignExpr{Op: e.Op, LHS: CloneExpr(e.LHS), RHS: CloneExpr(e.RHS), P: e.P}
-	case *IncDecExpr:
-		return &IncDecExpr{Op: e.Op, X: CloneExpr(e.X), P: e.P}
-	case *IndexExpr:
-		return &IndexExpr{X: CloneExpr(e.X), Idx: CloneExpr(e.Idx), P: e.P}
-	case *CallExpr:
-		c := &CallExpr{Fun: e.Fun, P: e.P, ID: e.ID}
-		for _, a := range e.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
-	case *CondExpr:
-		return &CondExpr{Cond: CloneExpr(e.Cond), Then: CloneExpr(e.Then),
-			Else: CloneExpr(e.Else), P: e.P}
-	case *ParenExpr:
-		return &ParenExpr{X: CloneExpr(e.X), P: e.P}
-	case *CastExpr:
-		return &CastExpr{To: e.To.clone(), X: CloneExpr(e.X), P: e.P}
-	}
-	panic("cminor: CloneExpr: unknown expression type")
-}
-
-// CloneStmt deep-copies a statement.
-func CloneStmt(s Stmt) Stmt {
-	switch s := s.(type) {
-	case nil:
-		return nil
-	case *Block:
-		c := &Block{P: s.P}
-		for _, st := range s.Stmts {
-			c.Stmts = append(c.Stmts, CloneStmt(st))
-		}
-		return c
-	case *DeclStmt:
-		return &DeclStmt{Name: s.Name, Type: s.Type.clone(), Init: CloneExpr(s.Init),
-			P: s.P, ID: s.ID}
-	case *ExprStmt:
-		return &ExprStmt{X: CloneExpr(s.X), P: s.P}
-	case *ForStmt:
-		c := &ForStmt{Cond: CloneExpr(s.Cond), Post: CloneExpr(s.Post), P: s.P,
-			Pragmas: clonePragmas(s.Pragmas)}
-		c.Init = CloneStmt(s.Init)
-		if s.Body != nil {
-			c.Body = CloneStmt(s.Body).(*Block)
-		}
-		return c
-	case *WhileStmt:
-		c := &WhileStmt{Cond: CloneExpr(s.Cond), P: s.P}
-		if s.Body != nil {
-			c.Body = CloneStmt(s.Body).(*Block)
-		}
-		return c
-	case *IfStmt:
-		c := &IfStmt{Cond: CloneExpr(s.Cond), P: s.P}
-		if s.Then != nil {
-			c.Then = CloneStmt(s.Then).(*Block)
-		}
-		c.Else = CloneStmt(s.Else)
-		return c
-	case *ReturnStmt:
-		return &ReturnStmt{X: CloneExpr(s.X), P: s.P}
-	case *PragmaStmt:
-		cp := *s.Pragma
-		return &PragmaStmt{Pragma: &cp, P: s.P}
-	}
-	panic("cminor: CloneStmt: unknown statement type")
-}
 
 // Walk calls fn for every node in the subtree rooted at n, parents before
 // children. If fn returns false for a node, its children are skipped.

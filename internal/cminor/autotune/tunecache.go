@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,30 +185,30 @@ func (t *AutoTuner) LoadFrom(path string) (int, error) {
 		}
 		return 0, err
 	}
-	recs, err := decodeSnapshot(data, t.CacheKey(), t.cfg.grid)
+	sites, err := decodeSnapshot(data, t.CacheKey(), t.cfg.grid)
 	if err != nil {
 		return 0, err
 	}
 	warmed := 0
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, sr := range recs {
-		if !t.base.HasFunc(sr.fn) {
+	for key, st := range sites {
+		if !t.base.HasFunc(key.fn) {
 			continue // a site the current program cannot honour
 		}
-		key := siteKey{fn: sr.fn, class: sr.class}
-		if st, live := t.sites[key]; live && st.pulls > 0 {
+		if live, ok := t.sites[key]; ok && live.pulls > 0 {
 			continue // the site already started learning live; trust that
 		}
-		t.seedSite(key, sr)
+		t.sites[key] = st
 		warmed++
 	}
 	return warmed, nil
 }
 
 // decodeSnapshot validates a snapshot against the tuner's content key
-// and grid and decodes its sites — all of them or none.
-func decodeSnapshot(data []byte, key uint64, grid []VariantSpec) ([]*siteRecord, error) {
+// and grid and decodes its sites into fresh exploit-phase site states —
+// all of them or none.
+func decodeSnapshot(data []byte, key uint64, grid []VariantSpec) (map[siteKey]*siteState, error) {
 	if len(data) < cacheHeaderSize || string(data[:len(cacheMagic)]) != cacheMagic {
 		return nil, ErrBadHeader
 	}
@@ -223,18 +224,18 @@ func decodeSnapshot(data []byte, key uint64, grid []VariantSpec) ([]*siteRecord,
 	}
 	r := &recReader{buf: data[:body], off: cacheHeaderSize}
 	n := r.i64()
-	var recs []*siteRecord
+	sites := map[siteKey]*siteState{}
 	for i := int64(0); i < n; i++ {
-		sr, ok := decodeSite(r, grid)
+		key, st, ok := decodeSite(r, grid)
 		if !ok {
 			return nil, fmt.Errorf("%w: site %d does not decode", ErrCorrupt, i)
 		}
-		recs = append(recs, sr)
+		sites[key] = st
 	}
 	if r.bad || n < 0 || r.off != len(r.buf) {
 		return nil, fmt.Errorf("%w: body is not %d sites", ErrCorrupt, n)
 	}
-	return recs, nil
+	return sites, nil
 }
 
 // fnv64a is the snapshot checksum.
@@ -269,70 +270,6 @@ func replaceFile(path string, data []byte) error {
 		os.Remove(tmp.Name())
 	}
 	return err
-}
-
-// seedSite installs one decoded record as a live exploit-phase site.
-// Caller holds the tuner mutex.
-func (t *AutoTuner) seedSite(key siteKey, sr *siteRecord) {
-	st := t.site(key)
-	st.phase = phaseExploit
-	st.cursor = surveyStart(len(st.arms))
-	st.best = sr.best
-	st.baseline = sr.baseline
-	st.pulls = sr.pulls
-	st.explore = sr.explore
-	st.reopens = sr.reopens
-	st.nquar = 0
-	for i := range st.arms {
-		a := &st.arms[i]
-		ra := &sr.arms[i]
-		*a = armStats{
-			// Floor pulls past the measure quota: a loaded arm is past
-			// measurement by construction, and update() must fold fresh
-			// samples through the EWMA path, never the measure-phase min.
-			pulls:       max(ra.pulls, minSamples+1),
-			sampled:     ra.sampled,
-			ewma:        ra.ewma,
-			distrust:    0,
-			faults:      ra.faults,
-			degraded:    ra.degraded,
-			diverged:    ra.diverged,
-			quarantines: int(ra.quarantines),
-			quarantined: ra.quarantined,
-		}
-		if a.sampled {
-			a.distrust = warmDistrust
-		}
-		if a.quarantined {
-			a.quarantineUntil = time.Unix(0, ra.quarantineUntil)
-			st.nquar++
-		}
-	}
-}
-
-// siteRecord is the decoded form of one persisted site.
-type siteRecord struct {
-	fn       string
-	class    int
-	best     int // index into the current grid
-	baseline float64
-	pulls    int64
-	explore  int64
-	reopens  int
-	arms     []armRecord
-}
-
-// armRecord is one persisted arm.
-type armRecord struct {
-	pulls           int64
-	sampled         bool
-	ewma            float64
-	faults          int64
-	degraded        int64
-	diverged        int64
-	quarantines     int64
-	quarantined     bool
-	quarantineUntil int64 // UnixNano, meaningful when quarantined
 }
 
 // Arm flag bits.
@@ -378,40 +315,33 @@ func encodeSite(w *recWriter, key siteKey, st *siteState, grid []VariantSpec) {
 	}
 }
 
-// decodeSite reads one site from r against the current grid. It is
+// decodeSite reads one site from r against the current grid into a
+// fresh site state in the EXPLOIT phase on its persisted winner. It is
 // defensive even though the file is checksummed: a site whose arm count
 // or variant specs do not match the grid — possible only through a
 // content-key collision or an encoder bug — is rejected, never
 // half-applied.
-func decodeSite(r *recReader, grid []VariantSpec) (*siteRecord, bool) {
-	sr := &siteRecord{}
-	sr.fn = r.str()
-	sr.class = int(r.i64())
-	bestSpec := r.spec()
-	sr.baseline = r.f64()
-	sr.pulls = r.i64()
-	sr.explore = r.i64()
-	sr.reopens = int(r.i64())
-	narms := int(r.i64())
-	if r.bad || narms != len(grid) {
-		return nil, false
+func decodeSite(r *recReader, grid []VariantSpec) (siteKey, *siteState, bool) {
+	key := siteKey{fn: r.str(), class: int(r.i64())}
+	st := newSiteState(len(grid))
+	st.phase = phaseExploit
+	st.best = slices.Index(grid, r.spec())
+	st.baseline = r.f64()
+	st.pulls = r.i64()
+	st.explore = r.i64()
+	st.reopens = int(r.i64())
+	if narms := r.i64(); r.bad || narms != int64(len(grid)) || st.best < 0 {
+		return key, nil, false
 	}
-	sr.best = -1
-	for i, spec := range grid {
-		if spec == bestSpec {
-			sr.best = i
-		}
-	}
-	if sr.best < 0 {
-		return nil, false
-	}
-	sr.arms = make([]armRecord, narms)
-	for i := range sr.arms {
+	for i := range st.arms {
 		if r.spec() != grid[i] {
-			return nil, false
+			return key, nil, false
 		}
-		a := &sr.arms[i]
-		a.pulls = r.i64()
+		a := &st.arms[i]
+		// Floor pulls past the measure quota: a loaded arm is past
+		// measurement by construction, and update() must fold fresh
+		// samples through the EWMA path, never the measure-phase min.
+		a.pulls = max(r.i64(), minSamples+1)
 		a.ewma = r.f64()
 		flags := r.byte()
 		a.sampled = flags&armSampled != 0
@@ -419,13 +349,17 @@ func decodeSite(r *recReader, grid []VariantSpec) (*siteRecord, bool) {
 		a.faults = r.i64()
 		a.degraded = r.i64()
 		a.diverged = r.i64()
-		a.quarantines = r.i64()
-		a.quarantineUntil = r.i64()
+		a.quarantines = int(r.i64())
+		until := r.i64()
+		if a.sampled {
+			a.distrust = warmDistrust
+		}
+		if a.quarantined {
+			a.quarantineUntil = time.Unix(0, until)
+			st.nquar++
+		}
 	}
-	if r.bad {
-		return nil, false
-	}
-	return sr, true
+	return key, st, !r.bad
 }
 
 // recWriter/recReader are the snapshot codec: fixed-width little-endian

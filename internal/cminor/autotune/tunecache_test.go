@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // Codec-level pins for the snapshot format: encodeSnapshot and
@@ -26,9 +27,11 @@ func snapshotTuner(t *testing.T) (*AutoTuner, []byte) {
 	return tn, data
 }
 
-// TestSnapshotRoundTrip: every converged site decodes back to exactly
-// the learned table it was encoded from, in (function, class) order,
-// under the tuner's own content key and grid.
+// TestSnapshotRoundTrip: every converged site decodes back to the
+// saving tuner's own site state, as a load installs it — in the EXPLOIT
+// phase on the same winner, every persisted field equal, each arm's
+// pulls floored past the measure quota and each sampled estimate
+// marked distrusted — under the tuner's own content key and grid.
 func TestSnapshotRoundTrip(t *testing.T) {
 	tn, data := snapshotTuner(t)
 	got, err := decodeSnapshot(data, tn.CacheKey(), tn.cfg.grid)
@@ -41,25 +44,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
-	for i, key := range want {
-		st := tn.sites[key]
-		exp := &siteRecord{
-			fn: key.fn, class: key.class, best: st.best, baseline: st.baseline,
-			pulls: st.pulls, explore: st.explore, reopens: st.reopens,
-			arms: make([]armRecord, len(st.arms)),
-		}
-		for j, a := range st.arms {
-			exp.arms[j] = armRecord{
-				pulls: a.pulls, sampled: a.sampled, ewma: a.ewma,
+	for _, key := range want {
+		live := tn.sites[key]
+		exp := newSiteState(len(live.arms))
+		exp.phase, exp.best, exp.baseline = phaseExploit, live.best, live.baseline
+		exp.pulls, exp.explore, exp.reopens = live.pulls, live.explore, live.reopens
+		for j, a := range live.arms {
+			e := &exp.arms[j]
+			*e = armStats{
+				pulls: max(a.pulls, minSamples+1), sampled: a.sampled, ewma: a.ewma,
 				faults: a.faults, degraded: a.degraded, diverged: a.diverged,
-				quarantines: int64(a.quarantines), quarantined: a.quarantined,
+				quarantines: a.quarantines, quarantined: a.quarantined,
+			}
+			if a.sampled {
+				e.distrust = warmDistrust
 			}
 			if a.quarantined {
-				exp.arms[j].quarantineUntil = a.quarantineUntil.UnixNano()
+				e.quarantineUntil = time.Unix(0, a.quarantineUntil.UnixNano())
+				exp.nquar++
 			}
 		}
-		if !reflect.DeepEqual(got[i], exp) {
-			t.Fatalf("site %d:\n got %+v\nwant %+v", i, got[i], exp)
+		if !reflect.DeepEqual(got[key], exp) {
+			t.Fatalf("site %+v:\n got %+v\nwant %+v", key, got[key], exp)
 		}
 	}
 }

@@ -172,35 +172,6 @@ func TestParseForWithDeclInit(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := MustParse("axpy.c", miniKernel)
-	fn := f.Func("kernel_axpy")
-	cl := fn.Clone()
-	cl.Name = "kernel_axpy_v1"
-	// Mutate a pragma in the clone; the original must be unaffected.
-	var loop *ForStmt
-	Walk(cl, func(n Node) bool {
-		if l, ok := n.(*ForStmt); ok {
-			loop = l
-		}
-		return true
-	})
-	loop.Pragmas[0].Text = "omp parallel for num_threads(4)"
-	var orig *ForStmt
-	Walk(fn, func(n Node) bool {
-		if l, ok := n.(*ForStmt); ok {
-			orig = l
-		}
-		return true
-	})
-	if orig.Pragmas[0].Text == loop.Pragmas[0].Text {
-		t.Error("clone shares pragma storage with original")
-	}
-	if fn.Name != "kernel_axpy" {
-		t.Error("clone renamed original")
-	}
-}
-
 func TestParseGlobalDecl(t *testing.T) {
 	f := MustParse("t.c", "int threshold = 10;\nvoid f() { return; }")
 	if len(f.Globals) != 1 || f.Globals[0].Name != "threshold" {

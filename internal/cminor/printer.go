@@ -12,13 +12,6 @@ func Print(f *File) string {
 	return pr.b.String()
 }
 
-// PrintFunc renders a single function definition.
-func PrintFunc(fn *FuncDecl) string {
-	var pr printer
-	pr.fun(fn)
-	return pr.b.String()
-}
-
 type printer struct {
 	b      strings.Builder
 	indent int
@@ -225,55 +218,4 @@ func ExprString(e Expr) string {
 		return fmt.Sprintf("(%s)%s", typeString(e.To, ""), ExprString(e.X))
 	}
 	return "?"
-}
-
-// LogicalLOC counts logical lines of code in the subtree rooted at n,
-// following the convention used by the paper's Table I: every
-// declaration, simple statement, loop/branch header, pragma line and
-// function signature counts as one logical line; braces do not count.
-func LogicalLOC(n Node) int {
-	loc := 0
-	switch n := n.(type) {
-	case nil:
-		return 0
-	case *File:
-		for _, g := range n.Globals {
-			loc += LogicalLOC(g)
-		}
-		for _, fn := range n.Funcs {
-			loc += LogicalLOC(fn)
-		}
-	case *FuncDecl:
-		loc = 1 + len(n.Pragmas) // signature + attached pragmas
-		if n.Body != nil {
-			for _, s := range n.Body.Stmts {
-				loc += LogicalLOC(s)
-			}
-		}
-	case *Block:
-		for _, s := range n.Stmts {
-			loc += LogicalLOC(s)
-		}
-	case *DeclStmt, *ExprStmt, *ReturnStmt, *PragmaStmt:
-		loc = 1
-	case *ForStmt:
-		loc = 1 + len(n.Pragmas)
-		if n.Body != nil {
-			loc += LogicalLOC(n.Body)
-		}
-	case *WhileStmt:
-		loc = 1
-		if n.Body != nil {
-			loc += LogicalLOC(n.Body)
-		}
-	case *IfStmt:
-		loc = 1
-		if n.Then != nil {
-			loc += LogicalLOC(n.Then)
-		}
-		if n.Else != nil {
-			loc += LogicalLOC(n.Else)
-		}
-	}
-	return loc
 }

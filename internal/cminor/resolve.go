@@ -130,7 +130,7 @@ func Resolve(f *File) (*ResolvedFile, error) {
 	n, dup := numIDs(f)
 	if dup != nil {
 		return nil, DiagList{diagf(f.Name, dup.Pos(),
-			"duplicate node ID: the AST must come from Parse or File.Clone")}
+			"duplicate node ID: the AST must come from Parse")}
 	}
 	res := &ResolvedFile{File: f, Funcs: map[string]*FuncInfo{},
 		refs: make([]VarRef, n), builtins: make([]bool, n)}

@@ -109,12 +109,13 @@ func TestResolveAnnotatesSlots(t *testing.T) {
 }
 
 // TestResolveRejectsDuplicateNodeIDs: the annotation side tables are
-// keyed by NodeID, so a tree with aliased IDs (a cloned subtree spliced
-// into its own file) must be rejected loudly, not mis-bound silently.
+// keyed by NodeID, so a tree with aliased IDs (a subtree spliced into
+// its own file a second time) must be rejected loudly, not mis-bound
+// silently.
 func TestResolveRejectsDuplicateNodeIDs(t *testing.T) {
 	f := MustParse("t.c", "int f(int a) { return a + a; }")
 	body := f.Funcs[0].Body
-	body.Stmts = append(body.Stmts, CloneStmt(body.Stmts[0]))
+	body.Stmts = append(body.Stmts, body.Stmts[0])
 	if _, err := Resolve(f); err == nil || !strings.Contains(err.Error(), "duplicate node ID") {
 		t.Fatalf("err = %v, want duplicate-node-ID diagnostic", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,8 @@ import (
 //	submitted = admitted + rejected
 //	admitted  = completed + failed + shed + queued + running
 //
-// Every Pending settles exactly once, and Close drains the queue.
+// Every Pending settles exactly once, and Close drains the queue. The
+// same ledger must balance in every Snapshot taken under live load.
 
 // checkLedger fails unless s's counters balance, and returns how many
 // admitted requests have settled.
@@ -156,5 +158,54 @@ func TestSchedulerLedgerInvariants(t *testing.T) {
 				t.Fatalf("the sequence missed an outcome the checker must see: %+v", snap)
 			}
 		})
+	}
+}
+
+// TestLiveSnapshotBalances scrapes Snapshot for about 300ms while four
+// Do loops run on two workers (and on the waiters that run their own
+// batches), one loop also submitting an unknown function now and then:
+// every snapshot must be a consistent cut whose ledger balances, not a
+// mix of counts read at different instants.
+func TestLiveSnapshotBalances(t *testing.T) {
+	s, err := New(WithWorkers(2), WithQueueDepth(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Host(simProgram(t)); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+		s.Close()
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := Request{Tenant: fmt.Sprintf("t%d", g%2), Function: "probe", Args: simArgs(16)}
+				if g == 0 && i%8 == 7 {
+					req.Function = "nope"
+				}
+				s.Do(context.Background(), req)
+			}
+		}(g)
+	}
+	var snaps int
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); snaps++ {
+		checkLedger(t, s, fmt.Sprintf("snapshot %d", snaps))
+	}
+	if snap := s.Snapshot(); snap.Completed == 0 || snap.RejectedUnknown == 0 {
+		t.Fatalf("after %d snapshots the load completed %d requests and rejected %d, want some of each",
+			snaps, snap.Completed, snap.RejectedUnknown)
 	}
 }

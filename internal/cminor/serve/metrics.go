@@ -2,15 +2,14 @@ package serve
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Live metrics. Counters are atomics so the scrape path (Snapshot,
-// StatusLine) never contends with dispatch for anything but the short
-// gauge mutex; gauges (EWMAs, the latency ring) are updated at
-// completion under a dedicated small mutex, not the scheduler lock.
+// Live metrics. Every request outcome is counted once, in its tenant's
+// ledger (tenantState); the server's totals are the ledgers' sums. The
+// ledgers, the gauges below and the batch counts are all written under
+// Server.mu, and Snapshot reads them under it: a snapshot is one
+// consistent cut, so its ledger balances at every instant.
 
 // metricsAlpha is the weight a new observation carries in the EWMA
 // gauges (queue depth, latency, inter-completion interval).
@@ -20,27 +19,12 @@ const metricsAlpha = 0.2
 // percentile gauges are computed over.
 const latRingSize = 512
 
+// metrics holds the server-wide gauges, under Server.mu.
 type metrics struct {
-	submitted        atomic.Int64
-	admitted         atomic.Int64
-	rejectedUnknown  atomic.Int64
-	rejectedClosed   atomic.Int64
-	rejectedExpired  atomic.Int64
-	rejectedFull     atomic.Int64
-	rejectedInFlight atomic.Int64
-	rejectedRate     atomic.Int64
-	rejectedSteps    atomic.Int64
-	completed        atomic.Int64
-	failed           atomic.Int64
-	shedQueued       atomic.Int64
-	shedRunning      atomic.Int64
-	degraded         atomic.Int64
-	faults           atomic.Int64
-	batches          atomic.Int64
-	batchedCalls     atomic.Int64
+	batches      int64 // dispatched batches
+	batchedCalls int64 // entries those batches carried
 
-	gmu       sync.Mutex
-	queueEWMA float64 // entries, sampled at every submit and dispatch
+	queueEWMA float64 // entries, sampled at every admitted submit
 	latEWMA   float64 // ns, completed calls only
 	gapEWMA   float64 // ns between consecutive completions
 	// ns from a held batch's ripen time to its dispatch, over batches
@@ -74,27 +58,21 @@ func fold(gauge *float64, seeded *bool, x float64) {
 
 // observeQueue folds the current queue depth into its EWMA gauge.
 func (m *metrics) observeQueue(depth int) {
-	m.gmu.Lock()
 	fold(&m.queueEWMA, &m.queueSeeded, float64(depth))
-	m.gmu.Unlock()
 }
 
 // observeHoldLate folds how long after its ripen time a held batch was
 // dispatched into its EWMA gauge.
 func (m *metrics) observeHoldLate(late time.Duration) {
-	m.gmu.Lock()
 	fold(&m.holdLateEWMA, &m.holdSeeded, float64(late))
-	m.gmu.Unlock()
 }
 
 // observeDone records one successful completion: latency into the ring
 // and EWMA, and the inter-completion gap into the throughput EWMA.
 func (m *metrics) observeDone(now time.Time, latency time.Duration) {
-	ns := float64(latency)
-	m.gmu.Lock()
 	m.ring[m.ringN%latRingSize] = int64(latency)
 	m.ringN++
-	fold(&m.latEWMA, &m.latSeeded, ns)
+	fold(&m.latEWMA, &m.latSeeded, float64(latency))
 	if !m.lastDone.IsZero() {
 		// A zero gap (two completions at the same clock instant) is a
 		// real observation of maximal burst throughput; it folds in like
@@ -104,19 +82,12 @@ func (m *metrics) observeDone(now time.Time, latency time.Duration) {
 		}
 	}
 	m.lastDone = now
-	m.gmu.Unlock()
 }
 
 // percentiles computes (p50, p99) over the latency window.
 func (m *metrics) percentiles() (p50, p99 time.Duration) {
-	m.gmu.Lock()
-	n := m.ringN
-	if n > latRingSize {
-		n = latRingSize
-	}
-	buf := make([]int64, n)
-	copy(buf, m.ring[:n])
-	m.gmu.Unlock()
+	n := min(m.ringN, latRingSize)
+	buf := append([]int64(nil), m.ring[:n]...)
 	if n == 0 {
 		return 0, 0
 	}

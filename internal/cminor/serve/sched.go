@@ -47,12 +47,27 @@ type group struct {
 	class   int
 	born    time.Time
 	entries []*entry
-	// held: dispatched because its batch delay ran out, not because it
-	// filled or the server closed. Set by popReady.
-	held bool
 }
 
-// tenantState is one tenant's quota buckets and usage ledger.
+// Rejection reasons, in admission's check order: the index of a
+// tenant ledger's rejected counter.
+const (
+	rejUnknown = iota
+	rejClosed
+	rejExpired
+	rejFull
+	rejInFlight
+	rejRate
+	rejSteps
+	numRejects
+)
+
+// tenantState is one tenant's quota buckets and usage ledger. The
+// ledger is the only place a request outcome is counted: a submission
+// bumps admitted or one rejected reason, and an admitted request
+// settles into exactly one of completed, failed, shedQueued and
+// shedRunning. degraded and faults qualify those outcomes; steps is the
+// work they cost.
 type tenantState struct {
 	name       string
 	quota      TenantQuota
@@ -60,35 +75,57 @@ type tenantState struct {
 	reqBucket  bucket
 	stepBucket bucket
 
-	submitted int64
-	admitted  int64
-	rejected  int64
-	completed int64
-	failed    int64
-	shed      int64
-	degraded  int64
-	faults    int64
-	steps     int64
+	admitted    int64
+	rejected    [numRejects]int64
+	completed   int64
+	failed      int64
+	shedQueued  int64
+	shedRunning int64
+	degraded    int64
+	faults      int64
+	steps       int64
 }
 
 func (ts *tenantState) snapshot(now time.Time) TenantSnapshot {
 	ts.reqBucket.refill(now)
 	ts.stepBucket.refill(now)
+	var rejected int64
+	for _, n := range ts.rejected {
+		rejected += n
+	}
 	return TenantSnapshot{
 		Tenant:     ts.name,
 		InFlight:   ts.inflight,
-		Submitted:  ts.submitted,
+		Submitted:  ts.admitted + rejected,
 		Admitted:   ts.admitted,
-		Rejected:   ts.rejected,
+		Rejected:   rejected,
 		Completed:  ts.completed,
 		Failed:     ts.failed,
-		Shed:       ts.shed,
+		Shed:       ts.shedQueued + ts.shedRunning,
 		Degraded:   ts.degraded,
 		Faults:     ts.faults,
 		Steps:      ts.steps,
 		RateTokens: ts.reqBucket.tokens,
 		StepTokens: ts.stepBucket.tokens,
 	}
+}
+
+// addTo adds the tenant's ledger into the server-wide totals of sn.
+func (ts *tenantState) addTo(sn *Snapshot) {
+	sn.Admitted += ts.admitted
+	sn.RejectedUnknown += ts.rejected[rejUnknown]
+	sn.RejectedClosed += ts.rejected[rejClosed]
+	sn.RejectedExpired += ts.rejected[rejExpired]
+	sn.RejectedFull += ts.rejected[rejFull]
+	sn.RejectedInFlight += ts.rejected[rejInFlight]
+	sn.RejectedRate += ts.rejected[rejRate]
+	sn.RejectedSteps += ts.rejected[rejSteps]
+	sn.Completed += ts.completed
+	sn.Failed += ts.failed
+	sn.ShedQueued += ts.shedQueued
+	sn.ShedRunning += ts.shedRunning
+	sn.Degraded += ts.degraded
+	sn.Faults += ts.faults
 }
 
 // tenant returns (lazily creating) the named tenant's state.
@@ -111,52 +148,38 @@ func (s *Server) tenant(name string) *tenantState {
 // admit runs the admission gauntlet under s.mu. The check order is part
 // of the contract (pinned by simulation): unknown function, closed,
 // expired deadline, queue full, tenant in-flight cap, tenant request
-// rate, tenant step credit. A rejection charges nothing but the
-// tenant's rejected count — and every submission, whatever becomes of
-// it, is either admitted or counted rejected, for the server and for
-// its tenant.
+// rate, tenant step credit (the switch evaluates them in that order, so
+// a rate token is taken only from a request that passed the checks
+// before it). A rejection charges nothing but the tenant's count for
+// its reason — and every submission, whatever becomes of it, is
+// either admitted or counted rejected in its tenant's ledger.
 func (s *Server) admit(req Request, ctx context.Context, class int, now time.Time) (*entry, error) {
 	ts := s.tenant(req.Tenant)
-	ts.submitted++
 	rt, ok := s.routes[req.Function]
-	if !ok {
-		s.met.rejectedUnknown.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, req.Function)
+	var reason int
+	var err error
+	switch {
+	case !ok:
+		reason, err = rejUnknown, fmt.Errorf("%w: %q", ErrUnknownFunction, req.Function)
+	case s.closed:
+		reason, err = rejClosed, ErrClosed
+	case !req.Deadline.IsZero() && !req.Deadline.After(now):
+		reason, err = rejExpired, fmt.Errorf("%w (deadline %v, now %v)", ErrDeadlineExpired, req.Deadline, now)
+	case s.queued >= s.cfg.queueDepth:
+		reason, err = rejFull, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.queued)
+	case ts.quota.MaxInFlight > 0 && ts.inflight >= ts.quota.MaxInFlight:
+		reason, err = rejInFlight, fmt.Errorf("%w (tenant %q, %d in flight)", ErrTenantInFlight, req.Tenant, ts.inflight)
+	case !ts.reqBucket.take(now, 1):
+		reason, err = rejRate, fmt.Errorf("%w (tenant %q)", ErrTenantRate, req.Tenant)
+	case !ts.stepBucket.hasCredit(now):
+		reason, err = rejSteps, fmt.Errorf("%w (tenant %q, balance %.0f)", ErrTenantSteps, req.Tenant, ts.stepBucket.tokens)
 	}
-	if s.closed {
-		s.met.rejectedClosed.Add(1)
-		ts.rejected++
-		return nil, ErrClosed
-	}
-	if !req.Deadline.IsZero() && !req.Deadline.After(now) {
-		s.met.rejectedExpired.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w (deadline %v, now %v)", ErrDeadlineExpired, req.Deadline, now)
-	}
-	if s.queued >= s.cfg.queueDepth {
-		s.met.rejectedFull.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.queued)
-	}
-	if ts.quota.MaxInFlight > 0 && ts.inflight >= ts.quota.MaxInFlight {
-		s.met.rejectedInFlight.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w (tenant %q, %d in flight)", ErrTenantInFlight, req.Tenant, ts.inflight)
-	}
-	if !ts.reqBucket.take(now, 1) {
-		s.met.rejectedRate.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w (tenant %q)", ErrTenantRate, req.Tenant)
-	}
-	if !ts.stepBucket.hasCredit(now) {
-		s.met.rejectedSteps.Add(1)
-		ts.rejected++
-		return nil, fmt.Errorf("%w (tenant %q, balance %.0f)", ErrTenantSteps, req.Tenant, ts.stepBucket.tokens)
+	if err != nil {
+		ts.rejected[reason]++
+		return nil, err
 	}
 	ts.admitted++
 	ts.inflight++
-	s.met.admitted.Add(1)
 	return &entry{
 		Pending: Pending{done: make(chan struct{}), srv: s},
 		req:     req,
@@ -209,7 +232,9 @@ func (s *Server) ready(g *group, now time.Time) bool {
 
 // popReady scans the queue in FIFO order under s.mu: sheds entries
 // whose deadline expired while queued, drops emptied groups, and
-// removes and returns the first ready group. When nothing is ready but
+// removes and returns the first ready group, folding how late it left
+// into the hold-late gauge when it waited out its batch delay (not
+// filled, not flushed by Close). When nothing is ready but
 // unripe groups remain, the zero group is returned along with the
 // soonest ripen time, for a worker to sleep until (nextGroup).
 //
@@ -248,11 +273,13 @@ func (s *Server) popReady(now time.Time, mine *Pending) (*group, time.Time) {
 				e.grp = nil
 			}
 			n := len(g.entries)
-			g.held = n < s.cfg.maxBatch && s.cfg.maxBatchDelay > 0 && !s.closed
+			if n < s.cfg.maxBatch && s.cfg.maxBatchDelay > 0 && !s.closed {
+				s.met.observeHoldLate(now.Sub(g.born.Add(s.cfg.maxBatchDelay)))
+			}
 			s.queued -= n
 			s.running += n
-			s.met.batches.Add(1)
-			s.met.batchedCalls.Add(int64(n))
+			s.met.batches++
+			s.met.batchedCalls += int64(n)
 			return g, time.Time{}
 		}
 		if mine != nil && g == mine.grp {
@@ -281,8 +308,7 @@ func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 	s.queued--
 	e.grp = nil
 	e.tenant.inflight--
-	e.tenant.shed++
-	s.met.shedQueued.Add(1)
+	e.tenant.shedQueued++
 	e.resp = Response{
 		Err:   fmt.Errorf("%w (queued %v)", ErrShed, now.Sub(e.enq)),
 		Wait:  now.Sub(e.enq),
@@ -297,9 +323,6 @@ func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 // cancellation into the engine's zero-cost call checkpoint.
 func (s *Server) runGroup(g *group) {
 	dispatched := s.cfg.clock.Now()
-	if g.held {
-		s.met.observeHoldLate(dispatched.Sub(g.born.Add(s.cfg.maxBatchDelay)))
-	}
 	// A batch of the default maxBatch or fewer keeps its calls on the
 	// stack.
 	var scratch [8]autotune.BatchCall
@@ -366,31 +389,25 @@ func (s *Server) finishLocked(e *entry, c *autotune.BatchCall, batchErr error, d
 	switch {
 	case err == nil:
 		e.tenant.completed++
-		s.met.completed.Add(1)
 		if c.Degraded {
 			e.tenant.degraded++
-			s.met.degraded.Add(1)
 		}
 		if c.Fault != nil {
 			e.tenant.faults++
-			s.met.faults.Add(1)
 		}
 		s.met.observeDone(now, e.resp.Total)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The running call was aborted through its context: a shed, not
 		// a failure — the tenant asked for (or timed out of) the abort.
-		e.tenant.shed++
-		s.met.shedRunning.Add(1)
+		e.tenant.shedRunning++
 		err = fmt.Errorf("%w: %v", ErrShed, err)
 	default:
 		// Program fault or surfaced internal fault. Contained either
 		// way: the worker survives, the tenant is told.
 		e.tenant.failed++
-		s.met.failed.Add(1)
 		var ifault *cm.InternalFault
 		if errors.As(err, &ifault) || c.Fault != nil {
 			e.tenant.faults++
-			s.met.faults.Add(1)
 		}
 	}
 	e.resp.Err = err

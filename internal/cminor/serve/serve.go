@@ -31,13 +31,17 @@
 // Tick), the same simulation discipline the autotuner's tests use,
 // while the production configuration runs the identical code under
 // real goroutines.
+//
+// Each request outcome is counted once, in its tenant's ledger under
+// that mutex, and Snapshot sums the ledgers under it: every snapshot is
+// one consistent cut whose counts balance. Warm starts belong to the
+// tuner Host returns: LoadFrom it before Start, SaveTo it after Close.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -103,7 +107,6 @@ type serverConfig struct {
 	maxBatchDelay time.Duration
 	clock         clock.Clock
 	quotas        map[string]TenantQuota
-	tuneCacheDir  string
 }
 
 // Option configures New.
@@ -165,33 +168,10 @@ func WithTenantQuota(tenant string, q TenantQuota) Option {
 	}
 }
 
-// WithTuneCache enables the persistent tuning cache under dir (default:
-// disabled). Each hosted program's tuner gets its own snapshot file,
-// named by the tuner's content key (autotune.CacheKey: program source ×
-// variant grid × host fingerprint), so an edited kernel or a changed
-// grid can never warm-start from stale tables. Host seeds the tuner
-// from its snapshot — converged sites serve their first post-restart
-// call straight from the learned winner, zero re-exploration — and
-// Close flushes the learned state back; FlushTuneCache checkpoints it
-// on demand without closing. A missing, corrupt, truncated, or
-// wrong-keyed snapshot degrades to an ordinary cold start: persistence
-// is strictly best-effort and can never poison routing.
-func WithTuneCache(dir string) Option {
-	return func(c *serverConfig) { c.tuneCacheDir = dir }
-}
-
-// route is one hosted function: the program it lives in and the tuner
-// that routes its calls.
+// route is one hosted function and the tuner that routes its calls.
 type route struct {
 	fn    string
-	prog  *cm.Program
 	tuner *autotune.AutoTuner
-}
-
-// tunerCache is one hosted tuner's persistent-cache binding.
-type tunerCache struct {
-	tuner *autotune.AutoTuner
-	path  string
 }
 
 // Server is the multi-tenant serving front end. Create with New, host
@@ -211,6 +191,7 @@ type Server struct {
 	started bool
 	closed  bool
 	start   time.Time
+	met     metrics // gauges and batch counts; the ledgers are in tenants
 	// How idle workers wait (nextGroup). parked counts the workers in
 	// cond.Wait that no Signal has been spent on yet. keeping is set
 	// while one worker, the timekeeper, sleeps until the soonest ripen
@@ -222,12 +203,8 @@ type Server struct {
 	// wakes counts returns from cond.Wait and holds the timekeeper's
 	// sleeps: what white-box tests assert the wake discipline on.
 	wakes, holds int64
-	// caches pairs each hosted tuner with its tune-cache snapshot path
-	// (WithTuneCache): loaded by Host, flushed by Close/FlushTuneCache.
-	caches []tunerCache
 
-	wg  sync.WaitGroup
-	met metrics
+	wg sync.WaitGroup
 
 	// wallDeadlines: under the production clock, Request.Deadline is
 	// also armed as a context deadline so running kernels abort
@@ -284,22 +261,13 @@ func New(opts ...Option) (*Server, error) {
 // continuous-selection engine) built with the given options. Function
 // names are a flat namespace across hosted programs; a duplicate is an
 // error. The returned tuner is the introspection handle (Snapshot,
-// Best).
+// Best) and the warm-start one: LoadFrom it before Start to seed the
+// previous process's learned tables, SaveTo it after Close to keep
+// this one's.
 func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.AutoTuner, error) {
 	tn, err := autotune.New(prog, opts...)
 	if err != nil {
 		return nil, err
-	}
-	// Warm-start before the tuner is routable: with a tune cache
-	// configured, converged sites from the previous process seed the
-	// tuner here, so the very first dispatched request already exploits
-	// the learned winner. Load failures (missing, corrupt, wrong-keyed
-	// snapshots) fall back to an ordinary cold start — never an error.
-	cachePath := ""
-	if s.cfg.tuneCacheDir != "" {
-		cachePath = filepath.Join(s.cfg.tuneCacheDir,
-			fmt.Sprintf("tune-%016x.log", tn.CacheKey()))
-		tn.LoadFrom(cachePath)
 	}
 	fns := prog.Funcs()
 	s.mu.Lock()
@@ -313,30 +281,9 @@ func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.Auto
 		}
 	}
 	for _, fn := range fns {
-		s.routes[fn] = &route{fn: fn, prog: prog, tuner: tn}
-	}
-	if cachePath != "" {
-		s.caches = append(s.caches, tunerCache{tuner: tn, path: cachePath})
+		s.routes[fn] = &route{fn: fn, tuner: tn}
 	}
 	return tn, nil
-}
-
-// FlushTuneCache checkpoints every hosted tuner's learned tables into
-// its tune-cache snapshot (WithTuneCache). Close flushes automatically;
-// this is the on-demand hook for long-lived servers that want periodic
-// checkpoints so a crash loses minutes of learning, not days. A no-op
-// without a configured cache.
-func (s *Server) FlushTuneCache() error {
-	s.mu.Lock()
-	caches := append([]tunerCache{}, s.caches...)
-	s.mu.Unlock()
-	var errs []error
-	for _, c := range caches {
-		if err := c.tuner.SaveTo(c.path); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Start launches the worker pool. Idempotent; a no-op with
@@ -357,10 +304,7 @@ func (s *Server) Start() {
 // Close stops admission immediately (submissions return ErrClosed),
 // lets the workers drain everything already queued — batch-delay holds
 // are flushed — and waits for them to exit. With WithWorkers(0) the
-// queue is drained synchronously by Close itself. With a tune cache
-// configured (WithTuneCache), the drained tuners' learned tables are
-// flushed to disk last, so the next process warm-starts from
-// everything this one learned.
+// queue is drained synchronously by Close itself.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -377,9 +321,6 @@ func (s *Server) Close() {
 	// No workers to drain for us: serve what is left here.
 	for s.Tick() {
 	}
-	// Best-effort flush: a full disk must not turn shutdown into a
-	// failure — the worst case is the next start pays cold exploration.
-	s.FlushTuneCache()
 }
 
 // Submit enqueues one request, returning immediately with a Pending
@@ -387,7 +328,6 @@ func (s *Server) Close() {
 // cancellation aborts the running kernel at the engine's next budget
 // checkpoint (and is accounted a shed), and a nil ctx means Background.
 func (s *Server) Submit(ctx context.Context, req Request) (*Pending, error) {
-	s.met.submitted.Add(1)
 	class := autotune.SizeClass(req.Args)
 	if ctx == nil {
 		ctx = context.Background()
@@ -403,9 +343,8 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Pending, error) {
 	if s.enqueue(e, now) {
 		s.wakeOneLocked()
 	}
-	depth := s.queued
+	s.met.observeQueue(s.queued)
 	s.mu.Unlock()
-	s.met.observeQueue(depth)
 	return &e.Pending, nil
 }
 
@@ -616,55 +555,38 @@ func (s *Server) handOverLocked(now time.Time) {
 	}
 }
 
-// Snapshot assembles the server's full observable state.
+// Snapshot assembles the server's full observable state as one
+// consistent cut: the server's totals are its tenants' ledgers summed
+// under s.mu, beside the gauges read under the same lock, so the
+// ledger balances in every snapshot. Only the sorting is left until
+// after the lock is released.
 func (s *Server) Snapshot() Snapshot {
 	now := s.cfg.clock.Now()
 	s.mu.Lock()
-	queued, running := s.queued, s.running
-	tenants := make([]TenantSnapshot, 0, len(s.tenants))
-	for _, ts := range s.tenants {
-		tenants = append(tenants, ts.snapshot(now))
-	}
-	s.mu.Unlock()
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Tenant < tenants[j].Tenant })
-
-	m := &s.met
-	m.gmu.Lock()
-	queueEWMA, latEWMA, gapEWMA, holdLate := m.queueEWMA, m.latEWMA, m.gapEWMA, m.holdLateEWMA
-	m.gmu.Unlock()
-	p50, p99 := m.percentiles()
 	snap := Snapshot{
-		Time:             now,
-		Uptime:           now.Sub(s.start),
-		Queued:           queued,
-		QueueDepth:       s.cfg.queueDepth,
-		Running:          running,
-		QueueEWMA:        queueEWMA,
-		Submitted:        m.submitted.Load(),
-		Admitted:         m.admitted.Load(),
-		RejectedUnknown:  m.rejectedUnknown.Load(),
-		RejectedClosed:   m.rejectedClosed.Load(),
-		RejectedExpired:  m.rejectedExpired.Load(),
-		RejectedFull:     m.rejectedFull.Load(),
-		RejectedInFlight: m.rejectedInFlight.Load(),
-		RejectedRate:     m.rejectedRate.Load(),
-		RejectedSteps:    m.rejectedSteps.Load(),
-		Completed:        m.completed.Load(),
-		Failed:           m.failed.Load(),
-		ShedQueued:       m.shedQueued.Load(),
-		ShedRunning:      m.shedRunning.Load(),
-		Degraded:         m.degraded.Load(),
-		Faults:           m.faults.Load(),
-		Batches:          m.batches.Load(),
-		BatchedCalls:     m.batchedCalls.Load(),
-		LatencyEWMA:      time.Duration(latEWMA),
-		HoldLate:         time.Duration(holdLate),
-		P50:              p50,
-		P99:              p99,
-		Tenants:          tenants,
+		Time:       now,
+		Uptime:     now.Sub(s.start),
+		Queued:     s.queued,
+		QueueDepth: s.cfg.queueDepth,
+		Running:    s.running,
+		Tenants:    make([]TenantSnapshot, 0, len(s.tenants)),
 	}
-	if gapEWMA > 0 {
-		snap.Throughput = float64(time.Second) / gapEWMA
+	for _, ts := range s.tenants {
+		ts.addTo(&snap)
+		snap.Tenants = append(snap.Tenants, ts.snapshot(now))
+	}
+	met := s.met
+	s.mu.Unlock()
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
+
+	snap.Submitted = snap.Admitted + snap.Rejected()
+	snap.Batches, snap.BatchedCalls = met.batches, met.batchedCalls
+	snap.QueueEWMA = met.queueEWMA
+	snap.LatencyEWMA = time.Duration(met.latEWMA)
+	snap.HoldLate = time.Duration(met.holdLateEWMA)
+	snap.P50, snap.P99 = met.percentiles()
+	if met.gapEWMA > 0 {
+		snap.Throughput = float64(time.Second) / met.gapEWMA
 	}
 	return snap
 }

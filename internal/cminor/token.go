@@ -15,9 +15,8 @@
 // into closure-compiled evaluators over slot-indexed frames, which an
 // Instance (engine.go) runs. The original tree-walking
 // interpreter survives as Walker (walker.go) and serves as the semantics
-// oracle for differential tests and benchmarks. A pretty-printer counts
-// logical lines of code (the unit used by the paper's Table I) and a
-// deep-clone facility supports the weaver.
+// oracle for differential tests and benchmarks. A pretty-printer
+// renders a file back to source (printer.go).
 package cminor
 
 import "fmt"
