@@ -64,7 +64,11 @@ func TestConcurrentTunerStress(t *testing.T) {
 	f := cm.MustParse(gemm.File, gemm.Src)
 	// Walker reference: the bit pattern every routed call must produce.
 	refArgs := mkArgs()
-	refVal, err := cm.NewWalker(f).Call(gemm.Fn, refArgs...)
+	walker, err := cm.Compile(f, cm.WithBackend(cm.BackendWalker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refVal, err := walker.NewInstance().Call(gemm.Fn, refArgs...)
 	if err != nil {
 		t.Fatal(err)
 	}

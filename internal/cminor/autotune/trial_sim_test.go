@@ -206,8 +206,8 @@ func TestTrialProjection(t *testing.T) {
 }
 
 // TestSurveyTrialFaultQuarantines: an injected panic during a survey
-// trial — at entry, at exit or at the poll point, the last two cut off
-// by the slice and fired at its end — degrades the call and
+// trial — at entry, or at exit, cut off by the slice and fired at its
+// end — degrades the call and
 // quarantines the arm exactly as a full survey call of the arm does:
 // the same fault accounting and quarantine on the arm, and the caller
 // served the reference result.
@@ -241,7 +241,7 @@ func TestSurveyTrialFaultQuarantines(t *testing.T) {
 		return ArmReport{}, BatchCall{}, 0
 	}
 	bytecode := VariantSpec{Backend: cm.BackendBytecode, Opt: cm.O3, Passes: cm.AllPasses}
-	for _, point := range []cm.FaultPoint{cm.FaultAtEntry, cm.FaultAtExit, cm.FaultAtPoll} {
+	for _, point := range []cm.FaultPoint{cm.FaultAtEntry, cm.FaultAtExit} {
 		// O0 surveyed second, by a trial against bytecode's full call …
 		trialArm, trialCall, trials := run([]VariantSpec{{Opt: cm.O0}, bytecode}, point)
 		// … and surveyed first, by a full call.

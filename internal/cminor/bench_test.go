@@ -2,8 +2,8 @@ package cminor
 
 import "testing"
 
-// Benchmarks comparing the original tree-walking interpreter (Walker)
-// against the compiled resolve → compile → execute pipeline (an Instance
+// Benchmarks comparing the original tree-walking interpreter (the
+// walker backend) against the compiled resolve → compile → execute pipeline (an Instance
 // of a default-compiled Program) on representative Polybench-shaped
 // kernels. Run with:
 //
@@ -16,8 +16,8 @@ import "testing"
 
 func BenchmarkGemmWalker(b *testing.B) {
 	const n = 32
-	w := NewWalker(MustParse("gemm.c", benchGemmSrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("gemm.c", benchGemmSrc))
+	w.SetMaxSteps(1 << 62)
 	args := benchGemmArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,8 +41,8 @@ func BenchmarkGemmCompiled(b *testing.B) {
 
 func BenchmarkJacobiWalker(b *testing.B) {
 	const n = 48
-	w := NewWalker(MustParse("jacobi.c", benchJacobiSrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("jacobi.c", benchJacobiSrc))
+	w.SetMaxSteps(1 << 62)
 	args := benchJacobiArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,8 +66,8 @@ func BenchmarkJacobiCompiled(b *testing.B) {
 
 func BenchmarkAxpyWalker(b *testing.B) {
 	const n = 4096
-	w := NewWalker(MustParse("axpy.c", benchAxpySrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("axpy.c", benchAxpySrc))
+	w.SetMaxSteps(1 << 62)
 	x, y := benchVector(n), benchVector(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,8 +91,8 @@ func BenchmarkAxpyCompiled(b *testing.B) {
 
 func Benchmark2mmWalker(b *testing.B) {
 	const n = 24
-	w := NewWalker(MustParse("2mm.c", bench2mmSrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("2mm.c", bench2mmSrc))
+	w.SetMaxSteps(1 << 62)
 	args := bench2mmArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,8 +116,8 @@ func Benchmark2mmCompiled(b *testing.B) {
 
 func BenchmarkSeidel2dWalker(b *testing.B) {
 	const n = 48
-	w := NewWalker(MustParse("seidel.c", benchSeidelSrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("seidel.c", benchSeidelSrc))
+	w.SetMaxSteps(1 << 62)
 	args := benchSeidelArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,8 +141,8 @@ func BenchmarkSeidel2dCompiled(b *testing.B) {
 
 func BenchmarkAtaxWalker(b *testing.B) {
 	const n = 48
-	w := NewWalker(MustParse("atax.c", benchAtaxSrc))
-	w.MaxSteps = 1 << 62
+	w := walkerInst(b, MustParse("atax.c", benchAtaxSrc))
+	w.SetMaxSteps(1 << 62)
 	args := benchAtaxArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,7 +34,7 @@ func TestBytecodeKernelParity(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			wArgs := k.Args()
-			w := NewWalker(f)
+			w := walkerInst(t, f)
 			wv, werr := w.Call(k.Fn, wArgs...)
 			bArgs := k.Args()
 			ins := p.NewInstance()
@@ -45,8 +45,8 @@ func TestBytecodeKernelParity(t *testing.T) {
 			if !sameValue(wv, bv) {
 				t.Fatalf("value divergence: walker=%+v bytecode=%+v", wv, bv)
 			}
-			if w.Steps != ins.LastCallSteps() {
-				t.Errorf("step divergence: walker=%d bytecode=%d", w.Steps, ins.LastCallSteps())
+			if w.Steps() != ins.LastCallSteps() {
+				t.Errorf("step divergence: walker=%d bytecode=%d", w.Steps(), ins.LastCallSteps())
 			}
 			for i := range wArgs {
 				wa, ok := wArgs[i].(*Array)
@@ -147,15 +147,15 @@ func TestBytecodeStepBudgetParity(t *testing.T) {
 			}
 
 			// Unbudgeted run to learn the total step count.
-			w := NewWalker(f)
+			w := walkerInst(t, f)
 			if _, err := w.Call(tc.fn, tc.args()...); err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			total := w.Steps
+			total := w.Steps()
 
 			for k := 1; k <= total+1; k++ {
-				w := NewWalker(f)
-				w.MaxSteps = k
+				w := walkerInst(t, f)
+				w.SetMaxSteps(k)
 				wArgs := tc.args()
 				wv, werr := w.Call(tc.fn, wArgs...)
 
@@ -173,8 +173,8 @@ func TestBytecodeStepBudgetParity(t *testing.T) {
 				if werr == nil && !sameValue(wv, bv) {
 					t.Fatalf("k=%d: value divergence: %+v vs %+v", k, wv, bv)
 				}
-				if w.Steps != ins.LastCallSteps() {
-					t.Fatalf("k=%d: step divergence: walker=%d bytecode=%d", k, w.Steps, ins.LastCallSteps())
+				if w.Steps() != ins.LastCallSteps() {
+					t.Fatalf("k=%d: step divergence: walker=%d bytecode=%d", k, w.Steps(), ins.LastCallSteps())
 				}
 				for i := range wArgs {
 					wa, ok := wArgs[i].(*Array)
@@ -213,7 +213,7 @@ func TestBytecodeSafeBodyFaultParity(t *testing.T) {
 	}
 
 	f := MustParse("mv.c", stepParitySrc)
-	w := NewWalker(f)
+	w := walkerInst(t, f)
 	wArgs := shortArgs()
 	_, werr := w.Call("mv", wArgs...)
 	if werr == nil {
@@ -245,8 +245,8 @@ func TestBytecodeSafeBodyFaultParity(t *testing.T) {
 	if !strings.Contains(werr.Error(), msg) || !strings.Contains(berr.Error(), msg) {
 		t.Fatalf("fault message divergence:\n  walker:   %v\n  bytecode: %v", werr, berr)
 	}
-	if w.Steps != ins.LastCallSteps() {
-		t.Fatalf("fault step divergence: walker=%d bytecode=%d", w.Steps, ins.LastCallSteps())
+	if w.Steps() != ins.LastCallSteps() {
+		t.Fatalf("fault step divergence: walker=%d bytecode=%d", w.Steps(), ins.LastCallSteps())
 	}
 	wy, by := wArgs[3].(*Array), bArgs[3].(*Array)
 	for j := range wy.Data {
@@ -269,7 +269,7 @@ int f(int n, double a[n]) {
 }
 `
 	f := MustParse("div.c", src)
-	w := NewWalker(f)
+	w := walkerInst(t, f)
 	_, werr := w.Call("f", IntV(8), NewArray(8))
 	if werr == nil {
 		t.Fatal("walker: expected division fault")
@@ -282,8 +282,8 @@ int f(int n, double a[n]) {
 	if werr.Error() != berr.Error() {
 		t.Fatalf("fault divergence:\n  walker:   %v\n  bytecode: %v", werr, berr)
 	}
-	if w.Steps != ins.LastCallSteps() {
-		t.Fatalf("fault step divergence: walker=%d bytecode=%d", w.Steps, ins.LastCallSteps())
+	if w.Steps() != ins.LastCallSteps() {
+		t.Fatalf("fault step divergence: walker=%d bytecode=%d", w.Steps(), ins.LastCallSteps())
 	}
 }
 
@@ -404,11 +404,11 @@ func TestBytecodeMacRuns(t *testing.T) {
 			t.Errorf("%s: run forms %v, want %q:\n%s", tc.stmt, forms, tc.run, dis)
 		}
 		wArgs, bArgs := args(), args()
-		w := NewWalker(f)
+		w := walkerInst(t, f)
 		wv, werr := w.Call("k", wArgs...)
 		ins := p.NewInstance()
 		bv, berr := ins.Call("k", bArgs...)
-		walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+		walker := runOutcomeOf(wv, werr, w.Steps(), wArgs)
 		if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
 			t.Errorf("%s: %s", tc.stmt, d)
 		}
@@ -517,19 +517,19 @@ func TestBytecodeRunPaths(t *testing.T) {
 			continue
 		}
 		for set := range 3 {
-			w := NewWalker(f)
+			w := walkerInst(t, f)
 			if _, err := w.Call("k", args(set)...); err != nil {
 				t.Fatalf("%s: reference run: %v", tc.stmt, err)
 			}
-			for k := 1; k <= w.Steps+1; k++ {
-				w := NewWalker(f)
-				w.MaxSteps = k
+			for k := 1; k <= w.Steps()+1; k++ {
+				w := walkerInst(t, f)
+				w.SetMaxSteps(k)
 				wArgs, bArgs := args(set), args(set)
 				wv, werr := w.Call("k", wArgs...)
 				ins := p.NewInstance()
 				ins.SetMaxSteps(k)
 				bv, berr := ins.Call("k", bArgs...)
-				walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+				walker := runOutcomeOf(wv, werr, w.Steps(), wArgs)
 				if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
 					t.Fatalf("%s: argument set %d, budget %d: %s", tc.stmt, set, k, d)
 				}
@@ -591,19 +591,19 @@ func TestBytecodeSpliceParity(t *testing.T) {
 			t.Errorf("%s: %v", stmt, err)
 			continue
 		}
-		w := NewWalker(f)
+		w := walkerInst(t, f)
 		if _, err := w.Call("k", args()...); err != nil {
 			t.Fatalf("%s: reference run: %v", stmt, err)
 		}
-		for k := 1; k <= w.Steps+1; k++ {
-			w := NewWalker(f)
-			w.MaxSteps = k
+		for k := 1; k <= w.Steps()+1; k++ {
+			w := walkerInst(t, f)
+			w.SetMaxSteps(k)
 			wArgs, bArgs := args(), args()
 			wv, werr := w.Call("k", wArgs...)
 			ins := p.NewInstance()
 			ins.SetMaxSteps(k)
 			bv, berr := ins.Call("k", bArgs...)
-			walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+			walker := runOutcomeOf(wv, werr, w.Steps(), wArgs)
 			if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
 				t.Fatalf("%s: budget %d: %s", stmt, k, d)
 			}

@@ -398,7 +398,7 @@ func TestCompiledParityWithWalker(t *testing.T) {
 				{"variant-bc", mustVariant(t, prog, WithBackend(BackendBytecode), WithOptLevel(O3)).NewInstance()},
 			}
 			wArgs := tc.args()
-			wv, werr := NewWalker(f).Call(tc.fn, wArgs...)
+			wv, werr := walkerInst(t, f).Call(tc.fn, wArgs...)
 			for _, eng := range engines {
 				cArgs := tc.args()
 				cv, cerr := eng.e.Call(tc.fn, cArgs...)
@@ -478,7 +478,7 @@ func TestDivByZeroPositionedEverywhere(t *testing.T) {
 			for _, eng := range []struct {
 				name string
 				e    engine
-			}{{"walker", NewWalker(f)}, {"compiled", newInst(t, f)}} {
+			}{{"walker", walkerInst(t, f)}, {"compiled", newInst(t, f)}} {
 				_, err := eng.e.Call(tc.fn, IntV(0))
 				if err == nil {
 					t.Fatalf("%s: expected a division fault", eng.name)
@@ -604,7 +604,7 @@ func TestCompiledPtrValueToByValueParamCopiesBack(t *testing.T) {
 		f := MustParse("t.c", c.src)
 		want := fmt.Sprintf(`cminor: %s: cannot bind *cminor.Value to parameter "int n"`, c.fn)
 		wcell := c.cell
-		if _, err := NewWalker(f).Call(c.fn, &wcell); err == nil || err.Error() != want {
+		if _, err := walkerInst(t, f).Call(c.fn, &wcell); err == nil || err.Error() != want {
 			t.Errorf("%s on walker: err = %v, want %q", c.fn, err, want)
 		}
 		if !sameValue(wcell, c.cell) {
@@ -634,14 +634,14 @@ func TestSameValueTwoByValueParams(t *testing.T) {
 	want := `cminor: f: cannot bind *cminor.Value to parameter "int a"`
 
 	wcell := IntV(0)
-	if _, err := NewWalker(byValue).Call("f", &wcell, &wcell); err == nil || err.Error() != want {
+	if _, err := walkerInst(t, byValue).Call("f", &wcell, &wcell); err == nil || err.Error() != want {
 		t.Errorf("walker by-value: err = %v, want %q", err, want)
 	}
 	if wcell.Int() != 0 {
 		t.Errorf("walker by-value: caller cell = %d, want 0 untouched", wcell.Int())
 	}
 	pcell := FloatV(0)
-	wv, err := NewWalker(byPtr).Call("g", &pcell, &pcell)
+	wv, err := walkerInst(t, byPtr).Call("g", &pcell, &pcell)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 // cheap, so create one per goroutine.
 
 // DefaultMaxSteps is the default statement budget of a fresh Instance
-// or Walker — a cheap runaway guard for untrusted kernels.
+// — a cheap runaway guard for untrusted kernels.
 const DefaultMaxSteps = 500_000_000
 
 // Backend selects the execution strategy of a compiled Program.
@@ -43,8 +43,9 @@ const (
 	// BackendCompiled is the closure-compiled pipeline (the default).
 	BackendCompiled Backend = iota
 	// BackendWalker executes via the original tree-walking interpreter
-	// — the slow, name-resolving semantics oracle, useful for
-	// differential runs.
+	// (walker.go) — the slow, name-resolving semantics oracle, useful
+	// for differential runs. It never snapshots or falls back: it is the
+	// reference the other backends are checked against.
 	BackendWalker
 	// BackendBytecode lowers typed functions to a flat register-machine
 	// bytecode run by a single dispatch loop (bytecode.go). Functions
@@ -303,13 +304,17 @@ func (p *Program) Passes() PassMask { return p.cfg.passes }
 func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 	p := &Program{res: res, ti: ti, fname: fname, cfg: cfg,
 		funcs: map[string]*compiledFunc{}}
-	if cfg.backend == BackendWalker {
-		return p // execution delegates to a per-instance Walker
-	}
 	for name, info := range res.Funcs {
 		p.funcs[name] = &compiledFunc{info: info, idx: p.nfun,
 			nScalars: info.NumScalars, nCells: info.NumCells, nArrays: info.NumArrays}
 		p.nfun++
+	}
+	if cfg.backend == BackendWalker {
+		w := newWalker(res)
+		for _, cf := range p.funcs {
+			cf.body = w.body(cf)
+		}
+		return p
 	}
 	// At O3 the inliner plans which call sites splice their callee into
 	// the caller's frame; inlined callees get fresh slot blocks, so the
@@ -374,7 +379,6 @@ func (p *Program) newGlobals() *globalStore {
 type Instance struct {
 	prog     *Program
 	g        *globalStore
-	wk       *Walker // lazily built for BackendWalker
 	maxSteps int
 	steps    int
 	// lastSteps is the step count of the most recent call — the
@@ -395,12 +399,14 @@ type Instance struct {
 	pools []framePool
 	// Resilience state (resilience.go): fb is the session's trusted-tier
 	// twin sharing this session's globals; snap is the reusable pre-call
-	// snapshot WithFallback captures; lastFault/degraded are the
+	// snapshot WithFallback and CallAudited capture, post the audited
+	// attempt's post-call state; lastFault/degraded are the
 	// introspection taps of the most recent call; poisoned flags globals
 	// left unrecovered by an internal fault with no snapshot to roll
 	// back to.
 	fb        *Instance
 	snap      stateSnapshot
+	post      stateSnapshot
 	lastFault *InternalFault
 	degraded  bool
 	poisoned  bool
@@ -413,12 +419,9 @@ type Instance struct {
 // NewInstance creates an execution session over p with fresh globals
 // and the program's configured step budget.
 func (p *Program) NewInstance() *Instance {
-	s := &Instance{prog: p, maxSteps: p.cfg.maxSteps}
+	s := &Instance{prog: p, g: p.newGlobals(), maxSteps: p.cfg.maxSteps,
+		pools: make([]framePool, p.nfun)}
 	s.limit.Store(int64(s.maxSteps))
-	if p.cfg.backend != BackendWalker {
-		s.g = p.newGlobals()
-		s.pools = make([]framePool, p.nfun)
-	}
 	return s
 }
 
@@ -544,21 +547,12 @@ func (ip *InstancePool) Put(inst *Instance) {
 	if inst.poisoned {
 		inst.poisoned = false
 		repaired = true
-		if inst.g != nil {
-			inst.g = ip.prog.newGlobals()
-			if inst.fb != nil {
-				// The trusted-tier twin aliases the session's global frame;
-				// re-alias it to the rebuilt one.
-				inst.fb.g = inst.g
-			}
+		inst.g = ip.prog.newGlobals()
+		if inst.fb != nil {
+			// The trusted-tier twin aliases the session's global frame;
+			// re-alias it to the rebuilt one.
+			inst.fb.g = inst.g
 		}
-		// A poisoned walker session's globals live in the Walker itself;
-		// drop it so the next checkout rebuilds from the initializers.
-		inst.wk = nil
-	}
-	if inst.wk != nil {
-		inst.wk.Steps = 0
-		inst.wk.MaxSteps = inst.maxSteps
 	}
 	ip.mu.Lock()
 	ip.inuse--
@@ -568,13 +562,6 @@ func (ip *InstancePool) Put(inst *Instance) {
 	ip.free = append(ip.free, inst)
 	ip.mu.Unlock()
 }
-
-// ctxPollStride is how many statements the walker backend runs between
-// context polls: large enough that the poll vanishes from hot loops,
-// small enough that cancellation lands within tens of microseconds.
-// (The compiled backend doesn't poll at all — a cancellation watcher
-// drops the step limit instead.)
-const ctxPollStride = 1 << 14
 
 // ctxDone carries a context error through the panic-based fault path so
 // the recovered error still wraps context.Canceled/DeadlineExceeded.
@@ -692,10 +679,11 @@ func (s *Instance) Call(name string, args ...any) (Value, error) {
 
 // CallContext is Call with cancellation: when ctx is cancelled or its
 // deadline passes, a watcher drops the session's step limit and the
-// next budget check aborts the kernel — the very next statement's, or
-// within one run chunk (bcRunChunk iterations) where the bytecode
-// backend is running an inner loop whole — typically within
-// microseconds, at zero per-statement cost. The returned error
+// next budget check aborts the kernel — the very next statement's on
+// every backend, the walker included, or within one run chunk
+// (bcRunChunk iterations) where the bytecode backend is running an
+// inner loop whole — typically within microseconds, at zero
+// per-statement cost. The returned error
 // wraps ctx.Err(); partial writes to argument arrays and globals may
 // have happened, exactly as with any mid-kernel fault.
 func (s *Instance) CallContext(ctx context.Context, name string, args ...any) (Value, error) {
@@ -741,9 +729,9 @@ func checkArity(name string, want, got int) error {
 	return nil
 }
 
-// bindArg is the one entry-call binding rule, shared by Walker.Call and
-// Instance.call so that every backend accepts, converts and rejects the
-// same arguments with the same error text:
+// bindArg is the one entry-call binding rule (resolveCall), so every
+// backend accepts, converts and rejects the same arguments with the same
+// error text:
 //
 //   - an array parameter takes a non-nil *Array;
 //   - a pointer parameter takes a non-nil *Value, shared as its cell, or
@@ -814,29 +802,35 @@ func scalarArg(a any) (Value, bool) {
 // trial cannot hide a fault, and the next call of the same function on
 // the session — the call run in full — reuses the trial's injector
 // decision instead of drawing a second one. Without a snapshot to roll
-// back to (fallback off, state over MaxSnapshotElems, the walker
-// backend) or with steps <= 0, the call simply runs in full.
+// back to (fallback off, state over MaxSnapshotElems) or with steps <=
+// 0, the call simply runs in full. The walker backend always runs in
+// full: it is the reference semantics and never snapshots, so its
+// trial is the call.
 //
 // Selection layers use it to price a variant they expect to lose on a
 // fraction of a call instead of a whole one (see internal/cminor/autotune).
 func (s *Instance) CallTrial(ctx context.Context, steps int, name string, args ...any) (v Value, done bool, err error) {
-	return s.run(ctx, name, args, steps)
+	v, done, _, err = s.run(ctx, name, args, steps, false)
+	return v, done, err
 }
 
 // call is one invocation run in full (run without a trial slice).
 func (s *Instance) call(ctx context.Context, name string, args []any) (Value, error) {
-	v, _, err := s.run(ctx, name, args, 0)
+	v, _, _, err := s.run(ctx, name, args, 0, false)
 	return v, err
 }
 
-// run is the supervisor tier of one invocation: it resolves the callee,
-// consults the fault injector, optionally snapshots the mutable state
-// (WithFallback), runs the attempt inside the containment boundary, and
-// on an internal fault either rolls back and re-executes on the trusted
-// tier or surfaces the fault and poisons the session (resilience.go).
+// run is the supervisor tier of one invocation on every backend: it
+// resolves the callee, consults the fault injector, snapshots the
+// mutable state when it may need to roll back (WithFallback, or an
+// audit), runs the attempt inside the containment boundary, and on an
+// internal fault either rolls back and re-executes on the trusted tier
+// or surfaces the fault and poisons the session (resilience.go).
 // trial > 0 with a snapshot bounds the attempt to that many statements
 // and rolls a longer call back (CallTrial); done is false only then.
-func (s *Instance) run(ctx context.Context, name string, args []any, trial int) (v Value, done bool, err error) {
+// audit with a snapshot re-executes every attempt on the trusted tier
+// and reports whether the two outcomes diverged (CallAudited).
+func (s *Instance) run(ctx context.Context, name string, args []any, trial int, audit bool) (v Value, done, diverged bool, err error) {
 	// A call that fails before executing anything (pre-cancelled ctx,
 	// unknown function, arity mismatch, bad argument) must not leave the
 	// previous call's state in the introspection taps.
@@ -844,21 +838,14 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int) 
 	s.degraded = false
 	s.lastFault = nil
 	if err := ctxErr(ctx, name); err != nil {
-		return Value{}, true, err
-	}
-	if s.prog.cfg.backend == BackendWalker {
-		v, err = s.walkerCall(ctx, name, args)
-		return v, true, err
+		return Value{}, true, false, err
 	}
 	cf, fr, err := s.resolveCall(name, args)
 	if err != nil {
-		return Value{}, true, err
+		return Value{}, true, false, err
 	}
 	inj := s.decide(name)
-	snapped := false
-	if s.prog.cfg.fallback {
-		snapped = s.snap.capture(s, args)
-	}
+	snapped := (audit || s.prog.cfg.fallback) && s.snap.capture(s, args)
 	startSteps := s.steps
 	limit := s.maxSteps
 	if snapped && trial > 0 && trial < s.maxSteps-startSteps {
@@ -870,27 +857,37 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int) 
 		s.steps = startSteps
 		s.lastSteps = 0
 		s.heldInj, s.heldFn = inj, name
-		return Value{}, false, nil
-	}
-	if fault == nil {
-		return v, true, err
+		return Value{}, false, false, nil
 	}
 	s.lastFault = fault
-	if !snapped {
+	if !snapped && fault != nil {
 		// No snapshot to roll back to: the session's globals may hold the
 		// attempt's partial writes. Surface the fault and mark the state.
 		s.poisoned = true
-		return Value{}, true, fault
+		return Value{}, true, false, fault
 	}
-	// Contained: restore the pre-call state (globals, argument arrays and
-	// cells), discard the attempt's step charge, and re-execute once on
-	// the trusted tier. The caller sees a correct result plus the
-	// LastCallDegraded flag — never the panic.
+	if !snapped || fault == nil && !audit {
+		return v, true, false, err
+	}
+	if fault == nil {
+		s.post.capture(s, args) // same shapes as snap: cannot exceed the bound
+	}
+	// Restore the pre-call state (globals, argument arrays and cells),
+	// discard the attempt's step charge, and re-execute once on the
+	// trusted tier. After a fault the caller sees a correct result plus
+	// the LastCallDegraded flag, never the panic; the fault is quarantine
+	// signal enough, so an audit does not also report a divergence.
+	// After a clean audited attempt the reference outcome is what the
+	// caller receives, so a silently miscompiling variant cannot leak a
+	// wrong result.
 	s.snap.restore(s)
 	s.steps = startSteps
-	s.degraded = true
-	v, err = s.runFallback(ctx, name, args)
-	return v, true, err
+	rv, rerr := s.runFallback(ctx, name, args)
+	if fault == nil {
+		diverged = !outcomeEqual(v, err, rv, rerr) || !s.post.equalState(s, args)
+	}
+	s.degraded = fault != nil || diverged
+	return rv, true, diverged, rerr
 }
 
 // decide consults the fault injector once per call: a call of the
@@ -961,7 +958,7 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, nam
 		case trialEnd:
 			err = errTrialEnd
 			if inj != nil && inj.Kind == FaultPanic {
-				// An armed exit or poll panic the slice cut off fires here,
+				// An armed exit panic the slice cut off fires here,
 				// where the attempt leaves the variant's code: a trial must
 				// degrade and quarantine exactly as the full call would.
 				err, fault = nil, s.internalFault(name, &injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, inj.Point})
@@ -978,10 +975,9 @@ func (s *Instance) attempt(ctx context.Context, cf *compiledFunc, fr *frame, nam
 	}
 	cf.body(fr)
 	if inj != nil && inj.Kind == FaultPanic {
-		// FaultAtExit — and, on backends without a mid-kernel poll
-		// checkpoint, FaultAtPoll — fires after the body completed, when
-		// globals and argument arrays hold the attempt's full mutations.
-		panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, inj.Point})
+		// FaultAtExit fires after the body completed, when globals and
+		// argument arrays hold the attempt's full mutations.
+		panic(&injectedFault{s.prog.cfg.backend, s.prog.cfg.opt, name, FaultAtExit})
 	}
 	ret := fr.ret
 	s.putFrame(cf, fr)
@@ -1033,73 +1029,4 @@ func corruptValue(v Value) Value {
 	}
 	v.F = math.Float64frombits(math.Float64bits(v.F) ^ 1)
 	return v
-}
-
-// walkerCall runs a BackendWalker variant through a per-session Walker,
-// keeping the session's step accounting and context observation. The
-// arguments bind first, by the same rule as every other backend; the
-// rest of the exchange — entry injection, the walker body with its 16k-step
-// cancellation polls, teardown — runs inside a containment boundary, so
-// a panic racing the poll/teardown path surfaces as an *InternalFault
-// from CallContext, never an escaped panic. The walker is the reference
-// semantics, so there is no tier to fall back to: an internal fault
-// here poisons the session (its globals live in the Walker and may hold
-// the aborted attempt's partial writes).
-func (s *Instance) walkerCall(ctx context.Context, name string, args []any) (v Value, err error) {
-	if s.wk == nil {
-		s.wk = NewWalker(s.prog.res.File)
-	}
-	fn, fr, err := s.wk.bind(name, args)
-	if err != nil {
-		return Value{}, err
-	}
-	var inj *Fault
-	if fi := s.prog.cfg.inject; fi != nil {
-		inj = fi.Decide(BackendWalker, s.prog.cfg.opt, name)
-	}
-	start := s.steps
-	s.wk.MaxSteps = s.maxSteps
-	s.wk.Steps = start
-	s.wk.ctx = ctx
-	defer func() {
-		r := recover()
-		s.wk.ctx = nil
-		s.wk.pollPanic = nil
-		s.lastSteps = s.wk.Steps - start
-		s.steps = s.wk.Steps
-		if r != nil {
-			fault := s.internalFault(name, r)
-			s.lastFault = fault
-			s.poisoned = true
-			v, err = Value{}, fault
-			return
-		}
-		var ifault *InternalFault
-		if errors.As(err, &ifault) {
-			// The walker's own boundary contained an unexpected panic (e.g.
-			// an injected poll-point fault mid-teardown race): record it on
-			// the session's taps too.
-			s.lastFault = ifault
-			s.poisoned = true
-		}
-	}()
-	if inj != nil && inj.Kind == FaultPanic {
-		sentinel := &injectedFault{BackendWalker, s.prog.cfg.opt, name, inj.Point}
-		if inj.Point == FaultAtEntry {
-			panic(sentinel)
-		}
-		// FaultAtPoll arms the walker's next 16k-step cancellation
-		// checkpoint; FaultAtExit fires after Call returns, below.
-		if inj.Point == FaultAtPoll {
-			s.wk.pollPanic = sentinel
-		}
-	}
-	v, err = s.wk.run(name, fn, fr)
-	if inj != nil && inj.Kind == FaultPanic && inj.Point == FaultAtExit {
-		panic(&injectedFault{BackendWalker, s.prog.cfg.opt, name, FaultAtExit})
-	}
-	if inj != nil && inj.Kind == FaultWrongResult && err == nil {
-		v = corruptValue(v)
-	}
-	return v, err
 }

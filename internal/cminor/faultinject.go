@@ -47,21 +47,17 @@ const (
 	FaultAtEntry FaultPoint = iota
 	// FaultAtExit panics after the body completed: globals and argument
 	// arrays hold the attempt's full mutations, so rollback (not just
-	// re-execution) is what keeps the caller's state correct.
+	// re-execution) is what keeps the caller's state correct. In a trial
+	// whose slice ends first it fires at the trial end instead (see
+	// Instance.CallTrial). Both points fire inside the containment
+	// boundary on every backend, the walker included.
 	FaultAtExit
-	// FaultAtPoll panics at the walker's next 16k-step cancellation
-	// poll checkpoint — mid-kernel, racing the CallContext teardown
-	// path. On backends without a poll it behaves like FaultAtExit.
-	FaultAtPoll
 )
 
 // String names the point.
 func (p FaultPoint) String() string {
-	switch p {
-	case FaultAtExit:
+	if p == FaultAtExit {
 		return "exit"
-	case FaultAtPoll:
-		return "poll"
 	}
 	return "entry"
 }

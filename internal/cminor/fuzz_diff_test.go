@@ -268,21 +268,17 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generator produced an unparsable kernel:\n%s\n%v", src, err)
 			}
-			w := NewWalker(f)
-			w.MaxSteps = 1 << 30
 			// Some generated kernels are unresolvable (e.g. a variable
-			// used in its own initializer); eager Compile reports that up
-			// front, the walker at its first Call — both must agree it's
-			// an error.
+			// used in its own initializer); Compile reports that up front,
+			// for the walker backend too.
 			prog, perr := Compile(f, WithMaxSteps(1<<30))
-			wArgs, cArgs, iArgs := diffArgs(8, seed), diffArgs(8, seed), diffArgs(8, seed)
-			wv, werr := w.Call("k", wArgs...)
 			if perr != nil {
-				if werr == nil {
-					t.Fatalf("Compile rejected what the walker ran on:\n%s\ncompile=%v", src, perr)
-				}
 				return
 			}
+			w := WalkerInst(t, f)
+			w.SetMaxSteps(1 << 30)
+			wArgs, cArgs, iArgs := diffArgs(8, seed), diffArgs(8, seed), diffArgs(8, seed)
+			wv, werr := w.Call("k", wArgs...)
 			// The engine path proper, through both entry points: Call on
 			// one Instance, CallContext on another.
 			cv, cerr := prog.NewInstance().Call("k", cArgs...)
@@ -326,9 +322,9 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			bi := bp.NewInstance()
 			bv, berr := bi.Call("k", bArgs...)
 			variants = append(variants, variantRun{"bytecode", bArgs, bv, berr})
-			if werr == nil && berr == nil && bi.LastCallSteps() != w.Steps {
+			if werr == nil && berr == nil && bi.LastCallSteps() != w.Steps() {
 				t.Fatalf("bytecode step divergence on:\n%s\nwalker=%d bytecode=%d",
-					src, w.Steps, bi.LastCallSteps())
+					src, w.Steps(), bi.LastCallSteps())
 			}
 			for _, vr := range variants {
 				if (werr == nil) != (vr.err == nil) {

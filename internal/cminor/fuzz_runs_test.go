@@ -426,8 +426,8 @@ func TestBytecodeRunCorpus(t *testing.T) {
 		}
 		data := newRunData(seed, n)
 		call := func(alias, budget int) (walker, bytecode runOutcome) {
-			w := NewWalker(f)
-			w.MaxSteps = budget
+			w := walkerInst(t, f)
+			w.SetMaxSteps(budget)
 			wArgs := data.args(alias)
 			wv, werr := w.Call("k", wArgs...)
 			ins := bp.NewInstance()
@@ -443,7 +443,7 @@ func TestBytecodeRunCorpus(t *testing.T) {
 					t.Fatalf("seed %d alias %d budget %d: fault %v, closure back end %v\n%s", seed, alias, budget, berr, cerr, src)
 				}
 			}
-			return runOutcomeOf(wv, werr, w.Steps, wArgs), runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs)
+			return runOutcomeOf(wv, werr, w.Steps(), wArgs), runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs)
 		}
 		for alias := 0; alias <= 4; alias++ {
 			w, b := call(alias, 1<<40)
@@ -512,18 +512,18 @@ func FuzzBytecodeRuns(f *testing.F) {
 		}
 		data := newRunData(seed, trip)
 		check := func(budget int) int {
-			w := NewWalker(file)
-			w.MaxSteps = budget
+			w := walkerInst(t, file)
+			w.SetMaxSteps(budget)
 			wArgs, bArgs := data.args(int(alias%5)), data.args(int(alias%5))
 			wv, werr := w.Call("k", wArgs...)
 			ins := bp.NewInstance()
 			ins.SetMaxSteps(budget)
 			bv, berr := ins.Call("k", bArgs...)
-			walker := runOutcomeOf(wv, werr, w.Steps, wArgs)
+			walker := runOutcomeOf(wv, werr, w.Steps(), wArgs)
 			if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
 				t.Fatalf("budget %d: %s\n%s", budget, d, src)
 			}
-			return w.Steps
+			return w.Steps()
 		}
 		steps := check(1 << 40)
 		check(1 + int(budget%uint64(steps+1)))

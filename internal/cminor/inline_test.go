@@ -266,12 +266,12 @@ double f(int n) {
 		}
 	}
 	// And the walker agrees, so budget faults stay bit-exact too.
-	w := NewWalker(MustParse("t.c", src))
+	w := walkerInst(t, MustParse("t.c", src))
 	if _, err := w.Call("f", IntV(50)); err != nil {
 		t.Fatal(err)
 	}
-	if w.Steps != steps["O0"] {
-		t.Errorf("walker ran %d steps, compiled ran %d", w.Steps, steps["O0"])
+	if w.Steps() != steps["O0"] {
+		t.Errorf("walker ran %d steps, compiled ran %d", w.Steps(), steps["O0"])
 	}
 }
 
@@ -330,7 +330,7 @@ double f(int n, double a[n]) {
 	}
 	f := MustParse("t.c", src)
 	wArgs, cArgs := mk(), mk()
-	_, werr := NewWalker(f).Call("f", wArgs...)
+	_, werr := walkerInst(t, f).Call("f", wArgs...)
 	prog, err := Compile(f, WithOptLevel(O3))
 	if err != nil {
 		t.Fatal(err)

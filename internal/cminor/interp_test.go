@@ -17,6 +17,16 @@ func newInst(tb testing.TB, f *File, opts ...Option) *Instance {
 	return prog.NewInstance()
 }
 
+// walkerInst is a session on the walker backend: the oracle whose
+// values, steps and faults every other backend is compared with.
+func walkerInst(tb testing.TB, f *File) *Instance {
+	tb.Helper()
+	return newInst(tb, f, WithBackend(BackendWalker))
+}
+
+// WalkerInst is walkerInst for the external test package.
+var WalkerInst = walkerInst
+
 func TestInterpAxpy(t *testing.T) {
 	f := MustParse("axpy.c", miniKernel)
 	in := newInst(t, f)

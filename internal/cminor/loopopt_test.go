@@ -16,7 +16,7 @@ func runBoth(t *testing.T, src, fn string, mkArgs func() []any) (wv, cv Value, w
 	t.Helper()
 	f := MustParse("t.c", src)
 	wArgs, cArgs = mkArgs(), mkArgs()
-	wv, werr = NewWalker(f).Call(fn, wArgs...)
+	wv, werr = walkerInst(t, f).Call(fn, wArgs...)
 	cv, cerr = newInst(t, f).Call(fn, cArgs...)
 	return
 }
@@ -29,7 +29,7 @@ func diffCheck(t *testing.T, name, src, fn string, mk func() []any) {
 	t.Helper()
 	f := MustParse("t.c", src)
 	wArgs := mk()
-	wv, werr := NewWalker(f).Call(fn, wArgs...)
+	wv, werr := walkerInst(t, f).Call(fn, wArgs...)
 	run := func(level string, call func(args []any) (Value, error)) {
 		cArgs := mk()
 		cv, cerr := call(cArgs)
@@ -437,8 +437,8 @@ double f(int n, double a[n]) {
 	for name, src := range srcs {
 		f := MustParse("t.c", src)
 		for budget := 1; budget <= 230; budget++ {
-			w := NewWalker(f)
-			w.MaxSteps = budget
+			w := walkerInst(t, f)
+			w.SetMaxSteps(budget)
 			wv, werr := w.Call("f", IntV(64), NewArray(64))
 			prog, err := Compile(f, WithOptLevel(O3), WithMaxSteps(budget))
 			if err != nil {
@@ -452,9 +452,9 @@ double f(int n, double a[n]) {
 			if werr == nil && !sameValue(wv, cv) {
 				t.Fatalf("%s budget %d: value divergence", name, budget)
 			}
-			if w.Steps != inst.Steps() {
+			if w.Steps() != inst.Steps() {
 				t.Fatalf("%s budget %d: walker ran %d steps, O3 ran %d",
-					name, budget, w.Steps, inst.Steps())
+					name, budget, w.Steps(), inst.Steps())
 			}
 		}
 	}

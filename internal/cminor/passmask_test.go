@@ -23,8 +23,8 @@ func TestPassMaskGoldenParity(t *testing.T) {
 	for _, k := range BenchKernels {
 		t.Run(k.Name, func(t *testing.T) {
 			f := MustParse(k.File, k.Src)
-			w := NewWalker(f)
-			w.MaxSteps = 1 << 40
+			w := walkerInst(t, f)
+			w.SetMaxSteps(1 << 40)
 			wArgs := k.Args()
 			wv, werr := w.Call(k.Fn, wArgs...)
 			if werr != nil {
@@ -51,8 +51,8 @@ func TestPassMaskGoldenParity(t *testing.T) {
 				if !sameValue(wv, v) {
 					t.Fatalf("O3[%v]: return value diverged from walker", m)
 				}
-				if inst.Steps() != w.Steps {
-					t.Fatalf("O3[%v]: %d steps, walker charged %d", m, inst.Steps(), w.Steps)
+				if inst.Steps() != w.Steps() {
+					t.Fatalf("O3[%v]: %d steps, walker charged %d", m, inst.Steps(), w.Steps())
 				}
 				for i := range wArgs {
 					wa, ok := wArgs[i].(*Array)

@@ -69,8 +69,9 @@ func (f *InternalFault) Error() string {
 // *InternalFault error and poisons the instance. The snapshot is a real
 // copy bounded by MaxSnapshotElems; calls whose state exceeds the bound
 // run uncontained-state (fault ⇒ poisoned), never half-protected.
-// Fallback is inert on the walker backend — it is the reference
-// semantics already.
+// Fallback is inert on the walker backend: it is the reference
+// semantics, so it never snapshots, and an internal fault there
+// poisons the session.
 func WithFallback(on bool) Option {
 	return func(c *config) { c.fallback = on }
 }
@@ -120,10 +121,11 @@ func grow(dst []float64, n int) []float64 {
 }
 
 // capture copies the call's mutable state into sn, reusing sn's
-// buffers. It reports false — capturing nothing — when the state
-// exceeds MaxSnapshotElems.
+// buffers. It reports false — capturing nothing — on the walker backend
+// (the reference: nothing to roll back to or audit against) and when
+// the state exceeds MaxSnapshotElems.
 func (sn *stateSnapshot) capture(s *Instance, args []any) bool {
-	if snapshotSize(s, args) > MaxSnapshotElems {
+	if s.prog.cfg.backend == BackendWalker || snapshotSize(s, args) > MaxSnapshotElems {
 		return false
 	}
 	sn.scalars = append(sn.scalars[:0], s.g.scalars...)
@@ -293,12 +295,6 @@ func (s *Instance) Poisoned() bool { return s.poisoned }
 // value in this session. It is the introspection tap differential
 // harnesses use to assert globals bit-exactly across backends.
 func (s *Instance) GlobalScalar(name string) (Value, bool) {
-	if s.prog.cfg.backend == BackendWalker {
-		if s.wk == nil {
-			s.wk = NewWalker(s.prog.res.File)
-		}
-		return s.wk.GlobalScalar(name)
-	}
 	for i := range s.prog.res.Scalars {
 		if s.prog.res.Scalars[i].Name == name {
 			return s.g.scalars[i], true
@@ -310,12 +306,6 @@ func (s *Instance) GlobalScalar(name string) (Value, bool) {
 // GlobalArray returns the named file-scope array of this session (the
 // live storage, not a copy).
 func (s *Instance) GlobalArray(name string) (*Array, bool) {
-	if s.prog.cfg.backend == BackendWalker {
-		if s.wk == nil {
-			s.wk = NewWalker(s.prog.res.File)
-		}
-		return s.wk.GlobalArray(name)
-	}
 	for i := range s.prog.res.Arrays {
 		if s.prog.res.Arrays[i].Name == name {
 			return s.g.arrays[i], true
@@ -332,50 +322,14 @@ func (s *Instance) GlobalArray(name string) (*Array, bool) {
 // receives, so a silently-miscompiling variant cannot leak a wrong
 // result through an audited call; diverged reports the mismatch.
 // Selection layers sample audits to catch wrong-result faults that
-// containment alone cannot see. States larger than MaxSnapshotElems
-// fall back to the ordinary (resilient) call path with diverged=false.
+// containment alone cannot see. States larger than MaxSnapshotElems,
+// and every call on the walker backend (the reference itself), run as
+// an ordinary call with diverged=false. The audit captures into
+// snapshots the session owns, so a warm session audits without
+// allocating.
 func (s *Instance) CallAudited(ctx context.Context, name string, args ...any) (v Value, diverged bool, err error) {
-	s.lastSteps = 0
-	s.degraded = false
-	s.lastFault = nil
-	if err := ctxErr(ctx, name); err != nil {
-		return Value{}, false, err
-	}
-	if s.prog.cfg.backend == BackendWalker {
-		// The walker is the reference semantics — nothing to audit against.
-		v, err = s.walkerCall(ctx, name, args)
-		return v, false, err
-	}
-	cf, fr, err := s.resolveCall(name, args)
-	if err != nil {
-		return Value{}, false, err
-	}
-	var pre stateSnapshot
-	if !pre.capture(s, args) {
-		s.putFrame(cf, fr)
-		v, err = s.call(ctx, name, args)
-		return v, false, err
-	}
-	inj := s.decide(name)
-	startSteps := s.steps
-	v1, err1, fault := s.attempt(ctx, cf, fr, name, inj, s.maxSteps)
-	var post stateSnapshot
-	post.capture(s, args) // same shapes as pre: cannot exceed the bound
-	pre.restore(s)
-	s.steps = startSteps
-	v, err = s.runFallback(ctx, name, args)
-	if fault != nil {
-		// A contained fault is quarantine signal enough on its own; it is
-		// reported through LastCallFault, not as a divergence.
-		s.degraded = true
-		s.lastFault = fault
-		return v, false, err
-	}
-	if !outcomeEqual(v1, err1, v, err) || !post.equalState(s, args) {
-		s.degraded = true
-		return v, true, err
-	}
-	return v, false, err
+	v, _, diverged, err = s.run(ctx, name, args, 0, true)
+	return v, diverged, err
 }
 
 // outcomeEqual compares two call outcomes bit-exactly: equal values on

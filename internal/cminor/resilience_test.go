@@ -317,11 +317,13 @@ func TestPoolKeepsCleanState(t *testing.T) {
 	}
 }
 
-// Satellite pin: an injected panic at the walker's 16k-step
-// cancellation poll — mid-kernel, racing the CallContext teardown path
-// — must come back as a contained *InternalFault, never an escaped
-// panic.
-func TestWalkerPollPanicContained(t *testing.T) {
+// An injected panic at the walker's exit — after the body wrote its
+// globals, under a cancellable context whose watcher the teardown must
+// drain — comes back as a contained *InternalFault, never an escaped
+// panic. The walker is the reference, so even with WithFallback it has
+// no snapshot to roll back to: the session is poisoned, and the pool
+// rebuilds its globals.
+func TestWalkerExitPanicContained(t *testing.T) {
 	src := `
 int gticks;
 int spin(int n) {
@@ -335,16 +337,15 @@ int spin(int n) {
 `
 	inj := NewScriptedInjector(FaultRule{
 		Backend: BackendWalker, AnyOpt: true, Fn: "spin", Call: 1,
-		Kind: FaultPanic, Point: FaultAtPoll,
+		Kind: FaultPanic, Point: FaultAtExit,
 	})
-	prog := mustProgram(t, src, WithBackend(BackendWalker), WithFaultInjector(inj))
+	prog := mustProgram(t, src, WithBackend(BackendWalker), WithFaultInjector(inj), WithFallback(true))
 	inst := prog.NewInstance()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// > 16384 statements, so the poll checkpoint fires mid-kernel.
 	_, err := inst.CallContext(ctx, "spin", IntV(100000))
 	if err == nil {
-		t.Fatal("expected the injected poll-point fault")
+		t.Fatal("expected the injected exit-point fault")
 	}
 	var fault *InternalFault
 	if !errors.As(err, &fault) {
@@ -354,14 +355,17 @@ int spin(int n) {
 		t.Errorf("fault backend = %s, want walker", fault.Backend)
 	}
 	injf, ok := fault.Recovered.(*injectedFault)
-	if !ok || injf.point != FaultAtPoll {
-		t.Errorf("recovered = %#v, want poll-point injectedFault", fault.Recovered)
+	if !ok || injf.point != FaultAtExit {
+		t.Errorf("recovered = %#v, want exit-point injectedFault", fault.Recovered)
 	}
-	if !inst.Poisoned() {
-		t.Error("walker session should be poisoned (mid-kernel global writes)")
+	if inst.LastCallDegraded() || inst.LastCallFault() != fault {
+		t.Errorf("degraded=%v fault=%v, want a surfaced, undegraded fault", inst.LastCallDegraded(), inst.LastCallFault())
 	}
-	// The session recovers through the pool: the poisoned walker is
-	// dropped and the next checkout starts from the initializers.
+	if v, _ := inst.GlobalScalar("gticks"); !inst.Poisoned() || v.Int() != 100000 {
+		t.Errorf("poisoned=%v gticks=%d, want a poisoned walker session holding the attempt's writes", inst.Poisoned(), v.Int())
+	}
+	// The session recovers through the pool: the next checkout starts
+	// from the initializers.
 	pool := prog.NewPool()
 	pool.Put(inst)
 	re := pool.Get()
@@ -370,6 +374,9 @@ int spin(int n) {
 	}
 	if v, err := re.CallContext(context.Background(), "spin", IntV(100000)); err != nil || v.Int() != 100000 {
 		t.Fatalf("post-fault walker call: v=%v err=%v", v, err)
+	}
+	if pool.Stats().Repaired != 1 {
+		t.Errorf("pool repaired %d sessions, want 1", pool.Stats().Repaired)
 	}
 }
 
@@ -449,5 +456,154 @@ func TestBytecodeFaultAnnotation(t *testing.T) {
 	}
 	if fault.Backend != BackendBytecode {
 		t.Errorf("fault backend = %s, want bytecode", fault.Backend)
+	}
+}
+
+// TestCallContractAcrossBackends: every backend, the walker included,
+// runs under the one call contract of Instance.run. On resilienceSrc,
+// whose kernel writes globals and its argument array, each backend
+// matches the walker's value, steps and globals; a trial slice shorter
+// than the call is rolled back where a snapshot exists and runs in full
+// on the walker, which never snapshots; an audit never diverges on the
+// walker and catches a wrong result elsewhere; injected panics are
+// contained with the backend named; and a poisoned session comes back
+// from the pool with fresh globals.
+func TestCallContractAcrossBackends(t *testing.T) {
+	backends := []struct {
+		name string
+		opts []Option
+	}{
+		{"walker", []Option{WithBackend(BackendWalker)}},
+		{"O0", []Option{WithOptLevel(O0)}},
+		{"O3", []Option{WithOptLevel(O3)}},
+		{"bytecode", []Option{WithBackend(BackendBytecode), WithOptLevel(O3)}},
+	}
+	ref := mustProgram(t, resilienceSrc, WithBackend(BackendWalker)).NewInstance()
+	want, err := ref.Call("k", resilienceArgs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSteps := ref.LastCallSteps()
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			// Fallback is on everywhere; the walker ignores it.
+			prog := mustProgram(t, resilienceSrc, append(be.opts, WithFallback(true))...)
+			walker := prog.Backend() == BackendWalker
+			// variant is prog with rule injected on this backend.
+			variant := func(rule FaultRule, opts ...Option) *Program {
+				rule.Backend, rule.Opt = prog.Backend(), prog.OptLevel()
+				p, err := prog.Variant(append(opts, WithFaultInjector(NewScriptedInjector(rule)))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+
+			s := prog.NewInstance()
+			v, err := s.Call("k", resilienceArgs()...)
+			if err != nil || !sameBits(v, want) || s.LastCallSteps() != wantSteps {
+				t.Fatalf("Call = %+v, %v in %d steps; want %+v in %d", v, err, s.LastCallSteps(), want, wantSteps)
+			}
+			checkGlobalsEqual(t, ref, s, "after one call")
+
+			s = prog.NewInstance()
+			v, done, err := s.CallTrial(nil, 5, "k", resilienceArgs()...)
+			switch {
+			case err != nil:
+				t.Fatalf("CallTrial: %v", err)
+			case walker && (!done || !sameBits(v, want) || s.LastCallSteps() != wantSteps):
+				t.Fatalf("walker trial = %+v, done=%v in %d steps; want the full call", v, done, s.LastCallSteps())
+			case !walker && (done || s.Steps() != 0):
+				t.Fatalf("5-step trial finished=%v after %d steps; want it rolled back", done, s.Steps())
+			}
+			wantCalls := int64(0)
+			if walker {
+				wantCalls = 1
+			}
+			if g, _ := s.GlobalScalar("gcalls"); g.Int() != wantCalls {
+				t.Fatalf("after the trial gcalls = %d, want %d", g.Int(), wantCalls)
+			}
+
+			s = prog.NewInstance()
+			v, diverged, err := s.CallAudited(context.Background(), "k", resilienceArgs()...)
+			if err != nil || diverged || !sameBits(v, want) || s.LastCallDegraded() {
+				t.Fatalf("clean audit = %+v, diverged=%v, %v, degraded=%v", v, diverged, err, s.LastCallDegraded())
+			}
+			checkGlobalsEqual(t, ref, s, "after a clean audit")
+			s = variant(FaultRule{Call: 1, Kind: FaultWrongResult}).NewInstance()
+			v, diverged, err = s.CallAudited(context.Background(), "k", resilienceArgs()...)
+			switch {
+			case err != nil:
+				t.Fatalf("audit of a wrong result: %v", err)
+			case walker && (diverged || !sameBits(v, corruptValue(want))):
+				t.Fatalf("walker audit = %+v, diverged=%v; want its own value, never a divergence", v, diverged)
+			case !walker && (!diverged || !sameBits(v, want)):
+				t.Fatalf("audit = %+v, diverged=%v; want the reference %+v and a divergence", v, diverged, want)
+			}
+
+			for _, point := range []FaultPoint{FaultAtEntry, FaultAtExit} {
+				s = variant(FaultRule{Call: 1, Kind: FaultPanic, Point: point}).NewInstance()
+				v, err := s.Call("k", resilienceArgs()...)
+				fault := s.LastCallFault()
+				if fault == nil || fault.Backend != prog.Backend() || fault.Opt != prog.OptLevel() {
+					t.Fatalf("%v: fault %v, want one naming %s %s", point, fault, prog.Backend(), prog.OptLevel())
+				}
+				if walker {
+					if !errors.Is(err, fault) || !s.Poisoned() || s.LastCallDegraded() {
+						t.Fatalf("%v: walker err=%v poisoned=%v degraded=%v; want the fault surfaced and the session poisoned",
+							point, err, s.Poisoned(), s.LastCallDegraded())
+					}
+				} else if err != nil || !sameBits(v, want) || !s.LastCallDegraded() || s.Poisoned() {
+					t.Fatalf("%v: %+v, %v, degraded=%v poisoned=%v; want the degraded reference result",
+						point, v, err, s.LastCallDegraded(), s.Poisoned())
+				}
+			}
+
+			poisoning := variant(FaultRule{Call: 1, Kind: FaultPanic, Point: FaultAtExit}, WithFallback(false))
+			pool := poisoning.NewPool()
+			s = pool.Get()
+			if _, err := s.Call("k", resilienceArgs()...); err == nil || !s.Poisoned() {
+				t.Fatalf("exit fault without fallback: err=%v poisoned=%v", err, s.Poisoned())
+			}
+			if g, _ := s.GlobalScalar("gcalls"); g.Int() != 1 {
+				t.Fatalf("the faulted attempt left gcalls = %d, want its write", g.Int())
+			}
+			pool.Put(s)
+			if re := pool.Get(); re != s || re.Poisoned() || pool.Stats().Repaired != 1 {
+				t.Fatalf("pool handed back %p (put %p), poisoned=%v, repaired=%d", re, s, re.Poisoned(), pool.Stats().Repaired)
+			}
+			checkGlobalsEqual(t, prog.NewInstance(), s, "recycled poisoned session")
+			if v, err := s.Call("k", resilienceArgs()...); err != nil || !sameBits(v, want) {
+				t.Fatalf("call on the repaired session = %+v, %v", v, err)
+			}
+			checkGlobalsEqual(t, ref, s, "one call after the repair")
+		})
+	}
+}
+
+// TestAuditedCallAllocatesNothing: an audit captures the pre-call and
+// post-call state into snapshots the session reuses, so a warm session
+// audits without allocating, like a plain call.
+func TestAuditedCallAllocatesNothing(t *testing.T) {
+	for _, opts := range [][]Option{
+		{WithOptLevel(O3)},
+		{WithBackend(BackendBytecode), WithOptLevel(O3)},
+	} {
+		prog, err := Compile(MustParse("t.c", engineDotSrc), append(opts, WithMaxSteps(1<<60))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := prog.NewInstance()
+		args, want := dotArgs(32)
+		audit := func() {
+			v, diverged, err := s.CallAudited(nil, "dot", args...)
+			if err != nil || diverged || v.F != want {
+				t.Fatalf("audit = %v, diverged=%v, %v; want %v", v, diverged, err, want)
+			}
+		}
+		audit()
+		if n := testing.AllocsPerRun(50, audit); n != 0 {
+			t.Errorf("%s: a warm audited call allocates %v objects, want 0", prog.Backend(), n)
+		}
 	}
 }

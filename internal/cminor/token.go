@@ -14,8 +14,9 @@
 // arity/rank rules. The compiler (compile.go) lowers resolved functions
 // into closure-compiled evaluators over slot-indexed frames, which an
 // Instance (engine.go) runs. The original tree-walking
-// interpreter survives as Walker (walker.go) and serves as the semantics
-// oracle for differential tests and benchmarks. A pretty-printer
+// interpreter (walker.go) survives as the BackendWalker backend and
+// serves as the semantics oracle for differential tests and
+// benchmarks. A pretty-printer
 // renders a file back to source (printer.go).
 package cminor
 

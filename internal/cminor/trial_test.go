@@ -247,7 +247,7 @@ func TestCallTrialRunsInFullWithoutSnapshot(t *testing.T) {
 
 // TestCallTrialInjectedFaults: an injected panic degrades a trial as it
 // degrades the full call — at entry before any statement, and at exit
-// or poll when the slice ends first — so the caller gets the reference
+// when the slice ends first — so the caller gets the reference
 // result and the fault is reported. And a trial that ends unfinished
 // keeps its injector decision for the call that runs in full after it:
 // one call, one decision.
@@ -262,7 +262,7 @@ func TestCallTrialInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, point := range []FaultPoint{FaultAtEntry, FaultAtExit, FaultAtPoll} {
+	for _, point := range []FaultPoint{FaultAtEntry, FaultAtExit} {
 		inj := NewScriptedInjector(FaultRule{Backend: BackendBytecode, AnyOpt: true, Call: 1, Kind: FaultPanic, Point: point})
 		prog, err := Compile(f, WithBackend(BackendBytecode), WithFallback(true), WithFaultInjector(inj))
 		if err != nil {

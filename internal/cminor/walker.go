@@ -1,40 +1,27 @@
 package cminor
 
-import (
-	"context"
-	"fmt"
-	"runtime"
-)
-
-// Walker is the original single-pass tree-walking interpreter. Every
-// identifier is looked up in a per-call map and every node re-dispatches
-// on its dynamic type, so it is slow — the compiled pipeline (see
-// resolve.go / compile.go / engine.go) replaces it on the hot path. It is
-// kept as a semantics oracle: parity tests assert the compiled pipeline
-// produces bit-identical results, and benchmarks measure the speedup.
+// walker is the original single-pass tree-walking interpreter, reached
+// only as the BackendWalker backend. Every identifier is looked up by
+// name in a per-call map and every node re-dispatches on its dynamic
+// type, so it is slow; it is kept as a semantics oracle, and parity
+// tests assert every other backend produces bit-identical results,
+// step counts and faults. It shares nothing with them but the call
+// contract: lower gives each function a body that runs the walker on
+// the arguments resolveCall bound, so the step budget, cancellation,
+// fault injection and containment are Instance.run's, and file-scope
+// names bind to the session's global store.
 //
 // Caveat: the walker keeps one flat variable map per call, so a
 // declaration in a nested block overwrites (and outlives) an outer
 // variable of the same name. The compiled pipeline is lexically scoped.
 // Parity therefore holds only for programs without shadowed
 // declarations — which covers every Polybench kernel this repo targets.
-type Walker struct {
+type walker struct {
 	file  *File
 	funcs map[string]*FuncDecl
-	// globals holds file-scope bindings, shared by every call (and
-	// persisting across calls, like the compiled engine's per-Instance
-	// global store). Array dims and initialisers must be constant.
-	globals map[string]*wbinding
-	// Steps counts executed statements, as a cheap runaway guard.
-	Steps    int
-	MaxSteps int
-	// ctx, when set by a walker-backend Instance, is polled at step
-	// checkpoints so CallContext cancellation works on this backend too.
-	ctx context.Context
-	// pollPanic, when armed by the fault injector (engine.walkerCall), is
-	// raised at the next cancellation-poll checkpoint — the mid-kernel
-	// point that races CallContext teardown.
-	pollPanic any
+	// globals maps each file-scope name to its slot in the session's
+	// globalStore (res.Scalars / res.Arrays).
+	globals map[string]VarRef
 }
 
 type wbinding struct {
@@ -42,187 +29,103 @@ type wbinding struct {
 	arr    *Array
 }
 
+// wframe is one walker call: its session, its variables by name and,
+// once a return statement ran, its result.
 type wframe struct {
-	vars map[string]*wbinding
+	s    *Instance
+	vars map[string]wbinding
+	ret  Value
 }
 
-// lookup resolves a name in the call frame, falling back to the
-// file-scope globals.
-func (w *Walker) lookup(fr *wframe, name string) (*wbinding, bool) {
-	if b, ok := fr.vars[name]; ok {
-		return b, true
-	}
-	b, ok := w.globals[name]
-	return b, ok
-}
-
-// NewWalker builds a tree-walking interpreter over f.
-func NewWalker(f *File) *Walker {
-	w := &Walker{file: f, funcs: map[string]*FuncDecl{},
-		globals: map[string]*wbinding{}, MaxSteps: DefaultMaxSteps}
-	for _, fn := range f.Funcs {
+func newWalker(res *ResolvedFile) *walker {
+	w := &walker{file: res.File, funcs: map[string]*FuncDecl{}, globals: map[string]VarRef{}}
+	for _, fn := range res.File.Funcs {
 		if fn.Body != nil {
 			w.funcs[fn.Name] = fn
 		}
 	}
-	for _, g := range f.Globals {
-		if g.Type.IsArray() {
-			dims := make([]int, len(g.Type.Dims))
-			for i, d := range g.Type.Dims {
-				if v, ok := constEval(d); ok {
-					dims[i] = int(v.Int())
-				}
-			}
-			w.globals[g.Name] = &wbinding{arr: NewArray(dims...)}
-			continue
-		}
-		var init Value
-		if g.Init != nil {
-			if v, ok := constEval(g.Init); ok {
-				init = v
-			}
-		}
-		v := convertKind(init, g.Type.Kind)
-		w.globals[g.Name] = &wbinding{scalar: &v}
+	for i, g := range res.Scalars {
+		w.globals[g.Name] = VarRef{Kind: VarGlobalScalar, Slot: i}
+	}
+	for i, g := range res.Arrays {
+		w.globals[g.Name] = VarRef{Kind: VarGlobalArray, Slot: i}
 	}
 	return w
 }
 
-type returnSignal struct{ v Value }
-
-// GlobalScalar returns a copy of the named file-scope scalar's current
-// value — the walker half of the Instance.GlobalScalar introspection
-// tap differential harnesses compare across backends.
-func (w *Walker) GlobalScalar(name string) (Value, bool) {
-	b, ok := w.globals[name]
-	if !ok || b.scalar == nil {
-		return Value{}, false
-	}
-	return *b.scalar, true
-}
-
-// GlobalArray returns the named file-scope array (the live storage, not
-// a copy).
-func (w *Walker) GlobalArray(name string) (*Array, bool) {
-	b, ok := w.globals[name]
-	if !ok || b.arr == nil {
-		return nil, false
-	}
-	return b.arr, true
-}
-
-// Call invokes the named function. Arguments bind by the engine's one
-// entry rule (bindArg), so a call the walker accepts, converts or
-// rejects is accepted, converted or rejected alike on every backend.
-func (w *Walker) Call(name string, args ...any) (Value, error) {
-	fn, fr, err := w.bind(name, args)
-	if err != nil {
-		return Value{}, err
-	}
-	return w.run(name, fn, fr)
-}
-
-// bind resolves the callee, checks arity and binds the arguments — the
-// failures that happen before any step is charged.
-func (w *Walker) bind(name string, args []any) (*FuncDecl, *wframe, error) {
-	fn, ok := w.funcs[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("cminor: no function %q", name)
-	}
-	if err := checkArity(name, len(fn.Params), len(args)); err != nil {
-		return nil, nil, err
-	}
-	fr := &wframe{vars: map[string]*wbinding{}}
-	for i, p := range fn.Params {
-		v, cell, arr, err := bindArg(name, p, args[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case arr != nil:
-			fr.vars[p.Name] = &wbinding{arr: arr}
-		case cell != nil:
-			fr.vars[p.Name] = &wbinding{scalar: cell}
-		default:
-			fr.vars[p.Name] = &wbinding{scalar: &v}
-		}
-	}
-	return fn, fr, nil
-}
-
-// run executes fn's body in the bound frame fr, turning the walker's
-// panics into the call's result or error.
-func (w *Walker) run(name string, fn *FuncDecl, fr *wframe) (v Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch rr := r.(type) {
-			case returnSignal:
-				v = rr.v
-			case ctxDone:
-				err = fmt.Errorf("cminor: interpreting %s: %w", name, rr.err)
-			case *Diag, string:
-				// The walker's program-level faults: positioned diagnostics
-				// from the shared runtime (arith, subscripts) and the
-				// historical string panics (step budget, undefined names).
-				err = fmt.Errorf("cminor: interpreting %s: %v", name, r)
+// body is cf's walker body: it names the parameters resolveCall bound
+// into fr's slots and runs the function's statements.
+func (w *walker) body(cf *compiledFunc) stmtFn {
+	decl := cf.info.Decl
+	return func(fr *frame) flow {
+		wf := &wframe{s: fr.ec, vars: make(map[string]wbinding, len(decl.Params))}
+		for i, p := range decl.Params {
+			switch ref := cf.info.Params[i]; ref.Kind {
+			case VarArray:
+				wf.vars[p.Name] = wbinding{arr: fr.arrays[ref.Slot]}
+			case VarCell:
+				wf.vars[p.Name] = wbinding{scalar: fr.cells[ref.Slot]}
 			default:
-				// Anything else is an internal fault — an engine bug or an
-				// injected panic (possibly at the cancellation-poll
-				// checkpoint, racing CallContext teardown). Contain it as a
-				// structured error; it must never escape as a panic.
-				buf := make([]byte, 16<<10)
-				buf = buf[:runtime.Stack(buf, false)]
-				err = &InternalFault{Backend: BackendWalker, Fn: name,
-					Recovered: r, Stack: buf}
+				wf.vars[p.Name] = wbinding{scalar: &fr.scalars[ref.Slot]}
 			}
 		}
-	}()
-	w.execBlock(fn.Body, fr)
-	return Value{}, nil
-}
-
-func (w *Walker) step() {
-	w.Steps++
-	if w.Steps > w.MaxSteps {
-		panic("interpreter step budget exceeded")
-	}
-	if (w.ctx != nil || w.pollPanic != nil) && w.Steps&(ctxPollStride-1) == 0 {
-		if p := w.pollPanic; p != nil {
-			w.pollPanic = nil
-			panic(p)
-		}
-		if err := w.ctx.Err(); err != nil {
-			panic(ctxDone{err})
-		}
+		w.execBlock(decl.Body, wf)
+		fr.ret = wf.ret
+		return flowNormal
 	}
 }
 
-func (w *Walker) execBlock(b *Block, fr *wframe) {
+// lookup resolves a name in the call frame, falling back to the
+// file-scope globals.
+func (w *walker) lookup(fr *wframe, name string) (wbinding, bool) {
+	if b, ok := fr.vars[name]; ok {
+		return b, true
+	}
+	ref, ok := w.globals[name]
+	switch {
+	case !ok:
+		return wbinding{}, false
+	case ref.Kind == VarGlobalArray:
+		return wbinding{arr: fr.s.g.arrays[ref.Slot]}, true
+	}
+	return wbinding{scalar: &fr.s.g.scalars[ref.Slot]}, true
+}
+
+// wfault is one of the walker's own program faults: a *Diag without a
+// position, so its text is the message alone.
+func wfault(format string, args ...any) *Diag { return diagf("", Pos{}, format, args...) }
+
+// execBlock runs b's statements and reports whether one returned.
+func (w *walker) execBlock(b *Block, fr *wframe) bool {
 	for _, s := range b.Stmts {
-		w.exec(s, fr)
+		if w.exec(s, fr) {
+			return true
+		}
 	}
+	return false
 }
 
-func (w *Walker) exec(s Stmt, fr *wframe) {
-	w.step()
+// exec runs s and reports whether it returned from the function.
+func (w *walker) exec(s Stmt, fr *wframe) bool {
+	fr.s.step()
 	switch s := s.(type) {
 	case *Block:
-		w.execBlock(s, fr)
+		return w.execBlock(s, fr)
 	case *DeclStmt:
 		if s.Type.IsArray() {
 			dims := make([]int, len(s.Type.Dims))
 			for i, d := range s.Type.Dims {
 				dims[i] = int(w.eval(d, fr).Int())
 			}
-			fr.vars[s.Name] = &wbinding{arr: NewArray(dims...)}
-			return
+			fr.vars[s.Name] = wbinding{arr: NewArray(dims...)}
+			return false
 		}
 		var v Value
 		if s.Init != nil {
 			v = w.eval(s.Init, fr)
 		}
 		v = convertKind(v, s.Type.Kind)
-		fr.vars[s.Name] = &wbinding{scalar: &v}
+		fr.vars[s.Name] = wbinding{scalar: &v}
 	case *ExprStmt:
 		w.eval(s.X, fr)
 	case *ForStmt:
@@ -230,41 +133,46 @@ func (w *Walker) exec(s Stmt, fr *wframe) {
 			w.exec(s.Init, fr)
 		}
 		for s.Cond == nil || w.eval(s.Cond, fr).Bool() {
-			w.execBlock(s.Body, fr)
+			if w.execBlock(s.Body, fr) {
+				return true
+			}
 			if s.Post != nil {
 				w.eval(s.Post, fr)
 			}
-			w.step()
+			fr.s.step()
 		}
 	case *WhileStmt:
 		for w.eval(s.Cond, fr).Bool() {
-			w.execBlock(s.Body, fr)
-			w.step()
+			if w.execBlock(s.Body, fr) {
+				return true
+			}
+			fr.s.step()
 		}
 	case *IfStmt:
 		if w.eval(s.Cond, fr).Bool() {
-			w.execBlock(s.Then, fr)
+			return w.execBlock(s.Then, fr)
 		} else if s.Else != nil {
-			w.exec(s.Else, fr)
+			return w.exec(s.Else, fr)
 		}
 	case *ReturnStmt:
-		var v Value
+		fr.ret = Value{}
 		if s.X != nil {
-			v = w.eval(s.X, fr)
+			fr.ret = w.eval(s.X, fr)
 		}
-		panic(returnSignal{v: v})
+		return true
 	case *PragmaStmt:
 		// Pragmas have no interpretation-time effect.
 	}
+	return false
 }
 
 // lvalue resolution: returns either a scalar cell or an array+index.
-func (w *Walker) lvalue(e Expr, fr *wframe) (cell *Value, arr *Array, idx []int) {
+func (w *walker) lvalue(e Expr, fr *wframe) (cell *Value, arr *Array, idx []int) {
 	switch e := e.(type) {
 	case *Ident:
 		b, ok := w.lookup(fr, e.Name)
 		if !ok {
-			panic(fmt.Sprintf("undefined variable %q", e.Name))
+			panic(wfault("undefined variable %q", e.Name))
 		}
 		if b.arr != nil {
 			return nil, b.arr, nil
@@ -286,11 +194,11 @@ func (w *Walker) lvalue(e Expr, fr *wframe) (cell *Value, arr *Array, idx []int)
 		}
 		id, ok := cur.(*Ident)
 		if !ok {
-			panic("indexed expression is not a variable")
+			panic(wfault("indexed expression is not a variable"))
 		}
 		b, ok := w.lookup(fr, id.Name)
 		if !ok || b.arr == nil {
-			panic(fmt.Sprintf("%q is not an array", id.Name))
+			panic(wfault("%q is not an array", id.Name))
 		}
 		idx = make([]int, len(subs))
 		for i, sx := range subs {
@@ -302,18 +210,18 @@ func (w *Walker) lvalue(e Expr, fr *wframe) (cell *Value, arr *Array, idx []int)
 			return w.lvalue(e.X, fr)
 		}
 	}
-	panic(fmt.Sprintf("invalid lvalue %T", e))
+	panic(wfault("invalid lvalue %T", e))
 }
 
-func (w *Walker) eval(e Expr, fr *wframe) Value {
+func (w *walker) eval(e Expr, fr *wframe) Value {
 	switch e := e.(type) {
 	case *Ident:
 		b, ok := w.lookup(fr, e.Name)
 		if !ok {
-			panic(fmt.Sprintf("undefined variable %q", e.Name))
+			panic(wfault("undefined variable %q", e.Name))
 		}
 		if b.scalar == nil {
-			panic(fmt.Sprintf("array %q used as scalar", e.Name))
+			panic(wfault("array %q used as scalar", e.Name))
 		}
 		return *b.scalar
 	case *IntLit:
@@ -338,7 +246,7 @@ func (w *Walker) eval(e Expr, fr *wframe) Value {
 			}
 			return IntV(1)
 		}
-		panic(fmt.Sprintf("unsupported unary op %s", e.Op))
+		panic(wfault("unsupported unary op %s", e.Op))
 	case *BinExpr:
 		return w.evalBin(e, fr)
 	case *CondExpr:
@@ -349,7 +257,7 @@ func (w *Walker) eval(e Expr, fr *wframe) Value {
 	case *IndexExpr:
 		_, arr, idx := w.lvalue(e, fr)
 		if idx == nil {
-			panic("array value used without full subscripts")
+			panic(wfault("array value used without full subscripts"))
 		}
 		return FloatV(arr.At(idx...))
 	case *AssignExpr:
@@ -396,10 +304,10 @@ func (w *Walker) eval(e Expr, fr *wframe) Value {
 	case *CallExpr:
 		return w.call(e, fr)
 	}
-	panic(fmt.Sprintf("unsupported expression %T", e))
+	panic(wfault("unsupported expression %T", e))
 }
 
-func (w *Walker) evalBin(e *BinExpr, fr *wframe) Value {
+func (w *walker) evalBin(e *BinExpr, fr *wframe) Value {
 	switch e.Op {
 	case ANDAND:
 		if !w.eval(e.X, fr).Bool() {
@@ -426,10 +334,10 @@ func (w *Walker) evalBin(e *BinExpr, fr *wframe) Value {
 	case EQ, NEQ, LT, GT, LEQ, GEQ:
 		return compare(e.Op, x, y)
 	}
-	panic(fmt.Sprintf("unsupported binary op %s", e.Op))
+	panic(wfault("unsupported binary op %s", e.Op))
 }
 
-func (w *Walker) call(e *CallExpr, fr *wframe) Value {
+func (w *walker) call(e *CallExpr, fr *wframe) Value {
 	if bf, ok := builtins[e.Fun]; ok {
 		args := make([]Value, len(e.Args))
 		for i, a := range e.Args {
@@ -439,41 +347,29 @@ func (w *Walker) call(e *CallExpr, fr *wframe) Value {
 	}
 	fn, ok := w.funcs[e.Fun]
 	if !ok {
-		panic(fmt.Sprintf("call to undefined function %q", e.Fun))
+		panic(wfault("call to undefined function %q", e.Fun))
 	}
 	if len(e.Args) != len(fn.Params) {
-		panic(fmt.Sprintf("%s expects %d args, got %d", e.Fun, len(fn.Params), len(e.Args)))
+		panic(wfault("%s expects %d args, got %d", e.Fun, len(fn.Params), len(e.Args)))
 	}
-	callee := &wframe{vars: map[string]*wbinding{}}
+	callee := &wframe{s: fr.s, vars: map[string]wbinding{}}
 	for i, p := range fn.Params {
 		if p.Type.IsArray() {
 			_, arr, _ := w.lvalue(e.Args[i], fr)
 			if arr == nil {
-				panic(fmt.Sprintf("argument %d of %s must be an array", i, e.Fun))
+				panic(wfault("argument %d of %s must be an array", i, e.Fun))
 			}
-			callee.vars[p.Name] = &wbinding{arr: arr}
+			callee.vars[p.Name] = wbinding{arr: arr}
 			continue
 		}
 		if p.Type.Ptr {
 			cell, _, _ := w.lvalue(e.Args[i], fr)
-			callee.vars[p.Name] = &wbinding{scalar: cell}
+			callee.vars[p.Name] = wbinding{scalar: cell}
 			continue
 		}
 		v := convertKind(w.eval(e.Args[i], fr), p.Type.Kind)
-		callee.vars[p.Name] = &wbinding{scalar: &v}
+		callee.vars[p.Name] = wbinding{scalar: &v}
 	}
-	ret := Value{}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if rs, ok := r.(returnSignal); ok {
-					ret = rs.v
-					return
-				}
-				panic(r)
-			}
-		}()
-		w.execBlock(fn.Body, callee)
-	}()
-	return ret
+	w.execBlock(fn.Body, callee)
+	return callee.ret
 }
