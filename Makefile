@@ -50,7 +50,10 @@ lint: vet
 # must degrade and quarantine as a full call does), the one call
 # contract on every backend (walker, O0, O3, bytecode: trials, audits,
 # injected faults, globals, a poisoned session through the pool) and
-# the walker's exit-point fault racing its context teardown, and the
+# the walker's exit-point fault racing its context teardown, the
+# walker's subscript faults (the positioned program fault every backend
+# reports, never an internal one), the table of the C conversion rules
+# on the walker, O0, O3 and the bytecode, and the
 # deterministic quarantine lifecycle simulations, including the
 # concurrent chaos-routing test, whose shared clock moves on every read
 # so quarantine lifts race the routing by design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
@@ -58,7 +61,7 @@ lint: vet
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
-	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained'
+	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules'
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos|TestSurveyTrialFaultQuarantines'
 	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
 

@@ -236,9 +236,9 @@ func (k VarKind) String() string {
 // VarRef for every Ident and DeclStmt in a side table keyed by NodeID
 // (see ResolvedFile.RefOf) so the compiler can lower every access to an
 // array-indexed frame read instead of a map lookup — without mutating
-// the AST. Base is the declared scalar base kind (int/double), which
-// seeds the typecheck pass that drives the unboxed evaluator
-// specialization.
+// the AST. Base is the declared base kind (int/double): the static kind
+// of every read of the variable and the kind every store into it
+// converts to (typecheck.go).
 type VarRef struct {
 	Kind VarKind
 	Slot int

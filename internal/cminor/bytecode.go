@@ -10,10 +10,10 @@ import (
 // functions to a flat register-machine bytecode executed by a single
 // dispatch loop (bytecode_exec.go) instead of a closure graph. A frame
 // carries two dense register files — int64 and float64 — indexed so
-// that scalar slot s lives in ireg[s] (statically-int slots) or freg[s]
-// (statically-double slots); temporaries are allocated monotonically
-// above the slot block. Lowering (bytecode_lower.go) reuses the
-// typecheck kind tables and the loop optimizer's recognition and
+// that scalar slot s lives in ireg[s] (int slots) or freg[s] (double
+// slots); temporaries are allocated monotonically above the slot block.
+// Lowering (bytecode_lower.go) reuses the static kinds (typecheck.go)
+// and the loop optimizer's recognition and
 // invariance analysis: counted loops become one set-up instruction, one
 // proof instruction and a test-and-branch back edge, proven subscripts
 // use unchecked load/store opcodes, the back edge fuses increment, step
@@ -27,7 +27,7 @@ import (
 // positioned *Diag text, and loop versioning falls back to a fully
 // checked body when a preamble proof fails. A function the lowerer
 // cannot prove safe (a call the inliner did not plan, pointer cells,
-// dynamic kinds, rank>2 arrays) simply keeps its closure-compiled body —
+// rank>2 arrays) simply keeps its closure-compiled body —
 // bailing is always semantics-preserving.
 
 // bcOp enumerates the bytecode operations.
@@ -61,7 +61,7 @@ const (
 	opLoopNext2 // ireg[a]++; if ≤ ireg[b]: step×2, pc = c; else step
 	opRetI      // fr.ret = IntV(ireg[a]); return
 	opRetF      // fr.ret = FloatV(freg[a]); return
-	opRetZ      // fr.ret = Value{}; return
+	opRetZ      // return; fr.ret keeps the declared kind's zero getFrame preset
 
 	// moves and conversions
 	opLdcI // ireg[d] = imm

@@ -583,7 +583,6 @@ func execBC(fr *frame, bc *bcFunc) {
 			fr.ret = FloatV(freg[in.a])
 			return
 		case opRetZ:
-			fr.ret = Value{}
 			return
 		case opLdcI:
 			ireg[in.d] = in.imm

@@ -10,10 +10,12 @@ import (
 // bytecode.go for the ISA). The lowerer is a one-pass AST walk that
 // mirrors the closure compiler's semantics statement for statement:
 // the same step-budget charges, the same evaluation order, the same
-// positioned faults. Anything it cannot lower with those guarantees —
-// a call the O3 inliner did not plan, pointer cells, dynamic kinds,
-// rank>2 arrays — bails by panicking a *bcBail that names the reason
-// and the position, and the function keeps its closure-compiled body.
+// positioned faults. Every expression has a static kind (typecheck.go),
+// so each lowers to int or float registers. Anything it cannot lower
+// with those guarantees — a call the O3 inliner did not plan, pointer
+// cells, rank>2 arrays — bails by panicking a *bcBail that names the
+// reason and the position, and the function keeps its closure-compiled
+// body.
 //
 // A planned call to a leaf is spliced in place (spliceCall), reusing
 // the inliner's plan (inline.go): the callee's slots are relocated into
@@ -21,7 +23,7 @@ import (
 // and its returns write a result register. Nothing marks the splice at
 // run time, so a spliced body is a run form like any other.
 //
-// Scalar slot s lives in ireg[s] or freg[s] according to its static
+// Scalar slot s lives in ireg[s] or freg[s] according to its declared
 // kind; the slot block covers the caller's slots and every splice's.
 // Temporaries are allocated monotonically above it and never reused —
 // a value joined from branches (a conditional's, a multi-return
@@ -51,29 +53,25 @@ type bcBail struct {
 type bcBailReason uint8
 
 const (
-	bcBailCells   bcBailReason = iota // a pointer cell in the function
-	bcBailDyn                         // a dynamic kind where a static one is needed
-	bcBailNoTypes                     // no typecheck result for the function
-	bcBailCall                        // a user call with no splice planned
-	bcBailParam                       // a spliced callee takes an array or pointer
-	bcBailRank                        // an array of rank above 2
-	bcBailStmt                        // a statement with no lowering
-	bcBailExpr                        // an expression with no lowering
-	bcBailOp                          // an operator or builtin with no lowering
-	bcBailArray                       // an element access whose root is no array
+	bcBailCells bcBailReason = iota // a pointer cell in the function
+	bcBailCall                      // a user call with no splice planned
+	bcBailParam                     // a spliced callee takes an array or pointer
+	bcBailRank                      // an array of rank above 2
+	bcBailStmt                      // a statement with no lowering
+	bcBailExpr                      // an expression with no lowering
+	bcBailOp                        // an operator or builtin with no lowering
+	bcBailArray                     // an element access whose root is no array
 )
 
 var bcBailText = [...]string{
-	bcBailCells:   "pointer cells",
-	bcBailDyn:     "dynamic kind",
-	bcBailNoTypes: "no type information",
-	bcBailCall:    "call to ",
-	bcBailParam:   "array or pointer parameter",
-	bcBailRank:    "array rank above 2",
-	bcBailStmt:    "unsupported statement",
-	bcBailExpr:    "unsupported expression",
-	bcBailOp:      "unsupported operator",
-	bcBailArray:   "not an array",
+	bcBailCells: "pointer cells",
+	bcBailCall:  "call to ",
+	bcBailParam: "array or pointer parameter",
+	bcBailRank:  "array rank above 2",
+	bcBailStmt:  "unsupported statement",
+	bcBailExpr:  "unsupported expression",
+	bcBailOp:    "unsupported operator",
+	bcBailArray: "not an array",
 }
 
 func (b *bcBail) String() string {
@@ -150,7 +148,6 @@ type bcAddr struct {
 // bcLower lowers one function.
 type bcLower struct {
 	ca      *compiler // analysis-only compiler (refOf, kinds, loop facts, the inlining plan)
-	types   *fnTypes
 	nSlots  int       // registers below this are slots, above it temporaries
 	splice  *bcSplice // the call being spliced, nil outside one
 	code    []instr
@@ -172,21 +169,15 @@ type bcLower struct {
 // fallback.
 func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (bc *bcFunc, bail *bcBail) {
 	fi := cf.info
-	types, nSlots := p.ti.funcs[name], fi.NumScalars
-	if plan != nil {
-		types, nSlots = plan.types, plan.numScalars
-	}
-	switch {
-	case fi.NumCells > 0:
+	if fi.NumCells > 0 {
 		return nil, &bcBail{why: bcBailCells, pos: fi.Decl.P}
-	case types == nil:
-		return nil, &bcBail{why: bcBailNoTypes, pos: fi.Decl.P}
-	case slices.Contains(types.scalars, kDyn):
-		return nil, &bcBail{why: bcBailDyn, pos: fi.Decl.P}
+	}
+	nSlots := fi.NumScalars
+	if plan != nil {
+		nSlots = plan.numScalars
 	}
 	bl := &bcLower{
-		ca:      &compiler{prog: p, types: types, info: p.ti, opt: O2, plan: plan},
-		types:   types,
+		ca:      &compiler{prog: p, opt: O2, plan: plan, ret: fi.Decl.Ret.Kind},
 		nSlots:  nSlots,
 		nI:      nSlots,
 		nF:      nSlots,
@@ -203,7 +194,8 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (b
 		}
 	}()
 	// The function body is a block executed without its own step charge
-	// (matching compiledFunc.body = compiler.block(Body)).
+	// (matching compiledFunc.body = compiler.block(Body)). Falling off its
+	// end returns the zero getFrame preset.
 	for _, s := range fi.Decl.Body.Stmts {
 		bl.stmt(s)
 	}
@@ -216,7 +208,7 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (b
 		}
 		params = append(params, bcParam{
 			slot:  int32(pr.Slot),
-			isInt: types.scalars[pr.Slot] == kInt,
+			isInt: pr.Base == Int,
 		})
 	}
 	return &bcFunc{name: name, code: bl.code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}, nil
@@ -492,25 +484,15 @@ func (bl *bcLower) stmt(s Stmt) {
 			bl.spliceReturn(s)
 			return
 		}
-		if s.X == nil {
+		// The value converts to the declared return kind; a bare return
+		// keeps the zero getFrame preset.
+		switch {
+		case s.X == nil:
 			bl.emit(instr{op: opRetZ})
-			return
-		}
-		if v, ok := constEval(s.X); ok {
-			if v.IsInt {
-				bl.emit(instr{op: opRetI, a: bl.constI(v.I)})
-			} else {
-				bl.emit(instr{op: opRetF, a: bl.constF(v.F)})
-			}
-			return
-		}
-		switch bl.ca.kindOf(s.X) {
-		case kInt:
-			bl.emit(instr{op: opRetI, a: bl.lowerI(s.X)})
-		case kFloat:
-			bl.emit(instr{op: opRetF, a: bl.lowerF(s.X)})
+		case bl.ca.ret == Int:
+			bl.emit(instr{op: opRetI, a: bl.asI(s.X)})
 		default:
-			bl.bail(bcBailDyn, s.P)
+			bl.emit(instr{op: opRetF, a: bl.asF(s.X)})
 		}
 	case *PragmaStmt:
 		bl.step(s.P)
@@ -548,9 +530,6 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 	// Declarations normalize to the declared kind (the closure backend's
 	// C initialisation conversion).
 	if s.Type.Kind == Int {
-		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail(bcBailDyn, s.P)
-		}
 		if s.Init == nil {
 			bl.emit(instr{op: opLdcI, d: slot})
 			return
@@ -560,9 +539,6 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 			bl.emit(instr{op: opMovI, d: slot, a: r})
 		}
 		return
-	}
-	if bl.types.scalars[ref.Slot] != kFloat {
-		bl.bail(bcBailDyn, s.P)
 	}
 	if s.Init == nil {
 		bl.emit(instr{op: opLdcF, d: slot})
@@ -742,16 +718,6 @@ func (bl *bcLower) classifyFast(root *Ident, subs []Expr) (bcAddr, bool) {
 	cls, ok := c.classifySubs(subs, lc)
 	if !ok {
 		return bcAddr{}, false
-	}
-	for i, sx := range subs {
-		if cls[i].iv {
-			continue
-		}
-		k := c.kindOf(sx)
-		c.constKind(sx, &k)
-		if k == kDyn {
-			return bcAddr{}, false
-		}
 	}
 	// The shape of the address picks the opAddr row that proves it
 	// (operand layout in bcProve) and the invariant subscripts the
@@ -1208,14 +1174,8 @@ func (bl *bcLower) lowerI(e Expr) int32 {
 		ref := bl.ca.refOf(e)
 		switch ref.Kind {
 		case VarScalar:
-			if bl.types.scalars[ref.Slot] != kInt {
-				bl.bail(bcBailDyn, e.Pos())
-			}
 			return bl.slotReg(ref.Slot)
 		case VarGlobalScalar:
-			if bl.ca.varKind(ref) != kInt {
-				bl.bail(bcBailDyn, e.Pos())
-			}
 			t := bl.newI()
 			bl.emit(instr{op: opLdGI, d: t, a: int32(ref.Slot)})
 			return t
@@ -1279,14 +1239,8 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		ref := bl.ca.refOf(e)
 		switch ref.Kind {
 		case VarScalar:
-			if bl.types.scalars[ref.Slot] != kFloat {
-				bl.bail(bcBailDyn, e.Pos())
-			}
 			return bl.slotReg(ref.Slot)
 		case VarGlobalScalar:
-			if bl.ca.varKind(ref) != kFloat {
-				bl.bail(bcBailDyn, e.Pos())
-			}
 			t := bl.newF()
 			bl.emit(instr{op: opLdGF, d: t, a: int32(ref.Slot)})
 			return t
@@ -1312,15 +1266,16 @@ func (bl *bcLower) lowerF(e Expr) int32 {
 		bl.emit(bl.fArith(e.Op, t, x, y, e.P))
 		return t
 	case *CondExpr:
+		// A double conditional may have one int branch.
 		t := bl.newF()
 		els := bl.newLabel()
 		end := bl.newLabel()
 		bl.branchBool(e.Cond, els, false)
-		r1 := bl.lowerF(e.Then)
+		r1 := bl.asF(e.Then)
 		bl.emit(instr{op: opMovF, d: t, a: r1})
 		bl.jmp(end)
 		bl.bind(els)
-		r2 := bl.lowerF(e.Else)
+		r2 := bl.asF(e.Else)
 		bl.emit(instr{op: opMovF, d: t, a: r2})
 		bl.bind(end)
 		return t
@@ -1345,17 +1300,13 @@ func (bl *bcLower) asI(e Expr) int32 {
 	if v, ok := constEval(e); ok {
 		return bl.constI(v.Int())
 	}
-	switch bl.ca.kindOf(e) {
-	case kInt:
+	if bl.ca.kindOf(e) == kInt {
 		return bl.lowerI(e)
-	case kFloat:
-		f := bl.lowerF(e)
-		t := bl.newI()
-		bl.emit(instr{op: opF2I, d: t, a: f})
-		return t
 	}
-	bl.bail(bcBailDyn, e.Pos())
-	return 0
+	f := bl.lowerF(e)
+	t := bl.newI()
+	bl.emit(instr{op: opF2I, d: t, a: f})
+	return t
 }
 
 // asF lowers e to a float register with Value.Float() semantics.
@@ -1363,17 +1314,13 @@ func (bl *bcLower) asF(e Expr) int32 {
 	if v, ok := constEval(e); ok {
 		return bl.constF(v.Float())
 	}
-	switch bl.ca.kindOf(e) {
-	case kInt:
-		i := bl.lowerI(e)
-		t := bl.newF()
-		bl.emit(instr{op: opI2F, d: t, a: i})
-		return t
-	case kFloat:
+	if bl.ca.kindOf(e) == kFloat {
 		return bl.lowerF(e)
 	}
-	bl.bail(bcBailDyn, e.Pos())
-	return 0
+	i := bl.lowerI(e)
+	t := bl.newF()
+	bl.emit(instr{op: opI2F, d: t, a: i})
+	return t
 }
 
 // ---- branches ----
@@ -1426,35 +1373,28 @@ func (bl *bcLower) branchBool(e Expr, target int, jumpIf bool) {
 			return
 		}
 	}
-	switch bl.ca.kindOf(e) {
-	case kInt:
+	if bl.ca.kindOf(e) == kInt {
 		r := bl.lowerI(e)
 		op := opBrNZI
 		if !jumpIf {
 			op = opBrZI
 		}
 		bl.patch(bl.emit(instr{op: op, a: r}), 1, target)
-	case kFloat:
-		r := bl.lowerF(e)
-		op := opBrNZF
-		if !jumpIf {
-			op = opBrZF
-		}
-		bl.patch(bl.emit(instr{op: op, a: r}), 1, target)
-	default:
-		bl.bail(bcBailDyn, e.Pos())
+		return
 	}
+	r := bl.lowerF(e)
+	op := opBrNZF
+	if !jumpIf {
+		op = opBrZF
+	}
+	bl.patch(bl.emit(instr{op: op, a: r}), 1, target)
 }
 
-// branchCmp lowers a comparison branch. The runtime rule is "int
-// compare iff both operands are statically int"; bcNegate inverts the
-// evaluated predicate rather than rewriting the operator, so NaN
-// branch behaviour matches the closure backend's !cond exactly.
+// branchCmp lowers a comparison branch: an int compare when both
+// operands are int, else a double one. bcNegate inverts the evaluated
+// predicate rather than rewriting the operator, so NaN branch behaviour
+// matches the closure backend's !cond exactly.
 func (bl *bcLower) branchCmp(e *BinExpr, target int, jumpIf bool) {
-	c := bl.ca
-	xk, yk := c.kindOf(e.X), c.kindOf(e.Y)
-	c.constKind(e.X, &xk)
-	c.constKind(e.Y, &yk)
 	var code uint8
 	switch e.Op {
 	case EQ:
@@ -1473,21 +1413,17 @@ func (bl *bcLower) branchCmp(e *BinExpr, target int, jumpIf bool) {
 	if !jumpIf {
 		code |= bcNegate
 	}
-	if xk == kInt && yk == kInt {
+	if bl.ca.kindOf(e.X) == kInt && bl.ca.kindOf(e.Y) == kInt {
 		x := bl.asI(e.X)
 		x = bl.protectI(x, e.Y)
 		y := bl.asI(e.Y)
 		bl.patch(bl.emit(instr{op: opBrCI, sub: code, a: x, b: y}), 2, target)
 		return
 	}
-	if xk == kFloat || yk == kFloat {
-		x := bl.asF(e.X)
-		x = bl.protectF(x, e.Y)
-		y := bl.asF(e.Y)
-		bl.patch(bl.emit(instr{op: opBrCF, sub: code, a: x, b: y}), 2, target)
-		return
-	}
-	bl.bail(bcBailDyn, e.Pos())
+	x := bl.asF(e.X)
+	x = bl.protectF(x, e.Y)
+	y := bl.asF(e.Y)
+	bl.patch(bl.emit(instr{op: opBrCF, sub: code, a: x, b: y}), 2, target)
 }
 
 // boolNum materializes e's truthiness as tv/fv in an int register.
@@ -1506,20 +1442,9 @@ func (bl *bcLower) boolNum(e Expr, tv, fv int64) int32 {
 
 // ---- assignments, ++/--, builtins ----
 
-// intAssign lowers an assignment whose value is statically int.
+// intAssign lowers a store into an int scalar, the only assignment
+// whose value is int.
 func (bl *bcLower) intAssign(e *AssignExpr) int32 {
-	if ix, ok := stripParens(e.LHS).(*IndexExpr); ok {
-		// A statically-int array store is always a plain assignment
-		// (compound element stores are kinded float).
-		if e.Op != ASSIGN {
-			bl.bail(bcBailOp, e.Pos())
-		}
-		rv := bl.asI(e.RHS)
-		fv := bl.newF()
-		bl.emit(instr{op: opI2F, d: fv, a: rv})
-		bl.storeElem(ix, fv)
-		return rv
-	}
 	id, ok := stripParens(e.LHS).(*Ident)
 	if !ok {
 		bl.bail(bcBailExpr, e.Pos())
@@ -1527,9 +1452,6 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
-		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail(bcBailDyn, e.Pos())
-		}
 		slot := int32(ref.Slot)
 		if e.Op == ASSIGN {
 			rv := bl.asI(e.RHS)
@@ -1542,29 +1464,24 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 		if !ok {
 			bl.bail(bcBailOp, e.Pos())
 		}
-		rk := bl.ca.kindOf(e.RHS)
-		bl.ca.constKind(e.RHS, &rk)
-		switch rk {
-		case kInt:
+		if bl.ca.kindOf(e.RHS) == kInt {
 			// RHS first, then the target's old value (closure parity).
 			rv := bl.lowerI(e.RHS)
 			t := bl.newI()
 			bl.emit(bl.iArith(base, t, slot, rv, e.P))
 			bl.emit(instr{op: opMovI, d: slot, a: t})
 			return t
-		case kFloat:
-			// int var ⊕= float rhs: float arithmetic, truncating store.
-			rv := bl.lowerF(e.RHS)
-			t1 := bl.newF()
-			bl.emit(instr{op: opI2F, d: t1, a: slot})
-			t2 := bl.newF()
-			bl.emit(bl.fArith(base, t2, t1, rv, e.P))
-			t3 := bl.newI()
-			bl.emit(instr{op: opF2I, d: t3, a: t2})
-			bl.emit(instr{op: opMovI, d: slot, a: t3})
-			return t3
 		}
-		bl.bail(bcBailDyn, e.Pos())
+		// int var ⊕= double rhs: double arithmetic, truncating store.
+		rv := bl.lowerF(e.RHS)
+		t1 := bl.newF()
+		bl.emit(instr{op: opI2F, d: t1, a: slot})
+		t2 := bl.newF()
+		bl.emit(bl.fArith(base, t2, t1, rv, e.P))
+		t3 := bl.newI()
+		bl.emit(instr{op: opF2I, d: t3, a: t2})
+		bl.emit(instr{op: opMovI, d: slot, a: t3})
+		return t3
 	case VarGlobalScalar:
 		g := int32(ref.Slot)
 		if e.Op == ASSIGN {
@@ -1576,10 +1493,7 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 		if !ok {
 			bl.bail(bcBailOp, e.Pos())
 		}
-		rk := bl.ca.kindOf(e.RHS)
-		bl.ca.constKind(e.RHS, &rk)
-		switch rk {
-		case kInt:
+		if bl.ca.kindOf(e.RHS) == kInt {
 			rv := bl.lowerI(e.RHS)
 			old := bl.newI()
 			bl.emit(instr{op: opLdGI, d: old, a: g})
@@ -1587,30 +1501,29 @@ func (bl *bcLower) intAssign(e *AssignExpr) int32 {
 			bl.emit(bl.iArith(base, t, old, rv, e.P))
 			bl.emit(instr{op: opStGI, d: g, a: t})
 			return t
-		case kFloat:
-			rv := bl.lowerF(e.RHS)
-			old := bl.newI()
-			bl.emit(instr{op: opLdGI, d: old, a: g})
-			of := bl.newF()
-			bl.emit(instr{op: opI2F, d: of, a: old})
-			t2 := bl.newF()
-			bl.emit(bl.fArith(base, t2, of, rv, e.P))
-			t3 := bl.newI()
-			bl.emit(instr{op: opF2I, d: t3, a: t2})
-			bl.emit(instr{op: opStGI, d: g, a: t3})
-			return t3
 		}
-		bl.bail(bcBailDyn, e.Pos())
+		rv := bl.lowerF(e.RHS)
+		old := bl.newI()
+		bl.emit(instr{op: opLdGI, d: old, a: g})
+		of := bl.newF()
+		bl.emit(instr{op: opI2F, d: of, a: old})
+		t2 := bl.newF()
+		bl.emit(bl.fArith(base, t2, of, rv, e.P))
+		t3 := bl.newI()
+		bl.emit(instr{op: opF2I, d: t3, a: t2})
+		bl.emit(instr{op: opStGI, d: g, a: t3})
+		return t3
 	}
 	bl.bail(bcBailExpr, e.Pos())
 	return 0
 }
 
-// floatAssign lowers an assignment whose value is statically double.
+// floatAssign lowers an assignment whose value is double: a store into
+// a double scalar or an array element.
 func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 	if ix, ok := stripParens(e.LHS).(*IndexExpr); ok {
 		if e.Op == ASSIGN {
-			rv := bl.lowerF(e.RHS)
+			rv := bl.asF(e.RHS)
 			bl.storeElem(ix, rv)
 			return rv
 		}
@@ -1627,12 +1540,9 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
-		if bl.types.scalars[ref.Slot] != kFloat {
-			bl.bail(bcBailDyn, e.Pos())
-		}
 		slot := int32(ref.Slot)
 		if e.Op == ASSIGN {
-			rv := bl.lowerF(e.RHS)
+			rv := bl.asF(e.RHS)
 			if rv != slot {
 				bl.emit(instr{op: opMovF, d: slot, a: rv})
 			}
@@ -1650,7 +1560,7 @@ func (bl *bcLower) floatAssign(e *AssignExpr) int32 {
 	case VarGlobalScalar:
 		g := int32(ref.Slot)
 		if e.Op == ASSIGN {
-			rv := bl.lowerF(e.RHS)
+			rv := bl.asF(e.RHS)
 			bl.emit(instr{op: opStGF, d: g, a: rv})
 			return rv
 		}
@@ -1684,9 +1594,6 @@ func (bl *bcLower) intIncDec(e *IncDecExpr) int32 {
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
-		if bl.types.scalars[ref.Slot] != kInt {
-			bl.bail(bcBailDyn, e.Pos())
-		}
 		slot := int32(ref.Slot)
 		old := bl.newI()
 		bl.emit(instr{op: opMovI, d: old, a: slot})
@@ -1745,9 +1652,6 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 	ref := bl.ca.refOf(id)
 	switch ref.Kind {
 	case VarScalar:
-		if bl.types.scalars[ref.Slot] != kFloat {
-			bl.bail(bcBailDyn, e.Pos())
-		}
 		slot := int32(ref.Slot)
 		old := bl.newF()
 		bl.emit(instr{op: opMovF, d: old, a: slot})
@@ -1804,7 +1708,7 @@ func (bl *bcLower) builtin(e *CallExpr) int32 {
 
 // bcSplice is a call site being lowered in place.
 type bcSplice struct {
-	want   kind          // the result's kind; kDyn when the caller discards it
+	want   kind          // the callee's declared kind; kNone when the caller discards the result
 	rename map[int]int32 // relocated parameter slot -> the argument temporary it reads
 	tail   *ReturnStmt   // the callee's only return, when it is its last statement
 	res    int32         // the result register
@@ -1812,8 +1716,9 @@ type bcSplice struct {
 }
 
 // spliceCall lowers a user call the inliner planned (siteFor) in place,
-// returning the register that holds its result of kind want (none for
-// kDyn: a call in statement position); any other user call bails.
+// returning the register that holds its result of kind want, the
+// callee's declared kind (none for kNone: a call in statement
+// position); any other user call bails.
 // Arguments evaluate left to right in the caller's context and bind by
 // value, converted to the declared kind, as inlineCall's binders do. A parameter the callee never assigns is
 // renamed to its argument's temporary; every other one is copied into
@@ -1832,9 +1737,6 @@ func (bl *bcLower) spliceCall(e *CallExpr, want kind) int32 {
 			why = "too large"
 		}
 		panic(&bcBail{why: bcBailCall, pos: e.P, call: fmt.Sprintf("%s (%s)", e.Fun, why)})
-	}
-	if want != kDyn && bl.ca.kindOf(e) != want {
-		bl.bail(bcBailDyn, e.P)
 	}
 	fi := site.callee
 	sp := &bcSplice{want: want, rename: map[int]int32{}, end: -1}
@@ -1865,16 +1767,15 @@ func (bl *bcLower) spliceCall(e *CallExpr, want kind) int32 {
 	if body := fi.Decl.Body.Stmts; returns == 1 && len(body) > 0 {
 		sp.tail, _ = body[len(body)-1].(*ReturnStmt)
 	}
-	if sp.tail == nil && want != kDyn {
+	if sp.tail == nil && want != kNone {
+		// Falling off the end yields the declared kind's zero.
 		ldc := opLdcF
 		if want == kInt {
 			ldc, sp.res = opLdcI, bl.newI()
 		} else {
 			sp.res = bl.newF()
 		}
-		if !alwaysReturns(fi.Decl.Body) {
-			bl.emit(instr{op: ldc, d: sp.res}) // falling off the end yields the zero Value
-		}
+		bl.emit(instr{op: ldc, d: sp.res})
 	}
 	bl.ca.remap, bl.splice = site, sp
 	for _, s := range fi.Decl.Body.Stmts {
@@ -1893,18 +1794,22 @@ func (bl *bcLower) spliceCall(e *CallExpr, want kind) int32 {
 // tail return needs neither: its value's register is the result.
 func (bl *bcLower) spliceReturn(s *ReturnStmt) {
 	sp := bl.splice
-	if sp.want == kDyn {
+	if sp.want == kNone {
 		if s.X != nil {
 			bl.exprVoid(s.X)
 		}
 	} else {
+		// The value converts to the declared kind; a bare return yields
+		// its zero.
 		var r int32
 		mov := opMovF
 		switch {
-		case s.X == nil:
-			r = bl.constF(0) // a bare return yields the zero Value
+		case sp.want == kInt && s.X == nil:
+			r, mov = bl.constI(0), opMovI
 		case sp.want == kInt:
 			r, mov = bl.asI(s.X), opMovI
+		case s.X == nil:
+			r = bl.constF(0)
 		default:
 			r = bl.asF(s.X)
 		}
@@ -1970,20 +1875,17 @@ func (bl *bcLower) exprVoid(e Expr) {
 		}
 	case *CallExpr:
 		if !bl.ca.isBuiltin(e) {
-			bl.spliceCall(e, kDyn) // the value is discarded, whatever its kind
+			bl.spliceCall(e, kNone) // the value is discarded, whatever its kind
 			return
 		}
 	}
 	if _, ok := constEval(e); ok {
 		return // pure constant in statement position
 	}
-	switch bl.ca.kindOf(e) {
-	case kInt:
+	if bl.ca.kindOf(e) == kInt {
 		bl.lowerI(e)
-	case kFloat:
+	} else {
 		bl.lowerF(e)
-	default:
-		bl.bail(bcBailDyn, e.Pos())
 	}
 }
 

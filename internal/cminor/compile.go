@@ -5,20 +5,22 @@ import (
 	"math"
 )
 
-// The compiler is the third stage of the resolve → typecheck → compile →
-// execute pipeline. It lowers each resolved function into a tree of
+// The compiler is the second stage of the resolve → compile → execute
+// pipeline. It lowers each resolved function into a tree of
 // closures ("closure compilation"): operator dispatch, identifier binding
 // and subscript-chain shape are all decided once, at compile time, so the
 // execute stage performs only array-indexed frame accesses and direct
 // calls. Runtime faults (bad subscript, integer division by zero, step
 // budget) surface as positioned *Diag errors instead of crashes.
 //
-// On top of the generic Value closures, the compiler emits *specialized
-// evaluator families* driven by the typecheck pass: expressions with a
-// static int/double kind compile to unboxed func(*frame) int64 /
-// func(*frame) float64 / func(*frame) bool evaluators that never
-// construct or branch on the tagged Value struct. Literal subtrees are
-// constant-folded at compile time.
+// Every expression has a static kind, int or double (typecheck.go), so
+// above O0 the compiler emits *specialized evaluator families*:
+// unboxed func(*frame) int64 / func(*frame) float64 / func(*frame) bool
+// evaluators that never construct or branch on the tagged Value struct.
+// O0 compiles the generic Value closures instead, the trusted tier that
+// fallback and audits run on (resilience.go); they convert every store
+// and return to the declared kind by the same rules.
+// Literal subtrees are constant-folded at compile time.
 //
 // The loop optimizer recognizes the canonical counted shape
 // "for (i = lo; i < hi; i++)" over a statically-int induction variable
@@ -26,16 +28,16 @@ import (
 // (it must be a pure, loop-invariant expression) over one body whose
 // subscripts stay fully checked (loopopt.go).
 //
-// Each function is compiled once. Entry calls bind every by-value
-// argument converted to its declared kind (bindArg) and internal calls
-// normalize theirs, so the typed body is safe for every call. Which
-// passes run is selected per Program variant by OptLevel (see
-// engine.go): O0 compiles the generic body, O1 the typed
-// specialization, O2 adds the loop optimizer and O3 the inliner
-// (inline.go).
+// Each function is compiled once. A scalar slot always holds its
+// declared kind — declarations, stores and both call bindings convert,
+// and a pointer binds only a cell of its pointee kind — so the typed
+// body is safe for every call. Which passes run is selected per Program
+// variant by OptLevel (see engine.go): O0 compiles the generic body, O1
+// the typed specialization, O2 adds the loop optimizer and O3 the
+// inliner (inline.go).
 //
-// The compiler reads the AST and the resolver/typecheck side tables but
-// writes neither: lowering the same resolved file repeatedly — even
+// The compiler reads the AST and the resolver's side tables but writes
+// neither: lowering the same resolved file repeatedly — even
 // concurrently — is safe, which is what Program.Variant relies on.
 
 // flow is the statement-level control-flow result.
@@ -100,6 +102,9 @@ type compiledFunc struct {
 	// bail then says why.
 	bc   *bcFunc
 	bail *bcBail
+	// zero is the declared return kind's zero, what a call that falls
+	// off the end yields (getFrame presets it).
+	zero Value
 }
 
 // rtPanic raises a positioned runtime diagnostic; Instance.Call recovers
@@ -110,13 +115,12 @@ func rtPanic(file string, p Pos, format string, args ...any) {
 
 type compiler struct {
 	prog *Program
-	// types/info are the typecheck results for the function being
-	// compiled; both nil compiles the generic (kind-agnostic) body.
-	types *fnTypes
-	info  *typeInfo
-	// opt gates the loop optimizer (O2 and up); the generic body always
-	// compiles as if O0.
+	// opt selects the generic closures (O0), the typed ones (O1) and the
+	// loop optimizer (O2 and up).
 	opt OptLevel
+	// ret is the declared return kind of the function whose body is
+	// being lowered (the inlined callee's while one is active).
+	ret BasicKind
 	// plan is the O3 inlining plan for the function being compiled (nil
 	// below O3 and for the generic body); remap is non-nil while an
 	// inlined callee's body is being lowered, relocating its frame slots
@@ -136,27 +140,12 @@ func (c *compiler) declRef(s *DeclStmt) VarRef { return c.remap.apply(c.prog.res
 // isBuiltin reports whether the resolver marked e as a math builtin.
 func (c *compiler) isBuiltin(e *CallExpr) bool { return c.prog.res.builtins[e.ID] }
 
-// kindOf returns the static kind the typechecker assigned to e (kDyn in
-// generic mode or for untyped nodes).
+// kindOf returns e's static kind, or kNone in the generic O0 body.
 func (c *compiler) kindOf(e Expr) kind {
-	if c.types == nil {
-		return kDyn
+	if c.opt == O0 {
+		return kNone
 	}
-	return c.types.expr[e]
-}
-
-// varKind returns the static kind of a scalar variable slot.
-func (c *compiler) varKind(ref VarRef) kind {
-	if c.types == nil {
-		return kDyn
-	}
-	switch ref.Kind {
-	case VarScalar:
-		return c.types.scalars[ref.Slot]
-	case VarGlobalScalar:
-		return c.info.globals[ref.Slot]
-	}
-	return kDyn
+	return c.prog.res.kindOf(e)
 }
 
 // bug reports an internal inconsistency: the resolver accepted something
@@ -235,16 +224,19 @@ func (c *compiler) stmt(s Stmt) stmtFn {
 			return flowNormal
 		}
 	case *ReturnStmt:
+		// The value converts to the declared return kind; a bare return
+		// yields that kind's zero.
+		zero := convertKind(Value{}, c.ret)
 		var x evalFn
 		if s.X != nil {
-			x = c.expr(s.X)
+			x = c.convert(s.X, c.ret)
 		}
 		return func(fr *frame) flow {
 			fr.ec.step()
 			if x != nil {
 				fr.ret = x(fr)
 			} else {
-				fr.ret = Value{}
+				fr.ret = zero
 			}
 			return flowReturn
 		}
@@ -356,7 +348,7 @@ func constDims(dims []Expr) ([]int, bool) {
 }
 
 func (c *compiler) forStmt(s *ForStmt) stmtFn {
-	if c.types != nil && c.opt >= O2 {
+	if c.opt >= O2 {
 		if fn := c.countedLoop(s); fn != nil {
 			return fn
 		}
@@ -411,6 +403,20 @@ func (c *compiler) expr(e Expr) evalFn {
 		return func(fr *frame) Value { return FloatV(f(fr)) }
 	}
 	return c.dynExpr(e)
+}
+
+// convert compiles e converted to kind k, as by assignment (convertKind).
+func (c *compiler) convert(e Expr, k BasicKind) evalFn {
+	if v, ok := constEval(e); ok {
+		v = convertKind(v, k)
+		return func(*frame) Value { return v }
+	}
+	if k == Int {
+		x := c.asInt(e)
+		return func(fr *frame) Value { return IntV(x(fr)) }
+	}
+	x := c.asFloat(e)
+	return func(fr *frame) Value { return FloatV(x(fr)) }
 }
 
 // asInt compiles e to an int64 evaluator with Value.Int() coercion
@@ -489,10 +495,10 @@ func (c *compiler) boolExpr(e Expr) evalBoolFn {
 	return func(fr *frame) bool { return x(fr).Bool() }
 }
 
-// cmpExpr compiles a comparison to an unboxed bool evaluator. The
-// runtime rule is "int compare iff both operands are int", so a
-// statically-float operand forces the float compare and both-int picks
-// the int compare; mixed dynamic operands fall back to the generic op.
+// cmpExpr compiles a comparison to an unboxed bool evaluator: an int
+// compare when both operands are int, a double one when either is
+// double. In the O0 body only constants have a kind; other operands
+// fall back to the generic op.
 func (c *compiler) cmpExpr(e *BinExpr) evalBoolFn {
 	xk, yk := c.kindOf(e.X), c.kindOf(e.Y)
 	c.constKind(e.X, &xk)
@@ -536,23 +542,19 @@ func (c *compiler) cmpExpr(e *BinExpr) evalBoolFn {
 	return func(fr *frame) bool { return op(x(fr), y(fr)).I != 0 }
 }
 
-// constKind refines a dynamic operand kind using constant folding, so
-// literal subtrees participate in unboxed comparisons even in generic
-// mode (where kindOf reports kDyn for everything).
-func (c *compiler) constKind(e Expr, k *kind) bool {
-	if *k != kDyn {
-		return false
+// constKind gives a constant operand its literal kind where kindOf
+// reports kNone, so literal subtrees take the unboxed comparisons even
+// in the generic O0 body.
+func (c *compiler) constKind(e Expr, k *kind) {
+	if *k != kNone {
+		return
 	}
-	v, ok := constEval(e)
-	if !ok {
-		return false
-	}
-	if v.IsInt {
-		*k = kInt
-	} else {
+	if v, ok := constEval(e); ok {
 		*k = kFloat
+		if v.IsInt {
+			*k = kInt
+		}
 	}
-	return true
 }
 
 // intExpr compiles a statically-int expression to an unboxed int64
@@ -573,6 +575,8 @@ func (c *compiler) intExpr(e Expr) evalIntFn {
 		switch ref.Kind {
 		case VarScalar:
 			return func(fr *frame) int64 { return fr.scalars[slot].I }
+		case VarCell:
+			return func(fr *frame) int64 { return fr.cells[slot].I }
 		case VarGlobalScalar:
 			return func(fr *frame) int64 { return fr.ec.g.scalars[slot].I }
 		}
@@ -673,25 +677,9 @@ func (c *compiler) intBin(e *BinExpr) evalIntFn {
 	return nil
 }
 
-// intAssign compiles an assignment whose value is statically int: an
-// int-kinded store into an array element, or any store into an
-// int-kinded scalar (stores into int slots always coerce to int).
+// intAssign compiles a store into an int scalar, the only assignment
+// whose value is int (an element store yields the stored double).
 func (c *compiler) intAssign(e *AssignExpr) evalIntFn {
-	if ix, ok := stripParens(e.LHS).(*IndexExpr); ok {
-		// Statically-int value with an array target implies plain
-		// assignment of an int RHS: the typechecker kinds every compound
-		// array store as float (it reads the float element first).
-		if e.Op != ASSIGN {
-			c.bug(e.P, "compound array store %s typed as int", e.Op)
-		}
-		rhs := c.asInt(e.RHS)
-		p := c.elemPtr(ix)
-		return func(fr *frame) int64 {
-			v := rhs(fr)
-			*p(fr) = float64(v)
-			return v
-		}
-	}
 	id, ok := stripParens(e.LHS).(*Ident)
 	if !ok {
 		c.bug(e.LHS.Pos(), "invalid assignment target %T", e.LHS)
@@ -710,10 +698,7 @@ func (c *compiler) intAssign(e *AssignExpr) evalIntFn {
 		c.bug(e.P, "unsupported assignment op %s", e.Op)
 	}
 	file, pos := c.prog.fname, e.P
-	rk := c.kindOf(e.RHS)
-	c.constKind(e.RHS, &rk)
-	switch rk {
-	case kInt:
+	if c.kindOf(e.RHS) == kInt {
 		rhs := c.intExpr(e.RHS)
 		return func(fr *frame) int64 {
 			v := rhs(fr)
@@ -741,25 +726,15 @@ func (c *compiler) intAssign(e *AssignExpr) evalIntFn {
 			*cl = IntV(nv)
 			return nv
 		}
-	case kFloat:
-		// int var ⊕= float rhs: the arithmetic happens in float, then
-		// the store truncates back to int (the walker's coercion rule).
-		rhs := c.floatExpr(e.RHS)
-		fop := floatArith(base)
-		return func(fr *frame) int64 {
-			v := rhs(fr)
-			cl := cell(fr)
-			nv := int64(fop(float64(cl.I), v))
-			*cl = IntV(nv)
-			return nv
-		}
 	}
-	op := c.valueOp(base, e.P)
-	rhs := c.dynExpr(e.RHS)
+	// int var ⊕= double rhs: the arithmetic happens in double, then the
+	// store truncates back to int.
+	rhs := c.floatExpr(e.RHS)
+	fop := floatArith(base)
 	return func(fr *frame) int64 {
 		v := rhs(fr)
 		cl := cell(fr)
-		nv := op(*cl, v).Int()
+		nv := int64(fop(float64(cl.I), v))
 		*cl = IntV(nv)
 		return nv
 	}
@@ -782,6 +757,8 @@ func (c *compiler) floatExpr(e Expr) evalFloatFn {
 		switch ref.Kind {
 		case VarScalar:
 			return func(fr *frame) float64 { return fr.scalars[slot].F }
+		case VarCell:
+			return func(fr *frame) float64 { return fr.cells[slot].F }
 		case VarGlobalScalar:
 			return func(fr *frame) float64 { return fr.ec.g.scalars[slot].F }
 		}
@@ -812,8 +789,9 @@ func (c *compiler) floatExpr(e Expr) evalFloatFn {
 			return func(fr *frame) float64 { return math.Mod(x(fr), y(fr)) }
 		}
 	case *CondExpr:
+		// A double conditional may have one int branch.
 		cond := c.boolExpr(e.Cond)
-		then, els := c.floatExpr(e.Then), c.floatExpr(e.Else)
+		then, els := c.asFloat(e.Then), c.asFloat(e.Else)
 		return func(fr *frame) float64 {
 			if cond(fr) {
 				return then(fr)
@@ -888,7 +866,7 @@ func (c *compiler) floatAssign(e *AssignExpr) evalFloatFn {
 	if ix, ok := stripParens(e.LHS).(*IndexExpr); ok {
 		p := c.elemPtr(ix)
 		if e.Op == ASSIGN {
-			rhs := c.floatExpr(e.RHS)
+			rhs := c.asFloat(e.RHS)
 			return func(fr *frame) float64 {
 				// Match the tree-walker's evaluation order: RHS first,
 				// then the target subscripts.
@@ -919,7 +897,7 @@ func (c *compiler) floatAssign(e *AssignExpr) evalFloatFn {
 	}
 	cell := c.cellRef(id)
 	if e.Op == ASSIGN {
-		rhs := c.floatExpr(e.RHS)
+		rhs := c.asFloat(e.RHS)
 		return func(fr *frame) float64 {
 			v := rhs(fr)
 			*cell(fr) = FloatV(v)
@@ -1027,8 +1005,8 @@ func (c *compiler) exprVoid(e Expr) evalVoidFn {
 	return func(fr *frame) { x(fr) }
 }
 
-// dynExpr compiles e down the generic tagged-Value path (used for
-// dynamic kinds and for the whole generic fallback body).
+// dynExpr compiles e down the generic tagged-Value path: the O0 body,
+// which reads the kind of every value from its tag.
 func (c *compiler) dynExpr(e Expr) evalFn {
 	switch e := e.(type) {
 	case *IntLit:
@@ -1072,8 +1050,13 @@ func (c *compiler) dynExpr(e Expr) evalFn {
 		return c.bin(e)
 	case *CondExpr:
 		cond := c.boolExpr(e.Cond)
-		then := c.expr(e.Then)
-		els := c.expr(e.Else)
+		var then, els evalFn
+		if c.prog.res.kindOf(e) == kInt {
+			then, els = c.expr(e.Then), c.expr(e.Else)
+		} else {
+			// A double conditional converts an int branch.
+			then, els = c.convert(e.Then, Double), c.convert(e.Else, Double)
+		}
 		return func(fr *frame) Value {
 			if cond(fr) {
 				return then(fr)
@@ -1372,10 +1355,11 @@ func (c *compiler) assign(e *AssignExpr) evalFn {
 		if e.Op == ASSIGN {
 			return func(fr *frame) Value {
 				// Match the tree-walker's evaluation order: RHS first,
-				// then the target subscripts.
-				nv := rhs(fr)
+				// then the target subscripts. The value is the stored
+				// double.
+				nv := FloatV(rhs(fr).Float())
 				a, off := elem(fr)
-				a.Data[off] = nv.Float()
+				a.Data[off] = nv.F
 				return nv
 			}
 		}
@@ -1392,20 +1376,17 @@ func (c *compiler) assign(e *AssignExpr) evalFn {
 			return nv
 		}
 	}
-	// Scalar target.
+	// Scalar target: the stored value converts to the declared kind.
 	id, ok := stripParens(e.LHS).(*Ident)
 	if !ok {
 		c.bug(e.LHS.Pos(), "invalid assignment target %T", e.LHS)
 	}
 	cell := c.cellRef(id)
+	k := c.refOf(id).Base
 	if e.Op == ASSIGN {
 		return func(fr *frame) Value {
-			nv := rhs(fr)
-			cl := cell(fr)
-			if cl.IsInt {
-				nv = IntV(nv.Int())
-			}
-			*cl = nv
+			nv := convertKind(rhs(fr), k)
+			*cell(fr) = nv
 			return nv
 		}
 	}
@@ -1417,10 +1398,7 @@ func (c *compiler) assign(e *AssignExpr) evalFn {
 	return func(fr *frame) Value {
 		v := rhs(fr)
 		cl := cell(fr)
-		nv := op(*cl, v)
-		if cl.IsInt {
-			nv = IntV(nv.Int())
-		}
+		nv := convertKind(op(*cl, v), k)
 		*cl = nv
 		return nv
 	}

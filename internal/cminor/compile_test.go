@@ -348,6 +348,19 @@ double f() {
 		func() []any { return []any{FloatV(0.25)} },
 	},
 	{
+		// The inner s shadows the outer one until its block ends.
+		"shadowed-block",
+		`double f() { double s = 1.0; if (1) { double s = 2.0; s = s + 1.0; } return s; }`,
+		"f",
+		func() []any { return nil },
+	},
+	{
+		"shadowed-global",
+		`int g = 5; int f() { for (int g = 0; g < 2; g++) { int g = 7; } if (1) { int g = 1; g = g + 1; } return g; }`,
+		"f",
+		func() []any { return nil },
+	},
+	{
 		"cast-and-negate",
 		`double f(int a) { return (double)(0 - a) / 4 + (int)2.75; }`,
 		"f",
@@ -714,12 +727,13 @@ double arr(double a[2]) { a[0] = a[0] + 0.5; return a[0]; }`
 		{"nil *Array", func() any { return (*Array)(nil) }},
 	}
 	// Pinned outcomes; every other cell is held to the walker's. A
-	// shared *IntV cell keeps its int kind (p = 3.5 stores 3), exactly as
-	// a walker cell does.
+	// shared cell must hold the pointee kind, so an *IntV cannot bind a
+	// double *.
 	want := map[string]string{
 		"bump/int": "4", "bump/float64": "4", "bump/IntV": "4", "bump/FloatV": "4",
 		"half/int": "1.5", "half/float64": "1.5", "half/IntV": "1.5", "half/FloatV": "1.5",
-		"ptr/int": "3.5", "ptr/*FloatV": "3.5", "ptr/*IntV": "3", "arr/*Array": "3.5",
+		"ptr/int": "3.5", "ptr/*FloatV": "3.5", "arr/*Array": "3.5",
+		"ptr/*IntV":       `cminor: ptr: cannot bind *cminor.Value holding an int to parameter "double *p"`,
 		"bump/*IntV":      `cminor: bump: cannot bind *cminor.Value to parameter "int n"`,
 		"bump/nil *Value": `cminor: bump: cannot bind nil *cminor.Value to parameter "int n"`,
 		"ptr/nil *Value":  `cminor: ptr: cannot bind nil *cminor.Value to parameter "double *p"`,

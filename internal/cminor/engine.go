@@ -17,15 +17,15 @@ import (
 // variants under different optimization configurations) and then called
 // many times, concurrently, with per-call control.
 //
-//	prog, err := Compile(file)                   // resolve+typecheck+lower once
+//	prog, err := Compile(file)                   // resolve+lower once
 //	o3, err := prog.Variant(WithOptLevel(O3))    // another knob setting, shared front end
 //	inst := prog.NewInstance()                   // one per goroutine
 //	v, err := inst.CallContext(ctx, "gemm", args...)
 //
 // A Program holds only read-only state (the AST is never written after
-// parse; resolver/typecheck results live in NodeID-indexed side
-// tables), so any number of goroutines may share one Program — or
-// several variants of it — each through its own Instance. An Instance
+// parse; resolver results live in NodeID-indexed side tables), so any
+// number of goroutines may share one Program — or several variants of
+// it — each through its own Instance. An Instance
 // owns the mutable execution state: global-variable storage, the step
 // budget, and a frame freelist that keeps steady-state calls
 // allocation-free. Instances are NOT safe for concurrent use; they are
@@ -77,7 +77,8 @@ type OptLevel uint8
 const (
 	// O0 compiles only the generic tagged-Value closures.
 	O0 OptLevel = iota
-	// O1 adds the typecheck-driven unboxed int64/float64 evaluators.
+	// O1 adds the unboxed int64/float64 evaluators every expression's
+	// static kind allows (typecheck.go).
 	O1
 	// O2 adds the loop optimizer, which runs counted loops as native Go
 	// loops (loopopt.go). It is the default.
@@ -210,7 +211,6 @@ func WithMaxSteps(n int) Option {
 // the Instances created from it.
 type Program struct {
 	res   *ResolvedFile
-	ti    *typeInfo
 	fname string
 	cfg   config
 	funcs map[string]*compiledFunc
@@ -221,7 +221,7 @@ type Program struct {
 	ref     *Program
 }
 
-// Compile resolves, typechecks and lowers f under the given options
+// Compile resolves and lowers f under the given options
 // (default: compiled backend, O2, DefaultMaxSteps). All diagnostics
 // carry file:line:col. f is not modified — semantic results live in
 // side tables — so the same *File may be compiled repeatedly, and
@@ -238,11 +238,11 @@ func Compile(f *File, opts ...Option) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lower(f.Name, res, typecheck(res), cfg), nil
+	return lower(f.Name, res, cfg), nil
 }
 
 // Variant lowers the same resolved source under a modified option set,
-// sharing the resolve/typecheck results with p. Options not overridden
+// sharing the resolve results with p. Options not overridden
 // keep p's values. This is the compile-time exploration hook: build
 // O0–O3 (or walker) variants of one kernel and select among them at
 // run time. Unknown option values (e.g. an out-of-range opt level) are
@@ -255,7 +255,7 @@ func (p *Program) Variant(opts ...Option) (*Program, error) {
 	if err := cfg.validate(p.fname); err != nil {
 		return nil, err
 	}
-	return lower(p.fname, p.res, p.ti, cfg), nil
+	return lower(p.fname, p.res, cfg), nil
 }
 
 // CheckOptions validates an option set against p without lowering a
@@ -301,12 +301,13 @@ func (p *Program) OptLevel() OptLevel { return p.cfg.opt }
 func (p *Program) Passes() PassMask { return p.cfg.passes }
 
 // lower builds one Program variant from shared front-end results.
-func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
-	p := &Program{res: res, ti: ti, fname: fname, cfg: cfg,
+func lower(fname string, res *ResolvedFile, cfg config) *Program {
+	p := &Program{res: res, fname: fname, cfg: cfg,
 		funcs: map[string]*compiledFunc{}}
 	for name, info := range res.Funcs {
 		p.funcs[name] = &compiledFunc{info: info, idx: p.nfun,
-			nScalars: info.NumScalars, nCells: info.NumCells, nArrays: info.NumArrays}
+			nScalars: info.NumScalars, nCells: info.NumCells, nArrays: info.NumArrays,
+			zero: convertKind(Value{}, info.Decl.Ret.Kind)}
 		p.nfun++
 	}
 	if cfg.backend == BackendWalker {
@@ -321,7 +322,7 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 	// per-variant frame sizes grow past the resolver's counts.
 	var plans map[string]*inlinePlan
 	if cfg.opt >= O3 && cfg.passes&PassInline != 0 {
-		plans = planInlining(res, ti)
+		plans = planInlining(res)
 		for name, pl := range plans {
 			cf := p.funcs[name]
 			cf.nScalars, cf.nCells, cf.nArrays = pl.numScalars, pl.numCells, pl.numArrays
@@ -329,9 +330,8 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 	}
 	// Each function gets exactly one body: the bytecode where the
 	// lowerer proves it equivalent, else the generic closures at O0 or
-	// the typed closures above it. The entry binder (bindArg) converts
-	// every by-value argument to its declared kind, so no call ever needs
-	// a kind-agnostic second body.
+	// the typed closures above it. Every scalar holds its declared kind
+	// (typecheck.go), so no call ever needs a kind-agnostic second body.
 	for name, cf := range p.funcs {
 		if cfg.backend == BackendBytecode {
 			bc, bail := lowerBCFunc(p, name, cf, plans[name])
@@ -345,16 +345,7 @@ func lower(fname string, res *ResolvedFile, ti *typeInfo, cfg config) *Program {
 				continue
 			}
 		}
-		if cfg.opt == O0 {
-			cf.body = (&compiler{prog: p}).block(cf.info.Decl.Body)
-			continue
-		}
-		types := ti.funcs[name]
-		plan := plans[name]
-		if plan != nil {
-			types = plan.types // caller kinds extended over the inlined slots
-		}
-		ct := &compiler{prog: p, types: types, info: ti, opt: cfg.opt, plan: plan}
+		ct := &compiler{prog: p, opt: cfg.opt, plan: plans[name], ret: cf.info.Decl.Ret.Kind}
 		cf.body = ct.block(cf.info.Decl.Body)
 	}
 	return p
@@ -616,13 +607,14 @@ func (s *Instance) getFrame(cf *compiledFunc) *frame {
 	if pool.live < len(pool.frames) {
 		fr := pool.frames[pool.live]
 		pool.live++
-		// A body without a return statement leaves ret untouched; a
-		// recycled frame must yield the zero Value then, like a fresh one.
-		fr.ret = Value{}
+		// A body that falls off its end leaves ret untouched: it must
+		// hold the declared kind's zero then.
+		fr.ret = cf.zero
 		return fr
 	}
 	fr := &frame{
 		ec:      s,
+		ret:     cf.zero,
 		scalars: make([]Value, cf.nScalars),
 		cells:   make([]*Value, cf.nCells),
 		arrays:  make([]*Array, cf.nArrays),
@@ -734,14 +726,15 @@ func checkArity(name string, want, got int) error {
 // error text:
 //
 //   - an array parameter takes a non-nil *Array;
-//   - a pointer parameter takes a non-nil *Value, shared as its cell, or
-//     a scalar boxed into a fresh cell;
+//   - a pointer parameter takes a non-nil *Value holding its pointee
+//     kind, shared as its cell, or a scalar boxed into a fresh cell;
 //   - a by-value parameter takes a scalar: Value, int or float64.
 //
-// Scalars convert to the parameter's declared kind (convertKind), so a
-// by-value slot always holds its declared kind — the invariant the
-// typed closures and the bytecode are lowered against. The binding is
-// returned in the one result its parameter shape uses.
+// Scalars convert to the parameter's declared kind (convertKind), and a
+// shared cell must already hold it, so every slot and cell holds its
+// declared kind — the invariant the typed closures and the bytecode are
+// lowered against. The binding is returned in the one result its
+// parameter shape uses.
 func bindArg(fn string, p *Param, a any) (v Value, cell *Value, arr *Array, err error) {
 	t := p.Type
 	switch a := a.(type) {
@@ -750,7 +743,7 @@ func bindArg(fn string, p *Param, a any) (v Value, cell *Value, arr *Array, err 
 			return Value{}, nil, a, nil
 		}
 	case *Value:
-		if a != nil && t.Ptr {
+		if a != nil && t.Ptr && a.IsInt == (t.Kind == Int) {
 			return Value{}, a, nil, nil
 		}
 	default:
@@ -768,8 +761,20 @@ func bindArg(fn string, p *Param, a any) (v Value, cell *Value, arr *Array, err 
 // argError is bindArg's rejection, one text on every backend.
 func argError(fn string, p *Param, a any) error {
 	what := fmt.Sprintf("%T", a)
-	if a == (*Value)(nil) || a == (*Array)(nil) {
-		what = "nil " + what
+	switch v := a.(type) {
+	case *Value:
+		switch {
+		case v == nil:
+			what = "nil " + what
+		case p.Type.Ptr && v.IsInt:
+			what += " holding an int"
+		case p.Type.Ptr:
+			what += " holding a double"
+		}
+	case *Array:
+		if v == nil {
+			what = "nil " + what
+		}
 	}
 	return fmt.Errorf("cminor: %s: cannot bind %s to parameter %q", fn, what, typeString(p.Type, p.Name))
 }

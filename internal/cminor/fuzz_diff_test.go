@@ -18,9 +18,10 @@ import (
 // Differential fuzz-style test: a deterministic generator produces a
 // corpus of small kernels — mixed int/double arithmetic, nested counted
 // loops (including shapes that hit and miss the loop optimizer's fast
-// paths), compound assignments, casts, builtins, and stores that demote
-// double variables to dynamic — and every program is run through both
-// the tree-walking oracle and the optimized compiled pipeline. Results
+// paths), compound assignments, casts, builtins, and stores that convert
+// between int and double, directly and through pointer cells — and
+// every program is run through both the tree-walking oracle and the
+// optimized compiled pipeline. Results
 // must be bit-identical: same returned Value and same bits in every
 // array. This guards the typed specialization and the strength-reduced
 // subscripts against silent numeric drift.
@@ -31,6 +32,9 @@ import (
 type diffGen struct {
 	rng *rand.Rand
 	sb  strings.Builder
+	// declaring is the variable whose initialiser is being generated,
+	// which the initialiser must not name.
+	declaring string
 	// loopVars are the loop variables currently in scope, with
 	// wide=true when the loop runs [1, n-1) so ±1 offsets are safe.
 	loopVars []struct {
@@ -52,6 +56,9 @@ func (g *diffGen) intExpr(depth int) string {
 		case 1:
 			return "n"
 		case 2:
+			if g.declaring == "s" {
+				return "n"
+			}
 			return "s"
 		default:
 			if len(g.loopVars) > 0 {
@@ -98,6 +105,9 @@ func (g *diffGen) floatExpr(depth int) string {
 		case 0:
 			return fmt.Sprintf("%g", float64(g.rng.Intn(40))*0.25)
 		case 1:
+			if g.declaring == "acc" {
+				return "a[0]"
+			}
 			return "acc"
 		case 2:
 			return fmt.Sprintf("a[%s]", g.index())
@@ -119,11 +129,11 @@ func (g *diffGen) floatExpr(depth int) string {
 	case 4:
 		return fmt.Sprintf("sqrt(fabs(%s))", g.floatExpr(depth-1))
 	case 5:
-		// hmix can return an int-kinded Value (its result kind demotes
-		// to dynamic), exercising dyn call results in float positions.
+		// hmix returns its int parameter on one path, converted to its
+		// declared double.
 		return fmt.Sprintf("(hmix(%s, %s) + 0.0)", g.intExpr(depth-1), g.floatExpr(depth-1))
 	default:
-		// Mixed arithmetic: int operand forces the dynamic-join paths.
+		// Mixed arithmetic: the int operand converts to double.
 		return fmt.Sprintf("(%s + %s)", g.floatExpr(depth-1), g.intExpr(depth-1))
 	}
 }
@@ -131,11 +141,14 @@ func (g *diffGen) floatExpr(depth int) string {
 func (g *diffGen) stmt(indent string, depth int) {
 	switch g.rng.Intn(10) {
 	case 8:
-		// Pointer escape: punch stores an int through the cell, so the
-		// typechecker must demote acc (or keep s int) — and the stored
-		// kind must match the walker bit-for-bit afterwards.
-		fmt.Fprintf(&g.sb, "%spunch(&%s, %s);\n", indent,
-			g.pick("acc", "s"), g.intExpr(1))
+		// Stores through a pointer cell convert to its pointee kind:
+		// punch stores an int into the double acc, tally a double into
+		// the int s.
+		if g.rng.Intn(2) == 0 {
+			fmt.Fprintf(&g.sb, "%spunch(&acc, %s);\n", indent, g.intExpr(1))
+		} else {
+			fmt.Fprintf(&g.sb, "%stally(&s, %s);\n", indent, g.floatExpr(1))
+		}
 	case 9:
 		fmt.Fprintf(&g.sb, "%sbump(&acc, %s);\n", indent, g.floatExpr(1))
 	case 0:
@@ -145,8 +158,7 @@ func (g *diffGen) stmt(indent string, depth int) {
 		fmt.Fprintf(&g.sb, "%sacc %s %s;\n", indent,
 			g.pick("+=", "-=", "*="), g.floatExpr(2))
 	case 2:
-		// Plain int store into a double variable: demotes acc to the
-		// dynamic kind and exercises the generic assignment path.
+		// Plain int store into a double variable: converts to double.
 		fmt.Fprintf(&g.sb, "%sacc = %s;\n", indent, g.intExpr(2))
 	case 3:
 		fmt.Fprintf(&g.sb, "%sout[%s] %s %s;\n", indent, g.index(),
@@ -195,10 +207,9 @@ func (g *diffGen) loop(indent string, depth int) {
 }
 
 // generate returns the source of one random kernel, preceded by helper
-// functions that exercise cross-function inference: hint has a stable
-// int result, hmix may fall off one branch with an int return (its
-// result kind demotes to dynamic), and punch/bump write through pointer
-// parameters (escape demotion).
+// functions that exercise the conversion rules across calls: hint has an
+// int result, hmix returns an int on one path from a double function,
+// and punch/bump/tally store through pointer parameters of either kind.
 func generateDiffKernel(seed int64) string {
 	g := &diffGen{rng: rand.New(rand.NewSource(seed))}
 	// File-scope state: every kernel updates the globals from its
@@ -217,10 +228,14 @@ func generateDiffKernel(seed int64) string {
 		g.rng.Intn(6), 0.25*float64(1+g.rng.Intn(8)))
 	g.sb.WriteString("void punch(double *p, int v) { p = v; }\n")
 	g.sb.WriteString("void bump(double *p, double d) { p = p + d; }\n")
+	g.sb.WriteString("void tally(int *p, double d) { p = p + d; }\n")
 	g.sb.WriteString("double k(int n, double a[n], double b[n][n], double out[n]) {\n")
 	g.sb.WriteString("  int i0; int i1; int i2;\n")
+	g.declaring = "s"
 	fmt.Fprintf(&g.sb, "  int s = %s;\n", g.intExpr(1))
+	g.declaring = "acc"
 	fmt.Fprintf(&g.sb, "  double acc = %s;\n", g.floatExpr(1))
+	g.declaring = ""
 	g.sb.WriteString("  gtick = gtick + 1;\n")
 	for k := 0; k <= g.rng.Intn(3); k++ {
 		g.loop("  ", 2+g.rng.Intn(2))
@@ -259,8 +274,22 @@ func sameValue(a, b Value) bool {
 	return math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
+// usesPointerHelper reports whether a generated kernel calls a helper
+// with a pointer parameter, the one call the bytecode does not splice.
+func usesPointerHelper(src string) bool {
+	return strings.Contains(src, "punch(&") || strings.Contains(src, "bump(&") ||
+		strings.Contains(src, "tally(&")
+}
+
 func TestDifferentialGeneratedKernels(t *testing.T) {
 	const corpus = 60
+	compiled, lowered := 0, 0
+	defer func() {
+		if compiled != corpus {
+			t.Errorf("%d of %d generated kernels compiled", compiled, corpus)
+		}
+		t.Logf("%d kernels compiled, %d of k lowered to bytecode", compiled, lowered)
+	}()
 	for seed := int64(0); seed < corpus; seed++ {
 		src := generateDiffKernel(seed)
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -268,13 +297,11 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generator produced an unparsable kernel:\n%s\n%v", src, err)
 			}
-			// Some generated kernels are unresolvable (e.g. a variable
-			// used in its own initializer); Compile reports that up front,
-			// for the walker backend too.
 			prog, perr := Compile(f, WithMaxSteps(1<<30))
 			if perr != nil {
-				return
+				t.Fatalf("generated kernel rejected:\n%s\n%v", src, perr)
 			}
+			compiled++
 			w := WalkerInst(t, f)
 			w.SetMaxSteps(1 << 30)
 			wArgs, cArgs, iArgs := diffArgs(8, seed), diffArgs(8, seed), diffArgs(8, seed)
@@ -317,6 +344,13 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			bp, bperr := prog.Variant(WithBackend(BackendBytecode), WithOptLevel(O3))
 			if bperr != nil {
 				t.Fatalf("Variant(bytecode): %v", bperr)
+			}
+			// Every kind is static, so k lowers unless it calls a helper
+			// through a pointer parameter.
+			if _, derr := Disassemble(bp, "k"); derr == nil {
+				lowered++
+			} else if !usesPointerHelper(src) {
+				t.Fatalf("k calls no pointer helper but did not lower:\n%s\n%v", src, derr)
 			}
 			bArgs := diffArgs(8, seed)
 			bi := bp.NewInstance()

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// A differential corpus that reaches the bytecode back end. Almost every
-// generateDiffKernel kernel (fuzz_diff_test.go) bails to the closure
-// fallback — pointer cells, dynamic kinds, helpers with no static result
-// kind — so that corpus executes almost no bytecode. The kernels here
+// A differential corpus aimed at the bytecode back end's run forms: the
+// generateDiffKernel kernels (fuzz_diff_test.go) lower only when they
+// call no pointer helper, and are not built around run forms. The
+// kernels here
 // are loop nests whose innermost bodies are the three run forms
 // (bytecode.go) and their near-misses, at the trip counts where a run's
 // length is decided — zero, one, two and either side of bcRunChunk —

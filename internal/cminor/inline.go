@@ -58,14 +58,13 @@ func (s *inlineSite) apply(ref VarRef) VarRef {
 }
 
 // inlinePlan is one caller's inlining decisions: the sites keyed by
-// CallExpr NodeID, the grown frame sizes, and the caller's typecheck
-// table extended over the relocated callee slots.
+// CallExpr NodeID and the grown frame sizes. Relocated slots keep their
+// declared kind (VarRef.Base), so no kind table is extended.
 type inlinePlan struct {
 	sites      map[NodeID]*inlineSite
 	numScalars int
 	numCells   int
 	numArrays  int
-	types      *fnTypes
 }
 
 // inlinable reports whether fn qualifies as an inline callee: a leaf
@@ -77,9 +76,9 @@ func inlinable(fn *FuncInfo) bool {
 
 // planInlining decides, for every function in res, which of its call
 // sites are inlined, and lays out a fresh slot block per site. It reads
-// the shared resolve/typecheck results and writes only new structures,
-// so concurrent lowerings of the same front end stay race-free.
-func planInlining(res *ResolvedFile, ti *typeInfo) map[string]*inlinePlan {
+// the shared resolve results and writes only new structures, so
+// concurrent lowerings of the same front end stay race-free.
+func planInlining(res *ResolvedFile) map[string]*inlinePlan {
 	candidates := map[string]*FuncInfo{}
 	for name, fi := range res.Funcs {
 		if inlinable(fi) {
@@ -100,8 +99,6 @@ func planInlining(res *ResolvedFile, ti *typeInfo) map[string]*inlinePlan {
 			numCells:   fi.NumCells,
 			numArrays:  fi.NumArrays,
 		}
-		merged := map[string]bool{}
-		var ft *fnTypes
 		Walk(fi.Decl.Body, func(n Node) bool {
 			call, ok := n.(*CallExpr)
 			if !ok || res.builtins[call.ID] {
@@ -111,26 +108,11 @@ func planInlining(res *ResolvedFile, ti *typeInfo) map[string]*inlinePlan {
 			if callee == nil {
 				return true
 			}
-			if ft == nil {
-				// First site: fork the caller's type tables so the shared
-				// typeInfo is never written.
-				ft = ti.funcs[name].fork()
-			}
 			pl.sites[call.ID] = &inlineSite{
 				callee:    callee,
 				scalarOff: pl.numScalars,
 				cellOff:   pl.numCells,
 				arrayOff:  pl.numArrays,
-			}
-			// The relocated scalar slots carry the callee's inferred kinds;
-			// expression kinds are shared by every site of one callee.
-			calleeFT := ti.funcs[call.Fun]
-			ft.scalars = append(ft.scalars, calleeFT.scalars...)
-			if !merged[call.Fun] {
-				merged[call.Fun] = true
-				for e, k := range calleeFT.expr {
-					ft.expr[e] = k
-				}
 			}
 			pl.numScalars += callee.NumScalars
 			pl.numCells += callee.NumCells
@@ -140,7 +122,6 @@ func planInlining(res *ResolvedFile, ti *typeInfo) map[string]*inlinePlan {
 		if len(pl.sites) == 0 {
 			continue
 		}
-		pl.types = ft
 		plans[name] = pl
 	}
 	return plans
@@ -159,9 +140,10 @@ func (c *compiler) siteFor(e *CallExpr) *inlineSite {
 // inlineCall lowers a planned call site: argument binders evaluate in
 // the caller's context and write the relocated parameter slots, then
 // the callee's body — compiled against the caller's frame layout — runs
-// in place. The caller's pending return value is saved around the
-// splice so a caller that falls off its end still yields the zero
-// Value, and the callee's flowReturn never escapes the site.
+// in place, its returns converting to the callee's declared kind. The
+// caller's pending return value is saved around the splice so a caller
+// that falls off its end still yields its own zero, and the callee's
+// flowReturn never escapes the site.
 func (c *compiler) inlineCall(e *CallExpr, site *inlineSite) evalFn {
 	fi := site.callee
 	binders := make([]func(fr *frame), len(e.Args))
@@ -196,16 +178,17 @@ func (c *compiler) inlineCall(e *CallExpr, site *inlineSite) evalFn {
 			}
 		}
 	}
-	saved := c.remap
-	c.remap = site
+	saved, savedRet := c.remap, c.ret
+	c.remap, c.ret = site, fi.Decl.Ret.Kind
 	body := c.block(fi.Decl.Body)
-	c.remap = saved
+	c.remap, c.ret = saved, savedRet
+	zero := convertKind(Value{}, fi.Decl.Ret.Kind)
 	return func(fr *frame) Value {
 		for _, bind := range binders {
 			bind(fr)
 		}
 		outer := fr.ret
-		fr.ret = Value{}
+		fr.ret = zero
 		body(fr)
 		ret := fr.ret
 		fr.ret = outer

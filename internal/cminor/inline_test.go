@@ -23,7 +23,7 @@ func planFor(t *testing.T, src, fn string) *inlinePlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return planInlining(res, typecheck(res))[fn]
+	return planInlining(res)[fn]
 }
 
 func TestInlinePlanEligibility(t *testing.T) {

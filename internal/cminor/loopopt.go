@@ -86,7 +86,7 @@ func (c *compiler) countedShape(s *ForStmt) (ivRef VarRef, lo, hi Expr, strict b
 	default:
 		return
 	}
-	if c.varKind(ivRef) != kInt {
+	if ivRef.Base != Int {
 		return
 	}
 	// Condition: iv < hi or iv <= hi.
@@ -99,9 +99,7 @@ func (c *compiler) countedShape(s *ForStmt) (ivRef VarRef, lo, hi Expr, strict b
 		return
 	}
 	hi = cond.Y
-	hk := c.kindOf(hi)
-	c.constKind(hi, &hk)
-	if hk != kInt {
+	if c.kindOf(hi) != kInt {
 		return
 	}
 	// Post: iv++, iv += 1, or iv = iv + 1.

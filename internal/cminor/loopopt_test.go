@@ -132,9 +132,11 @@ double f(int n, double b[n][n]) {
 	diffCheck(t, "rowstride", src, "f", mk)
 }
 
-// The loop bound is a double-kinded variable that demotes to dynamic
-// (int store later); counted loop must not fire, parity must hold.
-func TestLoopDynamicBoundAndDemotedIV(t *testing.T) {
+// The loop bound is a double variable that an int store converts into:
+// it stays double, so neither loop is a counted loop (its bound must be
+// int), and every backend returns the double C computes: m = 7.0, seven
+// a[i] += 1.0 and eight a[0] += 0.5 leave a[0] = 5.0.
+func TestLoopDoubleBound(t *testing.T) {
 	src := `
 double f(int n, double a[n]) {
   int i;
@@ -155,7 +157,28 @@ double f(int n, double a[n]) {
 		}
 		return []any{IntV(8), a}
 	}
-	diffCheck(t, "dynbound", src, "f", mk)
+	diffCheck(t, "doublebound", src, "f", mk)
+	f := MustParse("t.c", src)
+	p, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &compiler{prog: p, opt: O2}
+	for _, st := range f.Funcs[0].Body.Stmts {
+		switch st := st.(type) {
+		case *ExprStmt:
+			if k := p.res.kindOf(st.X); k != kFloat {
+				t.Errorf("m = n - 1 has kind %d, want double", k)
+			}
+		case *ForStmt:
+			if _, _, _, _, _, ok := c.countedShape(st); ok {
+				t.Errorf("loop at %s with a double bound taken as counted", st.P)
+			}
+		}
+	}
+	if v, err := newInst(t, f).Call("f", mk()...); err != nil || !sameValue(v, FloatV(5)) {
+		t.Errorf("f = %+v, %v; want 5.0", v, err)
+	}
 }
 
 // Rank mismatch at loop entry (array param rebound with wrong rank):

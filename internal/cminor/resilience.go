@@ -236,7 +236,7 @@ func (p *Program) reference() *Program {
 		cfg.passes = 0
 		cfg.fallback = false
 		cfg.inject = nil
-		p.ref = lower(p.fname, p.res, p.ti, cfg)
+		p.ref = lower(p.fname, p.res, cfg)
 	})
 	return p.ref
 }

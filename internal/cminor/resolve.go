@@ -3,7 +3,7 @@ package cminor
 import "slices"
 
 // The resolver is the first stage of the compiled execution pipeline
-// (resolve → typecheck → compile → execute). It walks the AST exactly
+// (resolve → compile → execute). It walks the AST exactly
 // once, binds every identifier to a numbered frame slot, checks
 // arity/rank/lvalue rules, and evaluates constant array dimensions, so
 // the later stages never consult names or re-discover structure inside
@@ -309,6 +309,9 @@ func (r *resolver) stmt(s Stmt) {
 	case *ReturnStmt:
 		if s.X != nil {
 			r.expr(s.X)
+			if fn := r.cur.Decl; fn.Ret.Kind == Void {
+				r.errorf(s.P, "void function %s returns a value", fn.Name)
+			}
 		}
 	case *PragmaStmt:
 		// No names to resolve.
@@ -470,7 +473,7 @@ func (r *resolver) call(e *CallExpr) {
 		case p.Type.IsArray():
 			r.arrayArg(a, p, e.Fun)
 		case p.Type.Ptr:
-			r.cellArg(a)
+			r.cellArg(a, p, e.Fun)
 		default:
 			r.expr(a)
 		}
@@ -510,8 +513,8 @@ func (r *resolver) arrayArg(a Expr, p *Param, fun string) {
 }
 
 // cellArg resolves an argument bound to a pointer parameter: a scalar
-// variable, optionally written &x.
-func (r *resolver) cellArg(a Expr) {
+// variable of the pointee kind, optionally written &x.
+func (r *resolver) cellArg(a Expr, p *Param, fun string) {
 	for {
 		switch x := a.(type) {
 		case *ParenExpr:
@@ -536,8 +539,12 @@ func (r *resolver) cellArg(a Expr) {
 		return
 	}
 	r.setRef(id.ID, sym.ref)
-	if sym.ref.Kind == VarArray || sym.ref.Kind == VarGlobalArray {
+	switch {
+	case sym.ref.Kind == VarArray || sym.ref.Kind == VarGlobalArray:
 		r.errorf(id.P, "array %q cannot bind a pointer parameter", id.Name)
+	case sym.kind != p.Type.Kind:
+		r.errorf(id.P, "cannot bind %s %q to parameter %q of %s",
+			sym.kind, id.Name, typeString(p.Type, p.Name), fun)
 	}
 }
 
@@ -596,14 +603,27 @@ func constEval(e Expr) (Value, bool) {
 		}
 		return Value{}, false
 	case *CondExpr:
+		// Both branches must fold: the result takes their joined kind.
 		c, ok := constEval(e.Cond)
 		if !ok {
 			return Value{}, false
 		}
-		if c.Bool() {
-			return constEval(e.Then)
+		t, ok := constEval(e.Then)
+		if !ok {
+			return Value{}, false
 		}
-		return constEval(e.Else)
+		f, ok := constEval(e.Else)
+		if !ok {
+			return Value{}, false
+		}
+		v := f
+		if c.Bool() {
+			v = t
+		}
+		if t.IsInt && f.IsInt {
+			return v, true
+		}
+		return FloatV(v.Float()), true
 	}
 	return Value{}, false
 }

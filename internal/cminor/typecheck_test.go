@@ -11,29 +11,33 @@ func resolveForTest(t *testing.T, src string) *ResolvedFile {
 	return res
 }
 
-// scalarKindOf finds the inferred kind of a named local/param scalar by
-// re-walking the function body for its declaration slot.
-func scalarKindOf(t *testing.T, res *ResolvedFile, ti *typeInfo, fn, name string) kind {
-	t.Helper()
-	fi := res.Funcs[fn]
-	var ref *VarRef
-	for i, p := range fi.Decl.Params {
-		if p.Name == name {
-			r := fi.Params[i]
-			ref = &r
-		}
-	}
-	Walk(fi.Decl.Body, func(n Node) bool {
-		if d, ok := n.(*DeclStmt); ok && d.Name == name {
-			r := res.RefOf(d)
-			ref = &r
+// kindsIn returns the static kind of every return value and expression
+// statement in fn's body, in source order.
+func kindsIn(res *ResolvedFile, fn string) []kind {
+	var ks []kind
+	Walk(res.Funcs[fn].Decl.Body, func(n Node) bool {
+		switch n := n.(type) {
+		case *ReturnStmt:
+			ks = append(ks, res.kindOf(n.X))
+		case *ExprStmt:
+			ks = append(ks, res.kindOf(n.X))
 		}
 		return true
 	})
-	if ref == nil || ref.Kind != VarScalar {
-		t.Fatalf("no scalar %q in %s", name, fn)
+	return ks
+}
+
+func wantKinds(t *testing.T, res *ResolvedFile, fn string, want ...kind) {
+	t.Helper()
+	got := kindsIn(res, fn)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d kinded statements, want %d", fn, len(got), len(want))
 	}
-	return ti.funcs[fn].scalars[ref.Slot]
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: statement %d has kind %d, want %d", fn, i, got[i], want[i])
+		}
+	}
 }
 
 func TestTypecheckStableKinds(t *testing.T) {
@@ -45,62 +49,54 @@ double f(int n, double x) {
     s += x * 2.0;
     s = s * 0.5;
   }
+  i;
   return s;
 }`)
-	ti := typecheck(res)
-	if k := scalarKindOf(t, res, ti, "f", "i"); k != kInt {
-		t.Errorf("i inferred as %s, want int", k)
-	}
-	if k := scalarKindOf(t, res, ti, "f", "s"); k != kFloat {
-		t.Errorf("s inferred as %s, want double", k)
-	}
-	if k := ti.results["f"]; k != kFloat {
-		t.Errorf("result of f inferred as %s, want double", k)
-	}
+	// The for's init i = 0, s += …, s = …, i, return s.
+	wantKinds(t, res, "f", kInt, kFloat, kFloat, kInt, kFloat)
 }
 
-func TestTypecheckDoubleDemotesOnIntStore(t *testing.T) {
-	// "s = 1" stores an int Value into the double slot at runtime (the
-	// walker-pinned assignment rule), so s cannot stay statically float.
+// A store converts to the target's declared kind, and the assignment's
+// value is the stored value: an int stored into a double is a double,
+// a double stored into an int is an int, and an element store yields
+// the element's double whatever its right-hand side.
+func TestTypecheckStoresKeepDeclaredKind(t *testing.T) {
 	res := resolveForTest(t, `
-double f() {
+double f(double a[2]) {
   double s = 0.0;
+  int k = 0;
   s = 1;
-  s += 0.5;
+  k = 2.5;
+  k += 0.5;
+  s++;
+  k--;
+  a[0] = k;
+  a[1] += k;
   return s;
 }`)
-	ti := typecheck(res)
-	if k := scalarKindOf(t, res, ti, "f", "s"); k != kDyn {
-		t.Errorf("s inferred as %s, want dyn after int store", k)
-	}
-	// Int variables never demote: stores into int slots coerce.
-	res2 := resolveForTest(t, "int g() {\n  int s = 0;\n  s = 2.5;\n  return s;\n}")
-	ti2 := typecheck(res2)
-	if k := scalarKindOf(t, res2, ti2, "g", "s"); k != kInt {
-		t.Errorf("int s inferred as %s, want int despite float store", k)
-	}
+	wantKinds(t, res, "f", kFloat, kInt, kInt, kFloat, kInt, kFloat, kFloat, kFloat)
 }
 
-func TestTypecheckCellEscapeDemotes(t *testing.T) {
-	// A double whose address is passed to a pointer parameter can be
-	// stored through with any kind by the callee.
+// A pointer parameter is a cell of its pointee kind: stores through it
+// convert, and the caller's variable keeps its kind.
+func TestTypecheckCellKeepsDeclaredKind(t *testing.T) {
 	res := resolveForTest(t, `
-void set(double *p) { p = 1; }
+void set(double *p, int *q) { p = 1; q = 2.5; }
 double f() {
   double x = 0.0;
-  double y = 0.0;
-  set(&x);
+  int y = 0;
+  set(&x, &y);
+  x;
+  y;
   return x + y;
 }`)
-	ti := typecheck(res)
-	if k := scalarKindOf(t, res, ti, "f", "x"); k != kDyn {
-		t.Errorf("escaped x inferred as %s, want dyn", k)
-	}
-	if k := scalarKindOf(t, res, ti, "f", "y"); k != kFloat {
-		t.Errorf("non-escaped y inferred as %s, want double", k)
-	}
+	wantKinds(t, res, "set", kFloat, kInt)
+	wantKinds(t, res, "f", kFloat, kFloat, kInt, kFloat)
 }
 
+// A call has its function's declared return kind, whether or not the
+// body can fall off its end, and a conditional with one double branch
+// is double.
 func TestTypecheckResultKinds(t *testing.T) {
 	res := resolveForTest(t, `
 int always(int a) {
@@ -110,18 +106,15 @@ int always(int a) {
 int mayFallOff(int a) {
   if (a > 0) { return 1; }
 }
-double callsInt(int a) { return always(a) + 0.5; }
+void nothing() { }
+double callsInt(int a) {
+  always(a);
+  mayFallOff(a);
+  nothing();
+  a > 0 ? 1 : 0;
+  a > 0 ? 1 : 0.5;
+  return always(a) + 0.5;
+}
 `)
-	ti := typecheck(res)
-	if k := ti.results["always"]; k != kInt {
-		t.Errorf("always: result %s, want int", k)
-	}
-	// Falling off the end returns the zero Value (float 0), so the
-	// result cannot be statically int.
-	if k := ti.results["mayFallOff"]; k != kDyn {
-		t.Errorf("mayFallOff: result %s, want dyn", k)
-	}
-	if k := ti.results["callsInt"]; k != kFloat {
-		t.Errorf("callsInt: result %s, want double", k)
-	}
+	wantKinds(t, res, "callsInt", kInt, kInt, kFloat, kInt, kFloat, kFloat)
 }

@@ -11,11 +11,12 @@ package cminor
 // fault injection and containment are Instance.run's, and file-scope
 // names bind to the session's global store.
 //
-// Caveat: the walker keeps one flat variable map per call, so a
-// declaration in a nested block overwrites (and outlives) an outer
-// variable of the same name. The compiled pipeline is lexically scoped.
-// Parity therefore holds only for programs without shadowed
-// declarations — which covers every Polybench kernel this repo targets.
+// The walker applies the conversion rules (typecheck.go) on its own
+// bindings rather than through the compiler's kindOf: every binding's
+// tag is its declared kind, each store converts to the target's tag,
+// return to the function's declared kind, and a conditional's kind is
+// found over the bindings (isInt). A declaration in a nested block
+// shadows an outer binding until the block ends.
 type walker struct {
 	file  *File
 	funcs map[string]*FuncDecl
@@ -29,12 +30,48 @@ type wbinding struct {
 	arr    *Array
 }
 
-// wframe is one walker call: its session, its variables by name and,
-// once a return statement ran, its result.
+// wframe is one walker call: its session, its function, its variables
+// by name and its result, which starts as the declared kind's zero.
 type wframe struct {
 	s    *Instance
+	fn   *FuncDecl
 	vars map[string]wbinding
-	ret  Value
+	// shadowed holds, for every declaration in an open block, the
+	// binding its name had before (ok=false: none), restored when the
+	// block ends.
+	shadowed []wshadow
+	ret      Value
+}
+
+type wshadow struct {
+	name string
+	b    wbinding
+	ok   bool
+}
+
+func newWFrame(s *Instance, fn *FuncDecl) *wframe {
+	return &wframe{s: s, fn: fn, vars: make(map[string]wbinding, len(fn.Params)),
+		ret: convertKind(Value{}, fn.Ret.Kind)}
+}
+
+// declare binds name in the innermost open block.
+func (fr *wframe) declare(name string, b wbinding) {
+	old, ok := fr.vars[name]
+	fr.shadowed = append(fr.shadowed, wshadow{name, old, ok})
+	fr.vars[name] = b
+}
+
+// unscope closes the blocks opened since mark: each name declared in
+// them gets back the binding it shadowed, or none.
+func (fr *wframe) unscope(mark int) {
+	for i := len(fr.shadowed) - 1; i >= mark; i-- {
+		if sh := fr.shadowed[i]; sh.ok {
+			fr.vars[sh.name] = sh.b
+		} else {
+			delete(fr.vars, sh.name)
+		}
+	}
+	fr.shadowed = fr.shadowed[:mark]
 }
 
 func newWalker(res *ResolvedFile) *walker {
@@ -58,7 +95,7 @@ func newWalker(res *ResolvedFile) *walker {
 func (w *walker) body(cf *compiledFunc) stmtFn {
 	decl := cf.info.Decl
 	return func(fr *frame) flow {
-		wf := &wframe{s: fr.ec, vars: make(map[string]wbinding, len(decl.Params))}
+		wf := newWFrame(fr.ec, decl)
 		for i, p := range decl.Params {
 			switch ref := cf.info.Params[i]; ref.Kind {
 			case VarArray:
@@ -95,13 +132,16 @@ func (w *walker) lookup(fr *wframe, name string) (wbinding, bool) {
 // position, so its text is the message alone.
 func wfault(format string, args ...any) *Diag { return diagf("", Pos{}, format, args...) }
 
-// execBlock runs b's statements and reports whether one returned.
+// execBlock runs b's statements in a scope of their own and reports
+// whether one returned (the call's bindings are dead then).
 func (w *walker) execBlock(b *Block, fr *wframe) bool {
+	mark := len(fr.shadowed)
 	for _, s := range b.Stmts {
 		if w.exec(s, fr) {
 			return true
 		}
 	}
+	fr.unscope(mark)
 	return false
 }
 
@@ -117,7 +157,7 @@ func (w *walker) exec(s Stmt, fr *wframe) bool {
 			for i, d := range s.Type.Dims {
 				dims[i] = int(w.eval(d, fr).Int())
 			}
-			fr.vars[s.Name] = wbinding{arr: NewArray(dims...)}
+			fr.declare(s.Name, wbinding{arr: NewArray(dims...)})
 			return false
 		}
 		var v Value
@@ -125,10 +165,12 @@ func (w *walker) exec(s Stmt, fr *wframe) bool {
 			v = w.eval(s.Init, fr)
 		}
 		v = convertKind(v, s.Type.Kind)
-		fr.vars[s.Name] = wbinding{scalar: &v}
+		fr.declare(s.Name, wbinding{scalar: &v})
 	case *ExprStmt:
 		w.eval(s.X, fr)
 	case *ForStmt:
+		// A declaration in the init clause scopes over the loop.
+		mark := len(fr.shadowed)
 		if s.Init != nil {
 			w.exec(s.Init, fr)
 		}
@@ -141,6 +183,7 @@ func (w *walker) exec(s Stmt, fr *wframe) bool {
 			}
 			fr.s.step()
 		}
+		fr.unscope(mark)
 	case *WhileStmt:
 		for w.eval(s.Cond, fr).Bool() {
 			if w.execBlock(s.Body, fr) {
@@ -155,10 +198,13 @@ func (w *walker) exec(s Stmt, fr *wframe) bool {
 			return w.exec(s.Else, fr)
 		}
 	case *ReturnStmt:
-		fr.ret = Value{}
+		// The value converts to the declared return kind; a bare return
+		// yields its zero.
+		var v Value
 		if s.X != nil {
-			fr.ret = w.eval(s.X, fr)
+			v = w.eval(s.X, fr)
 		}
+		fr.ret = convertKind(v, fr.fn.Ret.Kind)
 		return true
 	case *PragmaStmt:
 		// Pragmas have no interpretation-time effect.
@@ -166,51 +212,105 @@ func (w *walker) exec(s Stmt, fr *wframe) bool {
 	return false
 }
 
-// lvalue resolution: returns either a scalar cell or an array+index.
-func (w *walker) lvalue(e Expr, fr *wframe) (cell *Value, arr *Array, idx []int) {
+// lvalue resolves an assignment target to its scalar cell or, for a
+// subscripted array, its element.
+func (w *walker) lvalue(e Expr, fr *wframe) (cell *Value, elem *float64) {
 	switch e := e.(type) {
 	case *Ident:
 		b, ok := w.lookup(fr, e.Name)
-		if !ok {
-			panic(wfault("undefined variable %q", e.Name))
+		if !ok || b.scalar == nil {
+			panic(wfault("invalid lvalue %q", e.Name))
 		}
-		if b.arr != nil {
-			return nil, b.arr, nil
-		}
-		return b.scalar, nil, nil
+		return b.scalar, nil
 	case *ParenExpr:
 		return w.lvalue(e.X, fr)
 	case *IndexExpr:
-		// Collect the subscript chain.
-		var subs []Expr
-		cur := Expr(e)
-		for {
-			ix, ok := cur.(*IndexExpr)
-			if !ok {
-				break
-			}
-			subs = append([]Expr{ix.Idx}, subs...)
-			cur = ix.X
-		}
-		id, ok := cur.(*Ident)
-		if !ok {
-			panic(wfault("indexed expression is not a variable"))
-		}
-		b, ok := w.lookup(fr, id.Name)
-		if !ok || b.arr == nil {
-			panic(wfault("%q is not an array", id.Name))
-		}
-		idx = make([]int, len(subs))
-		for i, sx := range subs {
-			idx[i] = int(w.eval(sx, fr).Int())
-		}
-		return nil, b.arr, idx
-	case *UnExpr:
-		if e.Op == AMP {
-			return w.lvalue(e.X, fr)
-		}
+		return nil, w.elem(e, fr)
 	}
 	panic(wfault("invalid lvalue %T", e))
+}
+
+// elem evaluates a subscripted array access to its element, faulting at
+// e's position with the compiled accessors' text on a rank mismatch or
+// an index out of range. Like them it checks the rank first, then
+// evaluates every subscript of a rank-1 or rank-2 access before checking
+// any, and checks each subscript of a deeper one as it is evaluated.
+func (w *walker) elem(e *IndexExpr, fr *wframe) *float64 {
+	root, subs := splitIndexChain(e)
+	var a *Array
+	if root != nil {
+		b, _ := w.lookup(fr, root.Name)
+		a = b.arr
+	}
+	if a == nil {
+		panic(wfault("indexed expression is not an array"))
+	}
+	fault := func(format string, args ...any) { panic(diagf(w.file.Name, e.P, format, args...)) }
+	if len(a.Dims) != len(subs) {
+		noun := "subscripts"
+		if len(subs) == 1 {
+			noun = "subscript"
+		}
+		fault("array rank %d indexed with %d %s", len(a.Dims), len(subs), noun)
+	}
+	idx := make([]int, len(subs))
+	check := func(k int) {
+		switch i := idx[k]; {
+		case uint(i) < uint(a.Dims[k]):
+		case len(subs) == 1:
+			fault("index %d out of range [0,%d)", i, a.Dims[k])
+		default:
+			fault("index %d out of range [0,%d) in dim %d", i, a.Dims[k], k)
+		}
+	}
+	for k, sx := range subs {
+		idx[k] = int(w.eval(sx, fr).Int())
+		if len(subs) > 2 {
+			check(k)
+		}
+	}
+	off := 0
+	for k, i := range idx {
+		if len(subs) <= 2 {
+			check(k)
+		}
+		off = off*a.Dims[k] + i
+	}
+	return &a.Data[off]
+}
+
+// isInt reports whether e is int-valued, by the conversion rules over
+// the walker's own bindings (a binding's tag is its declared kind).
+func (w *walker) isInt(e Expr, fr *wframe) bool {
+	switch e := e.(type) {
+	case *IntLit:
+		return true
+	case *Ident:
+		b, _ := w.lookup(fr, e.Name)
+		return b.scalar != nil && b.scalar.IsInt
+	case *ParenExpr:
+		return w.isInt(e.X, fr)
+	case *CastExpr:
+		return e.To.Kind == Int
+	case *UnExpr:
+		return e.Op == NOT || w.isInt(e.X, fr)
+	case *BinExpr:
+		switch e.Op {
+		case ANDAND, OROR, EQ, NEQ, LT, GT, LEQ, GEQ:
+			return true
+		}
+		return w.isInt(e.X, fr) && w.isInt(e.Y, fr)
+	case *CondExpr:
+		return w.isInt(e.Then, fr) && w.isInt(e.Else, fr)
+	case *AssignExpr:
+		return w.isInt(e.LHS, fr)
+	case *IncDecExpr:
+		return w.isInt(e.X, fr)
+	case *CallExpr:
+		fn := w.funcs[e.Fun]
+		return fn != nil && fn.Ret.Kind == Int
+	}
+	return false // a double literal or an array element
 }
 
 func (w *walker) eval(e Expr, fr *wframe) Value {
@@ -250,39 +350,45 @@ func (w *walker) eval(e Expr, fr *wframe) Value {
 	case *BinExpr:
 		return w.evalBin(e, fr)
 	case *CondExpr:
+		// An int branch converts when the other one is double.
+		v, other := Value{}, e.Else
 		if w.eval(e.Cond, fr).Bool() {
-			return w.eval(e.Then, fr)
+			v = w.eval(e.Then, fr)
+		} else {
+			v, other = w.eval(e.Else, fr), e.Then
 		}
-		return w.eval(e.Else, fr)
+		if v.IsInt && !w.isInt(other, fr) {
+			v = FloatV(v.Float())
+		}
+		return v
 	case *IndexExpr:
-		_, arr, idx := w.lvalue(e, fr)
-		if idx == nil {
-			panic(wfault("array value used without full subscripts"))
-		}
-		return FloatV(arr.At(idx...))
+		return FloatV(*w.elem(e, fr))
 	case *AssignExpr:
+		// The value is the stored one: converted to the scalar's kind,
+		// or the element's double.
 		rhs := w.eval(e.RHS, fr)
-		cell, arr, idx := w.lvalue(e.LHS, fr)
-		if arr != nil {
-			old := FloatV(arr.At(idx...))
-			nv := applyCompound(e.Op, old, rhs, w.file.Name, e.P)
-			arr.Set(nv.Float(), idx...)
+		cell, elem := w.lvalue(e.LHS, fr)
+		if elem != nil {
+			nv := FloatV(applyCompound(e.Op, FloatV(*elem), rhs, w.file.Name, e.P).Float())
+			*elem = nv.F
 			return nv
 		}
 		nv := applyCompound(e.Op, *cell, rhs, w.file.Name, e.P)
 		if cell.IsInt {
 			nv = IntV(nv.Int())
+		} else {
+			nv = FloatV(nv.Float())
 		}
 		*cell = nv
 		return nv
 	case *IncDecExpr:
-		cell, arr, idx := w.lvalue(e.X, fr)
-		if arr != nil {
-			old := arr.At(idx...)
+		cell, elem := w.lvalue(e.X, fr)
+		if elem != nil {
+			old := *elem
 			if e.Op == INC {
-				arr.Set(old+1, idx...)
+				*elem = old + 1
 			} else {
-				arr.Set(old-1, idx...)
+				*elem = old - 1
 			}
 			return FloatV(old)
 		}
@@ -352,19 +458,19 @@ func (w *walker) call(e *CallExpr, fr *wframe) Value {
 	if len(e.Args) != len(fn.Params) {
 		panic(wfault("%s expects %d args, got %d", e.Fun, len(fn.Params), len(e.Args)))
 	}
-	callee := &wframe{s: fr.s, vars: map[string]wbinding{}}
+	callee := newWFrame(fr.s, fn)
 	for i, p := range fn.Params {
-		if p.Type.IsArray() {
-			_, arr, _ := w.lvalue(e.Args[i], fr)
-			if arr == nil {
-				panic(wfault("argument %d of %s must be an array", i, e.Fun))
+		if p.Type.IsArray() || p.Type.Ptr {
+			// The array, or the scalar's cell, binds by reference.
+			id, _ := stripArg(e.Args[i])
+			var b wbinding
+			if id != nil {
+				b, _ = w.lookup(fr, id.Name)
 			}
-			callee.vars[p.Name] = wbinding{arr: arr}
-			continue
-		}
-		if p.Type.Ptr {
-			cell, _, _ := w.lvalue(e.Args[i], fr)
-			callee.vars[p.Name] = wbinding{scalar: cell}
+			if b.arr == nil && b.scalar == nil {
+				panic(wfault("argument %d of %s must be a variable", i, e.Fun))
+			}
+			callee.vars[p.Name] = b
 			continue
 		}
 		v := convertKind(w.eval(e.Args[i], fr), p.Type.Kind)
