@@ -2,7 +2,7 @@
 # BENCHMARK.json); `bench-test` runs its tests and `bench-smoke` proves
 # the Benchmark* functions still execute.
 
-.PHONY: all build test bench-test test-race vet fmt lint loc chaos serve-sim serve-timing warm-sim tuner-sim bench-smoke
+.PHONY: all build test bench-test test-race vet fmt lint loc chaos front-fuzz serve-sim serve-timing warm-sim tuner-sim bench-smoke
 
 all: build test
 
@@ -53,7 +53,9 @@ lint: vet
 # the walker's exit-point fault racing its context teardown, the
 # walker's subscript faults (the positioned program fault every backend
 # reports, never an internal one), the table of the C conversion rules
-# on the walker, O0, O3 and the bytecode, and the
+# on the walker, O0, O3 and the bytecode, goroutines whose fallback
+# calls all fault, each rollback restoring only its own call's arrays
+# from the snapshot that call borrowed, and the
 # deterministic quarantine lifecycle simulations, including the
 # concurrent chaos-routing test, whose shared clock moves on every read
 # so quarantine lifts race the routing by design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
@@ -61,9 +63,17 @@ lint: vet
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
-	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules'
+	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules|TestConcurrentRollbacksRestoreOwnArrays'
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos|TestSurveyTrialFaultQuarantines'
 	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
+
+# The front end's round-trip fuzz, without -race: for any input that
+# parses, printing the reparse of the print gives the print again, and
+# for any input that also compiles, SourceHash (streamed by the printer)
+# is FNV-64a of the print. 30 s, each new interesting input shrunk for
+# at most 100 runs, as in chaos.
+front-fuzz:
+	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzPrintRoundTrip$$' -fuzztime=30s -fuzzminimizetime=100x
 
 # Serving-layer suite under the race detector: the deterministic
 # fake-clock scheduler simulations (admission order, quota exhaustion

@@ -83,7 +83,7 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 
 	// A second batch must survey the other arm: the measure phase pulls
 	// every unsurveyed arm before any burst. Its leader runs as a trial,
-	// and O0, priced beyond the switch margin of O2, is cut: O2 serves
+	// and O0, priced beyond burstBand× O2, is cut: O2 serves
 	// the leader and the rider, so only the trial is sampled on O0.
 	batch2 := make([]BatchCall, 2)
 	for i := range batch2 {

@@ -27,8 +27,8 @@ func (exampleSampler) Sample(_ string, spec autotune.VariantSpec, _ int, call fu
 // ExampleAutoTuner tunes a dot-product kernel over the default grid
 // (O0–O3 plus the flat-bytecode backend):
 // after the measure phase (one call per arm, then three calls for each
-// arm within the switch margin of the best) the tuner routes to
-// whichever variant measured cheapest for this input class.
+// arm within 2× the best) the tuner routes to whichever variant
+// measured cheapest for this input class.
 func ExampleAutoTuner() {
 	src := `
 double dot(int n, double a[n], double b[n]) {

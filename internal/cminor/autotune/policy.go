@@ -38,12 +38,12 @@ func (st *siteState) choose(cfg *config, rng *splitmix64) int {
 // (trialSlice) that ends as soon as its projection cannot win. Then
 // only the contenders burst: an arm is pulled to its quota while it
 // still needs samples (armStats.measured), i.e. while its estimate is
-// within the switch margin of the best — an arm further off could not
-// take over from the winner in exploit, so more samples of it buy
-// nothing, and time-priced ε still samples it later. Bursts matter:
-// switching variants is itself expensive (cold closure graph,
-// predictor/icache thrash), so an arm's first sample after a switch
-// runs high — the cursor stays on a contender until its quota is met,
+// within burstBand of the best — an arm further off could not take over
+// from the winner even if its survey sample paid a switch, so more
+// samples of it buy nothing, and time-priced ε still samples it later.
+// Bursts matter: switching variants is itself expensive (cold closure
+// graph, predictor/icache thrash), so an arm's first sample after a
+// switch runs high — the cursor stays on a contender until its quota is met,
 // so the later samples are switch-free and the min-based estimate
 // (armStats.update) lands on the true cost. With every arm measured
 // but the phase not yet advanced (in-flight concurrent measurements),
@@ -140,7 +140,7 @@ func (st *siteState) trialSlice(idx int) (slice, length int) {
 // cutByTrial judges the survey trial of arm idx that ran out of its
 // slice; proj is its cost projected to the whole call. By the measure
 // phase's cut rule (armStats.measured) an arm whose projection is
-// beyond the switch margin of the best could not take over, so it is
+// beyond burstBand× the best could not take over, so it is
 // cut: the projection becomes its survey sample and the best arm, which
 // is returned, serves the call. A near tie — or an arm whose state
 // changed under the trial — returns idx: the call runs in full on it,
@@ -148,7 +148,7 @@ func (st *siteState) trialSlice(idx int) (slice, length int) {
 func (st *siteState) cutByTrial(idx int, proj float64) int {
 	a, b := &st.arms[idx], st.argmin()
 	if ref := &st.arms[b]; b == idx || a.sampled || a.quarantined || !ref.sampled || ref.quarantined ||
-		proj*(1-switchHysteresis) <= ref.ewma {
+		proj <= burstBand*ref.ewma {
 		return idx
 	}
 	a.update(proj)

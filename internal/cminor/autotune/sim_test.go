@@ -195,9 +195,9 @@ func TestSimulatedConvergence(t *testing.T) {
 // TestExplorationBudgetBounds pins both budgets at the production ε.
 // The measure budget: a cold site converges in exactly |grid| +
 // (minSamples−1)·contenders calls, every non-best arm holding its
-// survey sample or, when it was a contender, its quota — here O2 is the
-// one contender beside the O3 winner (bytecode, at 130µs, is beyond the
-// switch margin of 90µs), so 5 + 2·2 = 9 calls. The exploit budget:
+// survey sample or, when it was a contender, its quota — here O2 and
+// bytecode (130µs, 1.44× the 90µs winner, within burstBand) are the
+// contenders beside the O3 winner, so 5 + 2·3 = 11 calls. The exploit budget:
 // exploration is priced in time, so over the exploit calls the time
 // spent off the winner stays within ε of the winner's own (half again
 // for the seeded draw), however slow the losers are — and some exploit
@@ -233,8 +233,8 @@ func TestExplorationBudgetBounds(t *testing.T) {
 	if contenders == len(grid) {
 		t.Fatal("every arm burst; the 4×-slower O0 should have been cut")
 	}
-	if want := len(grid) + (minSamples-1)*contenders; calls != want || want != 9 {
-		t.Fatalf("converged after %d calls, want |grid| + (n−1)·%d contenders = %d (= 9)",
+	if want := len(grid) + (minSamples-1)*contenders; calls != want || want != 11 {
+		t.Fatalf("converged after %d calls, want |grid| + (n−1)·%d contenders = %d (= 11)",
 			calls, contenders, want)
 	}
 
@@ -437,7 +437,7 @@ func driveToConvergence(t *testing.T, tn *AutoTuner, args []any, limit int) Site
 }
 
 // TestMeasureSurveysThenBurstsContenders: on every PR 21-shaped cost
-// model the losers run 2–18× the winner, beyond the switch margin, so a
+// model the losers run 2–18× the winner, beyond burstBand, so a
 // cold site surveys the five arms once — bytecode, the grid's last arm,
 // first — and bursts only bytecode: it converges in exactly 7 calls,
 // O0–O3 keep their single survey sample, and bytecode's two burst
@@ -467,7 +467,7 @@ func TestMeasureSurveysThenBurstsContenders(t *testing.T) {
 }
 
 // TestNearTieArmsBothBurst: with norms-shaped costs, where O3 (37µs)
-// and bytecode (38µs) are within the switch margin, both burst to the
+// and bytecode (38µs) are within burstBand, both burst to the
 // full quota, and the bursts' minimums put the truly cheaper O3 first.
 func TestNearTieArmsBothBurst(t *testing.T) {
 	sampler := &simSampler{cost: flatCost(pr21Cost(38, 37))}
@@ -493,10 +493,10 @@ func TestNearTieArmsBothBurst(t *testing.T) {
 }
 
 // TestSurveySpikeStillFindsWinner: the true winner's survey sample is
-// spiked 3× (a preemption on its first call), which puts it beyond the
-// switch margin, so it is cut and O3 is crowned. The cut is soft:
-// time-priced ε still samples bytecode now and then (ε/4 × 71/115, one
-// call in about 130 here), that sample replaces the spiked minimum, and
+// spiked 5× (a preemption on its first call), which puts it beyond
+// burstBand of O3, so it is cut and O3 is crowned. The cut is soft:
+// time-priced ε still samples bytecode now and then (ε/4 × 71/196, one
+// call in about 220 here), that sample replaces the spiked minimum, and
 // bytecode, 46% cheaper than O3, clears the hysteresis margin and is
 // crowned within 500 calls of convergence (seed 7 takes 82).
 func TestSurveySpikeStillFindsWinner(t *testing.T) {
@@ -506,7 +506,7 @@ func TestSurveySpikeStillFindsWinner(t *testing.T) {
 	sampler := &simSampler{cost: func(call int64, spec VariantSpec, _ int) time.Duration {
 		c := base[spec.String()]
 		if call == bytecodeSurvey {
-			c *= 3
+			c *= 5
 		}
 		return time.Duration(float64(c) * jitter(call))
 	}}

@@ -8,7 +8,7 @@ import "time"
 
 // Site phases: measure surveys every arm once (most of them by survey
 // trials, policy.go), then bursts only the contenders — the arms within
-// the switch margin of the best — to the pull quota (the bounded
+// burstBand of the best — to the pull quota (the bounded
 // exploration budget); exploit routes to the best arm with
 // policy-controlled residual exploration. A drift challenge that finds
 // a contender re-enters measure for the winner and the contenders only,
@@ -68,11 +68,21 @@ const driftFactor = 0.5
 // margin (two samples of a 5× slowdown) the runner-up takes over, and
 // a smaller degradation is left to the drift challenge, which
 // re-measures the winner against the arms that could beat it.
-// Measure-phase convergence itself is a plain argmin, but the same
-// margin decides which surveyed arms burst (armStats.measured). Pinned
-// by TestLabHeavyTailKeepsWinner: at 0 a clipped stall on the winner
-// hands the site to the runner-up.
+// Measure-phase convergence itself is a plain argmin. Pinned by
+// TestLabHeavyTailKeepsWinner: at 0 a clipped stall on the winner hands
+// the site to the runner-up.
 const switchHysteresis = 0.25
+
+// burstBand decides which surveyed arms are contenders: an arm whose
+// survey estimate is within burstBand× the best bursts to the quota
+// before it can be cut (armStats.measured, cutByTrial). It is wider
+// than the switch margin (1/(1−switchHysteresis) ≈ 1.33×) because a
+// survey sample is usually a first call after a switch, which runs
+// high: an arm truly faster than the best can be surveyed at up to
+// twice its cost. Pinned by TestLabUniformSwitchPenaltyFindsWinner: at
+// 1 an arm 4% faster than bytecode, surveyed at 2× its cost, is cut on
+// that one sample and the site settles on bytecode.
+const burstBand = 2.0
 
 // clipFactor winsorizes exploit-phase samples: each measurement folds
 // into the EWMA capped at clipFactor× the current estimate. Cost
@@ -188,12 +198,11 @@ func surveyStart(arms int) int { return arms - 1 }
 
 // measured reports whether the arm needs no more measure-phase pulls,
 // given best, the lowest estimate at the site: it has met the quota,
-// or it has been surveyed and its estimate is beyond the switch margin
-// of the best (ewma·(1−switchHysteresis) > best) — cut, its one sample
-// kept as its estimate. An unsampled arm (its calls failed) is never
-// cut.
+// or it has been surveyed and its estimate is beyond burstBand× the
+// best — cut, its one sample kept as its estimate. An unsampled arm
+// (its calls failed) is never cut.
 func (a *armStats) measured(best float64) bool {
-	return a.pulls >= minSamples || a.sampled && a.ewma*(1-switchHysteresis) > best
+	return a.pulls >= minSamples || a.sampled && a.ewma > burstBand*best
 }
 
 // allMeasured reports whether every arm in service has been surveyed

@@ -71,7 +71,7 @@ func TestColdSiteCutsLosersByTrial(t *testing.T) {
 }
 
 // TestNearTieTrialRunsInFull: with norms-shaped costs, O2 and O3 are
-// within the switch margin of bytecode, so their trials are not cut:
+// within burstBand of bytecode, so their trials are not cut:
 // each call runs in full on its arm, which gets a real sample and a
 // call length, and both burst. O0 and O1 are cut.
 func TestNearTieTrialRunsInFull(t *testing.T) {
@@ -178,7 +178,7 @@ func (c *pairClock) Now() time.Time {
 // to the call's length and added to the cold one. Here bytecode's full
 // call costs 10µs, and O0's probes 50µs and 4µs and its trial of a
 // sixteenth 24µs, so O0 projects to 50µs + 20µs·(L−1)/(L/16−1), far
-// beyond the switch margin: it is cut, and bytecode serves the call
+// beyond burstBand: it is cut, and bytecode serves the call
 // unpriced.
 func TestTrialProjection(t *testing.T) {
 	const us = time.Microsecond

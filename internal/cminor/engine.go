@@ -389,15 +389,12 @@ type Instance struct {
 	// calls allocate nothing.
 	pools []framePool
 	// Resilience state (resilience.go): fb is the session's trusted-tier
-	// twin sharing this session's globals; snap is the reusable pre-call
-	// snapshot WithFallback and CallAudited capture, post the audited
-	// attempt's post-call state; lastFault/degraded are the
+	// twin sharing this session's globals; lastFault/degraded are the
 	// introspection taps of the most recent call; poisoned flags globals
 	// left unrecovered by an internal fault with no snapshot to roll
-	// back to.
+	// back to. A session owns no snapshot storage: a running call
+	// borrows its snapshots from the process-wide free list.
 	fb        *Instance
-	snap      stateSnapshot
-	post      stateSnapshot
 	lastFault *InternalFault
 	degraded  bool
 	poisoned  bool
@@ -850,7 +847,14 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 		return Value{}, true, false, err
 	}
 	inj := s.decide(name)
-	snapped := (audit || s.prog.cfg.fallback) && s.snap.capture(s, args)
+	var pre *stateSnapshot
+	if audit || s.prog.cfg.fallback {
+		pre = captureState(s, args)
+	}
+	snapped := pre != nil
+	if snapped {
+		defer releaseSnapshot(pre)
+	}
 	startSteps := s.steps
 	limit := s.maxSteps
 	if snapped && trial > 0 && trial < s.maxSteps-startSteps {
@@ -858,7 +862,7 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 	}
 	v, err, fault := s.attempt(ctx, cf, fr, name, inj, limit)
 	if err == errTrialEnd {
-		s.snap.restore(s)
+		pre.restore(s)
 		s.steps = startSteps
 		s.lastSteps = 0
 		s.heldInj, s.heldFn = inj, name
@@ -874,8 +878,11 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 	if !snapped || fault == nil && !audit {
 		return v, true, false, err
 	}
+	var post *stateSnapshot
 	if fault == nil {
-		s.post.capture(s, args) // same shapes as snap: cannot exceed the bound
+		post = borrowSnapshot()
+		defer releaseSnapshot(post)
+		post.capture(s, args) // same shapes as pre: within the bound
 	}
 	// Restore the pre-call state (globals, argument arrays and cells),
 	// discard the attempt's step charge, and re-execute once on the
@@ -885,11 +892,11 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 	// After a clean audited attempt the reference outcome is what the
 	// caller receives, so a silently miscompiling variant cannot leak a
 	// wrong result.
-	s.snap.restore(s)
+	pre.restore(s)
 	s.steps = startSteps
 	rv, rerr := s.runFallback(ctx, name, args)
 	if fault == nil {
-		diverged = !outcomeEqual(v, err, rv, rerr) || !s.post.equalState(s, args)
+		diverged = !outcomeEqual(v, err, rv, rerr) || !post.equalState(s, args)
 	}
 	s.degraded = fault != nil || diverged
 	return rv, true, diverged, rerr

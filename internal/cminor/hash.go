@@ -12,12 +12,13 @@ import "hash/fnv"
 // produces a new identity.
 
 // SourceHash returns a 64-bit content hash of the program's source as
-// canonically re-printed from its AST. Every variant of one Program
-// (Variant shares the resolved front end) reports the same hash: the
-// hash names the source, and the variant knobs are the consumer's to
-// mix in on top.
+// canonically re-printed from its AST: FNV-64a of Print's text, which
+// the printer streams into the hash a line at a time (fprint) instead
+// of building it. Every variant of one Program (Variant shares the
+// resolved front end) reports the same hash: the hash names the
+// source, and the variant knobs are the consumer's to mix in on top.
 func (p *Program) SourceHash() uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(Print(p.res.File)))
+	fprint(h, p.res.File)
 	return h.Sum64()
 }

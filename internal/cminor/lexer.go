@@ -146,8 +146,8 @@ func (lx *Lexer) Next() Token {
 		lx.advance()
 		start := lx.off
 		for lx.off < len(lx.src) && lx.peek() != '"' {
-			if lx.peek() == '\\' {
-				lx.advance()
+			if lx.peek() == '\\' && lx.off+1 < len(lx.src) {
+				lx.advance() // an escape; a backslash at the end is plain
 			}
 			lx.advance()
 		}
@@ -307,14 +307,10 @@ func (lx *Lexer) lexNumber(p Pos) Token {
 }
 
 // Tokenize lexes the whole input and returns the token slice (terminated
-// by an EOF token) plus any lexical diagnostics.
+// by an EOF token) plus any lexical diagnostics. Parse does not use it:
+// it pulls tokens from a Lexer one at a time.
 func Tokenize(src string) ([]Token, DiagList) {
-	return TokenizeFile("", src)
-}
-
-// TokenizeFile is Tokenize with a file name attached to diagnostics.
-func TokenizeFile(file, src string) ([]Token, DiagList) {
-	lx := NewFileLexer(file, src)
+	lx := NewFileLexer("", src)
 	var toks []Token
 	for {
 		t := lx.Next()

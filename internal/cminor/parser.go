@@ -2,12 +2,16 @@ package cminor
 
 import "strconv"
 
-// Parser builds a File from a token stream.
+// Parser builds a File from the tokens its Lexer hands it one at a
+// time: tok is the current token, ahead the one-token lookahead once
+// peek has pulled it.
 type Parser struct {
-	toks  []Token
-	pos   int
-	diags DiagList
-	name  string
+	lx     *Lexer
+	tok    Token
+	ahead  Token
+	peeked bool
+	diags  DiagList
+	name   string
 	// pending pragmas seen since the last statement/declaration; they
 	// attach to the next for-loop or function, or become PragmaStmts.
 	pending []*Pragma
@@ -27,12 +31,13 @@ func (p *Parser) newID() NodeID {
 // On failure the returned error is a DiagList whose entries carry
 // file:line:col positions.
 func Parse(name, src string) (*File, error) {
-	toks, lerrs := TokenizeFile(name, src)
-	p := &Parser{toks: toks, name: name}
-	p.diags = append(p.diags, lerrs...)
+	p := &Parser{lx: NewFileLexer(name, src), name: name}
+	p.tok = p.lx.Next()
 	f := p.parseFile()
-	if len(p.diags) > 0 {
-		return f, p.diags
+	// Lexical diagnostics come first, as if the whole input had been
+	// lexed before parsing began.
+	if diags := append(p.lx.Errors(), p.diags...); len(diags) > 0 {
+		return f, diags
 	}
 	return f, nil
 }
@@ -47,18 +52,22 @@ func MustParse(name, src string) *File {
 	return f
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+func (p *Parser) cur() Token { return p.tok }
+
+// peek returns the token after the current one (EOF at the end).
 func (p *Parser) peek() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+	if !p.peeked {
+		p.ahead, p.peeked = p.lx.Next(), true
 	}
-	return p.toks[len(p.toks)-1]
+	return p.ahead
 }
 
+// next consumes the current token and returns it; at EOF it stays put.
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != EOF {
+		p.tok = p.peek()
+		p.peeked = false
 	}
 	return t
 }

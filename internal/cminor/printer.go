@@ -1,26 +1,67 @@
 package cminor
 
 import (
-	"fmt"
+	"io"
+	"strconv"
 	"strings"
 )
 
 // Print renders the file back to C-like source text.
 func Print(f *File) string {
-	var pr printer
+	var b strings.Builder
+	fprint(&b, f)
+	return b.String()
+}
+
+// fprint writes Print's rendering of f to w a line at a time, without
+// building the whole text: Program.SourceHash streams it straight into
+// the hash. Its writers, a strings.Builder and a hash.Hash, never
+// return an error.
+func fprint(w io.Writer, f *File) {
+	pr := printer{w: w}
 	pr.file(f)
-	return pr.b.String()
 }
 
+// printer renders one line at a time into buf and hands each finished
+// line to w.
 type printer struct {
-	b      strings.Builder
+	w      io.Writer
+	buf    []byte
 	indent int
+	// inline marks the line in buf as open: the next line continues it
+	// ("} else " + "if (...) {") instead of starting indented.
+	inline bool
 }
 
-func (pr *printer) line(format string, args ...any) {
-	pr.b.WriteString(strings.Repeat("  ", pr.indent))
-	fmt.Fprintf(&pr.b, format, args...)
-	pr.b.WriteByte('\n')
+// start begins a line: its indentation, unless it continues an open one.
+func (pr *printer) start() {
+	if !pr.inline {
+		for i := 0; i < pr.indent; i++ {
+			pr.buf = append(pr.buf, "  "...)
+		}
+	}
+	pr.inline = false
+}
+
+// end finishes the line and writes it out.
+func (pr *printer) end() {
+	pr.buf = append(pr.buf, '\n')
+	pr.w.Write(pr.buf)
+	pr.buf = pr.buf[:0]
+}
+
+// line writes a line holding just s.
+func (pr *printer) line(s string) {
+	pr.start()
+	pr.buf = append(pr.buf, s...)
+	pr.end()
+}
+
+func (pr *printer) pragma(text string) {
+	pr.start()
+	pr.buf = append(pr.buf, "#pragma "...)
+	pr.buf = append(pr.buf, text...)
+	pr.end()
 }
 
 func (pr *printer) file(f *File) {
@@ -29,7 +70,7 @@ func (pr *printer) file(f *File) {
 	}
 	for i, fn := range f.Funcs {
 		if i > 0 || len(f.Globals) > 0 {
-			pr.b.WriteByte('\n')
+			pr.line("")
 		}
 		pr.fun(fn)
 	}
@@ -37,123 +78,145 @@ func (pr *printer) file(f *File) {
 
 func (pr *printer) fun(fn *FuncDecl) {
 	for _, p := range fn.Pragmas {
-		pr.line("#pragma %s", p.Text)
+		pr.pragma(p.Text)
 	}
-	params := make([]string, len(fn.Params))
+	pr.start()
+	pr.buf = appendType(pr.buf, fn.Ret, "")
+	pr.buf = append(pr.buf, ' ')
+	pr.buf = append(pr.buf, fn.Name...)
+	pr.buf = append(pr.buf, '(')
 	for i, p := range fn.Params {
-		params[i] = typeString(p.Type, p.Name)
+		if i > 0 {
+			pr.buf = append(pr.buf, ", "...)
+		}
+		pr.buf = appendType(pr.buf, p.Type, p.Name)
 	}
 	if fn.Body == nil {
-		pr.line("%s %s(%s);", typeString(fn.Ret, ""), fn.Name, strings.Join(params, ", "))
+		pr.buf = append(pr.buf, ");"...)
+		pr.end()
 		return
 	}
-	pr.line("%s %s(%s) {", typeString(fn.Ret, ""), fn.Name, strings.Join(params, ", "))
+	pr.buf = append(pr.buf, ") {"...)
+	pr.end()
+	pr.body(fn.Body.Stmts)
+	pr.line("}")
+}
+
+// body writes stmts one level deeper.
+func (pr *printer) body(stmts []Stmt) {
 	pr.indent++
-	for _, s := range fn.Body.Stmts {
+	for _, s := range stmts {
 		pr.stmt(s)
 	}
 	pr.indent--
-	pr.line("}")
 }
 
 // typeString renders a declaration of name with type t ("double A[n][m]",
 // "int i", "double *out").
 func typeString(t *Type, name string) string {
+	return string(appendType(nil, t, name))
+}
+
+// appendType appends typeString(t, name) to b.
+func appendType(b []byte, t *Type, name string) []byte {
 	if t == nil {
-		return name
+		return append(b, name...)
 	}
-	s := t.Kind.String()
+	b = append(b, t.Kind.String()...)
 	if t.Ptr {
-		s += " *" + name
+		b = append(b, " *"...)
+		b = append(b, name...)
 	} else if name != "" {
-		s += " " + name
+		b = append(b, ' ')
+		b = append(b, name...)
 	}
 	for _, d := range t.Dims {
-		s += "[" + ExprString(d) + "]"
+		b = append(b, '[')
+		b = appendExpr(b, d)
+		b = append(b, ']')
 	}
-	return s
+	return b
+}
+
+// appendDecl appends a declaration without its semicolon.
+func appendDecl(b []byte, d *DeclStmt) []byte {
+	b = appendType(b, d.Type, d.Name)
+	if d.Init != nil {
+		b = append(b, " = "...)
+		b = appendExpr(b, d.Init)
+	}
+	return b
 }
 
 func (pr *printer) decl(d *DeclStmt) {
-	if d.Init != nil {
-		pr.line("%s = %s;", typeString(d.Type, d.Name), ExprString(d.Init))
-	} else {
-		pr.line("%s;", typeString(d.Type, d.Name))
-	}
+	pr.start()
+	pr.buf = appendDecl(pr.buf, d)
+	pr.buf = append(pr.buf, ';')
+	pr.end()
+}
+
+// head writes an opening line: keyword + " (" + x + ") {".
+func (pr *printer) head(keyword string, x Expr) {
+	pr.start()
+	pr.buf = append(pr.buf, keyword...)
+	pr.buf = append(pr.buf, " ("...)
+	pr.buf = appendExpr(pr.buf, x)
+	pr.buf = append(pr.buf, ") {"...)
+	pr.end()
 }
 
 func (pr *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *Block:
 		pr.line("{")
-		pr.indent++
-		for _, st := range s.Stmts {
-			pr.stmt(st)
-		}
-		pr.indent--
+		pr.body(s.Stmts)
 		pr.line("}")
 	case *DeclStmt:
 		pr.decl(s)
 	case *ExprStmt:
-		pr.line("%s;", ExprString(s.X))
+		pr.start()
+		pr.buf = appendExpr(pr.buf, s.X)
+		pr.buf = append(pr.buf, ';')
+		pr.end()
 	case *ForStmt:
 		for _, p := range s.Pragmas {
-			pr.line("#pragma %s", p.Text)
+			pr.pragma(p.Text)
 		}
-		init, cond, post := "", "", ""
+		pr.start()
+		pr.buf = append(pr.buf, "for ("...)
 		switch in := s.Init.(type) {
 		case *DeclStmt:
-			init = typeString(in.Type, in.Name)
-			if in.Init != nil {
-				init += " = " + ExprString(in.Init)
-			}
+			pr.buf = appendDecl(pr.buf, in)
 		case *ExprStmt:
-			init = ExprString(in.X)
+			pr.buf = appendExpr(pr.buf, in.X)
 		}
-		if s.Cond != nil {
-			cond = ExprString(s.Cond)
-		}
-		if s.Post != nil {
-			post = ExprString(s.Post)
-		}
-		pr.line("for (%s; %s; %s) {", init, cond, post)
-		pr.indent++
-		for _, st := range s.Body.Stmts {
-			pr.stmt(st)
-		}
-		pr.indent--
+		pr.buf = append(pr.buf, "; "...)
+		pr.buf = appendExpr(pr.buf, s.Cond)
+		pr.buf = append(pr.buf, "; "...)
+		pr.buf = appendExpr(pr.buf, s.Post)
+		pr.buf = append(pr.buf, ") {"...)
+		pr.end()
+		pr.body(s.Body.Stmts)
 		pr.line("}")
 	case *WhileStmt:
-		pr.line("while (%s) {", ExprString(s.Cond))
-		pr.indent++
-		for _, st := range s.Body.Stmts {
-			pr.stmt(st)
-		}
-		pr.indent--
+		pr.head("while", s.Cond)
+		pr.body(s.Body.Stmts)
 		pr.line("}")
 	case *IfStmt:
-		pr.line("if (%s) {", ExprString(s.Cond))
-		pr.indent++
-		for _, st := range s.Then.Stmts {
-			pr.stmt(st)
-		}
-		pr.indent--
+		pr.head("if", s.Cond)
+		pr.body(s.Then.Stmts)
 		switch e := s.Else.(type) {
 		case nil:
 			pr.line("}")
 		case *IfStmt:
-			pr.b.WriteString(strings.Repeat("  ", pr.indent))
-			pr.b.WriteString("} else ")
-			// Render the else-if chain without extra indentation.
-			rest := strings.TrimLeft(renderStmt(e, pr.indent), " ")
-			pr.b.WriteString(rest)
+			// The else-if chain continues on the closing brace's line.
+			pr.start()
+			pr.buf = append(pr.buf, "} else "...)
+			pr.inline = true
+			pr.stmt(e)
 		case *Block:
 			pr.line("} else {")
-			pr.indent++
-			for _, st := range e.Stmts {
-				pr.stmt(st)
-			}
-			pr.indent--
+			pr.body(e.Stmts)
 			pr.line("}")
 		default:
 			pr.line("} else {")
@@ -164,58 +227,78 @@ func (pr *printer) stmt(s Stmt) {
 		}
 	case *ReturnStmt:
 		if s.X != nil {
-			pr.line("return %s;", ExprString(s.X))
+			pr.start()
+			pr.buf = append(pr.buf, "return "...)
+			pr.buf = appendExpr(pr.buf, s.X)
+			pr.buf = append(pr.buf, ';')
+			pr.end()
 		} else {
 			pr.line("return;")
 		}
 	case *PragmaStmt:
-		pr.line("#pragma %s", s.Pragma.Text)
+		pr.pragma(s.Pragma.Text)
 	}
-}
-
-func renderStmt(s Stmt, indent int) string {
-	var pr printer
-	pr.indent = indent
-	pr.stmt(s)
-	return pr.b.String()
 }
 
 // ExprString renders an expression.
 func ExprString(e Expr) string {
+	return string(appendExpr(nil, e))
+}
+
+// appendExpr appends ExprString(e) to b.
+func appendExpr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case nil:
-		return ""
+		return b
 	case *Ident:
-		return e.Name
+		return append(b, e.Name...)
 	case *IntLit:
-		return fmt.Sprintf("%d", e.V)
+		return strconv.AppendInt(b, e.V, 10)
 	case *FloatLit:
 		if e.Text != "" {
-			return e.Text
+			return append(b, e.Text...)
 		}
-		return fmt.Sprintf("%g", e.V)
+		return strconv.AppendFloat(b, e.V, 'g', -1, 64)
 	case *BinExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(e.X), kindNames[e.Op], ExprString(e.Y))
+		return appendInfix(b, e.X, e.Op, e.Y)
 	case *UnExpr:
-		return kindNames[e.Op] + ExprString(e.X)
-	case *AssignExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(e.LHS), kindNames[e.Op], ExprString(e.RHS))
-	case *IncDecExpr:
-		return ExprString(e.X) + kindNames[e.Op]
-	case *IndexExpr:
-		return fmt.Sprintf("%s[%s]", ExprString(e.X), ExprString(e.Idx))
-	case *CallExpr:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = ExprString(a)
+		b = append(b, kindNames[e.Op]...)
+		if x, ok := e.X.(*UnExpr); ok && x.Op == e.Op && e.Op != NOT {
+			b = append(b, ' ') // "- -x" and "& &x": "--" and "&&" are tokens
 		}
-		return fmt.Sprintf("%s(%s)", e.Fun, strings.Join(args, ", "))
+		return appendExpr(b, e.X)
+	case *AssignExpr:
+		return appendInfix(b, e.LHS, e.Op, e.RHS)
+	case *IncDecExpr:
+		return append(appendExpr(b, e.X), kindNames[e.Op]...)
+	case *IndexExpr:
+		b = append(appendExpr(b, e.X), '[')
+		return append(appendExpr(b, e.Idx), ']')
+	case *CallExpr:
+		b = append(append(b, e.Fun...), '(')
+		for i, a := range e.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendExpr(b, a)
+		}
+		return append(b, ')')
 	case *CondExpr:
-		return fmt.Sprintf("%s ? %s : %s", ExprString(e.Cond), ExprString(e.Then), ExprString(e.Else))
+		b = append(appendExpr(b, e.Cond), " ? "...)
+		b = append(appendExpr(b, e.Then), " : "...)
+		return appendExpr(b, e.Else)
 	case *ParenExpr:
-		return "(" + ExprString(e.X) + ")"
+		return append(appendExpr(append(b, '('), e.X), ')')
 	case *CastExpr:
-		return fmt.Sprintf("(%s)%s", typeString(e.To, ""), ExprString(e.X))
+		b = append(appendType(append(b, '('), e.To, ""), ')')
+		return appendExpr(b, e.X)
 	}
-	return "?"
+	return append(b, '?')
+}
+
+// appendInfix appends "x op y".
+func appendInfix(b []byte, x Expr, op TokenKind, y Expr) []byte {
+	b = append(appendExpr(b, x), ' ')
+	b = append(append(b, kindNames[op]...), ' ')
+	return appendExpr(b, y)
 }

@@ -1,6 +1,7 @@
 package cminor
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,41 @@ func TestPrintRoundTrip(t *testing.T) {
 			t.Errorf("%s: the round trip changed the printed source:\n%s\nthen:\n%s", name, out, again)
 		}
 	}
+}
+
+// FuzzPrintRoundTrip: for any input that parses, printing the reparse
+// of the print gives the print again, and for any input that also
+// compiles, the SourceHash the printer streams into the hash equals
+// FNV-64a of Print's text. The corpus starts from TestPrintRoundTrip's
+// sources: the mini kernel and the ten benchmark kernels.
+func FuzzPrintRoundTrip(f *testing.F) {
+	f.Add(miniKernel)
+	for _, k := range BenchKernels {
+		f.Add(k.Src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse("fuzz.c", src)
+		if err != nil {
+			return
+		}
+		out := Print(file)
+		again, err := Parse("fuzz.c", out)
+		if err != nil {
+			t.Fatalf("the print does not re-parse: %v\nsource:\n%s\nprint:\n%s", err, src, out)
+		}
+		if out2 := Print(again); out2 != out {
+			t.Fatalf("the round trip changed the print:\n%s\nthen:\n%s", out, out2)
+		}
+		prog, err := Compile(file)
+		if err != nil {
+			return
+		}
+		h := fnv.New64a()
+		h.Write([]byte(out))
+		if got, want := prog.SourceHash(), h.Sum64(); got != want {
+			t.Fatalf("SourceHash = %x, FNV-64a of the print = %x\n%s", got, want, out)
+		}
+	})
 }
 
 func TestPrintContainsPragma(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Fault containment and graceful degradation. The engine's optimized
@@ -23,6 +24,9 @@ import (
 //	          caller (the instance's global frame, argument arrays and
 //	          cells) is snapshotted on the way in and restored after an
 //	          internal fault, so a half-written attempt leaves no trace;
+//	          the snapshot's storage is borrowed from a process-wide
+//	          free list for the length of the call, so it scales with
+//	          the calls in flight, not with the Instances that exist;
 //	fallback  the call is transparently re-executed once on the trusted
 //	          reference tier (the generic O0 closures), so the caller
 //	          sees a correct result plus an introspectable "degraded"
@@ -67,8 +71,13 @@ func (f *InternalFault) Error() string {
 // then sees the reference result and Instance.LastCallDegraded reports
 // true; without fallback an internal fault surfaces as an
 // *InternalFault error and poisons the instance. The snapshot is a real
-// copy bounded by MaxSnapshotElems; calls whose state exceeds the bound
-// run uncontained-state (fault ⇒ poisoned), never half-protected.
+// copy of the whole global frame and every argument array and cell,
+// bounded by MaxSnapshotElems; calls whose state exceeds the bound run
+// uncontained-state (fault ⇒ poisoned), never half-protected. Its
+// storage is not the instance's: the call borrows it from a
+// process-wide free list and returns it when it ends, so memory for
+// snapshots grows with the number of calls running at once, and a
+// warm call allocates none.
 // Fallback is inert on the walker backend: it is the reference
 // semantics, so it never snapshots, and an internal fault there
 // poisons the session.
@@ -85,9 +94,11 @@ var MaxSnapshotElems = 4 << 20
 
 // stateSnapshot is one call's copy of the mutable state the caller can
 // observe: the instance's global frame, argument arrays, and argument
-// cells (*Value args, which bind only to pointer parameters). Instances
-// keep one as reusable scratch so steady-state resilient calls allocate
-// only when shapes grow.
+// cells (*Value args, which bind only to pointer parameters). A call
+// borrows it from snapshotFree (borrowSnapshot) and returns it when it
+// ends (releaseSnapshot); its buffers are reused by whichever call
+// borrows it next, so steady-state resilient calls allocate only when
+// shapes grow past every shape seen before.
 type stateSnapshot struct {
 	scalars  []Value
 	arrays   [][]float64
@@ -95,6 +106,53 @@ type stateSnapshot struct {
 	argData  [][]float64
 	cells    []*Value
 	cellVals []Value
+}
+
+// snapshotFree is the process-wide free list of snapshots: a mutex and
+// a slice, as InstancePool keeps its Instances. It holds at most as
+// many snapshots as calls have ever run at once (two per audited call).
+// It is not a sync.Pool: a GC empties one, and the next warm call would
+// allocate its buffers again.
+var snapshotFree struct {
+	mu   sync.Mutex
+	list []*stateSnapshot
+}
+
+// borrowSnapshot takes a snapshot off the free list, or makes one.
+func borrowSnapshot() *stateSnapshot {
+	snapshotFree.mu.Lock()
+	defer snapshotFree.mu.Unlock()
+	n := len(snapshotFree.list)
+	if n == 0 {
+		return new(stateSnapshot)
+	}
+	sn := snapshotFree.list[n-1]
+	snapshotFree.list = snapshotFree.list[:n-1]
+	return sn
+}
+
+// releaseSnapshot returns sn to the free list. It first drops its
+// references to the caller's arrays and cells, so a pooled snapshot
+// keeps no caller storage alive.
+func releaseSnapshot(sn *stateSnapshot) {
+	clear(sn.argArrs)
+	clear(sn.cells)
+	snapshotFree.mu.Lock()
+	snapshotFree.list = append(snapshotFree.list, sn)
+	snapshotFree.mu.Unlock()
+}
+
+// captureState borrows a snapshot and copies the call's mutable state
+// into it. It returns nil, borrowing nothing, on the walker backend
+// (the reference: nothing to roll back to or audit against) and when
+// the state exceeds MaxSnapshotElems.
+func captureState(s *Instance, args []any) *stateSnapshot {
+	if s.prog.cfg.backend == BackendWalker || snapshotSize(s, args) > MaxSnapshotElems {
+		return nil
+	}
+	sn := borrowSnapshot()
+	sn.capture(s, args)
+	return sn
 }
 
 // snapshotSize totals the elements a snapshot of (s, args) would copy.
@@ -120,14 +178,9 @@ func grow(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// capture copies the call's mutable state into sn, reusing sn's
-// buffers. It reports false — capturing nothing — on the walker backend
-// (the reference: nothing to roll back to or audit against) and when
-// the state exceeds MaxSnapshotElems.
-func (sn *stateSnapshot) capture(s *Instance, args []any) bool {
-	if s.prog.cfg.backend == BackendWalker || snapshotSize(s, args) > MaxSnapshotElems {
-		return false
-	}
+// capture copies the call's mutable state — the whole global frame and
+// every argument array and cell — into sn, reusing sn's buffers.
+func (sn *stateSnapshot) capture(s *Instance, args []any) {
 	sn.scalars = append(sn.scalars[:0], s.g.scalars...)
 	if cap(sn.arrays) < len(s.g.arrays) {
 		sn.arrays = make([][]float64, len(s.g.arrays))
@@ -158,7 +211,6 @@ func (sn *stateSnapshot) capture(s *Instance, args []any) bool {
 		}
 	}
 	sn.argData = sn.argData[:n]
-	return true
 }
 
 // restore writes the captured state back: globals, argument arrays and
@@ -324,9 +376,9 @@ func (s *Instance) GlobalArray(name string) (*Array, bool) {
 // Selection layers sample audits to catch wrong-result faults that
 // containment alone cannot see. States larger than MaxSnapshotElems,
 // and every call on the walker backend (the reference itself), run as
-// an ordinary call with diverged=false. The audit captures into
-// snapshots the session owns, so a warm session audits without
-// allocating.
+// an ordinary call with diverged=false. The audit borrows its two
+// snapshots from the process-wide free list, so a warm session audits
+// without allocating.
 func (s *Instance) CallAudited(ctx context.Context, name string, args ...any) (v Value, diverged bool, err error) {
 	v, _, diverged, err = s.run(ctx, name, args, 0, true)
 	return v, diverged, err

@@ -3,8 +3,11 @@ package cminor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -582,8 +585,9 @@ func TestCallContractAcrossBackends(t *testing.T) {
 }
 
 // TestAuditedCallAllocatesNothing: an audit captures the pre-call and
-// post-call state into snapshots the session reuses, so a warm session
-// audits without allocating, like a plain call.
+// post-call state into snapshots borrowed from the process-wide free
+// list and returned when the call ends, so a warm session audits
+// without allocating, like a plain call.
 func TestAuditedCallAllocatesNothing(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithOptLevel(O3)},
@@ -605,5 +609,158 @@ func TestAuditedCallAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(50, audit); n != 0 {
 			t.Errorf("%s: a warm audited call allocates %v objects, want 0", prog.Backend(), n)
 		}
+	}
+}
+
+// TestWarmFallbackCallAllocatesNothingAfterGC: the snapshot free list
+// survives garbage collection, so a warm fallback call borrows and
+// returns its snapshot without allocating even right after a GC (a
+// sync.Pool would be emptied by two, and the next call would allocate
+// its buffers again).
+func TestWarmFallbackCallAllocatesNothingAfterGC(t *testing.T) {
+	for _, opts := range [][]Option{
+		{WithOptLevel(O3)},
+		{WithBackend(BackendBytecode)},
+	} {
+		prog, err := Compile(MustParse("t.c", engineDotSrc), append(opts, WithFallback(true), WithMaxSteps(1<<60))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := prog.NewInstance()
+		args, want := dotArgs(32)
+		call := func() {
+			if v, err := s.Call("dot", args...); err != nil || v.F != want {
+				t.Fatalf("dot = %v, %v; want %v", v, err, want)
+			}
+		}
+		call()
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		call()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: a warm fallback call after a GC allocated %d objects, want 0", prog.Backend(), n)
+		}
+	}
+}
+
+// TestFallbackSnapshotStorageIsPerCall: snapshot storage belongs to the
+// running call, not to the Instance. Five fallback-on variants of axpy
+// (O0–O3 and the bytecode) each get one fresh Instance, and one call
+// runs on each in turn with the canonical arguments: two 4096-element
+// arrays, 64 KiB of state to snapshot. The calls run one after another,
+// so they can reuse one snapshot's buffers: together they allocate less
+// than two copies of the state, where an Instance that kept its own
+// snapshot would allocate one copy per Instance, five in all.
+func TestFallbackSnapshotStorageIsPerCall(t *testing.T) {
+	var axpy BenchKernel
+	for _, k := range BenchKernels {
+		if k.Name == "axpy" {
+			axpy = k
+		}
+	}
+	f := MustParse(axpy.File, axpy.Src)
+	var insts []*Instance
+	for _, opts := range [][]Option{
+		{WithOptLevel(O0)}, {WithOptLevel(O1)}, {WithOptLevel(O2)}, {WithOptLevel(O3)},
+		{WithBackend(BackendBytecode)},
+	} {
+		prog, err := Compile(f, append(opts, WithFallback(true))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, prog.NewInstance())
+	}
+	args := axpy.Args()
+	state := 0
+	for _, a := range args {
+		if arr, ok := a.(*Array); ok {
+			state += 8 * len(arr.Data)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range insts {
+		if _, err := s.Call(axpy.Fn, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(2*state) {
+		t.Fatalf("one call on each of %d fresh Instances allocated %d bytes, want < %d (twice the %d-byte state)",
+			len(insts), grew, 2*state, state)
+	}
+}
+
+// TestConcurrentRollbacksRestoreOwnArrays: goroutines make fallback
+// calls at the same time, every attempt faulting at exit after writing
+// its argument array and the session's globals, each goroutine on its
+// own Instance and its own argument set of its own length. Every
+// rollback must restore the arrays of its own call and no other, so
+// each goroutine sees the clean result on every call: the reference's
+// return value and array, and gcalls counting each call once. Run under
+// -race by make chaos, where snapshot storage shared between running
+// calls would also show as a data race.
+func TestConcurrentRollbacksRestoreOwnArrays(t *testing.T) {
+	const workers, calls = 6, 40
+	progs := map[Backend]*Program{}
+	for _, b := range []Backend{BackendCompiled, BackendBytecode} {
+		inj := NewScriptedInjector(FaultRule{
+			Backend: b, AnyOpt: true, Fn: "k", Kind: FaultPanic, Point: FaultAtExit,
+		})
+		progs[b] = mustProgram(t, resilienceSrc, WithBackend(b), WithOptLevel(O3),
+			WithFallback(true), WithFaultInjector(inj))
+	}
+	clean := mustProgram(t, resilienceSrc)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		n := 8 + 5*w
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = float64(w*100+i) * 0.375
+		}
+		ref := NewArray(n)
+		copy(ref.Data, in)
+		want, err := clean.NewInstance().Call("k", IntV(int64(n)), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := progs[[]Backend{BackendCompiled, BackendBytecode}[w%2]]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := prog.NewInstance()
+			a := NewArray(n)
+			for c := 1; c <= calls; c++ {
+				copy(a.Data, in)
+				v, err := s.Call("k", IntV(int64(n)), a)
+				if err == nil && !s.LastCallDegraded() {
+					err = errors.New("the faulted call was not degraded")
+				}
+				if err == nil && !sameBits(v, want) {
+					err = fmt.Errorf("returned %v, want %v", v, want)
+				}
+				for i := range a.Data {
+					if err == nil && math.Float64bits(a.Data[i]) != math.Float64bits(ref.Data[i]) {
+						err = fmt.Errorf("a[%d] = %g, want %g", i, a.Data[i], ref.Data[i])
+					}
+				}
+				if g, _ := s.GlobalScalar("gcalls"); err == nil && g.Int() != int64(c) {
+					err = fmt.Errorf("gcalls = %d, want %d", g.Int(), c)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("worker %d (%s), call %d: %w", w, prog.Backend(), c, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
