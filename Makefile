@@ -55,7 +55,9 @@ lint: vet
 # reports, never an internal one), the table of the C conversion rules
 # on the walker, O0, O3 and the bytecode, goroutines whose fallback
 # calls all fault, each rollback restoring only its own call's arrays
-# from the snapshot that call borrowed, and the
+# from the snapshot that call borrowed, rollbacks of one array bound to
+# a written and a read-only parameter or to two read-only ones (the
+# snapshot copies only written arrays), and the
 # deterministic quarantine lifecycle simulations, including the
 # concurrent chaos-routing test, whose shared clock moves on every read
 # so quarantine lifts race the routing by design. Then 30 s of FuzzBytecodeRuns without -race: generated run-form
@@ -63,7 +65,7 @@ lint: vet
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
-	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules|TestConcurrentRollbacksRestoreOwnArrays'
+	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules|TestConcurrentRollbacksRestoreOwnArrays|TestAliasedArgumentsRollBack'
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos|TestSurveyTrialFaultQuarantines'
 	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
 

@@ -154,8 +154,9 @@ func New(prog *cm.Program, opts ...Option) (*AutoTuner, error) {
 
 // variant materializes (once) and returns grid point idx. Every
 // materialized variant carries the tuner's resilience options: trusted
-// fallback, always on (the engine skips it where a call's state exceeds
-// cm.MaxSnapshotElems), and the fault injector, when one is armed.
+// fallback, always on (the engine skips it where the copy of what a
+// call can write exceeds cm.MaxSnapshotElems), and the fault injector,
+// when one is armed.
 func (t *AutoTuner) variant(idx int) (*variantSlot, error) {
 	s := t.slots[idx]
 	s.once.Do(func() {

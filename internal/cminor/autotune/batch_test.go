@@ -106,9 +106,10 @@ func TestCallBatchSharesOneDecision(t *testing.T) {
 }
 
 // TestCallBatchPoisonedSessionRecycled pins mid-batch fault isolation:
-// with the call's state over cm.MaxSnapshotElems the engine skips the
-// fallback snapshot, so an exit-point injected panic poisons the session,
-// and the NEXT batch entry must still compute the correct value — the
+// with the call's state over cm.MaxSnapshotElems (a negative bound,
+// since probe only reads a and its snapshot copies nothing) the engine
+// skips the fallback snapshot, so an exit-point injected panic poisons
+// the session, and the NEXT batch entry must still compute the correct value — the
 // batch runner cycles the poisoned session through the pool (which
 // rebuilds it) instead of reusing half-written state.
 func TestCallBatchPoisonedSessionRecycled(t *testing.T) {
@@ -118,7 +119,7 @@ func TestCallBatchPoisonedSessionRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func(n int) { cm.MaxSnapshotElems = n }(cm.MaxSnapshotElems)
-	cm.MaxSnapshotElems = 4 // a[16] = 16 elems > 4: no snapshot, no fallback
+	cm.MaxSnapshotElems = -1 // even an empty copy is over: no snapshot, no fallback
 	inj := cm.NewScriptedInjector(cm.FaultRule{
 		Backend: cm.BackendCompiled, Opt: cm.O2, Fn: "probe",
 		Call: 1, Kind: cm.FaultPanic, Point: cm.FaultAtExit,

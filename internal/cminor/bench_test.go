@@ -1,6 +1,10 @@
 package cminor
 
-import "testing"
+import (
+	"slices"
+	"testing"
+	"time"
+)
 
 // Benchmarks comparing the original tree-walking interpreter (the
 // walker backend) against the compiled resolve → compile → execute pipeline (an Instance
@@ -222,6 +226,57 @@ func BenchmarkOptLevels(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFallbackTax prices the fallback snapshot on every corpus
+// kernel. Each op is two calls of the O3 bytecode, one with WithFallback
+// off and one with it on, in alternating order, each on an argument
+// set restored just before it and timed on its own, so both sides see
+// the same box at the same moment. It reports the median call of each side (off-ns, on-ns) and
+// their difference (tax-ns): what containment costs a call, the copy
+// of the global frame and of the arrays the kernel can write
+// (FuncInfo.Writes).
+func BenchmarkFallbackTax(b *testing.B) {
+	for _, k := range BenchKernels {
+		var insts [2]*Instance
+		for i, on := range []bool{false, true} {
+			prog, err := Compile(MustParse(k.File, k.Src), WithBackend(BackendBytecode), WithOptLevel(O3),
+				WithFallback(on), WithMaxSteps(1<<62))
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts[i] = prog.NewInstance()
+		}
+		b.Run(k.Name, func(b *testing.B) {
+			pristine, args := k.Args(), k.Args()
+			times := [2][]float64{make([]float64, b.N), make([]float64, b.N)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range insts {
+					side := (i + j) % len(insts) // alternate which side goes first
+					inst := insts[side]
+					restoreArrays(args, pristine)
+					start := time.Now()
+					if _, err := inst.Call(k.Fn, args...); err != nil {
+						b.Fatal(err)
+					}
+					times[side][i] = float64(time.Since(start).Nanoseconds())
+				}
+			}
+			b.StopTimer()
+			off, on := median(times[0]), median(times[1])
+			b.ReportMetric(off, "off-ns")
+			b.ReportMetric(on, "on-ns")
+			b.ReportMetric(on-off, "tax-ns")
+		})
+	}
+}
+
+// median returns the middle value of xs, sorting it in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // optLevelBatch is how many argument sets BenchmarkOptLevels restores

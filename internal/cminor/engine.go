@@ -849,7 +849,13 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 	inj := s.decide(name)
 	var pre *stateSnapshot
 	if audit || s.prog.cfg.fallback {
-		pre = captureState(s, args)
+		// A rollback restores what the call can write; an audit compares
+		// everything the caller can see, so it captures every array.
+		writes := cf.info.Writes
+		if audit {
+			writes = nil
+		}
+		pre = captureState(s, args, writes)
 	}
 	snapped := pre != nil
 	if snapped {
@@ -882,7 +888,7 @@ func (s *Instance) run(ctx context.Context, name string, args []any, trial int, 
 	if fault == nil {
 		post = borrowSnapshot()
 		defer releaseSnapshot(post)
-		post.capture(s, args) // same shapes as pre: within the bound
+		post.capture(s, args, nil) // an audit's: the same shapes as pre, within the bound
 	}
 	// Restore the pre-call state (globals, argument arrays and cells),
 	// discard the attempt's step charge, and re-execute once on the

@@ -305,12 +305,21 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			w := WalkerInst(t, f)
 			w.SetMaxSteps(1 << 30)
 			wArgs, cArgs, iArgs := diffArgs(8, seed), diffArgs(8, seed), diffArgs(8, seed)
+			// After every call, each array outside k's write set must be as
+			// the call found it: the fallback snapshot does not copy those.
+			unchanged := GuardReadOnly(t, w, "k", wArgs)
 			wv, werr := w.Call("k", wArgs...)
+			unchanged("walker")
 			// The engine path proper, through both entry points: Call on
 			// one Instance, CallContext on another.
-			cv, cerr := prog.NewInstance().Call("k", cArgs...)
+			ci := prog.NewInstance()
+			unchanged = GuardReadOnly(t, ci, "k", cArgs)
+			cv, cerr := ci.Call("k", cArgs...)
+			unchanged("compiled")
 			inst := prog.NewInstance()
+			unchanged = GuardReadOnly(t, inst, "k", iArgs)
 			iv, ierr := inst.CallContext(context.Background(), "k", iArgs...)
+			unchanged("instance")
 			if (werr == nil) != (cerr == nil) || (werr == nil) != (ierr == nil) {
 				t.Fatalf("error divergence on:\n%s\nwalker=%v compiled=%v instance=%v",
 					src, werr, cerr, ierr)
@@ -333,7 +342,10 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 					t.Fatalf("Variant(%s): %v", lvl, verr)
 				}
 				args := diffArgs(8, seed)
-				v, err := vp.NewInstance().Call("k", args...)
+				vi := vp.NewInstance()
+				unchanged := GuardReadOnly(t, vi, "k", args)
+				v, err := vi.Call("k", args...)
+				unchanged(lvl.String())
 				variants = append(variants, variantRun{lvl.String(), args, v, err})
 			}
 			// The flat-bytecode backend: lowered functions run the
@@ -354,7 +366,9 @@ func TestDifferentialGeneratedKernels(t *testing.T) {
 			}
 			bArgs := diffArgs(8, seed)
 			bi := bp.NewInstance()
+			unchanged = GuardReadOnly(t, bi, "k", bArgs)
 			bv, berr := bi.Call("k", bArgs...)
+			unchanged("bytecode")
 			variants = append(variants, variantRun{"bytecode", bArgs, bv, berr})
 			if werr == nil && berr == nil && bi.LastCallSteps() != w.Steps() {
 				t.Fatalf("bytecode step divergence on:\n%s\nwalker=%d bytecode=%d",

@@ -20,7 +20,9 @@ import (
 // lowerer splices: norms' sq, a run form whose inner step makes k = 3,
 // and the near-misses of one. Each kernel is compared with the walker on
 // value, argument arrays, steps and error text, at the full budget and at
-// the budgets where a run must stop short.
+// the budgets where a run must stop short, and every call, the walker's
+// too, must leave the arrays outside k's write set as it found them
+// (guardReadOnly).
 
 const (
 	runGenRows  = 4  // rows of A, columns of C, and the range of the outer variable j
@@ -429,19 +431,26 @@ func TestBytecodeRunCorpus(t *testing.T) {
 			w := walkerInst(t, f)
 			w.SetMaxSteps(budget)
 			wArgs := data.args(alias)
+			unchanged := guardReadOnly(t, w, "k", wArgs)
 			wv, werr := w.Call("k", wArgs...)
+			unchanged("walker")
 			ins := bp.NewInstance()
 			ins.SetMaxSteps(budget)
 			bArgs := data.args(alias)
+			unchanged = guardReadOnly(t, ins, "k", bArgs)
 			bv, berr := ins.Call("k", bArgs...)
+			unchanged("bytecode")
 			if berr != nil && strings.Contains(berr.Error(), "index ") {
 				// A positioned fault: the closure back end is the reference
 				// for its text.
 				ci := o0.NewInstance()
 				ci.SetMaxSteps(budget)
-				if _, cerr := ci.Call("k", data.args(alias)...); cerr == nil || cerr.Error() != berr.Error() {
+				cArgs := data.args(alias)
+				unchanged = guardReadOnly(t, ci, "k", cArgs)
+				if _, cerr := ci.Call("k", cArgs...); cerr == nil || cerr.Error() != berr.Error() {
 					t.Fatalf("seed %d alias %d budget %d: fault %v, closure back end %v\n%s", seed, alias, budget, berr, cerr, src)
 				}
+				unchanged("O0")
 			}
 			return runOutcomeOf(wv, werr, w.Steps(), wArgs), runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs)
 		}
@@ -488,7 +497,8 @@ func TestBytecodeRunCorpus(t *testing.T) {
 // generateRunKernel makes for any seed, at any trip count (up to either
 // side of two chunks) and argument aliasing, must agree with the walker
 // on value, arrays, steps and error text at the full budget and at one
-// budget the fuzzer picks. Its seed corpus is TestBytecodeRunCorpus's
+// budget the fuzzer picks, and leave the arrays outside k's write set
+// untouched. Its seed corpus is TestBytecodeRunCorpus's
 // 330 kernels, at the n and one of the aliasings that test gives them.
 func FuzzBytecodeRuns(f *testing.F) {
 	trips := []int{0, 1, 2, 3, 4, 5, 7, 9, 14, 23}
@@ -515,10 +525,14 @@ func FuzzBytecodeRuns(f *testing.F) {
 			w := walkerInst(t, file)
 			w.SetMaxSteps(budget)
 			wArgs, bArgs := data.args(int(alias%5)), data.args(int(alias%5))
+			unchanged := guardReadOnly(t, w, "k", wArgs)
 			wv, werr := w.Call("k", wArgs...)
+			unchanged("walker")
 			ins := bp.NewInstance()
 			ins.SetMaxSteps(budget)
+			unchanged = guardReadOnly(t, ins, "k", bArgs)
 			bv, berr := ins.Call("k", bArgs...)
+			unchanged("bytecode")
 			walker := runOutcomeOf(wv, werr, w.Steps(), wArgs)
 			if d := runOutcomeOf(bv, berr, ins.LastCallSteps(), bArgs).diff(walker); d != "" {
 				t.Fatalf("budget %d: %s\n%s", budget, d, src)

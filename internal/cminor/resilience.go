@@ -20,13 +20,17 @@ import (
 //	contain   an internal panic becomes a structured *InternalFault
 //	          carrying the variant's full knob coordinates and the
 //	          recovered value + stack — the process never dies;
-//	rollback  with WithFallback enabled, mutable state visible to the
-//	          caller (the instance's global frame, argument arrays and
-//	          cells) is snapshotted on the way in and restored after an
-//	          internal fault, so a half-written attempt leaves no trace;
-//	          the snapshot's storage is borrowed from a process-wide
-//	          free list for the length of the call, so it scales with
-//	          the calls in flight, not with the Instances that exist;
+//	rollback  with WithFallback enabled, the state the call can write
+//	          (the instance's global frame, the argument cells, and the
+//	          argument arrays bound to parameters in the function's
+//	          write set, FuncInfo.Writes) is snapshotted on the way in
+//	          and restored after an internal fault, so a half-written
+//	          attempt leaves no trace; an audit (CallAudited) captures
+//	          every argument array instead, since it compares all the
+//	          caller can see; the snapshot's storage is borrowed from
+//	          a process-wide free list for the length of the call, so
+//	          it scales with the calls in flight, not with the
+//	          Instances that exist;
 //	fallback  the call is transparently re-executed once on the trusted
 //	          reference tier (the generic O0 closures), so the caller
 //	          sees a correct result plus an introspectable "degraded"
@@ -36,8 +40,8 @@ import (
 //	          routing with exponential backoff.
 //
 // Containment is always on. Rollback + fallback are opt-in
-// (WithFallback) because the snapshot is a real copy of the call's
-// mutable state; without it an internal fault poisons the instance
+// (WithFallback) because the snapshot is a real copy of the state the
+// call can write; without it an internal fault poisons the instance
 // (Instance.Poisoned) — its globals may hold partial writes from the
 // aborted attempt — and InstancePool.Put rebuilds poisoned sessions
 // rather than recycling their state.
@@ -64,15 +68,20 @@ func (f *InternalFault) Error() string {
 }
 
 // WithFallback enables trusted-fallback re-execution: each call on the
-// variant snapshots its mutable state (the instance's global frame plus
-// argument arrays and cells) before executing, and an internal fault
-// rolls the state back and re-executes the call once on the trusted
-// reference tier — the generic O0 closures, injector-free. The caller
-// then sees the reference result and Instance.LastCallDegraded reports
-// true; without fallback an internal fault surfaces as an
-// *InternalFault error and poisons the instance. The snapshot is a real
-// copy of the whole global frame and every argument array and cell,
-// bounded by MaxSnapshotElems; calls whose state exceeds the bound run
+// variant snapshots the state it can write (the instance's global frame,
+// the argument cells, and the argument arrays bound to parameters in
+// the function's write set, FuncInfo.Writes) before executing, and an
+// internal fault rolls the state back and re-executes the call once on
+// the trusted reference tier — the generic O0 closures, injector-free.
+// The caller then sees the reference result and
+// Instance.LastCallDegraded reports true; without fallback an internal
+// fault surfaces as an *InternalFault error and poisons the instance.
+// The snapshot is a real
+// copy of the whole global frame, every argument cell and each written
+// argument array (once, however many parameters it is bound to); an
+// array bound only to parameters the function never writes is left as
+// it is, since no attempt can change it. The copy is bounded by
+// MaxSnapshotElems; calls whose copy would exceed the bound run
 // uncontained-state (fault ⇒ poisoned), never half-protected. Its
 // storage is not the instance's: the call borrows it from a
 // process-wide free list and returns it when it ends, so memory for
@@ -85,16 +94,19 @@ func WithFallback(on bool) Option {
 	return func(c *config) { c.fallback = on }
 }
 
-// MaxSnapshotElems bounds the total float64 elements (global arrays
-// plus argument arrays) a WithFallback call will copy; beyond it the
-// call skips the snapshot and an internal fault poisons the instance
-// instead of degrading gracefully. It is a variable so harnesses can
-// tighten it to exercise the overflow path.
+// MaxSnapshotElems bounds the float64 elements a snapshot copies: the
+// global arrays plus the argument arrays it takes (the written ones for
+// a WithFallback call, all of them for an audit), each counted once.
+// Beyond it the call skips the snapshot and an internal fault poisons
+// the instance instead of degrading gracefully. It is a variable so
+// harnesses can tighten it to exercise the overflow path (a negative
+// bound refuses even an empty copy).
 var MaxSnapshotElems = 4 << 20
 
 // stateSnapshot is one call's copy of the mutable state the caller can
-// observe: the instance's global frame, argument arrays, and argument
-// cells (*Value args, which bind only to pointer parameters). A call
+// observe: the instance's global frame, the argument cells (*Value args,
+// which bind only to pointer parameters), and the argument arrays the
+// call can write — every argument array when it is an audit's. A call
 // borrows it from snapshotFree (borrowSnapshot) and returns it when it
 // ends (releaseSnapshot); its buffers are reused by whichever call
 // borrows it next, so steady-state resilient calls allocate only when
@@ -143,31 +155,52 @@ func releaseSnapshot(sn *stateSnapshot) {
 }
 
 // captureState borrows a snapshot and copies the call's mutable state
-// into it. It returns nil, borrowing nothing, on the walker backend
+// into it: the global frame, the argument cells, and the argument
+// arrays bound to the parameters writes marks (all of them when writes
+// is nil). It returns nil, borrowing nothing, on the walker backend
 // (the reference: nothing to roll back to or audit against) and when
-// the state exceeds MaxSnapshotElems.
-func captureState(s *Instance, args []any) *stateSnapshot {
-	if s.prog.cfg.backend == BackendWalker || snapshotSize(s, args) > MaxSnapshotElems {
+// the copy would exceed MaxSnapshotElems.
+func captureState(s *Instance, args []any, writes []bool) *stateSnapshot {
+	if s.prog.cfg.backend == BackendWalker || snapshotSize(s, args, writes) > MaxSnapshotElems {
 		return nil
 	}
 	sn := borrowSnapshot()
-	sn.capture(s, args)
+	sn.capture(s, args, writes)
 	return sn
 }
 
-// snapshotSize totals the elements a snapshot of (s, args) would copy.
-// args are already bound (resolveCall), so no pointer among them is nil.
-func snapshotSize(s *Instance, args []any) int {
+// snapshotSize totals the elements a snapshot of (s, args) under writes
+// would copy. args are already bound (resolveCall), so no pointer among
+// them is nil.
+func snapshotSize(s *Instance, args []any, writes []bool) int {
 	total := 0
 	for _, a := range s.g.arrays {
 		total += len(a.Data)
 	}
-	for _, a := range args {
-		if arr, ok := a.(*Array); ok {
+	for i := range args {
+		if arr := snapArray(args, writes, i); arr != nil {
 			total += len(arr.Data)
 		}
 	}
 	return total
+}
+
+// snapArray returns args[i] when a snapshot under writes copies it: an
+// *Array bound to a written parameter (to any parameter when writes is
+// nil) that no earlier copied argument already is. An array bound to a
+// written and a read-only parameter is copied once, for the written one;
+// a read-only argument is never written, so it needs no copy.
+func snapArray(args []any, writes []bool, i int) *Array {
+	arr, ok := args[i].(*Array)
+	if !ok || writes != nil && !writes[i] {
+		return nil
+	}
+	for j := range i {
+		if args[j] == any(arr) && (writes == nil || writes[j]) {
+			return nil
+		}
+	}
+	return arr
 }
 
 // grow returns dst resized to n, reusing its backing store when it can.
@@ -178,9 +211,10 @@ func grow(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// capture copies the call's mutable state — the whole global frame and
-// every argument array and cell — into sn, reusing sn's buffers.
-func (sn *stateSnapshot) capture(s *Instance, args []any) {
+// capture copies the call's mutable state — the whole global frame,
+// every argument cell, and the argument arrays snapArray selects under
+// writes — into sn, reusing sn's buffers.
+func (sn *stateSnapshot) capture(s *Instance, args []any, writes []bool) {
 	sn.scalars = append(sn.scalars[:0], s.g.scalars...)
 	if cap(sn.arrays) < len(s.g.arrays) {
 		sn.arrays = make([][]float64, len(s.g.arrays))
@@ -194,21 +228,24 @@ func (sn *stateSnapshot) capture(s *Instance, args []any) {
 	sn.cells = sn.cells[:0]
 	sn.cellVals = sn.cellVals[:0]
 	n := 0
-	for _, a := range args {
-		switch v := a.(type) {
-		case *Array:
-			sn.argArrs = append(sn.argArrs, v)
-			if cap(sn.argData) <= n {
-				sn.argData = append(sn.argData, nil)
-			}
-			sn.argData = sn.argData[:n+1]
-			sn.argData[n] = grow(sn.argData[n], len(v.Data))
-			copy(sn.argData[n], v.Data)
-			n++
-		case *Value:
+	for i, a := range args {
+		if v, ok := a.(*Value); ok {
 			sn.cells = append(sn.cells, v)
 			sn.cellVals = append(sn.cellVals, *v)
+			continue
 		}
+		arr := snapArray(args, writes, i)
+		if arr == nil {
+			continue
+		}
+		sn.argArrs = append(sn.argArrs, arr)
+		if cap(sn.argData) <= n {
+			sn.argData = append(sn.argData, nil)
+		}
+		sn.argData = sn.argData[:n+1]
+		sn.argData[n] = grow(sn.argData[n], len(arr.Data))
+		copy(sn.argData[n], arr.Data)
+		n++
 	}
 	sn.argData = sn.argData[:n]
 }

@@ -647,13 +647,15 @@ func TestWarmFallbackCallAllocatesNothingAfterGC(t *testing.T) {
 }
 
 // TestFallbackSnapshotStorageIsPerCall: snapshot storage belongs to the
-// running call, not to the Instance. Five fallback-on variants of axpy
-// (O0–O3 and the bytecode) each get one fresh Instance, and one call
-// runs on each in turn with the canonical arguments: two 4096-element
-// arrays, 64 KiB of state to snapshot. The calls run one after another,
+// running call, not to the Instance, and holds only what the call can
+// write. Five fallback-on variants of axpy (O0–O3 and the bytecode) each
+// get one fresh Instance, and one call runs on each in turn with the
+// canonical arguments: two 4096-element arrays, of which axpy writes
+// only y, 32 KiB of state to snapshot. The calls run one after another,
 // so they can reuse one snapshot's buffers: together they allocate less
-// than two copies of the state, where an Instance that kept its own
-// snapshot would allocate one copy per Instance, five in all.
+// than two copies of the written state, where a snapshot of x too would
+// allocate two such copies at once, and an Instance that kept its own
+// snapshot one per Instance, five in all.
 func TestFallbackSnapshotStorageIsPerCall(t *testing.T) {
 	var axpy BenchKernel
 	for _, k := range BenchKernels {
@@ -674,9 +676,10 @@ func TestFallbackSnapshotStorageIsPerCall(t *testing.T) {
 		insts = append(insts, prog.NewInstance())
 	}
 	args := axpy.Args()
+	writes := insts[0].prog.res.Funcs[axpy.Fn].Writes
 	state := 0
-	for _, a := range args {
-		if arr, ok := a.(*Array); ok {
+	for i, a := range args {
+		if arr, ok := a.(*Array); ok && writes[i] {
 			state += 8 * len(arr.Data)
 		}
 	}
@@ -689,8 +692,137 @@ func TestFallbackSnapshotStorageIsPerCall(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(2*state) {
-		t.Fatalf("one call on each of %d fresh Instances allocated %d bytes, want < %d (twice the %d-byte state)",
+		t.Fatalf("one call on each of %d fresh Instances allocated %d bytes, want < %d (twice the %d-byte written state)",
 			len(insts), grew, 2*state, state)
+	}
+}
+
+// aliasSrc is axpy with a second read-only input: it writes y only.
+const aliasSrc = `
+double axpz(int n, double alpha, double x[n], double z[n], double y[n]) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    y[i] = y[i] + alpha * x[i] * z[i];
+    s = s + y[i];
+  }
+  return s;
+}
+`
+
+// TestAliasedArgumentsRollBack: the snapshot copies each array bound to
+// a written parameter, matched by identity, so one array bound to the
+// read-only x and the written y is copied for y, and one bound to the
+// read-only x and z is not copied at all. On O3 and the bytecode, a
+// call whose attempt panics at exit must come back degraded with the
+// reference's value and arrays, and a trial cut after one statement
+// must roll every array back to its pre-call bits.
+func TestAliasedArgumentsRollBack(t *testing.T) {
+	const n = 40
+	fill := func(seed float64) *Array {
+		a := NewArray(n)
+		for i := range a.Data {
+			a.Data[i] = seed + float64(i%9)*0.375
+		}
+		return a
+	}
+	cases := map[string]func() []any{
+		"x is y": func() []any { a := fill(1); return []any{IntV(n), FloatV(1.5), a, fill(2), a} },
+		"x is z": func() []any { a := fill(1); return []any{IntV(n), FloatV(1.5), a, a, fill(2)} },
+	}
+	clean := mustProgram(t, aliasSrc)
+	for name, mk := range cases {
+		refArgs := mk()
+		want, err := clean.NewInstance().Call("axpz", refArgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []Backend{BackendCompiled, BackendBytecode} {
+			label := fmt.Sprintf("%s, %s", name, b)
+			inj := NewScriptedInjector(FaultRule{Backend: b, AnyOpt: true, Fn: "axpz", Kind: FaultPanic, Point: FaultAtExit})
+			faulty := mustProgram(t, aliasSrc, WithBackend(b), WithOptLevel(O3), WithFallback(true), WithFaultInjector(inj))
+			s := faulty.NewInstance()
+			args := mk()
+			v, err := s.Call("axpz", args...)
+			if err != nil || !s.LastCallDegraded() || !sameBits(v, want) {
+				t.Fatalf("%s: faulted call = %+v, %v, degraded %v; want the degraded reference %+v", label, v, err, s.LastCallDegraded(), want)
+			}
+			checkArgArrays(t, label+": degraded call", args, refArgs)
+
+			s = mustProgram(t, aliasSrc, WithBackend(b), WithOptLevel(O3), WithFallback(true)).NewInstance()
+			args = mk()
+			v, done, err := s.CallTrial(nil, 1, "axpz", args...)
+			if err != nil || done || s.Steps() != 0 {
+				t.Fatalf("%s: one-statement trial = %+v, done=%v, %v after %d steps; want it rolled back", label, v, done, err, s.Steps())
+			}
+			checkArgArrays(t, label+": rolled-back trial", args, mk())
+		}
+	}
+}
+
+// checkArgArrays fails t unless every array argument of got holds the
+// bits of the array at the same position of want.
+func checkArgArrays(t *testing.T, label string, got, want []any) {
+	t.Helper()
+	for i, a := range got {
+		arr, ok := a.(*Array)
+		if !ok {
+			continue
+		}
+		for j, x := range want[i].(*Array).Data {
+			if math.Float64bits(arr.Data[j]) != math.Float64bits(x) {
+				t.Fatalf("%s: argument %d [%d] = %g, want %g", label, i, j, arr.Data[j], x)
+			}
+		}
+	}
+}
+
+// TestSnapshotBoundCountsCopiedElems: MaxSnapshotElems counts the
+// elements a snapshot copies. norms reads a 64×64 matrix and writes a
+// 64-element vector: 4 160 elements would be over a bound of 1 000, the
+// 64 written ones are under it, so an exit-point panic degrades instead
+// of poisoning. An audit copies every array, so under the same bound it
+// runs as a plain call and cannot see a wrong result that it catches
+// under a bound of 5 000.
+func TestSnapshotBoundCountsCopiedElems(t *testing.T) {
+	defer func(n int) { MaxSnapshotElems = n }(MaxSnapshotElems)
+	MaxSnapshotElems = 1000
+	f := MustParse("norms.c", benchNormsSrc)
+	clean, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refArgs := benchNormsArgs(64)
+	want, err := clean.NewInstance().Call("norms", refArgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{BackendCompiled, BackendBytecode} {
+		inj := NewScriptedInjector(FaultRule{Backend: b, AnyOpt: true, Fn: "norms", Kind: FaultPanic, Point: FaultAtExit})
+		prog, err := Compile(f, WithBackend(b), WithOptLevel(O3), WithFallback(true), WithFaultInjector(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := prog.NewInstance()
+		args := benchNormsArgs(64)
+		v, err := s.Call("norms", args...)
+		if err != nil || !s.LastCallDegraded() || s.Poisoned() || !sameBits(v, want) {
+			t.Fatalf("%s: faulted call = %+v, %v, degraded %v, poisoned %v; want the degraded reference",
+				b, v, err, s.LastCallDegraded(), s.Poisoned())
+		}
+		checkArgArrays(t, b.String(), args, refArgs)
+
+		inj = NewScriptedInjector(FaultRule{Backend: b, AnyOpt: true, Fn: "norms", Kind: FaultWrongResult})
+		prog, err = Compile(f, WithBackend(b), WithOptLevel(O3), WithFaultInjector(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bound, caught := range map[int]bool{1000: false, 5000: true} {
+			MaxSnapshotElems = bound
+			if _, diverged, err := prog.NewInstance().CallAudited(nil, "norms", benchNormsArgs(64)...); err != nil || diverged != caught {
+				t.Fatalf("%s: audit under a bound of %d: diverged=%v, %v; want %v", b, bound, diverged, err, caught)
+			}
+		}
+		MaxSnapshotElems = 1000
 	}
 }
 

@@ -27,6 +27,14 @@ type FuncInfo struct {
 	// sites that name a user function (builtins excluded).
 	BodyNodes int
 	UserCalls int
+	// Writes marks, per parameter, an array the function can write: the
+	// root of an indexed store (=, op=, ++, --) or an argument to a user
+	// function (conservatively: the callee's own set is not consulted).
+	// Array arguments are plain array names and pointer parameters bind
+	// only scalars, so nothing else writes an array: a call leaves every
+	// argument array outside the set as it found it, and the fallback
+	// snapshot copies only the marked ones (resilience.go).
+	Writes []bool
 }
 
 // GlobalScalar describes a resolved file-scope scalar.
@@ -236,7 +244,7 @@ func (r *resolver) alloc(t *Type) VarRef {
 }
 
 func (r *resolver) function(fn *FuncDecl) *FuncInfo {
-	info := &FuncInfo{Decl: fn}
+	info := &FuncInfo{Decl: fn, Writes: make([]bool, len(fn.Params))}
 	r.cur = info
 	r.push()
 	for _, p := range fn.Params {
@@ -393,7 +401,7 @@ func (r *resolver) lvalue(e Expr) {
 	case *ParenExpr:
 		r.lvalue(e.X)
 	case *IndexExpr:
-		r.index(e)
+		r.write(r.index(e))
 	default:
 		r.errorf(e.Pos(), "expression is not assignable")
 	}
@@ -422,28 +430,44 @@ func splitIndexChain(e Expr) (*Ident, []Expr) {
 	}
 }
 
-func (r *resolver) index(e *IndexExpr) {
+// index resolves an element access and returns its array's binding
+// (the zero VarRef when the root is not an array).
+func (r *resolver) index(e *IndexExpr) VarRef {
 	root, subs := splitIndexChain(e)
 	for _, sx := range subs {
 		r.expr(sx)
 	}
 	if root == nil {
 		r.errorf(e.P, "indexed expression is not a variable")
-		return
+		return VarRef{}
 	}
 	sym := r.lookup(root.Name)
 	if sym == nil {
 		r.errorf(root.P, "undeclared identifier %q", root.Name)
-		return
+		return VarRef{}
 	}
 	r.setRef(root.ID, sym.ref)
 	if sym.ref.Kind != VarArray && sym.ref.Kind != VarGlobalArray {
 		r.errorf(root.P, "%q is not an array", root.Name)
-		return
+		return VarRef{}
 	}
 	if len(subs) != sym.rank {
 		r.errorf(e.P, "array %q has rank %d but is indexed with %d subscript(s)",
 			root.Name, sym.rank, len(subs))
+	}
+	return sym.ref
+}
+
+// write adds the array parameter ref names, if it names one, to the
+// current function's write set.
+func (r *resolver) write(ref VarRef) {
+	if ref.Kind != VarArray {
+		return
+	}
+	for i, p := range r.cur.Params {
+		if p == ref {
+			r.cur.Writes[i] = true
+		}
 	}
 }
 
@@ -506,6 +530,7 @@ func (r *resolver) arrayArg(a Expr, p *Param, fun string) {
 		r.errorf(id.P, "%q is not an array", id.Name)
 		return
 	}
+	r.write(sym.ref)
 	if sym.rank != len(p.Type.Dims) {
 		r.errorf(id.P, "rank mismatch: %q has rank %d but parameter %q of %s expects rank %d",
 			id.Name, sym.rank, p.Name, fun, len(p.Type.Dims))

@@ -164,3 +164,64 @@ int f(int a) {
 		t.Errorf("NumScalars = %d, want 3 (param + shadowed locals)", got)
 	}
 }
+
+// writtenParams names the parameters in fn's write set, in order.
+func writtenParams(res *ResolvedFile, fn string) []string {
+	info := res.Funcs[fn]
+	var names []string
+	for i, w := range info.Writes {
+		if w {
+			names = append(names, info.Decl.Params[i].Name)
+		}
+	}
+	return names
+}
+
+// TestResolveWriteSets pins the write set of every benchmark kernel and
+// each rule that puts a parameter in one: an indexed store, compound
+// store or increment on its array, or passing the array to a user
+// function, which marks it whether or not the callee writes it. A read,
+// a builtin call, a pointer parameter and a local array that shadows a
+// parameter mark nothing.
+func TestResolveWriteSets(t *testing.T) {
+	want := map[string]string{
+		"gemm": "C", "jacobi": "A B", "axpy": "y", "2mm": "tmp D", "seidel2d": "A",
+		"atax": "y tmp", "mvt": "x1 x2", "trisolv": "x", "cholesky": "A", "norms": "out",
+	}
+	for _, k := range BenchKernels {
+		res, err := Resolve(MustParse(k.File, k.Src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(writtenParams(res, k.Fn), " "); got != want[k.Name] {
+			t.Errorf("%s writes [%s], want [%s]", k.Name, got, want[k.Name])
+		}
+	}
+	const src = `
+void fill(int n, double v[n]) { v[0] = 1.0; }
+double peek(int n, double r[n]) { return r[0]; }
+double k(int n, double a[n], double b[n], double c[n], double d[n], double e[n], double g[n], double *p) {
+  fill(n, a);
+  double s = peek(n, b);
+  e[1] += sqrt(c[0]);
+  g[n - 1]--;
+  p = c[1] + d[0];
+  if (n > 2) {
+    double d[4];
+    d[0] = s;
+  }
+  double loc[n];
+  loc[0] = c[2];
+  return s;
+}
+`
+	res, err := Resolve(MustParse("w.c", src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fn, want := range map[string]string{"fill": "v", "peek": "", "k": "a b e g"} {
+		if got := strings.Join(writtenParams(res, fn), " "); got != want {
+			t.Errorf("%s writes [%s], want [%s]", fn, got, want)
+		}
+	}
+}
