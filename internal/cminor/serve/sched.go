@@ -17,10 +17,11 @@ import (
 // makes the fake-clock simulations exact.
 
 // entry is one admitted request in flight through the scheduler. The
-// embedded Pending (done channel, response, queued group) is the handle
-// Submit returns. An entry that opens a batch carries that group and
-// the first backing array of its entries, so a batch of one costs no
-// allocation beyond the entry and its done channel.
+// embedded Pending (response, queued group, the done channel if anyone
+// has to block on it) is the handle Submit returns. An entry that opens
+// a batch carries that group and the first backing array of its
+// entries, so a batch of one run by its own waiter costs no allocation
+// beyond the entry.
 type entry struct {
 	Pending
 	req    Request
@@ -31,14 +32,6 @@ type entry struct {
 	enq    time.Time
 	own    group
 	first  [1]*entry
-}
-
-// groupKey is the coalescing key: batches form per (function,
-// input-size class) — exactly the autotuner's site key, so a batch
-// shares one variant decision.
-type groupKey struct {
-	fn    string
-	class int
 }
 
 // group is a forming (or dispatched) batch.
@@ -181,7 +174,7 @@ func (s *Server) admit(req Request, ctx context.Context, class int, now time.Tim
 	ts.admitted++
 	ts.inflight++
 	return &entry{
-		Pending: Pending{done: make(chan struct{}), srv: s},
+		Pending: Pending{srv: s},
 		req:     req,
 		ctx:     ctx,
 		tenant:  ts,
@@ -192,20 +185,19 @@ func (s *Server) admit(req Request, ctx context.Context, class int, now time.Tim
 }
 
 // enqueue places an admitted entry into a batch group: an open
-// same-(function, class) group if one is still forming, else a fresh
-// group at the queue tail. Runs under s.mu. It reports whether the
-// queue now needs a worker it may not have: the entry made a group
-// dispatchable (a fresh group that is not held, or the joiner that
-// fills one), or started a hold no timekeeper is sleeping for. A
+// same-(function, class) group if one is still forming (route.open),
+// else a fresh group at the queue tail. Runs under s.mu. It reports
+// whether the queue now needs a worker it may not have: the entry made
+// a group dispatchable (a fresh group that is not held, or the joiner
+// that fills one), or started a hold no timekeeper is sleeping for. A
 // joiner of an unfilled group changes nothing a worker acts on.
 func (s *Server) enqueue(e *entry, now time.Time) bool {
 	s.queued++
-	key := groupKey{fn: e.route.fn, class: e.class}
-	if g, ok := s.open[key]; ok {
+	if g, ok := e.route.open[e.class]; ok {
 		g.entries = append(g.entries, e)
 		e.grp = g
 		if len(g.entries) >= s.cfg.maxBatch {
-			delete(s.open, key) // full: no more joiners
+			delete(e.route.open, e.class) // full: no more joiners
 			return true
 		}
 		return false
@@ -216,7 +208,7 @@ func (s *Server) enqueue(e *entry, now time.Time) bool {
 	e.grp = g
 	s.queue = append(s.queue, g)
 	if s.cfg.maxBatch > 1 {
-		s.open[key] = g
+		e.route.open[e.class] = g
 	}
 	return !s.keeping || s.ready(g, now)
 }
@@ -297,9 +289,8 @@ func (s *Server) popReady(now time.Time, mine *Pending) (*group, time.Time) {
 // joiner is already closed, and a newer group of its site may be the
 // one forming now: that one keeps its place.
 func (s *Server) closeGroupLocked(g *group) {
-	key := groupKey{fn: g.route.fn, class: g.class}
-	if s.open[key] == g {
-		delete(s.open, key)
+	if g.route.open[g.class] == g {
+		delete(g.route.open, g.class)
 	}
 }
 
@@ -307,6 +298,7 @@ func (s *Server) closeGroupLocked(g *group) {
 func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 	s.queued--
 	e.grp = nil
+	e.finished = true
 	e.tenant.inflight--
 	e.tenant.shedQueued++
 	e.resp = Response{
@@ -314,15 +306,17 @@ func (s *Server) shedQueuedLocked(e *entry, now time.Time) {
 		Wait:  now.Sub(e.enq),
 		Total: now.Sub(e.enq),
 	}
-	close(e.done)
+	if e.done != nil {
+		close(e.done)
+	}
 }
 
-// runGroup executes one dispatched batch outside s.mu and settles each
-// entry. The batch rides one warm pooled instance and one autotuner
-// variant decision (autotune.CallBatch); per-entry contexts carry
-// cancellation into the engine's zero-cost call checkpoint.
-func (s *Server) runGroup(g *group) {
-	dispatched := s.cfg.clock.Now()
+// runGroup executes one batch outside s.mu and settles each entry;
+// dispatched is the clock reading that popped it. The batch rides one
+// warm pooled instance and one autotuner variant decision
+// (autotune.CallBatch); per-entry contexts carry cancellation into the
+// engine's zero-cost call checkpoint.
+func (s *Server) runGroup(g *group, dispatched time.Time) {
 	// A batch of the default maxBatch or fewer keeps its calls on the
 	// stack.
 	var scratch [8]autotune.BatchCall
@@ -360,8 +354,12 @@ func (s *Server) runGroup(g *group) {
 		s.finishLocked(e, &calls[i], batchErr, dispatched, now, len(g.entries))
 	}
 	s.mu.Unlock()
+	// The entries are finished: no done channel is made from here on, so
+	// the ones that were can be read without the lock.
 	for _, e := range g.entries {
-		close(e.done)
+		if e.done != nil {
+			close(e.done)
+		}
 	}
 }
 
@@ -369,6 +367,7 @@ func (s *Server) runGroup(g *group) {
 // classification, tenant accounting, post-paid step debit, metrics.
 func (s *Server) finishLocked(e *entry, c *autotune.BatchCall, batchErr error, dispatched, now time.Time, batched int) {
 	s.running--
+	e.finished = true
 	e.tenant.inflight--
 	e.tenant.steps += int64(c.Steps)
 	e.tenant.stepBucket.spend(now, float64(c.Steps))

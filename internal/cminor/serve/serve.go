@@ -15,11 +15,13 @@
 // shares one variant decision and one warm checked-out Instance
 // (autotune.CallBatch), bounded by a max batch size and a max batch
 // delay. Worker goroutines dispatch ready batches, and so does a caller
-// blocked in Pending.Wait whose own batch is the next one a worker
-// would take: it runs that batch itself rather than waiting for a
-// worker to wake for it. Expired deadlines shed queued work before it
-// ever runs, and cancelled contexts abort running kernels through the
-// engine's zero-cost CallContext checkpoint. Contained faults and
+// in Pending.Wait whose own batch is the next one a worker would take:
+// it runs that batch itself rather than waiting for a worker to wake
+// for it. Such a waiter-run request allocates only its scheduler entry:
+// a request's done channel is made only for a caller that has to block
+// on it. Expired deadlines shed queued work before it ever runs, and
+// cancelled contexts abort running kernels through the engine's
+// zero-cost CallContext checkpoint. Contained faults and
 // degraded (trusted-fallback) calls feed per-tenant error accounting
 // instead of killing workers — the quarantine layer underneath keeps
 // routing around the bad variant.
@@ -169,9 +171,13 @@ func WithTenantQuota(tenant string, q TenantQuota) Option {
 }
 
 // route is one hosted function and the tuner that routes its calls.
+// open indexes its batches still forming by input-size class, under
+// Server.mu: a batch coalesces per (function, class), the autotuner's
+// site key, so it shares one variant decision.
 type route struct {
 	fn    string
 	tuner *autotune.AutoTuner
+	open  map[int]*group
 }
 
 // Server is the multi-tenant serving front end. Create with New, host
@@ -185,7 +191,6 @@ type Server struct {
 	routes  map[string]*route
 	tenants map[string]*tenantState
 	queue   []*group
-	open    map[groupKey]*group
 	queued  int
 	running int
 	started bool
@@ -248,7 +253,6 @@ func New(opts ...Option) (*Server, error) {
 		cfg:     cfg,
 		routes:  map[string]*route{},
 		tenants: map[string]*tenantState{},
-		open:    map[groupKey]*group{},
 		start:   cfg.clock.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -281,7 +285,7 @@ func (s *Server) Host(prog *cm.Program, opts ...autotune.Option) (*autotune.Auto
 		}
 	}
 	for _, fn := range fns {
-		s.routes[fn] = &route{fn: fn, tuner: tn}
+		s.routes[fn] = &route{fn: fn, tuner: tn, open: map[int]*group{}}
 	}
 	return tn, nil
 }
@@ -361,9 +365,10 @@ func (s *Server) Do(ctx context.Context, req Request) (Response, error) {
 }
 
 // Pending is the handle of a submitted request. It is part of the
-// request's scheduler entry, so an admitted submission allocates that
-// entry and its done channel, and nothing else on its way through the
-// scheduler.
+// request's scheduler entry, so a request whose Wait runs its own batch
+// allocates that entry and nothing else on its way through the
+// scheduler. Its done channel is made on demand, under srv.mu: by a
+// Wait that has to block, or by Done.
 type Pending struct {
 	done chan struct{}
 	resp Response
@@ -371,49 +376,84 @@ type Pending struct {
 	// grp is the queued batch holding the request, under srv.mu; nil
 	// once that batch is dispatched or the request is shed.
 	grp *group
+	// finished is set under srv.mu once resp is final; no done channel
+	// is made after it, so completion reads done without the lock.
+	finished bool
 }
 
-// Done is closed when the request has completed (successfully, shed,
-// or failed).
-func (p *Pending) Done() <-chan struct{} { return p.done }
+// closedDone is what Done returns for a request that finished before
+// anyone asked for its channel.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
-// Wait blocks until completion and returns the Response. When the
-// server's workers are running and the caller's own batch is the one a
-// worker's scan would dispatch next, Wait dispatches it on the calling
-// goroutine instead of waiting for a worker to wake for it: the batch,
-// its order in the queue and every policy decision are the same, only
-// the goroutine that runs it differs. Wait never runs another
-// request's batch.
+// Done returns a channel that is closed when the request has completed
+// (successfully, shed, or failed). It takes the server lock, and makes
+// the request's channel if the request is still in flight, so a caller
+// that selects on it repeatedly should take it once and keep it.
+func (p *Pending) Done() <-chan struct{} {
+	s := p.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if done := s.doneLocked(p); done != nil {
+		return done
+	}
+	return closedDone
+}
+
+// Wait blocks until completion and returns the Response; every call
+// returns the same one. When the server's workers are running and the
+// caller's own batch is the one a worker's scan would dispatch next,
+// Wait dispatches it on the calling goroutine instead of waiting for a
+// worker to wake for it: the batch, its order in the queue and every
+// policy decision are the same, only the goroutine that runs it
+// differs. Wait never runs another request's batch, and makes a done
+// channel only when it has to block.
 func (p *Pending) Wait() Response {
-	select {
-	case <-p.done:
-		return p.resp
-	default:
+	s := p.srv
+	g, now, done := s.claim(p)
+	if g != nil {
+		s.runGroup(g, now)
+		s.wg.Done()
+	} else if done != nil {
+		<-done
 	}
-	if g := p.srv.claim(p); g != nil {
-		p.srv.runGroup(g)
-		p.srv.wg.Done()
-	}
-	<-p.done
 	return p.resp
 }
 
-// claim pops p's queued batch for its waiter to run, if workers are
-// running and that batch is the first ready one; otherwise it returns
-// nil and the waiter blocks. A claimed batch counts in s.wg, as a
-// worker does, so Close still returns only once it has run. Under
-// WithWorkers(0) nothing dispatches outside Tick.
-func (s *Server) claim(p *Pending) *group {
+// claim decides, under s.mu, how p's waiter gets its response. If
+// workers are running and p's queued batch is the first ready one,
+// claim pops it for the waiter to run and returns it with the clock
+// reading that dispatched it; the batch counts in s.wg, as a worker
+// does, so Close still returns only once it has run. Otherwise it
+// returns p's done channel to block on (doneLocked), or nil if p has
+// finished (or was just shed by claim's own scan). Under WithWorkers(0)
+// nothing dispatches outside Tick.
+func (s *Server) claim(p *Pending) (*group, time.Time, chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p.grp == nil || !s.started || s.closed || s.cfg.workers == 0 {
+	if p.grp != nil && s.started && !s.closed && s.cfg.workers > 0 {
+		now := s.cfg.clock.Now()
+		if g, _ := s.popReady(now, p); g != nil {
+			s.wg.Add(1)
+			return g, now, nil
+		}
+	}
+	return nil, time.Time{}, s.doneLocked(p)
+}
+
+// doneLocked returns p's done channel, made on first use, or nil once
+// p has finished.
+func (s *Server) doneLocked(p *Pending) chan struct{} {
+	if p.finished {
 		return nil
 	}
-	g, _ := s.popReady(s.cfg.clock.Now(), p)
-	if g != nil {
-		s.wg.Add(1)
+	if p.done == nil {
+		p.done = make(chan struct{})
 	}
-	return g
+	return p.done
 }
 
 // Tick synchronously dispatches at most one ready batch on the calling
@@ -424,12 +464,13 @@ func (s *Server) claim(p *Pending) *group {
 // when no batch is ready.)
 func (s *Server) Tick() bool {
 	s.mu.Lock()
-	g, _ := s.popReady(s.cfg.clock.Now(), nil)
+	now := s.cfg.clock.Now()
+	g, _ := s.popReady(now, nil)
 	s.mu.Unlock()
 	if g == nil {
 		return false
 	}
-	s.runGroup(g)
+	s.runGroup(g, now)
 	return true
 }
 
@@ -438,18 +479,19 @@ func (s *Server) Tick() bool {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		g := s.nextGroup()
+		g, now := s.nextGroup()
 		if g == nil {
 			return
 		}
-		s.runGroup(g)
+		s.runGroup(g, now)
 	}
 }
 
 // nextGroup blocks until a batch is ready (or the server is closed and
-// empty). An idle worker waits in one of two ways. When batches are
-// queued but all still inside their batch-delay window and nobody is
-// watching the clock for them, it becomes the timekeeper: it sleeps,
+// empty), and returns it with the clock reading that dispatched it. An
+// idle worker waits in one of two ways. When batches are queued but all
+// still inside their batch-delay window and nobody is watching the
+// clock for them, it becomes the timekeeper: it sleeps,
 // outside s.mu, until the soonest ripen time and scans again. Otherwise
 // it parks on the cond as a follower, and is signalled only when there
 // is something for it to do: a batch that can dispatch now (wakeOneLocked
@@ -458,7 +500,7 @@ func (s *Server) worker() {
 // One timekeeper is enough because batches ripen in queue order: born
 // times come from one clock and the delay is one constant, so no batch
 // enqueued later ripens before the one the timekeeper sleeps for.
-func (s *Server) nextGroup() *group {
+func (s *Server) nextGroup() (*group, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -466,10 +508,10 @@ func (s *Server) nextGroup() *group {
 		g, ripen := s.popReady(now, nil)
 		if g != nil {
 			s.handOverLocked(now)
-			return g
+			return g, now
 		}
 		if s.closed && s.queued == 0 {
-			return nil
+			return nil, time.Time{}
 		}
 		if ripen.IsZero() || s.keeping {
 			s.parked++

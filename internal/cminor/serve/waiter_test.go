@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -32,14 +33,30 @@ func newClaimServer(t *testing.T, clk *clock.Fake, opts ...Option) *Server {
 	return s
 }
 
+// awaitLocked returns once cond, evaluated under s.mu, holds.
+func awaitLocked(t *testing.T, s *Server, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 10s for %s", what)
+		}
+	}
+}
+
 // claimAndRun is Wait's dispatch half: it reports whether p's waiter
 // was handed its batch, and runs it if so.
 func claimAndRun(s *Server, p *Pending) bool {
-	g := s.claim(p)
+	g, now, _ := s.claim(p)
 	if g == nil {
 		return false
 	}
-	s.runGroup(g)
+	s.runGroup(g, now)
 	s.wg.Done()
 	return true
 }
@@ -308,9 +325,10 @@ func TestWaiterRunStress(t *testing.T) {
 }
 
 // TestDoAllocations pins the cost of a served call on a started server
-// once its site has converged: the request's entry and its done channel
-// are all it allocates. The batch it opens lives in the entry, and a
-// Background context arms no cancellation watcher in the engine.
+// once its site has converged: the request's entry is all it allocates.
+// The batch it opens lives in the entry, Do's Wait runs that batch
+// itself and so never makes a done channel, and a Background context
+// arms no cancellation watcher in the engine.
 func TestDoAllocations(t *testing.T) {
 	s := newLiveServer(t)
 	s.Start()
@@ -326,7 +344,173 @@ func TestDoAllocations(t *testing.T) {
 		if _, err := s.Do(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Fatalf("a served call allocates %v times, want at most 2", n)
+	}); n > 1 {
+		t.Fatalf("a served call allocates %v times, want at most 1", n)
+	}
+}
+
+// TestSubmitWaitAllocations pins the same for Submit + Wait when the
+// waiter runs its own batch: the entry, and no done channel.
+func TestSubmitWaitAllocations(t *testing.T) {
+	s := newClaimServer(t, clock.NewFake(simStart()))
+	defer s.Close()
+	req := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	call := func() {
+		p, err := s.Submit(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := p.Wait(); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		call()
+	}
+	if n := testing.AllocsPerRun(200, call); n > 1 {
+		t.Fatalf("a waiter-run request allocates %v times, want at most 1", n)
+	}
+}
+
+// countingClock counts the reads of the clock it wraps.
+type countingClock struct {
+	clock.Clock
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.Clock.Now()
+}
+
+// TestWaiterRunReadsClockThrice pins one clock read per dispatch: a
+// waiter-run request reads the server's clock at Submit, at claim
+// (whose reading stamps the dispatch) and at completion.
+func TestWaiterRunReadsClockThrice(t *testing.T) {
+	clk := clock.NewFake(simStart())
+	cc := &countingClock{Clock: clk}
+	s := newClaimServer(t, clk, WithClock(cc))
+	defer s.Close()
+	req := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	serve := func() {
+		t.Helper()
+		p, err := s.Submit(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := p.Wait(); resp.Err != nil || resp.Batched != 1 {
+			t.Fatalf("response: %+v", resp)
+		}
+	}
+	serve() // the tenant's first request also reads the clock for its buckets
+	cc.reads = 0
+	serve()
+	if cc.reads != 3 {
+		t.Fatalf("a waiter-run request read the clock %d times, want 3", cc.reads)
+	}
+}
+
+// TestWaiterDoneChannel pins Done's contract, whose channel is made on
+// demand: one taken before completion closes when the request
+// completes, one taken after is already closed, and so is the Done of
+// a request shed in the queue, whether taken before the shed or after.
+func TestWaiterDoneChannel(t *testing.T) {
+	clk := clock.NewFake(simStart())
+	s := newSimServer(t, clk)
+	defer s.Close()
+	req := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	submit := func(req Request) *Pending {
+		t.Helper()
+		p, err := s.Submit(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	p := submit(req)
+	before := p.Done()
+	if closed(before) {
+		t.Fatal("Done is closed before the request ran")
+	}
+	if !s.Tick() {
+		t.Fatal("the request was not queued")
+	}
+	if !closed(before) {
+		t.Fatal("a Done taken before completion did not close on completion")
+	}
+	p = submit(req)
+	if !s.Tick() {
+		t.Fatal("the request was not queued")
+	}
+	if !closed(p.Done()) {
+		t.Fatal("a Done taken after completion is not closed")
+	}
+
+	short := req
+	short.Deadline = clk.Now().Add(time.Millisecond)
+	early, late := submit(short), submit(short)
+	earlyDone := early.Done()
+	clk.Advance(time.Millisecond)
+	if s.Tick() {
+		t.Fatal("an expired request ran")
+	}
+	if !closed(earlyDone) || !closed(late.Done()) {
+		t.Fatal("the Done of a request shed in the queue is not closed")
+	}
+	for _, p := range []*Pending{early, late} {
+		if resp := p.Wait(); !errors.Is(resp.Err, ErrShed) {
+			t.Fatalf("want ErrShed, got %+v", resp)
+		}
+	}
+}
+
+// TestWaiterWaitTwiceSameResponse: a second Wait, whether the first ran
+// the batch itself or blocked (made its done channel) until a Tick ran
+// it, returns the same Response, stamped with the clock reading that
+// dispatched it.
+func TestWaiterWaitTwiceSameResponse(t *testing.T) {
+	clk := clock.NewFake(simStart())
+	s := newClaimServer(t, clk, WithMaxBatch(1))
+	defer s.Close()
+	req := Request{Tenant: "acme", Function: "probe", Args: simArgs(16)}
+	older, err := s.Submit(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := s.Submit(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Millisecond)
+	got := make(chan Response)
+	go func() { got <- mine.Wait() }()
+	awaitLocked(t, s, "the waiter behind an older ready batch to block", func() bool { return mine.done != nil })
+	first := older.Wait() // runs older's batch itself
+	if !s.Tick() {
+		t.Fatal("the blocked waiter's batch was not left queued")
+	}
+	blocked := <-got
+	for _, w := range []struct {
+		p    *Pending
+		want Response
+	}{{older, first}, {mine, blocked}} {
+		if w.want.Err != nil {
+			t.Fatal(w.want.Err)
+		}
+		if again := w.p.Wait(); !reflect.DeepEqual(again, w.want) {
+			t.Fatalf("a second Wait returned %+v, the first %+v", again, w.want)
+		}
+	}
+	if blocked.Wait != time.Millisecond {
+		t.Fatalf("the blocked request waited %v on the server clock, want 1ms", blocked.Wait)
 	}
 }
