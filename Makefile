@@ -83,15 +83,16 @@ front-fuzz:
 # line, the request-ledger checker), the 12-goroutine live stress test
 # with per-call bit-exactness, and the InstancePool churn/leak test
 # backing it. The concurrency tests (waiter-run dispatch, the done
-# channel made on demand, the allocation and clock-read pins, the live
-# stress, and the ledger balancing in snapshots scraped under live load)
-# then run ten more times, since which goroutine runs a batch, who makes
-# a done channel and where a scrape lands are decided by races. The
-# wall-clock test of the batch hold's accuracy is not built under -race
-# (timing means nothing there); `make serve-timing` runs it.
+# channel made on demand, the wake rule, the allocation and clock-read
+# pins, the live stress, and the ledger balancing in snapshots scraped
+# under live load) then run ten more times, since which goroutine runs a
+# batch, who makes a done channel, which worker is on its way and where
+# a scrape lands are decided by races. The wall-clock test of the batch
+# hold's accuracy is not built under -race (timing means nothing there);
+# `make serve-timing` runs it.
 serve-sim:
 	go test -race -count=1 ./internal/cminor/serve/
-	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestDo|TestSubmitWaitAllocations|TestServerLiveStress|TestLiveSnapshotBalances'
+	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestWake|TestDo|TestSubmitWaitAllocations|TestServerLiveStress|TestLiveSnapshotBalances'
 	go test -race -count=1 ./internal/cminor/ -run 'TestInstancePoolStress'
 
 # The batch hold against the real clock, without the race detector: a

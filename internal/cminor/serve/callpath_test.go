@@ -2,7 +2,9 @@ package serve_test
 
 import (
 	"context"
+	"slices"
 	"testing"
+	"time"
 
 	cm "socrates/internal/cminor"
 	"socrates/internal/cminor/autotune"
@@ -26,15 +28,28 @@ const callPathWarm = 200
 // BenchmarkCallPath is the ladder of a request's fixed cost, one row per
 // layer a call crosses, on the same arguments:
 //
-//	instance/fallback=off  a direct Instance.Call
-//	instance/fallback=on   the same, built as a tuner builds its arms
-//	tuner                  a converged one-arm AutoTuner's Call
-//	submit_wait            Submit + Wait on a started default Server
-//	do                     Do on the same Server
+//	instance/fallback=off  a direct Instance.Call       (off-ns)
+//	instance/fallback=on   the same, built as a tuner
+//	                       builds its arms               (on-ns)
+//	tuner                  a converged one-arm
+//	                       AutoTuner's Call              (tuner-ns)
+//	submit_wait            Submit + Wait on a started
+//	                       default Server                (submit-wait-ns)
+//	do                     Do on the same Server         (do-ns)
 //
-// The difference between adjacent rows is what a layer costs. Each
-// function runs on the O3 closures and on the bytecode (the benchmark
-// fails if a function does not lower to bytecode).
+// Each function runs on the O3 closures and on the bytecode (the
+// benchmark fails if a function does not lower to bytecode), one
+// sub-benchmark per function and arm. An op calls every row once, in an
+// order that rotates from op to op, and times each call on its own, so
+// all five rows see the same box at the same moment, as
+// BenchmarkFallbackTax alternates its two sides. It reports each row's
+// median call and two rungs, each the difference of two rows' medians:
+// tuner-rung-ns (tuner − fallback=on, what the tuner adds) and
+// serve-rung-ns (do − tuner, what the server adds).
+//
+// One caller drives an otherwise idle server, so a worker woken for a
+// request runs at once on another CPU and costs the caller little:
+// the serve rows price the caller's path, not contention.
 func BenchmarkCallPath(b *testing.B) {
 	prog, err := cm.Compile(cm.MustParse("callpath.c", callPathSrc), cm.WithMaxSteps(1<<62))
 	if err != nil {
@@ -84,35 +99,59 @@ func benchCallPathArm(b *testing.B, prog *cm.Program, arm autotune.VariantSpec) 
 		args := []any{cm.IntV(1), cm.NewArray(1)}
 		req := serve.Request{Tenant: "t0", Function: fn, Args: args}
 		rows := []struct {
-			name string
-			call func() error
+			metric string
+			call   func() error
 		}{
-			{"instance/fallback=off", func() error { _, err := insts[0].Call(fn, args...); return err }},
-			{"instance/fallback=on", func() error { _, err := insts[1].Call(fn, args...); return err }},
-			{"tuner", func() error { _, err := tn.Call(fn, args...); return err }},
-			{"submit_wait", func() error {
+			{"off-ns", func() error { _, err := insts[0].Call(fn, args...); return err }},
+			{"on-ns", func() error { _, err := insts[1].Call(fn, args...); return err }},
+			{"tuner-ns", func() error { _, err := tn.Call(fn, args...); return err }},
+			{"submit-wait-ns", func() error {
 				p, err := srv.Submit(ctx, req)
 				if err != nil {
 					return err
 				}
 				return p.Wait().Err
 			}},
-			{"do", func() error { _, err := srv.Do(ctx, req); return err }},
+			{"do-ns", func() error { _, err := srv.Do(ctx, req); return err }},
 		}
-		for _, row := range rows {
-			b.Run(fn+"/"+arm.String()+"/"+row.name, func(b *testing.B) {
+		b.Run(fn+"/"+arm.String(), func(b *testing.B) {
+			for _, row := range rows {
 				for i := 0; i < callPathWarm; i++ {
 					if err := row.call(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportAllocs()
-				for b.Loop() {
-					if err := row.call(); err != nil {
+			}
+			times := make([][]float64, len(rows))
+			for r := range times {
+				times[r] = make([]float64, b.N)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range rows {
+					r := (i + j) % len(rows) // rotate which row goes first
+					start := time.Now()
+					if err := rows[r].call(); err != nil {
 						b.Fatal(err)
 					}
+					times[r][i] = float64(time.Since(start).Nanoseconds())
 				}
-			})
-		}
+			}
+			b.StopTimer()
+			med := make([]float64, len(rows))
+			for r, row := range rows {
+				med[r] = median(times[r])
+				b.ReportMetric(med[r], row.metric)
+			}
+			b.ReportMetric(med[2]-med[1], "tuner-rung-ns")
+			b.ReportMetric(med[4]-med[2], "serve-rung-ns")
+		})
 	}
+}
+
+// median returns the middle value of xs, sorting it in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }

@@ -138,15 +138,19 @@ func (s *Server) tenant(name string) *tenantState {
 	return ts
 }
 
-// admit runs the admission gauntlet under s.mu. The check order is part
-// of the contract (pinned by simulation): unknown function, closed,
-// expired deadline, queue full, tenant in-flight cap, tenant request
-// rate, tenant step credit (the switch evaluates them in that order, so
-// a rate token is taken only from a request that passed the checks
-// before it). A rejection charges nothing but the tenant's count for
-// its reason — and every submission, whatever becomes of it, is
-// either admitted or counted rejected in its tenant's ledger.
-func (s *Server) admit(req Request, ctx context.Context, class int, now time.Time) (*entry, error) {
+// admit runs the admission gauntlet under s.mu on an entry Submit built
+// before taking the lock (request, context, class and the clock reading
+// are the request's own), and fills in what the server's state decides:
+// the tenant and the route. The check order is part of the contract
+// (pinned by simulation): unknown function, closed, expired deadline,
+// queue full, tenant in-flight cap, tenant request rate, tenant step
+// credit (the switch evaluates them in that order, so a rate token is
+// taken only from a request that passed the checks before it). A
+// rejection charges nothing but the tenant's count for its reason —
+// and every submission, whatever becomes of it, is either admitted or
+// counted rejected in its tenant's ledger.
+func (s *Server) admit(e *entry) error {
+	req, now := &e.req, e.enq
 	ts := s.tenant(req.Tenant)
 	rt, ok := s.routes[req.Function]
 	var reason int
@@ -169,19 +173,12 @@ func (s *Server) admit(req Request, ctx context.Context, class int, now time.Tim
 	}
 	if err != nil {
 		ts.rejected[reason]++
-		return nil, err
+		return err
 	}
 	ts.admitted++
 	ts.inflight++
-	return &entry{
-		Pending: Pending{srv: s},
-		req:     req,
-		ctx:     ctx,
-		tenant:  ts,
-		route:   rt,
-		class:   class,
-		enq:     now,
-	}, nil
+	e.tenant, e.route = ts, rt
+	return nil
 }
 
 // enqueue places an admitted entry into a batch group: an open
@@ -191,7 +188,8 @@ func (s *Server) admit(req Request, ctx context.Context, class int, now time.Tim
 // a group dispatchable (a fresh group that is not held, or the joiner
 // that fills one), or started a hold no timekeeper is sleeping for. A
 // joiner of an unfilled group changes nothing a worker acts on.
-func (s *Server) enqueue(e *entry, now time.Time) bool {
+func (s *Server) enqueue(e *entry) bool {
+	now := e.enq
 	s.queued++
 	if g, ok := e.route.open[e.class]; ok {
 		g.entries = append(g.entries, e)

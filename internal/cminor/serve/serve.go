@@ -17,7 +17,11 @@
 // delay. Worker goroutines dispatch ready batches, and so does a caller
 // in Pending.Wait whose own batch is the next one a worker would take:
 // it runs that batch itself rather than waiting for a worker to wake
-// for it. Such a waiter-run request allocates only its scheduler entry:
+// for it. A parked worker is woken only when the queue holds more
+// batches than there are workers already woken and on their way to it,
+// since each of those scans the whole queue: a request whose own waiter
+// claims its batch before the woken worker arrives wakes nobody else.
+// Such a waiter-run request allocates only its scheduler entry:
 // a request's done channel is made only for a caller that has to block
 // on it. Expired deadlines shed queued work before it ever runs, and
 // cancelled contexts abort running kernels through the engine's
@@ -198,11 +202,16 @@ type Server struct {
 	start   time.Time
 	met     metrics // gauges and batch counts; the ledgers are in tenants
 	// How idle workers wait (nextGroup). parked counts the workers in
-	// cond.Wait that no Signal has been spent on yet. keeping is set
-	// while one worker, the timekeeper, sleeps until the soonest ripen
-	// time; kick is non-nil while that sleep is its interruptible
+	// cond.Wait that no Signal has been spent on yet; waking counts the
+	// workers a Signal was spent on (or is owed to, by a Submit that
+	// signals after unlocking) and that have not yet come back from
+	// cond.Wait. A worker moves from parked to waking when it is woken
+	// (wakeOneLocked) and leaves waking when it holds s.mu again. keeping
+	// is set while one worker, the timekeeper, sleeps until the soonest
+	// ripen time; kick is non-nil while that sleep is its interruptible
 	// whole-millisecond part, and closing it ends the sleep.
 	parked  int
+	waking  int
 	keeping bool
 	kick    chan struct{}
 	// wakes counts returns from cond.Wait and holds the timekeeper's
@@ -317,6 +326,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	// The broadcast wakes every parked worker, and each one leaves
+	// waking when it comes back.
+	s.waking += s.parked
 	s.parked = 0
 	s.cond.Broadcast()
 	s.kickLocked()
@@ -331,24 +343,36 @@ func (s *Server) Close() {
 // handle or an admission error. ctx governs the request's execution: a
 // cancellation aborts the running kernel at the engine's next budget
 // checkpoint (and is accounted a shed), and a nil ctx means Background.
+//
+// A request that makes the queue need a worker wakes a parked one only
+// if fewer workers are on their way to the queue than it holds batches
+// (wakeOneLocked): when the caller's Wait claims the batch first, the
+// worker already on its way is the only one that wakes. The entry is
+// built before s.mu is taken and the worker is signalled after it is
+// released, so the locked section admits and enqueues and nothing else.
 func (s *Server) Submit(ctx context.Context, req Request) (*Pending, error) {
-	class := autotune.SizeClass(req.Args)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	now := s.cfg.clock.Now()
+	e := &entry{
+		Pending: Pending{srv: s},
+		req:     req,
+		ctx:     ctx,
+		class:   autotune.SizeClass(req.Args),
+		enq:     s.cfg.clock.Now(),
+	}
 
 	s.mu.Lock()
-	e, err := s.admit(req, ctx, class, now)
-	if err != nil {
+	if err := s.admit(e); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	if s.enqueue(e, now) {
-		s.wakeOneLocked()
-	}
+	signal := s.enqueue(e) && s.wakeOneLocked()
 	s.met.observeQueue(s.queued)
 	s.mu.Unlock()
+	if signal {
+		s.cond.Signal()
+	}
 	return &e.Pending, nil
 }
 
@@ -494,8 +518,11 @@ func (s *Server) worker() {
 // clock for them, it becomes the timekeeper: it sleeps,
 // outside s.mu, until the soonest ripen time and scans again. Otherwise
 // it parks on the cond as a follower, and is signalled only when there
-// is something for it to do: a batch that can dispatch now (wakeOneLocked
-// from Submit, Close) or a timekeeper's post to fill (handOverLocked).
+// is something for it to do that no worker already on its way will do
+// (wakeOneLocked): a batch that can dispatch now (from Submit, Close) or
+// a timekeeper's post to fill (handOverLocked). A woken follower counts
+// in s.waking until it holds s.mu again, and then scans the whole
+// queue.
 //
 // One timekeeper is enough because batches ripen in queue order: born
 // times come from one clock and the delay is one constant, so no batch
@@ -516,6 +543,7 @@ func (s *Server) nextGroup() (*group, time.Time) {
 		if ripen.IsZero() || s.keeping {
 			s.parked++
 			s.cond.Wait()
+			s.waking--
 			s.wakes++
 			continue
 		}
@@ -556,17 +584,29 @@ func (s *Server) keepTimeLocked(d time.Duration) {
 	s.keeping = false
 }
 
-// wakeOneLocked gets one waiting worker to scan the queue: a parked
-// follower if there is one, else the timekeeper if its sleep can be
-// cut short. With neither, every worker is busy (and scans when its
-// batch is done) or the timekeeper wakes within a millisecond.
-func (s *Server) wakeOneLocked() {
-	if s.parked > 0 {
-		s.parked--
-		s.cond.Signal()
-		return
+// wakeOneLocked gets one waiting worker to scan the queue and reports
+// whether the caller owes a cond.Signal for it (Submit sends it after
+// releasing s.mu, a hand-over under it). It reserves a parked follower
+// (parked to waking) only while fewer workers are waking than the queue
+// holds batches: each waking worker scans the whole queue and, leaving
+// with a batch, hands the rest over (handOverLocked). Bounding by the
+// queue length rather than by one (runtime.wakep's rule: start a
+// spinning M only when none spins) wakes a burst of ready batches at
+// once, not one hand-over at a time. With no follower parked it cuts
+// the timekeeper's sleep short if it can; with neither, every worker is
+// busy (and scans when its batch is done) or the timekeeper wakes
+// within a millisecond.
+func (s *Server) wakeOneLocked() bool {
+	if s.parked == 0 {
+		s.kickLocked()
+		return false
 	}
-	s.kickLocked()
+	if s.waking >= len(s.queue) {
+		return false
+	}
+	s.parked--
+	s.waking++
+	return true
 }
 
 // kickLocked ends the timekeeper's interruptible sleep, if it is in one.
@@ -580,20 +620,19 @@ func (s *Server) kickLocked() {
 // handOverLocked runs when a worker leaves with a batch: if the queue
 // it leaves behind needs a worker — another batch can dispatch now, or
 // held batches remain and no timekeeper is asleep for them (the leaving
-// worker was it) — a parked follower is woken to take over.
+// worker was it) — a parked follower is woken to take over, unless
+// enough workers are already on their way (wakeOneLocked). It signals
+// under s.mu.
 func (s *Server) handOverLocked(now time.Time) {
 	if s.parked == 0 || len(s.queue) == 0 {
 		return
 	}
-	if !s.keeping {
-		s.wakeOneLocked()
-		return
+	need := !s.keeping
+	for i := 0; !need && i < len(s.queue); i++ {
+		need = s.ready(s.queue[i], now)
 	}
-	for _, g := range s.queue {
-		if s.ready(g, now) {
-			s.wakeOneLocked()
-			return
-		}
+	if need && s.wakeOneLocked() {
+		s.cond.Signal()
 	}
 }
 
