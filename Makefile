@@ -50,7 +50,9 @@ lint: vet
 # must degrade and quarantine as a full call does), the one call
 # contract on every backend (walker, O0, O3, bytecode: trials, audits,
 # injected faults, globals, a poisoned session through the pool) and
-# the walker's exit-point fault racing its context teardown, the
+# the walker's exit-point fault racing its context teardown, fresh
+# compiled programs whose one deferred lowering races NewInstance, Call,
+# Disassemble and BytecodeFuncs from several goroutines, the
 # walker's subscript faults (the positioned program fault every backend
 # reports, never an internal one), the table of the C conversion rules
 # on the walker, O0, O3 and the bytecode, goroutines whose fallback
@@ -65,7 +67,7 @@ lint: vet
 # walker, at the full budget and at one the fuzzer picks (new interesting
 # inputs shrunk for at most 100 runs, as in warm-sim).
 chaos:
-	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules|TestConcurrentRollbacksRestoreOwnArrays|TestAliasedArgumentsRollBack'
+	go test -race -count=1 ./internal/cminor/ -run 'TestChaosInjectedFaultsStayBitExact|TestCallTrialInjectedFaults|TestCallContractAcrossBackends|TestWalkerExitPanicContained|TestWalkerSubscriptFaults|TestConversionRules|TestConcurrentRollbacksRestoreOwnArrays|TestAliasedArgumentsRollBack|TestDeferredLoweringRace'
 	go test -race -count=1 ./internal/cminor/autotune/ -run 'TestQuarantine|TestAllArmsQuarantined|TestAuditCatches|TestConcurrentChaos|TestSurveyTrialFaultQuarantines'
 	go test -count=1 ./internal/cminor/ -run '^$$' -fuzz '^FuzzBytecodeRuns$$' -fuzztime=30s -fuzzminimizetime=100x
 
@@ -81,18 +83,21 @@ front-fuzz:
 # fake-clock scheduler simulations (admission order, quota exhaustion
 # and refill, batch coalescing, both shed points, the golden status
 # line, the request-ledger checker), the 12-goroutine live stress test
-# with per-call bit-exactness, and the InstancePool churn/leak test
+# with per-call bit-exactness (a call not done in 10 s fails it, naming
+# the client), and the InstancePool churn/leak test
 # backing it. The concurrency tests (waiter-run dispatch, the done
 # channel made on demand, the wake rule, the allocation and clock-read
 # pins, the live stress, and the ledger balancing in snapshots scraped
 # under live load) then run ten more times, since which goroutine runs a
 # batch, who makes a done channel, which worker is on its way and where
-# a scrape lands are decided by races. The wall-clock test of the batch
+# a scrape lands are decided by races; -timeout (about 13× the 9 s
+# those ten runs take on a 2-vCPU box) makes a hang dump its goroutines
+# in two minutes, not go test's ten. The wall-clock test of the batch
 # hold's accuracy is not built under -race (timing means nothing there);
 # `make serve-timing` runs it.
 serve-sim:
 	go test -race -count=1 ./internal/cminor/serve/
-	go test -race -count=10 ./internal/cminor/serve/ -run 'TestWaiter|TestWake|TestDo|TestSubmitWaitAllocations|TestServerLiveStress|TestLiveSnapshotBalances'
+	go test -race -count=10 -timeout 2m ./internal/cminor/serve/ -run 'TestWaiter|TestWake|TestDo|TestSubmitWaitAllocations|TestServerLiveStress|TestLiveSnapshotBalances'
 	go test -race -count=1 ./internal/cminor/ -run 'TestInstancePoolStress'
 
 # The batch hold against the real clock, without the race detector: a
@@ -125,10 +130,12 @@ warm-sim:
 # out of a hand-kept name list. Then the 12-goroutine live stress test —
 # cold-site trials included — fifty times over, since which goroutine's
 # call lands on a survey, a trial or a re-measure is decided by a race
-# (about 30 s).
+# (about 30 s). The fifty runs take about 22 s on a 2-vCPU box; -timeout
+# 3m (about 8×) makes a hang dump its goroutines in minutes, not go
+# test's ten.
 tuner-sim:
 	go test -race -count=1 ./internal/cminor/autotune/
-	go test -race -count=50 ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
+	go test -race -count=50 -timeout 3m ./internal/cminor/autotune/ -run 'TestConcurrentTunerStress'
 
 # One-iteration smoke run for CI: proves every benchmark still executes.
 bench-smoke:

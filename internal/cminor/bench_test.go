@@ -313,22 +313,25 @@ func nanElem(args []any) (arg, elem int) {
 	return -1, -1
 }
 
-// BenchmarkCompileGemm measures one-time pipeline cost (resolve +
-// closure lowering), which is paid once per program, not per call.
+// BenchmarkCompileGemm measures one-time pipeline cost: Compile
+// (resolve) and the first NewInstance (closure lowering), paid once per
+// program, not per call.
 func BenchmarkCompileGemm(b *testing.B) {
 	f := MustParse("gemm.c", benchGemmSrc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(f); err != nil {
+		prog, err := Compile(f)
+		if err != nil {
 			b.Fatal(err)
 		}
+		prog.NewInstance()
 	}
 }
 
-// Parallel benchmarks: one immutable *Program shared by every
-// goroutine, one pooled Instance (and argument set) per goroutine.
-// Throughput should scale with GOMAXPROCS since instances share no
-// mutable state.
+// Parallel benchmarks: one *Program (lowered once, on first use)
+// shared by every goroutine, one pooled Instance (and argument set) per
+// goroutine. Throughput should scale with GOMAXPROCS since instances
+// share no mutable state.
 
 func benchParallel(b *testing.B, src, file, fn string, mkArgs func() []any) {
 	b.Helper()

@@ -313,12 +313,13 @@ var bcArithNames = [...]string{"+", "-", "*", "/", "%"}
 // BackendBytecode program — opcode, operands and source position per
 // instruction — so codegen changes are reviewable as text, not only as
 // benchmark deltas. It errors for other backends, unknown functions,
-// and functions where lowering bailed to the closure fallback.
+// and functions where lowering bailed to the closure fallback. It
+// lowers p's bodies if nothing has yet (see Compile).
 func Disassemble(p *Program, fn string) (string, error) {
 	if p.cfg.backend != BackendBytecode {
 		return "", fmt.Errorf("cminor: Disassemble: program backend is %s, not bytecode", p.cfg.backend)
 	}
-	cf := p.funcs[fn]
+	cf := p.lowered().funcs[fn]
 	if cf == nil {
 		return "", fmt.Errorf("cminor: Disassemble: no function %q", fn)
 	}
@@ -536,10 +537,11 @@ func bcRunK(in *instr) string {
 
 // BytecodeFuncs reports which functions of a BackendBytecode program
 // lowered to flat bytecode (the rest run their closure fallback),
-// sorted by name. Introspection for tests and tooling.
+// sorted by name. Introspection for tests and tooling; like
+// Disassemble, it lowers p's bodies if nothing has yet.
 func BytecodeFuncs(p *Program) []string {
 	var out []string
-	for name, cf := range p.funcs {
+	for name, cf := range p.lowered().funcs {
 		if cf.bc != nil {
 			out = append(out, name)
 		}

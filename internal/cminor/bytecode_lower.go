@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Lowering of typed, resolved functions to flat bytecode (see
@@ -145,9 +146,12 @@ type bcAddr struct {
 	ds   int32
 }
 
-// bcLower lowers one function.
+// bcLower lowers one function. Its buffers are scratch: a lowering
+// borrows a lowerer from bcLowerFree and returns it emptied, so code,
+// labels, patches and constants grow in buffers earlier lowerings grew,
+// and finish copies the code out once, at its exact size.
 type bcLower struct {
-	ca      *compiler // analysis-only compiler (refOf, kinds, loop facts, the inlining plan)
+	ca      compiler  // analysis-only compiler (refOf, kinds, loop facts, the inlining plan)
 	nSlots  int       // registers below this are slots, above it temporaries
 	splice  *bcSplice // the call being spliced, nil outside one
 	code    []instr
@@ -158,10 +162,46 @@ type bcLower struct {
 	loops   []*bcLoop
 	// Constant pool: ldc instructions hoisted to function entry so a
 	// literal inside a hot loop costs zero dispatches per iteration.
-	// finish() prepends them and shifts every code offset.
+	// finish() places them in front of the code and shifts every offset.
 	consts  []instr
 	constIs map[int64]int32
 	constFs map[uint64]int32
+}
+
+// bcLowerFree is the process-wide free list of lowerers, kept as
+// snapshotFree keeps snapshots: a mutex and a slice, holding at most as
+// many lowerers as lowerings have ever run at once. Not a sync.Pool: a
+// GC empties one, and the next lowering would grow its buffers again.
+var bcLowerFree struct {
+	mu   sync.Mutex
+	list []*bcLower
+}
+
+// borrowLower takes a lowerer off the free list, or makes one.
+func borrowLower() *bcLower {
+	bcLowerFree.mu.Lock()
+	defer bcLowerFree.mu.Unlock()
+	n := len(bcLowerFree.list)
+	if n == 0 {
+		return &bcLower{constIs: map[int64]int32{}, constFs: map[uint64]int32{}}
+	}
+	bl := bcLowerFree.list[n-1]
+	bcLowerFree.list = bcLowerFree.list[:n-1]
+	return bl
+}
+
+// release empties bl, keeping its buffers' capacity, and returns it to
+// the free list. It drops what bl referred to first, so a free lowerer
+// keeps no program alive.
+func (bl *bcLower) release() {
+	clear(bl.loops[:cap(bl.loops)])
+	clear(bl.constIs)
+	clear(bl.constFs)
+	*bl = bcLower{code: bl.code[:0], labels: bl.labels[:0], patches: bl.patches[:0],
+		loops: bl.loops[:0], consts: bl.consts[:0], constIs: bl.constIs, constFs: bl.constFs}
+	bcLowerFree.mu.Lock()
+	bcLowerFree.list = append(bcLowerFree.list, bl)
+	bcLowerFree.mu.Unlock()
 }
 
 // lowerBCFunc lowers one function to bytecode, splicing the call sites
@@ -176,14 +216,10 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (b
 	if plan != nil {
 		nSlots = plan.numScalars
 	}
-	bl := &bcLower{
-		ca:      &compiler{prog: p, opt: O2, plan: plan, ret: fi.Decl.Ret.Kind},
-		nSlots:  nSlots,
-		nI:      nSlots,
-		nF:      nSlots,
-		constIs: map[int64]int32{},
-		constFs: map[uint64]int32{},
-	}
+	bl := borrowLower()
+	defer bl.release()
+	bl.ca = compiler{prog: p, opt: O2, plan: plan, ret: fi.Decl.Ret.Kind}
+	bl.nSlots, bl.nI, bl.nF = nSlots, nSlots, nSlots
 	defer func() {
 		if r := recover(); r != nil {
 			if b, ok := r.(*bcBail); ok {
@@ -200,8 +236,8 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (b
 		bl.stmt(s)
 	}
 	bl.emit(instr{op: opRetZ})
-	bl.finish()
-	var params []bcParam
+	code := bl.finish()
+	params := make([]bcParam, 0, len(fi.Params))
 	for _, pr := range fi.Params {
 		if pr.Kind != VarScalar {
 			continue
@@ -211,7 +247,7 @@ func lowerBCFunc(p *Program, name string, cf *compiledFunc, plan *inlinePlan) (b
 			isInt: pr.Base == Int,
 		})
 	}
-	return &bcFunc{name: name, code: bl.code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}, nil
+	return &bcFunc{name: name, code: code, nI: bl.nI, nF: bl.nF, nD: bl.nD, params: params}, nil
 }
 
 // ---- emission helpers ----
@@ -296,22 +332,21 @@ func (bl *bcLower) swapBack(a, b bcMark) {
 	move(b, end, a.code-b.code)
 }
 
-func (bl *bcLower) finish() {
-	if n := len(bl.consts); n > 0 {
-		bl.code = append(append([]instr{}, bl.consts...), bl.code...)
-		for i := range bl.labels {
-			bl.labels[i] += n
-		}
-		for i := range bl.patches {
-			bl.patches[i].at += n
-		}
-	}
+// finish returns the function's code: the constant pool, then the code
+// emitted, with every label reference patched — one allocation, at the
+// exact size.
+func (bl *bcLower) finish() []instr {
+	n := len(bl.consts)
+	code := make([]instr, n+len(bl.code))
+	copy(code, bl.consts)
+	copy(code[n:], bl.code)
 	for _, pt := range bl.patches {
 		t := bl.labels[pt.lab]
 		if t < 0 {
 			panic("cminor: internal: unbound bytecode label")
 		}
-		in := &bl.code[pt.at]
+		t += n
+		in := &code[pt.at+n]
 		switch pt.field {
 		case 0:
 			in.a = int32(t)
@@ -321,6 +356,7 @@ func (bl *bcLower) finish() {
 			in.c = int32(t)
 		}
 	}
+	return code
 }
 
 func (bl *bcLower) innermost() *bcLoop {
@@ -509,14 +545,8 @@ func (bl *bcLower) declStmt(s *DeclStmt) {
 			bl.bail(bcBailRank, s.P)
 		}
 		slot := int32(ref.Slot)
-		dims := make([]int32, len(s.Type.Dims))
-		for i, dx := range s.Type.Dims {
-			dims[i] = bl.asI(dx)
-			if i+1 < len(s.Type.Dims) {
-				dims[i] = bl.protectI(dims[i], s.Type.Dims[i+1:]...)
-			}
-		}
-		if len(dims) == 1 {
+		dims := bl.lowerSubs(s.Type.Dims)
+		if len(s.Type.Dims) == 1 {
 			bl.emit(instr{op: opNewArr1, a: dims[0], c: slot})
 		} else {
 			bl.emit(instr{op: opNewArr2, a: dims[0], b: dims[1], c: slot})
@@ -625,13 +655,7 @@ func (bl *bcLower) emitCountedLoop(s *ForStmt, ivRef VarRef, lo, hi Expr, strict
 	exit, safe := bl.newLabel(), bl.newLabel()
 	bl.patch(bl.emit(init), 2, exit)
 
-	loop := &bcLoop{
-		lc:        lc,
-		ivReg:     ivSlot,
-		lastReg:   init.b,
-		fast:      true,
-		addrCache: map[bcAddrKey]bcAddr{},
-	}
+	loop := &bcLoop{lc: lc, ivReg: ivSlot, lastReg: init.b, fast: true}
 	body := bl.mark()
 	bl.loopBody(loop, s)
 	if len(loop.proofs) > 0 {
@@ -706,7 +730,7 @@ func (bl *bcLower) classifyFast(root *Ident, subs []Expr) (bcAddr, bool) {
 	case VarArray:
 		// Local arrays declared inside the body rebind their slot each
 		// iteration; the preamble proof would validate a stale binding.
-		if lc.declArrays[ref.Slot] {
+		if lc.declArrays.has(ref.Slot) {
 			return bcAddr{}, false
 		}
 		arr = int32(ref.Slot)
@@ -775,6 +799,9 @@ func (bl *bcLower) classifyFast(root *Ident, subs []Expr) (bcAddr, bool) {
 	}
 	loop.proofs = append(loop.proofs, bcProof{row, sx0, sx1})
 	if cacheable {
+		if loop.addrCache == nil {
+			loop.addrCache = map[bcAddrKey]bcAddr{}
+		}
 		loop.addrCache[key] = addr
 	}
 	return addr, true
@@ -871,13 +898,17 @@ func (bl *bcLower) formRun(loop *bcLoop, at int) {
 	if len(body) == 0 {
 		return
 	}
+	// Each form is called by name, not through a table of func values,
+	// so rows stays on the stack.
 	var rows [1 + bcSumMax]instr
-	for _, form := range [...]func([]instr, int32, *instr, *[1 + bcSumMax]instr) int32{bl.formStore, bl.formMac} {
-		head := instr{a: loop.ivReg, b: loop.lastReg, e: int32(2 + len(steps)), pos: body[len(body)-1].pos}
-		if head.c = form(body, loop.ivReg, &head, &rows); head.c > 0 {
-			bl.code = append(append(append(bl.code[:at], steps...), head), rows[:head.c]...)
-			return
-		}
+	blank := instr{a: loop.ivReg, b: loop.lastReg, e: int32(2 + len(steps)), pos: body[len(body)-1].pos}
+	head := blank
+	if head.c = bl.formStore(body, loop.ivReg, &head, &rows); head.c == 0 {
+		head = blank
+		head.c = bl.formMac(body, loop.ivReg, &head, &rows)
+	}
+	if head.c > 0 {
+		bl.code = append(append(append(bl.code[:at], steps...), head), rows[:head.c]...)
 	}
 }
 
@@ -1077,13 +1108,14 @@ func (bl *bcLower) arrRefOf(root *Ident) int32 {
 	return 0
 }
 
-// lowerSubs evaluates subscripts left to right into index registers,
-// protecting earlier results against writes in later subscripts.
-func (bl *bcLower) lowerSubs(subs []Expr) []int32 {
+// lowerSubs evaluates the subscripts of an access (or the dimensions of
+// a declaration) of rank 1 or 2 left to right into index registers,
+// protecting earlier results against writes in later ones; idx[1] is
+// unused at rank 1.
+func (bl *bcLower) lowerSubs(subs []Expr) (idx [2]int32) {
 	if len(subs) > 2 {
 		bl.bail(bcBailRank, subs[2].Pos())
 	}
-	idx := make([]int32, len(subs))
 	for i, sx := range subs {
 		idx[i] = bl.asI(sx)
 		if i+1 < len(subs) {
@@ -1095,7 +1127,8 @@ func (bl *bcLower) lowerSubs(subs []Expr) []int32 {
 
 // indexLoad lowers an element read in float expression position.
 func (bl *bcLower) indexLoad(ix *IndexExpr) int32 {
-	root, subs := splitIndexChain(ix)
+	var buf [2]Expr
+	root, subs := splitIndexChain(ix, &buf)
 	if root == nil {
 		bl.bail(bcBailArray, ix.P)
 	}
@@ -1106,7 +1139,7 @@ func (bl *bcLower) indexLoad(ix *IndexExpr) int32 {
 	}
 	arr := bl.arrRefOf(root)
 	idx := bl.lowerSubs(subs)
-	if len(idx) == 1 {
+	if len(subs) == 1 {
 		bl.emit(instr{op: opLdE1, a: idx[0], c: arr, d: t, pos: ix.P})
 	} else {
 		bl.emit(instr{op: opLdE2, a: idx[0], b: idx[1], c: arr, d: t, pos: ix.P})
@@ -1117,7 +1150,8 @@ func (bl *bcLower) indexLoad(ix *IndexExpr) int32 {
 // storeElem lowers a plain element store of an already-evaluated float
 // register (RHS first, then subscripts — walker evaluation order).
 func (bl *bcLower) storeElem(ix *IndexExpr, fv int32) {
-	root, subs := splitIndexChain(ix)
+	var buf [2]Expr
+	root, subs := splitIndexChain(ix, &buf)
 	if root == nil {
 		bl.bail(bcBailArray, ix.P)
 	}
@@ -1128,7 +1162,7 @@ func (bl *bcLower) storeElem(ix *IndexExpr, fv int32) {
 	arr := bl.arrRefOf(root)
 	fv = bl.protectF(fv, subs...)
 	idx := bl.lowerSubs(subs)
-	if len(idx) == 1 {
+	if len(subs) == 1 {
 		bl.emit(instr{op: opStE1, a: idx[0], c: arr, d: fv, pos: ix.P})
 	} else {
 		bl.emit(instr{op: opStE2, a: idx[0], b: idx[1], c: arr, d: fv, pos: ix.P})
@@ -1139,7 +1173,8 @@ func (bl *bcLower) storeElem(ix *IndexExpr, fv int32) {
 // position, returning the stored value's register.
 func (bl *bcLower) compoundElem(ix *IndexExpr, base TokenKind, rhs Expr) int32 {
 	rv := bl.asF(rhs)
-	root, subs := splitIndexChain(ix)
+	var buf [2]Expr
+	root, subs := splitIndexChain(ix, &buf)
 	if root == nil {
 		bl.bail(bcBailArray, ix.P)
 	}
@@ -1154,7 +1189,7 @@ func (bl *bcLower) compoundElem(ix *IndexExpr, base TokenKind, rhs Expr) int32 {
 	arr := bl.arrRefOf(root)
 	rv = bl.protectF(rv, subs...)
 	idx := bl.lowerSubs(subs)
-	if len(idx) == 1 {
+	if len(subs) == 1 {
 		bl.emit(instr{op: opCmE1, sub: bcArithCode(base), a: idx[0], c: arr, d: rv, e: res, pos: ix.P})
 	} else {
 		bl.emit(instr{op: opCmE2, sub: bcArithCode(base), a: idx[0], b: idx[1], c: arr, d: rv, e: res, pos: ix.P})
@@ -1620,7 +1655,8 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 		delta = -1.0
 	}
 	if ix, ok := stripParens(e.X).(*IndexExpr); ok {
-		root, subs := splitIndexChain(ix)
+		var buf [2]Expr
+		root, subs := splitIndexChain(ix, &buf)
 		if root == nil {
 			bl.bail(bcBailArray, ix.P)
 		}
@@ -1638,7 +1674,7 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 		}
 		arr := bl.arrRefOf(root)
 		idx := bl.lowerSubs(subs)
-		if len(idx) == 1 {
+		if len(subs) == 1 {
 			bl.emit(instr{op: opIncE1, sub: sub, a: idx[0], c: arr, d: old, pos: ix.P})
 		} else {
 			bl.emit(instr{op: opIncE2, sub: sub, a: idx[0], b: idx[1], c: arr, d: old, pos: ix.P})
@@ -1672,7 +1708,7 @@ func (bl *bcLower) floatIncDec(e *IncDecExpr) int32 {
 
 // builtin lowers a math-builtin call.
 func (bl *bcLower) builtin(e *CallExpr) int32 {
-	args := make([]int32, len(e.Args))
+	var args [2]int32 // every builtin takes one or two (the resolver checks)
 	for i, a := range e.Args {
 		args[i] = bl.asF(a)
 		if i+1 < len(e.Args) {
@@ -1893,7 +1929,8 @@ func (bl *bcLower) exprVoid(e Expr) {
 // proven target is classified before the RHS, and a compound one is
 // updated in place (opCmU*) without a result register.
 func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
-	root, subs := splitIndexChain(ix)
+	var buf [2]Expr
+	root, subs := splitIndexChain(ix, &buf)
 	if root == nil {
 		bl.bail(bcBailArray, ix.P)
 	}
@@ -1907,7 +1944,7 @@ func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 		arr := bl.arrRefOf(root)
 		rv = bl.protectF(rv, subs...)
 		idx := bl.lowerSubs(subs)
-		if len(idx) == 1 {
+		if len(subs) == 1 {
 			bl.emit(instr{op: opStE1, a: idx[0], c: arr, d: rv, pos: ix.P})
 		} else {
 			bl.emit(instr{op: opStE2, a: idx[0], b: idx[1], c: arr, d: rv, pos: ix.P})
@@ -1927,7 +1964,7 @@ func (bl *bcLower) voidElemAssign(e *AssignExpr, ix *IndexExpr) {
 	rv = bl.protectF(rv, subs...)
 	idx := bl.lowerSubs(subs)
 	res := bl.newF()
-	if len(idx) == 1 {
+	if len(subs) == 1 {
 		bl.emit(instr{op: opCmE1, sub: bcArithCode(base), a: idx[0], c: arr, d: rv, e: res, pos: ix.P})
 	} else {
 		bl.emit(instr{op: opCmE2, sub: bcArithCode(base), a: idx[0], b: idx[1], c: arr, d: rv, e: res, pos: ix.P})

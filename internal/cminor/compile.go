@@ -1130,7 +1130,8 @@ func (c *compiler) arrayRef(e *Ident) func(fr *frame) *Array {
 // accessor with bounds checks. Rank 1 and 2 — the shapes Polybench
 // kernels live in — get rank-specialized accessors.
 func (c *compiler) elemFn(e *IndexExpr) func(fr *frame) (*Array, int) {
-	root, subs := splitIndexChain(e)
+	var buf [2]Expr
+	root, subs := splitIndexChain(e, &buf)
 	if root == nil {
 		c.bug(e.P, "indexed expression is not a variable")
 	}

@@ -11,21 +11,22 @@ import (
 	"sync/atomic"
 )
 
-// The engine API splits execution into an immutable, shareable *Program
-// and lightweight per-goroutine *Instance sessions — the runtime shape
+// The engine API splits execution into a shareable *Program and
+// lightweight per-goroutine *Instance sessions — the runtime shape
 // SOCRATES assumes: kernels are compiled once (possibly into several
 // variants under different optimization configurations) and then called
 // many times, concurrently, with per-call control.
 //
-//	prog, err := Compile(file)                   // resolve+lower once
-//	o3, err := prog.Variant(WithOptLevel(O3))    // another knob setting, shared front end
-//	inst := prog.NewInstance()                   // one per goroutine
+//	prog, err := Compile(file)                   // resolve; bodies lowered on first use
+//	o3, err := prog.Variant(WithOptLevel(O3))    // another knob setting, lowered at once
+//	inst := prog.NewInstance()                   // one per goroutine; lowers prog once
 //	v, err := inst.CallContext(ctx, "gemm", args...)
 //
-// A Program holds only read-only state (the AST is never written after
-// parse; resolver results live in NodeID-indexed side tables), so any
-// number of goroutines may share one Program — or several variants of
-// it — each through its own Instance. An Instance
+// A Program's function bodies are lowered once, on first use (Variant
+// lowers at once), and are read-only from then on; the AST is never
+// written after parse and resolver results live in NodeID-indexed side
+// tables. So any number of goroutines may share one Program — or
+// several variants of it — each through its own Instance. An Instance
 // owns the mutable execution state: global-variable storage, the step
 // budget, and a frame freelist that keeps steady-state calls
 // allocation-free. Instances are NOT safe for concurrent use; they are
@@ -206,26 +207,35 @@ func WithMaxSteps(n int) Option {
 }
 
 // Program is a compiled C-minor translation unit: one variant of the
-// source under a particular option set. It is immutable and safe to
-// share across any number of goroutines; all mutable run state lives in
-// the Instances created from it.
+// source under a particular option set. Its function bodies are lowered
+// once, on first use — by Variant at once, else by the first
+// NewInstance, Disassemble or BytecodeFuncs — and never change after.
+// It is safe to share across any number of goroutines; all mutable run
+// state lives in the Instances created from it.
 type Program struct {
 	res   *ResolvedFile
 	fname string
 	cfg   config
 	funcs map[string]*compiledFunc
 	nfun  int
+	// lowerOnce guards lowerBodies: the function shells exist from
+	// construction, their bodies from the first call of lowered.
+	lowerOnce sync.Once
 	// ref is the lazily-built trusted tier (generic O0, injector-free)
 	// that fallback re-execution and audits run on (resilience.go).
 	refOnce sync.Once
 	ref     *Program
 }
 
-// Compile resolves and lowers f under the given options
-// (default: compiled backend, O2, DefaultMaxSteps). All diagnostics
-// carry file:line:col. f is not modified — semantic results live in
-// side tables — so the same *File may be compiled repeatedly, and
-// concurrently, into independent Programs.
+// Compile resolves f under the given options (default: compiled
+// backend, O2, DefaultMaxSteps) and builds its function shells. The
+// bodies are lowered on first use: the first NewInstance, Disassemble
+// or BytecodeFuncs lowers them, once, so a Program that only serves as
+// the base of Variants never lowers its own. All diagnostics carry
+// file:line:col and are reported here; lowering reports none. f is not
+// modified — semantic results live in side tables — so the same *File
+// may be compiled repeatedly, and concurrently, into independent
+// Programs.
 func Compile(f *File, opts ...Option) (*Program, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -238,15 +248,17 @@ func Compile(f *File, opts ...Option) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lower(f.Name, res, cfg), nil
+	return newProgram(f.Name, res, cfg), nil
 }
 
 // Variant lowers the same resolved source under a modified option set,
 // sharing the resolve results with p. Options not overridden
 // keep p's values. This is the compile-time exploration hook: build
 // O0–O3 (or walker) variants of one kernel and select among them at
-// run time. Unknown option values (e.g. an out-of-range opt level) are
-// reported as a diagnostic, never silently clamped.
+// run time. Unlike Compile it lowers every body at once: it is what
+// builds an arm, so it pays for the arm when it is called. Unknown
+// option values (e.g. an out-of-range opt level) are reported as a
+// diagnostic, never silently clamped.
 func (p *Program) Variant(opts ...Option) (*Program, error) {
 	cfg := p.cfg
 	for _, o := range opts {
@@ -300,29 +312,52 @@ func (p *Program) OptLevel() OptLevel { return p.cfg.opt }
 // below it).
 func (p *Program) Passes() PassMask { return p.cfg.passes }
 
-// lower builds one Program variant from shared front-end results.
-func lower(fname string, res *ResolvedFile, cfg config) *Program {
+// newProgram builds one Program variant's function shells from shared
+// front-end results; their bodies are lowered on first use (lowered).
+func newProgram(fname string, res *ResolvedFile, cfg config) *Program {
 	p := &Program{res: res, fname: fname, cfg: cfg,
-		funcs: map[string]*compiledFunc{}}
+		funcs: make(map[string]*compiledFunc, len(res.Funcs))}
+	shells := make([]compiledFunc, len(res.Funcs))
 	for name, info := range res.Funcs {
-		p.funcs[name] = &compiledFunc{info: info, idx: p.nfun,
+		cf := &shells[p.nfun]
+		*cf = compiledFunc{info: info, idx: p.nfun,
 			nScalars: info.NumScalars, nCells: info.NumCells, nArrays: info.NumArrays,
 			zero: convertKind(Value{}, info.Decl.Ret.Kind)}
+		p.funcs[name] = cf
 		p.nfun++
 	}
+	return p
+}
+
+// lower builds one Program variant and lowers its bodies at once.
+func lower(fname string, res *ResolvedFile, cfg config) *Program {
+	return newProgram(fname, res, cfg).lowered()
+}
+
+// lowered lowers p's function bodies the first time it is called, and
+// returns p. Every path to a body — an Instance, the disassembler —
+// goes through it.
+func (p *Program) lowered() *Program {
+	p.lowerOnce.Do(p.lowerBodies)
+	return p
+}
+
+// lowerBodies gives every function of p its one body.
+func (p *Program) lowerBodies() {
+	cfg := p.cfg
 	if cfg.backend == BackendWalker {
-		w := newWalker(res)
+		w := newWalker(p.res)
 		for _, cf := range p.funcs {
 			cf.body = w.body(cf)
 		}
-		return p
+		return
 	}
 	// At O3 the inliner plans which call sites splice their callee into
 	// the caller's frame; inlined callees get fresh slot blocks, so the
 	// per-variant frame sizes grow past the resolver's counts.
 	var plans map[string]*inlinePlan
 	if cfg.opt >= O3 && cfg.passes&PassInline != 0 {
-		plans = planInlining(res)
+		plans = planInlining(p.res)
 		for name, pl := range plans {
 			cf := p.funcs[name]
 			cf.nScalars, cf.nCells, cf.nArrays = pl.numScalars, pl.numCells, pl.numArrays
@@ -348,7 +383,6 @@ func lower(fname string, res *ResolvedFile, cfg config) *Program {
 		ct := &compiler{prog: p, opt: cfg.opt, plan: plans[name], ret: cf.info.Decl.Ret.Kind}
 		cf.body = ct.block(cf.info.Decl.Body)
 	}
-	return p
 }
 
 // newGlobals allocates and initialises global storage for one session.
@@ -405,8 +439,11 @@ type Instance struct {
 }
 
 // NewInstance creates an execution session over p with fresh globals
-// and the program's configured step budget.
+// and the program's configured step budget. The first NewInstance of a
+// program Compile returned lowers its bodies (once; Variant's are
+// lowered already), so it costs what the lowering costs.
 func (p *Program) NewInstance() *Instance {
+	p.lowered()
 	s := &Instance{prog: p, g: p.newGlobals(), maxSteps: p.cfg.maxSteps,
 		pools: make([]framePool, p.nfun)}
 	s.limit.Store(int64(s.maxSteps))

@@ -208,12 +208,12 @@ func (c *compiler) markInlinedCall(lc *loopCtx, e *CallExpr, site *inlineSite, v
 		ref := site.apply(pref)
 		switch ref.Kind {
 		case VarScalar:
-			lc.modScalars[ref.Slot] = true
+			lc.modScalars.add(ref.Slot)
 		case VarArray:
 			// The slot is rebound at every call, like a per-iteration
 			// declaration: accesses through it must not be proven at
 			// loop entry.
-			lc.declArrays[ref.Slot] = true
+			lc.declArrays.add(ref.Slot)
 		case VarCell:
 			// The callee may store through the cell: whatever variable the
 			// caller passed is no longer invariant.

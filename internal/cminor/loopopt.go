@@ -23,10 +23,37 @@ import "math"
 // invariance checks.
 type loopCtx struct {
 	ivSlot      int
-	modScalars  map[int]bool
-	modGlobals  map[int]bool
-	declArrays  map[int]bool
+	modScalars  slotSet
+	modGlobals  slotSet
+	declArrays  slotSet
 	writesCells bool
+}
+
+// slotSet is a set of slot numbers: slot s < 64 is bit s of low, and a
+// higher one spills into high, which only a frame that large allocates.
+type slotSet struct {
+	low  uint64
+	high []uint64 // slot 64(k+1)+b is bit b of high[k]
+}
+
+func (ss *slotSet) add(slot int) {
+	if slot < 64 {
+		ss.low |= 1 << slot
+		return
+	}
+	k := slot/64 - 1
+	if k >= len(ss.high) {
+		ss.high = append(ss.high, make([]uint64, k+1-len(ss.high))...)
+	}
+	ss.high[k] |= 1 << (slot % 64)
+}
+
+func (ss *slotSet) has(slot int) bool {
+	if slot < 64 {
+		return ss.low&(1<<slot) != 0
+	}
+	k := slot/64 - 1
+	return k < len(ss.high) && ss.high[k]&(1<<(slot%64)) != 0
 }
 
 // affineInRange reports whether iv+off stays inside [0, n) for every iv
@@ -109,7 +136,7 @@ func (c *compiler) countedShape(s *ForStmt) (ivRef VarRef, lo, hi Expr, strict b
 	// Body analysis: no user calls, the induction variable untouched,
 	// and the bound loop-invariant.
 	lc = c.analyzeLoopBody(s.Body, ivRef.Slot)
-	if lc == nil || lc.modScalars[ivRef.Slot] || !c.invariant(hi, lc) {
+	if lc == nil || lc.modScalars.has(ivRef.Slot) || !c.invariant(hi, lc) {
 		return
 	}
 	return ivRef, lo, hi, cond.Op == LT, lc, true
@@ -209,12 +236,7 @@ func (c *compiler) isUnitStep(post Expr, ivSlot int) bool {
 // slot relocation active), so small helper calls no longer force the
 // generic loop.
 func (c *compiler) analyzeLoopBody(b *Block, ivSlot int) *loopCtx {
-	lc := &loopCtx{
-		ivSlot:     ivSlot,
-		modScalars: map[int]bool{},
-		modGlobals: map[int]bool{},
-		declArrays: map[int]bool{},
-	}
+	lc := &loopCtx{ivSlot: ivSlot}
 	ok := true
 	var visit func(Node) bool
 	visit = func(n Node) bool {
@@ -235,9 +257,9 @@ func (c *compiler) analyzeLoopBody(b *Block, ivSlot int) *loopCtx {
 			case VarScalar:
 				// A declaration re-initializes its slot every iteration,
 				// so the slot is not invariant across the loop.
-				lc.modScalars[ref.Slot] = true
+				lc.modScalars.add(ref.Slot)
 			case VarArray:
-				lc.declArrays[ref.Slot] = true
+				lc.declArrays.add(ref.Slot)
 			case VarCell:
 				lc.writesCells = true
 			}
@@ -261,9 +283,9 @@ func (c *compiler) markWrite(lc *loopCtx, target Expr) {
 	case *Ident:
 		switch ref := c.refOf(t); ref.Kind {
 		case VarScalar:
-			lc.modScalars[ref.Slot] = true
+			lc.modScalars.add(ref.Slot)
 		case VarGlobalScalar:
-			lc.modGlobals[ref.Slot] = true
+			lc.modGlobals.add(ref.Slot)
 		case VarCell:
 			// A cell may point at a global (or any caller variable), so
 			// writing through it dirties everything non-local.
@@ -287,9 +309,9 @@ func (c *compiler) invariant(e Expr, lc *loopCtx) bool {
 	case *Ident:
 		switch ref := c.refOf(e); ref.Kind {
 		case VarScalar:
-			return ref.Slot != lc.ivSlot && !lc.modScalars[ref.Slot]
+			return ref.Slot != lc.ivSlot && !lc.modScalars.has(ref.Slot)
 		case VarGlobalScalar:
-			return !lc.writesCells && !lc.modGlobals[ref.Slot]
+			return !lc.writesCells && !lc.modGlobals.has(ref.Slot)
 		}
 		return false // cells alias caller storage; be conservative
 	case *ParenExpr:
@@ -346,11 +368,10 @@ type subClass struct {
 	off int64
 }
 
-// classifySubs classifies every subscript of an access against loop
-// lc. ok is false when some subscript is neither IV-affine nor
-// invariant — the access fits no strength-reduced pattern.
-func (c *compiler) classifySubs(subs []Expr, lc *loopCtx) (cls []subClass, ok bool) {
-	cls = make([]subClass, len(subs))
+// classifySubs classifies every subscript of an access of rank 1 or 2
+// against loop lc. ok is false when some subscript is neither IV-affine
+// nor invariant — the access fits no strength-reduced pattern.
+func (c *compiler) classifySubs(subs []Expr, lc *loopCtx) (cls [2]subClass, ok bool) {
 	ok = true
 	for i, sx := range subs {
 		if off, affine := c.ivAffine(sx, lc.ivSlot); affine {

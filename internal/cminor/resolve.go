@@ -409,11 +409,11 @@ func (r *resolver) lvalue(e Expr) {
 
 // splitIndexChain unwinds a chained subscript expression, returning the
 // root identifier (nil when the root is not a variable) and the subscript
-// expressions outermost-first.
-func splitIndexChain(e Expr) (*Ident, []Expr) {
-	// Every lowerer splits every element access: collect innermost-first
-	// into room for the usual rank and turn round, one allocation.
-	subs := make([]Expr, 0, 2)
+// expressions outermost-first. The subscripts are collected into buf,
+// the caller's room for the usual rank, so splitting an access of rank
+// 1 or 2 allocates nothing; a deeper one grows out of it.
+func splitIndexChain(e Expr, buf *[2]Expr) (*Ident, []Expr) {
+	subs := buf[:0]
 	cur := e
 	for {
 		switch x := cur.(type) {
@@ -433,7 +433,8 @@ func splitIndexChain(e Expr) (*Ident, []Expr) {
 // index resolves an element access and returns its array's binding
 // (the zero VarRef when the root is not an array).
 func (r *resolver) index(e *IndexExpr) VarRef {
-	root, subs := splitIndexChain(e)
+	var buf [2]Expr
+	root, subs := splitIndexChain(e, &buf)
 	for _, sx := range subs {
 		r.expr(sx)
 	}

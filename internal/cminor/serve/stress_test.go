@@ -56,6 +56,10 @@ func TestServerLiveStress(t *testing.T) {
 		clients = 12
 		perEach = 40
 	)
+	// A lost wake fails the test and names the client instead of hanging
+	// it: each call has 10 s, as TestWakeLiveFireAndForget gives each
+	// Done. A call past it reports itself on stuck.
+	stuck := make(chan string, clients)
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -64,9 +68,13 @@ func TestServerLiveStress(t *testing.T) {
 			tenant := fmt.Sprintf("g%d", g%5) // tenants shared across goroutines
 			for i := 0; i < perEach; i++ {
 				n := sizes[(g+i)%len(sizes)]
+				late := time.AfterFunc(10*time.Second, func() {
+					stuck <- fmt.Sprintf("g%d call %d (n=%d)", g, i, n)
+				})
 				resp, err := s.Do(context.Background(), Request{
 					Tenant: tenant, Function: "probe", Args: simArgs(n),
 				})
+				late.Stop()
 				if err != nil {
 					t.Errorf("g%d call %d: %v", g, i, err)
 					return
@@ -83,7 +91,16 @@ func TestServerLiveStress(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Wait()
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case who := <-stuck:
+		t.Fatalf("%s not done after 10s", who)
+	}
 	s.Close()
 	if t.Failed() {
 		return

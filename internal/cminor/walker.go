@@ -236,7 +236,8 @@ func (w *walker) lvalue(e Expr, fr *wframe) (cell *Value, elem *float64) {
 // evaluates every subscript of a rank-1 or rank-2 access before checking
 // any, and checks each subscript of a deeper one as it is evaluated.
 func (w *walker) elem(e *IndexExpr, fr *wframe) *float64 {
-	root, subs := splitIndexChain(e)
+	var buf [2]Expr
+	root, subs := splitIndexChain(e, &buf)
 	var a *Array
 	if root != nil {
 		b, _ := w.lookup(fr, root.Name)
@@ -253,7 +254,8 @@ func (w *walker) elem(e *IndexExpr, fr *wframe) *float64 {
 		}
 		fault("array rank %d indexed with %d %s", len(a.Dims), len(subs), noun)
 	}
-	idx := make([]int, len(subs))
+	var ibuf [2]int
+	idx := ibuf[:0]
 	check := func(k int) {
 		switch i := idx[k]; {
 		case uint(i) < uint(a.Dims[k]):
@@ -264,7 +266,7 @@ func (w *walker) elem(e *IndexExpr, fr *wframe) *float64 {
 		}
 	}
 	for k, sx := range subs {
-		idx[k] = int(w.eval(sx, fr).Int())
+		idx = append(idx, int(w.eval(sx, fr).Int()))
 		if len(subs) > 2 {
 			check(k)
 		}
